@@ -1,12 +1,13 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 #
-#   make check   vet + build + full test suite + race detector on the
-#                hardened-runtime packages + short campaign, fleet,
+#   make check   gofmt check + vet + build + full test suite + race detector
+#                on the hardened-runtime packages + short campaign, fleet,
 #                serving-chaos, network-tier, crash/disk-fault and
 #                repair-ladder lifetime soak smokes + a short fuzz pass over
-#                the journal record and snapshot decoders and the f32 kernel
-#                envelope + the batched inference, training and
-#                multi-precision performance gates (bench-smoke)
+#                the journal record and snapshot decoders, the f32 kernel
+#                envelope and the /v1/infer request decoder + the batched
+#                inference, training and multi-precision performance gates
+#                (bench-smoke)
 #   make bench-smoke  gate the batched monitor readout and the engine
 #                training step against the committed baseline ratios (min
 #                speedup over the legacy paths, max allocs/op), after
@@ -30,15 +31,19 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
             ./internal/fleet/... ./internal/journal/... ./internal/engine/... \
             ./internal/tensor/... ./internal/serve/... ./internal/tengine/... \
             ./internal/netserve/... ./internal/loadgen/... \
-            ./internal/reram/... ./internal/hwcost/...
+            ./internal/reram/... ./internal/hwcost/... ./internal/wire/...
 
-.PHONY: check vet build test race-fast race soak-smoke soak \
+.PHONY: check fmt-check vet build test race-fast race soak-smoke soak \
         fleet-soak-smoke fleet-soak serve-soak-smoke serve-soak \
         net-soak-smoke net-soak crash-soak-smoke crash-soak \
         lifetime-soak-smoke lifetime-soak fuzz-short bench-smoke
 
-check: vet build test race-fast soak-smoke fleet-soak-smoke serve-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke fuzz-short bench-smoke
+check: fmt-check vet build test race-fast soak-smoke fleet-soak-smoke serve-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke fuzz-short bench-smoke
 	@echo "check: PASS"
+
+# gofmt prints the files it would rewrite; any name is a failure
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -118,12 +123,14 @@ crash-soak:
 	$(GO) run ./cmd/monitor -crash-soak -campaigns 8 -devices 3
 
 # short coverage-guided pass over the journal record decoder, the snapshot
-# decoder and the f32-vs-f64 matmul envelope (committed corpora seed all
-# three; go's fuzzer takes one target per invocation)
+# decoder, the f32-vs-f64 matmul envelope and the /v1/infer handler
+# (committed corpora seed all four; go's fuzzer takes one target per
+# invocation)
 fuzz-short:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeAll -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s
 	$(GO) test ./internal/tensor -run='^$$' -fuzz=FuzzMatMulF32VsF64 -fuzztime=10s
+	$(GO) test ./internal/netserve -run='^$$' -fuzz=FuzzInferRequest -fuzztime=10s
 
 # performance gate on the batch-first inference AND training engines, the
 # hardware cost accounting layer and the multi-precision kernel tier: the

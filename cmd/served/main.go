@@ -6,8 +6,7 @@
 //
 //	served -addr :8080 -shards 2 -devices 3 -quota-rate 512 -quota-burst 1024
 //
-// The wire protocol is documented in internal/netserve/http.go and
-// DESIGN.md §13:
+// The wire protocol is documented in internal/wire and DESIGN.md §13:
 //
 //	POST /v1/infer    {"tenant":"t","priority":"bulk","input":[[...16 floats]]}
 //	GET  /v1/healthz  per-shard serving/draining snapshot (503 when no shard live)
@@ -28,6 +27,29 @@ import (
 	"reramtest/internal/campaign"
 	"reramtest/internal/netserve"
 )
+
+// The listener's edge limits. They are constants, not flags: no deployment of
+// this service has needed a second value, and a peer that cannot meet them is
+// not a client of a 1 ms inference path. There is no WriteTimeout — a request
+// may legitimately wait out MaxDeadline, which the tier enforces itself.
+const (
+	readHeaderTimeout = 5 * time.Second  // request line + headers; cuts off slowloris
+	readTimeout       = 30 * time.Second // headers + the (≤ 4 MiB) body
+	idleTimeout       = 2 * time.Minute  // keep-alive connections between requests
+	maxHeaderBytes    = 16 << 10
+)
+
+// newServer wraps h in the listener cmd/served runs.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
@@ -86,7 +108,7 @@ func main() {
 		}()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: f.Handler()}
+	hs := newServer(*addr, f.Handler())
 	done := make(chan struct{})
 	sig := drainSignals()
 	go func() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"reramtest/internal/netserve"
 	"reramtest/internal/rng"
 	"reramtest/internal/tensor"
+	"reramtest/internal/wire"
 )
 
 // TestSIGTERMDrainsGracefully delivers a real SIGTERM to the process and
@@ -76,6 +78,64 @@ func TestSIGTERMDrainsGracefully(t *testing.T) {
 	// nothing admitted was dropped on the floor by the drain
 	if st := f.Stats(); st.Admitted != st.Terminal() {
 		t.Fatalf("drain lost requests: admitted %d, terminal %d", st.Admitted, st.Terminal())
+	}
+}
+
+// TestStalledHeadersAreCutOff: a peer that opens a connection and never
+// finishes its headers is disconnected once readHeaderTimeout runs out, and
+// costs well-formed traffic nothing while it hangs there.
+func TestStalledHeadersAreCutOff(t *testing.T) {
+	base := campaign.DefaultNetSoakConfig()
+	f, err := netserve.New([]netserve.ShardSpec{{
+		Name:    "shard-0",
+		Devices: campaign.EngineDevices(3, 2, "s0"),
+		Fleet:   base.Fleet,
+		Serve:   base.Serve,
+	}}, base.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newServer("", f.Handler())
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	stalled, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	start := time.Now()
+	if _, err := io.WriteString(stalled, "POST /v1/infer HTTP/1.1\r\nHost: served\r\nX-Stalled: "); err != nil {
+		t.Fatal(err)
+	}
+
+	body, err := wire.AppendRequest(nil, "t", false, [][]float64{make([]float64, f.InDim())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+ln.Addr().String()+"/v1/infer", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("well-formed request beside a stalled one: %d, want 200", resp.StatusCode)
+	}
+
+	// the server hangs up without a reply; a read deadline error instead
+	// means it was still holding the connection
+	const slack = 3 * time.Second
+	stalled.SetReadDeadline(start.Add(readHeaderTimeout + slack))
+	if _, err := io.Copy(io.Discard, stalled); err != nil {
+		t.Fatalf("stalled connection still open %v after its first byte: %v", time.Since(start), err)
+	}
+	if held := time.Since(start); held < readHeaderTimeout/2 {
+		t.Fatalf("stalled connection dropped after %v, long before the %v header timeout", held, readHeaderTimeout)
 	}
 }
 

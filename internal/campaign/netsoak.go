@@ -351,12 +351,16 @@ func runNetPass(seed int64, cfg NetSoakConfig, chaosOn bool) (netPassTrace, erro
 	tr.report.Merge(rep2)
 	tr.postDrainOK = rep2.OK
 
-	// teardown in dependency order: tier first (drains shards), then the
-	// listener, then idle client connections, then the goroutine audit
+	// teardown in dependency order: tier first (drains shards), then idle
+	// client connections, then the listener, then the goroutine audit. The
+	// client goes first because Shutdown gives a connection that was dialled
+	// and never used five seconds before it counts it idle — all the time
+	// this Shutdown has.
 	if err := f.Close(); err != nil {
 		hs.Close()
 		return tr, err
 	}
+	target.CloseIdle()
 	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 	err = hs.Shutdown(sctx)
 	scancel()
@@ -366,7 +370,6 @@ func runNetPass(seed int64, cfg NetSoakConfig, chaosOn bool) (netPassTrace, erro
 	if serr := <-serveErr; serr != nil && serr != http.ErrServerClosed {
 		return tr, serr
 	}
-	target.CloseIdle()
 	tr.stats = f.Stats()
 	tr.costs = f.CostStats()
 

@@ -101,8 +101,8 @@ func TestMergeReportsPoolsSegments(t *testing.T) {
 	// the soak now folds segments through loadgen's exported Report.Merge;
 	// this keeps the pooling contract pinned from the campaign side
 	a := loadgen.Report{Sent: 10, OK: 8, Hung: 1, Storms: 1,
-		ByKind: map[string]int{"ok": 8, "hung": 1, "deadline": 1},
-		ByTenant: map[string]int{"t": 10},
+		ByKind:    map[string]int{"ok": 8, "hung": 1, "deadline": 1},
+		ByTenant:  map[string]int{"t": 10},
 		Latencies: []time.Duration{time.Millisecond}, Elapsed: time.Second}
 	b := loadgen.Report{Sent: 5, OK: 5,
 		ByKind: map[string]int{"ok": 5}, ByTenant: map[string]int{"u": 5},

@@ -187,16 +187,16 @@ type stepI8 struct {
 	dense   *nn.Dense
 	in, out int
 	// weight-side caches, refreshed at compile/rebind/ReloadParams
-	wqT    []int8  // (out, in) transposed quantized weights
+	wqT    []int8 // (out, in) transposed quantized weights
 	sw     []float64
 	rowSum []int32
 	bias   []float64
 	// per-batch activation workspaces
-	xq   []int8               // (capN, in) quantized input rows
-	rq   []tensor.RowQuantI8  // per-row affine codes
-	buf  []float64            // (capN, out) dequantized output
-	outT *tensor.Tensor       // (curN, out) view of buf
-	inT  *tensor.Tensor       // f64 input view, set each ForwardBatch
+	xq   []int8              // (capN, in) quantized input rows
+	rq   []tensor.RowQuantI8 // per-row affine codes
+	buf  []float64           // (capN, out) dequantized output
+	outT *tensor.Tensor      // (curN, out) view of buf
+	inT  *tensor.Tensor      // f64 input view, set each ForwardBatch
 	body func(chunk, lo, hi int)
 }
 

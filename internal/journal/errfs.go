@@ -188,7 +188,7 @@ type errFile struct {
 	name string
 }
 
-func (f *errFile) Read(p []byte) (int, error)          { return f.f.Read(p) }
+func (f *errFile) Read(p []byte) (int, error)           { return f.f.Read(p) }
 func (f *errFile) Seek(off int64, w int) (int64, error) { return f.f.Seek(off, w) }
 func (f *errFile) Truncate(size int64) error {
 	if err := f.fs.dead(); err != nil {

@@ -1,15 +1,17 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"reramtest/internal/reram"
+	"reramtest/internal/wire"
 )
 
 // HTTPTarget drives a live netserve endpoint over its wire protocol.
@@ -35,24 +37,64 @@ func (h *HTTPTarget) CloseIdle() {
 	h.client.CloseIdleConnections()
 }
 
+// requestBody lends a pooled buffer to net/http as a request body. The
+// transport may still be writing the body from its own goroutine when
+// client.Do returns (a reply that beat the upload, a cancelled context), so
+// the buffer cannot simply go back to the pool on return: every reader copies
+// under mu, detach takes mu before the buffer goes back, and a read after
+// detach fails instead of touching it.
+type requestBody struct {
+	mu  sync.Mutex
+	buf *wire.Buffer // nil once detached
+}
+
+// bodyReader is one pass over a requestBody; GetBody makes another when the
+// transport replays the request on a fresh connection.
+type bodyReader struct {
+	b   *requestBody
+	off int
+}
+
+func (r *bodyReader) Read(p []byte) (int, error) {
+	r.b.mu.Lock()
+	defer r.b.mu.Unlock()
+	if r.b.buf == nil {
+		return 0, io.ErrClosedPipe
+	}
+	if r.off == len(r.b.buf.B) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b.buf.B[r.off:])
+	r.off += n
+	return n, nil
+}
+
+func (r *bodyReader) Close() error { return nil }
+
+// detach ends the loan.
+func (b *requestBody) detach() {
+	b.mu.Lock()
+	b.buf.Release()
+	b.buf = nil
+	b.mu.Unlock()
+}
+
 // Serve posts one request to /v1/infer and classifies the reply.
 func (h *HTTPTarget) Serve(ctx context.Context, req Request) Outcome {
-	prio := "bulk"
-	if req.Monitor {
-		prio = "monitor"
+	buf := wire.GetBuffer()
+	var err error
+	if buf.B, err = wire.AppendRequest(buf.B, req.Tenant, req.Monitor, req.Input); err != nil {
+		buf.Release()
+		return Outcome{Kind: "transport"}
 	}
-	body, err := json.Marshal(map[string]any{
-		"tenant":   req.Tenant,
-		"priority": prio,
-		"input":    req.Input,
-	})
+	body := &requestBody{buf: buf}
+	defer body.detach()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/v1/infer", &bodyReader{b: body})
 	if err != nil {
 		return Outcome{Kind: "transport"}
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/v1/infer", bytes.NewReader(body))
-	if err != nil {
-		return Outcome{Kind: "transport"}
-	}
+	hreq.ContentLength = int64(len(buf.B))
+	hreq.GetBody = func() (io.ReadCloser, error) { return &bodyReader{b: body}, nil }
 	hreq.Header.Set("Content-Type", "application/json")
 	hreq.Header.Set("X-Deadline-Ms", strconv.Itoa(req.DeadlineMs))
 

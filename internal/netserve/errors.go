@@ -5,6 +5,7 @@ import (
 	"net/http"
 
 	"reramtest/internal/serve"
+	"reramtest/internal/wire"
 )
 
 // The frontend's own sentinels. Together with the serve-layer set
@@ -15,7 +16,8 @@ import (
 var (
 	// ErrInvalid: the request never made sense — bad JSON, missing tenant,
 	// wrong input width, batch over MaxRows. Never admitted, never retried.
-	ErrInvalid = errors.New("netserve: invalid request")
+	// It is the wire codec's sentinel, so a decode failure needs no rewrap.
+	ErrInvalid = wire.ErrInvalid
 
 	// ErrQuota: the tenant's token bucket is empty. The request was never
 	// admitted; the client should back off for at least RetryAfter.

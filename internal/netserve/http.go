@@ -10,50 +10,12 @@ import (
 
 	"reramtest/internal/reram"
 	"reramtest/internal/serve"
-	"reramtest/internal/tensor"
+	"reramtest/internal/wire"
 )
 
-// The HTTP/JSON wire protocol.
-//
-//	POST /v1/infer
-//	  headers: X-Deadline-Ms: <int>   request deadline, clamped to MaxDeadline
-//	  body:    {"tenant":"t", "priority":"bulk"|"monitor", "input":[[...]]}
-//	  200:     {"probs":[[...]], "shard":"s0", "device":"accel-00",
-//	            "status":"healthy", "degraded":false, "hedged":false,
-//	            "retried":false, "attempts":1}
-//	  4xx/5xx: {"error":"<kind>", "message":"..."}  (kind ∈ KnownKinds)
-//	GET /v1/healthz   per-shard serving/quarantined/retired/draining snapshot
-//	GET /v1/stats     the tier's lifetime counters
-//	GET /statsz       full telemetry: lifetime counters, per-tenant/per-shard
-//	                  response-granular hardware cost, and every device's live
-//	                  per-class counter snapshot
-//
-// Degraded answers are 200s: the paper's economics keep drifting silicon in
-// service, so the flag rides in the body and the X-Degraded header and the
-// caller decides what the answer is worth.
-
-// inferRequest is the POST /v1/infer body.
-type inferRequest struct {
-	Tenant   string      `json:"tenant"`
-	Priority string      `json:"priority,omitempty"`
-	Input    [][]float64 `json:"input"`
-}
-
-// inferResponse is the 200 body.
-type inferResponse struct {
-	Probs    [][]float64 `json:"probs"`
-	Shard    string      `json:"shard"`
-	Device   string      `json:"device"`
-	Status   string      `json:"status"`
-	Degraded bool        `json:"degraded"`
-	Hedged   bool        `json:"hedged,omitempty"`
-	Retried  bool        `json:"retried,omitempty"`
-	Attempts int         `json:"attempts"`
-	// Cost is the measured hardware spend of the attempt that served this
-	// answer; clients summing it across completed requests reproduce the
-	// tier's per-tenant figure exactly (see CostStats).
-	Cost reram.Cost `json:"cost"`
-}
+// The HTTP/JSON wire protocol is documented in, and POST /v1/infer bodies
+// are decoded and rendered by, internal/wire. The cold paths (error bodies,
+// healthz, stats, statsz) stay on encoding/json here.
 
 // errorResponse is every non-200 body.
 type errorResponse struct {
@@ -87,6 +49,13 @@ func writeError(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(errorResponse{Error: kind, Message: err.Error()})
 }
 
+// refuse answers a request that failed validation before Do could count it.
+func (f *Frontend) refuse(w http.ResponseWriter, err error) {
+	f.received.Add(1)
+	f.invalid.Add(1)
+	writeError(w, err)
+}
+
 // handleInfer is the request path: decode, build the deadline context, run
 // the tier, encode.
 func (f *Frontend) handleInfer(w http.ResponseWriter, r *http.Request) {
@@ -95,63 +64,51 @@ func (f *Frontend) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("netserve: %s not allowed on /v1/infer: %w", r.Method, ErrInvalid))
 		return
 	}
-	var body inferRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
-	if err := dec.Decode(&body); err != nil {
-		f.received.Add(1)
-		f.invalid.Add(1)
-		writeError(w, fmt.Errorf("netserve: undecodable body: %v: %w", err, ErrInvalid))
+	body, err := wire.ReadBody(r.Body, r.ContentLength)
+	if err != nil {
+		f.refuse(w, err)
 		return
 	}
-	x, err := tensorFromRows(body.Input, f.inDim)
+	// the decoded tensor is a fresh allocation the request owns: serve may
+	// still read it from an abandoned hedge after Do returns, so only the
+	// byte buffers go back to a pool
+	req, err := wire.ParseRequest(body.B, f.inDim, f.cfg.MaxRows)
+	body.Release()
 	if err != nil {
-		f.received.Add(1)
-		f.invalid.Add(1)
-		writeError(w, err)
+		f.refuse(w, err)
 		return
 	}
 	prio := serve.Bulk
-	switch body.Priority {
-	case "", "bulk":
-	case "monitor":
+	if req.Monitor {
 		prio = serve.Monitor
-	default:
-		f.received.Add(1)
-		f.invalid.Add(1)
-		writeError(w, fmt.Errorf("netserve: unknown priority %q: %w", body.Priority, ErrInvalid))
-		return
 	}
 
 	ctx := r.Context()
 	if raw := r.Header.Get(DeadlineHeader); raw != "" {
-		ms, perr := strconv.Atoi(raw)
+		ms, perr := strconv.ParseInt(raw, 10, 64)
 		if perr != nil || ms <= 0 {
-			f.received.Add(1)
-			f.invalid.Add(1)
-			writeError(w, fmt.Errorf("netserve: bad %s %q: %w", DeadlineHeader, raw, ErrInvalid))
+			f.refuse(w, fmt.Errorf("netserve: bad %s %q: %w", DeadlineHeader, raw, ErrInvalid))
 			return
 		}
-		d := time.Duration(ms) * time.Millisecond
-		if d > f.cfg.MaxDeadline {
-			d = f.cfg.MaxDeadline
+		// clamp in milliseconds: converting first wraps a huge header negative
+		d := f.cfg.MaxDeadline
+		if ms <= int64(d/time.Millisecond) {
+			d = time.Duration(ms) * time.Millisecond
 		}
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
 
-	res, err := f.Do(ctx, Request{Tenant: body.Tenant, Priority: prio, X: x})
+	res, err := f.Do(ctx, Request{Tenant: req.Tenant, Priority: prio, X: req.X})
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Served-By", res.Shard+"/"+res.Device)
-	if res.Degraded {
-		w.Header().Set("X-Degraded", "true")
-	}
-	json.NewEncoder(w).Encode(inferResponse{
-		Probs:    rowsFromTensor(res.Probs),
+	out := wire.GetBuffer()
+	defer out.Release()
+	out.B, err = wire.AppendResponse(out.B, &wire.Response{
+		Probs:    res.Probs,
 		Shard:    res.Shard,
 		Device:   res.Device,
 		Status:   res.Status.String(),
@@ -161,6 +118,17 @@ func (f *Frontend) handleInfer(w http.ResponseWriter, r *http.Request) {
 		Attempts: res.Attempts,
 		Cost:     res.Cost,
 	})
+	if err != nil {
+		// a device that answers NaN is broken, and JSON could not say so
+		writeError(w, fmt.Errorf("netserve: %s/%s: %v: %w", res.Shard, res.Device, err, serve.ErrFaulted))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Served-By", res.Shard+"/"+res.Device)
+	if res.Degraded {
+		w.Header().Set("X-Degraded", "true")
+	}
+	w.Write(out.B)
 }
 
 // handleHealthz reports per-shard operational state; 200 while any shard is
@@ -230,36 +198,4 @@ func (f *Frontend) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	}{Stats: f.Stats(), Cost: f.CostStats(), Devices: f.DeviceCosts(), Precisions: precisions, Unjournaled: unjournaled}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
-}
-
-// tensorFromRows validates and packs the wire input into an (N, inDim)
-// batch.
-func tensorFromRows(rows [][]float64, inDim int) (*tensor.Tensor, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("netserve: empty input batch: %w", ErrInvalid)
-	}
-	x := tensor.New(len(rows), inDim)
-	data := x.Data()
-	for i, row := range rows {
-		if len(row) != inDim {
-			return nil, fmt.Errorf("netserve: input row %d has %d values, want %d: %w",
-				i, len(row), inDim, ErrInvalid)
-		}
-		copy(data[i*inDim:(i+1)*inDim], row)
-	}
-	return x, nil
-}
-
-// rowsFromTensor unpacks an (N, K) batch for the wire.
-func rowsFromTensor(t *tensor.Tensor) [][]float64 {
-	if t == nil {
-		return nil
-	}
-	n, k := t.Dim(0), t.Dim(1)
-	data := t.Data()
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = append([]float64(nil), data[i*k:(i+1)*k]...)
-	}
-	return out
 }

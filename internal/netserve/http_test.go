@@ -4,10 +4,24 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"reramtest/internal/models"
+	"reramtest/internal/nn"
+	"reramtest/internal/rng"
+	"reramtest/internal/serve"
+	"reramtest/internal/tensor"
+	"reramtest/internal/wire"
+	"reramtest/internal/wire/wiretest"
 )
 
 // httpTier wraps a small frontend in a live test server.
@@ -136,6 +150,27 @@ func TestHTTPDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// TestHTTPDeadlineClampsBeforeConverting: a header far past MaxDeadline must
+// behave exactly like MaxDeadline. Converting to a Duration before clamping
+// wrapped these negative, and a healthy tier answered 504 at once.
+func TestHTTPDeadlineClampsBeforeConverting(t *testing.T) {
+	f, _, ts := httpTier(t, Config{MaxDeadline: 5 * time.Second})
+	for _, ms := range []string{"5000", "5001", "10000000000000", strconv.FormatInt(math.MaxInt64, 10)} {
+		resp, body := postInfer(t, ts, inferBody("t", 1, 16), map[string]string{DeadlineHeader: ms})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s = %d %v, want 200 off a fast device", DeadlineHeader, ms, resp.StatusCode, body["error"])
+		}
+	}
+	// one past int64 is not a number the header can carry
+	resp, body := postInfer(t, ts, inferBody("t", 1, 16), map[string]string{DeadlineHeader: "9223372036854775808"})
+	if resp.StatusCode != http.StatusBadRequest || body["error"] != "invalid" {
+		t.Fatalf("overflowing header: %d %v, want 400 invalid", resp.StatusCode, body["error"])
+	}
+	if st := f.Stats(); st.Deadlines != 0 || st.Completed != 4 || st.Invalid != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
 func TestHTTPFaultedShardMaps502(t *testing.T) {
 	f, devs, ts := httpTier(t, Config{NoRetry: true})
 	tenant := tenantFor(t, f, "shard-0")
@@ -195,5 +230,131 @@ func TestHTTPHealthzAndStats(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz with every shard draining = %d, want 503", resp.StatusCode)
+	}
+}
+
+// serveInfer drives the handler directly, without a socket.
+func serveInfer(h http.Handler, body io.Reader, deadline string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/infer", body)
+	if deadline != "" {
+		req.Header.Set(DeadlineHeader, deadline)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestHTTPWireConformance runs the codec's tables through the handler: every
+// refused body is a typed 400 counted Invalid, every accepted one a 200, and
+// the admission identity stays exact.
+func TestHTTPWireConformance(t *testing.T) {
+	const width, maxRows = 16, 4
+	f, _ := newTier(t, 2, 1, Config{MaxRows: maxRows})
+	defer f.Close()
+
+	h := f.Handler()
+	rejects := wiretest.Rejects(width, maxRows)
+	padded := `{"tenant":"t","input":` + wiretest.Rows(1, width) + strings.Repeat(" ", wire.MaxBody) + `}`
+	rejects = append(rejects,
+		wiretest.Case{Name: "body over the 4 MiB cap", Body: padded},
+		wiretest.Case{Name: "no tenant", Body: `{"input":` + wiretest.Rows(1, width) + `}`})
+	for _, c := range rejects {
+		rec := serveInfer(h, strings.NewReader(c.Body), "")
+		var e errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: undecodable error body %q", c.Name, rec.Body.String())
+		}
+		if rec.Code != http.StatusBadRequest || e.Error != "invalid" {
+			t.Errorf("%s: %d %q (%s), want 400 invalid", c.Name, rec.Code, e.Error, e.Message)
+		}
+	}
+	// the cap also holds when the length is not declared up front
+	if rec := serveInfer(h, struct{ io.Reader }{strings.NewReader(padded)}, ""); rec.Code != http.StatusBadRequest {
+		t.Errorf("undeclared oversized body: %d, want 400", rec.Code)
+	}
+
+	accepts := wiretest.Accepts(width, maxRows)
+	for _, c := range accepts {
+		if rec := serveInfer(h, strings.NewReader(c.Body), ""); rec.Code != http.StatusOK {
+			t.Errorf("%s: %d %s, want 200", c.Name, rec.Code, rec.Body.String())
+		}
+	}
+
+	st := f.Stats()
+	if st.Received != st.Invalid+st.QuotaRejected+st.ClosedRejected+st.Admitted || st.Admitted != st.Terminal() {
+		t.Fatalf("accounting broken: %+v", st)
+	}
+	if want := uint64(len(rejects) + 1); st.Invalid != want {
+		t.Errorf("Invalid = %d, want %d", st.Invalid, want)
+	}
+	if want := uint64(len(accepts)); st.Completed != want {
+		t.Errorf("Completed = %d, want %d", st.Completed, want)
+	}
+}
+
+// TestHedgedAnswersStayBitIdentical guards the codec's ownership rule. With
+// one slow device and a 1 ms hedge, the slow attempt is abandoned and reads
+// its input tensor after the handler has answered and returned: if anyone
+// later pools the decoded tensor, the race detector (or a wrong answer) fails
+// this test.
+func TestHedgedAnswersStayBitIdentical(t *testing.T) {
+	f, devs := newTierServe(t, 1, 2, Config{}, serve.Config{Workers: 4, HedgeAfter: time.Millisecond})
+	ts := httptest.NewServer(f.Handler())
+	defer func() { ts.Close(); f.Close() }()
+	devs[0][0].set(func(d *tierDevice) { d.delay = 5 * time.Millisecond })
+
+	const clients, perClient = 4, 12
+	ref := models.MLP(rng.New(1), 16, []int{12}, 5) // newTier's reference model
+	bodies := make([][]byte, clients*perClient)
+	want := make([]*tensor.Tensor, len(bodies))
+	r := rng.New(11)
+	for i := range bodies {
+		x := tensor.RandUniform(r, 0, 1, 2, 16)
+		want[i] = nn.Softmax(ref.Forward(x))
+		var err error
+		bodies[i], err = wire.AppendRequest(nil, "t", false, [][]float64{x.Data()[:16], x.Data()[16:]})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var hedged atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c * perClient; i < (c+1)*perClient; i++ {
+				resp, err := ts.Client().Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(bodies[i]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var got struct {
+					Probs  [][]float64 `json:"probs"`
+					Hedged bool        `json:"hedged"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || len(got.Probs) != 2 {
+					t.Errorf("request %d: status %d, %v", i, resp.StatusCode, err)
+					return
+				}
+				if got.Hedged {
+					hedged.Add(1)
+				}
+				for r, row := range got.Probs {
+					for k, v := range row {
+						if w := want[i].Data()[r*5+k]; math.Float64bits(v) != math.Float64bits(w) {
+							t.Errorf("request %d probs[%d][%d] = %v, reference says %v", i, r, k, v, w)
+						}
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if hedged.Load() == 0 {
+		t.Fatal("no request was hedged: the test exercised nothing")
 	}
 }

@@ -44,7 +44,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"sync"
@@ -377,11 +376,21 @@ func New(specs []ShardSpec, cfg Config) (*Frontend, error) {
 	return f, nil
 }
 
-// hash64 is FNV-1a over s.
+// hash64 is FNV-1a over s, finished with murmur3's fmix64. Bare FNV-1a
+// barely moves its high bits for keys that differ only in their last bytes,
+// and the ring orders by the whole word: without the avalanche every
+// "tenant-NN" lands in one arc and one shard takes the fleet's traffic.
 func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 // pick chooses the shard for tenant, skipping avoided indices and non-live

@@ -75,7 +75,13 @@ func tierFleetConfig() fleet.Config {
 
 // newTier builds a frontend of `shards` shards × `devPerShard` devices and
 // returns the frontend plus the devices by shard.
-func newTier(t *testing.T, shards, devPerShard int, cfg Config) (*Frontend, [][]*tierDevice) {
+func newTier(t testing.TB, shards, devPerShard int, cfg Config) (*Frontend, [][]*tierDevice) {
+	t.Helper()
+	return newTierServe(t, shards, devPerShard, cfg, serve.Config{Workers: 2, HedgeAfter: time.Hour})
+}
+
+// newTierServe is newTier with the shards' serving configuration chosen.
+func newTierServe(t testing.TB, shards, devPerShard int, cfg Config, scfg serve.Config) (*Frontend, [][]*tierDevice) {
 	t.Helper()
 	pats := tierPatterns()
 	ref := models.MLP(rng.New(1), 16, []int{12}, 5)
@@ -93,7 +99,7 @@ func newTier(t *testing.T, shards, devPerShard int, cfg Config) (*Frontend, [][]
 			Name:    fmt.Sprintf("shard-%d", s),
 			Devices: wrapped,
 			Fleet:   tierFleetConfig(),
-			Serve:   serve.Config{Workers: 2, HedgeAfter: time.Hour},
+			Serve:   scfg,
 		}
 	}
 	f, err := New(specs, cfg)
@@ -373,11 +379,11 @@ func TestValidationRejectsBeforeAdmission(t *testing.T) {
 	f, _ := newTier(t, 1, 1, Config{MaxRows: 4})
 	defer f.Close()
 	cases := []Request{
-		{Tenant: "", X: tierBatch(1)},             // no tenant
-		{Tenant: "t", X: nil},                     // no batch
-		{Tenant: "t", X: tensor.New(1, 7)},        // wrong width
-		{Tenant: "t", X: tierBatch(5)},            // over MaxRows
-		{Tenant: "t", X: tensor.New(16)}, // wrong rank
+		{Tenant: "", X: tierBatch(1)},      // no tenant
+		{Tenant: "t", X: nil},              // no batch
+		{Tenant: "t", X: tensor.New(1, 7)}, // wrong width
+		{Tenant: "t", X: tierBatch(5)},     // over MaxRows
+		{Tenant: "t", X: tensor.New(16)},   // wrong rank
 	}
 	for i, req := range cases {
 		_, err := f.Do(context.Background(), req)
@@ -460,5 +466,35 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 5s")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestRingSpreadsTenants: bare FNV-1a put every "tenant-NN" on one shard
+// (names that differ only in their last bytes barely move its high bits, and
+// the ring orders by the whole word). With the avalanche finaliser sequential
+// names spread like random ones.
+func TestRingSpreadsTenants(t *testing.T) {
+	share := func(shards, tenants int, format string) (lo, hi float64) {
+		f, _ := newTier(t, shards, 1, Config{})
+		defer f.Close()
+		counts := make(map[string]int)
+		for i := 0; i < tenants; i++ {
+			counts[f.pick(fmt.Sprintf(format, i), nil).name]++
+		}
+		lo = 1
+		for _, name := range f.ShardNames() {
+			s := float64(counts[name]) / float64(tenants)
+			lo, hi = min(lo, s), max(hi, s)
+		}
+		return lo, hi
+	}
+	if _, hi := share(2, 64, "tenant-%02d"); hi > 0.65 {
+		t.Errorf("tenant-00..63 over 2 shards: busiest shard holds %.2f of them, want <= 0.65", hi)
+	}
+	// 16 virtual nodes leave the four arcs themselves at 0.74..1.26 of a fair
+	// quarter (relative spread ~ 1/sqrt(VNodes)), so that is the floor on how
+	// even placement can be; 1000 names land within sampling noise of it
+	if lo, hi := share(4, 1000, "tenant-%d"); lo < 0.6/4 || hi > 1.4/4 {
+		t.Errorf("1000 tenants over 4 shards: shares span [%.3f, %.3f], want within 40%% of 0.25", lo, hi)
 	}
 }

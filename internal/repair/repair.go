@@ -169,9 +169,9 @@ func DiagnoseStuck(accel *reram.Accelerator, target *nn.Network, tol float64) (S
 // Report summarises one repair round.
 type Report struct {
 	Action    Action
-	Strategy  string // strategy name when produced by a Strategy; "" otherwise
-	Stuck     int    // stuck cells diagnosed (Remap/Retrain)
-	Cells     int    // cells rewritten / lines remapped (strategy repairs)
+	Strategy  string  // strategy name when produced by a Strategy; "" otherwise
+	Stuck     int     // stuck cells diagnosed (Remap/Retrain)
+	Cells     int     // cells rewritten / lines remapped (strategy repairs)
 	AccBefore float64 // accuracy before repair (if measured; -1 otherwise)
 	AccAfter  float64 // accuracy after repair (if measured; -1 otherwise)
 	// NewRef, when non-nil, is a replacement reference network (fault-aware

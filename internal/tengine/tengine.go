@@ -33,8 +33,8 @@ import (
 	"fmt"
 	"sync"
 
-	"reramtest/internal/nn"
 	"reramtest/internal/hwcost"
+	"reramtest/internal/nn"
 	"reramtest/internal/tensor"
 )
 

@@ -233,7 +233,7 @@ func TestForwardBackwardAllocFree(t *testing.T) {
 // must reject it with a useful error instead of silently falling back.
 type opaqueLayer struct{ nn.Layer }
 
-func (o opaqueLayer) Name() string                           { return "opaque" }
+func (o opaqueLayer) Name() string                            { return "opaque" }
 func (o opaqueLayer) Forward(x *tensor.Tensor) *tensor.Tensor { return x }
 func (o opaqueLayer) Backward(g *tensor.Tensor) *tensor.Tensor {
 	return g
