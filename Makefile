@@ -3,7 +3,8 @@
 #   make check   gofmt check + vet + build + full test suite + race detector
 #                on the hardened-runtime packages + short campaign, fleet,
 #                serving-chaos, network-tier, crash/disk-fault and
-#                repair-ladder lifetime soak smokes + a short fuzz pass over
+#                repair-ladder lifetime soak smokes + the repair_ladder
+#                example end to end + a short fuzz pass over
 #                the journal record and snapshot decoders, the f32 kernel
 #                envelope and the /v1/infer request decoder + the batched
 #                inference, training and multi-precision performance gates
@@ -12,6 +13,7 @@
 #                training step against the committed baseline ratios (min
 #                speedup over the legacy paths, max allocs/op), after
 #                asserting bit-identity; fails on regression
+#   make loc     non-test Go line count (ROADMAP item 6's exit criterion)
 #   make race    race detector over the whole tree (slow: retrains models
 #                under the race runtime)
 #   make soak    the full 20-campaign acceptance soak with scorecard
@@ -36,9 +38,10 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
 .PHONY: check fmt-check vet build test race-fast race soak-smoke soak \
         fleet-soak-smoke fleet-soak serve-soak-smoke serve-soak \
         net-soak-smoke net-soak crash-soak-smoke crash-soak \
-        lifetime-soak-smoke lifetime-soak fuzz-short bench-smoke
+        lifetime-soak-smoke lifetime-soak examples-smoke fuzz-short \
+        bench-smoke loc
 
-check: fmt-check vet build test race-fast soak-smoke fleet-soak-smoke serve-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke fuzz-short bench-smoke
+check: fmt-check vet build test race-fast soak-smoke fleet-soak-smoke serve-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke
 	@echo "check: PASS"
 
 # gofmt prints the files it would rewrite; any name is a failure
@@ -88,6 +91,16 @@ lifetime-soak-smoke:
 
 lifetime-soak:
 	$(GO) run ./cmd/monitor -lifetime-soak -seed 3 -campaigns 9
+
+# the examples are callers with no test of their own; repair_ladder drives
+# the supervised ladder end to end in ≈3 s and exits non-zero on an untyped
+# strategy error
+examples-smoke:
+	$(GO) run ./examples/repair_ladder
+
+# non-test Go lines, the number ROADMAP item 6 tracks
+loc:
+	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1
 
 # serving-frontend chaos soak: concurrent traffic with injected slow
 # readouts, mid-request crashes and deadline storms; gated on zero hung

@@ -44,6 +44,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -189,7 +190,8 @@ func runCost(seed int64, rounds int) int {
 		fmt.Fprintln(os.Stderr, "cost:", err)
 		return 1
 	}
-	rt, err := health.New(mon, campaign.DefaultConfig().Health)
+	hcfg := campaign.DefaultConfig().Health
+	rt, err := health.New(mon, hcfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cost:", err)
 		return 1
@@ -210,7 +212,7 @@ func runCost(seed int64, rounds int) int {
 			p.Accelerator().InjectStuckAt(0.008, 0.004)
 		}
 		if rt.Confirmed() >= monitor.Impaired {
-			ep := rt.Supervise(p.Infer(), p)
+			ep := rt.Supervise(context.Background(), p.Infer(), p, hcfg.MaxRepairAttempts)
 			episodes = append(episodes, ep)
 			fmt.Printf("round %d: repair episode, %d attempt(s), recovered=%v\n",
 				r, len(ep.Attempts), ep.Recovered)

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -79,7 +80,7 @@ func main() {
 
 		// one supervised round: confirm the damage, walk the ladder
 		// cheapest-first, verify each rung with fresh test rounds
-		ep := rt.SuperviseBudget(plant.Infer(), plant, budget)
+		ep := rt.Supervise(context.Background(), plant.Infer(), plant, budget)
 		if !ep.Repaired() {
 			fmt.Printf("fidelity %.3f — below the repair threshold, no rung pulled\n", plant.Fidelity())
 			continue

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -33,7 +34,8 @@ import (
 )
 
 // device bundles the accelerator with the repair mechanisms the supervised
-// loop may invoke. It implements health.Repairer.
+// loop may invoke. It implements health.Repairer: its ladder is the fixed
+// reprogram → retrain → replace escalation over Apply.
 type device struct {
 	accel *reram.Accelerator
 	ref   *nn.Network
@@ -60,6 +62,12 @@ func (d *device) infer(x *tensor.Tensor) *tensor.Tensor {
 func (d *device) accuracy() float64 {
 	eval := d.env.DigitsTest.Head(300)
 	return d.engine().Accuracy(eval.X, eval.Y, 64)
+}
+
+func (d *device) Strategies() []repair.Strategy { return repair.Escalation(d.Apply) }
+
+func (d *device) Diagnose(confirmed monitor.Status) repair.Diagnosis {
+	return repair.Diagnosis{Status: confirmed}
 }
 
 // Apply executes one planned repair action against the hardware.
@@ -156,7 +164,7 @@ func main() {
 		fmt.Printf("\n== %s ==\n", ev.name)
 		infer := ev.apply()
 		for i := 0; i < ev.rounds; i++ {
-			ep := rt.Supervise(infer, dev)
+			ep := rt.Supervise(context.Background(), infer, dev, hcfg.MaxRepairAttempts)
 			fmt.Printf("%s\n", ep.Trigger)
 			if ep.Repaired() {
 				fmt.Printf("  %s\n", ep)

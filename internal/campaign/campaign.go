@@ -10,6 +10,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -254,7 +255,7 @@ func Run(seed int64, cfg Config) (Result, error) {
 			}
 		}
 
-		ep := rt.Supervise(infer, plant)
+		ep := rt.Supervise(context.Background(), infer, plant, cfg.Health.MaxRepairAttempts)
 
 		rec := RoundRecord{
 			Round:       round,

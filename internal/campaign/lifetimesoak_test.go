@@ -83,14 +83,13 @@ func TestLifetimeSoakDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlantStrategySurface pins the Plant's StrategyRepairer contract: no
-// ladder unless opted in (legacy campaigns stay on the fixed-action path),
-// a single retrain rung for the control arm, and the full escalation ladder
-// in cost order otherwise.
+// TestPlantStrategySurface pins the Plant's health.Repairer contract: the
+// fixed escalation by default, a single retrain rung for the control arm,
+// and the scrub → remap → retrain suite in cost order when opted in.
 func TestPlantStrategySurface(t *testing.T) {
 	cfg := DefaultPlantConfig()
-	if got := NewPlant(1, cfg).Strategies(); got != nil {
-		t.Fatalf("legacy plant exposes %d strategies, want none", len(got))
+	if got, want := names(NewPlant(1, cfg).Strategies()), []string{"reprogram", "retrain", "replace"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("default plant strategies = %v, want %v", got, want)
 	}
 
 	cfg.RetrainOnly = true

@@ -50,9 +50,9 @@ type PlantConfig struct {
 	// RetrainEpochs bounds the fault-aware retraining repair.
 	RetrainEpochs int
 
-	// Ladder exposes the plant's pluggable repair-strategy suite
-	// (scrub → remap → retrain) to the health runtime; when false the plant
-	// repairs through the legacy fixed-action path only.
+	// Ladder makes the plant's repair ladder the pluggable strategy suite
+	// (scrub → remap → retrain); when false (and RetrainOnly is unset) the
+	// ladder is the fixed reprogram → retrain → replace escalation.
 	Ladder bool
 	// RetrainOnly restricts the exposed suite to the retrain strategy — the
 	// lifetime soak's control arm, charged in the same cost units as the
@@ -213,9 +213,7 @@ func (g GlitchMode) String() string {
 	}
 }
 
-// Plant is one campaign's device-under-test. It implements health.Repairer,
-// and — when cfg.Ladder or cfg.RetrainOnly exposes the strategy suite —
-// health.StrategyRepairer.
+// Plant is one campaign's device-under-test. It implements health.Repairer.
 type Plant struct {
 	cfg     PlantConfig
 	tmpl    *template
@@ -393,7 +391,8 @@ func (p *Plant) ShadowStatus(cfg monitor.Config) monitor.Status {
 	return shadow.Check(p.BaseInfer()).Status
 }
 
-// Apply implements health.Repairer against the simulated hardware.
+// Apply executes one action of the fixed escalation against the simulated
+// hardware (the default arm's rungs, see Strategies).
 func (p *Plant) Apply(action repair.Action) (*nn.Network, error) {
 	switch action {
 	case repair.NoAction:
@@ -435,7 +434,7 @@ func (p *Plant) Apply(action repair.Action) (*nn.Network, error) {
 	}
 }
 
-// Diagnose implements health.StrategyRepairer: an RNG-free census of what is
+// Diagnose implements health.Repairer: an RNG-free census of what is
 // wrong with the hardware right now. Stuck counts only UNCOMPENSATED pair
 // positions — a stuck cell whose differential partner already re-encodes the
 // weight around it no longer motivates a remap.
@@ -450,14 +449,14 @@ func (p *Plant) Diagnose(confirmed monitor.Status) repair.Diagnosis {
 	}
 }
 
-// Strategies implements health.StrategyRepairer: the plant's repair ladder in
-// escalation order. Empty unless the campaign opted in (cfg.Ladder), which
-// keeps legacy campaigns on the fixed-action path byte-for-byte. The
-// RetrainOnly variant is the lifetime soak's control arm: the same cost
-// accounting with the cloud-edge retrain as the only rung.
+// Strategies implements health.Repairer: the plant's repair ladder in
+// escalation order. By default that is the fixed escalation over Apply;
+// cfg.Ladder swaps in the strategy suite. The RetrainOnly variant is the
+// lifetime soak's control arm: the same cost accounting with the cloud-edge
+// retrain as the only rung.
 func (p *Plant) Strategies() []repair.Strategy {
 	if !p.cfg.Ladder && !p.cfg.RetrainOnly {
-		return nil
+		return repair.Escalation(p.Apply)
 	}
 	retrain := p.counted(p.retrainStrategy())
 	if p.cfg.RetrainOnly {

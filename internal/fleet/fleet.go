@@ -40,8 +40,7 @@ type Device interface {
 	// drops. Engines are single-goroutine objects, which is exactly the
 	// one-worker-per-device contract above.
 	Infer() monitor.Infer
-	// Repairer executes repair actions against this device (nil disables
-	// repair).
+	// Repairer is this device's repair ladder (nil disables repair).
 	Repairer() health.Repairer
 	// Reference is the model the device's monitor must be commissioned
 	// against right now (it changes after a retraining repair).
@@ -74,12 +73,11 @@ type Config struct {
 	// BreakerCooldown is how many rounds an open breaker waits before a
 	// half-open probe (0 → 3).
 	BreakerCooldown int
-	// RepairBudget is each device's lifetime repair allowance; exhausting it
-	// retires the device to hardware service (0 → 6). Against a plain
-	// health.Repairer it is counted in (apply, verify) cycles; against a
-	// health.StrategyRepairer it is counted in strategy cost units
-	// (repair.CostScrub, repair.CostRemap, …), so a cheap scrub spends less
-	// lifetime than a cloud-edge retrain.
+	// RepairBudget is each device's lifetime repair allowance in strategy
+	// cost units (repair.CostScrub, repair.CostRemap, …; one unit per rung of
+	// a repair.Escalation ladder), so a cheap scrub spends less lifetime than
+	// a cloud-edge retrain; a device is retired to hardware service when the
+	// cheapest rung that could still help no longer fits (0 → 6).
 	RepairBudget int
 	// MinServing is the load-shedding floor: the router refuses to dispatch
 	// when fewer devices serve (0 → 1).
@@ -229,9 +227,6 @@ func (r RoundResult) String() string {
 		extra := ""
 		if r.Repaired {
 			extra = fmt.Sprintf(" repaired(attempts=%d recovered=%v budgetLeft=%d)", r.Attempts, r.Recovered, r.BudgetLeft)
-		}
-		if r.Tripped {
-			extra += " [breaker TRIPPED]"
 		}
 		return fmt.Sprintf("%s r%d: confirmed=%s raw=%s%s", r.Device, r.Round, r.Confirmed, r.Raw, extra)
 	}
@@ -446,7 +441,7 @@ func build(devices []Device, cfg Config, jw *journal.Writer) (*Supervisor, error
 func (s *Supervisor) Tick() ([]RoundResult, error) { return s.TickCtx(context.Background()) }
 
 // TickCtx is Tick with a cancellation context, plumbed into every device's
-// supervised round (health.SuperviseBudgetCtx): a ctx canceled mid-tick cuts
+// supervised round (health.Runtime.Supervise): a ctx canceled mid-tick cuts
 // readout retry/backoff sleeps and stops repair escalation between attempts,
 // so a draining frontend is never stuck behind a full backoff schedule. The
 // round still completes structurally — every device produces a result and
@@ -512,19 +507,14 @@ func (s *Supervisor) tickDevice(ctx context.Context, ds *deviceState) RoundResul
 	}
 
 	// the whole remaining lifetime budget is granted: the runtime caps its
-	// own spend (MaxRepairAttempts cycles on the action path; cost units and
-	// MaxRepairAttempts both on the strategy-ladder path) and reports the
+	// own spend (cost units, and MaxRepairAttempts cycles) and reports the
 	// actual charge back in Episode.CostSpent
-	ep := ds.rt.SuperviseBudgetCtx(ctx, ds.dev.Infer(), ds.dev.Repairer(), ds.budget)
+	ep := ds.rt.Supervise(ctx, ds.dev.Infer(), ds.dev.Repairer(), ds.budget)
 	ds.budget -= ep.CostSpent
 	for _, att := range ep.Attempts {
-		name := att.Strategy
-		if name == "" {
-			name = att.Action.String()
-		}
 		ds.logDecision(RepairDecision{
 			Round:    s.round,
-			Strategy: name,
+			Strategy: att.Strategy,
 			Cost:     att.Cost,
 			Verified: att.Verified,
 			Failed:   att.ApplyErr != nil,

@@ -38,7 +38,7 @@ type fakeDevice struct {
 	deadFrom, deadTo int // sensor-dead window [from, to] (0 = never)
 
 	repairs     int
-	failRepairs bool // repair tooling broken: every Apply errors
+	failRepairs bool // repair tooling broken: every apply errors
 }
 
 func (d *fakeDevice) ID() string                    { return d.id }
@@ -72,7 +72,14 @@ func (d *fakeDevice) Infer() monitor.Infer {
 	}
 }
 
-func (d *fakeDevice) Apply(repair.Action) (*nn.Network, error) {
+// Strategies implements health.Repairer: the fixed escalation over apply.
+func (d *fakeDevice) Strategies() []repair.Strategy { return repair.Escalation(d.apply) }
+
+func (d *fakeDevice) Diagnose(confirmed monitor.Status) repair.Diagnosis {
+	return repair.Diagnosis{Status: confirmed}
+}
+
+func (d *fakeDevice) apply(repair.Action) (*nn.Network, error) {
 	d.repairs++
 	if d.failRepairs {
 		return nil, errors.New("fakeDevice: repair tooling offline")

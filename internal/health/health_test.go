@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -242,6 +243,16 @@ func TestHistoryRingBounded(t *testing.T) {
 	}
 }
 
+// escalation is the Repairer of a device whose repair mechanism is a switch
+// on repair.Action: the repair.Escalation rungs over that switch.
+type escalation func(repair.Action) (*nn.Network, error)
+
+func (f escalation) Strategies() []repair.Strategy { return repair.Escalation(f) }
+
+func (f escalation) Diagnose(confirmed monitor.Status) repair.Diagnosis {
+	return repair.Diagnosis{Status: confirmed}
+}
+
 // stepRepairer simulates hardware whose damage only the given action level
 // can clear.
 type stepRepairer struct {
@@ -250,7 +261,7 @@ type stepRepairer struct {
 	fixed   bool
 }
 
-func (s *stepRepairer) Apply(a repair.Action) (*nn.Network, error) {
+func (s *stepRepairer) apply(a repair.Action) (*nn.Network, error) {
 	s.applied = append(s.applied, a)
 	if a >= s.needs {
 		s.fixed = true
@@ -272,7 +283,7 @@ func TestSuperviseEscalatesUntilVerified(t *testing.T) {
 		probs.Apply(func(v float64) float64 { return v + d + 1e-9 })
 		return probs
 	}
-	ep := rt.Supervise(infer, sr)
+	ep := rt.Supervise(context.Background(), infer, escalation(sr.apply), cfg.MaxRepairAttempts)
 	if !ep.Recovered || ep.GaveUp {
 		t.Fatalf("episode did not recover: %s", ep)
 	}
@@ -297,7 +308,7 @@ func TestSuperviseGivesUpGracefully(t *testing.T) {
 	rt, net := testRuntime(t, cfg)
 	bad := shiftInfer(net, 0.12) // Critical, unrepairable
 	sr := &stepRepairer{needs: repair.Action(99)}
-	ep := rt.Supervise(bad, sr)
+	ep := rt.Supervise(context.Background(), bad, escalation(sr.apply), cfg.MaxRepairAttempts)
 	if ep.Recovered || !ep.GaveUp {
 		t.Fatalf("unrepairable damage not given up: %s", ep)
 	}
@@ -315,15 +326,83 @@ func TestSuperviseRepairApplyError(t *testing.T) {
 	cfg.MaxRepairAttempts = 2
 	rt, net := testRuntime(t, cfg)
 	bad := shiftInfer(net, 0.04)
-	failing := RepairerFunc(func(a repair.Action) (*nn.Network, error) {
+	failing := escalation(func(a repair.Action) (*nn.Network, error) {
 		return nil, errors.New("actuator offline")
 	})
-	ep := rt.Supervise(bad, failing)
+	ep := rt.Supervise(context.Background(), bad, failing, cfg.MaxRepairAttempts)
 	if !ep.GaveUp || len(ep.Attempts) != 2 {
 		t.Fatalf("failing repairer episode: %s", ep)
 	}
 	if ep.Attempts[0].ApplyErr == nil {
 		t.Fatal("apply error not recorded")
+	}
+}
+
+// TestEscalationRungsWalkTheFixedActionSchedule pins what an episode over
+// repair.Escalation does: start at repair.PlanFor(confirmed), one action up
+// per failed verification, at most min(budget, MaxRepairAttempts) cycles,
+// stop above Replace, one budget unit and one Action.String()-named attempt
+// per cycle, retirement advised exactly when nothing is left to spend. The
+// fleet's journaled decisions and campaign/testdata/fixed_escalation.json
+// depend on every one of these.
+func TestEscalationRungsWalkTheFixedActionSchedule(t *testing.T) {
+	const degraded, impaired, critical = 0.04, 0.08, 0.12
+	for _, tc := range []struct {
+		name        string
+		dist        float64
+		needs       repair.Action
+		budget, max int
+		want        []string
+		recovered   bool
+		retire      bool
+	}{
+		{"degraded starts at reprogram", degraded, repair.Reprogram, 3, 3, []string{"reprogram"}, true, false},
+		{"impaired starts at retrain", impaired, repair.Retrain, 3, 3, []string{"retrain"}, true, false},
+		{"critical starts at replace", critical, repair.Replace, 3, 3, []string{"replace"}, true, false},
+		{"escalates to the top", degraded, repair.Replace, 3, 3, []string{"reprogram", "retrain", "replace"}, true, false},
+		{"stops above replace", critical, repair.Action(99), 3, 3, []string{"replace"}, false, false},
+		{"attempt cap binds before the ladder", degraded, repair.Action(99), 9, 2, []string{"reprogram", "retrain"}, false, false},
+		{"budget binds before the cap", degraded, repair.Action(99), 1, 3, []string{"reprogram"}, false, true},
+		{"budget spent exactly on a full walk", degraded, repair.Action(99), 3, 3, []string{"reprogram", "retrain", "replace"}, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.EscalateAfter = 1
+			cfg.MaxRepairAttempts = tc.max
+			rt, net := testRuntime(t, cfg)
+			sr := &stepRepairer{needs: tc.needs}
+			infer := func(x *tensor.Tensor) *tensor.Tensor {
+				if sr.fixed {
+					return shiftInfer(net, 0)(x)
+				}
+				return shiftInfer(net, tc.dist)(x)
+			}
+			ep := rt.Supervise(context.Background(), infer, escalation(sr.apply), tc.budget)
+			var got []string
+			for _, att := range ep.Attempts {
+				got = append(got, att.Strategy)
+				if att.Cost != 1 {
+					t.Fatalf("attempt %s cost %d, want 1", att.Strategy, att.Cost)
+				}
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("attempts %v, want %v", got, tc.want)
+			}
+			for i, a := range sr.applied {
+				if a.String() != tc.want[i] {
+					t.Fatalf("applied %v, want %v", sr.applied, tc.want)
+				}
+			}
+			if ep.CostSpent != len(ep.Attempts) {
+				t.Fatalf("CostSpent %d over %d attempts", ep.CostSpent, len(ep.Attempts))
+			}
+			if ep.Recovered != tc.recovered || ep.GaveUp == tc.recovered {
+				t.Fatalf("recovered=%v gaveUp=%v, want recovered=%v: %s", ep.Recovered, ep.GaveUp, tc.recovered, ep)
+			}
+			if ep.RetireAdvised != tc.retire {
+				t.Fatalf("RetireAdvised=%v, want %v: %s", ep.RetireAdvised, tc.retire, ep)
+			}
+		})
 	}
 }
 
@@ -376,7 +455,7 @@ func TestCheckCtxCancelCutsRealBackoffSleep(t *testing.T) {
 	}
 }
 
-func TestSuperviseCtxCanceledStartsNoRepair(t *testing.T) {
+func TestSuperviseCanceledCtxStartsNoRepair(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EscalateAfter = 1
 	rt, net := testRuntime(t, cfg)
@@ -387,7 +466,7 @@ func TestSuperviseCtxCanceledStartsNoRepair(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sr := &stepRepairer{needs: repair.Reprogram}
-	ep := rt.SuperviseCtx(ctx, shiftInfer(net, 0.12), sr)
+	ep := rt.Supervise(ctx, shiftInfer(net, 0.12), escalation(sr.apply), cfg.MaxRepairAttempts)
 	if len(sr.applied) != 0 {
 		t.Fatalf("canceled episode still applied repairs: %v", sr.applied)
 	}
@@ -399,7 +478,7 @@ func TestSuperviseCtxCanceledStartsNoRepair(t *testing.T) {
 func TestSuperviseHealthyNoRepair(t *testing.T) {
 	rt, net := testRuntime(t, DefaultConfig())
 	sr := &stepRepairer{}
-	ep := rt.Supervise(shiftInfer(net, 0), sr)
+	ep := rt.Supervise(context.Background(), shiftInfer(net, 0), escalation(sr.apply), 3)
 	if ep.Repaired() || len(sr.applied) != 0 {
 		t.Fatalf("healthy device was repaired: %s", ep)
 	}

@@ -11,7 +11,7 @@ import (
 	"reramtest/internal/tensor"
 )
 
-// scriptedLadder is a StrategyRepairer whose rungs are scripted: damage
+// scriptedLadder is a Repairer whose rungs are scripted: damage
 // clears only when the strategy named fixedBy applies cleanly, and rungs in
 // failing error out of Apply.
 type scriptedLadder struct {
@@ -20,10 +20,6 @@ type scriptedLadder struct {
 	fixed   bool
 	failing map[string]bool
 	applied []string
-}
-
-func (s *scriptedLadder) Apply(repair.Action) (*nn.Network, error) {
-	return nil, errors.New("scriptedLadder: legacy action path must not run")
 }
 
 func (s *scriptedLadder) Diagnose(monitor.Status) repair.Diagnosis { return s.diag }
@@ -71,7 +67,7 @@ func TestLadderEscalatesAndChargesCosts(t *testing.T) {
 	rt, net := testRuntime(t, cfg)
 	sl := &scriptedLadder{diag: repair.Diagnosis{Drifted: 3, Stuck: 2}, fixedBy: "retrain"}
 
-	ep := rt.SuperviseBudget(ladderInfer(net, sl), sl, 10)
+	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 10)
 	if !ep.Recovered || ep.GaveUp {
 		t.Fatalf("ladder episode did not recover: %s", ep)
 	}
@@ -110,7 +106,7 @@ func TestLadderSkipsInapplicableRungs(t *testing.T) {
 	// no drift: the scrub rung must never run
 	sl := &scriptedLadder{diag: repair.Diagnosis{Stuck: 4}, fixedBy: "remap"}
 
-	ep := rt.SuperviseBudget(ladderInfer(net, sl), sl, 10)
+	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 10)
 	if !ep.Recovered {
 		t.Fatalf("episode did not recover: %s", ep)
 	}
@@ -129,7 +125,7 @@ func TestLadderStopsBeforeOverspendingKeepsDeviceWhenCheapRungRemains(t *testing
 	// drift only: scrub (cost 1) and retrain (cost 4) apply; nothing fixes
 	sl := &scriptedLadder{diag: repair.Diagnosis{Drifted: 1}, fixedBy: ""}
 
-	ep := rt.SuperviseBudget(ladderInfer(net, sl), sl, 3)
+	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 3)
 	if ep.Recovered || !ep.GaveUp {
 		t.Fatalf("unfixable episode: %s", ep)
 	}
@@ -155,7 +151,7 @@ func TestLadderAdvisesRetirementWhenCheapestRungExceedsBudget(t *testing.T) {
 	// stuck only: remap (cost 2) and retrain (cost 4) apply; nothing fixes
 	sl := &scriptedLadder{diag: repair.Diagnosis{Stuck: 1}, fixedBy: ""}
 
-	ep := rt.SuperviseBudget(ladderInfer(net, sl), sl, 3)
+	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 3)
 	if ep.Recovered || !ep.GaveUp {
 		t.Fatalf("unfixable episode: %s", ep)
 	}
@@ -175,7 +171,7 @@ func TestLadderAdvisesRetirementWhenNothingApplies(t *testing.T) {
 	// a commissioning-shaped diagnosis in the field: no rung applies
 	sl := &scriptedLadder{diag: repair.Diagnosis{Commissioning: true}, fixedBy: ""}
 
-	ep := rt.SuperviseBudget(ladderInfer(net, sl), sl, 10)
+	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 10)
 	if !ep.GaveUp || !ep.RetireAdvised {
 		t.Fatalf("no-applicable-strategy episode must give up and advise retirement: %s", ep)
 	}
@@ -194,7 +190,7 @@ func TestLadderChargesCostOnApplyError(t *testing.T) {
 		failing: map[string]bool{"scrub": true},
 	}
 
-	ep := rt.SuperviseBudget(ladderInfer(net, sl), sl, 10)
+	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 10)
 	if !ep.Recovered {
 		t.Fatalf("episode did not recover past the failing rung: %s", ep)
 	}
@@ -214,7 +210,7 @@ func TestLadderAttemptsCappedByMaxRepairAttempts(t *testing.T) {
 	rt, net := testRuntime(t, cfg)
 	sl := &scriptedLadder{diag: repair.Diagnosis{Drifted: 1, Stuck: 1}, fixedBy: ""}
 
-	ep := rt.SuperviseBudget(ladderInfer(net, sl), sl, 100)
+	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 100)
 	if len(ep.Attempts) != 1 {
 		t.Fatalf("attempts %d, want 1 (MaxRepairAttempts)", len(ep.Attempts))
 	}
@@ -231,7 +227,7 @@ func TestLadderCanceledCtxCondemnsNothing(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ep := rt.SuperviseBudgetCtx(ctx, ladderInfer(net, sl), sl, 10)
+	ep := rt.Supervise(ctx, ladderInfer(net, sl), sl, 10)
 	if len(sl.applied) != 0 {
 		t.Fatalf("canceled episode still applied rungs: %v", sl.applied)
 	}

@@ -1,6 +1,7 @@
 package health
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -110,18 +111,18 @@ func TestProbe(t *testing.T) {
 	}
 }
 
-// TestSuperviseBudgetZero: with no budget left, a confirmed-damaged round
+// TestSuperviseZeroBudget: with no budget left, a confirmed-damaged round
 // gives up immediately instead of attempting repairs.
-func TestSuperviseBudgetZero(t *testing.T) {
+func TestSuperviseZeroBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EscalateAfter = 1
 	rt, net := testRuntime(t, cfg)
 	applied := 0
-	rep := RepairerFunc(func(repair.Action) (*nn.Network, error) {
+	rep := escalation(func(repair.Action) (*nn.Network, error) {
 		applied++
 		return nil, nil
 	})
-	ep := rt.SuperviseBudget(shiftInfer(net, 0.2), rep, 0)
+	ep := rt.Supervise(context.Background(), shiftInfer(net, 0.2), rep, 0)
 	if ep.Repaired() || applied != 0 {
 		t.Fatalf("zero-budget episode ran repairs: attempts=%d applied=%d", len(ep.Attempts), applied)
 	}
@@ -129,7 +130,7 @@ func TestSuperviseBudgetZero(t *testing.T) {
 		t.Fatal("zero-budget episode on confirmed damage did not give up")
 	}
 	// a positive budget below MaxRepairAttempts caps the episode
-	ep = rt.SuperviseBudget(shiftInfer(net, 0.2), rep, 1)
+	ep = rt.Supervise(context.Background(), shiftInfer(net, 0.2), rep, 1)
 	if len(ep.Attempts) > 1 {
 		t.Fatalf("budget 1 episode ran %d attempts", len(ep.Attempts))
 	}

@@ -150,12 +150,10 @@ type ShardSpec struct {
 	Devices []fleet.Device
 	Fleet   fleet.Config
 	Serve   serve.Config
-	// Journal is this shard's durable WAL (nil: no durability).
-	Journal *journal.Writer
-	// Store, when set, takes precedence over Journal: the shard journals
-	// through a snapshot-compacting store and degrades to memory-only on
-	// persistent disk faults instead of failing, surfacing Unjournaled
-	// through Status, /v1/healthz and /statsz.
+	// Store is this shard's durable state (nil: memory-only): the shard
+	// journals through a snapshot-compacting store and degrades to
+	// memory-only on persistent disk faults instead of failing, surfacing
+	// Unjournaled through Status, /v1/healthz and /statsz.
 	Store *journal.Store
 }
 
@@ -356,7 +354,7 @@ func New(specs []ShardSpec, cfg Config) (*Frontend, error) {
 				return nil, fmt.Errorf("netserve: commission shard %q: %w", spec.Name, err)
 			}
 		} else {
-			srv, err = serve.New(spec.Devices, spec.Fleet, spec.Serve, spec.Journal)
+			srv, err = serve.New(spec.Devices, spec.Fleet, spec.Serve, nil)
 			if err != nil {
 				return nil, fmt.Errorf("netserve: commission shard %q: %w", spec.Name, err)
 			}

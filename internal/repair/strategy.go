@@ -181,6 +181,36 @@ func (f Func) Cost() int { return f.StrategyCost }
 // Apply implements Strategy.
 func (f Func) Apply(ctx context.Context, d Diagnosis) (Report, error) { return f.Do(ctx, d) }
 
+// Escalation renders the severity-planned fixed escalation (reprogram →
+// retrain → replace) as a ladder: three cost-1 rungs named Action.String()
+// over one apply function, for devices whose repair mechanism is a switch
+// on Action rather than a suite of Strategy types. A rung applies when the
+// plan for the diagnosed status (PlanFor) is at or below it, so an episode
+// starts at the planned action and escalates one action per failed
+// verification — budget units and (apply, verify) cycles coincide. A
+// non-nil network from apply is handed back as Report.NewRef; an error
+// outside the typed vocabulary is wrapped in *Error.
+func Escalation(apply func(Action) (*nn.Network, error)) []Strategy {
+	rungs := make([]Strategy, 0, 3)
+	for a := Reprogram; a <= Replace; a++ {
+		rungs = append(rungs, Func{
+			StrategyName: a.String(), StrategyCost: 1,
+			When: func(d Diagnosis) bool {
+				plan := PlanFor(d.Status)
+				return plan != NoAction && plan <= a
+			},
+			Do: func(context.Context, Diagnosis) (Report, error) {
+				ref, err := apply(a)
+				if !IsTyped(err) {
+					err = &Error{Strategy: a.String(), Op: "apply", Err: err}
+				}
+				return Report{Action: a, Strategy: a.String(), NewRef: ref, AccBefore: -1, AccAfter: -1}, err
+			},
+		})
+	}
+	return rungs
+}
+
 // Scrubber is the hardware surface the soft-error scrub drives: sweep every
 // healthy cell, rewrite the ones whose conductance left the tolerance band.
 // *reram.Accelerator implements it.

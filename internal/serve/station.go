@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"sync"
 
 	"reramtest/internal/fleet"
@@ -97,9 +98,10 @@ func (st *Station) CostCounter() *reram.Counter {
 	return nil
 }
 
-// Repairer returns the device's repairer behind the station lock — a repair
-// (reprogramming a crossbar, swapping the accelerator model) must not
-// interleave with an inference on the same device.
+// Repairer returns the device's repair ladder behind the station lock — a
+// repair (scrubbing or reprogramming a crossbar, swapping the accelerator
+// model) and the hardware census that picks it must not interleave with an
+// inference on the same device.
 func (st *Station) Repairer() health.Repairer {
 	inner := st.dev.Repairer()
 	if inner == nil {
@@ -113,11 +115,36 @@ type lockedRepairer struct {
 	inner health.Repairer
 }
 
-func (lr lockedRepairer) Apply(a repair.Action) (*nn.Network, error) {
+// locked runs f holding the station lock with the device's cost counter in
+// the repair class.
+func (lr lockedRepairer) locked(f func()) {
 	lr.st.mu.Lock()
 	defer lr.st.mu.Unlock()
 	ctr := lr.st.CostCounter()
 	prev := ctr.SetClass(reram.ClassRepair)
 	defer ctr.SetClass(prev)
-	return lr.inner.Apply(a)
+	f()
+}
+
+// Strategies returns the device's ladder with every rung's Apply routed
+// through the station lock; names, costs and applicability pass through.
+func (lr lockedRepairer) Strategies() []repair.Strategy {
+	var inner []repair.Strategy
+	lr.locked(func() { inner = lr.inner.Strategies() })
+	out := make([]repair.Strategy, len(inner))
+	for i, s := range inner {
+		out[i] = repair.Func{
+			StrategyName: s.Name(), StrategyCost: s.Cost(), When: s.Applicable,
+			Do: func(ctx context.Context, d repair.Diagnosis) (rep repair.Report, err error) {
+				lr.locked(func() { rep, err = s.Apply(ctx, d) })
+				return rep, err
+			},
+		}
+	}
+	return out
+}
+
+func (lr lockedRepairer) Diagnose(confirmed monitor.Status) (d repair.Diagnosis) {
+	lr.locked(func() { d = lr.inner.Diagnose(confirmed) })
+	return d
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,9 +12,11 @@ import (
 	"time"
 
 	"reramtest/internal/health"
+	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
 	"reramtest/internal/repair"
 	"reramtest/internal/serve"
+	"reramtest/internal/tensor"
 )
 
 // The Station is the convergence point of three independent callers per
@@ -91,13 +94,13 @@ func TestStationConcurrentInferAndRepair(t *testing.T) {
 			}
 		}(g)
 	}
-	rp := st.Repairer()
+	reprogram := st.Repairer().Strategies()[0]
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, err := rp.Apply(repair.Reprogram); err != nil {
+				if _, err := reprogram.Apply(context.Background(), repair.Diagnosis{}); err != nil {
 					t.Error("repair under contention:", err)
 					return
 				}
@@ -116,13 +119,122 @@ type repairableDevice struct {
 	applies *atomic.Int64
 }
 
-func (d repairableDevice) Repairer() health.Repairer {
-	return health.RepairerFunc(func(a repair.Action) (*nn.Network, error) {
+func (d repairableDevice) Repairer() health.Repairer { return d }
+
+func (d repairableDevice) Strategies() []repair.Strategy {
+	return repair.Escalation(func(repair.Action) (*nn.Network, error) {
 		d.applies.Add(1)
 		// hold the lock long enough for contention to matter under -race
 		time.Sleep(200 * time.Microsecond)
 		return nil, nil
 	})
+}
+
+func (d repairableDevice) Diagnose(confirmed monitor.Status) repair.Diagnosis {
+	return repair.Diagnosis{Status: confirmed}
+}
+
+// ladderDevice is a servDevice with a scrub → remap → retrain ladder whose
+// remap rung clears the scripted drift. occupancy counts the callers inside
+// the device at once — readout, census or rung — which the station must hold
+// at one.
+type ladderDevice struct {
+	*servDevice
+	occupancy, overlaps atomic.Int32
+}
+
+func (d *ladderDevice) enter() func() {
+	if d.occupancy.Add(1) != 1 {
+		d.overlaps.Add(1)
+	}
+	return func() { d.occupancy.Add(-1) }
+}
+
+func (d *ladderDevice) Infer() monitor.Infer {
+	inner := d.servDevice.Infer()
+	return func(x *tensor.Tensor) *tensor.Tensor {
+		defer d.enter()()
+		return inner(x)
+	}
+}
+
+func (d *ladderDevice) Repairer() health.Repairer { return d }
+
+func (d *ladderDevice) Diagnose(confirmed monitor.Status) repair.Diagnosis {
+	defer d.enter()()
+	return repair.Diagnosis{Status: confirmed, Drifted: 3, Stuck: 1}
+}
+
+func (d *ladderDevice) Strategies() []repair.Strategy {
+	rung := func(name string, cost int, shiftAfter float64) repair.Strategy {
+		return repair.Func{
+			StrategyName: name, StrategyCost: cost,
+			When: func(repair.Diagnosis) bool { return true },
+			Do: func(context.Context, repair.Diagnosis) (repair.Report, error) {
+				defer d.enter()()
+				// hold the device long enough for a serving readout to collide
+				time.Sleep(500 * time.Microsecond)
+				d.set(func(sd *servDevice) { sd.shift = shiftAfter })
+				return repair.Report{Strategy: name}, nil
+			},
+		}
+	}
+	return []repair.Strategy{
+		rung("scrub", repair.CostScrub, 0.04),
+		rung("remap", repair.CostRemap, 0),
+		rung("retrain", repair.CostRetrain, 0),
+	}
+}
+
+// TestStationCarriesTheLadder: a device behind a Station keeps its whole
+// repair ladder — the supervised episode starts at scrub, not at the fixed
+// escalation's reprogram — and the census and every rung run under the
+// station lock, never interleaved with a serving readout.
+func TestStationCarriesTheLadder(t *testing.T) {
+	dev := &ladderDevice{servDevice: testDevices(1)[0]}
+	dev.set(func(sd *servDevice) { sd.shift = 0.04 }) // confirmed Degraded
+	st := serve.NewStation(dev)
+
+	hcfg := fleetConfig().Health
+	hcfg.EscalateAfter = 1
+	rt, err := health.New(monitor.MustNew(dev.Reference(), dev.Patterns(), nil, monitor.DefaultConfig()), hcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) { // serving traffic through the same station
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					st.Infer()(requestBatch(float64(g*1000 + i)))
+				}
+			}
+		}(g)
+	}
+	ep := rt.Supervise(context.Background(), st.Infer(), st.Repairer(), 10)
+	close(stop)
+	wg.Wait()
+
+	var walked []string
+	for _, att := range ep.Attempts {
+		walked = append(walked, att.Strategy)
+	}
+	if want := []string{"scrub", "remap"}; !reflect.DeepEqual(walked, want) {
+		t.Fatalf("station-wrapped device walked %q, want %q: %s", walked, want, ep)
+	}
+	if !ep.Recovered || ep.CostSpent != repair.CostScrub+repair.CostRemap {
+		t.Fatalf("ladder episode behind the station: %s (cost %d)", ep, ep.CostSpent)
+	}
+	if n := dev.overlaps.Load(); n != 0 {
+		t.Fatalf("%d caller(s) entered the device while a readout, census or rung held it", n)
+	}
 }
 
 // TestStationUnderPreemptionCancelAndDrain is the full collision: monitoring
