@@ -4,7 +4,7 @@
 #                on the hardened-runtime packages + short campaign, fleet,
 #                serving-chaos, network-tier, crash/disk-fault and
 #                repair-ladder lifetime soak smokes + the repair_ladder
-#                example end to end + a short fuzz pass over
+#                and fleet examples end to end + a short fuzz pass over
 #                the journal record and snapshot decoders, the f32 kernel
 #                envelope and the /v1/infer request decoder + the batched
 #                inference, training and multi-precision performance gates
@@ -94,9 +94,11 @@ lifetime-soak:
 
 # the examples are callers with no test of their own; repair_ladder drives
 # the supervised ladder end to end in ≈3 s and exits non-zero on an untyped
-# strategy error
+# strategy error; fleet crashes its supervisor, tears the journal tail and
+# exits non-zero if OpenStore + Resume fails
 examples-smoke:
 	$(GO) run ./examples/repair_ladder
+	$(GO) run ./examples/fleet
 
 # non-test Go lines, the number ROADMAP item 6 tracks
 loc:

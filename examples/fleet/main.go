@@ -22,6 +22,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"reramtest/internal/campaign"
@@ -64,16 +65,17 @@ func main() {
 		devices[i] = device{id: fmt.Sprintf("accel-%02d", i), plant: plants[i]}
 	}
 
-	wal, err := os.CreateTemp("", "fleet-demo-*.wal")
+	// a directory, not a file: the store keeps its snapshot family beside
+	// the WAL
+	dir, err := os.MkdirTemp("", "fleet-demo-*")
 	fatal(err)
-	path := wal.Name()
-	wal.Close()
-	defer os.Remove(path)
-	jw, err := journal.Create(path)
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "fleet.wal")
+	st, _, err := journal.OpenStore(path, journal.StoreConfig{})
 	fatal(err)
 	fmt.Printf("write-ahead journal: %s\n\n", path)
 
-	sup, err := fleet.New(devices, fcfg, jw)
+	sup, err := fleet.New(devices, fcfg, st)
 	fatal(err)
 
 	for round := 1; round <= 18; round++ {
@@ -117,19 +119,18 @@ func main() {
 
 		if round == 12 {
 			fmt.Println("--- supervisor process killed; corrupting the journal tail to simulate a torn write")
-			fatal(jw.Close())
+			fatal(st.Close())
 			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 			fatal(err)
 			_, err = f.Write([]byte{0xA7, 0x40, 0x00, 0x00, 0x00, 0xde, 0xad})
 			fatal(err)
 			fatal(f.Close())
 
-			var payloads [][]byte
-			var truncated int
-			jw, payloads, truncated, err = journal.OpenAppend(path)
+			var rec journal.Recovered
+			st, rec, err = journal.OpenStore(path, journal.StoreConfig{})
 			fatal(err)
-			fmt.Printf("--- replay: %d records recovered, %d corrupt tail bytes truncated\n", len(payloads), truncated)
-			sup, err = fleet.Resume(devices, fcfg, jw, payloads)
+			fmt.Printf("--- replay: %d records recovered, %d corrupt tail bytes truncated\n", len(rec.Records), rec.Truncated)
+			sup, err = fleet.Resume(devices, fcfg, st, rec)
 			fatal(err)
 			fmt.Printf("--- supervisor resumed at round %d with identical confirmed statuses and budgets\n\n", sup.Round())
 		}
@@ -143,7 +144,7 @@ func main() {
 		fmt.Printf("  %s: confirmed=%s budgetLeft=%d breaker=%s retired=%v\n",
 			id, snap.State.Confirmed, snap.Budget, snap.Breaker.State, snap.Retired)
 	}
-	fatal(jw.Close())
+	fatal(st.Close())
 }
 
 func fatal(err error) {

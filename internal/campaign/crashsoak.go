@@ -226,7 +226,7 @@ func runCrashBaseline(seed int64, cfg CrashSoakConfig, dir string) (*crashBaseli
 		return nil, err
 	}
 	defer st.Close()
-	sup, err := fleet.NewStore(devices, cfg.Fleet, st)
+	sup, err := fleet.New(devices, cfg.Fleet, st)
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +316,7 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 		fail("open store: %v", err)
 		return cell
 	}
-	sup, err := fleet.NewStore(devices, cfg.Fleet, st)
+	sup, err := fleet.New(devices, cfg.Fleet, st)
 	if err != nil {
 		fail("commission: %v", err)
 		return cell
@@ -446,7 +446,7 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 	if fault == FaultCorruptSnapshot && rec.SnapshotsSkipped == 0 {
 		fail("corrupt snapshot generation not detected during recovery")
 	}
-	sup2, err := fleet.ResumeStore(devices, cfg.Fleet, st2, rec)
+	sup2, err := fleet.Resume(devices, cfg.Fleet, st2, rec)
 	if err != nil {
 		fail("resume: %v", err)
 		return cell

@@ -18,6 +18,7 @@ package campaign
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 
 	"reramtest/internal/fleet"
@@ -69,9 +70,6 @@ type FleetSoakConfig struct {
 	// every device at once (0 disables).
 	ShowerRound int
 	ShowerP     float64
-	// JournalPath overrides the journal location ("" → a temp file removed
-	// after the run).
-	JournalPath string
 }
 
 // DefaultFleetSoakConfig returns the gate-scale fleet campaign: 4 devices,
@@ -144,23 +142,21 @@ func RunFleet(seed int64, cfg FleetSoakConfig) (FleetResult, error) {
 	outage := Event{Round: cfg.Rounds / 2, Kind: KindGlitchPanic,
 		Duration: cfg.Fleet.BreakerOpenAfter + cfg.Fleet.BreakerCooldown - 1}
 
-	path := cfg.JournalPath
-	if path == "" {
-		tmp, err := os.CreateTemp("", "fleet-soak-*.wal")
-		if err != nil {
-			return res, fmt.Errorf("campaign: fleet journal: %w", err)
-		}
-		path = tmp.Name()
-		tmp.Close()
-		defer os.Remove(path)
+	// a directory, not a file: the store keeps its snapshot family beside
+	// the WAL
+	dir, err := os.MkdirTemp("", "fleet-soak-*")
+	if err != nil {
+		return res, fmt.Errorf("campaign: fleet journal: %w", err)
 	}
-	jw, err := journal.Create(path)
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "fleet.wal")
+	st, _, err := journal.OpenStore(path, journal.StoreConfig{})
 	if err != nil {
 		return res, err
 	}
-	defer func() { jw.Close() }()
+	defer func() { st.Close() }()
 
-	sup, err := fleet.New(devices, cfg.Fleet, jw)
+	sup, err := fleet.New(devices, cfg.Fleet, st)
 	if err != nil {
 		return res, err
 	}
@@ -240,7 +236,7 @@ func RunFleet(seed int64, cfg FleetSoakConfig) (FleetResult, error) {
 			res.Routed += routed
 			res.Sheds += sheds
 			preCrash := sup.Snapshot()
-			if err := jw.Close(); err != nil {
+			if err := st.Close(); err != nil {
 				return res, err
 			}
 			if cfg.CorruptTail {
@@ -249,14 +245,13 @@ func RunFleet(seed int64, cfg FleetSoakConfig) (FleetResult, error) {
 					return res, err
 				}
 			}
-			var payloads [][]byte
-			var truncated int
-			jw, payloads, truncated, err = journal.OpenAppend(path)
+			var rec journal.Recovered
+			st, rec, err = journal.OpenStore(path, journal.StoreConfig{})
 			if err != nil {
 				return res, fmt.Errorf("campaign: reopen journal after crash at round %d: %w", round, err)
 			}
-			res.TruncatedBytes += truncated
-			sup, err = fleet.Resume(devices, cfg.Fleet, jw, payloads)
+			res.TruncatedBytes += rec.Truncated
+			sup, err = fleet.Resume(devices, cfg.Fleet, st, rec)
 			if err != nil {
 				return res, fmt.Errorf("campaign: resume after crash at round %d: %w", round, err)
 			}

@@ -91,7 +91,7 @@ type Config struct {
 	// journals through a journal.Store: every CompactEvery-th tick folds the
 	// WAL into a fresh snapshot generation even before the size threshold
 	// (journal.StoreConfig.CompactBytes) arms. 0 leaves compaction purely
-	// size-triggered. Ignored on the plain Writer path.
+	// size-triggered. Ignored by a memory-only supervisor.
 	CompactEvery int
 }
 
@@ -236,8 +236,8 @@ func (r RoundResult) String() string {
 // persistent disk fault and degrades to memory-only operation: the fleet
 // keeps supervising and serving — availability over durability — but a crash
 // from here on loses everything since the last successful group commit. The
-// error is returned exactly once (by the Tick or compaction that hit the
-// fault); afterwards the condition is visible through Unjournaled and
+// error is returned exactly once (by the New, Tick or compaction that hit
+// the fault); afterwards the condition is visible through Unjournaled and
 // JournalError, and surfaces operationally via /statsz.
 var ErrUnjournaled = errors.New("fleet: journal lost to disk fault — supervising memory-only")
 
@@ -246,8 +246,7 @@ var ErrUnjournaled = errors.New("fleet: journal lost to disk fault — supervisi
 // pool never escapes a Tick call).
 type Supervisor struct {
 	cfg     Config
-	jw      *journal.Writer
-	store   *journal.Store
+	store   *journal.Store // nil: memory-only
 	order   []string
 	states  map[string]*deviceState
 	router  *Router
@@ -267,57 +266,29 @@ type Supervisor struct {
 	compactErr error
 }
 
-// New commissions a supervisor over devices. jw may be nil (no durability:
-// acceptable for tests and throwaway sims, never for deployment). The
-// commissioning itself is journaled so a fleet that crashes before its first
-// tick still replays.
-func New(devices []Device, cfg Config, jw *journal.Writer) (*Supervisor, error) {
-	s, err := build(devices, cfg, jw)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.appendRecord(recordCommission); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
+// ErrStoreHasHistory is returned by New when the store already holds a
+// fleet's journal. Commissioning over it would restart the rounds at 0 below
+// the stored history — the new life's records sort under the old snapshot's
+// sequence and are lost on the next recovery — so the caller must Resume.
+var ErrStoreHasHistory = errors.New("fleet: store already holds a journal — use Resume with what OpenStore recovered")
 
-// Resume reconstructs a supervisor from a crashed predecessor's journal
-// records (as returned by journal.OpenAppend or journal.Replay on the same
-// file; pass the reopened writer as jw so journaling continues). Every
-// journaled device must be present in devices and its freshly captured
-// commission fingerprint must match the journaled one — a mismatch means
-// the monitor would be comparing the accelerator against a model the
-// journal was not written for, and the resume is refused. Devices absent
-// from the journal are commissioned fresh.
-func Resume(devices []Device, cfg Config, jw *journal.Writer, payloads [][]byte) (*Supervisor, error) {
-	snaps, round, err := ReplayRecords(payloads)
+// New commissions a supervisor over devices, journaling through store. A nil
+// store is memory-only (acceptable for tests and throwaway sims, never for
+// deployment). The commissioning itself is journaled so a fleet that crashes
+// before its first tick still replays; if that first record cannot be
+// journaled (the disk is already faulting), the supervisor is still returned,
+// live but memory-only, alongside an error matching ErrUnjournaled — the
+// caller chooses between refusing to start and serving without durability. A
+// store that is not empty is refused with ErrStoreHasHistory.
+func New(devices []Device, cfg Config, store *journal.Store) (*Supervisor, error) {
+	if store != nil && (store.Size() > 0 || store.Generation() > 0) {
+		return nil, fmt.Errorf("%w (%s: %d WAL bytes, snapshot generation %d)",
+			ErrStoreHasHistory, store.Path(), store.Size(), store.Generation())
+	}
+	s, err := build(devices, cfg, store)
 	if err != nil {
 		return nil, err
 	}
-	s, err := build(devices, cfg, jw)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.restore(snaps, round); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// NewStore commissions a supervisor journaling through a snapshot-compacting
-// journal.Store instead of a bare Writer. If the commissioning record itself
-// cannot be journaled (the disk is already faulting), the supervisor is
-// still returned, live but memory-only, alongside an error matching
-// ErrUnjournaled — the caller chooses between refusing to start and serving
-// without durability.
-func NewStore(devices []Device, cfg Config, store *journal.Store) (*Supervisor, error) {
-	s, err := build(devices, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.store = store
-	s.prevSnapRound = -1
 	if err := s.appendRecord(recordCommission); err != nil {
 		if errors.Is(err, ErrUnjournaled) {
 			return s, err
@@ -327,23 +298,24 @@ func NewStore(devices []Device, cfg Config, store *journal.Store) (*Supervisor, 
 	return s, nil
 }
 
-// ResumeStore reconstructs a supervisor from a Store recovery: the newest
-// valid snapshot generation is folded first, then the WAL tail past it
-// (ReplayRecovered). A snapshot-less recovery — a legacy WAL written by the
-// bare-Writer path, or a fleet that never compacted — resumes from records
-// alone, so old journals keep resuming unchanged through this path. The
-// same fingerprint discipline as Resume applies.
-func ResumeStore(devices []Device, cfg Config, store *journal.Store, rec journal.Recovered) (*Supervisor, error) {
+// Resume reconstructs a supervisor from what journal.OpenStore recovered of
+// a crashed predecessor (pass the reopened store so journaling continues):
+// the newest valid snapshot generation is folded first, then the WAL tail
+// past it (ReplayRecovered); a store that has not compacted yet resumes from
+// its records alone. Every journaled device must be present in devices and
+// its freshly captured commission fingerprint must match the journaled one —
+// a mismatch means the monitor would be comparing the accelerator against a
+// model the journal was not written for, and the resume is refused. Devices
+// absent from the journal are commissioned fresh.
+func Resume(devices []Device, cfg Config, store *journal.Store, rec journal.Recovered) (*Supervisor, error) {
 	snaps, round, err := ReplayRecovered(rec)
 	if err != nil {
 		return nil, err
 	}
-	s, err := build(devices, cfg, nil)
+	s, err := build(devices, cfg, store)
 	if err != nil {
 		return nil, err
 	}
-	s.store = store
-	s.prevSnapRound = -1
 	if rec.Snapshot != nil {
 		s.prevSnapRound = int(rec.SnapshotSeq)
 	}
@@ -382,7 +354,7 @@ func (s *Supervisor) restore(snaps map[string]DeviceSnapshot, round int) error {
 }
 
 // build commissions runtimes without journaling.
-func build(devices []Device, cfg Config, jw *journal.Writer) (*Supervisor, error) {
+func build(devices []Device, cfg Config, store *journal.Store) (*Supervisor, error) {
 	if len(devices) == 0 {
 		return nil, errors.New("fleet: no devices")
 	}
@@ -398,10 +370,11 @@ func build(devices []Device, cfg Config, jw *journal.Writer) (*Supervisor, error
 	}
 	cfg = cfg.withDefaults(len(devices))
 	s := &Supervisor{
-		cfg:    cfg,
-		jw:     jw,
-		states: make(map[string]*deviceState, len(devices)),
-		router: NewRouter(cfg.MinServing),
+		cfg:           cfg,
+		store:         store,
+		states:        make(map[string]*deviceState, len(devices)),
+		router:        NewRouter(cfg.MinServing),
+		prevSnapRound: -1,
 	}
 	s.router.SetCostAware(cfg.CostAwareRouting)
 	for _, dev := range devices {
@@ -435,9 +408,9 @@ func build(devices []Device, cfg Config, jw *journal.Writer) (*Supervisor, error
 // Tick runs one supervised monitoring round across the fleet: every device
 // concurrently (bounded by cfg.Workers), then one atomic group-commit
 // journal record, then a router update. Results are returned in
-// commissioning order. A journaling failure is returned after the round's
-// state is already updated in memory — the caller must treat it as fatal
-// for durability guarantees.
+// commissioning order. A journaling failure (ErrUnjournaled) is returned
+// after the round's state is already updated in memory — the caller must
+// treat it as fatal for durability guarantees.
 func (s *Supervisor) Tick() ([]RoundResult, error) { return s.TickCtx(context.Background()) }
 
 // TickCtx is Tick with a cancellation context, plumbed into every device's
@@ -572,30 +545,24 @@ func (s *Supervisor) Checkpoint() ([]byte, error) {
 }
 
 // appendRecord journals the fleet's full durable state as one atomic record
-// and syncs it to stable storage (group commit). On the Store path a
-// journaling failure degrades the supervisor to memory-only operation (see
-// ErrUnjournaled) instead of propagating raw I/O errors forever.
+// and syncs it to stable storage (group commit). A journaling failure
+// degrades the supervisor to memory-only operation (see ErrUnjournaled)
+// instead of propagating raw I/O errors forever.
 func (s *Supervisor) appendRecord(kind string) error {
-	if (s.jw == nil && s.store == nil) || s.unjournaled {
+	if s.store == nil || s.unjournaled {
 		return nil
 	}
 	payload, err := encodeRecord(s.currentRecord(kind))
 	if err != nil {
 		return err
 	}
-	if s.store != nil {
-		if err := s.store.Append(payload); err != nil {
-			return s.degrade(err)
-		}
-		if err := s.store.Sync(); err != nil {
-			return s.degrade(err)
-		}
-		return nil
+	if err := s.store.Append(payload); err != nil {
+		return s.degrade(err)
 	}
-	if err := s.jw.Append(payload); err != nil {
-		return err
+	if err := s.store.Sync(); err != nil {
+		return s.degrade(err)
 	}
-	return s.jw.Sync()
+	return nil
 }
 
 // degrade flips the supervisor into memory-only mode and returns the
@@ -779,8 +746,8 @@ func (s *Supervisor) JournalError() error { return s.journalErr }
 // memory-only instead and show up in JournalError).
 func (s *Supervisor) CompactionError() error { return s.compactErr }
 
-// Store exposes the snapshot-compacting journal store when the supervisor
-// runs over one (nil on the bare-Writer and unjournaled paths).
+// Store exposes the journal store the supervisor was built over (nil when
+// memory-only).
 func (s *Supervisor) Store() *journal.Store { return s.store }
 
 // DeviceIDs returns the fleet members in commissioning order.

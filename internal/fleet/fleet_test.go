@@ -443,16 +443,24 @@ func TestRetireOnBudgetExhaustion(t *testing.T) {
 }
 
 // driveFleet runs a scripted 3-device scenario for `ticks` rounds against a
-// journal at path, crashing and resuming the supervisor after every round in
-// crashAfter (the devices — the hardware — survive each crash). It returns
-// the per-round confirmed-status matrix and the final supervisor.
-func driveFleet(t *testing.T, devs []*fakeDevice, path string, ticks int, crashAfter map[int]bool, corruptTail bool) ([][]monitor.Status, *Supervisor) {
+// journal store at path (path "" is a memory-only supervisor), compacting
+// every compactEvery ticks (0: never — the scenario stays far below the
+// default size trigger, so the WAL just grows), crashing and resuming the
+// supervisor after every round in crashAfter (the devices — the hardware —
+// survive each crash). It returns the per-round confirmed-status matrix and
+// the final supervisor.
+func driveFleet(t *testing.T, devs []*fakeDevice, path string, ticks, compactEvery int, crashAfter map[int]bool, corruptTail bool) ([][]monitor.Status, *Supervisor) {
 	t.Helper()
-	jw, err := journal.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	cfg := testConfig()
+	cfg.CompactEvery = compactEvery
+	var st *journal.Store
+	if path != "" {
+		var err error
+		if st, _, err = journal.OpenStore(path, journal.StoreConfig{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sup, err := New(asDevices(devs), testConfig(), jw)
+	sup, err := New(asDevices(devs), cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +479,7 @@ func driveFleet(t *testing.T, devs []*fakeDevice, path string, ticks int, crashA
 
 		if crashAfter[round] {
 			// crash: the supervisor process dies...
-			if err := jw.Close(); err != nil {
+			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if corruptTail {
@@ -485,17 +493,16 @@ func driveFleet(t *testing.T, devs []*fakeDevice, path string, ticks int, crashA
 				}
 				f.Close()
 			}
-			// ...and a fresh process replays the journal
-			var payloads [][]byte
-			var truncated int
-			jw, payloads, truncated, err = journal.OpenAppend(path)
+			// ...and a fresh process recovers the store
+			var rec journal.Recovered
+			st, rec, err = journal.OpenStore(path, journal.StoreConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if corruptTail && truncated == 0 {
+			if corruptTail && rec.Truncated == 0 {
 				t.Fatal("corrupt tail not truncated on reopen")
 			}
-			resumed, err := Resume(asDevices(devs), testConfig(), jw, payloads)
+			resumed, err := Resume(asDevices(devs), cfg, st, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -529,14 +536,14 @@ func scriptedScenario() []*fakeDevice {
 func TestCrashRestartEquivalence(t *testing.T) {
 	const ticks = 14
 	base, baseSup := driveFleet(t, scriptedScenario(),
-		filepath.Join(t.TempDir(), "base.wal"), ticks, nil, false)
+		filepath.Join(t.TempDir(), "base.wal"), ticks, 0, nil, false)
 	baseSnap := baseSup.Snapshot()
 
 	for k := 1; k < ticks; k++ {
 		k := k
 		t.Run(fmt.Sprintf("crashAfter=%d", k), func(t *testing.T) {
 			got, sup := driveFleet(t, scriptedScenario(),
-				filepath.Join(t.TempDir(), "crash.wal"), ticks, map[int]bool{k: true}, k%2 == 0)
+				filepath.Join(t.TempDir(), "crash.wal"), ticks, 0, map[int]bool{k: true}, k%2 == 0)
 			if !reflect.DeepEqual(got, base) {
 				t.Fatalf("confirmed-status sequences diverge:\nuninterrupted %v\ncrashed       %v", base, got)
 			}
@@ -552,9 +559,9 @@ func TestCrashRestartEquivalence(t *testing.T) {
 func TestDoubleCrash(t *testing.T) {
 	const ticks = 14
 	base, _ := driveFleet(t, scriptedScenario(),
-		filepath.Join(t.TempDir(), "base.wal"), ticks, nil, false)
+		filepath.Join(t.TempDir(), "base.wal"), ticks, 0, nil, false)
 	got, _ := driveFleet(t, scriptedScenario(),
-		filepath.Join(t.TempDir(), "crash2.wal"), ticks, map[int]bool{5: true, 10: true}, true)
+		filepath.Join(t.TempDir(), "crash2.wal"), ticks, 0, map[int]bool{5: true, 10: true}, true)
 	if !reflect.DeepEqual(got, base) {
 		t.Fatalf("double-crash run diverged:\n%v\nvs\n%v", base, got)
 	}
@@ -565,11 +572,11 @@ func TestDoubleCrash(t *testing.T) {
 func TestResumeRejectsWrongReference(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.wal")
 	devs := testFleet(2)
-	jw, err := journal.Create(path)
+	st, _, err := journal.OpenStore(path, journal.StoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := New(asDevices(devs), testConfig(), jw)
+	sup, err := New(asDevices(devs), testConfig(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,29 +584,32 @@ func TestResumeRejectsWrongReference(t *testing.T) {
 	if _, err := sup.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	jw.Close()
+	st.Close()
 
 	// "restart" with device 0 pointing at a different model
 	devs[0].net = models.MLP(rng.New(99), 16, []int{12}, 5)
-	jw2, payloads, _, err := journal.OpenAppend(path)
+	st2, rec, err := journal.OpenStore(path, journal.StoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jw2.Close()
-	if _, err := Resume(asDevices(devs), testConfig(), jw2, payloads); err == nil {
+	defer st2.Close()
+	if _, err := Resume(asDevices(devs), testConfig(), st2, rec); err == nil {
 		t.Fatal("resume accepted a journal for a different reference model")
 	}
 }
 
 func TestReplayRecordsRejectsGarbage(t *testing.T) {
-	if _, _, err := ReplayRecords([][]byte{[]byte("not json")}); err == nil {
+	replay := func(record string) (map[string]DeviceSnapshot, int, error) {
+		return ReplayRecovered(journal.Recovered{Records: [][]byte{[]byte(record)}})
+	}
+	if _, _, err := replay("not json"); err == nil {
 		t.Fatal("unparseable record accepted")
 	}
-	if _, _, err := ReplayRecords([][]byte{[]byte(`{"type":"tick","round":1,"devices":[{"device":"a","budget":-4}]}`)}); err == nil {
+	if _, _, err := replay(`{"type":"tick","round":1,"devices":[{"device":"a","budget":-4}]}`); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 	// unknown types are skipped, not fatal
-	snaps, round, err := ReplayRecords([][]byte{[]byte(`{"type":"future-thing","round":9}`)})
+	snaps, round, err := replay(`{"type":"future-thing","round":9}`)
 	if err != nil || round != 0 || len(snaps) != 0 {
 		t.Fatalf("unknown record type: snaps=%d round=%d err=%v", len(snaps), round, err)
 	}

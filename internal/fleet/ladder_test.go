@@ -174,13 +174,13 @@ func TestDecisionLogSurvivesCrashResume(t *testing.T) {
 	devs[0].drifted = 1
 	devs[0].fixedBy = "retrain"
 	path := filepath.Join(t.TempDir(), "ladder.wal")
-	jw, err := journal.Create(path)
+	st, _, err := journal.OpenStore(path, journal.StoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
 	cfg.RepairBudget = 10
-	sup, err := New(asDev, cfg, jw)
+	sup, err := New(asDev, cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,18 +203,18 @@ func TestDecisionLogSurvivesCrashResume(t *testing.T) {
 
 	// crash: close the journal, replay it into a fresh supervisor over the
 	// surviving hardware
-	if err := jw.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	jw2, payloads, _, err := journal.OpenAppend(path)
+	st2, rec, err := journal.OpenStore(path, journal.StoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := Resume(asDev, cfg, jw2, payloads)
+	defer st2.Close()
+	resumed, err := Resume(asDev, cfg, st2, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jw2.Close()
 	if !reflect.DeepEqual(resumed.Snapshot(), before) {
 		t.Fatalf("decision log diverged across crash/resume:\n%+v\nvs\n%+v", resumed.Snapshot(), before)
 	}

@@ -45,12 +45,12 @@ func TestRegenPrecostFixture(t *testing.T) {
 		t.Skip("set FLEET_REGEN_FIXTURES=1 to rewrite testdata/precost.wal")
 	}
 	dir := t.TempDir()
-	jw, err := journal.Create(filepath.Join(dir, "live.wal"))
+	st, _, err := journal.OpenStore(filepath.Join(dir, "live.wal"), journal.StoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	devs := testFleet(2)
-	s, err := New(asDevices(devs), testConfig(), jw)
+	s, err := New(asDevices(devs), testConfig(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRegenPrecostFixture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := jw.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	payloads, _, err := journal.Replay(filepath.Join(dir, "live.wal"))
@@ -115,7 +115,7 @@ func TestResumeJournalWithoutCostFields(t *testing.T) {
 		}
 	}
 
-	snaps, round, err := ReplayRecords(payloads)
+	snaps, round, err := ReplayRecovered(journal.Recovered{Records: payloads})
 	if err != nil {
 		t.Fatalf("old-format WAL failed replay: %v", err)
 	}
@@ -135,12 +135,16 @@ func TestResumeJournalWithoutCostFields(t *testing.T) {
 	for _, c := range ctrs {
 		c.Charge(reram.Cost{ComputeCycles: 999, EnergyFJ: 999})
 	}
-	jw, err := journal.Create(filepath.Join(t.TempDir(), "resumed.wal"))
+	path := filepath.Join(t.TempDir(), "fleet.wal")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, rec, err := journal.OpenStore(path, journal.StoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jw.Close()
-	s, err := Resume(metered, testConfig(), jw, payloads)
+	defer st.Close()
+	s, err := Resume(metered, testConfig(), st, rec)
 	if err != nil {
 		t.Fatalf("Resume over old-format WAL: %v", err)
 	}

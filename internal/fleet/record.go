@@ -132,22 +132,17 @@ func (s DeviceSnapshot) Validate() error {
 	return s.Breaker.Validate()
 }
 
-// ReplayRecords folds journal payloads into per-device snapshots (later
-// records win) and returns the last fully committed round. Unknown record
-// types are skipped for forward compatibility; a payload that does not parse
-// as JSON is an error — the CRC framing already proved it was written
-// intact, so garbage here means a software bug, not a torn write.
-func ReplayRecords(payloads [][]byte) (snaps map[string]DeviceSnapshot, round int, err error) {
-	return foldRecords(make(map[string]DeviceSnapshot), 0, -1, payloads)
-}
-
-// ReplayRecovered folds a journal.Store recovery: the snapshot record first
-// (when one exists), then every WAL record from a round the snapshot does
-// not already cover. Records at or below the snapshot's sequence are stale —
-// a crash between snapshot publish and WAL rewrite legitimately leaves them
-// behind — and are skipped rather than replayed backwards over newer state.
-// A snapshot-less recovery (legacy WAL, or a fleet too young to have
-// compacted) degenerates to plain ReplayRecords.
+// ReplayRecovered folds a journal.Store recovery into per-device snapshots
+// (later records win) and returns the last fully committed round: the
+// snapshot record first (when one exists), then every WAL record from a round
+// the snapshot does not already cover. Records at or below the snapshot's
+// sequence are stale — a crash between snapshot publish and WAL rewrite
+// legitimately leaves them behind — and are skipped rather than replayed
+// backwards over newer state. A store that has not compacted yet recovers
+// records alone. Unknown record types are skipped for forward compatibility;
+// a payload that does not parse as JSON is an error — the CRC framing already
+// proved it was written intact, so garbage here means a software bug, not a
+// torn write.
 func ReplayRecovered(rec journal.Recovered) (snaps map[string]DeviceSnapshot, round int, err error) {
 	snaps = make(map[string]DeviceSnapshot)
 	if rec.Snapshot == nil {

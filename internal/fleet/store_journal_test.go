@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"reramtest/internal/journal"
-	"reramtest/internal/monitor"
 )
 
 // snapfallDir is the committed fixture of a compacted durable-state family
@@ -21,96 +20,24 @@ import (
 //	FLEET_REGEN_FIXTURES=1 go test ./internal/fleet -run RegenSnapfallFixture
 const snapfallDir = "testdata/snapfall"
 
-func storeTestConfig() journal.StoreConfig {
-	return journal.StoreConfig{CompactBytes: 1 << 14}
-}
-
-// driveFleetStore is driveFleet over the snapshot-compacting Store path:
-// same scripted scenario, same crash semantics, but recovery goes through
-// OpenStore + ResumeStore and compaction runs every 4 ticks.
-func driveFleetStore(t *testing.T, devs []*fakeDevice, path string, ticks int, crashAfter map[int]bool, corruptTail bool) ([][]monitor.Status, *Supervisor) {
-	t.Helper()
-	cfg := testConfig()
-	cfg.CompactEvery = 4
-	st, _, err := journal.OpenStore(path, storeTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup, err := NewStore(asDevices(devs), cfg, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var matrix [][]monitor.Status
-	for round := 1; round <= ticks; round++ {
-		advance(devs, round)
-		results, err := sup.Tick()
-		if err != nil {
-			t.Fatal(err)
-		}
-		row := make([]monitor.Status, len(results))
-		for i, r := range results {
-			row[i] = r.Confirmed
-		}
-		matrix = append(matrix, row)
-
-		if crashAfter[round] {
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if corruptTail {
-				f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.Write([]byte{0xA7, 0x13, 0x37, 0xde, 0xad}); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-			}
-			var rec journal.Recovered
-			st, rec, err = journal.OpenStore(path, storeTestConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if corruptTail && rec.Truncated == 0 {
-				t.Fatal("corrupt tail not truncated on reopen")
-			}
-			resumed, err := ResumeStore(asDevices(devs), cfg, st, rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resumed.Round() != round {
-				t.Fatalf("resumed at round %d, crashed after %d", resumed.Round(), round)
-			}
-			if !reflect.DeepEqual(resumed.Snapshot(), sup.Snapshot()) {
-				t.Fatalf("replayed snapshot diverges after round %d:\n%+v\nvs\n%+v",
-					round, resumed.Snapshot(), sup.Snapshot())
-			}
-			sup = resumed
-		}
-	}
-	return matrix, sup
-}
-
-// TestStoreCrashRestartEquivalence is TestCrashRestartEquivalence run over
-// the Store path: for every crash point — including ones landing right on a
-// compaction round, where recovery must fold snapshot + tail rather than
-// the full history — the crashed-and-resumed run must match the
-// uninterrupted one bit for bit. The uninterrupted Store arm is also checked
-// against the bare-Writer arm, proving snapshots and compaction never
-// perturb supervision itself.
+// TestStoreCrashRestartEquivalence is TestCrashRestartEquivalence with
+// compaction every 4 ticks: for every crash point — including ones landing
+// right on a compaction round, where recovery must fold snapshot + tail
+// rather than the full history — the crashed-and-resumed run must match the
+// uninterrupted one bit for bit. The uninterrupted arm is also checked
+// against a memory-only supervisor, proving journaling, snapshots and
+// compaction never perturb supervision itself.
 func TestStoreCrashRestartEquivalence(t *testing.T) {
-	const ticks = 14
-	writerBase, writerSup := driveFleet(t, scriptedScenario(),
-		filepath.Join(t.TempDir(), "writer.wal"), ticks, nil, false)
-	base, baseSup := driveFleetStore(t, scriptedScenario(),
-		filepath.Join(t.TempDir(), "base.wal"), ticks, nil, false)
-	if !reflect.DeepEqual(base, writerBase) {
-		t.Fatalf("Store path changed supervision outcomes:\nwriter %v\nstore  %v", writerBase, base)
+	const ticks, compactEvery = 14, 4
+	memBase, memSup := driveFleet(t, scriptedScenario(), "", ticks, 0, nil, false)
+	base, baseSup := driveFleet(t, scriptedScenario(),
+		filepath.Join(t.TempDir(), "base.wal"), ticks, compactEvery, nil, false)
+	if !reflect.DeepEqual(base, memBase) {
+		t.Fatalf("journaling changed supervision outcomes:\nmemory-only %v\njournaled   %v", memBase, base)
 	}
 	baseSnap := baseSup.Snapshot()
-	if !reflect.DeepEqual(baseSnap, writerSup.Snapshot()) {
-		t.Fatal("Store path changed final durable state")
+	if !reflect.DeepEqual(baseSnap, memSup.Snapshot()) {
+		t.Fatal("journaling changed final durable state")
 	}
 	if baseSup.Store().Generation() < 3 {
 		t.Fatalf("14 ticks at CompactEvery=4 produced only generation %d — compaction not exercised",
@@ -120,8 +47,8 @@ func TestStoreCrashRestartEquivalence(t *testing.T) {
 	for k := 1; k < ticks; k++ {
 		k := k
 		t.Run(fmt.Sprintf("crashAfter=%d", k), func(t *testing.T) {
-			got, sup := driveFleetStore(t, scriptedScenario(),
-				filepath.Join(t.TempDir(), "crash.wal"), ticks, map[int]bool{k: true}, k%2 == 0)
+			got, sup := driveFleet(t, scriptedScenario(),
+				filepath.Join(t.TempDir(), "crash.wal"), ticks, compactEvery, map[int]bool{k: true}, k%2 == 0)
 			if !reflect.DeepEqual(got, base) {
 				t.Fatalf("confirmed-status sequences diverge:\nuninterrupted %v\ncrashed       %v", base, got)
 			}
@@ -129,6 +56,64 @@ func TestStoreCrashRestartEquivalence(t *testing.T) {
 				t.Fatalf("final durable state diverges:\n%+v\nvs\n%+v", sup.Snapshot(), baseSnap)
 			}
 		})
+	}
+}
+
+// TestNewRefusesStoreWithHistory: commissioning over a store that already
+// holds a fleet's journal must be refused — accepted, the second life
+// restarts at round 0 below the stored snapshot's sequence and every tick it
+// acknowledges is lost on the next recovery. Resume over the same store keeps
+// them.
+func TestNewRefusesStoreWithHistory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.wal")
+	devs := scriptedScenario()
+	_, first := driveFleet(t, devs, path, 6, 4, nil, false)
+	if err := first.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, rec, err := journal.OpenStore(path, journal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { st.Close() }()
+	if rec.SnapshotGen != 1 || rec.SnapshotSeq != 4 {
+		t.Fatalf("first life recovered generation %d at seq %d, want 1 at 4", rec.SnapshotGen, rec.SnapshotSeq)
+	}
+	cfg := testConfig()
+	cfg.CompactEvery = 4
+	if _, err := New(asDevices(devs), cfg, st); !errors.Is(err, ErrStoreHasHistory) {
+		t.Fatalf("New over a store with history returned %v, want ErrStoreHasHistory", err)
+	}
+	if size := st.Size(); size != first.Store().Size() {
+		t.Fatalf("refused commissioning still wrote to the WAL: %d → %d bytes", first.Store().Size(), size)
+	}
+
+	// the second life resumes instead: its acknowledged ticks survive a restart
+	sup, err := Resume(asDevices(devs), cfg, st, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 7; round <= 9; round++ {
+		advance(devs, round)
+		if _, err := sup.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := sup.Snapshot()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, rec, err = journal.OpenStore(path, journal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	third, err := Resume(asDevices(devs), cfg, st, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.Round() != 9 || !reflect.DeepEqual(third.Snapshot(), want) {
+		t.Fatalf("restart landed on round %d, want 9 with the second life's state", third.Round())
 	}
 }
 
@@ -144,7 +129,7 @@ func TestStoreAutoCompactionBoundsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	devs := scriptedScenario()
-	sup, err := NewStore(asDevices(devs), testConfig(), st)
+	sup, err := New(asDevices(devs), testConfig(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +168,7 @@ func TestStoreDegradeToMemoryOnDiskFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	devs := testFleet(2)
-	s, err := NewStore(asDevices(devs), testConfig(), st)
+	s, err := New(asDevices(devs), testConfig(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +214,7 @@ func TestStoreDegradeToMemoryOnDiskFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	resumed, err := ResumeStore(asDevices(testFleet(2)), testConfig(), st2, rec)
+	resumed, err := Resume(asDevices(testFleet(2)), testConfig(), st2, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,15 +227,15 @@ func TestStoreDegradeToMemoryOnDiskFault(t *testing.T) {
 }
 
 // TestStoreResumeLegacySnapshotlessWAL: the committed pre-snapshot fixture —
-// a WAL written by the bare-Writer path, no snapshot family at all — must
-// resume through the Store exactly as it did through Resume, then start
-// compacting like any modern fleet.
+// a WAL with no snapshot family at all, just a store that has not compacted
+// yet — must resume from its records alone, then start compacting like any
+// other fleet.
 func TestStoreResumeLegacySnapshotlessWAL(t *testing.T) {
 	raw, err := os.ReadFile(precostFixture)
 	if err != nil {
 		t.Fatalf("committed fixture missing: %v", err)
 	}
-	path := filepath.Join(t.TempDir(), "legacy.wal")
+	path := filepath.Join(t.TempDir(), "fleet.wal")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -259,21 +244,21 @@ func TestStoreResumeLegacySnapshotlessWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec.Snapshot != nil || rec.SnapshotsSkipped != 0 {
-		t.Fatalf("legacy WAL grew a snapshot: %+v", rec)
+		t.Fatalf("snapshot-less WAL grew a snapshot: %+v", rec)
 	}
 	cfg := testConfig()
 	cfg.CompactEvery = 2
 	devs := testFleet(2)
-	s, err := ResumeStore(asDevices(devs), cfg, st, rec)
+	s, err := Resume(asDevices(devs), cfg, st, rec)
 	if err != nil {
-		t.Fatalf("ResumeStore over legacy WAL: %v", err)
+		t.Fatalf("Resume over snapshot-less WAL: %v", err)
 	}
 	if s.Round() != 3 || !s.Resumed() {
-		t.Fatalf("legacy resume landed at round %d (resumed=%v), want 3", s.Round(), s.Resumed())
+		t.Fatalf("snapshot-less resume landed at round %d (resumed=%v), want 3", s.Round(), s.Resumed())
 	}
 
-	// the resumed fleet modernises itself: round 4 hits the cadence and
-	// publishes the family's first snapshot generation
+	// round 4 hits the cadence and publishes the family's first snapshot
+	// generation
 	advance(devs, 4)
 	if _, err := s.Tick(); err != nil {
 		t.Fatal(err)
@@ -292,9 +277,9 @@ func TestStoreResumeLegacySnapshotlessWAL(t *testing.T) {
 	}
 	defer st2.Close()
 	if rec2.Snapshot == nil || rec2.SnapshotGen != 1 || rec2.SnapshotSeq != 4 {
-		t.Fatalf("modernised family did not recover snapshot-first: %+v", rec2)
+		t.Fatalf("compacted family did not recover snapshot-first: %+v", rec2)
 	}
-	s2, err := ResumeStore(asDevices(testFleet(2)), cfg, st2, rec2)
+	s2, err := Resume(asDevices(testFleet(2)), cfg, st2, rec2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +303,7 @@ func TestRegenSnapfallFixture(t *testing.T) {
 	cfg := testConfig()
 	cfg.CompactEvery = 3
 	devs := scriptedScenario()
-	s, err := NewStore(asDevices(devs), cfg, st)
+	s, err := New(asDevices(devs), cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +389,7 @@ func TestStoreResumeFallsBackOnCorruptSnapshotFixture(t *testing.T) {
 	cfg := testConfig()
 	cfg.CompactEvery = 3
 	devs := scriptedScenario()
-	s, err := ResumeStore(asDevices(devs), cfg, st, rec)
+	s, err := Resume(asDevices(devs), cfg, st, rec)
 	if err != nil {
 		t.Fatalf("fallback resume: %v", err)
 	}
@@ -461,7 +446,7 @@ func TestCheckpointRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, round, err := ReplayRecords([][]byte{payload})
+	snaps, round, err := ReplayRecovered(journal.Recovered{Snapshot: payload})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,11 @@ func (c StoreConfig) withDefaults() StoreConfig {
 }
 
 // Recovered is what OpenStore reconstructed from disk: the newest valid
-// snapshot (nil when none exists — a legacy snapshot-less WAL, or a fleet
-// too young to have compacted) plus every intact WAL record. The caller
-// folds the snapshot first, then the records whose sequence exceeds
-// SnapshotSeq — records at or below it predate the snapshot (a crash
-// between snapshot publish and WAL rewrite leaves them behind, harmlessly).
+// snapshot (nil when none exists — the store has not compacted yet) plus
+// every intact WAL record. The caller folds the snapshot first, then the
+// records whose sequence exceeds SnapshotSeq — records at or below it predate
+// the snapshot (a crash between snapshot publish and WAL rewrite leaves them
+// behind, harmlessly).
 type Recovered struct {
 	Snapshot    []byte // newest valid snapshot payload (nil: none)
 	SnapshotGen uint64

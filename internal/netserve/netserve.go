@@ -153,7 +153,9 @@ type ShardSpec struct {
 	// Store is this shard's durable state (nil: memory-only): the shard
 	// journals through a snapshot-compacting store and degrades to
 	// memory-only on persistent disk faults instead of failing, surfacing
-	// Unjournaled through Status, /v1/healthz and /statsz.
+	// Unjournaled through Status, /v1/healthz and /statsz. It must be empty —
+	// New only commissions, and refuses a store that already holds a journal
+	// (fleet.ErrStoreHasHistory) rather than restart its rounds at 0.
 	Store *journal.Store
 }
 
@@ -344,20 +346,11 @@ func New(specs []ShardSpec, cfg Config) (*Frontend, error) {
 			return nil, fmt.Errorf("netserve: shard %q input width %d differs from %d — requests could not rebalance across shards",
 				spec.Name, inDim, f.inDim)
 		}
-		var srv *serve.Server
-		var err error
-		if spec.Store != nil {
-			// degraded commissioning (ErrUnjournaled) still yields a live
-			// shard — it serves memory-only and flags itself via Status
-			srv, err = serve.NewStore(spec.Devices, spec.Fleet, spec.Serve, spec.Store)
-			if err != nil && !errors.Is(err, fleet.ErrUnjournaled) {
-				return nil, fmt.Errorf("netserve: commission shard %q: %w", spec.Name, err)
-			}
-		} else {
-			srv, err = serve.New(spec.Devices, spec.Fleet, spec.Serve, nil)
-			if err != nil {
-				return nil, fmt.Errorf("netserve: commission shard %q: %w", spec.Name, err)
-			}
+		// degraded commissioning (ErrUnjournaled) still yields a live shard —
+		// it serves memory-only and flags itself via Status
+		srv, err := serve.New(spec.Devices, spec.Fleet, spec.Serve, spec.Store)
+		if err != nil && !errors.Is(err, fleet.ErrUnjournaled) {
+			return nil, fmt.Errorf("netserve: commission shard %q: %w", spec.Name, err)
 		}
 		sh := &shard{name: spec.Name, idx: i, srv: srv}
 		f.shards = append(f.shards, sh)

@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,36 +17,72 @@ import (
 	"reramtest/internal/serve"
 )
 
-// storeTier builds a one-shard frontend journaling through a snapshot store
-// over an injectable filesystem.
-func storeTier(t *testing.T) (*Frontend, *journal.ErrFS) {
-	t.Helper()
+// storeShard is a two-device shard spec journaling through store.
+func storeShard(store *journal.Store) ShardSpec {
 	pats := tierPatterns()
 	ref := models.MLP(rng.New(1), 16, []int{12}, 5)
 	devices := make([]fleet.Device, 2)
 	for i := range devices {
 		devices[i] = &tierDevice{id: fmt.Sprintf("s0-dev%d", i), net: ref.Clone(), patterns: pats}
 	}
+	fcfg := tierFleetConfig()
+	fcfg.CompactEvery = 2
+	return ShardSpec{
+		Name:    "shard-0",
+		Devices: devices,
+		Fleet:   fcfg,
+		Serve:   serve.Config{Workers: 2, HedgeAfter: time.Hour},
+		Store:   store,
+	}
+}
+
+// storeTier builds a one-shard frontend journaling through a snapshot store
+// over an injectable filesystem.
+func storeTier(t *testing.T) (*Frontend, *journal.ErrFS) {
+	t.Helper()
 	efs := journal.NewErrFS(nil)
 	store, _, err := journal.OpenStore(filepath.Join(t.TempDir(), "shard.wal"),
 		journal.StoreConfig{FS: efs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcfg := tierFleetConfig()
-	fcfg.CompactEvery = 2
-	f, err := New([]ShardSpec{{
-		Name:    "shard-0",
-		Devices: devices,
-		Fleet:   fcfg,
-		Serve:   serve.Config{Workers: 2, HedgeAfter: time.Hour},
-		Store:   store,
-	}}, Config{})
+	f, err := New([]ShardSpec{storeShard(store)}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
 	return f, efs
+}
+
+// TestTierRefusesStoreWithHistory: New only commissions, so a shard restarted
+// over the store of its previous life must fail with the typed error instead
+// of starting again at round 0 underneath its own journal.
+func TestTierRefusesStoreWithHistory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard.wal")
+	store, _, err := journal.OpenStore(path, journal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New([]ShardSpec{storeShard(store)}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Tick()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store, _, err = journal.OpenStore(path, journal.StoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if _, err := New([]ShardSpec{storeShard(store)}, Config{}); !errors.Is(err, fleet.ErrStoreHasHistory) {
+		t.Fatalf("restart over the old store returned %v, want fleet.ErrStoreHasHistory", err)
+	}
 }
 
 // TestTierSurfacesUnjournaledShard drives a store-backed shard onto a

@@ -217,47 +217,20 @@ type Server struct {
 }
 
 // New commissions a fleet supervisor over devices (each wrapped in a
-// Station so monitoring and serving serialise per device) and starts the
-// worker pool. jw may be nil (no durability). The fleet config's MinServing
-// is validated against the fleet size at construction.
-func New(devices []fleet.Device, fcfg fleet.Config, scfg Config, jw *journal.Writer) (*Server, error) {
-	scfg, stations, wrapped, err := wrapDevices(devices, scfg)
-	if err != nil {
-		return nil, err
-	}
-	sup, err := fleet.New(wrapped, fcfg, jw)
-	if err != nil {
-		return nil, err
-	}
-	return startServer(scfg, sup, stations, devices[0].Reference().InDim()), nil
-}
-
-// NewStore is New over a snapshot-compacting journal.Store instead of a bare
-// WAL writer. If commissioning the fleet cannot be journaled (the store's
-// disk is already faulty) the server still starts, running memory-only with
-// Unjournaled set, and the returned error wraps fleet.ErrUnjournaled so the
-// operator can decide whether that is acceptable.
-func NewStore(devices []fleet.Device, fcfg fleet.Config, scfg Config, store *journal.Store) (*Server, error) {
-	scfg, stations, wrapped, err := wrapDevices(devices, scfg)
-	if err != nil {
-		return nil, err
-	}
-	sup, err := fleet.NewStore(wrapped, fcfg, store)
-	if err != nil && !errors.Is(err, fleet.ErrUnjournaled) {
-		return nil, err
-	}
-	return startServer(scfg, sup, stations, devices[0].Reference().InDim()), err
-}
-
-// wrapDevices validates the config and wraps each device in a Station so
-// monitoring and serving serialise per device.
-func wrapDevices(devices []fleet.Device, scfg Config) (Config, map[string]*Station, []fleet.Device, error) {
+// Station so monitoring and serving serialise per device), journaling
+// through store (nil: memory-only), and starts the worker pool. The fleet
+// config's MinServing is validated against the fleet size at construction.
+// If commissioning the fleet cannot be journaled (the store's disk is already
+// faulty) the server still starts, running memory-only with Unjournaled set,
+// and the returned error matches fleet.ErrUnjournaled so the operator can
+// decide whether that is acceptable.
+func New(devices []fleet.Device, fcfg fleet.Config, scfg Config, store *journal.Store) (*Server, error) {
 	if err := scfg.Validate(); err != nil {
-		return scfg, nil, nil, err
+		return nil, err
 	}
 	scfg = scfg.withDefaults()
 	if len(devices) == 0 {
-		return scfg, nil, nil, errors.New("serve: no devices")
+		return nil, errors.New("serve: no devices")
 	}
 	stations := make(map[string]*Station, len(devices))
 	wrapped := make([]fleet.Device, len(devices))
@@ -266,18 +239,17 @@ func wrapDevices(devices []fleet.Device, scfg Config) (Config, map[string]*Stati
 		wrapped[i] = st
 		stations[st.ID()] = st
 	}
-	return scfg, stations, wrapped, nil
-}
+	sup, err := fleet.New(wrapped, fcfg, store)
+	if err != nil && !errors.Is(err, fleet.ErrUnjournaled) {
+		return nil, err
+	}
 
-// startServer assembles the Server around a commissioned supervisor and
-// starts the worker pool.
-func startServer(scfg Config, sup *fleet.Supervisor, stations map[string]*Station, inDim int) *Server {
 	rootCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      scfg,
 		sup:      sup,
 		stations: stations,
-		inDim:    inDim,
+		inDim:    devices[0].Reference().InDim(),
 		qMon:     make(chan *pending, scfg.QueueMonitor),
 		qBulk:    make(chan *pending, scfg.QueueBulk),
 		rootCtx:  rootCtx,
@@ -287,7 +259,7 @@ func startServer(scfg Config, sup *fleet.Supervisor, stations map[string]*Statio
 		s.workerWG.Add(1)
 		go s.worker()
 	}
-	return s
+	return s, err
 }
 
 // Do submits one (N, inDim) inference batch and blocks until it terminates:
@@ -568,7 +540,7 @@ func (s *Server) Retired() []string {
 
 // Unjournaled reports whether the backend supervisor has abandoned its
 // journal after a persistent disk fault and is running memory-only. Always
-// false for servers built over a bare WAL writer (or no journal at all).
+// false for a server built without a store.
 func (s *Server) Unjournaled() bool {
 	s.backendMu.Lock()
 	defer s.backendMu.Unlock()
@@ -576,7 +548,7 @@ func (s *Server) Unjournaled() bool {
 }
 
 // JournalError returns the disk fault that forced the supervisor off its
-// journal, or nil while journaling (or when never journaled through a store).
+// journal, or nil while journaling (or when built without a store).
 func (s *Server) JournalError() error {
 	s.backendMu.Lock()
 	defer s.backendMu.Unlock()
@@ -587,11 +559,11 @@ func (s *Server) JournalError() error {
 // (immutable after construction, so this never contends with the backend).
 func (s *Server) Devices() []string { return s.sup.DeviceIDs() }
 
-// Stats snapshots the lifetime counters.
 // Precision reports the numeric tier label this server was configured with
 // (see Config.Precision).
 func (s *Server) Precision() tensor.Precision { return s.cfg.Precision }
 
+// Stats snapshots the lifetime counters.
 func (s *Server) Stats() Stats {
 	return Stats{
 		Admitted:       s.admitted.Load(),
