@@ -1,0 +1,98 @@
+package engine
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"testing"
+
+	"reramtest/internal/faults"
+	"reramtest/internal/nn"
+	"reramtest/internal/rng"
+	"reramtest/internal/tensor"
+)
+
+// goldenLogitsFixture pins the f64 engine's output bits on the paper's two
+// models: a SHA-256 of the logit bit patterns per model × weight state ×
+// batch size, at the batch sizes production uses (8 rows per bench request,
+// 64 per monitor tick) and on the weight states a health monitor exists for
+// (a stuck-at-0 map is a weight matrix full of exact zeros, the kernels'
+// zero-skip path). TestEngineGoldenEquivalence compares the engine against
+// live per-layer code that shares kernels with it; this file is the proof
+// that survives a kernel edit. Regenerate only when the summation order is
+// changed on purpose:
+//
+//	ENGINE_REGEN_FIXTURES=1 go test ./internal/engine -run GoldenLogitsFixture
+const goldenLogitsFixture = "testdata/golden_logits.json"
+
+// goldenWeightStates are the fixture's three weight states of one clean
+// network, in file order.
+func goldenWeightStates(clean *nn.Network) []struct {
+	name string
+	net  *nn.Network
+} {
+	return []struct {
+		name string
+		net  *nn.Network
+	}{
+		{"pristine", clean},
+		{"sa0-10pct", faults.MakeFaulty(clean, faults.StuckAt{P0: 0.10}, 12)},
+		{"lognormal-0.5", faults.MakeFaulty(clean, faults.LogNormal{Sigma: 0.5}, 13)},
+	}
+}
+
+// logitDigest hashes the IEEE-754 bit patterns of t in row-major order.
+func logitDigest(t *tensor.Tensor) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range t.Data() {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestGoldenLogitsFixture(t *testing.T) {
+	pool := tensor.NewPool(4)
+	defer pool.Close()
+	digests := map[string]string{}
+	for _, m := range seedModels()[:2] { // lenet5, convnet7
+		for _, ws := range goldenWeightStates(m.build(rng.New(11))) {
+			serial := MustCompile(ws.net, Options{Workers: 1})
+			pooled := MustCompile(ws.net, Options{Pool: pool})
+			for _, n := range []int{1, 3, 8, 64} {
+				key := fmt.Sprintf("%s/%s/n%d", m.name, ws.name, n)
+				x := tensor.RandUniform(rng.New(int64(100+n)), 0, 1, n, ws.net.InDim())
+				d := logitDigest(mustForward(t, serial, nil, x))
+				if p := logitDigest(mustForward(t, pooled, nil, x)); p != d {
+					t.Fatalf("%s: pooled engine digest %s != serial %s", key, p, d)
+				}
+				digests[key] = d
+			}
+		}
+	}
+	got, err := json.MarshalIndent(digests, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	if os.Getenv("ENGINE_REGEN_FIXTURES") != "" {
+		if err := os.WriteFile(goldenLogitsFixture, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", goldenLogitsFixture)
+		return
+	}
+	want, err := os.ReadFile(goldenLogitsFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("f64 engine logits diverged from the pinned bits\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
