@@ -1,12 +1,15 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 #
-#   make check   gofmt check + vet + build + full test suite + race detector
+#   make check   gofmt check + vet (host, plus the kernel packages for arm64 so
+#                the !amd64 halves of the assembly kernels compile) + build +
+#                full test suite + race detector
 #                on the hardened-runtime packages + short campaign, fleet,
 #                serving-chaos, network-tier, crash/disk-fault and
 #                repair-ladder lifetime soak smokes + the repair_ladder
 #                and fleet examples end to end + a short fuzz pass over
 #                the journal record and snapshot decoders, the f32 kernel
-#                envelope and the /v1/infer request decoder + the batched
+#                envelope, the register-tiled f64 matmul's bit-identity and
+#                the /v1/infer request decoder + the batched
 #                inference, training and multi-precision performance gates
 #                (bench-smoke)
 #   make bench-smoke  gate the batched monitor readout and the engine
@@ -48,8 +51,11 @@ check: fmt-check vet build test race-fast soak-smoke fleet-soak-smoke serve-soak
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
+# the second pass type-checks what only a non-amd64 build compiles: the
+# portable twins of the SSE kernels (matmul_noasm.go, matmul32_noasm.go)
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/ ./internal/engine/
 
 build:
 	$(GO) build ./...
@@ -138,13 +144,14 @@ crash-soak:
 	$(GO) run ./cmd/monitor -crash-soak -campaigns 8 -devices 3
 
 # short coverage-guided pass over the journal record decoder, the snapshot
-# decoder, the f32-vs-f64 matmul envelope and the /v1/infer handler
-# (committed corpora seed all four; go's fuzzer takes one target per
-# invocation)
+# decoder, the f32-vs-f64 matmul envelope, the register-tiled f64 matmul
+# against the reference loop's bits and the /v1/infer handler (committed
+# corpora seed all five; go's fuzzer takes one target per invocation)
 fuzz-short:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeAll -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s
 	$(GO) test ./internal/tensor -run='^$$' -fuzz=FuzzMatMulF32VsF64 -fuzztime=10s
+	$(GO) test ./internal/tensor -run='^$$' -fuzz=FuzzMatMulBlockedVsRef -fuzztime=10s
 	$(GO) test ./internal/netserve -run='^$$' -fuzz=FuzzInferRequest -fuzztime=10s
 
 # performance gate on the batch-first inference AND training engines, the

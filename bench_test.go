@@ -314,6 +314,7 @@ func batchBenchModels() []struct {
 	}{
 		{"mlp", models.MLP(rng.New(1), 16, []int{24, 16}, 6)},
 		{"lenet5", models.LeNet5(rng.New(2))},
+		{"convnet7", models.ConvNet7(rng.New(5))},
 	}
 }
 

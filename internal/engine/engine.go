@@ -5,13 +5,15 @@
 //
 // On the default F64 tier, outputs are bit-identical to the per-sample
 // nn.Network.Forward path: every layer kernel processes batch rows
-// independently with the same inner-loop and summation order as its
-// training-path twin, and parallelism only ever partitions whole samples
-// across pool chunks (never a reduction axis). The golden equivalence tests
-// in this package assert exact float64 equality for every seed model, which
-// is what lets the monitor, detect, campaign and fleet layers route their
-// readouts through an engine without perturbing a single metric, soak gate
-// or journal fingerprint.
+// independently and folds each output element's terms in the same order as
+// its training-path twin (the convolutions through a register-tiled matmul,
+// see tensor.MatMulBlockedSlices), and parallelism only ever partitions whole
+// samples across pool chunks (never a reduction axis). The golden equivalence
+// tests in this package assert exact float64 equality for every seed model,
+// and testdata/golden_logits.json pins the bits themselves on LeNet-5 and
+// ConvNet-7, which is what lets the monitor, detect, campaign and fleet
+// layers route their readouts through an engine without perturbing a single
+// metric, soak gate or journal fingerprint.
 //
 // Options.Precision opts a plan into a fast tier (see DESIGN.md §16): F32
 // compiles the float32 kernel mirror with fused dense+bias(+ReLU) steps and

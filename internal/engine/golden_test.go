@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"reramtest/internal/faults"
@@ -29,6 +30,15 @@ import (
 //
 //	ENGINE_REGEN_FIXTURES=1 go test ./internal/engine -run GoldenLogitsFixture
 const goldenLogitsFixture = "testdata/golden_logits.json"
+
+// paperModels are the two models the fixture and BenchmarkEngineRow cover:
+// seedModels' first two entries, LeNet-5 and ConvNet-7.
+func paperModels() []struct {
+	name  string
+	build func(r *rng.RNG) *nn.Network
+} {
+	return seedModels()[:2]
+}
 
 // goldenWeightStates are the fixture's three weight states of one clean
 // network, in file order.
@@ -61,7 +71,7 @@ func TestGoldenLogitsFixture(t *testing.T) {
 	pool := tensor.NewPool(4)
 	defer pool.Close()
 	digests := map[string]string{}
-	for _, m := range seedModels()[:2] { // lenet5, convnet7
+	for _, m := range paperModels() {
 		for _, ws := range goldenWeightStates(m.build(rng.New(11))) {
 			serial := MustCompile(ws.net, Options{Workers: 1})
 			pooled := MustCompile(ws.net, Options{Pool: pool})
@@ -94,5 +104,29 @@ func TestGoldenLogitsFixture(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("f64 engine logits diverged from the pinned bits\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// BenchmarkEngineRow times one f64 engine row (batch 8, serial) on the
+// fixture's pristine and stuck-at-0 weight states. The two must read alike:
+// a faulty device that serves slower than a healthy one biases the latency
+// the fleet's hedging reads.
+func BenchmarkEngineRow(b *testing.B) {
+	const batch = 8
+	for _, m := range paperModels() {
+		for _, ws := range goldenWeightStates(m.build(rng.New(11)))[:2] {
+			state, _, _ := strings.Cut(ws.name, "-")
+			b.Run(m.name+"/"+state, func(b *testing.B) {
+				eng := MustCompile(ws.net, Options{Workers: 1, MaxBatch: batch})
+				x := tensor.RandUniform(rng.New(5), 0, 1, batch, ws.net.InDim())
+				mustForward(b, eng, nil, x)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					mustForward(b, eng, nil, x)
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/row")
+			})
+		}
 	}
 }

@@ -13,10 +13,11 @@ import (
 // the call, so disjoint ranges with separate scratch may run concurrently.
 //
 // Contract: ForwardBatchRange must be bit-identical to Forward on the same
-// rows — same kernels, same per-sample loop and summation order — and must
-// not touch the training caches (no argmax, no masks, no lastIn), so it never
-// pairs with Backward. Layers whose inference pass is the identity implement
-// InferencePassthrough instead.
+// rows — the same per-element fold: every output element folds the same
+// terms in the same order, whatever kernel and loop nest deliver them — and
+// must not touch the training caches (no argmax, no masks, no lastIn), so it
+// never pairs with Backward. Layers whose inference pass is the identity
+// implement InferencePassthrough instead.
 type BatchInfer interface {
 	ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64)
 	// InferScratch returns the per-call scratch requirement in float64s.
@@ -38,7 +39,8 @@ func (l *Flatten) InferencePassthrough() bool { return true }
 func (l *Dropout) InferencePassthrough() bool { return true }
 
 // ForwardBatchRange implements BatchInfer: y = x·W + b for rows [lo, hi),
-// via the same MatMulSlices kernel and per-row bias loop as Forward.
+// via MatMulRowsInto — MatMulSlices's per-element fold, cache-tiled — and the
+// same per-row bias loop as Forward.
 func (d *Dense) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64) {
 	tensor.AssertDims("Dense.ForwardBatchRange x", x, tensor.Wildcard, d.in)
 	tensor.AssertDims("Dense.ForwardBatchRange dst", dst, x.Dim(0), d.out)
@@ -56,9 +58,10 @@ func (d *Dense) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64
 func (d *Dense) InferScratch() int { return 0 }
 
 // ForwardBatchRange implements BatchInfer: im2col + matmul per sample for
-// rows [lo, hi). scratch holds one (InC*KH*KW, OutH*OutW) column matrix; the
-// expansion and multiply run through the same Im2ColInto/MatMulSlices kernels
-// as Forward, so outputs are bit-identical.
+// rows [lo, hi). scratch holds one (InC*KH*KW, OutH*OutW) column matrix. The
+// multiply is tensor.MatMulBlockedSlices, the register-tiled kernel with the
+// per-element fold of the MatMulSlices that Forward calls, so outputs are
+// bit-identical.
 func (c *Conv2D) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64) {
 	inVol := c.sampleVolume()
 	spatial := c.geom.OutH() * c.geom.OutW()
@@ -74,7 +77,7 @@ func (c *Conv2D) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, scratch []
 	for s := lo; s < hi; s++ {
 		tensor.Im2ColInto(cols, xd[s*inVol:(s+1)*inVol], c.geom)
 		out := od[s*outVol : (s+1)*outVol]
-		tensor.MatMulSlices(out, wd, cols, c.outC, ckk, spatial)
+		tensor.MatMulBlockedSlices(out, wd, cols, c.outC, ckk, spatial)
 		for oc := 0; oc < c.outC; oc++ {
 			b := bd[oc]
 			row := out[oc*spatial : (oc+1)*spatial]
@@ -91,7 +94,8 @@ func (c *Conv2D) InferScratch() int {
 }
 
 // ForwardBatchRange implements BatchInfer: the Forward window sweep without
-// the argmax cache.
+// the argmax cache. A window's maximum is its first in-bounds element, then
+// any strictly greater one, so NaN and ±0 ties resolve as in Forward.
 func (p *MaxPool2D) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64) {
 	g := p.geom
 	inVol := g.InC * g.InH * g.InW
@@ -107,16 +111,37 @@ func (p *MaxPool2D) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []flo
 		for c := 0; c < g.InC; c++ {
 			chanBase := sBase + c*g.InH*g.InW
 			for oh := 0; oh < outH; oh++ {
+				ih0 := oh*g.StrideH - g.PadH
+				rowsInside := ih0 >= 0 && ih0+g.KH <= g.InH
 				for ow := 0; ow < outW; ow++ {
+					iw0 := ow*g.StrideW - g.PadW
+					if rowsInside && iw0 >= 0 && iw0+g.KW <= g.InW {
+						// the window lies wholly inside the input: same
+						// first-element-then-strictly-greater sweep, no
+						// per-element bounds tests
+						at := chanBase + ih0*g.InW + iw0
+						bestV := xd[at]
+						for kh := 0; kh < g.KH; kh++ {
+							for _, v := range xd[at : at+g.KW] {
+								if v > bestV {
+									bestV = v
+								}
+							}
+							at += g.InW
+						}
+						od[oBase+oi] = bestV
+						oi++
+						continue
+					}
 					best := -1
 					bestV := 0.0
 					for kh := 0; kh < g.KH; kh++ {
-						ih := oh*g.StrideH + kh - g.PadH
+						ih := ih0 + kh
 						if ih < 0 || ih >= g.InH {
 							continue
 						}
 						for kw := 0; kw < g.KW; kw++ {
-							iw := ow*g.StrideW + kw - g.PadW
+							iw := iw0 + kw
 							if iw < 0 || iw >= g.InW {
 								continue
 							}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"reramtest/internal/rng"
@@ -135,5 +136,57 @@ func TestPassthroughMarkers(t *testing.T) {
 	}
 	if !NewDropout("d", rng.New(1), 0.5).InferencePassthrough() {
 		t.Fatal("Dropout must be an inference passthrough")
+	}
+}
+
+// TestMaxPoolBatchRangeTable holds MaxPool2D.ForwardBatchRange's two sweeps —
+// windows wholly inside the input, and bounds-tested windows on a padded
+// edge — to Forward's bits on the inputs where "first element, then strictly
+// greater" is visible: a NaN first in its window stays, a NaN later never
+// wins, and of +0 and −0 the earlier one stays.
+func TestMaxPoolBatchRangeTable(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	fill := func(vals ...float64) func(i int) float64 {
+		return func(i int) float64 { return vals[i%len(vals)] }
+	}
+	geoms := []tensor.ConvGeom{
+		{InC: 2, InH: 4, InW: 4, KH: 2, KW: 2, StrideH: 2, StrideW: 2},                   // every window inside
+		{InC: 2, InH: 5, InW: 6, KH: 3, KW: 2, StrideH: 1, StrideW: 2},                   // overlapping, non-square
+		{InC: 2, InH: 4, InW: 4, KH: 2, KW: 2, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, // every edge window clipped
+		{InC: 1, InH: 5, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, // clipped ring, interior core
+		{InC: 1, InH: 2, InW: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2, PadH: 2, PadW: 2}, // corner windows see padding only
+	}
+	inputs := []struct {
+		name string
+		at   func(i int) float64
+	}{
+		{"nan-first", fill(nan, 1, 2, 3, 4)},
+		{"nan-later", fill(3, nan, 1, nan, 2, 5, nan)},
+		{"all-nan", fill(nan)},
+		{"zero-ties", fill(0, negZero, negZero, 0, negZero)},
+		{"negative", fill(-3, -1, -2, -5, -4, -1)},
+	}
+	for _, g := range geoms {
+		for _, in := range inputs {
+			const n = 3
+			inVol := g.InC * g.InH * g.InW
+			x := tensor.New(n, inVol)
+			for i := range x.Data() {
+				x.Data()[i] = in.at(i)
+			}
+			p := NewMaxPool2D("mp", g)
+			want := p.Forward(x)
+			got := tensor.New(n, want.Len()/n)
+			for i := range got.Data() {
+				got.Data()[i] = 99
+			}
+			p.ForwardBatchRange(got, x, 0, n, nil)
+			for i, w := range want.Data() {
+				if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
+					t.Errorf("%s %+v: output %d = %v, Forward says %v", in.name, g, i, got.Data()[i], w)
+					break
+				}
+			}
+		}
 	}
 }

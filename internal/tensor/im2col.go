@@ -60,36 +60,73 @@ func Im2ColInto(dst, src []float64, g ConvGeom) {
 		panic(fmt.Sprintf("tensor: Im2Col src volume %d != %d", len(src), g.InC*g.InH*g.InW))
 	}
 	sd, dd := src, dst
+	// At unit column stride the in-bounds outputs [lo, hi) of an output row
+	// read one contiguous run of an input row. When output rows are also
+	// input rows (unit row stride, equal widths — every "same"-padded
+	// convolution), the runs of the in-bounds rows [ohLo, ohHi) abut in both
+	// matrices and the whole plane is one copy.
+	unitW := g.StrideW == 1
+	samePlane := unitW && g.StrideH == 1 && outW == g.InW
 	row := 0
 	for c := 0; c < g.InC; c++ {
 		chanBase := c * g.InH * g.InW
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
 				drow := dd[row*cols : (row+1)*cols]
-				idx := 0
+				row++
+				lo := min(max(g.PadW-kw, 0), outW)
+				hi := max(min(g.InW+g.PadW-kw, outW), lo)
+				if samePlane {
+					ohLo := min(max(g.PadH-kh, 0), outH)
+					ohHi := max(min(g.InH+g.PadH-kh, outH), ohLo)
+					clear(drow[:ohLo*outW])
+					clear(drow[ohHi*outW:])
+					if ohLo < ohHi && lo < hi {
+						first, last := ohLo*outW+lo, (ohHi-1)*outW+hi
+						shift := chanBase + (kh-g.PadH)*g.InW + kw - g.PadW
+						copy(drow[first:last], sd[shift+first:])
+					}
+					// the copy carried input across the row ends; zero it
+					for oh := ohLo; oh < ohHi; oh++ {
+						zeroOutside(drow[oh*outW:(oh+1)*outW], lo, hi)
+					}
+					continue
+				}
 				for oh := 0; oh < outH; oh++ {
+					out := drow[oh*outW : (oh+1)*outW]
 					ih := oh*g.StrideH + kh - g.PadH
 					if ih < 0 || ih >= g.InH {
-						for ow := 0; ow < outW; ow++ {
-							drow[idx] = 0
-							idx++
-						}
+						clear(out)
 						continue
 					}
 					rowBase := chanBase + ih*g.InW
-					for ow := 0; ow < outW; ow++ {
+					if unitW {
+						copy(out[lo:hi], sd[rowBase+lo+kw-g.PadW:])
+						zeroOutside(out, lo, hi)
+						continue
+					}
+					for ow := range out {
 						iw := ow*g.StrideW + kw - g.PadW
 						if iw < 0 || iw >= g.InW {
-							drow[idx] = 0
+							out[ow] = 0
 						} else {
-							drow[idx] = sd[rowBase+iw]
+							out[ow] = sd[rowBase+iw]
 						}
-						idx++
 					}
 				}
-				row++
 			}
 		}
+	}
+}
+
+// zeroOutside zeroes row[:lo] and row[hi:], the few padded elements at the
+// ends of an im2col output row (a loop, not clear: both are usually empty).
+func zeroOutside(row []float64, lo, hi int) {
+	for i := 0; i < lo; i++ {
+		row[i] = 0
+	}
+	for i := hi; i < len(row); i++ {
+		row[i] = 0
 	}
 }
 

@@ -134,3 +134,61 @@ func TestCol2ImAccumulatesOverlaps(t *testing.T) {
 		t.Fatalf("corner accumulation %v, want 1", img.Data()[0])
 	}
 }
+
+// im2colByFormula is the definition Im2ColInto must equal: element
+// (c·KH·KW + kh·KW + kw, oh·OutW + ow) is input (c, oh·SH+kh−PH, ow·SW+kw−PW),
+// or zero outside the image.
+func im2colByFormula(src []float64, g ConvGeom) []float64 {
+	outH, outW := g.OutH(), g.OutW()
+	dst := make([]float64, g.InC*g.KH*g.KW*outH*outW)
+	for i := range dst {
+		row, col := i/(outH*outW), i%(outH*outW)
+		c, kh, kw := row/(g.KH*g.KW), row/g.KW%g.KH, row%g.KW
+		ih, iw := col/outW*g.StrideH+kh-g.PadH, col%outW*g.StrideW+kw-g.PadW
+		if ih >= 0 && ih < g.InH && iw >= 0 && iw < g.InW {
+			dst[i] = src[(c*g.InH+ih)*g.InW+iw]
+		}
+	}
+	return dst
+}
+
+// TestIm2ColMatchesFormula sweeps a geometry grid through every copy path of
+// Im2ColInto — whole-plane and per-row runs at unit stride, the element loop
+// otherwise — including padding that reaches past the kernel (rows and
+// columns of pure zeros), non-square images and a kernel wider than the
+// image. Im2Col delegates to Im2ColInto, so nothing else sees the formula.
+func TestIm2ColMatchesFormula(t *testing.T) {
+	var geoms []ConvGeom
+	for _, in := range [][2]int{{5, 5}, {4, 7}, {7, 3}, {2, 2}} {
+		for _, kern := range [][2]int{{1, 1}, {3, 3}, {2, 3}, {5, 5}, {3, 5}} {
+			for _, stride := range [][2]int{{1, 1}, {2, 2}, {1, 2}, {2, 1}} {
+				for _, pad := range [][2]int{{0, 0}, {1, 1}, {2, 2}, {0, 2}, {3, 1}} {
+					geoms = append(geoms, ConvGeom{InC: 2, InH: in[0], InW: in[1], KH: kern[0], KW: kern[1],
+						StrideH: stride[0], StrideW: stride[1], PadH: pad[0], PadW: pad[1]})
+				}
+			}
+		}
+	}
+	checked := 0
+	for _, g := range geoms {
+		if g.Validate() != nil {
+			continue
+		}
+		checked++
+		src := RandUniform(rng.New(int64(checked)), 1, 2, g.InC*g.InH*g.InW).Data()
+		want := im2colByFormula(src, g)
+		got := make([]float64, len(want))
+		for i := range got {
+			got[i] = -1 // an element Im2ColInto fails to write must show
+		}
+		Im2ColInto(got, src, g)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: element %d = %v, formula says %v", g, i, got[i], want[i])
+			}
+		}
+	}
+	if checked < 200 {
+		t.Fatalf("only %d geometries of the grid were valid", checked)
+	}
+}

@@ -52,9 +52,16 @@ func MatMulRowsInto(dst, a, b *Tensor, lo, hi int) {
 // per-element summation order, same zero-skip, bit-identical result — but
 // visits b in row blocks sized to stay cache-resident while the block is
 // applied to every sample, so a large b is streamed from memory once per call
-// instead of once per sample. The engines route their batched matmuls here;
-// the legacy per-layer path keeps the untiled kernel, which is what the
-// golden-equivalence suites compare against.
+// instead of once per sample.
+//
+// There are three f64 a·b kernels with this one per-element fold.
+// MatMulSlices is the reference loop: every tensor-level matmul (the
+// per-layer Forward path, ParallelMatMul) lands there, and the
+// golden-equivalence suites compare against it. MatMulTiledSlices, through
+// MatMulRowsInto, carries Dense.ForwardBatchRange, where a is the sample
+// batch and b the weight matrix. MatMulBlockedSlices carries
+// Conv2D.ForwardBatchRange, where a is the weight matrix and b one sample's
+// im2col panel. Both engines' forward passes run those two BatchRange kernels.
 func MatMulTiledSlices(dst, a, b []float64, m, k, n int) {
 	blk := 2048 / n // ~16KB of b rows live across the inner sample sweep
 	if m <= 1 || blk >= k {

@@ -1,0 +1,117 @@
+// SSE2 register tile behind MatMulBlockedSlices. One call computes four
+// whole rows of dst = a·b as 4-row × 4-column tiles held in eight XMM
+// accumulators: per p, the two vectors b[p, j..j+3] are loaded once and each
+// of the four a[i, p] is broadcast and folded in with MULPD/ADDPD. Every
+// output element starts at +0 and receives its products for p ascending, one
+// rounded multiply and one rounded add per term — no FMA, no reassociation —
+// which is MatMulSlices's chain for that element except that a zero a[i, p]
+// is multiplied instead of skipped (see MatMulBlockedSlices for why that is
+// the same bits whenever the result is finite). SSE2 is part of the amd64
+// baseline, so there is no CPUID gate.
+
+#include "textflag.h"
+
+// one row of the tile at p: broadcast a[i, p] from AOFF, fold into ACC0/ACC1
+#define ROW(AOFF, ACC0, ACC1) \
+	MOVSD    AOFF, X10; \
+	UNPCKLPD X10, X10; \
+	MOVAPD   X10, X11; \
+	MULPD    X8, X10; \
+	MULPD    X9, X11; \
+	ADDPD    X10, ACC0; \
+	ADDPD    X11, ACC1
+
+// x − x is +0 for finite x and NaN for ±Inf/NaN: OR it into the X12 flag
+#define POISON(ACC) \
+	MOVAPD ACC, X10; \
+	SUBPD  ACC, X10; \
+	ORPD   X10, X12
+
+// func matmulRows4(dst, a, b []float64, k, n int) (nonFinite bool)
+// dst is 4×n, a is 4×k, b is k×n, all row-major; the caller guarantees the
+// lengths and n >= 4. Columns [0, n&^3) are covered by n/4 tiles; a ragged
+// remainder by one more tile at column n−4, which recomputes up to three
+// columns to the same bits. Reports whether any element written is ±Inf/NaN.
+TEXT ·matmulRows4(SB), NOSPLIT, $0-89
+	MOVQ dst_base+0(FP), DI // tile cursor in dst row 0
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), BX  // tile cursor in b row 0
+	MOVQ k+72(FP), CX
+	MOVQ n+80(FP), DX
+	MOVQ DX, R9
+	SHRQ $2, R9             // whole tiles
+	SHLQ $3, DX             // row stride of b and dst in bytes
+	LEAQ (DX)(DX*2), AX     // 3 rows of dst
+	MOVQ CX, R8
+	SHLQ $3, R8             // row stride of a in bytes
+	LEAQ (R8)(R8*2), R13    // 3 rows of a
+	XORPS X12, X12
+
+tile:
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
+	MOVQ  BX, R10 // &b[p, j]
+	MOVQ  SI, R11 // &a[0, p]
+	MOVQ  CX, R12
+	TESTQ R12, R12
+	JZ    store
+
+ploop:
+	MOVUPD (R10), X8
+	MOVUPD 16(R10), X9
+	ROW((R11), X0, X1)
+	ROW((R11)(R8*1), X2, X3)
+	ROW((R11)(R8*2), X4, X5)
+	ROW((R11)(R13*1), X6, X7)
+	ADDQ   DX, R10
+	ADDQ   $8, R11
+	DECQ   R12
+	JNZ    ploop
+
+store:
+	MOVUPD X0, (DI)
+	MOVUPD X1, 16(DI)
+	MOVUPD X2, (DI)(DX*1)
+	MOVUPD X3, 16(DI)(DX*1)
+	MOVUPD X4, (DI)(DX*2)
+	MOVUPD X5, 16(DI)(DX*2)
+	MOVUPD X6, (DI)(AX*1)
+	MOVUPD X7, 16(DI)(AX*1)
+	POISON(X0)
+	POISON(X1)
+	POISON(X2)
+	POISON(X3)
+	POISON(X4)
+	POISON(X5)
+	POISON(X6)
+	POISON(X7)
+	ADDQ   $32, DI
+	ADDQ   $32, BX
+	DECQ   R9
+	JNZ    tile
+
+	// DI stops at the end of row 0 once every column is written; short of
+	// it, step back so one last tile ends exactly there
+	MOVQ dst_base+0(FP), R9
+	ADDQ DX, R9
+	SUBQ DI, R9 // bytes of row 0 not yet covered: 0, 8, 16 or 24
+	JZ   done
+	SUBQ $32, R9
+	ADDQ R9, DI
+	ADDQ R9, BX
+	MOVQ $1, R9
+	JMP  tile
+
+done:
+	MOVQ     X12, R9
+	UNPCKHPD X12, X12
+	MOVQ     X12, R10
+	ORQ      R10, R9
+	SETNE    nonFinite+88(FP)
+	RET
