@@ -18,8 +18,8 @@ import (
 	"reramtest/internal/tensor"
 )
 
-// goldenLogitsFixture pins the f64 engine's output bits on the paper's two
-// models: a SHA-256 of the logit bit patterns per model × weight state ×
+// goldenLogitsFixture pins the f64 engine's output bits on every seed
+// model: a SHA-256 of the logit bit patterns per model × weight state ×
 // batch size, at the batch sizes production uses (8 rows per bench request,
 // 64 per monitor tick) and on the weight states a health monitor exists for
 // (a stuck-at-0 map is a weight matrix full of exact zeros, the kernels'
@@ -31,8 +31,8 @@ import (
 //	ENGINE_REGEN_FIXTURES=1 go test ./internal/engine -run GoldenLogitsFixture
 const goldenLogitsFixture = "testdata/golden_logits.json"
 
-// paperModels are the two models the fixture and BenchmarkEngineRow cover:
-// seedModels' first two entries, LeNet-5 and ConvNet-7.
+// paperModels are the two models BenchmarkEngineRow times: seedModels' first
+// two entries, LeNet-5 and ConvNet-7.
 func paperModels() []struct {
 	name  string
 	build func(r *rng.RNG) *nn.Network
@@ -71,7 +71,7 @@ func TestGoldenLogitsFixture(t *testing.T) {
 	pool := tensor.NewPool(4)
 	defer pool.Close()
 	digests := map[string]string{}
-	for _, m := range paperModels() {
+	for _, m := range seedModels() {
 		for _, ws := range goldenWeightStates(m.build(rng.New(11))) {
 			serial := MustCompile(ws.net, Options{Workers: 1})
 			pooled := MustCompile(ws.net, Options{Pool: pool})
