@@ -10,11 +10,12 @@
 #                the journal record and snapshot decoders, the f32 kernel
 #                envelope, the register-tiled f64 matmul's bit-identity and
 #                the /v1/infer request decoder + the batched
-#                inference, training and multi-precision performance gates
-#                (bench-smoke)
-#   make bench-smoke  gate the batched monitor readout and the engine
-#                training step against the committed baseline ratios (min
-#                speedup over the legacy paths, max allocs/op), after
+#                inference, training, hardening and cost-metering
+#                performance gates (bench-smoke)
+#   make bench-smoke  gate the batched monitor readout, the engine training
+#                step, the drop-connect step and the metered analog pass
+#                against the committed baseline ratios (min ratio of the two
+#                arms' minima over alternating slices, max allocs/op), after
 #                asserting bit-identity; fails on regression
 #   make loc     non-test Go line count (ROADMAP item 6's exit criterion)
 #   make race    race detector over the whole tree (slow: retrains models
@@ -144,9 +145,10 @@ crash-soak:
 	$(GO) run ./cmd/monitor -crash-soak -campaigns 8 -devices 3
 
 # short coverage-guided pass over the journal record decoder, the snapshot
-# decoder, the f32-vs-f64 matmul envelope, the register-tiled f64 matmul
-# against the reference loop's bits and the /v1/infer handler (committed
-# corpora seed all five; go's fuzzer takes one target per invocation)
+# decoder, the f32-vs-f64 envelope of the two matmul kernels under the
+# engine's F32 plan, the register-tiled f64 matmul against the reference
+# loop's bits and the /v1/infer handler (committed corpora seed all five;
+# go's fuzzer takes one target per invocation)
 fuzz-short:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeAll -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s
@@ -154,14 +156,12 @@ fuzz-short:
 	$(GO) test ./internal/tensor -run='^$$' -fuzz=FuzzMatMulBlockedVsRef -fuzztime=10s
 	$(GO) test ./internal/netserve -run='^$$' -fuzz=FuzzInferRequest -fuzztime=10s
 
-# performance gate on the batch-first inference AND training engines, the
-# hardware cost accounting layer and the multi-precision kernel tier: the
-# batched monitor readout must stay bit-identical to the serial path, the
-# engine training step must land on bit-identical weights across the legacy,
-# serial-engine and pooled-engine arms, metering must be numerically
-# invisible (metered accelerator bit-identical to an unmetered twin) with a
-# zero-allocation counting hot path, the f32 tier must hold its row-scaled
-# ULP envelope, the i8 tier must equal the quantize-then-f64 oracle bitwise,
-# and every path must beat its committed baseline ratio
+# performance gate on the batch-first inference AND training engines and the
+# hardware cost accounting layer: the batched monitor readout must stay
+# bit-identical to the serial path, the engine training step must land on
+# bit-identical weights across the legacy, serial-engine and pooled-engine
+# arms, metering must be numerically invisible (metered accelerator
+# bit-identical to an unmetered twin) with a zero-allocation counting hot
+# path, and every path must beat its committed baseline ratio
 bench-smoke:
 	$(GO) run ./cmd/benchsmoke

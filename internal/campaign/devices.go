@@ -24,21 +24,10 @@ const (
 // behind a fleet. IDs are prefix-00, prefix-01, … Pass a non-nil chaos tap
 // via engineDevices to perturb readouts; this exported form runs clean.
 func EngineDevices(seed int64, n int, prefix string) []fleet.Device {
-	return engineDevices(rng.New(seed), n, prefix, nil, tensor.F64)
+	return engineDevices(rng.New(seed), n, prefix, nil)
 }
 
-// EngineDevicesPrecision is EngineDevices with the device readout plans
-// compiled on an explicit numeric tier. The stock soak devices never mutate
-// their weights in place, so the fast tiers' compile-time parameter caches
-// stay valid for the device's whole lifetime — the one situation where a
-// fast tier needs no ReloadParams discipline. Pair with
-// serve.Config.Precision so the tier's telemetry reports what the shard
-// actually computes.
-func EngineDevicesPrecision(seed int64, n int, prefix string, prec tensor.Precision) []fleet.Device {
-	return engineDevices(rng.New(seed), n, prefix, nil, prec)
-}
-
-func engineDevices(r *rng.RNG, n int, prefix string, chaos *chaosInjector, prec tensor.Precision) []fleet.Device {
+func engineDevices(r *rng.RNG, n int, prefix string, chaos *chaosInjector) []fleet.Device {
 	pats := &testgen.PatternSet{
 		Name: prefix + "-patterns", Method: "plain",
 		X:      tensor.RandUniform(r.Split(), 0, 1, 8, StockInDim),
@@ -50,7 +39,7 @@ func engineDevices(r *rng.RNG, n int, prefix string, chaos *chaosInjector, prec 
 		net := ref.Clone()
 		devices[i] = &soakDevice{
 			id: fmt.Sprintf("%s-%02d", prefix, i), net: net, pats: pats,
-			eng:   engine.MustCompile(net, engine.Options{Workers: 1, Precision: prec}),
+			eng:   engine.MustCompile(net, engine.Options{Workers: 1}),
 			chaos: chaos,
 		}
 	}

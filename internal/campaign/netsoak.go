@@ -34,7 +34,6 @@ import (
 	"reramtest/internal/reram"
 	"reramtest/internal/rng"
 	"reramtest/internal/serve"
-	"reramtest/internal/tensor"
 )
 
 // NetSoakConfig parameterises one network chaos campaign.
@@ -59,12 +58,6 @@ type NetSoakConfig struct {
 	// DrainAfter is the fraction of the campaign after which shard-0 drains
 	// gracefully (chaos pass only; 0 → 0.5).
 	DrainAfter float64
-	// ShardPrecision selects each shard's numeric tier; nil compiles every
-	// shard on the tensor.F64 reference. The mixed-precision smoke maps
-	// alternate shards onto tensor.F32 — every accounting and liveness gate
-	// must hold unchanged, because the tier's contract is about request
-	// plumbing, not about which kernels answered.
-	ShardPrecision func(shard int) tensor.Precision
 	// TickEvery runs a monitoring tick concurrently with every Nth wave's
 	// traffic (0 disables ticks).
 	TickEvery int
@@ -276,17 +269,11 @@ func runNetPass(seed int64, cfg NetSoakConfig, chaosOn bool) (netPassTrace, erro
 		slowP: cfg.SlowP, slowDelay: cfg.SlowDelay, crashP: cfg.CrashP}
 	specs := make([]netserve.ShardSpec, cfg.Shards)
 	for i := range specs {
-		prec := tensor.F64
-		if cfg.ShardPrecision != nil {
-			prec = cfg.ShardPrecision(i)
-		}
-		scfg := cfg.Serve
-		scfg.Precision = prec
 		specs[i] = netserve.ShardSpec{
 			Name:    fmt.Sprintf("shard-%d", i),
-			Devices: engineDevices(r, cfg.DevicesPerShard, fmt.Sprintf("s%d", i), chaos, prec),
+			Devices: engineDevices(r, cfg.DevicesPerShard, fmt.Sprintf("s%d", i), chaos),
 			Fleet:   cfg.Fleet,
-			Serve:   scfg,
+			Serve:   cfg.Serve,
 		}
 	}
 	f, err := netserve.New(specs, cfg.Net)

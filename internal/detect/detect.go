@@ -116,25 +116,6 @@ type Golden struct {
 	// DetectionRate or DistanceStats pass shares the ideal model's
 	// architecture, so one set of workspaces serves the whole sweep.
 	eng *engine.Engine
-	// prec is the tier Observe's sweep engine compiles on (zero: the f64
-	// reference). See UsePrecision.
-	prec tensor.Precision
-}
-
-// UsePrecision opts the observation sweep onto a fast numeric tier: every
-// subsequent Observe compiles (or recompiles) its cached engine at p. The
-// golden reference itself always stays the f64 Capture — only the target
-// readout moves, so the measured distances include the tier's own rounding.
-// That is the point: a deployment scoring drift on an f32 readout should
-// gate against golden values through the same arithmetic it will serve with.
-// Fault sweeps that mutate weights in place remain safe because Observe
-// re-syncs the tier's parameter caches on every rebind.
-func (g *Golden) UsePrecision(p tensor.Precision) {
-	if p == g.prec {
-		return
-	}
-	g.prec = p
-	g.eng = nil // next Observe compiles on the new tier
 }
 
 // Capture runs the pattern set through the ideal model and records its
@@ -196,12 +177,9 @@ func (g *Golden) Observe(target *nn.Network) Observation {
 // batched inference semantics.
 func (g *Golden) probsOf(target *nn.Network) *tensor.Tensor {
 	if g.eng != nil && g.eng.Rebind(target) == nil {
-		// Rebind re-syncs the fast tiers' converted parameter caches, so a
-		// sweep that mutates one network in place between Observes still
-		// reads fresh weights.
 		return g.eng.Probs(g.Patterns.X)
 	}
-	eng, err := engine.Compile(target, engine.Options{Precision: g.prec})
+	eng, err := engine.Compile(target, engine.Options{})
 	if err != nil {
 		return nn.Softmax(target.Forward(g.Patterns.X))
 	}

@@ -64,6 +64,26 @@ func TestObserveDetectsCorruptedModel(t *testing.T) {
 	}
 }
 
+// TestObserveSeesInPlaceMutation: the cached sweep engine rebinds to the
+// same network object across Observes, so a fault injected in place between
+// two of them must register, at exactly the distance a fresh Golden scores.
+func TestObserveSeesInPlaceMutation(t *testing.T) {
+	net := models.MLP(rng.New(1), 12, []int{8}, 6)
+	g := Capture(net, testPatterns(5, 12))
+	target := net.Clone()
+	if clean := g.Observe(target); clean.AllDist != 0 {
+		t.Fatalf("clean clone scored distance %g", clean.AllDist)
+	}
+	faults.LogNormal{Sigma: 0.5}.Apply(target, rng.New(9))
+	dirty := g.Observe(target)
+	if !(dirty.AllDist > 0.01) {
+		t.Fatalf("sweep missed the in-place fault: AllDist %g", dirty.AllDist)
+	}
+	if fresh := Capture(net, g.Patterns).Observe(target); fresh.AllDist != dirty.AllDist {
+		t.Fatalf("cached engine scored %g, a fresh one %g", dirty.AllDist, fresh.AllDist)
+	}
+}
+
 func TestCriterionThresholds(t *testing.T) {
 	cases := []struct {
 		o    Observation

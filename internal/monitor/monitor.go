@@ -256,29 +256,6 @@ func NetworkInfer(net *nn.Network) Infer {
 	return eng.Probs
 }
 
-// NetworkInferAt is NetworkInfer with the readout plan compiled on an
-// explicit precision tier. The fast tiers snapshot parameters at compile
-// time, so to keep NetworkInfer's contract — weight changes made through the
-// network's Params stay visible — the returned Infer reloads the converted
-// caches before every probe. That refresh is O(params) per round, which the
-// fast kernels more than win back at monitor pattern counts; it stays opt-in
-// because the readout is no longer bit-identical to the f64 reference (see
-// DESIGN.md §16 for the tier gates). Networks the tier cannot compile fall
-// back to the reference NetworkInfer path.
-func NetworkInferAt(net *nn.Network, prec tensor.Precision) Infer {
-	if prec == tensor.F64 {
-		return NetworkInfer(net)
-	}
-	eng, err := engine.Compile(net, engine.Options{Precision: prec})
-	if err != nil {
-		return NetworkInfer(net)
-	}
-	return func(x *tensor.Tensor) *tensor.Tensor {
-		eng.ReloadParams()
-		return eng.Probs(x)
-	}
-}
-
 // EngineInfer adapts an already compiled engine into an Infer — for callers
 // that manage their own plans (the fleet compiles one engine per device and
 // routes both monitoring and fidelity probes through it).

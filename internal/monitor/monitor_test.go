@@ -42,6 +42,24 @@ func TestHealthyOnIdealModel(t *testing.T) {
 	}
 }
 
+// TestNetworkInferTracksWeightMutation: one Infer outlives many probes, and
+// the monitor's fault sweeps mutate networks in place between them — the
+// change must show on the next probe, at the bits of a fresh Forward.
+func TestNetworkInferTracksWeightMutation(t *testing.T) {
+	m, net := testMonitor(t, nil)
+	infer := NetworkInfer(net)
+	x := m.golden.Patterns.X
+	before := infer(x).Clone()
+	net.Params()[0].Value.ScaleInPlace(0.5)
+	after := infer(x)
+	if after.Equal(before) {
+		t.Fatal("probe did not see the in-place weight mutation")
+	}
+	if !after.Equal(nn.Softmax(net.Forward(x))) {
+		t.Fatal("probe after mutation diverges from net.Forward")
+	}
+}
+
 func TestDegradationEscalatesStatus(t *testing.T) {
 	m, net := testMonitor(t, nil)
 	last := Healthy

@@ -139,7 +139,6 @@ func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Draining    bool     `json:"draining"`
 		InFlight    int64    `json:"in_flight"`
 		Unjournaled bool     `json:"unjournaled"`
-		Precision   string   `json:"precision"`
 		Serving     []string `json:"serving"`
 		Quarantined []string `json:"quarantined"`
 		Retired     []string `json:"retired"`
@@ -155,8 +154,7 @@ func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			anyLive = true
 		}
 		out.Shards = append(out.Shards, shardHealth{
-			Name: st.Name, Draining: st.Draining, InFlight: st.InFlight,
-			Unjournaled: st.Unjournaled, Precision: st.Precision,
+			Name: st.Name, Draining: st.Draining, InFlight: st.InFlight, Unjournaled: st.Unjournaled,
 			Serving: st.Serving, Quarantined: st.Quarantined, Retired: st.Retired,
 		})
 	}
@@ -182,20 +180,17 @@ func (f *Frontend) handleStats(w http.ResponseWriter, r *http.Request) {
 // durability loss without parsing per-shard health.
 func (f *Frontend) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	var unjournaled []string
-	precisions := make(map[string]string)
 	for _, st := range f.Status() {
 		if st.Unjournaled {
 			unjournaled = append(unjournaled, st.Name)
 		}
-		precisions[st.Name] = st.Precision
 	}
 	out := struct {
 		Stats       Stats                                     `json:"stats"`
 		Cost        CostStats                                 `json:"cost"`
 		Devices     map[string]map[string]reram.CostBreakdown `json:"devices"`
-		Precisions  map[string]string                         `json:"precisions"`
 		Unjournaled []string                                  `json:"unjournaled,omitempty"`
-	}{Stats: f.Stats(), Cost: f.CostStats(), Devices: f.DeviceCosts(), Precisions: precisions, Unjournaled: unjournaled}
+	}{Stats: f.Stats(), Cost: f.CostStats(), Devices: f.DeviceCosts(), Unjournaled: unjournaled}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)
 }

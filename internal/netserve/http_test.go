@@ -220,6 +220,23 @@ func TestHTTPHealthzAndStats(t *testing.T) {
 		t.Fatalf("stats over the wire: %+v", st)
 	}
 
+	// numeric precision is private to engine.Compile: neither telemetry
+	// document labels a shard with one ("precision" / "precisions")
+	for _, path := range []string{"/v1/healthz", "/statsz"} {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %v", path, resp.StatusCode, err)
+		}
+		if bytes.Contains(raw, []byte("precision")) {
+			t.Fatalf("%s still emits a precision field: %s", path, raw)
+		}
+	}
+
 	// drain everything: healthz flips to 503
 	f.DrainShard("shard-0")
 	f.DrainShard("shard-1")

@@ -616,8 +616,7 @@ type ShardStatus struct {
 	Name        string
 	Draining    bool
 	InFlight    int64
-	Unjournaled bool   // shard lost its journal and is running memory-only
-	Precision   string // numeric tier label ("f64", "f32", "i8")
+	Unjournaled bool // shard lost its journal and is running memory-only
 	Serving     []string
 	Quarantined []string
 	Retired     []string
@@ -633,7 +632,6 @@ func (f *Frontend) Status() []ShardStatus {
 			Draining:    sh.draining.Load(),
 			InFlight:    sh.inflight.Load(),
 			Unjournaled: sh.srv.Unjournaled(),
-			Precision:   sh.srv.Precision().String(),
 			Serving:     sh.srv.Serving(),
 			Quarantined: sh.srv.Quarantined(),
 			Retired:     sh.srv.Retired(),

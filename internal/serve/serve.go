@@ -71,13 +71,6 @@ type Config struct {
 	// DefaultDeadline is applied to requests whose context carries no
 	// deadline (0 → 1s).
 	DefaultDeadline time.Duration
-	// Precision labels the numeric tier this server's devices compute at
-	// (tensor.F64 reference by default). The server does not compile engines
-	// itself — devices arrive with their plans — so this is operator-facing
-	// telemetry: it rides through Precision(), netserve shard status,
-	// /v1/healthz and /statsz, letting a mixed-precision tier show which
-	// shards answer from the fast tiers.
-	Precision tensor.Precision
 }
 
 // DefaultConfig returns the serving defaults.
@@ -558,10 +551,6 @@ func (s *Server) JournalError() error {
 // Devices returns every commissioned device ID in commissioning order
 // (immutable after construction, so this never contends with the backend).
 func (s *Server) Devices() []string { return s.sup.DeviceIDs() }
-
-// Precision reports the numeric tier label this server was configured with
-// (see Config.Precision).
-func (s *Server) Precision() tensor.Precision { return s.cfg.Precision }
 
 // Stats snapshots the lifetime counters.
 func (s *Server) Stats() Stats {

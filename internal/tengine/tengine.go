@@ -74,12 +74,6 @@ type Options struct {
 	// cost is modeled against; ≤ 0 selects the hwcost defaults (which match
 	// reram.DefaultConfig()).
 	CostTileRows, CostTileCols int
-	// Precision selects the numeric tier. The zero value (tensor.F64) is the
-	// bit-exact reference plan. tensor.F32 compiles the float32 fast plan —
-	// dense/ReLU stacks only, serial, bounded error versus the reference, f64
-	// parameter masters resynced every step (see lowprec.go). tensor.I8 is an
-	// inference-only tier and fails Compile with a typed error.
-	Precision tensor.Precision
 }
 
 // step is one compiled compute layer: its kernels, its workspaces, and the
@@ -126,9 +120,6 @@ type Engine struct {
 	inputGrad bool
 	wg        sync.WaitGroup
 
-	prec tensor.Precision
-	f32  *f32TrainPlan // non-nil iff prec == tensor.F32
-
 	capN, curN int
 
 	counter *hwcost.Counter // never nil after Compile
@@ -152,20 +143,8 @@ func Compile(net *nn.Network, opts Options) (*Engine, error) {
 	if e.chunks <= 0 {
 		e.chunks = e.pool.Workers()
 	}
-	e.prec = opts.Precision
-	switch opts.Precision {
-	case tensor.F64:
-		if err := e.compileF64(net, opts); err != nil {
-			return nil, err
-		}
-	case tensor.F32:
-		if err := e.compileF32(net, opts); err != nil {
-			return nil, err
-		}
-	case tensor.I8:
-		return nil, fmt.Errorf("tengine: %v is an inference-only tier (int8 backward has no semantics here); train in f64 or f32 and compile the int8 plan with engine.Compile", opts.Precision)
-	default:
-		return nil, fmt.Errorf("tengine: unknown precision %v", opts.Precision)
+	if err := e.compileSteps(net, opts); err != nil {
+		return nil, err
 	}
 	e.counter = opts.Counter
 	if e.counter == nil {
@@ -174,22 +153,19 @@ func Compile(net *nn.Network, opts Options) (*Engine, error) {
 	// One training step prices at 3× the forward model per sample: the
 	// backward pass re-drives every layer twice (dL/d(input) plus the
 	// parameter-gradient fold), the standard accounting for in-situ training.
-	// The model is priced at the compiled tier — narrower elements mean less
-	// buffer traffic (conversion energy only drops on the int8 inference tier,
-	// which this engine refuses above).
 	for _, s := range e.steps {
-		e.perStep.Add(hwcost.ModelLayerCostPrec(s.layer, s.inVol, s.outVol,
-			opts.CostTileRows, opts.CostTileCols, e.prec).Scale(3))
+		e.perStep.Add(hwcost.ModelLayerCost(s.layer, s.inVol, s.outVol,
+			opts.CostTileRows, opts.CostTileCols).Scale(3))
 	}
 	if opts.MaxBatch > 0 {
-		e.sizeBatch(opts.MaxBatch)
+		e.setBatch(opts.MaxBatch)
 	}
 	return e, nil
 }
 
-// compileF64 is the reference-tier walk: bind every compute layer's training
+// compileSteps walks the network: bind every compute layer's training
 // kernels and precompile the chunk bodies and gradient folds.
-func (e *Engine) compileF64(net *nn.Network, opts Options) error {
+func (e *Engine) compileSteps(net *nn.Network, opts Options) error {
 	shape := []int{net.InDim()}
 	vol := net.InDim()
 	for _, l := range net.Layers() {
@@ -271,15 +247,6 @@ func (e *Engine) compileF64(net *nn.Network, opts Options) error {
 	}
 	e.outVol = vol
 	return nil
-}
-
-// sizeBatch dispatches workspace sizing to the compiled tier.
-func (e *Engine) sizeBatch(n int) {
-	if e.prec == tensor.F32 {
-		e.setBatchF32(n)
-		return
-	}
-	e.setBatch(n)
 }
 
 // MustCompile is Compile for statically known-good networks; it panics on
@@ -403,22 +370,17 @@ func (e *Engine) backward() {
 
 // ForwardBackward runs one training step's compute on a (N, inDim) batch with
 // integer labels: forward pass, mean softmax cross-entropy, backward pass.
-// Every Param.Grad holds the batch gradient afterwards (overwritten — on the
-// F64 tier matching the legacy ZeroGrad-then-Backward sequence bit for bit)
-// and the input gradient is available from InputGrad() when compiled with the
-// tap. Returns the loss, or ErrEmptyBatch for an N=0 batch. Steady state
-// performs zero heap allocations.
+// Every Param.Grad holds the batch gradient afterwards (overwritten — matching
+// the legacy ZeroGrad-then-Backward sequence bit for bit) and the input
+// gradient is available from InputGrad() when compiled with the tap. Returns
+// the loss, or ErrEmptyBatch for an N=0 batch. Steady state performs zero heap
+// allocations.
 func (e *Engine) ForwardBackward(x *tensor.Tensor, labels []int) (float64, error) {
 	n := x.Dim(0)
 	if n == 0 {
 		return 0, ErrEmptyBatch
 	}
 	e.counter.Charge(e.perStep.Scale(uint64(n)))
-	if e.prec == tensor.F32 {
-		return e.stepF32(x, func(logits *tensor.Tensor) float64 {
-			return nn.CrossEntropyInto(e.lossGrad, logits, labels)
-		}), nil
-	}
 	logits := e.forward(x)
 	loss := nn.CrossEntropyInto(e.lossGrad, logits, labels)
 	e.backward()
@@ -433,40 +395,24 @@ func (e *Engine) ForwardBackwardSoft(x, target *tensor.Tensor) (float64, error) 
 		return 0, ErrEmptyBatch
 	}
 	e.counter.Charge(e.perStep.Scale(uint64(n)))
-	if e.prec == tensor.F32 {
-		return e.stepF32(x, func(logits *tensor.Tensor) float64 {
-			return nn.SoftCrossEntropyInto(e.lossGrad, logits, target)
-		}), nil
-	}
 	logits := e.forward(x)
 	loss := nn.SoftCrossEntropyInto(e.lossGrad, logits, target)
 	e.backward()
 	return loss, nil
 }
 
-// Precision returns the numeric tier the plan compiled on.
-func (e *Engine) Precision() tensor.Precision { return e.prec }
-
 // Logits returns the (N, outDim) logits of the most recent pass as a view
-// into the engine workspace, valid until the next call. On the F32 tier the
-// view holds the widened float32 logits.
+// into the engine workspace, valid until the next call.
 func (e *Engine) Logits() *tensor.Tensor {
-	if e.f32 != nil {
-		return e.f32.logits
-	}
 	return e.steps[len(e.steps)-1].out
 }
 
 // InputGrad returns dL/d(input) of the most recent backward pass as a
 // (N, inDim) view into the engine workspace, valid until the next call. It
-// panics unless the engine was compiled with Options.InputGrad. On the F32
-// tier the view holds the widened float32 gradient.
+// panics unless the engine was compiled with Options.InputGrad.
 func (e *Engine) InputGrad() *tensor.Tensor {
 	if !e.inputGrad {
 		panic("tengine: InputGrad requires Options.InputGrad at compile time")
-	}
-	if e.f32 != nil {
-		return e.f32.inGrad
 	}
 	return e.steps[0].grad
 }

@@ -1,6 +1,7 @@
 package tengine_test
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"testing"
@@ -226,6 +227,26 @@ func TestForwardBackwardAllocFree(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestForwardBackwardEmptyBatch is the N=0 regression for the typed
+// sentinel: both step entry points must refuse an empty batch without
+// charging the counter.
+func TestForwardBackwardEmptyBatch(t *testing.T) {
+	net := models.MLP(rng.New(3), 16, []int{24, 16}, 6)
+	net.SetTraining(true)
+	eng := tengine.MustCompile(net, tengine.Options{Workers: 1})
+	before := eng.Counter().Snapshot()
+	empty := tensor.New(0, 16)
+	if _, err := eng.ForwardBackward(empty, nil); !errors.Is(err, tengine.ErrEmptyBatch) {
+		t.Fatalf("ForwardBackward(empty) err = %v, want ErrEmptyBatch", err)
+	}
+	if _, err := eng.ForwardBackwardSoft(empty, tensor.New(0, 6)); !errors.Is(err, tengine.ErrEmptyBatch) {
+		t.Fatalf("ForwardBackwardSoft(empty) err = %v, want ErrEmptyBatch", err)
+	}
+	if after := eng.Counter().Snapshot(); after != before {
+		t.Fatal("empty batch charged the hardware counter")
 	}
 }
 

@@ -21,16 +21,6 @@ import "fmt"
 // which is why the engine may fuse freely within the tier while staying
 // inside the same documented envelope.
 
-// DotF32 returns the 4-lane unrolled dot product of two equal-length vectors.
-func DotF32(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: DotF32 length mismatch %d vs %d", len(a), len(b)))
-	}
-	var out [1]float32
-	denseRowsF32(out[:], a, b, len(a))
-	return out[0]
-}
-
 // MatMulSlicesF32 computes dst = a·b over bare float32 slices: a is m×k, b is
 // k×n, dst is m×n, all row-major. It is the f32 mirror of MatMulSlices: the
 // saxpy (i, p, j) order and zero-skip of the reference survive (ReLU-sparse
@@ -52,114 +42,6 @@ func MatMulSlicesF32(dst, a, b []float32, m, k, n int) {
 				continue
 			}
 			brow := b[p*n : (p+1)*n]
-			j := 0
-			for ; j+3 < n; j += 4 {
-				drow[j] += av * brow[j]
-				drow[j+1] += av * brow[j+1]
-				drow[j+2] += av * brow[j+2]
-				drow[j+3] += av * brow[j+3]
-			}
-			for ; j < n; j++ {
-				drow[j] += av * brow[j]
-			}
-		}
-	}
-}
-
-// MatMulTiledSlicesF32 is the f32 mirror of MatMulTiledSlices: identical
-// result to MatMulSlicesF32 (same per-element fold order), with b visited in
-// cache-resident row blocks across the sample sweep.
-func MatMulTiledSlicesF32(dst, a, b []float32, m, k, n int) {
-	blk := 4096 / n // ~16KB of f32 b rows live across the inner sample sweep
-	if m <= 1 || blk >= k {
-		MatMulSlicesF32(dst, a, b, m, k, n)
-		return
-	}
-	if blk < 16 {
-		blk = 16
-	}
-	if len(a) != m*k || len(b) != k*n || len(dst) != m*n {
-		panic(fmt.Sprintf("tensor: MatMulTiledSlicesF32 length mismatch dst=%d a=%d b=%d for (%d×%d)·(%d×%d)",
-			len(dst), len(a), len(b), m, k, k, n))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for p0 := 0; p0 < k; p0 += blk {
-		p1 := p0 + blk
-		if p1 > k {
-			p1 = k
-		}
-		for i := 0; i < m; i++ {
-			drow := dst[i*n : (i+1)*n]
-			arow := a[i*k+p0 : i*k+p1]
-			for pi, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b[(p0+pi)*n : (p0+pi+1)*n]
-				j := 0
-				for ; j+3 < n; j += 4 {
-					drow[j] += av * brow[j]
-					drow[j+1] += av * brow[j+1]
-					drow[j+2] += av * brow[j+2]
-					drow[j+3] += av * brow[j+3]
-				}
-				for ; j < n; j++ {
-					drow[j] += av * brow[j]
-				}
-			}
-		}
-	}
-}
-
-// MatMulRowsIntoF32 computes output rows [lo, hi) of dst = a·b over bare f32
-// slices (a m×k, b k×n, dst m×n), leaving other rows untouched. Disjoint row
-// ranges write disjoint regions, so pool chunks may run concurrently; each
-// row's fold order never depends on the partition.
-func MatMulRowsIntoF32(dst, a, b []float32, m, k, n, lo, hi int) {
-	if len(a) != m*k || len(b) != k*n || len(dst) != m*n {
-		panic(fmt.Sprintf("tensor: MatMulRowsIntoF32 length mismatch dst=%d a=%d b=%d for (%d×%d)·(%d×%d)",
-			len(dst), len(a), len(b), m, k, k, n))
-	}
-	if lo < 0 || hi > m || lo > hi {
-		panic(fmt.Sprintf("tensor: MatMulRowsIntoF32 row range [%d, %d) out of [0, %d)", lo, hi, m))
-	}
-	MatMulTiledSlicesF32(dst[lo*n:hi*n], a[lo*k:hi*k], b, hi-lo, k, n)
-}
-
-// MatMulTransBSlicesF32 computes dst = a·bᵀ over bare f32 slices: a is m×k,
-// b is n×k, dst is m×n. Each output element is a DotF32 of two contiguous
-// rows — the layout the engine's converted-weight caches are transposed into,
-// because a register dot product beats streaming the dst row through memory.
-func MatMulTransBSlicesF32(dst, a, b []float32, m, k, n int) {
-	if len(a) != m*k || len(b) != n*k || len(dst) != m*n {
-		panic(fmt.Sprintf("tensor: MatMulTransBSlicesF32 length mismatch dst=%d a=%d b=%d for (%d×%d)·(%d×%d)ᵀ",
-			len(dst), len(a), len(b), m, k, n, k))
-	}
-	for i := 0; i < m; i++ {
-		denseRowsF32(dst[i*n:(i+1)*n], a[i*k:(i+1)*k], b, k)
-	}
-}
-
-// MatMulTransASlicesF32 computes dst = aᵀ·b over bare f32 slices: a is k×m,
-// b is k×n, dst is m×n. The training tier's dW kernel (x·g over the batch).
-func MatMulTransASlicesF32(dst, a, b []float32, k, m, n int) {
-	if len(a) != k*m || len(b) != k*n || len(dst) != m*n {
-		panic(fmt.Sprintf("tensor: MatMulTransASlicesF32 length mismatch dst=%d a=%d b=%d for (%d×%d)ᵀ·(%d×%d)",
-			len(dst), len(a), len(b), k, m, k, n))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for p := 0; p < k; p++ {
-		arow := a[p*m : (p+1)*m]
-		brow := b[p*n : (p+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			drow := dst[i*n : (i+1)*n]
 			j := 0
 			for ; j+3 < n; j += 4 {
 				drow[j] += av * brow[j]
@@ -200,24 +82,6 @@ func DenseForwardF32(dst, x, wT, bias []float32, m, k, n, lo, hi int, relu bool)
 			dr[j] = v
 		}
 	}
-}
-
-// MatMulParallelIntoF32 computes dst = a·b (bare f32 slices, a m×k, b k×n)
-// with output rows tiled across the pool. Each worker computes a disjoint row
-// range through MatMulTiledSlicesF32, so the result matches the serial call
-// regardless of worker count. A nil pool runs serially.
-func MatMulParallelIntoF32(p *Pool, dst, a, b []float32, m, k, n int) {
-	if p == nil || p.workers <= 1 {
-		MatMulTiledSlicesF32(dst, a, b, m, k, n)
-		return
-	}
-	if len(a) != m*k || len(b) != k*n || len(dst) != m*n {
-		panic(fmt.Sprintf("tensor: MatMulParallelIntoF32 length mismatch dst=%d a=%d b=%d for (%d×%d)·(%d×%d)",
-			len(dst), len(a), len(b), m, k, k, n))
-	}
-	p.Run(m, p.workers, func(_, lo, hi int) {
-		MatMulTiledSlicesF32(dst[lo*n:hi*n], a[lo*k:hi*k], b, hi-lo, k, n)
-	})
 }
 
 // Im2ColIntoF32 is the f32 mirror of Im2ColInto: it expands a (C, H, W)
@@ -263,20 +127,6 @@ func Im2ColIntoF32(dst, src []float32, g ConvGeom) {
 				}
 				row++
 			}
-		}
-	}
-}
-
-// Transpose2DIntoF32 writes the n×m transpose of the row-major m×n matrix a
-// into dst over bare f32 slices.
-func Transpose2DIntoF32(dst, a []float32, m, n int) {
-	if len(a) != m*n || len(dst) != m*n {
-		panic(fmt.Sprintf("tensor: Transpose2DIntoF32 length mismatch dst=%d a=%d for %d×%d", len(dst), len(a), m, n))
-	}
-	for i := 0; i < m; i++ {
-		row := a[i*n : (i+1)*n]
-		for j, v := range row {
-			dst[j*m+i] = v
 		}
 	}
 }

@@ -23,6 +23,18 @@ func widenF32(a []float32) []float64 {
 	return out
 }
 
+// transposeF32 returns the n×m transpose of the row-major m×n matrix a — the
+// layout DenseForwardF32 takes its weights in.
+func transposeF32(a []float32, m, n int) []float32 {
+	out := make([]float32, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out[j*m+i] = a[i*n+j]
+		}
+	}
+	return out
+}
+
 // f64MatMulOf runs the f64 reference kernel over widened copies of the f32
 // operands — the oracle every f32 kernel is gated against.
 func f64MatMulOf(a, b []float32, m, k, n int) []float64 {
@@ -70,66 +82,12 @@ func TestMatMulF32KernelsAgainstF64Oracle(t *testing.T) {
 
 		MatMulSlicesF32(dst, a, b, m, k, n)
 		checkF32VsOracle(t, "MatMulSlicesF32", dst, a, b, m, k, n)
-		base := append([]float32(nil), dst...)
 
-		// tiled, row-ranged and pooled kernels promise bit-identity with the
-		// plain kernel — same per-element fold order
-		tiled := make([]float32, m*n)
-		MatMulTiledSlicesF32(tiled, a, b, m, k, n)
-		for i := range tiled {
-			if tiled[i] != base[i] {
-				t.Fatalf("MatMulTiledSlicesF32 diverges from MatMulSlicesF32 at %v elem %d", d, i)
-			}
-		}
-		ranged := make([]float32, m*n)
-		for lo := 0; lo < m; lo += 2 {
-			hi := lo + 2
-			if hi > m {
-				hi = m
-			}
-			MatMulRowsIntoF32(ranged, a, b, m, k, n, lo, hi)
-		}
-		for i := range ranged {
-			if ranged[i] != base[i] {
-				t.Fatalf("MatMulRowsIntoF32 chunks diverge from MatMulSlicesF32 at %v elem %d", d, i)
-			}
-		}
-
-		// dot-form aᵀ/bᵀ kernels get the analytic bound, not bit-identity
-		bT := make([]float32, k*n)
-		Transpose2DIntoF32(bT, b, k, n)
-		dt := make([]float32, m*n)
-		MatMulTransBSlicesF32(dt, a, bT, m, k, n)
-		checkF32VsOracle(t, "MatMulTransBSlicesF32", dt, a, b, m, k, n)
-
-		aT := make([]float32, m*k)
-		Transpose2DIntoF32(aT, a, m, k)
-		da := make([]float32, m*n)
-		MatMulTransASlicesF32(da, aT, b, k, m, n)
-		checkF32VsOracle(t, "MatMulTransASlicesF32", da, a, b, m, k, n)
-	}
-}
-
-func TestMatMulParallelIntoF32MatchesSerial(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	r := rng.New(23)
-	m, k, n := 13, 37, 11
-	a, b := randF32(r, m*k), randF32(r, k*n)
-	want := make([]float32, m*n)
-	MatMulTiledSlicesF32(want, a, b, m, k, n)
-	got := make([]float32, m*n)
-	MatMulParallelIntoF32(p, got, a, b, m, k, n)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("pooled f32 matmul diverges from serial at elem %d", i)
-		}
-	}
-	MatMulParallelIntoF32(nil, got, a, b, m, k, n)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatal("nil-pool path diverges from serial")
-		}
+		// the dot-form dense kernel gets the same analytic bound (zero bias,
+		// no ReLU: the bare x·wᵀ product)
+		dense := make([]float32, m*n)
+		DenseForwardF32(dense, a, transposeF32(b, k, n), make([]float32, n), m, k, n, 0, m, false)
+		checkF32VsOracle(t, "DenseForwardF32", dense, a, b, m, k, n)
 	}
 }
 
@@ -139,8 +97,8 @@ func TestDenseForwardF32FusionIsBitExact(t *testing.T) {
 	x, wT, bias := randF32(r, m*k), randF32(r, n*k), randF32(r, n)
 	// separate passes: matmul, then bias, then relu — all on rounded f32
 	sep := make([]float32, m*n)
-	MatMulTransBSlicesF32(sep, x, wT, m, k, n)
 	for i := 0; i < m; i++ {
+		denseRowsF32(sep[i*n:(i+1)*n], x[i*k:(i+1)*k], wT, k)
 		for j := 0; j < n; j++ {
 			sep[i*n+j] += bias[j]
 		}
@@ -183,24 +141,15 @@ func TestIm2ColIntoF32MatchesF64(t *testing.T) {
 	}
 }
 
-func TestTranspose2DIntoF32(t *testing.T) {
-	a := []float32{1, 2, 3, 4, 5, 6}
-	got := make([]float32, 6)
-	Transpose2DIntoF32(got, a, 2, 3)
-	want := []float32{1, 4, 2, 5, 3, 6}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("transpose = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestMatMulF32MismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"slices": func() { MatMulSlicesF32(make([]float32, 4), make([]float32, 3), make([]float32, 4), 2, 2, 2) },
-		"transB": func() { MatMulTransBSlicesF32(make([]float32, 4), make([]float32, 4), make([]float32, 3), 2, 2, 2) },
-		"dot":    func() { DotF32(make([]float32, 2), make([]float32, 3)) },
-		"range":  func() { MatMulRowsIntoF32(make([]float32, 4), make([]float32, 4), make([]float32, 4), 2, 2, 2, 1, 3) },
+		"dense": func() {
+			DenseForwardF32(make([]float32, 4), make([]float32, 4), make([]float32, 3), make([]float32, 2), 2, 2, 2, 0, 2, false)
+		},
+		"range": func() {
+			DenseForwardF32(make([]float32, 4), make([]float32, 4), make([]float32, 4), make([]float32, 2), 2, 2, 2, 1, 3, false)
+		},
 	} {
 		func() {
 			defer func() {

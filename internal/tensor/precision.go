@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Precision selects the numeric tier a compiled plan computes in. The zero
 // value is F64, the scalar float64 reference arm — every existing caller that
@@ -29,8 +26,7 @@ const (
 	I8
 )
 
-// String returns the canonical lower-case tier name used in flags, /statsz
-// and benchmark artifacts.
+// String returns the lower-case tier name.
 func (p Precision) String() string {
 	switch p {
 	case F64:
@@ -41,20 +37,6 @@ func (p Precision) String() string {
 		return "i8"
 	default:
 		return fmt.Sprintf("precision(%d)", uint8(p))
-	}
-}
-
-// ParsePrecision maps a tier name ("f64", "f32", "i8") back to its Precision.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "f64", "":
-		return F64, nil
-	case "f32":
-		return F32, nil
-	case "i8":
-		return I8, nil
-	default:
-		return F64, fmt.Errorf("tensor: unknown precision %q (want f64, f32 or i8)", s)
 	}
 }
 
@@ -76,54 +58,4 @@ func ConvertF32ToF64(dst []float64, src []float32) {
 	for i, v := range src {
 		dst[i] = float64(v)
 	}
-}
-
-// ULPDistF32 returns the distance in float32 representation steps between two
-// finite float32 values (0 when bitwise equal, 1 for adjacent floats, …).
-// Values of opposite sign are measured through zero. NaN anywhere returns
-// MaxInt64-ish large; callers gate on a bound so "huge" is all that matters.
-func ULPDistF32(a, b float32) int64 {
-	if a == b {
-		return 0 // covers +0 == -0
-	}
-	if math.IsNaN(float64(a)) || math.IsNaN(float64(b)) {
-		return math.MaxInt64
-	}
-	ia := orderedBitsF32(a)
-	ib := orderedBitsF32(b)
-	d := ia - ib
-	if d < 0 {
-		d = -d
-	}
-	return d
-}
-
-// orderedBitsF32 maps float32 bit patterns onto a monotone integer line so
-// subtracting two images counts the representable floats between them:
-// negative floats map to the negated magnitude bits, positive floats to the
-// raw bits, which makes the line strictly increasing in float order.
-func orderedBitsF32(f float32) int64 {
-	b := int64(math.Float32bits(f))
-	if b&0x80000000 != 0 {
-		return -(b & 0x7fffffff)
-	}
-	return b
-}
-
-// MaxULPDistF32 returns the largest ULP distance between got[i] and the
-// nearest float32 to want[i]. It is the measurement half of the F32 gate
-// contract: the fast tier must stay within a documented ULP envelope of the
-// f64 reference after that reference is itself rounded to float32 (the
-// rounding is not the kernel's error to answer for).
-func MaxULPDistF32(got []float32, want []float64) int64 {
-	if len(got) != len(want) {
-		panic(fmt.Sprintf("tensor: MaxULPDistF32 length mismatch got=%d want=%d", len(got), len(want)))
-	}
-	var max int64
-	for i, g := range got {
-		if d := ULPDistF32(g, float32(want[i])); d > max {
-			max = d
-		}
-	}
-	return max
 }

@@ -124,41 +124,6 @@ func TestDotI8MatchesWideSum(t *testing.T) {
 	}
 }
 
-func TestMatMulTransBI8(t *testing.T) {
-	r := rng.New(35)
-	m, k, n := 5, 17, 4
-	a, b := make([]int8, m*k), make([]int8, n*k)
-	for i := range a {
-		a[i] = int8(r.Intn(256) - 128)
-	}
-	for i := range b {
-		b[i] = int8(r.Intn(256) - 128)
-	}
-	dst := make([]int32, m*n)
-	MatMulTransBI8(dst, a, b, m, k, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var want int64
-			for p := 0; p < k; p++ {
-				want += int64(a[i*k+p]) * int64(b[j*k+p])
-			}
-			if int64(dst[i*n+j]) != want {
-				t.Fatalf("elem (%d,%d) = %d, want %d", i, j, dst[i*n+j], want)
-			}
-		}
-	}
-}
-
-func TestMatMulTransBI8RejectsHugeK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("k > MaxI8K did not panic")
-		}
-	}()
-	k := MaxI8K + 1
-	MatMulTransBI8(make([]int32, 1), make([]int8, k), make([]int8, k), 1, k, 1)
-}
-
 func TestDequantI8SharedExpression(t *testing.T) {
 	// the engine step and the oracle both call this exact expression; pin the
 	// algebra: scale·sw·(acc − zero·rowSum) + bias

@@ -20,20 +20,10 @@ import (
 // real inference sets rarely contain perfectly equidistant corner data it
 // selects m ≥ n; the evaluation uses m = 50.
 func SelectCTP(net *nn.Network, pool *dataset.Dataset, m int) *PatternSet {
-	return SelectCTPAt(net, pool, m, tensor.F64)
-}
-
-// SelectCTPAt is SelectCTP with the ranking sweep compiled on an explicit
-// precision tier. Scoring is a ranking, not a readout — a bounded-ULP logit
-// is more than accurate enough to order corner data — so the F32 tier is a
-// safe speedup here; it stays opt-in because the chosen pattern set can
-// differ at ties. The reference selection everywhere else in the repo keeps
-// tensor.F64.
-func SelectCTPAt(net *nn.Network, pool *dataset.Dataset, m int, prec tensor.Precision) *PatternSet {
 	if m <= 0 || m > pool.N() {
 		panic(fmt.Sprintf("testgen: SelectCTP needs 0 < m ≤ %d, got %d", pool.N(), m))
 	}
-	idx, _ := RankByLogitStdAt(net, pool, prec)
+	idx, _ := RankByLogitStd(net, pool)
 	chosen := idx[:m]
 	dim := pool.SampleDim()
 	x := tensor.New(m, dim)
@@ -50,22 +40,14 @@ func SelectCTPAt(net *nn.Network, pool *dataset.Dataset, m int, prec tensor.Prec
 // logit vector under net and returns sample indices sorted ascending (most
 // "corner-like" first) together with the per-index scores in that order.
 func RankByLogitStd(net *nn.Network, pool *dataset.Dataset) (idx []int, score []float64) {
-	return RankByLogitStdAt(net, pool, tensor.F64)
-}
-
-// RankByLogitStdAt is RankByLogitStd with the sweep compiled on an explicit
-// precision tier (see SelectCTPAt). A network the tier cannot compile falls
-// back to the reference path rather than failing the scan.
-func RankByLogitStdAt(net *nn.Network, pool *dataset.Dataset, prec tensor.Precision) (idx []int, score []float64) {
 	n := pool.N()
 	dim := pool.SampleDim()
 	scores := make([]float64, n)
 	const batch = 64
 	pd := pool.X.Data()
-	// sweep the pool through a batch-inference plan: on the F64 tier the
-	// same bits as net.Forward, but the whole scan reuses one set of
-	// workspaces
-	eng, engErr := engine.Compile(net, engine.Options{MaxBatch: batch, Precision: prec})
+	// sweep the pool through a batch-inference plan: the same bits as
+	// net.Forward, but the whole scan reuses one set of workspaces
+	eng, engErr := engine.Compile(net, engine.Options{MaxBatch: batch})
 	for s := 0; s < n; s += batch {
 		e := s + batch
 		if e > n {
