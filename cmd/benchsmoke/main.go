@@ -138,16 +138,15 @@ func main() {
 
 // minPair times arm a against arm b on a shared host whose speed swings 2×
 // between seconds: for pairBudget it alternates millisecond slices of the
-// two, so both arms sample the same stretches of machine, and returns each
-// arm's minimum ns/op — its least-disturbed slice. Two back-to-back
-// testing.Benchmark calls put the arms in different seconds and their ratio
-// inherits the swing; slices of tens of milliseconds rarely fit a quiet
-// stretch and spread the ratio three times wider than these do.
+// two (several hundred rounds), so both arms sample the same stretches of
+// machine, and returns each arm's minimum ns/op — its least-disturbed slice.
+// Two back-to-back testing.Benchmark calls put the arms in different seconds
+// and their ratio inherits the swing; slices of tens of milliseconds rarely
+// fit a quiet stretch and spread the ratio three times wider than these do.
 func minPair(a, b func()) (aNs, bNs int64) {
 	const (
 		pairSlice  = time.Millisecond
 		pairBudget = 2 * time.Second
-		minRounds  = 5
 	)
 	run := func(f func(), n int) time.Duration {
 		start := time.Now()
@@ -159,17 +158,16 @@ func minPair(a, b func()) (aNs, bNs int64) {
 	arms := [2]func(){a, b}
 	var iters [2]int
 	for i, f := range arms {
-		// size the slice: grow n until one timed run of it fills pairSlice
-		// (the first runs also warm the arm's workspaces)
+		// size the slice: double n until one timed run of it fills pairSlice
+		// (these runs also warm the arm's workspaces)
 		n := 1
-		for d := run(f, n); d < pairSlice; d = run(f, n) {
-			n = int(float64(n)*math.Min(100, 1.2*float64(pairSlice)/float64(d+1))) + 1
+		for run(f, n) < pairSlice {
+			n *= 2
 		}
 		iters[i] = n
 	}
 	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
-	start := time.Now()
-	for r := 0; r < minRounds || time.Since(start) < pairBudget; r++ {
+	for start := time.Now(); time.Since(start) < pairBudget; {
 		for i, f := range arms {
 			if d := run(f, iters[i]); d < best[i] {
 				best[i] = d
