@@ -8,9 +8,9 @@
 #                repair-ladder lifetime soak smokes + the repair_ladder
 #                and fleet examples end to end + a short fuzz pass over
 #                the journal record and snapshot decoders, the f32 kernel
-#                envelope, the register-tiled f64 matmul's bit-identity and
-#                the /v1/infer request decoder + the batched
-#                inference, training, hardening and cost-metering
+#                envelope, the register-tiled f64 matmul's and the fused conv
+#                block's bit-identity and the /v1/infer request decoder + the
+#                batched inference, training, hardening and cost-metering
 #                performance gates (bench-smoke)
 #   make bench-smoke  gate the batched monitor readout, the engine training
 #                step, the drop-connect step and the metered analog pass
@@ -37,7 +37,8 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
             ./internal/fleet/... ./internal/journal/... ./internal/engine/... \
             ./internal/tensor/... ./internal/serve/... ./internal/tengine/... \
             ./internal/netserve/... ./internal/loadgen/... \
-            ./internal/reram/... ./internal/hwcost/... ./internal/wire/...
+            ./internal/reram/... ./internal/hwcost/... ./internal/wire/... \
+            ./internal/nn/...
 
 .PHONY: check fmt-check vet build test race-fast race soak-smoke soak \
         fleet-soak-smoke fleet-soak serve-soak-smoke serve-soak \
@@ -53,7 +54,7 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # the second pass type-checks what only a non-amd64 build compiles: the
-# portable twins of the SSE kernels (matmul_noasm.go, matmul32_noasm.go)
+# portable twins of the SSE2/AVX2 kernels (matmul_noasm.go, matmul32_noasm.go)
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/ ./internal/engine/
@@ -146,14 +147,17 @@ crash-soak:
 
 # short coverage-guided pass over the journal record decoder, the snapshot
 # decoder, the f32-vs-f64 envelope of the two matmul kernels under the
-# engine's F32 plan, the register-tiled f64 matmul against the reference
-# loop's bits and the /v1/infer handler (committed corpora seed all five;
-# go's fuzzer takes one target per invocation)
+# engine's F32 plan, the register-tiled f64 matmul (every tile the host
+# runs) against the reference loop's bits, the fused conv → ReLU → max-pool
+# block against the three layers' Forward chain and the /v1/infer handler
+# (committed corpora seed all six; go's fuzzer takes one target per
+# invocation)
 fuzz-short:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeAll -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s
 	$(GO) test ./internal/tensor -run='^$$' -fuzz=FuzzMatMulF32VsF64 -fuzztime=10s
 	$(GO) test ./internal/tensor -run='^$$' -fuzz=FuzzMatMulBlockedVsRef -fuzztime=10s
+	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzConvBlockVsChain -fuzztime=10s
 	$(GO) test ./internal/netserve -run='^$$' -fuzz=FuzzInferRequest -fuzztime=10s
 
 # performance gate on the batch-first inference AND training engines and the

@@ -26,6 +26,7 @@ import (
 
 	"reramtest/internal/campaign"
 	"reramtest/internal/netserve"
+	"reramtest/internal/tensor"
 )
 
 // The listener's edge limits. They are constants, not flags: no deployment of
@@ -116,8 +117,8 @@ func main() {
 		drainOnSignal(sig, f, hs, stopTicks, os.Stdout, os.Stderr)
 	}()
 
-	fmt.Printf("served: %d shard(s) × %d device(s), policy %s, input width %d, listening on %s\n",
-		*shards, *devices, ncfg.Policy, f.InDim(), *addr)
+	fmt.Printf("served: %d shard(s) × %d device(s), policy %s, input width %d, conv kernel %s, listening on %s\n",
+		*shards, *devices, ncfg.Policy, f.InDim(), tensor.MatMulBlockedKernel(), *addr)
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "served:", err)
 		os.Exit(1)

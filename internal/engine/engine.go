@@ -1,17 +1,31 @@
 // Package engine compiles an nn.Network into a batch-first inference plan:
-// per-layer output workspaces are allocated once, layers execute through
-// their destination-passing BatchInfer kernels, and the whole (N, inDim)
-// pattern batch flows through the stack with zero steady-state allocations.
+// step output workspaces are allocated once, layers execute through their
+// destination-passing BatchInfer kernels, and the whole (N, inDim) pattern
+// batch flows through the stack with zero steady-state allocations — also
+// when the batch size alternates below the largest one seen (a monitored
+// device's 8-row requests and 16-row readouts): the workspace views are
+// re-pointed in place.
 //
-// On the default F64 tier, outputs are bit-identical to the per-sample
-// nn.Network.Forward path: every layer kernel processes batch rows
-// independently and folds each output element's terms in the same order as
-// its training-path twin (the convolutions through a register-tiled matmul,
-// see tensor.MatMulBlockedSlices), and parallelism only ever partitions whole
-// samples across pool chunks (never a reduction axis). The golden equivalence
-// tests in this package assert exact float64 equality for every seed model,
-// and testdata/golden_logits.json pins the bits themselves on LeNet-5 and
-// ConvNet-7, which is what lets the monitor, detect, campaign and fleet
+// On the default F64 tier a plan step is a layer, or a fused run: every
+// Conv2D, ReLU[, MaxPool2D] the network holds compiles to one nn.ConvBlock
+// step — per sample im2col, register-tiled matmul (tensor.MatMulBlockedSlices,
+// 4×8 AVX2 or 4×4 SSE2 by host), then bias + ReLU (+ window maximum) on the
+// cache-hot product — so neither the convolution's nor the ReLU's full-batch
+// output exists. Rebind plans the incoming network the same way and accepts
+// it only if it lands on the compiled steps one for one. PlanCost is summed
+// over the unfused layers: fusion changes where activations live, not what a
+// crossbar would be charged for them.
+//
+// F64 outputs are bit-identical to the per-sample nn.Network.Forward path:
+// every kernel processes batch rows independently and folds each output
+// element's terms in the same order as its training-path twin; a post-ReLU
+// window maximum is order-free (no NaN, no −0), which is what lets the fused
+// pool take it branch-free. Parallelism only ever partitions whole samples:
+// a batch fans out over the pool at most once, each chunk of rows running
+// every step, and a batch under fanOutMinMACs of work does not fan out at
+// all. The golden equivalence tests in this package assert exact float64
+// equality for every seed model, and testdata/golden_logits.json pins the
+// bits themselves, which is what lets the monitor, detect, campaign and fleet
 // layers route their readouts through an engine without perturbing a single
 // metric, soak gate or journal fingerprint.
 //
@@ -52,8 +66,8 @@ type Options struct {
 	// MaxBatch pre-sizes the workspaces in samples. 0 defers allocation to
 	// the first ForwardBatch; workspaces grow on demand either way.
 	MaxBatch int
-	// Workers caps the per-layer chunk parallelism. 0 uses the pool's worker
-	// count; 1 forces serial execution.
+	// Workers caps the chunks a batch is split into across the pool. 0 uses
+	// the pool's worker count; 1 forces serial execution.
 	Workers int
 	// Pool supplies the worker pool. nil selects tensor.SharedPool(), which
 	// degrades to inline execution on a single-core host.
@@ -78,30 +92,38 @@ type Options struct {
 	Precision tensor.Precision
 }
 
-// step is one compiled compute layer: its kernel, its workspace, and the
-// parallel body that runs a chunk of the batch through it.
+// step is one compiled compute step — a layer's BatchInfer kernel, or on the
+// F64 plan the fused kernel of a Conv2D, ReLU[, MaxPool2D] run — with its
+// output workspace.
 type step struct {
-	layer      nn.Layer
+	layers     []nn.Layer // the network layers the step runs, in order
 	bl         nn.BatchInfer
 	inVol      int
 	outVol     int
 	scratchLen int
 	buf        []float64      // output workspace, cap >= capN*outVol
 	out        *tensor.Tensor // (curN, outVol) view of buf
-	in         *tensor.Tensor // input view, set each ForwardBatch
+	in         *tensor.Tensor // the batch for the first step, else the previous step's out
 	scratch    [][]float64    // per-chunk kernel scratch
 	body       func(chunk, lo, hi int)
 }
 
+// run sends rows [lo, hi) of the step's input through its kernel.
+func (s *step) run(chunk, lo, hi int) {
+	s.bl.ForwardBatchRange(s.out, s.in, lo, hi, s.scratch[chunk])
+}
+
 // Engine is a compiled batch-first forward plan over an nn.Network.
 type Engine struct {
-	net    *nn.Network
-	steps  []*step // F64 plan (also reused for non-dense stages of I8)
-	inDim  int
-	outVol int
-	chunks int
-	pool   *tensor.Pool
-	wg     sync.WaitGroup
+	net     *nn.Network
+	steps   []*step                 // F64 plan
+	rows    func(chunk, lo, hi int) // runRows, bound once so a fan-out allocates nothing
+	rowMACs int                     // multiply-accumulates per sample, the fan-out's work estimate
+	inDim   int
+	outVol  int
+	chunks  int
+	pool    *tensor.Pool
+	wg      sync.WaitGroup
 
 	prec tensor.Precision
 	f32  *f32Plan  // non-nil iff prec == tensor.F32
@@ -110,8 +132,7 @@ type Engine struct {
 	capN, curN int
 
 	probsBuf []float64
-	probs    *tensor.Tensor
-	probsN   int
+	probs    *tensor.Tensor // (n, outVol) view of probsBuf
 
 	counter   *reram.Counter // never nil after Compile
 	perSample reram.Cost     // modeled hardware cost of one sample
@@ -158,6 +179,7 @@ func Compile(net *nn.Network, opts Options) (*Engine, error) {
 	}
 	specs, outVol := planSpecs(net)
 	e.outVol = outVol
+	e.probs = tensor.New(0, outVol)
 	var err error
 	switch opts.Precision {
 	case tensor.F64:
@@ -189,34 +211,127 @@ func Compile(net *nn.Network, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// compileF64 builds the reference-tier steps.
-func (e *Engine) compileF64(specs []layerSpec) error {
-	for _, sp := range specs {
-		s, err := e.newF64Step(sp)
+// stepSpec is one step of a plan before it has workspaces: the network layers
+// it runs and the kernel that runs them.
+type stepSpec struct {
+	layers []nn.Layer
+	bl     nn.BatchInfer
+	inVol  int
+	outVol int
+}
+
+// layerStep is the step that runs one layer through its own BatchInfer kernel.
+func layerStep(sp layerSpec) (stepSpec, error) {
+	bl, ok := sp.layer.(nn.BatchInfer)
+	if !ok {
+		return stepSpec{}, fmt.Errorf("engine: layer %q (%T) has no batched inference path", sp.layer.Name(), sp.layer)
+	}
+	return stepSpec{layers: []nn.Layer{sp.layer}, bl: bl, inVol: sp.inVol, outVol: sp.outVol}, nil
+}
+
+// fuseSpecs groups the compute layers into the F64 plan's steps: every
+// Conv2D, ReLU[, MaxPool2D] run nn.FuseConvBlock takes becomes one step,
+// every other layer a step of its own. Compile and Rebind both plan through
+// it, so a network rebinds onto a plan exactly when it fuses the same way.
+func fuseSpecs(specs []layerSpec) ([]stepSpec, error) {
+	layers := make([]nn.Layer, len(specs))
+	for i, sp := range specs {
+		layers[i] = sp.layer
+	}
+	var steps []stepSpec
+	for i := 0; i < len(specs); {
+		if blk, k := nn.FuseConvBlock(layers[i:]); k > 0 {
+			steps = append(steps, stepSpec{layers: layers[i : i+k], bl: blk, inVol: specs[i].inVol, outVol: specs[i+k-1].outVol})
+			i += k
+			continue
+		}
+		st, err := layerStep(specs[i])
 		if err != nil {
-			return err
+			return nil, err
+		}
+		steps = append(steps, st)
+		i++
+	}
+	return steps, nil
+}
+
+// compileF64 builds the reference-tier steps and chains their views: each
+// step reads the view the one before it writes.
+func (e *Engine) compileF64(specs []layerSpec) error {
+	fused, err := fuseSpecs(specs)
+	if err != nil {
+		return err
+	}
+	for _, sp := range fused {
+		s := e.newStep(sp)
+		if len(e.steps) > 0 {
+			s.in = e.steps[len(e.steps)-1].out
 		}
 		e.steps = append(e.steps, s)
 	}
+	for _, sp := range specs {
+		e.rowMACs += layerMACs(sp.layer)
+	}
+	e.rows = e.runRows
 	return nil
 }
 
-// newF64Step builds one float64 BatchInfer step; the I8 compile reuses it
-// for every non-dense stage.
-func (e *Engine) newF64Step(sp layerSpec) (*step, error) {
-	bl, ok := sp.layer.(nn.BatchInfer)
-	if !ok {
-		return nil, fmt.Errorf("engine: layer %q (%T) has no batched inference path", sp.layer.Name(), sp.layer)
+// layerMACs counts the multiply-accumulates of one sample through l; layers
+// without a weight matrix count as free.
+func layerMACs(l nn.Layer) int {
+	switch l := l.(type) {
+	case *nn.Dense:
+		return l.In() * l.Out()
+	case *nn.Conv2D:
+		g := l.Geom()
+		return l.OutC() * g.InC * g.KH * g.KW * g.OutH() * g.OutW()
 	}
-	s := &step{layer: sp.layer, bl: bl, inVol: sp.inVol, outVol: sp.outVol, scratchLen: bl.InferScratch()}
+	return 0
+}
+
+// newStep gives a planned step its per-chunk scratch and an empty output view
+// that setBatch re-points as batches arrive; the I8 compile reuses it for
+// every non-dense stage.
+func (e *Engine) newStep(sp stepSpec) *step {
+	s := &step{layers: sp.layers, bl: sp.bl, inVol: sp.inVol, outVol: sp.outVol, scratchLen: sp.bl.InferScratch()}
+	s.out = tensor.New(0, s.outVol)
 	s.scratch = make([][]float64, e.chunks)
 	for c := range s.scratch {
 		s.scratch[c] = make([]float64, s.scratchLen)
 	}
-	s.body = func(chunk, lo, hi int) {
-		s.bl.ForwardBatchRange(s.out, s.in, lo, hi, s.scratch[chunk])
+	s.body = s.run
+	return s
+}
+
+// kind names the layer types a step runs, "+"-joined for a fused run.
+func kind(layers []nn.Layer) string {
+	k := fmt.Sprintf("%T", layers[0])
+	for _, l := range layers[1:] {
+		k += fmt.Sprintf("+%T", l)
 	}
-	return s, nil
+	return k
+}
+
+// accepts reports why sp, planned from another network, cannot take the
+// compiled step's place: it must run the same layer types (so the same
+// fusion), over the same volumes, scratch and window geometries.
+func (s *step) accepts(sp stepSpec) error {
+	if kind(sp.layers) != kind(s.layers) || s.inVol != sp.inVol || s.outVol != sp.outVol || s.scratchLen != sp.bl.InferScratch() {
+		return fmt.Errorf("engine: rebind step %s at layer %q does not match compiled step %s at layer %q",
+			kind(sp.layers), sp.layers[0].Name(), kind(s.layers), s.layers[0].Name())
+	}
+	type windowed interface{ Geom() tensor.ConvGeom }
+	for i, l := range sp.layers {
+		w, ok := l.(windowed)
+		if !ok {
+			continue
+		}
+		if have := s.layers[i].(windowed).Geom(); w.Geom() != have {
+			return fmt.Errorf("engine: rebind layer %q has geometry %+v, compiled layer %q has %+v",
+				l.Name(), w.Geom(), s.layers[i].Name(), have)
+		}
+	}
+	return nil
 }
 
 // MustCompile is Compile for statically known-good networks; it panics on
@@ -288,35 +403,38 @@ func (e *Engine) Rebind(net *nn.Network) error {
 	return nil
 }
 
-// rebindF64 swaps the reference-tier step bindings.
+// rebindF64 plans the incoming network as Compile would and swaps the step
+// bindings if it lands on the compiled steps one for one. A network without
+// the ReLU or the pool a compiled step fused plans into different steps and
+// is turned away here, before anything is swapped.
 func (e *Engine) rebindF64(specs []layerSpec) error {
-	if len(specs) != len(e.steps) {
-		return fmt.Errorf("engine: rebind network has %d compute layers, plan has %d", len(specs), len(e.steps))
-	}
-	pending := make([]nn.BatchInfer, len(specs))
-	for i, sp := range specs {
-		s := e.steps[i]
-		bl, ok := sp.layer.(nn.BatchInfer)
-		if !ok {
-			return fmt.Errorf("engine: rebind layer %q (%T) has no batched inference path", sp.layer.Name(), sp.layer)
-		}
-		if fmt.Sprintf("%T", sp.layer) != fmt.Sprintf("%T", s.layer) ||
-			s.inVol != sp.inVol || s.outVol != sp.outVol || s.scratchLen != bl.InferScratch() {
-			return fmt.Errorf("engine: rebind layer %q does not match compiled step %q", sp.layer.Name(), s.layer.Name())
-		}
-		pending[i] = bl
+	fused, err := fuseSpecs(specs)
+	if err != nil {
+		return err
 	}
 	for i, s := range e.steps {
-		s.bl = pending[i]
-		s.layer = s.bl.(nn.Layer)
+		if i >= len(fused) {
+			return fmt.Errorf("engine: rebind network ends before compiled step %s at layer %q", kind(s.layers), s.layers[0].Name())
+		}
+		if err := s.accepts(fused[i]); err != nil {
+			return err
+		}
+	}
+	if len(fused) > len(e.steps) {
+		extra := fused[len(e.steps)]
+		return fmt.Errorf("engine: rebind network continues past the plan's %d steps with %s at layer %q", len(e.steps), kind(extra.layers), extra.layers[0].Name())
+	}
+	for i, s := range e.steps {
+		s.layers, s.bl = fused[i].layers, fused[i].bl
 	}
 	return nil
 }
 
-// setBatch sizes workspaces and rebuilds the batch-length views for the
-// compiled tier. Buffers grow when n exceeds the current capacity; views are
-// rebuilt only when n changes, so a steady stream of same-size batches
-// allocates nothing.
+// setBatch sizes workspaces and the batch-length views for the compiled
+// tier. Buffers grow when n exceeds the current capacity. The F64 plan
+// re-points its views in place when n changes, so batches of any mix of
+// sizes up to that capacity allocate nothing; the fast tiers rebuild theirs,
+// so only a stream of same-size batches is allocation-free there.
 func (e *Engine) setBatch(n int) {
 	switch e.prec {
 	case tensor.F32:
@@ -340,31 +458,53 @@ func (e *Engine) setBatchF64(n int) {
 		return
 	}
 	for _, s := range e.steps {
-		s.out = tensor.FromSlice(s.buf[:n*s.outVol], n, s.outVol)
+		s.out.ResliceRows(s.buf, n)
 	}
 	e.curN = n
 }
 
-// runStep executes one f64 step body across the pool (shared by the F64 plan
-// and the non-dense stages of the I8 plan).
-func (e *Engine) runStep(s *step, cur *tensor.Tensor, n int) *tensor.Tensor {
-	s.in = cur
-	if e.chunks <= 1 || n == 1 {
-		s.body(0, 0, n)
-	} else {
-		e.pool.RunWith(&e.wg, n, e.chunks, s.body)
+// fanOutMinMACs is the work, in multiply-accumulates, below which a batch
+// stays on the caller's goroutine. Handing a chunk to a pool worker costs a
+// channel send and the wake-up of a parked goroutine, and on the 2-vCPU
+// reference host that does not pay for itself until a batch is ≈ 1M MACs
+// (250–400 µs of work): a 2-row LeNet-5 batch (0.8M) runs 1.05× slower fanned
+// out and a 4-row one (1.7M) 0.98×, while the stock MLP's 16-row readout
+// (14k MACs, ≈ 8 µs) paid up to 1.5×. CHANGES (ISSUE 21) has the sweep.
+const fanOutMinMACs = 1 << 20
+
+// runRows takes rows [lo, hi) of the batch through every step of the F64
+// plan. Rows are independent through the whole plan, so this is also the
+// pool body: a chunk of whole samples runs start to finish on one worker.
+func (e *Engine) runRows(chunk, lo, hi int) {
+	for _, s := range e.steps {
+		s.run(chunk, lo, hi)
 	}
-	return s.out
+}
+
+// forwardF64 runs the batch through the plan, fanning out over the pool at
+// most once per call (not once per layer) and not at all for a batch too
+// small to repay it.
+func (e *Engine) forwardF64(x *tensor.Tensor, n int) *tensor.Tensor {
+	if len(e.steps) == 0 {
+		return x
+	}
+	e.steps[0].in = x
+	if e.chunks <= 1 || n == 1 || n*e.rowMACs < fanOutMinMACs {
+		e.runRows(0, 0, n)
+	} else {
+		e.pool.RunWith(&e.wg, n, e.chunks, e.rows)
+	}
+	return e.steps[len(e.steps)-1].out
 }
 
 // ForwardBatch runs the (N, inDim) batch x through the plan and returns the
 // (N, outDim) logits. When dst is non-nil the logits are copied into it and
 // dst is returned; when dst is nil the engine's internal output view is
 // returned, valid until the next call. Either way the computation happens in
-// the preallocated workspaces: the steady state (same batch size, dst nil)
-// performs no allocations. An N=0 batch returns ErrEmptyBatch — there are no
-// logits to produce, and the silent empty output it used to return scored as
-// a healthy readout downstream.
+// the preallocated workspaces: the steady state (dst nil, no batch larger
+// than any before it) performs no allocations. An N=0 batch returns
+// ErrEmptyBatch — there are no logits to produce, and the silent empty output
+// it used to return scored as a healthy readout downstream.
 func (e *Engine) ForwardBatch(dst, x *tensor.Tensor) (*tensor.Tensor, error) {
 	tensor.AssertDims("engine.ForwardBatch x", x, tensor.Wildcard, e.inDim)
 	n := x.Dim(0)
@@ -380,10 +520,7 @@ func (e *Engine) ForwardBatch(dst, x *tensor.Tensor) (*tensor.Tensor, error) {
 	case tensor.I8:
 		cur = e.forwardI8(x, n)
 	default:
-		cur = x
-		for _, s := range e.steps {
-			cur = e.runStep(s, cur, n)
-		}
+		cur = e.forwardF64(x, n)
 	}
 	if dst == nil {
 		return cur, nil
@@ -407,11 +544,9 @@ func (e *Engine) Probs(x *tensor.Tensor) *tensor.Tensor {
 	n := logits.Dim(0)
 	if need := n * e.outVol; need > cap(e.probsBuf) {
 		e.probsBuf = make([]float64, need)
-		e.probsN = 0
 	}
-	if n != e.probsN {
-		e.probs = tensor.FromSlice(e.probsBuf[:n*e.outVol], n, e.outVol)
-		e.probsN = n
+	if n != e.probs.Dim(0) {
+		e.probs.ResliceRows(e.probsBuf, n)
 	}
 	copy(e.probs.Data(), logits.Data())
 	nn.SoftmaxInPlace(e.probs)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
@@ -246,6 +247,68 @@ func TestEngineRebind(t *testing.T) {
 	if !mustForward(t, eng, nil, x).Equal(base) {
 		t.Fatal("failed rebinds perturbed the engine")
 	}
+
+	// A plan with a fused conv → ReLU → max-pool step: a clone's weights swap
+	// in and the bits follow; a network whose layers fuse differently — no
+	// ReLU, no pool, another pool window with the same output volume — is
+	// turned away, and the plan still answers for the network it holds.
+	pool2 := tensor.ConvGeom{InC: 4, InH: 8, InW: 8, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
+	pool3 := tensor.ConvGeom{InC: 4, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
+	convNet := func(relu bool, pool *tensor.ConvGeom) *nn.Network {
+		r := rng.New(36)
+		cg := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+		layers := []nn.Layer{nn.NewConv2D("conv", r, cg, 4)}
+		if relu {
+			layers = append(layers, nn.NewReLU("relu"))
+		}
+		vol := 4 * 8 * 8
+		if pool != nil {
+			layers = append(layers, nn.NewMaxPool2D("pool", *pool))
+			vol = 4 * 4 * 4
+		}
+		layers = append(layers, nn.NewFlatten("flat"), nn.NewDense("fc", r, vol, 5))
+		return nn.NewNetwork("block", 64, layers...)
+	}
+	fusedNet := convNet(true, &pool2)
+	eng = MustCompile(fusedNet, Options{Workers: 1})
+	if got := len(eng.steps); got != 2 {
+		t.Fatalf("conv → ReLU → pool → dense compiled to %d steps, want 2 (the block, the dense)", got)
+	}
+	x = tensor.RandUniform(rng.New(37), 0, 1, 5, 64)
+	base = mustForward(t, eng, nil, x).Clone()
+	if !base.Equal(serialForward(fusedNet, x)) {
+		t.Fatal("fused plan is not bit-identical to the network's forward")
+	}
+	clone = fusedNet.Clone()
+	for _, p := range clone.Params() {
+		p.Value.ScaleInPlace(-0.75)
+	}
+	if err := eng.Rebind(clone); err != nil {
+		t.Fatalf("rebind fused clone: %v", err)
+	}
+	if got := mustForward(t, eng, nil, x); !got.Equal(serialForward(clone, x)) || got.Equal(base) {
+		t.Fatal("rebound fused plan does not follow the clone's weights")
+	}
+	if err := eng.Rebind(fusedNet); err != nil {
+		t.Fatalf("rebind fused original: %v", err)
+	}
+	for _, bad := range []struct {
+		name string
+		net  *nn.Network
+		want string
+	}{
+		{"no ReLU", convNet(false, &pool2), "*nn.Conv2D+*nn.ReLU+*nn.MaxPool2D"},
+		{"no pool", convNet(true, nil), "*nn.Conv2D+*nn.ReLU+*nn.MaxPool2D"},
+		{"another pool window", convNet(true, &pool3), "geometry"},
+	} {
+		err := eng.Rebind(bad.net)
+		if err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Fatalf("rebind onto a fused plan, %s: error %v, want one naming %q", bad.name, err, bad.want)
+		}
+		if eng.Network() != fusedNet || !mustForward(t, eng, nil, x).Equal(base) {
+			t.Fatalf("rejected rebind (%s) perturbed the fused plan", bad.name)
+		}
+	}
 }
 
 // TestEngineCompileRejectsUnbatchable: a layer without a batched kernel must
@@ -289,6 +352,81 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, func() { eng.Probs(x) }); allocs != 0 {
 			t.Errorf("%s: %v allocs/op in steady state, want 0", cfg.label, allocs)
 		}
+
+		// a monitored device: 8-row requests between 16-row readouts on one
+		// plan. Switching the batch size re-points the views in place, and
+		// on the pooled arm LeNet-5 is enough work that both sizes fan out.
+		lenet := models.LeNet5(rng.New(43))
+		req := tensor.RandUniform(rng.New(44), 0, 1, 8, lenet.InDim())
+		readout := tensor.RandUniform(rng.New(45), 0, 1, 16, lenet.InDim())
+		eng = MustCompile(lenet, cfg.opts)
+		eng.Probs(readout)
+		eng.Probs(req)
+		if allocs := testing.AllocsPerRun(10, func() { eng.Probs(readout); eng.Probs(req) }); allocs != 0 {
+			t.Errorf("%s: %v allocs per 16-row/8-row pair on LeNet-5, want 0", cfg.label, allocs)
+		}
+	}
+}
+
+// TestSmallBatchStaysOffThePool: a batch below the fan-out threshold runs on
+// the caller's goroutine and never waits for the pool — here a pool whose
+// workers are all parked on a gate, as they are behind another engine's long
+// batch. A batch above the threshold on the same pool does wait, which is
+// the proof that the gate would have stalled the small one.
+func TestSmallBatchStaysOffThePool(t *testing.T) {
+	pool := tensor.NewPool(2)
+	gate, parked := make(chan struct{}), make(chan struct{})
+	var holders sync.WaitGroup
+	for w := 0; w < pool.Workers(); w++ {
+		holders.Add(1)
+		go func() {
+			defer holders.Done()
+			// chunk 0 runs on this goroutine, chunk 1 parks a worker
+			pool.Run(2, 2, func(chunk, _, _ int) {
+				if chunk == 1 {
+					parked <- struct{}{}
+					<-gate
+				}
+			})
+		}()
+	}
+	var opened sync.Once
+	open := func() { opened.Do(func() { close(gate) }) }
+	t.Cleanup(func() {
+		open()
+		holders.Wait()
+		pool.Close()
+	})
+	for w := 0; w < pool.Workers(); w++ {
+		<-parked
+	}
+
+	mlp := models.MLP(rng.New(61), 16, []int{24, 16}, 6)
+	readout := tensor.RandUniform(rng.New(62), 0, 1, 16, 16)
+	small := MustCompile(mlp, Options{Pool: pool})
+	done := make(chan *tensor.Tensor, 1)
+	go func() { done <- small.Probs(readout).Clone() }()
+	select {
+	case got := <-done:
+		if !got.Equal(nn.Softmax(serialForward(mlp, readout))) {
+			t.Fatal("small batch on a busy pool diverged from the serial forward")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a 16-row MLP readout waited for a pool whose workers are parked")
+	}
+
+	lenet := models.LeNet5(rng.New(63))
+	batch := tensor.RandUniform(rng.New(64), 0, 1, 8, lenet.InDim())
+	large := MustCompile(lenet, Options{Pool: pool})
+	go func() { done <- large.Probs(batch).Clone() }()
+	select {
+	case <-done:
+		t.Fatal("an 8-row LeNet-5 batch never reached the pool: nothing fans out any more")
+	case <-time.After(50 * time.Millisecond):
+	}
+	open()
+	if got := <-done; !got.Equal(nn.Softmax(serialForward(lenet, batch))) {
+		t.Fatal("fanned-out batch diverged from the serial forward")
 	}
 }
 
@@ -297,8 +435,13 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 func TestEnginesShareOnePool(t *testing.T) {
 	pool := tensor.NewPool(4)
 	defer pool.Close()
-	net := models.MLP(rng.New(51), 16, []int{24, 16}, 6)
-	x := tensor.RandUniform(rng.New(52), 0, 1, 12, 16)
+	// 48 rows × 23k MACs: above the fan-out threshold, so every call really
+	// sends chunks to the shared workers
+	net := models.MLP(rng.New(51), 96, []int{160, 48}, 6)
+	x := tensor.RandUniform(rng.New(52), 0, 1, 48, 96)
+	if 48*MustCompile(net, Options{}).rowMACs < fanOutMinMACs {
+		t.Fatal("test batch is below the fan-out threshold and would never touch the pool")
+	}
 	want := serialForward(net, x)
 	done := make(chan error, 6)
 	for g := 0; g < 6; g++ {

@@ -110,7 +110,8 @@ func TestGoldenLogitsFixture(t *testing.T) {
 // BenchmarkEngineRow times one f64 engine row (batch 8, serial) on the
 // fixture's pristine and stuck-at-0 weight states. The two must read alike:
 // a faulty device that serves slower than a healthy one biases the latency
-// the fleet's hedging reads.
+// the fleet's hedging reads. The log line names the register tile that ran
+// (avx2, sse2 or generic), so a recorded number states its kernel.
 func BenchmarkEngineRow(b *testing.B) {
 	const batch = 8
 	for _, m := range paperModels() {
@@ -120,6 +121,9 @@ func BenchmarkEngineRow(b *testing.B) {
 				eng := MustCompile(ws.net, Options{Workers: 1, MaxBatch: batch})
 				x := tensor.RandUniform(rng.New(5), 0, 1, batch, ws.net.InDim())
 				mustForward(b, eng, nil, x)
+				if b.N == 1 { // the sizing round: once per result line, without -v
+					b.Logf("conv kernel: %s tile", tensor.MatMulBlockedKernel())
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -218,11 +218,11 @@ func (e *Engine) compileI8(specs []layerSpec) error {
 			e.i8 = append(e.i8, i8Stage{q: q})
 			continue
 		}
-		s, err := e.newF64Step(sp)
+		st, err := layerStep(sp)
 		if err != nil {
 			return err
 		}
-		e.i8 = append(e.i8, i8Stage{gen: s})
+		e.i8 = append(e.i8, i8Stage{gen: e.newStep(st)})
 	}
 	return nil
 }
@@ -270,7 +270,7 @@ func (e *Engine) rebindI8(specs []layerSpec) error {
 		return fmt.Errorf("engine: rebind network has %d compute layers, i8 plan has %d", len(specs), len(e.i8))
 	}
 	type bind struct {
-		bl    nn.BatchInfer
+		gen   stepSpec
 		dense *nn.Dense
 	}
 	pending := make([]bind, len(specs))
@@ -286,16 +286,14 @@ func (e *Engine) rebindI8(specs []layerSpec) error {
 		if st.gen == nil {
 			return fmt.Errorf("engine: rebind layer %q (%T) where the i8 plan has a quantized dense stage", sp.layer.Name(), sp.layer)
 		}
-		s := st.gen
-		bl, ok := sp.layer.(nn.BatchInfer)
-		if !ok {
-			return fmt.Errorf("engine: rebind layer %q (%T) has no batched inference path", sp.layer.Name(), sp.layer)
+		ls, err := layerStep(sp)
+		if err != nil {
+			return err
 		}
-		if fmt.Sprintf("%T", sp.layer) != fmt.Sprintf("%T", s.layer) ||
-			s.inVol != sp.inVol || s.outVol != sp.outVol || s.scratchLen != bl.InferScratch() {
-			return fmt.Errorf("engine: rebind layer %q does not match compiled step %q", sp.layer.Name(), s.layer.Name())
+		if err := st.gen.accepts(ls); err != nil {
+			return err
 		}
-		pending[i] = bind{bl: bl}
+		pending[i] = bind{gen: ls}
 	}
 	for i, st := range e.i8 {
 		if st.q != nil {
@@ -303,8 +301,7 @@ func (e *Engine) rebindI8(specs []layerSpec) error {
 			st.q.loadParams()
 			continue
 		}
-		st.gen.bl = pending[i].bl
-		st.gen.layer = st.gen.bl.(nn.Layer)
+		st.gen.layers, st.gen.bl = pending[i].gen.layers, pending[i].gen.bl
 	}
 	return nil
 }
@@ -334,6 +331,17 @@ func (e *Engine) setBatchI8(n int) {
 		}
 	}
 	e.curN = n
+}
+
+// runStep executes one f64 step of the I8 plan across the pool.
+func (e *Engine) runStep(s *step, cur *tensor.Tensor, n int) *tensor.Tensor {
+	s.in = cur
+	if e.chunks <= 1 || n == 1 {
+		s.body(0, 0, n)
+	} else {
+		e.pool.RunWith(&e.wg, n, e.chunks, s.body)
+	}
+	return s.out
 }
 
 // forwardI8 runs the mixed quantized pipeline; activations between stages

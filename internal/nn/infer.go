@@ -18,6 +18,13 @@ import (
 // must not touch the training caches (no argmax, no masks, no lastIn), so it
 // never pairs with Backward. Layers whose inference pass is the identity
 // implement InferencePassthrough instead.
+//
+// Every compute layer implements it, and so does one thing that is not a
+// layer: ConvBlock (convblock.go), a Conv2D run as one kernel with the ReLU
+// and max-pool behind it, held to the bits of the three layers' Forward
+// chain. The convolution sample loop lives there once; Conv2D's own
+// ForwardBatchRange is that loop with no activation behind it, and ReLU's
+// shares its branch-free comparison.
 type BatchInfer interface {
 	ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64)
 	// InferScratch returns the per-call scratch requirement in float64s.
@@ -57,35 +64,11 @@ func (d *Dense) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64
 // InferScratch implements BatchInfer: dense layers need no scratch.
 func (d *Dense) InferScratch() int { return 0 }
 
-// ForwardBatchRange implements BatchInfer: im2col + matmul per sample for
-// rows [lo, hi). scratch holds one (InC*KH*KW, OutH*OutW) column matrix. The
-// multiply is tensor.MatMulBlockedSlices, the register-tiled kernel with the
-// per-element fold of the MatMulSlices that Forward calls, so outputs are
-// bit-identical.
+// ForwardBatchRange implements BatchInfer: im2col + matmul + bias per sample
+// for rows [lo, hi), the conv sample loop (forwardRange) with no activation
+// behind it. scratch holds one (InC*KH*KW, OutH*OutW) column matrix.
 func (c *Conv2D) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64) {
-	inVol := c.sampleVolume()
-	spatial := c.geom.OutH() * c.geom.OutW()
-	ckk := c.geom.InC * c.geom.KH * c.geom.KW
-	outVol := c.outC * spatial
-	tensor.AssertDims("Conv2D.ForwardBatchRange x", x, tensor.Wildcard, inVol)
-	tensor.AssertDims("Conv2D.ForwardBatchRange dst", dst, x.Dim(0), outVol)
-	if len(scratch) < ckk*spatial {
-		panic("nn: Conv2D.ForwardBatchRange scratch too small")
-	}
-	cols := scratch[:ckk*spatial]
-	xd, od, wd, bd := x.Data(), dst.Data(), c.weight.Value.Data(), c.bias.Value.Data()
-	for s := lo; s < hi; s++ {
-		tensor.Im2ColInto(cols, xd[s*inVol:(s+1)*inVol], c.geom)
-		out := od[s*outVol : (s+1)*outVol]
-		tensor.MatMulBlockedSlices(out, wd, cols, c.outC, ckk, spatial)
-		for oc := 0; oc < c.outC; oc++ {
-			b := bd[oc]
-			row := out[oc*spatial : (oc+1)*spatial]
-			for i := range row {
-				row[i] += b
-			}
-		}
-	}
+	c.forwardRange(dst, x, lo, hi, scratch, false, nil)
 }
 
 // InferScratch implements BatchInfer: one im2col column matrix.
@@ -213,16 +196,13 @@ func elementwiseVol(op string, dst, x *tensor.Tensor) int {
 	return vol
 }
 
-// ForwardBatchRange implements BatchInfer: max(0, x) without the mask cache.
+// ForwardBatchRange implements BatchInfer: Forward's v > 0 ? v : +0 without
+// the mask cache and, through reluBits, without a branch on the data.
 func (l *ReLU) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64) {
 	vol := elementwiseVol("ReLU.ForwardBatchRange dst", dst, x)
-	xd, od := x.Data(), dst.Data()
-	for i := lo * vol; i < hi*vol; i++ {
-		if v := xd[i]; v > 0 {
-			od[i] = v
-		} else {
-			od[i] = 0
-		}
+	xd, od := x.Data()[lo*vol:hi*vol], dst.Data()[lo*vol:hi*vol]
+	for i, v := range xd {
+		od[i] = math.Float64frombits(reluBits(v))
 	}
 }
 

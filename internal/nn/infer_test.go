@@ -139,24 +139,27 @@ func TestPassthroughMarkers(t *testing.T) {
 	}
 }
 
-// TestMaxPoolBatchRangeTable holds MaxPool2D.ForwardBatchRange's two sweeps —
-// windows wholly inside the input, and bounds-tested windows on a padded
-// edge — to Forward's bits on the inputs where "first element, then strictly
-// greater" is visible: a NaN first in its window stays, a NaN later never
-// wins, and of +0 and −0 the earlier one stays.
-func TestMaxPoolBatchRangeTable(t *testing.T) {
+// poolTableGeoms are the window geometries the max-pool tables sweep: every
+// way a window can sit against the input's edge.
+var poolTableGeoms = []tensor.ConvGeom{
+	{InC: 2, InH: 4, InW: 4, KH: 2, KW: 2, StrideH: 2, StrideW: 2},                   // every window inside
+	{InC: 2, InH: 5, InW: 6, KH: 3, KW: 2, StrideH: 1, StrideW: 2},                   // overlapping, non-square
+	{InC: 2, InH: 4, InW: 4, KH: 2, KW: 2, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, // every edge window clipped
+	{InC: 1, InH: 5, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, // clipped ring, interior core
+	{InC: 1, InH: 2, InW: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2, PadH: 2, PadW: 2}, // corner windows see padding only
+}
+
+// poolTableInputs are the fills on which a window maximum's tie and NaN rules
+// are visible; at(i) is the value of flat input element i.
+var poolTableInputs = func() []struct {
+	name string
+	at   func(i int) float64
+} {
 	nan, negZero := math.NaN(), math.Copysign(0, -1)
 	fill := func(vals ...float64) func(i int) float64 {
 		return func(i int) float64 { return vals[i%len(vals)] }
 	}
-	geoms := []tensor.ConvGeom{
-		{InC: 2, InH: 4, InW: 4, KH: 2, KW: 2, StrideH: 2, StrideW: 2},                   // every window inside
-		{InC: 2, InH: 5, InW: 6, KH: 3, KW: 2, StrideH: 1, StrideW: 2},                   // overlapping, non-square
-		{InC: 2, InH: 4, InW: 4, KH: 2, KW: 2, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, // every edge window clipped
-		{InC: 1, InH: 5, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, // clipped ring, interior core
-		{InC: 1, InH: 2, InW: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2, PadH: 2, PadW: 2}, // corner windows see padding only
-	}
-	inputs := []struct {
+	return []struct {
 		name string
 		at   func(i int) float64
 	}{
@@ -166,8 +169,16 @@ func TestMaxPoolBatchRangeTable(t *testing.T) {
 		{"zero-ties", fill(0, negZero, negZero, 0, negZero)},
 		{"negative", fill(-3, -1, -2, -5, -4, -1)},
 	}
-	for _, g := range geoms {
-		for _, in := range inputs {
+}()
+
+// TestMaxPoolBatchRangeTable holds MaxPool2D.ForwardBatchRange's two sweeps —
+// windows wholly inside the input, and bounds-tested windows on a padded
+// edge — to Forward's bits on the inputs where "first element, then strictly
+// greater" is visible: a NaN first in its window stays, a NaN later never
+// wins, and of +0 and −0 the earlier one stays.
+func TestMaxPoolBatchRangeTable(t *testing.T) {
+	for _, g := range poolTableGeoms {
+		for _, in := range poolTableInputs {
 			const n = 3
 			inVol := g.InC * g.InH * g.InW
 			x := tensor.New(n, inVol)

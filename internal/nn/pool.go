@@ -28,6 +28,9 @@ func NewMaxPool2D(name string, geom tensor.ConvGeom) *MaxPool2D {
 // Name returns the layer name.
 func (p *MaxPool2D) Name() string { return p.name }
 
+// Geom returns the pooling geometry.
+func (p *MaxPool2D) Geom() tensor.ConvGeom { return p.geom }
+
 // Params returns nil: pooling has no trainable parameters.
 func (p *MaxPool2D) Params() []*Param { return nil }
 
@@ -131,6 +134,9 @@ func NewAvgPool2D(name string, geom tensor.ConvGeom) *AvgPool2D {
 
 // Name returns the layer name.
 func (p *AvgPool2D) Name() string { return p.name }
+
+// Geom returns the pooling geometry.
+func (p *AvgPool2D) Geom() tensor.ConvGeom { return p.geom }
 
 // Params returns nil: pooling has no trainable parameters.
 func (p *AvgPool2D) Params() []*Param { return nil }

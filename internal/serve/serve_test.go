@@ -166,22 +166,33 @@ func TestTypedErrOverloaded(t *testing.T) {
 	s := newServer(t, devs, fleetConfig(), serve.Config{
 		Workers: 1, QueueBulk: 1, QueueMonitor: 1, DefaultDeadline: 5 * time.Second})
 	defer s.Close()
+	// Close waits for the gated device: open the gate first on every way out,
+	// so a failed assertion fails the test instead of hanging it
+	var opened sync.Once
+	release := func() { opened.Do(func() { close(gate) }) }
+	defer release()
 
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ { // one pins the worker, one fills the queue
+	do := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			s.Do(context.Background(), requestBatch(1), serve.Bulk)
 		}()
 	}
+	// the first request pins the worker; only once the device is inside its
+	// gate — the queue's one slot free again — may the second go in to fill it
+	// (sent together, the second can find the first still queued and bounce)
+	do()
+	waitFor(t, func() bool { return len(devs[0].callLog()) == 1 })
+	do()
 	waitFor(t, func() bool { return s.Stats().Admitted == 2 })
 
 	_, err := s.Do(context.Background(), requestBatch(2), serve.Bulk)
 	if !errors.Is(err, serve.ErrOverloaded) {
 		t.Fatalf("full queue returned %v, want ErrOverloaded", err)
 	}
-	close(gate)
+	release()
 	wg.Wait()
 	if st := s.Stats(); st.Overloads != 1 || st.Admitted != st.Terminal() {
 		t.Fatalf("post-overload stats: %+v", st)

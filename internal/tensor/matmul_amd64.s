@@ -1,13 +1,16 @@
-// SSE2 register tile behind MatMulBlockedSlices. One call computes four
-// whole rows of dst = a·b as 4-row × 4-column tiles held in eight XMM
-// accumulators: per p, the two vectors b[p, j..j+3] are loaded once and each
-// of the four a[i, p] is broadcast and folded in with MULPD/ADDPD. Every
-// output element starts at +0 and receives its products for p ascending, one
-// rounded multiply and one rounded add per term — no FMA, no reassociation —
-// which is MatMulSlices's chain for that element except that a zero a[i, p]
-// is multiplied instead of skipped (see MatMulBlockedSlices for why that is
-// the same bits whenever the result is finite). SSE2 is part of the amd64
-// baseline, so there is no CPUID gate.
+// Register tiles behind MatMulBlockedSlices, and the CPUID probes that choose
+// between them. One row-kernel call computes four whole rows of dst = a·b in
+// 4-row register tiles: per p, the vectors b[p, j..] are loaded once and each
+// of the four a[i, p] is broadcast and folded in with a packed multiply and a
+// packed add. Every output element starts at +0 and receives its products for
+// p ascending, one rounded multiply and one rounded add per term — no FMA, no
+// reassociation — which is MatMulSlices's chain for that element except that
+// a zero a[i, p] is multiplied instead of skipped (see MatMulBlockedSlices for
+// why that is the same bits whenever the result is finite).
+//
+// matmulRows4 is the SSE2 tile, 4 columns in eight XMM accumulators; SSE2 is
+// part of the amd64 baseline. matmulRows4AVX2 is the same fold 8 columns wide
+// in eight YMM accumulators, for hosts whose CPU and OS pass hasAVX2.
 
 #include "textflag.h"
 
@@ -114,4 +117,125 @@ done:
 	MOVQ     X12, R10
 	ORQ      R10, R9
 	SETNE    nonFinite+88(FP)
+	RET
+
+// The AVX2 tile. VEX VMULPD/VADDPD are lane-wise IEEE double operations, as
+// MULPD/ADDPD are, so every element's chain — and its bits — is the SSE2
+// tile's.
+
+// one row of the tile at p: broadcast a[i, p] from AOFF, fold into ACC0/ACC1
+#define ROWY(AOFF, ACC0, ACC1) \
+	VBROADCASTSD AOFF, Y10; \
+	VMULPD       Y8, Y10, Y11; \
+	VADDPD       Y11, ACC0, ACC0; \
+	VMULPD       Y9, Y10, Y10; \
+	VADDPD       Y10, ACC1, ACC1
+
+// x − x is +0 for finite x and NaN for ±Inf/NaN: OR it into the Y12 flag
+#define POISONY(ACC) \
+	VSUBPD ACC, ACC, Y10; \
+	VORPD  Y10, Y12, Y12
+
+// func matmulRows4AVX2(dst, a, b []float64, k, n int) (nonFinite bool)
+// matmulRows4's contract with n >= 8: columns [0, n&^7) are covered by n/8
+// tiles, a ragged remainder by one more tile at column n−8. The caller has
+// checked that the CPU and the OS support AVX2.
+TEXT ·matmulRows4AVX2(SB), NOSPLIT, $0-89
+	MOVQ   dst_base+0(FP), DI // tile cursor in dst row 0
+	MOVQ   a_base+24(FP), SI
+	MOVQ   b_base+48(FP), BX  // tile cursor in b row 0
+	MOVQ   k+72(FP), CX
+	MOVQ   n+80(FP), DX
+	MOVQ   DX, R9
+	SHRQ   $3, R9             // whole tiles
+	SHLQ   $3, DX             // row stride of b and dst in bytes
+	LEAQ   (DX)(DX*2), AX     // 3 rows of dst
+	MOVQ   CX, R8
+	SHLQ   $3, R8             // row stride of a in bytes
+	LEAQ   (R8)(R8*2), R13    // 3 rows of a
+	VXORPD Y12, Y12, Y12
+
+tiley:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   BX, R10 // &b[p, j]
+	MOVQ   SI, R11 // &a[0, p]
+	MOVQ   CX, R12
+	TESTQ  R12, R12
+	JZ     storey
+
+ploopy:
+	VMOVUPD (R10), Y8
+	VMOVUPD 32(R10), Y9
+	ROWY((R11), Y0, Y1)
+	ROWY((R11)(R8*1), Y2, Y3)
+	ROWY((R11)(R8*2), Y4, Y5)
+	ROWY((R11)(R13*1), Y6, Y7)
+	ADDQ    DX, R10
+	ADDQ    $8, R11
+	DECQ    R12
+	JNZ     ploopy
+
+storey:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(DX*1)
+	VMOVUPD Y3, 32(DI)(DX*1)
+	VMOVUPD Y4, (DI)(DX*2)
+	VMOVUPD Y5, 32(DI)(DX*2)
+	VMOVUPD Y6, (DI)(AX*1)
+	VMOVUPD Y7, 32(DI)(AX*1)
+	POISONY(Y0)
+	POISONY(Y1)
+	POISONY(Y2)
+	POISONY(Y3)
+	POISONY(Y4)
+	POISONY(Y5)
+	POISONY(Y6)
+	POISONY(Y7)
+	ADDQ    $64, DI
+	ADDQ    $64, BX
+	DECQ    R9
+	JNZ     tiley
+
+	// as in matmulRows4: step back so one last tile ends at the row end
+	MOVQ dst_base+0(FP), R9
+	ADDQ DX, R9
+	SUBQ DI, R9 // bytes of row 0 not yet covered: 0, 8, ..., 56
+	JZ   doney
+	SUBQ $64, R9
+	ADDQ R9, DI
+	ADDQ R9, BX
+	MOVQ $1, R9
+	JMP  tiley
+
+doney:
+	VPTEST Y12, Y12
+	SETNE  nonFinite+88(FP)
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() (eax uint32)
+// The low half of XCR0; the caller has checked OSXSAVE.
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
 	RET

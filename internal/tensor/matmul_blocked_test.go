@@ -17,6 +17,15 @@ var saltClasses = [][]float64{
 	{math.MaxFloat64, -math.MaxFloat64},
 }
 
+// blockedTile is one kernel behind MatMulBlockedSlices; blockedTiles (one
+// definition per platform) lists them all, ok reporting whether this host
+// can run it.
+type blockedTile struct {
+	name string
+	ok   bool
+	mul  func(dst, a, b []float64, m, k, n int)
+}
+
 // requireSameBits fails unless got and want hold the same IEEE-754 bit
 // patterns, reading both as (·×n) matrices for the message.
 func requireSameBits(t *testing.T, what string, got, want []float64, n int) {
@@ -29,9 +38,10 @@ func requireSameBits(t *testing.T, what string, got, want []float64, n int) {
 	}
 }
 
-// FuzzMatMulBlockedVsRef holds MatMulBlockedSlices to MatMulSlices's bits on
-// fuzzer-chosen shapes (m 1..13, k 0..40, n 1..37: below the tile threshold,
-// ragged rows and columns, an empty sum) with operands salted from the value
+// FuzzMatMulBlockedVsRef holds every tile of MatMulBlockedSlices the host
+// can run to MatMulSlices's bits on fuzzer-chosen shapes (m 1..13, k 0..40,
+// n 1..37: below either tile's threshold, ragged rows and columns on both
+// widths, an empty sum) with operands salted from the value
 // classes where "multiply every term" and "skip zero terms" could part:
 // signed zeros, denormals, ±Inf, NaN and ±MaxFloat64. meet != 0 additionally
 // plants the one case that does part them — a zero in a facing a +Inf in b.
@@ -60,11 +70,16 @@ func FuzzMatMulBlockedVsRef(f *testing.F) {
 			b[p*n+j] = math.Inf(1)
 		}
 		got, want := make([]float64, m*n), make([]float64, m*n)
-		for i := range got {
-			got[i], want[i] = -12345.678, 8765.4321
-		}
-		MatMulBlockedSlices(got, a, b, m, k, n)
 		MatMulSlices(want, a, b, m, k, n)
-		requireSameBits(t, "blocked product", got, want, n)
+		for _, tile := range blockedTiles {
+			if !tile.ok {
+				continue
+			}
+			for i := range got {
+				got[i] = -12345.678
+			}
+			tile.mul(got, a, b, m, k, n)
+			requireSameBits(t, tile.name+" product", got, want, n)
+		}
 	})
 }

@@ -139,6 +139,18 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
 }
 
+// ResliceRows re-points t, a rank-2 (·, w) view, at the first n rows of buf
+// in place, without allocating: a batch engine keeps one view per workspace
+// and resizes it when the batch size changes. Whoever still holds t sees the
+// new extent. buf must hold at least n rows.
+func (t *Tensor) ResliceRows(buf []float64, n int) {
+	if len(t.shape) != 2 {
+		panic(fmt.Sprintf("tensor: ResliceRows on a rank-%d tensor", len(t.shape)))
+	}
+	t.data = buf[:n*t.shape[1]]
+	t.shape[0] = n
+}
+
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	for i := range t.data {

@@ -93,6 +93,33 @@ func TestReshapeView(t *testing.T) {
 	}
 }
 
+// TestResliceRows: the view is re-pointed in place — same *Tensor, new
+// extent over the caller's buffer — and the switch allocates nothing.
+func TestResliceRows(t *testing.T) {
+	buf := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	v := New(0, 2)
+	v.ResliceRows(buf, 3)
+	if v.Dim(0) != 3 || v.Dim(1) != 2 || v.Len() != 6 || v.At(2, 1) != 6 {
+		t.Fatalf("3-row view: shape %v, %d elements", v.Shape(), v.Len())
+	}
+	v.Set(99, 0, 0)
+	if buf[0] != 99 {
+		t.Fatal("ResliceRows did not alias the buffer")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { v.ResliceRows(buf, 4); v.ResliceRows(buf, 1) }); allocs != 0 {
+		t.Fatalf("ResliceRows allocated %v times per switch pair", allocs)
+	}
+	if v.Dim(0) != 1 || v.Len() != 2 {
+		t.Fatalf("1-row view: shape %v, %d elements", v.Shape(), v.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ResliceRows past the buffer did not panic")
+		}
+	}()
+	v.ResliceRows(buf, 5)
+}
+
 func TestReshapeBadVolumePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
