@@ -1,7 +1,9 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 #
 #   make check   gofmt check + vet (host, plus the kernel packages for arm64 so
-#                the !amd64 halves of the assembly kernels compile) + build +
+#                the !amd64 halves of the assembly kernels compile, plus the
+#                wire codec for arm64 and 386) + the wire codec's generated
+#                power-of-ten table against its generator + build +
 #                full test suite + race detector
 #                on the hardened-runtime packages + short campaign, fleet,
 #                serving-chaos, network-tier, crash/disk-fault and
@@ -9,7 +11,8 @@
 #                and fleet examples end to end + a short fuzz pass over
 #                the journal record and snapshot decoders, the f32 kernel
 #                envelope, the register-tiled f64 matmul's and the fused conv
-#                block's bit-identity and the /v1/infer request decoder + the
+#                block's bit-identity, the /v1/infer request decoder and the
+#                wire codec's two number kernels against strconv + the
 #                batched inference, training, hardening and cost-metering
 #                performance gates (bench-smoke)
 #   make bench-smoke  gate the batched monitor readout, the engine training
@@ -40,13 +43,13 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
             ./internal/reram/... ./internal/hwcost/... ./internal/wire/... \
             ./internal/nn/...
 
-.PHONY: check fmt-check vet build test race-fast race soak-smoke soak \
+.PHONY: check fmt-check vet gen-check build test race-fast race soak-smoke soak \
         fleet-soak-smoke fleet-soak serve-soak-smoke serve-soak \
         net-soak-smoke net-soak crash-soak-smoke crash-soak \
         lifetime-soak-smoke lifetime-soak examples-smoke fuzz-short \
         bench-smoke loc
 
-check: fmt-check vet build test race-fast soak-smoke fleet-soak-smoke serve-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke
+check: fmt-check vet gen-check build test race-fast soak-smoke fleet-soak-smoke serve-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke
 	@echo "check: PASS"
 
 # gofmt prints the files it would rewrite; any name is a failure
@@ -54,10 +57,17 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # the second pass type-checks what only a non-amd64 build compiles: the
-# portable twins of the SSE2/AVX2 kernels (matmul_noasm.go, matmul32_noasm.go)
+# portable twins of the SSE2/AVX2 kernels (matmul_noasm.go, matmul32_noasm.go);
+# the third holds the wire codec's number kernels to a 32-bit int
 vet:
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/ ./internal/engine/
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/nn/ ./internal/engine/ ./internal/wire/
+	GOARCH=386 $(GO) vet ./internal/wire/
+
+# the committed power-of-ten table is what its generator writes (math/big
+# only; `go generate ./internal/wire` is the command that rewrites it)
+gen-check:
+	@tmp="$$(mktemp)"; $(GO) run ./internal/wire/pow10gen -o "$$tmp" && diff "$$tmp" internal/wire/pow10tab.go; rc=$$?; rm -f "$$tmp"; exit $$rc
 
 build:
 	$(GO) build ./...
@@ -149,8 +159,9 @@ crash-soak:
 # decoder, the f32-vs-f64 envelope of the two matmul kernels under the
 # engine's F32 plan, the register-tiled f64 matmul (every tile the host
 # runs) against the reference loop's bits, the fused conv → ReLU → max-pool
-# block against the three layers' Forward chain and the /v1/infer handler
-# (committed corpora seed all six; go's fuzzer takes one target per
+# block against the three layers' Forward chain, the /v1/infer handler and
+# the wire codec's number scanner and shortest-digits renderer against strconv
+# (committed corpora seed all eight; go's fuzzer takes one target per
 # invocation)
 fuzz-short:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeAll -fuzztime=10s
@@ -159,6 +170,8 @@ fuzz-short:
 	$(GO) test ./internal/tensor -run='^$$' -fuzz=FuzzMatMulBlockedVsRef -fuzztime=10s
 	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzConvBlockVsChain -fuzztime=10s
 	$(GO) test ./internal/netserve -run='^$$' -fuzz=FuzzInferRequest -fuzztime=10s
+	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzNumberVsStrconv -fuzztime=10s
+	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzAppendFloatVsStrconv -fuzztime=10s
 
 # performance gate on the batch-first inference AND training engines and the
 # hardware cost accounting layer: the batched monitor readout must stay

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"sync"
 
-	"reramtest/internal/reram"
 	"reramtest/internal/wire"
 )
 
@@ -109,14 +108,17 @@ func (h *HTTPTarget) Serve(ctx context.Context, req Request) Outcome {
 	defer resp.Body.Close()
 
 	if resp.StatusCode == http.StatusOK {
-		var ok struct {
-			Degraded bool       `json:"degraded"`
-			Cost     reram.Cost `json:"cost"`
-		}
-		if derr := json.NewDecoder(resp.Body).Decode(&ok); derr != nil {
+		// read to EOF, so the keep-alive connection goes back reusable
+		rbuf, err := wire.ReadBody(resp.Body, resp.ContentLength)
+		if err != nil {
 			return Outcome{Kind: "transport", Code: resp.StatusCode}
 		}
-		return Outcome{Kind: "ok", Code: resp.StatusCode, Degraded: ok.Degraded, Cost: ok.Cost}
+		defer rbuf.Release()
+		degraded, cost, err := wire.ParseResponse(rbuf.B)
+		if err != nil {
+			return Outcome{Kind: "transport", Code: resp.StatusCode}
+		}
+		return Outcome{Kind: "ok", Code: resp.StatusCode, Degraded: degraded, Cost: cost}
 	}
 	var bad struct {
 		Error string `json:"error"`

@@ -43,9 +43,18 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 		n *= d
 	}
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", len(data), shape, n))
+		panic(shapeMismatch(len(data), append([]int(nil), shape...), n))
 	}
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
+}
+
+// shapeMismatch words FromSlice's panic. It is handed a copy of the shape and
+// kept out of line: formatting with %v makes its argument escape, and inlined
+// that would put every caller's variadic shape on the heap.
+//
+//go:noinline
+func shapeMismatch(length int, shape []int, volume int) string {
+	return fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", length, shape, volume)
 }
 
 // Full returns a tensor of the given shape with every element set to v.

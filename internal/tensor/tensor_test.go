@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -61,12 +62,19 @@ func TestFromSliceSharesData(t *testing.T) {
 	if x.At(0, 0) != 9 {
 		t.Fatal("FromSlice copied instead of wrapping")
 	}
+	// the header and its copy of the shape; the variadic argument itself
+	// stays on the caller's stack
+	if allocs := testing.AllocsPerRun(100, func() { sinkTensor = FromSlice(d, 2, 2) }); allocs != 2 {
+		t.Fatalf("FromSlice allocated %v times, want 2", allocs)
+	}
 }
+
+var sinkTensor *Tensor
 
 func TestFromSliceVolumeMismatchPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("FromSlice volume mismatch did not panic")
+		if msg, _ := recover().(string); !strings.Contains(msg, "length 3 does not match shape [2 2] (volume 4)") {
+			t.Fatalf("FromSlice volume mismatch: panic %q", msg)
 		}
 	}()
 	FromSlice([]float64{1, 2, 3}, 2, 2)

@@ -2,11 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
 
+	"reramtest/internal/reram"
 	"reramtest/internal/tensor"
 )
 
@@ -32,34 +35,95 @@ var (
 func ParseRequest(body []byte, inDim, maxRows int) (Request, error) {
 	d := decoder{b: body}
 	var req Request
-	d.space()
-	if !d.eat('{') {
-		return Request{}, d.errf("body is not a JSON object")
-	}
-	d.space()
-	if !d.eat('}') {
-		for {
-			if err := d.member(&req, inDim, maxRows); err != nil {
-				return Request{}, err
+	err := d.document(func(key []byte) error {
+		switch {
+		case bytes.Equal(key, keyTenant):
+			v, err := d.str()
+			req.Tenant = string(v)
+			return err
+		case bytes.Equal(key, keyPriority):
+			v, err := d.str()
+			if err != nil {
+				return err
 			}
-			d.space()
-			if d.eat('}') {
-				break
+			switch string(v) {
+			case "", "bulk":
+				req.Monitor = false
+			case "monitor":
+				req.Monitor = true
+			default:
+				return d.errf("unknown priority %q", v)
 			}
-			if !d.eat(',') {
-				return Request{}, d.errf("expected ',' or '}' after member")
+			return nil
+		case bytes.Equal(key, keyInput):
+			if req.X != nil {
+				return d.errf("duplicate member \"input\"")
 			}
-			d.space()
+			x, err := d.input(inDim, maxRows)
+			req.X = x
+			return err
+		case bytes.EqualFold(key, keyTenant), bytes.EqualFold(key, keyPriority), bytes.EqualFold(key, keyInput):
+			return d.errf("member %q: names are case-sensitive", key)
 		}
-	}
-	d.space()
-	if d.i != len(d.b) {
-		return Request{}, d.errf("data after the closing '}'")
+		return d.skip(0)
+	})
+	if err != nil {
+		return Request{}, err
 	}
 	if req.X == nil {
 		return Request{}, d.errf("no \"input\" member")
 	}
 	return req, nil
+}
+
+// ParseResponse reads from a 200 body what a client keeping score needs: the
+// degraded flag and the cost ledger, whose members are integers and are read
+// as such (a uint64 above 2^53 survives). It is the client's side of the
+// format, so it is lenient where ParseRequest is strict: members come in any
+// order, the last of a repeated name wins, and everything else — "probs"
+// included — is validated and skipped. Every failure wraps ErrInvalid.
+func ParseResponse(body []byte) (degraded bool, cost reram.Cost, err error) {
+	d := decoder{b: body}
+	err = d.document(func(key []byte) error {
+		switch string(key) {
+		case "degraded":
+			degraded = d.i < len(d.b) && d.b[d.i] == 't'
+			if degraded {
+				return d.literal("true")
+			}
+			return d.literal("false")
+		case "cost":
+			return d.object(func(key []byte) error {
+				var field *uint64
+				switch string(key) {
+				case "computeCycles":
+					field = &cost.ComputeCycles
+				case "dacConversions":
+					field = &cost.DACConversions
+				case "adcConversions":
+					field = &cost.ADCConversions
+				case "crossbarReads":
+					field = &cost.CrossbarReads
+				case "crossbarWrites":
+					field = &cost.CrossbarWrites
+				case "energyFJ":
+					field = &cost.EnergyFJ
+				case "bufferBytes":
+					field = &cost.BufferBytes
+				default:
+					return d.skip(0)
+				}
+				v, err := d.uint()
+				*field = v
+				return err
+			})
+		}
+		return d.skip(0)
+	})
+	if err != nil {
+		return false, reram.Cost{}, err
+	}
+	return degraded, cost, nil
 }
 
 // decoder is a cursor over one body.
@@ -93,49 +157,54 @@ func (d *decoder) eat(c byte) bool {
 	return false
 }
 
-// member decodes one `"name": value` pair of the request object into req.
-func (d *decoder) member(req *Request, inDim, maxRows int) error {
-	key, err := d.str()
-	if err != nil {
+// document decodes a body that is one JSON object and nothing else.
+func (d *decoder) document(member func(key []byte) error) error {
+	d.space()
+	if d.i == len(d.b) || d.b[d.i] != '{' {
+		return d.errf("body is not a JSON object")
+	}
+	if err := d.object(member); err != nil {
 		return err
 	}
 	d.space()
-	if !d.eat(':') {
-		return d.errf("expected ':' after member name")
-	}
-	d.space()
-	switch {
-	case bytes.Equal(key, keyTenant):
-		v, err := d.str()
-		if err != nil {
-			return err
-		}
-		req.Tenant = string(v)
-	case bytes.Equal(key, keyPriority):
-		v, err := d.str()
-		if err != nil {
-			return err
-		}
-		switch string(v) {
-		case "", "bulk":
-			req.Monitor = false
-		case "monitor":
-			req.Monitor = true
-		default:
-			return d.errf("unknown priority %q", v)
-		}
-	case bytes.Equal(key, keyInput):
-		if req.X != nil {
-			return d.errf("duplicate member \"input\"")
-		}
-		req.X, err = d.input(inDim, maxRows)
-		return err
-	case bytes.EqualFold(key, keyTenant), bytes.EqualFold(key, keyPriority), bytes.EqualFold(key, keyInput):
-		return d.errf("member %q: names are case-sensitive", key)
-	default:
-		return d.skip(0)
+	if d.i != len(d.b) {
+		return d.errf("data after the closing '}'")
 	}
 	return nil
+}
+
+// object walks the members of the object at the cursor: member is called
+// with each name, the cursor on that member's value, and consumes the value.
+func (d *decoder) object(member func(key []byte) error) error {
+	if !d.eat('{') {
+		return d.errf("expected an object")
+	}
+	d.space()
+	if d.eat('}') {
+		return nil
+	}
+	for {
+		key, err := d.str()
+		if err != nil {
+			return err
+		}
+		d.space()
+		if !d.eat(':') {
+			return d.errf("expected ':' after member name")
+		}
+		d.space()
+		if err := member(key); err != nil {
+			return err
+		}
+		d.space()
+		if d.eat('}') {
+			return nil
+		}
+		if !d.eat(',') {
+			return d.errf("expected ',' or '}' after member")
+		}
+		d.space()
+	}
 }
 
 // input decodes the array of rows into a fresh (N, inDim) tensor.
@@ -214,41 +283,86 @@ func (d *decoder) row(dst []float64) (int, error) {
 	}
 }
 
-// number consumes one RFC 8259 number and returns its float64 value. The
-// grammar is checked here because strconv.ParseFloat alone is laxer (hex,
-// underscores, "inf", a leading '+', a bare '.'); a value that overflows
-// float64 is refused.
+// number consumes one RFC 8259 number and returns its float64 value. One
+// pass checks the grammar (strconv.ParseFloat alone is laxer: hex,
+// underscores, "inf", a leading '+', a bare '.') and gathers the decimal
+// significand and exponent for decimalToFloat. What that declines, or a
+// significand of more than 19 digits, goes to strconv on the same bytes; a
+// value that overflows float64 is refused.
 func (d *decoder) number() (float64, error) {
 	b, i := d.b, d.i
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	var man uint64 // wraps past 19 digits, which nd tells
+	nd := 0        // digits in man, from its first non-zero one
 	if i < len(b) && b[i] == '0' {
 		i++
-	} else if j := digits(b, i); j > i {
-		i = j
 	} else {
-		return 0, d.errf("expected a number")
+		j := i
+		for ; j < len(b) && b[j]-'0' <= 9; j++ {
+			man = man*10 + uint64(b[j]-'0')
+		}
+		if j == i {
+			return 0, d.errf("expected a number")
+		}
+		nd, i = j-i, j
 	}
+	exp10 := 0
 	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
-			d.i = j
+		i++
+		point := i
+		if nd == 0 {
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+		}
+		first := i
+		for i+8 <= len(b) {
+			v, ok := eightDigits(binary.LittleEndian.Uint64(b[i:]))
+			if !ok {
+				break
+			}
+			man = man*1e8 + v
+			i += 8
+		}
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			man = man*10 + uint64(b[i]-'0')
+		}
+		if i == point {
+			d.i = i
 			return 0, d.errf("number needs a digit after '.'")
 		}
-		i = j
+		nd += i - first
+		exp10 = point - i
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		minus := i < len(b) && b[i] == '-'
+		if minus || i < len(b) && b[i] == '+' {
 			i++
 		}
-		j := digits(b, i)
+		j, e := i, 0
+		for ; j < len(b) && b[j]-'0' <= 9; j++ {
+			if e < 1e5 { // past any float64 already; no need to overflow int
+				e = e*10 + int(b[j]-'0')
+			}
+		}
 		if j == i {
 			d.i = j
 			return 0, d.errf("number needs a digit in its exponent")
 		}
-		i = j
+		if minus {
+			e = -e
+		}
+		exp10, i = exp10+e, j
+	}
+	if nd <= 19 {
+		if v, ok := decimalToFloat(man, exp10, neg); ok {
+			d.i = i
+			return v, nil
+		}
 	}
 	v, err := strconv.ParseFloat(string(b[d.i:i]), 64)
 	if err != nil {
@@ -258,12 +372,38 @@ func (d *decoder) number() (float64, error) {
 	return v, nil
 }
 
-// digits returns the index just past the run of decimal digits at b[i:].
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+// uint consumes one JSON number that is an unsigned integer, exactly: no
+// sign, fraction or exponent, nothing past math.MaxUint64.
+func (d *decoder) uint() (uint64, error) {
+	b, i := d.b, d.i
+	var v uint64
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		c := uint64(b[i] - '0')
+		if v > (math.MaxUint64-c)/10 {
+			return 0, d.errf("integer over 64 bits")
+		}
+		v = v*10 + c
 	}
-	return i
+	if i == d.i || i-d.i > 1 && b[d.i] == '0' || i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
+		return 0, d.errf("expected an unsigned integer")
+	}
+	d.i = i
+	return v, nil
+}
+
+// eightDigits converts eight ASCII digits, loaded little-endian (the first
+// in the low byte), to their value; ok is false if any byte is not a digit.
+func eightDigits(v uint64) (uint64, bool) {
+	// a byte above '9' carries into its top bit in the sum, one below '0'
+	// borrows into it in the difference
+	if ((v+0x4646464646464646)|(v-0x3030303030303030))&0x8080808080808080 != 0 {
+		return 0, false
+	}
+	v -= 0x3030303030303030
+	v = v*10 + v>>8 // each even byte: a two-digit number
+	// four of those, weighted 1e6, 1e4, 1e2 and 1 into the top half
+	v = (v&0x000000FF000000FF*(100+1e6<<32) + v>>16&0x000000FF000000FF*(1+1e4<<32)) >> 32
+	return v, true
 }
 
 // str consumes one string and returns its value. The result aliases the body

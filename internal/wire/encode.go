@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -125,20 +128,88 @@ func appendRow(dst []byte, row []float64) ([]byte, error) {
 	return append(dst, ']'), nil
 }
 
+// maxFloatLen bounds one rendered number: a sign, then at most "0.00000" and
+// 17 digits in fixed notation, which no exponent form outgrows.
+const maxFloatLen = 1 + 7 + 17
+
 // appendFloat renders a finite v the way encoding/json does (ES6 number to
 // string): shortest round-trip digits, exponent form below 1e-6 and from
 // 1e21 up, and a one-digit exponent spelled e-7, not e-07.
 func appendFloat(dst []byte, v float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	b := math.Float64bits(v)
+	dst = slices.Grow(dst, maxFloatLen)
+	buf := dst[len(dst) : len(dst)+maxFloatLen]
+	n := 0
+	if b>>63 != 0 {
+		buf[0] = '-'
+		n = 1
+		b &^= 1 << 63
 	}
-	dst = strconv.AppendFloat(dst, v, format, -1, 64)
-	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
+	if b == 0 {
+		buf[n] = '0'
+		return dst[:len(dst)+n+1]
 	}
-	return dst
+	dig, exp10 := shortestDecimal(b)
+	// All 17 digit places, dig left-justified in them, as three pieces: what
+	// is stored past the digits that count is overwritten or cut off below.
+	width := decimalLen(dig)
+	point := width + exp10 // the value is 0.dig × 10^point
+	dig *= pow10u64[17-width]
+	rest := dig % 1e16
+	hi, lo := digits8(uint32(rest/1e8)), digits8(uint32(rest%1e8))
+	// the digits that count: 17 less the trailing zeros, which are the zero
+	// bytes at the top of the words (eight of them in a word that is 0)
+	nd := 17 - bits.LeadingZeros64(lo)/8
+	if lo == 0 {
+		nd = 9 - bits.LeadingZeros64(hi)/8
+	}
+	put := func(at int) {
+		buf[at] = byte('0' + dig/1e16)
+		binary.LittleEndian.PutUint64(buf[at+1:], hi+0x3030303030303030)
+		binary.LittleEndian.PutUint64(buf[at+9:], lo+0x3030303030303030)
+	}
+	switch {
+	case point < -5 || point > 21:
+		// d.ddde±x; the digits go down one place late and the first moves up
+		put(n + 1)
+		buf[n] = buf[n+1]
+		n++
+		if nd > 1 {
+			buf[n] = '.'
+			n += nd
+		}
+		buf[n], buf[n+1] = 'e', '+'
+		x := point - 1
+		if x < 0 {
+			buf[n+1], x = '-', -x
+		}
+		n += 2
+		if x >= 100 {
+			buf[n] = byte('0' + x/100)
+			n++
+		}
+		if x >= 10 {
+			buf[n] = byte('0' + x/10%10)
+			n++
+		}
+		buf[n] = byte('0' + x%10)
+		n++
+	case point <= 0:
+		copy(buf[n:], "0.00000"[:2-point])
+		n += 2 - point
+		put(n)
+		n += nd
+	case point < nd:
+		put(n + 1)
+		copy(buf[n:], buf[n+1:n+1+point])
+		buf[n+point] = '.'
+		n += nd + 1
+	default:
+		put(n)
+		copy(buf[n+17:], "0000") // places 18 to 21
+		n += point
+	}
+	return dst[:len(dst)+n]
 }
 
 const hexDigits = "0123456789abcdef"

@@ -1,6 +1,7 @@
 // Package wire is the POST /v1/infer wire format: one strict decoder for the
-// request body, one append-encoder each for the request and the 200 body, and
-// the pooled byte buffers both sides render into. It is a leaf (imports
+// request body, one append-encoder each for the request and the 200 body, a
+// lenient reader of the 200 body for clients, and the pooled byte buffers
+// both sides render into. It is a leaf (imports
 // tensor and reram only) so the server (netserve) and the client (loadgen)
 // share it without knowing each other.
 //
@@ -21,14 +22,23 @@
 // service, so the flag rides in the body and the X-Degraded header and the
 // caller decides what the answer is worth.
 //
-// The format is JSON and stays JSON; what this package removes is reflection.
-// ParseRequest is a single-pass RFC 8259 scanner that writes each number of
-// "input" straight into the (N, inDim) batch tensor, checking width and the
-// row limit as rows stream past, so a hostile body is refused at its first
-// bad row instead of being materialised. AppendRequest and AppendResponse
-// render with strconv.AppendFloat, byte for byte what encoding/json emits for
-// the same values (the differential tests hold them to it). Error bodies and
-// the GET endpoints are cold and stay on encoding/json in netserve.
+// The format is JSON and stays JSON; what this package removes is reflection
+// and, from the number path, strconv's generality. ParseRequest is a
+// single-pass RFC 8259 scanner that gathers each number's decimal significand
+// and exponent while it checks the grammar, converts them itself (Clinger's
+// exact multiply, then Eisel–Lemire; what those decline — 20 digits or more,
+// a half-way case, a subnormal or overflowing result — goes to
+// strconv.ParseFloat on the same bytes, the one call left) and writes the
+// value straight into the (N, inDim) batch tensor, checking width and the row
+// limit as rows stream past, so a hostile body is refused at its first bad
+// row instead of being materialised. AppendRequest and AppendResponse render
+// shortest round-trip digits themselves (Schubfach, over the generated
+// 128-bit power-of-ten table in pow10tab.go that the scanner multiplies by
+// too), byte for byte what encoding/json emits and bit for bit what strconv
+// reads back (differential sweeps and two fuzz targets hold them to it).
+// ParseResponse is the client's reader of a 200: the degraded flag and the
+// cost ledger, as integers; the rest is validated and skipped. Error bodies
+// and the GET endpoints are cold and stay on encoding/json.
 //
 // Stricter than encoding/json, on purpose: member names match exactly (a
 // case-folded "Tenant" or "INPUT" is refused, not silently bound or ignored),
