@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"reramtest/internal/fleet"
+	"reramtest/internal/reram"
 )
 
 // escalationFixture pins what the default (fixed-escalation) plant does
@@ -78,5 +79,58 @@ func TestFixedEscalationFixture(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("supervised default plant diverged from the pinned fixed-escalation trace\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// ledgerFixture pins the per-class hardware ledgers the supervisor journals:
+// every device's final Snapshot().Cost after one fleet-soak seed and after
+// both ladder arms (uninterrupted and crash-replayed) of one lifetime-soak
+// seed. It is compared to the committed bytes, never to a live reference, so
+// a change to who attributes a charge cannot move a ledger line unnoticed.
+// Regenerate only when the plant, the timelines or the cost model change on
+// purpose:
+//
+//	CAMPAIGN_REGEN_FIXTURES=1 go test ./internal/campaign -run LedgerFixture
+const ledgerFixture = "testdata/ledgers.json"
+
+func costsOf(res FleetResult) map[string]reram.CostBreakdown {
+	out := make(map[string]reram.CostBreakdown, len(res.FinalSnapshot))
+	for id, snap := range res.FinalSnapshot {
+		out[id] = snap.Cost
+	}
+	return out
+}
+
+func TestLedgerFixture(t *testing.T) {
+	fleetRes, err := RunFleet(1000, DefaultFleetSoakConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	life, err := RunLifetimeSoak(5, DefaultLifetimeSoakConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(map[string]map[string]reram.CostBreakdown{
+		"fleet-soak seed 1000":              costsOf(fleetRes),
+		"lifetime-soak seed 5 ladder":       costsOf(life.Parity.Uninterrupted),
+		"lifetime-soak seed 5 ladder crash": costsOf(life.Parity.Crashed),
+	}, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	if os.Getenv("CAMPAIGN_REGEN_FIXTURES") != "" {
+		if err := os.WriteFile(ledgerFixture, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", ledgerFixture)
+		return
+	}
+	want, err := os.ReadFile(ledgerFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("supervised ledgers diverged from the pinned fixture\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
