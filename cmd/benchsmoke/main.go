@@ -69,7 +69,8 @@ type Baseline struct {
 	// unmetered one (0.70 means metering may cost at most ~1.43×).
 	CostMinRatio float64 `json:"cost_min_ratio"`
 	// CostMaxAllocsPerOp caps steady-state heap allocations of the counting
-	// hot path itself (Counter.ChargeClass + Snapshot). The contract is zero.
+	// hot path itself (Counter.Charge + Settle + Snapshot). The contract is
+	// zero.
 	CostMaxAllocsPerOp float64 `json:"cost_max_allocs_per_op"`
 }
 
@@ -462,17 +463,20 @@ func costGate(base Baseline, jsonDir string) bool {
 			return false
 		}
 	}
-	if metered.Counter().Snapshot().Total().IsZero() {
+	// no station owns this accelerator: book its spend here
+	if metered.Counter().Settle(reram.ClassServing).IsZero() {
 		fmt.Fprintln(os.Stderr, "benchsmoke: FAIL metered accelerator charged nothing")
 		return false
 	}
 
-	// the counting hot path itself: charge + snapshot, zero allocations
+	// the counting hot path itself: charge + settle + snapshot, zero
+	// allocations
 	ctr := reram.NewCounter()
 	unit := reram.Cost{ComputeCycles: 1, DACConversions: 2, ADCConversions: 3,
 		CrossbarReads: 4, CrossbarWrites: 5, EnergyFJ: 6, BufferBytes: 7}
 	allocs := testing.AllocsPerRun(100, func() {
-		ctr.ChargeClass(reram.ClassMonitor, unit)
+		ctr.Charge(unit)
+		ctr.Settle(reram.ClassMonitor)
 		_ = ctr.Snapshot()
 	})
 

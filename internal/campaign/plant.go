@@ -378,15 +378,21 @@ func (p *Plant) Infer() monitor.Infer {
 // model on the probe set (1.0 = perfect agreement). The probe sweep runs
 // through the batched readout engine with the same batching and argmax
 // tie-breaking as nn.Network.Accuracy.
+//
+// It runs outside any station, so it books its own spend (and anything else
+// pending) to the serving class.
 func (p *Plant) Fidelity() float64 {
+	defer p.counter.Settle(reram.ClassServing)
 	return p.readoutEngine().Accuracy(p.tmpl.probe.X, p.tmpl.probe.Y, 64)
 }
 
 // ShadowStatus classifies the accelerator's current raw severity through a
 // fresh monitor commissioned against the current reference — the campaign's
 // ground-truth label for an injected event. It bypasses glitches and leaves
-// the runtime's monitor history untouched.
+// the runtime's monitor history untouched. Like Fidelity it runs outside any
+// station and books its spend to the serving class.
 func (p *Plant) ShadowStatus(cfg monitor.Config) monitor.Status {
+	defer p.counter.Settle(reram.ClassServing)
 	shadow := monitor.MustNew(p.ref, p.tmpl.patterns, nil, cfg)
 	return shadow.Check(p.BaseInfer()).Status
 }
@@ -425,9 +431,9 @@ func (p *Plant) Apply(action repair.Action) (*nn.Network, error) {
 		p.accel.SetCounter(p.counter) // cost history spans the replacement
 		// unlike fab-time commissioning, programming a replacement part in
 		// the field is repair work the fleet pays for: charge the full write
-		// pass to the repair class (integer bookkeeping only — device state
-		// and numerics are untouched)
-		p.counter.ChargeClass(reram.ClassRepair, p.accel.CommissionCost())
+		// pass, which the station running this rung books to the repair class
+		// (integer bookkeeping only — device state and numerics are untouched)
+		p.counter.Charge(p.accel.CommissionCost())
 		return p.ref, nil
 	default:
 		return nil, fmt.Errorf("campaign: unknown repair action %v", action)

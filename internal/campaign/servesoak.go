@@ -174,7 +174,7 @@ func (c *chaosInjector) disturb() {
 }
 
 // soakDevice is an engine-backed accelerator with a chaos tap on its readout
-// path. The engine is single-goroutine, which is fine: the serve Station
+// path. The engine is single-goroutine, which is fine: the fleet Station
 // wrapping this device serialises all access.
 type soakDevice struct {
 	id    string

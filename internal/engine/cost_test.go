@@ -10,8 +10,8 @@ import (
 )
 
 // TestEngineChargesPerSample: a compiled plan charges exactly
-// PlanCost × batch size per forward pass, into the class the counter's owner
-// selected.
+// PlanCost × batch size per forward pass, booked to whichever class the
+// counter's owner settles it to.
 func TestEngineChargesPerSample(t *testing.T) {
 	net := models.MLP(rng.New(41), 16, []int{24, 16}, 6)
 	ctr := reram.NewCounter()
@@ -26,13 +26,12 @@ func TestEngineChargesPerSample(t *testing.T) {
 
 	x := tensor.RandUniform(rng.New(42), 0, 1, 5, 16)
 	eng.ForwardBatch(nil, x)
-	if got := ctr.Snapshot().Serving; got != per.Scale(5) {
+	if got := ctr.Settle(reram.ClassServing); got != per.Scale(5) {
 		t.Fatalf("5-sample batch charged %+v, want %+v", got, per.Scale(5))
 	}
 
-	prev := ctr.SetClass(reram.ClassMonitor)
 	eng.Probs(tensor.FromSlice(x.Data()[:2*16], 2, 16))
-	ctr.SetClass(prev)
+	ctr.Settle(reram.ClassMonitor)
 	snap := ctr.Snapshot()
 	if snap.Monitor != per.Scale(2) {
 		t.Fatalf("monitor-class batch charged %+v, want %+v", snap.Monitor, per.Scale(2))
@@ -55,6 +54,7 @@ func TestRebindPreservesCost(t *testing.T) {
 	x := tensor.RandUniform(rng.New(52), 0, 1, 3, 16)
 
 	eng.ForwardBatch(nil, x)
+	ctr.Settle(reram.ClassServing)
 	before := ctr.Snapshot()
 	if before.Total() != per.Scale(3) {
 		t.Fatalf("pre-rebind charge %+v, want %+v", before.Total(), per.Scale(3))
@@ -70,7 +70,7 @@ func TestRebindPreservesCost(t *testing.T) {
 	if eng.Counter() != ctr {
 		t.Fatal("rebind swapped the counter")
 	}
-	if got := ctr.Snapshot(); got != before {
+	if got := ctr.Snapshot(); got != before || !ctr.Settle(reram.ClassServing).IsZero() {
 		t.Fatalf("rebind itself charged or reset: %+v vs %+v", got, before)
 	}
 	if eng.PlanCost() != per {
@@ -81,11 +81,12 @@ func TestRebindPreservesCost(t *testing.T) {
 	if err := eng.Rebind(models.MLP(rng.New(53), 16, []int{25, 16}, 6)); err == nil {
 		t.Fatal("rebind accepted a mismatched architecture")
 	}
-	if got := ctr.Snapshot(); got != before {
+	if got := ctr.Snapshot(); got != before || !ctr.Settle(reram.ClassServing).IsZero() {
 		t.Fatal("rejected rebind perturbed the meter")
 	}
 
 	eng.ForwardBatch(nil, x)
+	ctr.Settle(reram.ClassServing)
 	if got := ctr.Snapshot().Total(); got != per.Scale(6) {
 		t.Fatalf("post-rebind cumulative %+v, want %+v (no reset, no double-count)", got, per.Scale(6))
 	}

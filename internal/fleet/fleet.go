@@ -9,7 +9,10 @@
 // graceful load shedding, and journals every durable state transition
 // through internal/journal so a supervisor crash loses nothing: replaying
 // the journal reconstructs the fleet's confirmed statuses, hysteresis
-// streaks, repair budgets and breaker positions exactly.
+// streaks, repair budgets and breaker positions exactly. Every device is
+// commissioned behind a Station, its one owner: monitoring, repair and
+// serving take the device through the station's lock, and the lock holder
+// books what each call spent to its cost class.
 package fleet
 
 import (
@@ -51,10 +54,9 @@ type Device interface {
 
 // CostMetered is the optional Device facet exposing the hardware cost
 // counter the device's engines charge. When a device implements it, the
-// supervisor attaches the counter to the device's health runtime (so readout
-// and repair work land in the right attribution classes), journals its
-// snapshot in every tick record, restores it on Resume, and feeds per-tick
-// spend rates to the cost-aware router.
+// device's Station books every charge to the class of the locked path that
+// made it (monitor, serving or repair), and the supervisor journals the
+// counter's snapshot in every tick record and restores it on Resume.
 type CostMetered interface {
 	CostCounter() *reram.Counter
 }
@@ -82,11 +84,6 @@ type Config struct {
 	// MinServing is the load-shedding floor: the router refuses to dispatch
 	// when fewer devices serve (0 → 1).
 	MinServing int
-	// CostAwareRouting switches the router to the composite placement score:
-	// health weight plus a bonus for devices spending at or below the fleet
-	// median energy and cycle rates since the last schedule rebuild. Off, the
-	// router uses pure health-weighted round-robin (the historical behaviour).
-	CostAwareRouting bool
 	// CompactEvery is the auto-compaction cadence in ticks when the fleet
 	// journals through a journal.Store: every CompactEvery-th tick folds the
 	// WAL into a fresh snapshot generation even before the size threshold
@@ -156,20 +153,12 @@ func (c Config) withDefaults(fleetSize int) Config {
 
 // deviceState is the supervisor's per-device bookkeeping.
 type deviceState struct {
-	dev       Device
+	dev       *Station
 	rt        *health.Runtime
 	budget    int
 	breaker   Breaker
 	retired   bool
 	decisions []RepairDecision // most recent maxDecisionLog strategy choices
-
-	// counter is the device's cost counter when it is CostMetered (nil
-	// otherwise); lastCost is its total at the previous schedule rebuild and
-	// lastRate the spend between the last two rebuilds — the router's
-	// placement signal.
-	counter  *reram.Counter
-	lastCost reram.Cost
-	lastRate reram.Cost
 }
 
 // logDecision appends one repair decision, keeping only the newest
@@ -347,7 +336,7 @@ func (s *Supervisor) restore(snaps map[string]DeviceSnapshot, round int) error {
 		ds.decisions = append([]RepairDecision(nil), snap.Decisions...)
 		// the journaled spend is the durable truth: charges after the last
 		// group commit died with the crash, exactly like every other field
-		ds.counter.Restore(snap.Cost)
+		ds.dev.ctr.Restore(snap.Cost)
 	}
 	s.router.Update(s.servingEntries())
 	return nil
@@ -376,7 +365,6 @@ func build(devices []Device, cfg Config, store *journal.Store) (*Supervisor, err
 		router:        NewRouter(cfg.MinServing),
 		prevSnapRound: -1,
 	}
-	s.router.SetCostAware(cfg.CostAwareRouting)
 	for _, dev := range devices {
 		id := dev.ID()
 		if id == "" {
@@ -393,13 +381,12 @@ func build(devices []Device, cfg Config, store *journal.Store) (*Supervisor, err
 		if err != nil {
 			return nil, fmt.Errorf("fleet: commission %s: %w", id, err)
 		}
-		s.order = append(s.order, id)
-		ds := &deviceState{dev: dev, rt: rt, budget: cfg.RepairBudget}
-		if cm, ok := dev.(CostMetered); ok {
-			ds.counter = cm.CostCounter()
-			rt.SetCostCounter(ds.counter)
+		st, ok := dev.(*Station)
+		if !ok {
+			st = NewStation(dev)
 		}
-		s.states[id] = ds
+		s.order = append(s.order, id)
+		s.states[id] = &deviceState{dev: st, rt: rt, budget: cfg.RepairBudget}
 	}
 	s.router.Update(s.servingEntries())
 	return s, nil
@@ -531,7 +518,7 @@ func (s *Supervisor) currentRecord(kind string) Record {
 			Breaker:     ds.breaker,
 			Retired:     ds.retired,
 			Decisions:   append([]RepairDecision(nil), ds.decisions...),
-			Cost:        ds.counter.Snapshot(),
+			Cost:        ds.dev.ctr.Snapshot(),
 		})
 	}
 	return rec
@@ -624,49 +611,46 @@ func (s *Supervisor) CompactNow() error {
 }
 
 // servingEntries lists the devices eligible to serve traffic right now:
-// breaker closed, not retired, confirmed status at worst Degraded — each
-// annotated with its hardware spend since the previous schedule rebuild (the
-// cost-aware router's placement signal; zero for unmetered devices).
+// breaker closed, not retired, confirmed status at worst Degraded.
 func (s *Supervisor) servingEntries() []RouteEntry {
 	entries := make([]RouteEntry, 0, len(s.order))
 	for _, id := range s.order {
 		ds := s.states[id]
-		if ds.counter != nil {
-			total := ds.counter.Snapshot().Total()
-			delta := total.Minus(ds.lastCost)
-			ds.lastCost = total
-			ds.lastRate = delta
-		}
 		if ds.retired || ds.breaker.State != BreakerClosed {
 			continue
 		}
 		if st := ds.rt.Confirmed(); st <= monitor.Degraded {
-			entries = append(entries, RouteEntry{
-				ID:         id,
-				Status:     st,
-				EnergyRate: ds.lastRate.EnergyFJ,
-				CycleRate:  ds.lastRate.ComputeCycles,
-			})
+			entries = append(entries, RouteEntry{ID: id, Status: st})
 		}
 	}
 	return entries
+}
+
+// Station returns the station that owns device id (nil when unknown). The
+// device set is fixed at commissioning, so Station is safe to call from
+// request goroutines concurrently with ticks.
+func (s *Supervisor) Station(id string) *Station {
+	if ds, ok := s.states[id]; ok {
+		return ds.dev
+	}
+	return nil
 }
 
 // CostOf returns one metered device's cumulative hardware spend by class
 // (zero breakdown, false when the device is unknown or unmetered).
 func (s *Supervisor) CostOf(id string) (reram.CostBreakdown, bool) {
 	ds, ok := s.states[id]
-	if !ok || ds.counter == nil {
+	if !ok || ds.dev.ctr == nil {
 		return reram.CostBreakdown{}, false
 	}
-	return ds.counter.Snapshot(), true
+	return ds.dev.ctr.Snapshot(), true
 }
 
 // FleetCost sums every metered device's cumulative spend.
 func (s *Supervisor) FleetCost() reram.CostBreakdown {
 	var total reram.CostBreakdown
 	for _, id := range s.order {
-		total.Add(s.states[id].counter.Snapshot())
+		total.Add(s.states[id].dev.ctr.Snapshot())
 	}
 	return total
 }
@@ -806,7 +790,7 @@ func (s *Supervisor) Snapshot() map[string]DeviceSnapshot {
 			Breaker:     ds.breaker,
 			Retired:     ds.retired,
 			Decisions:   append([]RepairDecision(nil), ds.decisions...),
-			Cost:        ds.counter.Snapshot(),
+			Cost:        ds.dev.ctr.Snapshot(),
 		}
 	}
 	return out

@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"reramtest/internal/monitor"
@@ -22,12 +21,6 @@ var ErrNoEligibleDevice = errors.New("fleet: no eligible serving device")
 type RouteEntry struct {
 	ID     string
 	Status monitor.Status
-	// EnergyRate and CycleRate are the device's hardware spend (modeled
-	// femtojoules and crossbar activation cycles) since the previous schedule
-	// rebuild. Zero for unmetered devices. Only the cost-aware schedule reads
-	// them.
-	EnergyRate uint64
-	CycleRate  uint64
 }
 
 // Router dispatches inference requests across the serving members of the
@@ -51,7 +44,6 @@ type RouteEntry struct {
 type Router struct {
 	mu         sync.Mutex
 	minServing int
-	costAware  bool
 	schedule   []string // weighted round-robin expansion
 	status     map[string]monitor.Status
 	cursor     int
@@ -71,15 +63,6 @@ func NewRouter(minServing int) *Router {
 		status: make(map[string]monitor.Status)}
 }
 
-// SetCostAware switches the router between pure health-weighted round-robin
-// (false, the historical behaviour) and the cost-aware composite schedule
-// (see weightCostAware). Takes effect at the next Update.
-func (r *Router) SetCostAware(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.costAware = on
-}
-
 // weightFor maps a serving status to its dispatch weight.
 func weightFor(s monitor.Status) int {
 	switch s {
@@ -92,38 +75,6 @@ func weightFor(s monitor.Status) int {
 	}
 }
 
-// weightCostAware is the composite placement score: 3× the health weight,
-// plus one bonus slot each for spending at or below the serving set's median
-// energy rate and median cycle rate since the last rebuild. All-integer and
-// computed from a deterministic median, so the schedule stays reproducible;
-// health dominates by construction (a Healthy device scores ≥ 6, a Degraded
-// one ≤ 5), cost only rebalances within a health tier.
-func weightCostAware(e RouteEntry, medianEnergy, medianCycles uint64) int {
-	w := weightFor(e.Status)
-	if w == 0 {
-		return 0
-	}
-	score := 3 * w
-	if e.EnergyRate <= medianEnergy {
-		score++
-	}
-	if e.CycleRate <= medianCycles {
-		score++
-	}
-	return score
-}
-
-// medianRate returns the lower median of rates (empty → 0) without mutating
-// the input.
-func medianRate(rates []uint64) uint64 {
-	if len(rates) == 0 {
-		return 0
-	}
-	sorted := append([]uint64(nil), rates...)
-	slices.Sort(sorted)
-	return sorted[(len(sorted)-1)/2]
-}
-
 // Update rebuilds the dispatch schedule from this tick's serving set. Order
 // is preserved (the supervisor passes devices in commissioning order), so
 // the schedule — and therefore routing — is deterministic.
@@ -132,25 +83,9 @@ func (r *Router) Update(entries []RouteEntry) {
 	defer r.mu.Unlock()
 	r.schedule = r.schedule[:0]
 	clear(r.status)
-	var medianEnergy, medianCycles uint64
-	if r.costAware {
-		energies := make([]uint64, 0, len(entries))
-		cycles := make([]uint64, 0, len(entries))
-		for _, e := range entries {
-			if weightFor(e.Status) == 0 {
-				continue
-			}
-			energies = append(energies, e.EnergyRate)
-			cycles = append(cycles, e.CycleRate)
-		}
-		medianEnergy, medianCycles = medianRate(energies), medianRate(cycles)
-	}
 	serving := 0
 	for _, e := range entries {
 		w := weightFor(e.Status)
-		if r.costAware {
-			w = weightCostAware(e, medianEnergy, medianCycles)
-		}
 		if w == 0 {
 			continue
 		}

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"reramtest/internal/monitor"
-	"reramtest/internal/reram"
 	"reramtest/internal/tensor"
 )
 
@@ -182,13 +181,6 @@ type Runtime struct {
 	flips   int // confirmed-status changes since commissioning
 	rejects int // total rejected readouts
 	panics  int // rejected readouts caused by a panicking Infer
-
-	// counter, when set, is the device's cost counter: the runtime switches
-	// it to ClassMonitor around test-pattern readouts and ClassRepair around
-	// repair applications, so the hardware work those trigger lands in the
-	// right attribution class. nil disables attribution (charges keep the
-	// caller's class).
-	counter *reram.Counter
 }
 
 // New wraps mon in a hardened runtime. mon must be non-nil and already
@@ -209,14 +201,6 @@ func New(mon *monitor.Monitor, cfg Config) (*Runtime, error) {
 // Monitor exposes the wrapped monitor (read-mostly: trend, history,
 // calibration).
 func (rt *Runtime) Monitor() *monitor.Monitor { return rt.mon }
-
-// SetCostCounter attaches the device's cost counter so the runtime can
-// attribute readout work to ClassMonitor and repair work to ClassRepair.
-// Pass the same counter the device's engines charge; nil detaches.
-func (rt *Runtime) SetCostCounter(c *reram.Counter) { rt.counter = c }
-
-// CostCounter returns the attached cost counter (nil when unmetered).
-func (rt *Runtime) CostCounter() *reram.Counter { return rt.counter }
 
 // Confirmed returns the current debounced status.
 func (rt *Runtime) Confirmed() monitor.Status { return rt.confirmed }
@@ -255,10 +239,7 @@ func (rt *Runtime) CheckCtx(ctx context.Context, accel monitor.Infer) Round {
 	rt.seq++
 	round := Round{Seq: rt.seq}
 
-	// the readout drives the device with test patterns: monitor spend
-	prevClass := rt.counter.SetClass(reram.ClassMonitor)
 	probs, rejected, err := rt.readout(ctx, accel)
-	rt.counter.SetClass(prevClass)
 	round.Rejected = rejected
 	rt.rejects += rejected
 	if err != nil {

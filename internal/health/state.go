@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"reramtest/internal/monitor"
-	"reramtest/internal/reram"
 )
 
 // State is the durable snapshot of a Runtime's decision state: everything
@@ -95,8 +94,6 @@ func (rt *Runtime) RestoreState(s State) error {
 // point of the breaker is to stop burning the full retry budget on a sensor
 // that has been failing for rounds on end.
 func (rt *Runtime) Probe(accel monitor.Infer) error {
-	prevClass := rt.counter.SetClass(reram.ClassMonitor)
-	defer rt.counter.SetClass(prevClass)
 	probs, err := rt.safeInfer(accel)
 	if err == nil {
 		err = rt.validate(probs)

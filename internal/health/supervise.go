@@ -36,10 +36,10 @@ type Attempt struct {
 	Verified       bool    // all verification rounds came back Healthy
 	VerifyDist     float64 // worst AllDist seen across verification rounds
 	Recommissioned bool    // the monitor's golden reference was recaptured
-	// Measured is the hardware spend the apply actually charged to the
-	// device's cost counter (ClassRepair delta across the application) —
-	// the measured figure next to the ladder's sticker Cost. Zero when no
-	// counter is attached (SetCostCounter) or the repair ran off-meter.
+	// Measured is the hardware spend the apply actually charged, as the
+	// rung's repair.Report.Measured carries it — the measured figure next to
+	// the ladder's sticker Cost. Zero when the ladder does not run behind a
+	// station (fleet.Station) or the device is unmetered.
 	Measured reram.Cost
 }
 
@@ -178,9 +178,8 @@ func (rt *Runtime) Supervise(ctx context.Context, accel monitor.Infer, rep Repai
 			break
 		}
 		att := Attempt{Strategy: s.Name(), Cost: s.Cost()}
-		var report repair.Report
-		var err error
-		rt.meterRepair(&att, func() { report, err = s.Apply(ctx, diag) })
+		report, err := s.Apply(ctx, diag)
+		att.Measured = report.Measured
 		// the cost is charged even when the application fails: the hardware
 		// operation ran (or partially ran) and the fleet's lifetime budget
 		// models wear, not success
@@ -246,9 +245,6 @@ func (rt *Runtime) Supervise(ctx context.Context, accel monitor.Infer, rep Repai
 // hysteresis tracker: they are part of the repair transaction, and success
 // resets the tracker wholesale via forceConfirmed.
 func (rt *Runtime) verify(ctx context.Context, accel monitor.Infer) (ok bool, worstDist float64) {
-	// verification readouts are concurrent-test work, not serving
-	prevClass := rt.counter.SetClass(reram.ClassMonitor)
-	defer rt.counter.SetClass(prevClass)
 	ok = true
 	for v := 0; v < rt.cfg.VerifyRounds; v++ {
 		probs, rejected, err := rt.readout(ctx, accel)
@@ -265,16 +261,4 @@ func (rt *Runtime) verify(ctx context.Context, accel monitor.Infer) (ok bool, wo
 		}
 	}
 	return ok, worstDist
-}
-
-// meterRepair runs one repair application with the device counter switched
-// to ClassRepair and records the measured spend delta into att.Measured.
-// With no counter attached both snapshots are zero and the class switch is a
-// no-op.
-func (rt *Runtime) meterRepair(att *Attempt, apply func()) {
-	prevClass := rt.counter.SetClass(reram.ClassRepair)
-	before := rt.counter.Snapshot().Repair
-	apply()
-	att.Measured = rt.counter.Snapshot().Repair.Minus(before)
-	rt.counter.SetClass(prevClass)
 }

@@ -15,11 +15,10 @@
 //   - Allocation-free and lock-free on the hot path: a charge is a handful
 //     of atomic adds on pre-existing fields. Snapshots are atomic loads
 //     concurrent with charging — no locks, no stop-the-world.
-//   - Deterministic folds: costs are unsigned integers, so summing shard
-//     counters is associative and commutative — a pooled Meter folds to
-//     exactly the serial total regardless of worker interleaving (the same
-//     identity the training engine's gradient folds rely on, made trivial
-//     by leaving IEEE arithmetic out of it).
+//   - One owner books the class: charge sites are classless. A charge lands
+//     in the counter's unattributed cells, and whoever holds the device
+//     exclusively (fleet.Station) settles them into one class as it releases
+//     the device. No class is ever held as state while the device runs.
 //
 // Units are documented per field; energy uses fixed femtojoule-per-event
 // coefficients in the range published for ISAAC-class designs, so EnergyFJ
@@ -34,6 +33,8 @@
 package hwcost
 
 import (
+	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"reramtest/internal/nn"
@@ -109,18 +110,19 @@ type Cost struct {
 	BufferBytes uint64 `json:"bufferBytes"`
 }
 
-// Add accumulates o into c field-wise.
+// Add accumulates o into c field-wise, saturating each field at
+// math.MaxUint64 instead of wrapping.
 func (c *Cost) Add(o Cost) {
-	c.ComputeCycles += o.ComputeCycles
-	c.DACConversions += o.DACConversions
-	c.ADCConversions += o.ADCConversions
-	c.CrossbarReads += o.CrossbarReads
-	c.CrossbarWrites += o.CrossbarWrites
-	c.EnergyFJ += o.EnergyFJ
-	c.BufferBytes += o.BufferBytes
+	c.ComputeCycles = satAdd(c.ComputeCycles, o.ComputeCycles)
+	c.DACConversions = satAdd(c.DACConversions, o.DACConversions)
+	c.ADCConversions = satAdd(c.ADCConversions, o.ADCConversions)
+	c.CrossbarReads = satAdd(c.CrossbarReads, o.CrossbarReads)
+	c.CrossbarWrites = satAdd(c.CrossbarWrites, o.CrossbarWrites)
+	c.EnergyFJ = satAdd(c.EnergyFJ, o.EnergyFJ)
+	c.BufferBytes = satAdd(c.BufferBytes, o.BufferBytes)
 }
 
-// Plus returns c + o.
+// Plus returns c + o (saturating, see Add).
 func (c Cost) Plus(o Cost) Cost {
 	c.Add(o)
 	return c
@@ -140,16 +142,30 @@ func (c Cost) Minus(o Cost) Cost {
 }
 
 // Scale returns c with every field multiplied by n (n samples of a modeled
-// per-sample cost).
+// per-sample cost), saturating at math.MaxUint64.
 func (c Cost) Scale(n uint64) Cost {
-	c.ComputeCycles *= n
-	c.DACConversions *= n
-	c.ADCConversions *= n
-	c.CrossbarReads *= n
-	c.CrossbarWrites *= n
-	c.EnergyFJ *= n
-	c.BufferBytes *= n
+	c.ComputeCycles = satMul(c.ComputeCycles, n)
+	c.DACConversions = satMul(c.DACConversions, n)
+	c.ADCConversions = satMul(c.ADCConversions, n)
+	c.CrossbarReads = satMul(c.CrossbarReads, n)
+	c.CrossbarWrites = satMul(c.CrossbarWrites, n)
+	c.EnergyFJ = satMul(c.EnergyFJ, n)
+	c.BufferBytes = satMul(c.BufferBytes, n)
 	return c
+}
+
+func satAdd(a, b uint64) uint64 {
+	if s, carry := bits.Add64(a, b, 0); carry == 0 {
+		return s
+	}
+	return math.MaxUint64
+}
+
+func satMul(a, b uint64) uint64 {
+	if hi, lo := bits.Mul64(a, b); hi == 0 {
+		return lo
+	}
+	return math.MaxUint64
 }
 
 // IsZero reports whether every field is zero.
@@ -158,10 +174,8 @@ func (c Cost) IsZero() bool { return c == Cost{} }
 // Class attributes a charge to the activity that caused it.
 type Class int
 
-// Attribution classes. ClassServing is the default: a counter charges to it
-// unless the layer that knows better (the health runtime around a test
-// readout, the supervisor around a repair) switches the class for the
-// duration of the operation.
+// Attribution classes. The code holding a device exclusively names the
+// class when it settles the device's charges (see Counter.Settle).
 const (
 	ClassServing Class = iota
 	ClassMonitor
@@ -271,6 +285,19 @@ func (s *costCells) load() Cost {
 	}
 }
 
+// drain zeroes s and returns what it held.
+func (s *costCells) drain() Cost {
+	return Cost{
+		ComputeCycles:  s.cycles.Swap(0),
+		DACConversions: s.dac.Swap(0),
+		ADCConversions: s.adc.Swap(0),
+		CrossbarReads:  s.reads.Swap(0),
+		CrossbarWrites: s.writes.Swap(0),
+		EnergyFJ:       s.energy.Swap(0),
+		BufferBytes:    s.buffer.Swap(0),
+	}
+}
+
 func (s *costCells) store(c Cost) {
 	s.cycles.Store(c.ComputeCycles)
 	s.dac.Store(c.DACConversions)
@@ -282,60 +309,51 @@ func (s *costCells) store(c Cost) {
 }
 
 // Counter is a lock-free per-device cost accumulator: one set of atomic
-// cells per attribution class plus the current class. Charging is wait-free
-// (a few atomic adds, zero allocations); Snapshot is atomic loads and may
-// run concurrently with charging from any goroutine. A nil *Counter is a
+// cells per attribution class plus one set of unattributed (pending) cells.
+// Charge adds to pending; the code that holds the device exclusively moves
+// pending into a class with Settle as it releases the device, so a class is
+// never held as state while the device runs. Charging and settling are a
+// few atomic operations with zero allocations; Snapshot is atomic loads and
+// may run concurrently with both from any goroutine. A nil *Counter is a
 // valid no-op sink, so unmetered paths pay one branch.
+//
+// The cells are plain uint64s and wrap; the rollups built from snapshots
+// (Cost.Add, Plus, Scale) saturate instead. EnergyFJ grows fastest: at
+// 1.19 × 10¹¹ fJ/s (ConvNet-7 at 10 729 rows/s × 11 134 976 fJ/row, a whole
+// 2-vCPU host's serving throughput on one device) a cell holds about 4.9
+// years of continuous spend.
 type Counter struct {
-	class atomic.Int64
-	cells [numClasses]costCells
+	pending costCells
+	cells   [numClasses]costCells
 }
 
-// NewCounter returns a zeroed counter attributing to ClassServing.
+// NewCounter returns a zeroed counter.
 func NewCounter() *Counter { return &Counter{} }
 
-// Charge accumulates c into the counter's current class. Safe on a nil
-// receiver (no-op).
+// Charge accumulates c into the counter's pending cells, to be attributed by
+// the next Settle. Safe on a nil receiver (no-op).
 func (k *Counter) Charge(c Cost) {
 	if k == nil {
 		return
 	}
-	k.cells[k.class.Load()].add(c)
+	k.pending.add(c)
 }
 
-// ChargeClass accumulates c into an explicit class regardless of the current
-// one. Safe on a nil receiver (no-op).
-func (k *Counter) ChargeClass(cl Class, c Cost) {
+// Settle moves every pending charge into class cl and returns the amount
+// moved. Only the code holding the device exclusively calls it, once as it
+// releases the device. Safe on a nil receiver (returns zero).
+func (k *Counter) Settle(cl Class) Cost {
 	if k == nil {
-		return
+		return Cost{}
 	}
+	c := k.pending.drain()
 	k.cells[cl].add(c)
+	return c
 }
 
-// SetClass switches the attribution class for subsequent charges and returns
-// the previous class so callers can restore it:
-//
-//	prev := ctr.SetClass(hwcost.ClassMonitor)
-//	defer ctr.SetClass(prev)
-//
-// Safe on a nil receiver (returns ClassServing).
-func (k *Counter) SetClass(cl Class) (prev Class) {
-	if k == nil {
-		return ClassServing
-	}
-	return Class(k.class.Swap(int64(cl)))
-}
-
-// Class returns the current attribution class.
-func (k *Counter) Class() Class {
-	if k == nil {
-		return ClassServing
-	}
-	return Class(k.class.Load())
-}
-
-// Snapshot returns the cumulative per-class spend. It is safe concurrent
-// with charging; each field is individually atomic (the snapshot is not a
+// Snapshot returns the cumulative per-class spend; unsettled charges are
+// not in it, so every class is monotone. It is safe concurrent with charging
+// and settling; each field is individually atomic (the snapshot is not a
 // single linearization point across fields, which monotone accounting never
 // needs). Safe on a nil receiver (returns zero).
 func (k *Counter) Snapshot() CostBreakdown {
@@ -350,48 +368,16 @@ func (k *Counter) Snapshot() CostBreakdown {
 }
 
 // Restore overwrites the counter with a snapshot (journal replay after a
-// supervisor crash). Not intended to race with charging: restore happens
-// before the device re-enters service.
+// supervisor crash) and drops anything pending. Not intended to race with
+// charging: restore happens before the device re-enters service.
 func (k *Counter) Restore(b CostBreakdown) {
 	if k == nil {
 		return
 	}
+	k.pending.store(Cost{})
 	k.cells[ClassServing].store(b.Serving)
 	k.cells[ClassMonitor].store(b.Monitor)
 	k.cells[ClassRepair].store(b.Repair)
-}
-
-// Meter is a per-worker sharded counter for pooled pipelines: worker i
-// charges Shard(i) with zero cross-worker contention, and Fold sums the
-// shards in ascending index order. Because every field is an unsigned
-// integer, the fold is exact and identical to serial accumulation no matter
-// how the workers interleaved — the cost-accounting analogue of the training
-// engine's fixed-order gradient folds.
-type Meter struct {
-	shards []Counter
-}
-
-// NewMeter returns a meter with n shards (n ≥ 1).
-func NewMeter(n int) *Meter {
-	if n < 1 {
-		n = 1
-	}
-	return &Meter{shards: make([]Counter, n)}
-}
-
-// Shards returns the shard count.
-func (m *Meter) Shards() int { return len(m.shards) }
-
-// Shard returns shard i's counter.
-func (m *Meter) Shard(i int) *Counter { return &m.shards[i] }
-
-// Fold sums every shard's snapshot in ascending shard order.
-func (m *Meter) Fold() CostBreakdown {
-	var b CostBreakdown
-	for i := range m.shards {
-		b.Add(m.shards[i].Snapshot())
-	}
-	return b
 }
 
 // DefaultTileRows/Cols mirror the simulator's default crossbar organisation;

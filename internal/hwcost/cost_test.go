@@ -1,8 +1,8 @@
 package hwcost
 
 import (
+	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -43,103 +43,111 @@ func TestPlusMinusRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChargeClassAttribution: a charge to one class shows up in exactly that
-// class of the snapshot, whatever the counter's current class is; Charge
-// follows SetClass.
+// TestChargeClassAttribution: a charge shows up in exactly the class it is
+// settled to, and never before it is settled.
 func TestChargeClassAttribution(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	for _, current := range classes {
-		k := NewCounter()
-		k.SetClass(current)
-		var want CostBreakdown
-		for _, cl := range classes {
-			c := randCost(r)
-			k.ChargeClass(cl, c)
-			switch cl {
-			case ClassServing:
-				want.Serving.Add(c)
-			case ClassMonitor:
-				want.Monitor.Add(c)
-			case ClassRepair:
-				want.Repair.Add(c)
-			}
-			if got := k.Snapshot().ByClass(cl); got != c {
-				t.Fatalf("current=%s: %s charge read back %+v, want %+v", current, cl, got, c)
-			}
-		}
-		if got := k.Snapshot(); got != want {
-			t.Fatalf("current=%s: snapshot %+v, want %+v", current, got, want)
-		}
+	k := NewCounter()
+	var want CostBreakdown
+	for i := 0; i < 30; i++ {
+		cl := classes[i%len(classes)]
 		c := randCost(r)
 		before := k.Snapshot()
 		k.Charge(c)
-		delta := k.Snapshot().Minus(before)
-		if delta.ByClass(current) != c || delta.Total() != c {
-			t.Fatalf("Charge under class %s landed as %+v", current, delta)
+		if k.Snapshot() != before {
+			t.Fatalf("unsettled charge %+v moved the snapshot", c)
+		}
+		k.Settle(cl)
+		switch cl {
+		case ClassServing:
+			want.Serving.Add(c)
+		case ClassMonitor:
+			want.Monitor.Add(c)
+		case ClassRepair:
+			want.Repair.Add(c)
+		}
+		if delta := k.Snapshot().Minus(before); delta.ByClass(cl) != c || delta.Total() != c {
+			t.Fatalf("charge settled to %s landed as %+v", cl, delta)
 		}
 	}
-	if prev := NewCounter().SetClass(ClassRepair); prev != ClassServing {
-		t.Fatalf("fresh counter class %s, want serving", prev)
+	if got := k.Snapshot(); got != want {
+		t.Fatalf("snapshot %+v, want %+v", got, want)
+	}
+}
+
+// TestSettle: Settle returns exactly what was charged since the last one, an
+// empty settle returns zero, a nil counter settles to zero, and none of it
+// allocates.
+func TestSettle(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	k := NewCounter()
+	a, b := randCost(r), randCost(r)
+	k.Charge(a)
+	k.Charge(b)
+	if got := k.Settle(ClassRepair); got != a.Plus(b) {
+		t.Fatalf("Settle returned %+v, want %+v", got, a.Plus(b))
+	}
+	if got := k.Settle(ClassMonitor); !got.IsZero() {
+		t.Fatalf("empty Settle returned %+v", got)
+	}
+	if got := k.Snapshot(); got != (CostBreakdown{Repair: a.Plus(b)}) {
+		t.Fatalf("snapshot after settles %+v", got)
+	}
+	var nilCtr *Counter
+	nilCtr.Charge(a)
+	if got := nilCtr.Settle(ClassServing); !got.IsZero() {
+		t.Fatalf("nil counter settled %+v", got)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		k.Charge(a)
+		k.Settle(ClassServing)
+	}); n != 0 {
+		t.Fatalf("Charge + Settle allocate %v times per run", n)
 	}
 }
 
 func TestNilCounterIsANoOpSink(t *testing.T) {
 	var k *Counter
 	k.Charge(Cost{EnergyFJ: 1})
-	k.ChargeClass(ClassRepair, Cost{EnergyFJ: 1})
 	k.Restore(CostBreakdown{Repair: Cost{EnergyFJ: 1}})
-	if k.SetClass(ClassMonitor) != ClassServing || k.Class() != ClassServing {
-		t.Fatal("nil counter class")
+	if !k.Settle(ClassMonitor).IsZero() {
+		t.Fatal("nil counter settled a charge")
 	}
 	if got := k.Snapshot(); got != (CostBreakdown{}) {
 		t.Fatalf("nil counter snapshot %+v", got)
 	}
 }
 
-// TestMeterFoldIsInterleavingInvariant: the fold equals the sum of the shard
-// snapshots and the serial sum of every charge, however the workers were
-// scheduled.
-func TestMeterFoldIsInterleavingInvariant(t *testing.T) {
-	const shards, perShard = 4, 500
-	r := rand.New(rand.NewSource(3))
-	type charge struct {
-		cl Class
-		c  Cost
+// TestCostArithmeticSaturates: the rollups stop at MaxUint64 instead of
+// wrapping, field by field, and are exact right up to the boundary.
+func TestCostArithmeticSaturates(t *testing.T) {
+	const max = math.MaxUint64
+	full := Cost{ComputeCycles: max, DACConversions: max, ADCConversions: max,
+		CrossbarReads: max, CrossbarWrites: max, EnergyFJ: max, BufferBytes: max}
+	one := Cost{ComputeCycles: 1, DACConversions: 1, ADCConversions: 1,
+		CrossbarReads: 1, CrossbarWrites: 1, EnergyFJ: 1, BufferBytes: 1}
+	edge := full.Minus(one)
+	if got := edge.Plus(one); got != full {
+		t.Fatalf("max−1 + 1 = %+v, want every field at max", got)
 	}
-	plan := make([][]charge, shards)
-	var want CostBreakdown
-	for i := range plan {
-		for j := 0; j < perShard; j++ {
-			ch := charge{classes[r.Intn(len(classes))], randCost(r)}
-			plan[i] = append(plan[i], ch)
-			ref := NewCounter()
-			ref.ChargeClass(ch.cl, ch.c)
-			want.Add(ref.Snapshot())
-		}
+	if got := full.Plus(one); got != full {
+		t.Fatalf("max + 1 = %+v, want saturation", got)
 	}
-	for trial := 0; trial < 3; trial++ {
-		m := NewMeter(shards)
-		var wg sync.WaitGroup
-		for i := range plan {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for _, ch := range plan[i] {
-					m.Shard(i).ChargeClass(ch.cl, ch.c)
-				}
-			}(i)
-		}
-		wg.Wait()
-		var sum CostBreakdown
-		for i := 0; i < m.Shards(); i++ {
-			sum.Add(m.Shard(i).Snapshot())
-		}
-		if got := m.Fold(); got != sum || got != want {
-			t.Fatalf("trial %d: fold %+v, shard sum %+v, serial %+v", trial, got, sum, want)
-		}
+	if got := (Cost{EnergyFJ: max}).Plus(Cost{EnergyFJ: max, BufferBytes: 3}); got != (Cost{EnergyFJ: max, BufferBytes: 3}) {
+		t.Fatalf("saturation leaked across fields: %+v", got)
 	}
-	if NewMeter(0).Shards() != 1 {
-		t.Fatal("NewMeter(0) must clamp to one shard")
+	half := Cost{EnergyFJ: 1 << 63, ComputeCycles: 1<<63 - 1}
+	if got := half.Scale(2); got != (Cost{EnergyFJ: max, ComputeCycles: max - 1}) {
+		t.Fatalf("Scale at the boundary = %+v", got)
+	}
+	if got := one.Scale(max); got != full {
+		t.Fatalf("1 × max = %+v", got)
+	}
+	var b CostBreakdown
+	b.Add(CostBreakdown{Serving: full})
+	b.Add(CostBreakdown{Serving: one, Monitor: one})
+	if b.Serving != full || b.Monitor != one || b.Total() != full {
+		t.Fatalf("breakdown rollup %+v, total %+v", b, b.Total())
 	}
 }
 
@@ -147,7 +155,8 @@ func TestRestoreSnapshotIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	k := NewCounter()
 	for _, cl := range classes {
-		k.ChargeClass(cl, randCost(r))
+		k.Charge(randCost(r))
+		k.Settle(cl)
 	}
 	snap := k.Snapshot()
 	k.Restore(snap)
@@ -155,9 +164,11 @@ func TestRestoreSnapshotIdentity(t *testing.T) {
 		t.Fatal("Restore(Snapshot()) changed the counter")
 	}
 	fresh := NewCounter()
-	fresh.ChargeClass(ClassMonitor, randCost(r)) // overwritten, not merged
+	fresh.Charge(randCost(r)) // overwritten, not merged
+	fresh.Settle(ClassMonitor)
+	fresh.Charge(randCost(r)) // pending: dropped
 	fresh.Restore(snap)
-	if fresh.Snapshot() != snap {
+	if fresh.Snapshot() != snap || !fresh.Settle(ClassServing).IsZero() {
 		t.Fatalf("restored counter reads %+v, want %+v", fresh.Snapshot(), snap)
 	}
 }
@@ -167,10 +178,11 @@ func TestChargeAndSnapshotDoNotAllocate(t *testing.T) {
 	c := randCost(rand.New(rand.NewSource(5)))
 	var sink CostBreakdown
 	if n := testing.AllocsPerRun(1000, func() {
-		k.ChargeClass(ClassMonitor, c)
+		k.Charge(c)
+		k.Settle(ClassMonitor)
 		sink = k.Snapshot()
 	}); n != 0 {
-		t.Fatalf("ChargeClass + Snapshot allocate %v times per run", n)
+		t.Fatalf("Charge + Settle + Snapshot allocate %v times per run", n)
 	}
 	if sink.Monitor.IsZero() {
 		t.Fatal("charges lost")

@@ -179,6 +179,11 @@ type Report struct {
 	// against it before the repair can verify.
 	NewRef *nn.Network
 	Detail string
+	// Measured is the hardware spend the application charged, booked to the
+	// repair class by the station that ran it under its lock (zero off a
+	// station or on an unmetered device). Set even when the application
+	// errors.
+	Measured reram.Cost
 }
 
 // String renders the report on one line.

@@ -6,8 +6,8 @@
 // or thin wrapper, so the types are identical across package boundaries.
 //
 // See hwcost's package comment for the design constraints (numerically
-// invisible, allocation-free hot path, deterministic folds) and DESIGN.md §14
-// for units and charge points.
+// invisible, allocation-free hot path, one owner books the class) and
+// DESIGN.md §14 for units and charge points.
 package reram
 
 import (
@@ -24,7 +24,7 @@ const (
 	EnergyADCFJ       = hwcost.EnergyADCFJ
 )
 
-// Cost, CostBreakdown, Class, Counter and Meter are aliases of the hwcost
+// Cost, CostBreakdown, Class and Counter are aliases of the hwcost
 // types — identical types, not conversions, so values flow freely between
 // packages that import either name.
 type (
@@ -32,7 +32,6 @@ type (
 	CostBreakdown = hwcost.CostBreakdown
 	Class         = hwcost.Class
 	Counter       = hwcost.Counter
-	Meter         = hwcost.Meter
 )
 
 // Attribution classes (see hwcost.Class).
@@ -42,11 +41,8 @@ const (
 	ClassRepair  = hwcost.ClassRepair
 )
 
-// NewCounter returns a zeroed counter attributing to ClassServing.
+// NewCounter returns a zeroed counter.
 func NewCounter() *Counter { return hwcost.NewCounter() }
-
-// NewMeter returns a meter with n shards (n ≥ 1).
-func NewMeter(n int) *Meter { return hwcost.NewMeter(n) }
 
 // MatVecCost is hwcost.MatVecCost with the tile organisation drawn from a
 // simulator Config.

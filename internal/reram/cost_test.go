@@ -40,26 +40,25 @@ func TestCostArithmetic(t *testing.T) {
 func TestCounterClassAttribution(t *testing.T) {
 	c := NewCounter()
 	one := Cost{EnergyFJ: 1, CrossbarReads: 1}
-	c.Charge(one) // default class is Serving
-	prev := c.SetClass(ClassMonitor)
-	if prev != ClassServing {
-		t.Fatalf("SetClass returned prev %v, want serving", prev)
+	c.Charge(one)
+	if got := c.Settle(ClassServing); got != one {
+		t.Fatalf("Settle returned %+v, want %+v", got, one)
 	}
 	c.Charge(one.Scale(2))
-	c.SetClass(ClassRepair)
+	c.Settle(ClassMonitor)
 	c.Charge(one.Scale(3))
-	c.SetClass(prev)
-	c.ChargeClass(ClassMonitor, one) // explicit class ignores the current one
+	c.Settle(ClassRepair)
+	c.Charge(one) // pending: not in any class yet
 	snap := c.Snapshot()
-	if snap.Serving != one || snap.Monitor != one.Scale(3) || snap.Repair != one.Scale(3) {
+	if snap.Serving != one || snap.Monitor != one.Scale(2) || snap.Repair != one.Scale(3) {
 		t.Fatalf("snapshot %+v", snap)
 	}
-	if snap.Total() != one.Scale(7) {
-		t.Fatalf("total %+v, want %+v", snap.Total(), one.Scale(7))
+	if snap.Total() != one.Scale(6) {
+		t.Fatalf("total %+v, want %+v", snap.Total(), one.Scale(6))
 	}
 
 	c.Restore(CostBreakdown{Repair: one})
-	if got := c.Snapshot(); got != (CostBreakdown{Repair: one}) {
+	if got := c.Snapshot(); got != (CostBreakdown{Repair: one}) || !c.Settle(ClassServing).IsZero() {
 		t.Fatalf("after Restore: %+v", got)
 	}
 }
@@ -67,65 +66,20 @@ func TestCounterClassAttribution(t *testing.T) {
 func TestNilCounterIsNoOp(t *testing.T) {
 	var c *Counter
 	c.Charge(Cost{EnergyFJ: 1})
-	c.ChargeClass(ClassRepair, Cost{EnergyFJ: 1})
 	c.Restore(CostBreakdown{})
-	if c.SetClass(ClassMonitor) != ClassServing || c.Class() != ClassServing {
-		t.Fatal("nil counter class handling")
+	if !c.Settle(ClassMonitor).IsZero() {
+		t.Fatal("nil counter settled a charge")
 	}
 	if !c.Snapshot().Total().IsZero() {
 		t.Fatal("nil counter snapshot not zero")
 	}
 }
 
-// TestMeterFoldMatchesSerial is the pooled-fold determinism identity: the
-// same charge stream split across meter shards by any worker assignment must
-// fold to exactly the serial single-counter total. Integer addition commutes,
-// so this tests the plumbing (no drops, no double counts), not arithmetic.
-func TestMeterFoldMatchesSerial(t *testing.T) {
-	r := rng.New(11)
-	charges := make([]Cost, 500)
-	for i := range charges {
-		charges[i] = Cost{
-			ComputeCycles:  uint64(r.Intn(100)),
-			DACConversions: uint64(r.Intn(100)),
-			ADCConversions: uint64(r.Intn(100)),
-			CrossbarReads:  uint64(r.Intn(1000)),
-			CrossbarWrites: uint64(r.Intn(10)),
-			EnergyFJ:       uint64(r.Intn(5000)),
-			BufferBytes:    uint64(r.Intn(4096)),
-		}
-	}
-	classes := []Class{ClassServing, ClassMonitor, ClassRepair}
-
-	serial := NewCounter()
-	for i, c := range charges {
-		serial.ChargeClass(classes[i%3], c)
-	}
-
-	for _, workers := range []int{1, 3, 8} {
-		m := NewMeter(workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(charges); i += workers {
-					m.Shard(w).ChargeClass(classes[i%3], charges[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-		if got, want := m.Fold(), serial.Snapshot(); got != want {
-			t.Fatalf("%d-shard fold %+v != serial %+v", workers, got, want)
-		}
-	}
-}
-
 // TestCounterRaceSurface exercises every concurrent access the contract
 // allows under -race: one goroutine driving a metered device (MatVec +
-// RefreshReadout, the single-goroutine hot path), several goroutines
-// charging the same counter directly, one snapshotting continuously and one
-// merging snapshots into a running breakdown.
+// RefreshReadout, the single-goroutine hot path), an unrelated charger, an
+// owner settling the counter, one goroutine snapshotting continuously and
+// one merging snapshots into a running breakdown.
 func TestCounterRaceSurface(t *testing.T) {
 	net := nn.NewNetwork("racer", 8,
 		nn.NewDense("d0", rng.New(3), 8, 6),
@@ -136,7 +90,7 @@ func TestCounterRaceSurface(t *testing.T) {
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(4)
+	wg.Add(5)
 	go func() { // the device goroutine
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
@@ -147,7 +101,13 @@ func TestCounterRaceSurface(t *testing.T) {
 	go func() { // an unrelated charger (e.g. a digital engine sharing the meter)
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
-			ctr.ChargeClass(ClassMonitor, Cost{EnergyFJ: 1})
+			ctr.Charge(Cost{EnergyFJ: 1})
+		}
+	}()
+	go func() { // the owner booking what the device charged
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			ctr.Settle(ClassMonitor)
 		}
 	}()
 	go func() { // the telemetry scraper
@@ -209,13 +169,13 @@ func TestMeteringIsNumericallyInvisible(t *testing.T) {
 			t.Fatalf("metered readout param %s diverged", mp[i].Name)
 		}
 	}
-	if metered.Counter().Snapshot().Total().IsZero() {
+	if metered.Counter().Settle(ClassServing).IsZero() {
 		t.Fatal("metered accelerator charged nothing")
 	}
 }
 
 // TestChargePointsCover asserts each charge point lands in the expected
-// field, with the class the caller set.
+// field, in the class its owner settles it to.
 func TestChargePointsCover(t *testing.T) {
 	cfg := Config{TileRows: 8, TileCols: 8, DACBits: 8, ADCBits: 8, Device: idealParams()}
 	cfg.Device.SpareRows = 2
@@ -230,7 +190,7 @@ func TestChargePointsCover(t *testing.T) {
 	}
 	out := make([]float64, 6)
 	tl.MatVecInto(out, x)
-	s := ctr.Snapshot().Serving
+	s := ctr.Settle(ClassServing)
 	if s.DACConversions != 8 || s.ADCConversions != 2*8 || s.ComputeCycles != 1 {
 		t.Fatalf("matvec conversions: %+v", s)
 	}
@@ -242,35 +202,34 @@ func TestChargePointsCover(t *testing.T) {
 	}
 
 	// an all-zero input drives nothing and charges nothing
-	before := ctr.Snapshot()
 	tl.MatVecInto(out, make([]float64, 8))
-	if ctr.Snapshot() != before {
-		t.Fatal("idle pass charged")
+	if idle := ctr.Settle(ClassServing); !idle.IsZero() {
+		t.Fatalf("idle pass charged %+v", idle)
 	}
 
-	prev := ctr.SetClass(ClassMonitor)
 	buf := tensor.New(6, 8)
 	tl.EffectiveWeightsInto(buf)
-	m := ctr.Snapshot().Monitor
+	m := ctr.Settle(ClassMonitor)
 	if m.CrossbarReads != 2*8*6 || m.BufferBytes != 8*6*8 {
 		t.Fatalf("readout charge: %+v", m)
 	}
-	ctr.SetClass(prev)
 
-	ctr.SetClass(ClassRepair)
 	tl.Reprogram()
-	rep := ctr.Snapshot().Repair
+	rep := ctr.Settle(ClassRepair)
 	if rep.CrossbarWrites != 2*8*8 { // both full arrays rewritten
 		t.Fatalf("reprogram writes: %+v", rep)
 	}
 	tl.InjectStuckAt(0.5, 0.3)
-	pre := ctr.Snapshot().Repair
+	if remap := ctr.Settle(ClassRepair); !remap.IsZero() {
+		t.Fatalf("fault injection charged %+v", remap)
+	}
 	tl.RemapStuck(1, 0.05)
-	post := ctr.Snapshot().Repair
-	if post.CrossbarWrites <= pre.CrossbarWrites {
+	if remap := ctr.Settle(ClassRepair); remap.CrossbarWrites == 0 {
 		t.Fatal("remap pass charged no writes")
 	}
-	ctr.SetClass(ClassServing)
+	if got := ctr.Snapshot(); got.Serving != s || got.Monitor != m || got.Repair.CrossbarWrites <= rep.CrossbarWrites {
+		t.Fatalf("ledger %+v", got)
+	}
 }
 
 func TestChargeIsAllocationFree(t *testing.T) {

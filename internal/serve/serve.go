@@ -180,10 +180,9 @@ func (p *pending) finish(resp Response, err error) {
 // state mutation is serialised behind an internal lock), so callers must not
 // drive the supervisor directly.
 type Server struct {
-	cfg      Config
-	sup      *fleet.Supervisor
-	stations map[string]*Station
-	inDim    int
+	cfg   Config
+	sup   *fleet.Supervisor
+	inDim int
 
 	// backendMu serialises supervisor state mutation: ticks and serving-fault
 	// reports. The router inside the supervisor has its own lock, so the hot
@@ -209,8 +208,9 @@ type Server struct {
 	hedges, retries                  atomic.Uint64
 }
 
-// New commissions a fleet supervisor over devices (each wrapped in a
-// Station so monitoring and serving serialise per device), journaling
+// New commissions a fleet supervisor over devices (the fleet wraps each in a
+// Station, so monitoring, repair and serving serialise per device and every
+// charge is booked by the lock holder), journaling
 // through store (nil: memory-only), and starts the worker pool. The fleet
 // config's MinServing is validated against the fleet size at construction.
 // If commissioning the fleet cannot be journaled (the store's disk is already
@@ -225,28 +225,20 @@ func New(devices []fleet.Device, fcfg fleet.Config, scfg Config, store *journal.
 	if len(devices) == 0 {
 		return nil, errors.New("serve: no devices")
 	}
-	stations := make(map[string]*Station, len(devices))
-	wrapped := make([]fleet.Device, len(devices))
-	for i, d := range devices {
-		st := NewStation(d)
-		wrapped[i] = st
-		stations[st.ID()] = st
-	}
-	sup, err := fleet.New(wrapped, fcfg, store)
+	sup, err := fleet.New(devices, fcfg, store)
 	if err != nil && !errors.Is(err, fleet.ErrUnjournaled) {
 		return nil, err
 	}
 
 	rootCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:      scfg,
-		sup:      sup,
-		stations: stations,
-		inDim:    devices[0].Reference().InDim(),
-		qMon:     make(chan *pending, scfg.QueueMonitor),
-		qBulk:    make(chan *pending, scfg.QueueBulk),
-		rootCtx:  rootCtx,
-		cancel:   cancel,
+		cfg:     scfg,
+		sup:     sup,
+		inDim:   devices[0].Reference().InDim(),
+		qMon:    make(chan *pending, scfg.QueueMonitor),
+		qBulk:   make(chan *pending, scfg.QueueBulk),
+		rootCtx: rootCtx,
+		cancel:  cancel,
 	}
 	for i := 0; i < scfg.Workers; i++ {
 		s.workerWG.Add(1)
@@ -468,7 +460,7 @@ func (s *Server) launchAttempt(id string, status monitor.Status, hedge, retry bo
 // runOn executes one guarded serving inference on device id, validates the
 // answer and reports its measured hardware spend.
 func (s *Server) runOn(id string, x *tensor.Tensor) (probs *tensor.Tensor, cost reram.Cost, err error) {
-	st := s.stations[id]
+	st := s.sup.Station(id)
 	if st == nil {
 		return nil, cost, fmt.Errorf("serve: router chose unknown device %q", id)
 	}
@@ -571,12 +563,21 @@ func (s *Server) Stats() Stats {
 // attribution class, keyed by device ID. Counters are read live (atomic
 // loads concurrent with serving); unmetered devices report zero.
 func (s *Server) CostStats() map[string]reram.CostBreakdown {
-	out := make(map[string]reram.CostBreakdown, len(s.stations))
-	for id, st := range s.stations {
-		out[id] = st.CostCounter().Snapshot()
+	ids := s.sup.DeviceIDs()
+	out := make(map[string]reram.CostBreakdown, len(ids))
+	for _, id := range ids {
+		out[id] = s.sup.Station(id).CostCounter().Snapshot()
 	}
 	return out
 }
+
+// Station is fleet.Station, the per-device owner every fleet commissions,
+// kept under this name for callers that drive a standalone device through
+// the serving path.
+type Station = fleet.Station
+
+// NewStation wraps dev in a fleet.Station (see fleet.NewStation).
+func NewStation(dev fleet.Device) *Station { return fleet.NewStation(dev) }
 
 // Close stops admission, drains every already-admitted request (each one
 // still receives its Response or typed error), waits for all background
