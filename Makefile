@@ -21,6 +21,10 @@
 #                arms' minima over alternating slices, max allocs/op), after
 #                asserting bit-identity; fails on regression
 #   make loc     non-test Go line count (ROADMAP item 6's exit criterion)
+#   make ab-engine REV=<rev>  A/B the f64 engine row (BenchmarkEngineRow)
+#                between <rev> and the working tree: adjacent runs of two
+#                prebuilt test binaries, pairwise ratios and median
+#                (PAIRS=8, BENCHTIME=0.5s by default)
 #   make race    race detector over the whole tree (slow: retrains models
 #                under the race runtime)
 #   make soak    the full 20-campaign acceptance soak with scorecard
@@ -47,7 +51,7 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
         fleet-soak-smoke fleet-soak serve-soak-smoke serve-soak \
         net-soak-smoke net-soak crash-soak-smoke crash-soak \
         lifetime-soak-smoke lifetime-soak examples-smoke fuzz-short \
-        bench-smoke loc
+        bench-smoke loc ab-engine
 
 check: fmt-check vet gen-check build test race-fast soak-smoke fleet-soak-smoke serve-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke
 	@echo "check: PASS"
@@ -57,7 +61,8 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # the second pass type-checks what only a non-amd64 build compiles: the
-# portable twins of the SSE2/AVX2 kernels (matmul_noasm.go, matmul32_noasm.go);
+# portable twins of the SSE2/AVX2/AVX-512 kernels (matmul_noasm.go,
+# matmul32_noasm.go);
 # the third holds the wire codec's number kernels to a 32-bit int
 vet:
 	$(GO) vet ./...
@@ -121,6 +126,13 @@ examples-smoke:
 # non-test Go lines, the number ROADMAP item 6 tracks
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1
+
+# kernel A/B: REV is required (e.g. REV=HEAD for uncommitted work)
+PAIRS ?= 8
+BENCHTIME ?= 0.5s
+ab-engine:
+	@test -n "$(REV)" || { echo "usage: make ab-engine REV=<rev> [PAIRS=8] [BENCHTIME=0.5s]"; exit 2; }
+	sh scripts/ab-engine.sh $(REV) $(PAIRS) $(BENCHTIME)
 
 # serving-frontend chaos soak: concurrent traffic with injected slow
 # readouts, mid-request crashes and deadline storms; gated on zero hung

@@ -8,10 +8,11 @@
 //
 // On the default F64 tier a plan step is a layer, or a fused run: every
 // Conv2D, ReLU[, MaxPool2D] the network holds compiles to one nn.ConvBlock
-// step — per sample im2col, register-tiled matmul (tensor.MatMulBlockedSlices,
-// 4×8 AVX2 or 4×4 SSE2 by host), then bias + ReLU (+ window maximum) on the
-// cache-hot product — so neither the convolution's nor the ReLU's full-batch
-// output exists. Rebind plans the incoming network the same way and accepts
+// step — per sample im2col, then a register-tiled matmul that stores bias +
+// ReLU as it goes (tensor.MatMulBlockedBiasReLU, 4×16 AVX-512, 4×8 AVX2 or
+// 4×4 SSE2 by host), then the window maximum over the cache-hot ReLU'd
+// product — so neither the convolution's nor the ReLU's full-batch output
+// exists. Rebind plans the incoming network the same way and accepts
 // it only if it lands on the compiled steps one for one. PlanCost is summed
 // over the unfused layers: fusion changes where activations live, not what a
 // crossbar would be charged for them.

@@ -111,7 +111,7 @@ func TestGoldenLogitsFixture(t *testing.T) {
 // fixture's pristine and stuck-at-0 weight states. The two must read alike:
 // a faulty device that serves slower than a healthy one biases the latency
 // the fleet's hedging reads. The log line names the register tile that ran
-// (avx2, sse2 or generic), so a recorded number states its kernel.
+// (avx512, avx2, sse2 or generic), so a recorded number states its kernel.
 func BenchmarkEngineRow(b *testing.B) {
 	const batch = 8
 	for _, m := range paperModels() {

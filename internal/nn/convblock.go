@@ -8,10 +8,10 @@ import (
 
 // ConvBlock is a Conv2D run as one inference step with the ReLU, and the
 // MaxPool2D if there is one, that follow it in the network: per sample,
-// im2col → register-tiled matmul → bias + ReLU (+ window maximum) applied
-// while the sample's OutC × spatial product is still cache-hot, so neither
-// the convolution's nor the ReLU's full-batch output is ever written. It
-// implements BatchInfer with the bits of the three layers' Forward chain.
+// im2col → register-tiled matmul storing bias + ReLU (→ window maximum over
+// the cache-hot ReLU'd product), so neither the convolution's nor the ReLU's
+// full-batch output is ever written. It implements BatchInfer with the bits
+// of the three layers' Forward chain.
 type ConvBlock struct {
 	conv *Conv2D
 	pool *MaxPool2D // nil: the block ends at the ReLU
@@ -57,13 +57,14 @@ func (b *ConvBlock) InferScratch() int {
 	return n
 }
 
-// forwardRange is the conv sample loop of the inference path — im2col, then
-// tensor.MatMulBlockedSlices, the register-tiled kernel with the per-element
-// fold of the MatMulSlices that Forward calls — followed by one of three
-// epilogues on the sample's (OutC, spatial) product: the bias (a bare
-// Conv2D), bias + ReLU in place, or bias + ReLU + window maximum from a
-// scratch panel into the pool's output row. scratch holds the column matrix
-// and, with a pool, that panel.
+// forwardRange is the conv sample loop of the inference path: im2col, then a
+// register-tiled kernel with the per-element fold of the MatMulSlices that
+// Forward calls, on the sample's (OutC, spatial) product. A bare Conv2D
+// stores the product (tensor.MatMulBlockedSlices) and adds the bias; a block
+// stores bias + ReLU straight from the tile (tensor.MatMulBlockedBiasReLU),
+// into dst or, before a pool, into a scratch panel whose window maxima go to
+// the pool's output row. scratch holds the column matrix and, with a pool,
+// that panel.
 func (c *Conv2D) forwardRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64, relu bool, pool *MaxPool2D) {
 	inVol := c.sampleVolume()
 	spatial := c.geom.OutH() * c.geom.OutW()
@@ -84,24 +85,17 @@ func (c *Conv2D) forwardRange(dst, x *tensor.Tensor, lo, hi int, scratch []float
 	for s := lo; s < hi; s++ {
 		tensor.Im2ColInto(cols, xd[s*inVol:(s+1)*inVol], c.geom)
 		out := od[s*outVol : (s+1)*outVol]
-		panel := out
-		if pool != nil {
-			panel = scratch[ckk*spatial : need]
-		}
-		tensor.MatMulBlockedSlices(panel, wd, cols, c.outC, ckk, spatial)
 		switch {
 		case pool != nil:
-			biasReLUMaxPool(out, panel, bd, pool.geom)
+			panel := scratch[ckk*spatial : need]
+			tensor.MatMulBlockedBiasReLU(panel, wd, cols, bd, c.outC, ckk, spatial)
+			reluMaxPool(out, panel, pool.geom)
 		case relu:
-			for oc, b := range bd {
-				row := panel[oc*spatial : (oc+1)*spatial]
-				for i, v := range row {
-					row[i] = math.Float64frombits(reluBits(v + b))
-				}
-			}
+			tensor.MatMulBlockedBiasReLU(out, wd, cols, bd, c.outC, ckk, spatial)
 		default:
+			tensor.MatMulBlockedSlices(out, wd, cols, c.outC, ckk, spatial)
 			for oc, b := range bd {
-				row := panel[oc*spatial : (oc+1)*spatial]
+				row := out[oc*spatial : (oc+1)*spatial]
 				for i := range row {
 					row[i] += b
 				}
@@ -110,60 +104,54 @@ func (c *Conv2D) forwardRange(dst, x *tensor.Tensor, lo, hi int, scratch []float
 	}
 }
 
-// reluBits returns the bit pattern of ReLU's v > 0 ? v : +0 without a
-// data-dependent branch (the conditional move costs the same on every input;
-// the compare-and-branch it replaces mispredicts on half of a layer's
-// activations). Subtracting one wraps +0 to the top of the unsigned range, so
-// a single comparison sends −x, ±0 and every NaN to +0 and keeps (0, +Inf].
-func reluBits(v float64) uint64 {
-	b := math.Float64bits(v)
-	if b-1 >= 0x7FF0000000000000 {
-		b = 0
-	}
-	return b
-}
-
-// biasReLUMaxPool writes one sample's max-pooled ReLU(panel + bias) into
-// out: panel is the convolution's (g.InC, g.InH, g.InW) product, bias has one
-// entry per channel, g is the pool's geometry. Values after the ReLU are
-// never NaN and never −0, so they order as their bit patterns do and a
-// window's maximum does not depend on the order it is taken in: it is the
-// unsigned maximum of the in-bounds elements' bits, starting from +0. That is
-// MaxPool2D.Forward's "first in-bounds element, then any strictly greater"
-// on such values, including a window clipped by padding and one that sees
-// padding only (+0 both ways).
-func biasReLUMaxPool(out, panel, bias []float64, g tensor.ConvGeom) {
+// reluMaxPool writes the max-pool of one sample's ReLU'd panel into out:
+// panel is the (g.InC, g.InH, g.InW) output of the convolution's ReLU, g the
+// pool's geometry. Values after the ReLU are never NaN and never −0, so they
+// order as their bit patterns do and a window's maximum does not depend on
+// the order it is taken in: it is the unsigned maximum of the in-bounds
+// elements' bits, starting from +0. That is MaxPool2D.Forward's "first
+// in-bounds element, then any strictly greater" on such values, including a
+// window clipped by padding and one that sees padding only (+0 both ways).
+func reluMaxPool(out, panel []float64, g tensor.ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
-	for c, b := range bias {
+	for c := range g.InC {
 		ch := panel[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
 		for oh := 0; oh < outH; oh++ {
 			o := out[(c*outH+oh)*outW : (c*outH+oh+1)*outW]
 			clear(o)
 			ih0 := oh*g.StrideH - g.PadH
-			for ih := max(ih0, 0); ih < min(ih0+g.KH, g.InH); ih++ {
-				foldPoolRow(o, ch[ih*g.InW:(ih+1)*g.InW], b, g.KW, g.StrideW, g.PadW)
+			ihEnd := min(ih0+g.KH, g.InH)
+			for ih := max(ih0, 0); ih < ihEnd; ih += 2 {
+				r0 := ch[ih*g.InW : (ih+1)*g.InW]
+				r1 := r0 // an odd last row is folded twice: max is idempotent
+				if ih+1 < ihEnd {
+					r1 = ch[(ih+1)*g.InW : (ih+2)*g.InW]
+				}
+				foldPoolRows(o, r0, r1, g.KW, g.StrideW, g.PadW)
 			}
 		}
 	}
 }
 
-// foldPoolRow raises each running window maximum in o by the elements of
-// ReLU(r + b) its window covers, r being one input row of the channel. It
-// sweeps the output row once per window column — a long loop over the
-// outputs whose window has that column in bounds — rather than looping over
-// each window's few columns in turn.
-func foldPoolRow(o, r []float64, b float64, kw, stride, pad int) {
+// foldPoolRows raises each running window maximum in o by the elements of
+// the ReLU'd rows r0 and r1 its window covers, r0 and r1 being input rows of
+// the channel. It sweeps the output row once per window column — a long loop
+// over the outputs whose window has that column in bounds — rather than
+// looping over each window's few columns in turn, and takes two input rows
+// per sweep.
+func foldPoolRows(o, r0, r1 []float64, kw, stride, pad int) {
 	for kx := -pad; kx < kw-pad; kx++ {
-		// the outputs whose column ow*stride + kx lands in [0, len(r))
+		// the outputs whose column ow*stride + kx lands in [0, len(r0))
 		lo, hi := 0, 0
 		if kx < 0 {
 			lo = (-kx + stride - 1) / stride
 		}
-		if last := len(r) - 1 - kx; last >= 0 {
+		if last := len(r0) - 1 - kx; last >= 0 {
 			hi = min(len(o), last/stride+1)
 		}
 		for ow := lo; ow < hi; ow++ {
-			o[ow] = math.Float64frombits(max(math.Float64bits(o[ow]), reluBits(r[ow*stride+kx]+b)))
+			j := ow*stride + kx
+			o[ow] = math.Float64frombits(max(math.Float64bits(o[ow]), math.Float64bits(r0[j]), math.Float64bits(r1[j])))
 		}
 	}
 }

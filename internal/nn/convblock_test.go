@@ -138,8 +138,8 @@ func TestFuseConvBlockPattern(t *testing.T) {
 	}
 }
 
-// TestReLUBitsTable holds reluBits, and the ReLU kernel built on it, to
-// Forward's v > 0 ? v : +0 on every value class that rule distinguishes.
+// TestReLUBitsTable holds tensor.ReLUBits, and the ReLU kernel built on it,
+// to Forward's v > 0 ? v : +0 on every value class that rule distinguishes.
 func TestReLUBitsTable(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1022, 1, -1,
 		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
@@ -148,8 +148,8 @@ func TestReLUBitsTable(t *testing.T) {
 	l := NewReLU("r")
 	want := l.Forward(x)
 	for i, v := range vals {
-		if got := reluBits(v); got != math.Float64bits(want.Data()[i]) {
-			t.Errorf("reluBits(%v [%x]) = %x, Forward says %x", v, math.Float64bits(v), got, math.Float64bits(want.Data()[i]))
+		if got := tensor.ReLUBits(v); got != math.Float64bits(want.Data()[i]) {
+			t.Errorf("ReLUBits(%v [%x]) = %x, Forward says %x", v, math.Float64bits(v), got, math.Float64bits(want.Data()[i]))
 		}
 	}
 	got := tensor.Full(99, 1, len(vals))
@@ -157,29 +157,29 @@ func TestReLUBitsTable(t *testing.T) {
 	requireSameBits(t, "ReLU.ForwardBatchRange", got.Data(), want.Data())
 }
 
-// TestBiasReLUMaxPoolTable drives the epilogue helper directly on raw panels
-// — the table of TestMaxPoolBatchRangeTable: NaN first and later in a window,
-// all NaN, ±0 ties, all negative, over windows inside, clipped and made of
-// padding only — under a zero, a −0, a positive and a NaN bias, against
-// ReLU.Forward then MaxPool2D.Forward of the biased panel.
-func TestBiasReLUMaxPoolTable(t *testing.T) {
+// TestReLUMaxPoolTable drives the fused step's max-only pool directly on
+// ReLU'd panels — the ReLU of the table of TestMaxPoolBatchRangeTable (NaN
+// first and later in a window, all NaN, ±0 ties, all negative) under a zero,
+// a −0, a positive and a NaN bias, over windows inside, clipped and made of
+// padding only — against MaxPool2D.Forward of the same panel.
+func TestReLUMaxPoolTable(t *testing.T) {
 	biases := []float64{0, math.Copysign(0, -1), 2.5, math.NaN()}
 	for _, g := range poolTableGeoms {
 		for _, in := range poolTableInputs {
 			for bi := range biases {
 				vol := g.InC * g.InH * g.InW
-				panel, biased := make([]float64, vol), tensor.New(1, vol)
+				biased := tensor.New(1, vol)
 				bias := make([]float64, g.InC)
 				for c := range bias {
 					bias[c] = biases[(bi+c)%len(biases)]
 				}
-				for i := range panel {
-					panel[i] = in.at(i)
-					biased.Data()[i] = panel[i] + bias[i/(g.InH*g.InW)]
+				for i := range biased.Data() {
+					biased.Data()[i] = in.at(i) + bias[i/(g.InH*g.InW)]
 				}
-				want := NewMaxPool2D("p", g).Forward(NewReLU("r").Forward(biased))
+				panel := NewReLU("r").Forward(biased)
+				want := NewMaxPool2D("p", g).Forward(panel)
 				got := tensor.Full(99, 1, want.Len())
-				biasReLUMaxPool(got.Data(), panel, bias, g)
+				reluMaxPool(got.Data(), panel.Data(), g)
 				for i, w := range want.Data() {
 					if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
 						t.Errorf("%s bias %v %+v: output %d = %v, the layer chain says %v", in.name, bias, g, i, got.Data()[i], w)

@@ -197,12 +197,12 @@ func elementwiseVol(op string, dst, x *tensor.Tensor) int {
 }
 
 // ForwardBatchRange implements BatchInfer: Forward's v > 0 ? v : +0 without
-// the mask cache and, through reluBits, without a branch on the data.
+// the mask cache and, through tensor.ReLUBits, without a branch on the data.
 func (l *ReLU) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64) {
 	vol := elementwiseVol("ReLU.ForwardBatchRange dst", dst, x)
 	xd, od := x.Data()[lo*vol:hi*vol], dst.Data()[lo*vol:hi*vol]
 	for i, v := range xd {
-		od[i] = math.Float64frombits(reluBits(v))
+		od[i] = math.Float64frombits(tensor.ReLUBits(v))
 	}
 }
 

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MatMul computes the matrix product a·b for rank-2 tensors and returns a new
 // (m×n) tensor. It panics if the inner dimensions disagree.
@@ -154,6 +157,40 @@ func MatMulSlices(dst, a, b []float64, m, k, n int) {
 				drow[j] += av * bv
 			}
 		}
+	}
+}
+
+// ReLUBits returns the bit pattern of ReLU's v > 0 ? v : +0 without a
+// data-dependent branch (the conditional move costs the same on every input;
+// the compare-and-branch it replaces mispredicts on half of a layer's
+// activations). Subtracting one wraps +0 to the top of the unsigned range, so
+// a single comparison sends −x, ±0 and every NaN to +0 and keeps (0, +Inf].
+// It is the one scalar ReLU: the standalone ReLU kernel, the blocked
+// kernels' fallback epilogue and their portable twin all apply it.
+func ReLUBits(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b-1 >= 0x7FF0000000000000 {
+		b = 0
+	}
+	return b
+}
+
+// biasReLURows is the scalar epilogue of MatMulBlockedBiasReLU: each row i of
+// the row-major (len(bias)×n) dst becomes ReLU(row + bias[i]). An empty bias
+// leaves dst alone.
+func biasReLURows(dst, bias []float64, n int) {
+	for i, b := range bias {
+		row := dst[i*n : (i+1)*n]
+		for j, v := range row {
+			row[j] = math.Float64frombits(ReLUBits(v + b))
+		}
+	}
+}
+
+// checkBias panics unless bias holds one entry per row of an m-row product.
+func checkBias(bias []float64, m int) {
+	if len(bias) != m {
+		panic(fmt.Sprintf("tensor: MatMulBlockedBiasReLU has %d biases for %d rows", len(bias), m))
 	}
 }
 

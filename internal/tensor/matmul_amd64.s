@@ -1,16 +1,24 @@
-// Register tiles behind MatMulBlockedSlices, and the CPUID probes that choose
-// between them. One row-kernel call computes four whole rows of dst = a·b in
-// 4-row register tiles: per p, the vectors b[p, j..] are loaded once and each
-// of the four a[i, p] is broadcast and folded in with a packed multiply and a
-// packed add. Every output element starts at +0 and receives its products for
-// p ascending, one rounded multiply and one rounded add per term — no FMA, no
-// reassociation — which is MatMulSlices's chain for that element except that
-// a zero a[i, p] is multiplied instead of skipped (see MatMulBlockedSlices for
-// why that is the same bits whenever the result is finite).
+// Register tiles behind MatMulBlockedSlices and MatMulBlockedBiasReLU, and
+// the CPUID probes that choose between them. One row-kernel call computes four
+// whole rows of dst = a·b in 4-row register tiles: per p, the vectors
+// b[p, j..] are loaded once and each of the four a[i, p] is broadcast and
+// folded in with a packed multiply and a packed add. Every output element
+// starts at +0 and receives its products for p ascending, one rounded multiply
+// and one rounded add per term — no FMA, no reassociation — which is
+// MatMulSlices's chain for that element except that a zero a[i, p] is
+// multiplied instead of skipped (see MatMulBlockedSlices for why that is the
+// same bits whenever the result is finite).
+//
+// Each tile tests its raw accumulators for ±Inf/NaN, then, given a bias for
+// its four rows, stores max(acc + bias[i], +0) — the packed add, then MAXPD
+// against +0, which returns its second operand when the first is NaN or both
+// are zeros: ReLU's v > 0 ? v : +0 on every value — and otherwise stores the
+// accumulators as they are.
 //
 // matmulRows4 is the SSE2 tile, 4 columns in eight XMM accumulators; SSE2 is
 // part of the amd64 baseline. matmulRows4AVX2 is the same fold 8 columns wide
-// in eight YMM accumulators, for hosts whose CPU and OS pass hasAVX2.
+// in eight YMM accumulators, matmulRows4AVX512 16 columns wide in eight ZMM
+// accumulators, for hosts where probeTile finds the CPU and OS support.
 
 #include "textflag.h"
 
@@ -30,17 +38,28 @@
 	SUBPD  ACC, X10; \
 	ORPD   X10, X12
 
-// func matmulRows4(dst, a, b []float64, k, n int) (nonFinite bool)
-// dst is 4×n, a is 4×k, b is k×n, all row-major; the caller guarantees the
-// lengths and n >= 4. Columns [0, n&^3) are covered by n/4 tiles; a ragged
-// remainder by one more tile at column n−4, which recomputes up to three
-// columns to the same bits. Reports whether any element written is ±Inf/NaN.
-TEXT ·matmulRows4(SB), NOSPLIT, $0-89
+// one row's epilogue: ACC = max(ACC + bias, +0) with the bias at BOFF and +0
+// in X13 as MAXPD's second operand
+#define RELU(BOFF, ACC0, ACC1) \
+	MOVSD    BOFF, X10; \
+	UNPCKLPD X10, X10; \
+	ADDPD    X10, ACC0; \
+	ADDPD    X10, ACC1; \
+	MAXPD    X13, ACC0; \
+	MAXPD    X13, ACC1
+
+// func matmulRows4(dst, a, b, bias []float64, k, n int) (nonFinite bool)
+// dst is 4×n, a is 4×k, b is k×n, all row-major; bias is empty or holds the
+// four rows' biases; the caller guarantees the lengths and n >= 4. Columns
+// [0, n&^3) are covered by n/4 tiles; a ragged remainder by one more tile at
+// column n−4, which recomputes up to three columns to the same bits. Reports
+// whether any accumulator, before the bias, is ±Inf/NaN.
+TEXT ·matmulRows4(SB), NOSPLIT, $0-113
 	MOVQ dst_base+0(FP), DI // tile cursor in dst row 0
 	MOVQ a_base+24(FP), SI
 	MOVQ b_base+48(FP), BX  // tile cursor in b row 0
-	MOVQ k+72(FP), CX
-	MOVQ n+80(FP), DX
+	MOVQ k+96(FP), CX
+	MOVQ n+104(FP), DX
 	MOVQ DX, R9
 	SHRQ $2, R9             // whole tiles
 	SHLQ $3, DX             // row stride of b and dst in bytes
@@ -49,6 +68,7 @@ TEXT ·matmulRows4(SB), NOSPLIT, $0-89
 	SHLQ $3, R8             // row stride of a in bytes
 	LEAQ (R8)(R8*2), R13    // 3 rows of a
 	XORPS X12, X12
+	XORPS X13, X13
 
 tile:
 	XORPS X0, X0
@@ -63,7 +83,7 @@ tile:
 	MOVQ  SI, R11 // &a[0, p]
 	MOVQ  CX, R12
 	TESTQ R12, R12
-	JZ    store
+	JZ    epilogue
 
 ploop:
 	MOVUPD (R10), X8
@@ -77,6 +97,24 @@ ploop:
 	DECQ   R12
 	JNZ    ploop
 
+epilogue:
+	POISON(X0)
+	POISON(X1)
+	POISON(X2)
+	POISON(X3)
+	POISON(X4)
+	POISON(X5)
+	POISON(X6)
+	POISON(X7)
+	MOVQ  bias_len+80(FP), R12
+	TESTQ R12, R12
+	JZ    store
+	MOVQ  bias_base+72(FP), R10
+	RELU((R10), X0, X1)
+	RELU(8(R10), X2, X3)
+	RELU(16(R10), X4, X5)
+	RELU(24(R10), X6, X7)
+
 store:
 	MOVUPD X0, (DI)
 	MOVUPD X1, 16(DI)
@@ -86,14 +124,6 @@ store:
 	MOVUPD X5, 16(DI)(DX*2)
 	MOVUPD X6, (DI)(AX*1)
 	MOVUPD X7, 16(DI)(AX*1)
-	POISON(X0)
-	POISON(X1)
-	POISON(X2)
-	POISON(X3)
-	POISON(X4)
-	POISON(X5)
-	POISON(X6)
-	POISON(X7)
 	ADDQ   $32, DI
 	ADDQ   $32, BX
 	DECQ   R9
@@ -116,12 +146,12 @@ done:
 	UNPCKHPD X12, X12
 	MOVQ     X12, R10
 	ORQ      R10, R9
-	SETNE    nonFinite+88(FP)
+	SETNE    nonFinite+112(FP)
 	RET
 
-// The AVX2 tile. VEX VMULPD/VADDPD are lane-wise IEEE double operations, as
-// MULPD/ADDPD are, so every element's chain — and its bits — is the SSE2
-// tile's.
+// The AVX2 tile. VEX VMULPD/VADDPD/VMAXPD are lane-wise IEEE double
+// operations, as MULPD/ADDPD/MAXPD are, so every element's chain — and its
+// bits — is the SSE2 tile's.
 
 // one row of the tile at p: broadcast a[i, p] from AOFF, fold into ACC0/ACC1
 #define ROWY(AOFF, ACC0, ACC1) \
@@ -136,16 +166,24 @@ done:
 	VSUBPD ACC, ACC, Y10; \
 	VORPD  Y10, Y12, Y12
 
-// func matmulRows4AVX2(dst, a, b []float64, k, n int) (nonFinite bool)
+// RELU on YMM: Y13 holds +0, MAXPD's second operand
+#define RELUY(BOFF, ACC0, ACC1) \
+	VBROADCASTSD BOFF, Y10; \
+	VADDPD       Y10, ACC0, ACC0; \
+	VADDPD       Y10, ACC1, ACC1; \
+	VMAXPD       Y13, ACC0, ACC0; \
+	VMAXPD       Y13, ACC1, ACC1
+
+// func matmulRows4AVX2(dst, a, b, bias []float64, k, n int) (nonFinite bool)
 // matmulRows4's contract with n >= 8: columns [0, n&^7) are covered by n/8
 // tiles, a ragged remainder by one more tile at column n−8. The caller has
 // checked that the CPU and the OS support AVX2.
-TEXT ·matmulRows4AVX2(SB), NOSPLIT, $0-89
+TEXT ·matmulRows4AVX2(SB), NOSPLIT, $0-113
 	MOVQ   dst_base+0(FP), DI // tile cursor in dst row 0
 	MOVQ   a_base+24(FP), SI
 	MOVQ   b_base+48(FP), BX  // tile cursor in b row 0
-	MOVQ   k+72(FP), CX
-	MOVQ   n+80(FP), DX
+	MOVQ   k+96(FP), CX
+	MOVQ   n+104(FP), DX
 	MOVQ   DX, R9
 	SHRQ   $3, R9             // whole tiles
 	SHLQ   $3, DX             // row stride of b and dst in bytes
@@ -154,6 +192,7 @@ TEXT ·matmulRows4AVX2(SB), NOSPLIT, $0-89
 	SHLQ   $3, R8             // row stride of a in bytes
 	LEAQ   (R8)(R8*2), R13    // 3 rows of a
 	VXORPD Y12, Y12, Y12
+	VXORPD Y13, Y13, Y13
 
 tiley:
 	VXORPD Y0, Y0, Y0
@@ -168,7 +207,7 @@ tiley:
 	MOVQ   SI, R11 // &a[0, p]
 	MOVQ   CX, R12
 	TESTQ  R12, R12
-	JZ     storey
+	JZ     epilogy
 
 ploopy:
 	VMOVUPD (R10), Y8
@@ -182,6 +221,24 @@ ploopy:
 	DECQ    R12
 	JNZ     ploopy
 
+epilogy:
+	POISONY(Y0)
+	POISONY(Y1)
+	POISONY(Y2)
+	POISONY(Y3)
+	POISONY(Y4)
+	POISONY(Y5)
+	POISONY(Y6)
+	POISONY(Y7)
+	MOVQ  bias_len+80(FP), R12
+	TESTQ R12, R12
+	JZ    storey
+	MOVQ  bias_base+72(FP), R10
+	RELUY((R10), Y0, Y1)
+	RELUY(8(R10), Y2, Y3)
+	RELUY(16(R10), Y4, Y5)
+	RELUY(24(R10), Y6, Y7)
+
 storey:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
@@ -191,14 +248,6 @@ storey:
 	VMOVUPD Y5, 32(DI)(DX*2)
 	VMOVUPD Y6, (DI)(AX*1)
 	VMOVUPD Y7, 32(DI)(AX*1)
-	POISONY(Y0)
-	POISONY(Y1)
-	POISONY(Y2)
-	POISONY(Y3)
-	POISONY(Y4)
-	POISONY(Y5)
-	POISONY(Y6)
-	POISONY(Y7)
 	ADDQ    $64, DI
 	ADDQ    $64, BX
 	DECQ    R9
@@ -217,7 +266,130 @@ storey:
 
 doney:
 	VPTEST Y12, Y12
-	SETNE  nonFinite+88(FP)
+	SETNE  nonFinite+112(FP)
+	VZEROUPPER
+	RET
+
+// The AVX-512 tile: the AVX2 tile's fold on ZMM registers. EVEX VMULPD,
+// VADDPD and VMAXPD are the same lane-wise IEEE operations again; the integer
+// VPXORQ/VPORQ stand in for VXORPD/VORPD, which on ZMM need AVX512DQ.
+
+// one row of the tile at p: broadcast a[i, p] from AOFF, fold into ACC0/ACC1
+#define ROWZ(AOFF, ACC0, ACC1) \
+	VBROADCASTSD AOFF, Z10; \
+	VMULPD       Z8, Z10, Z11; \
+	VADDPD       Z11, ACC0, ACC0; \
+	VMULPD       Z9, Z10, Z10; \
+	VADDPD       Z10, ACC1, ACC1
+
+// x − x is +0 for finite x and NaN for ±Inf/NaN: OR it into the Z12 flag
+#define POISONZ(ACC) \
+	VSUBPD ACC, ACC, Z10; \
+	VPORQ  Z10, Z12, Z12
+
+// RELU on ZMM: Z13 holds +0, MAXPD's second operand
+#define RELUZ(BOFF, ACC0, ACC1) \
+	VBROADCASTSD BOFF, Z10; \
+	VADDPD       Z10, ACC0, ACC0; \
+	VADDPD       Z10, ACC1, ACC1; \
+	VMAXPD       Z13, ACC0, ACC0; \
+	VMAXPD       Z13, ACC1, ACC1
+
+// func matmulRows4AVX512(dst, a, b, bias []float64, k, n int) (nonFinite bool)
+// matmulRows4's contract with n >= 16: columns [0, n&^15) are covered by n/16
+// tiles, a ragged remainder by one more tile at column n−16. The caller has
+// checked that the CPU and the OS support AVX-512F.
+TEXT ·matmulRows4AVX512(SB), NOSPLIT, $0-113
+	MOVQ   dst_base+0(FP), DI // tile cursor in dst row 0
+	MOVQ   a_base+24(FP), SI
+	MOVQ   b_base+48(FP), BX  // tile cursor in b row 0
+	MOVQ   k+96(FP), CX
+	MOVQ   n+104(FP), DX
+	MOVQ   DX, R9
+	SHRQ   $4, R9             // whole tiles
+	SHLQ   $3, DX             // row stride of b and dst in bytes
+	LEAQ   (DX)(DX*2), AX     // 3 rows of dst
+	MOVQ   CX, R8
+	SHLQ   $3, R8             // row stride of a in bytes
+	LEAQ   (R8)(R8*2), R13    // 3 rows of a
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+
+tilez:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	MOVQ   BX, R10 // &b[p, j]
+	MOVQ   SI, R11 // &a[0, p]
+	MOVQ   CX, R12
+	TESTQ  R12, R12
+	JZ     epilogz
+
+ploopz:
+	VMOVUPD (R10), Z8
+	VMOVUPD 64(R10), Z9
+	ROWZ((R11), Z0, Z1)
+	ROWZ((R11)(R8*1), Z2, Z3)
+	ROWZ((R11)(R8*2), Z4, Z5)
+	ROWZ((R11)(R13*1), Z6, Z7)
+	ADDQ    DX, R10
+	ADDQ    $8, R11
+	DECQ    R12
+	JNZ     ploopz
+
+epilogz:
+	POISONZ(Z0)
+	POISONZ(Z1)
+	POISONZ(Z2)
+	POISONZ(Z3)
+	POISONZ(Z4)
+	POISONZ(Z5)
+	POISONZ(Z6)
+	POISONZ(Z7)
+	MOVQ  bias_len+80(FP), R12
+	TESTQ R12, R12
+	JZ    storez
+	MOVQ  bias_base+72(FP), R10
+	RELUZ((R10), Z0, Z1)
+	RELUZ(8(R10), Z2, Z3)
+	RELUZ(16(R10), Z4, Z5)
+	RELUZ(24(R10), Z6, Z7)
+
+storez:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, (DI)(DX*1)
+	VMOVUPD Z3, 64(DI)(DX*1)
+	VMOVUPD Z4, (DI)(DX*2)
+	VMOVUPD Z5, 64(DI)(DX*2)
+	VMOVUPD Z6, (DI)(AX*1)
+	VMOVUPD Z7, 64(DI)(AX*1)
+	ADDQ    $128, DI
+	ADDQ    $128, BX
+	DECQ    R9
+	JNZ     tilez
+
+	// as in matmulRows4: step back so one last tile ends at the row end
+	MOVQ dst_base+0(FP), R9
+	ADDQ DX, R9
+	SUBQ DI, R9 // bytes of row 0 not yet covered: 0, 8, ..., 120
+	JZ   donez
+	SUBQ $128, R9
+	ADDQ R9, DI
+	ADDQ R9, BX
+	MOVQ $1, R9
+	JMP  tilez
+
+donez:
+	VEXTRACTF64X4 $1, Z12, Y10
+	VORPD         Y10, Y12, Y12
+	VPTEST        Y12, Y12
+	SETNE         nonFinite+112(FP)
 	VZEROUPPER
 	RET
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -25,24 +26,57 @@ func sa0Product(m, k, n int) (a, b []float64) {
 // LeNet-5 and ConvNet-7, the shapes the engine sends.
 var convProductShapes = [][3]int{{6, 25, 784}, {16, 150, 100}, {12, 27, 1024}, {24, 108, 256}, {32, 216, 64}, {32, 288, 64}}
 
-// blockedTiles are amd64's two register tiles, each reached through the
-// wrapper MatMulBlockedSlices is: the tests below hold both to the reference
-// on an AVX2 host, where production only ever selects the wider one.
+// blockedTiles are amd64's three register tiles, each reached as the widest
+// tile through the wrapper the exported kernels are: the tests below hold all
+// three to the reference on an AVX-512 host, where production only ever
+// selects the widest.
 var blockedTiles = []blockedTile{
-	{"sse2", true, func(dst, a, b []float64, m, k, n int) { matMulBlocked(false, dst, a, b, m, k, n) }},
-	{"avx2", useAVX2, func(dst, a, b []float64, m, k, n int) { matMulBlocked(true, dst, a, b, m, k, n) }},
+	{"sse2", true, onTile(tileSSE2)},
+	{"avx2", hostTile >= tileAVX2, onTile(tileAVX2)},
+	{"avx512", hostTile >= tileAVX512, onTile(tileAVX512)},
 }
 
-// blockedVsRef runs one product through tile, holds it to MatMulSlices's
-// bits and returns it with the number of row blocks that fell back to the
-// reference loop.
-func blockedVsRef(t *testing.T, tile blockedTile, a, b []float64, m, k, n int) (got []float64, fell uint64) {
+func onTile(t tile) func(dst, a, b, bias []float64, m, k, n int) {
+	return func(dst, a, b, bias []float64, m, k, n int) { matMulBlocked(t, dst, a, b, bias, m, k, n) }
+}
+
+// BenchmarkMatMulBlocked times each tile the host runs on the six conv
+// products, storing bias + ReLU as the engine's fused step does, in GFLOP/s
+// (two per multiply-add).
+func BenchmarkMatMulBlocked(b *testing.B) {
+	for _, tile := range blockedTiles {
+		for _, s := range convProductShapes {
+			m, k, n := s[0], s[1], s[2]
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", tile.name, m, k, n), func(b *testing.B) {
+				if !tile.ok {
+					b.Skip("host has no " + tile.name)
+				}
+				a, p := sa0Product(m, k, n)
+				dst, bias := make([]float64, m*n), make([]float64, m)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tile.mul(dst, a, p, bias, m, k, n)
+				}
+				b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
+
+// blockedVsRef runs one product through tile — raw with a nil bias, else
+// with the fused bias + ReLU — holds it to the reference's bits and returns
+// it with the number of row blocks that fell back to the reference loop.
+func blockedVsRef(t *testing.T, tile blockedTile, a, b, bias []float64, m, k, n int) (got []float64, fell uint64) {
 	t.Helper()
 	got, want := make([]float64, m*n), make([]float64, m*n)
 	before := blockedFallbacks.Load()
-	tile.mul(got, a, b, m, k, n)
+	tile.mul(got, a, b, bias, m, k, n)
 	fell = blockedFallbacks.Load() - before
-	MatMulSlices(want, a, b, m, k, n)
+	if bias == nil {
+		MatMulSlices(want, a, b, m, k, n)
+	} else {
+		want = refBiasReLU(a, b, bias, m, k, n)
+	}
 	requireSameBits(t, "blocked product", got, want, n)
 	return got, fell
 }
@@ -66,9 +100,18 @@ func TestMatMulBlockedFallbacks(t *testing.T) {
 func testMatMulBlockedFallbacks(t *testing.T, tile blockedTile) {
 	for _, s := range convProductShapes {
 		a, b := sa0Product(s[0], s[1], s[2])
-		if _, fell := blockedVsRef(t, tile, a, b, s[0], s[1], s[2]); fell != 0 {
-			t.Errorf("(%d×%d)·(%d×%d), 10%% zero weights, finite activations: %d row blocks fell back, want 0",
-				s[0], s[1], s[1], s[2], fell)
+		// a finite bias, and one that is each non-finite class: the tile
+		// tests its accumulators before the bias, so none sends a block back
+		bias := make([]float64, s[0])
+		for i := range bias {
+			bias[i] = float64(i%5) - 2
+		}
+		copy(bias, biasSalts)
+		for _, bs := range [][]float64{nil, bias} {
+			if _, fell := blockedVsRef(t, tile, a, b, bs, s[0], s[1], s[2]); fell != 0 {
+				t.Errorf("(%d×%d)·(%d×%d), 10%% zero weights, finite activations, bias %v: %d row blocks fell back, want 0",
+					s[0], s[1], s[1], s[2], bs, fell)
+			}
 		}
 	}
 
@@ -85,7 +128,7 @@ func testMatMulBlockedFallbacks(t *testing.T, tile blockedTile) {
 	}
 	a[5*k+3] = 0
 	b[3*n+17] = math.Inf(1)
-	got, fell := blockedVsRef(t, tile, a, b, m, k, n)
+	got, fell := blockedVsRef(t, tile, a, b, nil, m, k, n)
 	if fell != m/4 {
 		t.Errorf("+Inf activation: %d row blocks fell back, want all %d", fell, m/4)
 	}
@@ -99,7 +142,34 @@ func testMatMulBlockedFallbacks(t *testing.T, tile blockedTile) {
 	a[5*k+3] = 0.5
 	a[9*k+0], a[9*k+1] = math.MaxFloat64, math.MaxFloat64
 	b[0*n+2], b[1*n+2] = 1.5, 1.5
-	if _, fell := blockedVsRef(t, tile, a, b, m, k, n); fell != 1 {
+	if _, fell := blockedVsRef(t, tile, a, b, nil, m, k, n); fell != 1 {
 		t.Errorf("overflow in row 9: %d row blocks fell back, want 1", fell)
+	}
+	// every accumulator lane of every tile width tests its own value: one
+	// overflowing element at each (row, column) of a 4×32 block — the rest
+	// of its row summing to half of MaxFloat64 — sends the block back
+	const k1, n1 = 2, 32
+	for i := range 4 {
+		for j := range n1 {
+			a1, b1 := make([]float64, 4*k1), make([]float64, k1*n1)
+			for p := range a1 {
+				a1[p] = 0.5
+			}
+			for p := range b1 {
+				b1[p] = 0.25
+			}
+			a1[i*k1], a1[i*k1+1] = math.MaxFloat64, math.MaxFloat64
+			b1[j], b1[n1+j] = 1.5, 1.5
+			if _, fell := blockedVsRef(t, tile, a1, b1, nil, 4, k1, n1); fell != 1 {
+				t.Fatalf("overflow at (%d,%d) of a 4×%d block: %d row blocks fell back, want 1", i, j, n1, fell)
+			}
+		}
+	}
+
+	// the same block through the fused store: the fallback's scalar
+	// epilogue gives the reference's ReLU of the overflowed row
+	bias := []float64{0.5, -1, 0, 2, 0, 0, 0, 0, 0, -0.25, 1, 0}
+	if _, fell := blockedVsRef(t, tile, a, b, bias, m, k, n); fell != 1 {
+		t.Errorf("overflow in row 9 with bias + ReLU: %d row blocks fell back, want 1", fell)
 	}
 }

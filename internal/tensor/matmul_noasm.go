@@ -9,6 +9,14 @@ func MatMulBlockedSlices(dst, a, b []float64, m, k, n int) {
 	MatMulSlices(dst, a, b, m, k, n)
 }
 
-// MatMulBlockedKernel names the kernel MatMulBlockedSlices runs: off amd64,
+// MatMulBlockedBiasReLU computes dst = ReLU(a·b + bias) with one bias per row
+// of dst; off amd64 it is MatMulSlices followed by the scalar epilogue.
+func MatMulBlockedBiasReLU(dst, a, b, bias []float64, m, k, n int) {
+	checkBias(bias, m)
+	MatMulSlices(dst, a, b, m, k, n)
+	biasReLURows(dst, bias, n)
+}
+
+// MatMulBlockedKernel names the kernel the blocked matmuls run: off amd64,
 // the reference loop.
 func MatMulBlockedKernel() string { return "generic" }
