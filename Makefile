@@ -10,11 +10,11 @@
 #                repair-ladder lifetime soak smokes + the repair_ladder
 #                and fleet examples end to end + a short fuzz pass over
 #                the journal record and snapshot decoders, the f32 kernel
-#                envelope, the register-tiled f64 matmul's and the fused conv
-#                block's bit-identity, the /v1/infer request decoder and the
-#                wire codec's two number kernels against strconv + the
-#                batched inference, training, hardening and cost-metering
-#                performance gates (bench-smoke)
+#                envelope, the register-tiled f64 matmul's, the fused conv
+#                block's and the 2×2 pool kernel's bit-identity, the
+#                /v1/infer request decoder and the wire codec's two number
+#                kernels against strconv + the batched inference, training,
+#                hardening and cost-metering performance gates (bench-smoke)
 #   make bench-smoke  gate the batched monitor readout, the engine training
 #                step, the drop-connect step and the metered analog pass
 #                against the committed baseline ratios (min ratio of the two
@@ -61,8 +61,8 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # the second pass type-checks what only a non-amd64 build compiles: the
-# portable twins of the SSE2/AVX2/AVX-512 kernels (matmul_noasm.go,
-# matmul32_noasm.go);
+# portable twins of the SSE2/AVX2/AVX-512 kernels (matmul_noasm.go, which
+# also sends the 2×2 pool to its Go twin, and matmul32_noasm.go);
 # the third holds the wire codec's number kernels to a 32-bit int
 vet:
 	$(GO) vet ./...
@@ -171,16 +171,17 @@ crash-soak:
 # decoder, the f32-vs-f64 envelope of the two matmul kernels under the
 # engine's F32 plan, the register-tiled f64 matmul (every tile the host
 # runs) against the reference loop's bits, the fused conv → ReLU → max-pool
-# block against the three layers' Forward chain, the /v1/infer handler and
-# the wire codec's number scanner and shortest-digits renderer against strconv
-# (committed corpora seed all eight; go's fuzzer takes one target per
-# invocation)
+# block against the three layers' Forward chain, the SSE2 2×2 pool kernel and
+# its Go twin against MaxPool2D, the /v1/infer handler and the wire codec's
+# number scanner and shortest-digits renderer against strconv (committed
+# corpora seed all nine; go's fuzzer takes one target per invocation)
 fuzz-short:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeAll -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=10s
 	$(GO) test ./internal/tensor -run='^$$' -fuzz=FuzzMatMulF32VsF64 -fuzztime=10s
 	$(GO) test ./internal/tensor -run='^$$' -fuzz=FuzzMatMulBlockedVsRef -fuzztime=10s
 	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzConvBlockVsChain -fuzztime=10s
+	$(GO) test ./internal/nn -run='^$$' -fuzz=FuzzReLUMaxPool2x2 -fuzztime=10s
 	$(GO) test ./internal/netserve -run='^$$' -fuzz=FuzzInferRequest -fuzztime=10s
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzNumberVsStrconv -fuzztime=10s
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzAppendFloatVsStrconv -fuzztime=10s

@@ -7,21 +7,25 @@
 // re-pointed in place.
 //
 // On the default F64 tier a plan step is a layer, or a fused run: every
-// Conv2D, ReLU[, MaxPool2D] the network holds compiles to one nn.ConvBlock
-// step — per sample im2col, then a register-tiled matmul that stores bias +
-// ReLU as it goes (tensor.MatMulBlockedBiasReLU, 4×16 AVX-512, 4×8 AVX2 or
-// 4×4 SSE2 by host), then the window maximum over the cache-hot ReLU'd
-// product — so neither the convolution's nor the ReLU's full-batch output
-// exists. Rebind plans the incoming network the same way and accepts
-// it only if it lands on the compiled steps one for one. PlanCost is summed
-// over the unfused layers: fusion changes where activations live, not what a
-// crossbar would be charged for them.
+// Conv2D, ReLU[, MaxPool2D] run the network holds compiles to one
+// nn.ConvBlock step — per sample im2col, then a register-tiled matmul that
+// stores bias + ReLU as it goes (tensor.MatMulBlockedBiasReLU, 4×16 AVX-512,
+// 4×8 AVX2 or 4×4 SSE2 by host), then tensor.ReLUMaxPool2x2's SSE2 2×2
+// maximum over the cache-hot ReLU'd product — so neither the convolution's
+// nor the ReLU's full-batch output exists. The pool fuses only when it is
+// 2×2, stride 2 and unpadded, as every pool of the paper models is; any
+// other pool is a step of its own. Dense layers run the same register tile,
+// four sample rows at a time (tensor.MatMulBlockedSlices). Rebind plans the
+// incoming network the same way and accepts it only if it lands on the
+// compiled steps one for one. PlanCost is summed over the unfused layers:
+// fusion changes where activations live, not what a crossbar would be
+// charged for them.
 //
 // F64 outputs are bit-identical to the per-sample nn.Network.Forward path:
 // every kernel processes batch rows independently and folds each output
 // element's terms in the same order as its training-path twin; a post-ReLU
 // window maximum is order-free (no NaN, no −0), which is what lets the fused
-// pool take it branch-free. Parallelism only ever partitions whole samples:
+// pool take it with MAXPD. Parallelism only ever partitions whole samples:
 // a batch fans out over the pool at most once, each chunk of rows running
 // every step, and a batch under fanOutMinMACs of work does not fan out at
 // all. The golden equivalence tests in this package assert exact float64

@@ -250,10 +250,12 @@ func TestEngineRebind(t *testing.T) {
 
 	// A plan with a fused conv → ReLU → max-pool step: a clone's weights swap
 	// in and the bits follow; a network whose layers fuse differently — no
-	// ReLU, no pool, another pool window with the same output volume — is
-	// turned away, and the plan still answers for the network it holds.
+	// ReLU, no pool, another pool window with the same output volume, which
+	// runs as a step of its own — is turned away, and the plan still answers
+	// for the network it holds.
 	pool2 := tensor.ConvGeom{InC: 4, InH: 8, InW: 8, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
 	pool3 := tensor.ConvGeom{InC: 4, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
+	pool4 := tensor.ConvGeom{InC: 4, InH: 8, InW: 8, KH: 4, KW: 4, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
 	convNet := func(relu bool, pool *tensor.ConvGeom) *nn.Network {
 		r := rng.New(36)
 		cg := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
@@ -299,7 +301,7 @@ func TestEngineRebind(t *testing.T) {
 	}{
 		{"no ReLU", convNet(false, &pool2), "*nn.Conv2D+*nn.ReLU+*nn.MaxPool2D"},
 		{"no pool", convNet(true, nil), "*nn.Conv2D+*nn.ReLU+*nn.MaxPool2D"},
-		{"another pool window", convNet(true, &pool3), "geometry"},
+		{"another pool window", convNet(true, &pool3), "*nn.Conv2D+*nn.ReLU+*nn.MaxPool2D"},
 	} {
 		err := eng.Rebind(bad.net)
 		if err == nil || !strings.Contains(err.Error(), bad.want) {
@@ -308,6 +310,21 @@ func TestEngineRebind(t *testing.T) {
 		if eng.Network() != fusedNet || !mustForward(t, eng, nil, x).Equal(base) {
 			t.Fatalf("rejected rebind (%s) perturbed the fused plan", bad.name)
 		}
+	}
+
+	// A pool that is not 2×2, stride 2 and unpadded is its own step behind
+	// the conv → ReLU block, and a network with another such window of the
+	// same output volume is turned away on its geometry.
+	unfusedNet := convNet(true, &pool3)
+	eng = MustCompile(unfusedNet, Options{Workers: 1})
+	if got := len(eng.steps); got != 3 {
+		t.Fatalf("conv → ReLU → 3×3 pool → dense compiled to %d steps, want 3 (the block, the pool, the dense)", got)
+	}
+	if !mustForward(t, eng, nil, x).Equal(serialForward(unfusedNet, x)) {
+		t.Fatal("plan with an unfused pool is not bit-identical to the network's forward")
+	}
+	if err := eng.Rebind(convNet(true, &pool4)); err == nil || !strings.Contains(err.Error(), "geometry") {
+		t.Fatalf("rebind onto another pool window: error %v, want one naming geometry", err)
 	}
 }
 

@@ -1,26 +1,26 @@
 package nn
 
-import (
-	"math"
-
-	"reramtest/internal/tensor"
-)
+import "reramtest/internal/tensor"
 
 // ConvBlock is a Conv2D run as one inference step with the ReLU, and the
-// MaxPool2D if there is one, that follow it in the network: per sample,
-// im2col → register-tiled matmul storing bias + ReLU (→ window maximum over
-// the cache-hot ReLU'd product), so neither the convolution's nor the ReLU's
-// full-batch output is ever written. It implements BatchInfer with the bits
-// of the three layers' Forward chain.
+// 2×2 max-pool if there is one, that follow it in the network: per sample,
+// im2col → register-tiled matmul storing bias + ReLU (→ tensor.ReLUMaxPool2x2
+// over the cache-hot ReLU'd product), so neither the convolution's nor the
+// ReLU's full-batch output is ever written. It implements BatchInfer with the
+// bits of the layers' Forward chain.
 type ConvBlock struct {
 	conv *Conv2D
-	pool *MaxPool2D // nil: the block ends at the ReLU
+	pool bool // false: the block ends at the ReLU
 }
 
 // FuseConvBlock reports whether layers begins with a run the engine can
-// execute as one ConvBlock — Conv2D, ReLU, then optionally a MaxPool2D that
-// reads the convolution's (OutC, OutH, OutW) map as such — and returns the
-// block with the number of layers it replaces (2 or 3), or nil and 0.
+// execute as one ConvBlock — Conv2D, ReLU, then optionally a MaxPool2D with a
+// 2×2 window, stride 2 and no padding that reads the convolution's
+// (OutC, OutH, OutW) map as such, the map at least 2×2 (on a one-pixel-wide
+// map the layer's window reaches past the edge) — and returns the block with
+// the number of layers it replaces (2 or 3), or nil and 0. Any other pool
+// runs as its own MaxPool2D step behind a conv → ReLU block. Fusion is
+// decided by geometry alone, so two networks of one architecture fuse alike.
 func FuseConvBlock(layers []Layer) (*ConvBlock, int) {
 	if len(layers) < 2 {
 		return nil, 0
@@ -33,16 +33,17 @@ func FuseConvBlock(layers []Layer) (*ConvBlock, int) {
 		return nil, 0
 	}
 	if len(layers) > 2 {
-		if p, ok := layers[2].(*MaxPool2D); ok &&
-			p.geom.InC == conv.outC && p.geom.InH == conv.geom.OutH() && p.geom.InW == conv.geom.OutW() {
-			return &ConvBlock{conv: conv, pool: p}, 3
+		want := tensor.ConvGeom{InC: conv.outC, InH: conv.geom.OutH(), InW: conv.geom.OutW(),
+			KH: 2, KW: 2, StrideH: 2, StrideW: 2}
+		if p, ok := layers[2].(*MaxPool2D); ok && p.geom == want && want.InH >= 2 && want.InW >= 2 {
+			return &ConvBlock{conv: conv, pool: true}, 3
 		}
 	}
 	return &ConvBlock{conv: conv}, 2
 }
 
 // ForwardBatchRange implements BatchInfer: rows [lo, hi) of x through
-// conv → ReLU (→ max-pool) into dst.
+// conv → ReLU (→ 2×2 max-pool) into dst.
 func (b *ConvBlock) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64) {
 	b.conv.forwardRange(dst, x, lo, hi, scratch, true, b.pool)
 }
@@ -51,7 +52,7 @@ func (b *ConvBlock) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, scratch
 // sample's convolution output when a pool reads it instead of dst.
 func (b *ConvBlock) InferScratch() int {
 	n := b.conv.InferScratch()
-	if b.pool != nil {
+	if b.pool {
 		n += b.conv.outC * b.conv.geom.OutH() * b.conv.geom.OutW()
 	}
 	return n
@@ -62,17 +63,18 @@ func (b *ConvBlock) InferScratch() int {
 // Forward calls, on the sample's (OutC, spatial) product. A bare Conv2D
 // stores the product (tensor.MatMulBlockedSlices) and adds the bias; a block
 // stores bias + ReLU straight from the tile (tensor.MatMulBlockedBiasReLU),
-// into dst or, before a pool, into a scratch panel whose window maxima go to
-// the pool's output row. scratch holds the column matrix and, with a pool,
-// that panel.
-func (c *Conv2D) forwardRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64, relu bool, pool *MaxPool2D) {
+// into dst or, before the pool, into a scratch panel that
+// tensor.ReLUMaxPool2x2 pools into dst. scratch holds the column matrix and,
+// with a pool, that panel.
+func (c *Conv2D) forwardRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64, relu, pool bool) {
 	inVol := c.sampleVolume()
-	spatial := c.geom.OutH() * c.geom.OutW()
+	outH, outW := c.geom.OutH(), c.geom.OutW()
+	spatial := outH * outW
 	ckk := c.geom.InC * c.geom.KH * c.geom.KW
 	convVol := c.outC * spatial
 	outVol, need := convVol, ckk*spatial
-	if pool != nil {
-		outVol = pool.geom.InC * pool.geom.OutH() * pool.geom.OutW()
+	if pool {
+		outVol = c.outC * (outH / 2) * (outW / 2)
 		need += convVol
 	}
 	tensor.AssertDims("Conv2D.ForwardBatchRange x", x, tensor.Wildcard, inVol)
@@ -86,10 +88,10 @@ func (c *Conv2D) forwardRange(dst, x *tensor.Tensor, lo, hi int, scratch []float
 		tensor.Im2ColInto(cols, xd[s*inVol:(s+1)*inVol], c.geom)
 		out := od[s*outVol : (s+1)*outVol]
 		switch {
-		case pool != nil:
+		case pool:
 			panel := scratch[ckk*spatial : need]
 			tensor.MatMulBlockedBiasReLU(panel, wd, cols, bd, c.outC, ckk, spatial)
-			reluMaxPool(out, panel, pool.geom)
+			tensor.ReLUMaxPool2x2(out, panel, c.outC, outH, outW)
 		case relu:
 			tensor.MatMulBlockedBiasReLU(out, wd, cols, bd, c.outC, ckk, spatial)
 		default:
@@ -100,58 +102,6 @@ func (c *Conv2D) forwardRange(dst, x *tensor.Tensor, lo, hi int, scratch []float
 					row[i] += b
 				}
 			}
-		}
-	}
-}
-
-// reluMaxPool writes the max-pool of one sample's ReLU'd panel into out:
-// panel is the (g.InC, g.InH, g.InW) output of the convolution's ReLU, g the
-// pool's geometry. Values after the ReLU are never NaN and never −0, so they
-// order as their bit patterns do and a window's maximum does not depend on
-// the order it is taken in: it is the unsigned maximum of the in-bounds
-// elements' bits, starting from +0. That is MaxPool2D.Forward's "first
-// in-bounds element, then any strictly greater" on such values, including a
-// window clipped by padding and one that sees padding only (+0 both ways).
-func reluMaxPool(out, panel []float64, g tensor.ConvGeom) {
-	outH, outW := g.OutH(), g.OutW()
-	for c := range g.InC {
-		ch := panel[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
-		for oh := 0; oh < outH; oh++ {
-			o := out[(c*outH+oh)*outW : (c*outH+oh+1)*outW]
-			clear(o)
-			ih0 := oh*g.StrideH - g.PadH
-			ihEnd := min(ih0+g.KH, g.InH)
-			for ih := max(ih0, 0); ih < ihEnd; ih += 2 {
-				r0 := ch[ih*g.InW : (ih+1)*g.InW]
-				r1 := r0 // an odd last row is folded twice: max is idempotent
-				if ih+1 < ihEnd {
-					r1 = ch[(ih+1)*g.InW : (ih+2)*g.InW]
-				}
-				foldPoolRows(o, r0, r1, g.KW, g.StrideW, g.PadW)
-			}
-		}
-	}
-}
-
-// foldPoolRows raises each running window maximum in o by the elements of
-// the ReLU'd rows r0 and r1 its window covers, r0 and r1 being input rows of
-// the channel. It sweeps the output row once per window column — a long loop
-// over the outputs whose window has that column in bounds — rather than
-// looping over each window's few columns in turn, and takes two input rows
-// per sweep.
-func foldPoolRows(o, r0, r1 []float64, kw, stride, pad int) {
-	for kx := -pad; kx < kw-pad; kx++ {
-		// the outputs whose column ow*stride + kx lands in [0, len(r0))
-		lo, hi := 0, 0
-		if kx < 0 {
-			lo = (-kx + stride - 1) / stride
-		}
-		if last := len(r0) - 1 - kx; last >= 0 {
-			hi = min(len(o), last/stride+1)
-		}
-		for ow := lo; ow < hi; ow++ {
-			j := ow*stride + kx
-			o[ow] = math.Float64frombits(max(math.Float64bits(o[ow]), math.Float64bits(r0[j]), math.Float64bits(r1[j])))
 		}
 	}
 }

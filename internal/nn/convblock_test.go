@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -45,9 +46,19 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// pool2x2 reports whether g is the one pool geometry a ConvBlock fuses: a
+// 2×2 window, stride 2, no padding, over a map at least 2×2 (on a one-pixel
+// map the window would reach past the edge).
+func pool2x2(g tensor.ConvGeom) bool {
+	return g.KH == 2 && g.KW == 2 && g.StrideH == 2 && g.StrideW == 2 && g.PadH == 0 && g.PadW == 0 &&
+		g.InH >= 2 && g.InW >= 2
+}
+
 // blockVsChain builds conv (→ ReLU → pool when pool is non-nil) with salted
-// weights, biases and inputs and holds the fused block to the bits of the
-// layers' Forward chain, over the whole batch and assembled from row ranges.
+// weights, biases and inputs and holds the engine's steps for it to the bits
+// of the layers' Forward chain, over the whole batch and assembled from row
+// ranges: FuseConvBlock must fuse the pool exactly when pool2x2 says so, and
+// any other pool runs as its own MaxPool2D step behind the conv → ReLU block.
 // The first bias is −0, the one addend that can turn a +0 product negative.
 func blockVsChain(t *testing.T, seed int64, cg tensor.ConvGeom, outC int, pg *tensor.ConvGeom, classes uint8) {
 	t.Helper()
@@ -73,27 +84,47 @@ func blockVsChain(t *testing.T, seed int64, cg tensor.ConvGeom, outC int, pg *te
 		want = l.Forward(want)
 	}
 	blk, k := FuseConvBlock(layers)
-	if k != len(layers) {
-		t.Fatalf("FuseConvBlock took %d of %d layers", k, len(layers))
+	wantK := 2
+	if pg != nil && pool2x2(*pg) {
+		wantK = 3
+	}
+	if k != wantK {
+		t.Fatalf("FuseConvBlock took %d of %d layers, want %d for pool %+v", k, len(layers), wantK, pg)
+	}
+	steps := []BatchInfer{blk}
+	if k < len(layers) {
+		steps = append(steps, layers[k].(*MaxPool2D))
 	}
 	outVol := want.Len() / n
-	scratch := make([]float64, blk.InferScratch())
+	mid := tensor.New(n, outC*cg.OutH()*cg.OutW())
+	run := func(dst *tensor.Tensor, lo, hi int) {
+		in := x
+		for i, st := range steps {
+			out := dst
+			if i < len(steps)-1 {
+				out = mid
+			}
+			st.ForwardBatchRange(out, in, lo, hi, make([]float64, st.InferScratch()))
+			in = out
+		}
+	}
 	got := tensor.Full(99, n, outVol)
-	blk.ForwardBatchRange(got, x, 0, n, scratch)
-	requireSameBits(t, "fused block", got.Data(), want.Data())
+	run(got, 0, n)
+	requireSameBits(t, "conv block steps", got.Data(), want.Data())
 	ranged := tensor.Full(99, n, outVol)
-	blk.ForwardBatchRange(ranged, x, 1, n, scratch)
-	blk.ForwardBatchRange(ranged, x, 0, 1, scratch)
-	requireSameBits(t, "fused block by row ranges", ranged.Data(), want.Data())
+	run(ranged, 1, n)
+	run(ranged, 0, 1)
+	requireSameBits(t, "conv block steps by row ranges", ranged.Data(), want.Data())
 }
 
-// TestConvBlockMatchesChain holds the fused conv → ReLU → max-pool block to
-// the three layers' Forward chain, bit for bit, over the pool geometries of
-// TestMaxPoolBatchRangeTable, fed by a 3×3 same-size convolution of five
-// output channels (a register tile plus a ragged row), with every salt class
-// mixed in and with none.
+// TestConvBlockMatchesChain holds the conv → ReLU → max-pool steps to the
+// three layers' Forward chain, bit for bit, over the pool geometries of
+// TestMaxPoolBatchRangeTable and a fused 2×2 pool over an odd 5×7 map, fed
+// by a 3×3 same-size convolution of five output channels (a register tile
+// plus a ragged row), with every salt class mixed in and with none.
 func TestConvBlockMatchesChain(t *testing.T) {
-	for gi, pg := range poolTableGeoms {
+	odd := tensor.ConvGeom{InH: 5, InW: 7, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
+	for gi, pg := range append(poolTableGeoms[:len(poolTableGeoms):len(poolTableGeoms)], odd) {
 		pg.InC = 5
 		cg := tensor.ConvGeom{InC: 2, InH: pg.InH, InW: pg.InW, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 		for _, classes := range []uint8{0, 0x1f} {
@@ -104,14 +135,21 @@ func TestConvBlockMatchesChain(t *testing.T) {
 }
 
 // TestFuseConvBlockPattern pins what FuseConvBlock takes: a ReLU must follow
-// the convolution, and a pool rides along only if it reads the convolution's
-// output map as the convolution shapes it.
+// the convolution, and a pool rides along only if it is 2×2, stride 2 and
+// unpadded and reads the convolution's output map as the convolution shapes
+// it.
 func TestFuseConvBlockPattern(t *testing.T) {
 	r := rng.New(1)
 	cg := tensor.ConvGeom{InC: 1, InH: 6, InW: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	conv, relu := NewConv2D("c", r, cg, 4), NewReLU("r")
-	pool := NewMaxPool2D("p", tensor.ConvGeom{InC: 4, InH: 6, InW: 6, KH: 2, KW: 2, StrideH: 2, StrideW: 2})
+	pg := tensor.ConvGeom{InC: 4, InH: 6, InW: 6, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
+	pool := NewMaxPool2D("p", pg)
 	reshaped := NewMaxPool2D("p", tensor.ConvGeom{InC: 2, InH: 12, InW: 6, KH: 2, KW: 2, StrideH: 2, StrideW: 2})
+	other := func(edit func(g *tensor.ConvGeom)) *MaxPool2D {
+		g := pg
+		edit(&g)
+		return NewMaxPool2D("p", g)
+	}
 	for _, tc := range []struct {
 		name   string
 		layers []Layer
@@ -121,6 +159,10 @@ func TestFuseConvBlockPattern(t *testing.T) {
 		{"conv relu", []Layer{conv, relu}, 2},
 		{"conv relu dense", []Layer{conv, relu, NewDense("d", r, 144, 3)}, 2},
 		{"pool reads another shape", []Layer{conv, relu, reshaped}, 2},
+		{"3x3 pool stays out", []Layer{conv, relu, other(func(g *tensor.ConvGeom) { g.KH, g.KW = 3, 3 })}, 2},
+		{"2x1 pool stays out", []Layer{conv, relu, other(func(g *tensor.ConvGeom) { g.KW = 1 })}, 2},
+		{"stride-1 pool stays out", []Layer{conv, relu, other(func(g *tensor.ConvGeom) { g.StrideW = 1 })}, 2},
+		{"padded pool stays out", []Layer{conv, relu, other(func(g *tensor.ConvGeom) { g.PadH = 1 })}, 2},
 		{"avg pool stays out", []Layer{conv, relu, NewAvgPool2D("a", pool.geom)}, 2},
 		{"no relu", []Layer{conv, pool}, 0},
 		{"tanh", []Layer{conv, NewTanh("t"), pool}, 0},
@@ -132,7 +174,7 @@ func TestFuseConvBlockPattern(t *testing.T) {
 		if k != tc.want || (blk == nil) != (k == 0) {
 			t.Errorf("%s: FuseConvBlock = (%v, %d), want %d layers", tc.name, blk, k, tc.want)
 		}
-		if k > 0 && (blk.pool != nil) != (k == 3) {
+		if k > 0 && blk.pool != (k == 3) {
 			t.Errorf("%s: block pool = %v with %d layers fused", tc.name, blk.pool, k)
 		}
 	}
@@ -157,45 +199,119 @@ func TestReLUBitsTable(t *testing.T) {
 	requireSameBits(t, "ReLU.ForwardBatchRange", got.Data(), want.Data())
 }
 
-// TestReLUMaxPoolTable drives the fused step's max-only pool directly on
-// ReLU'd panels — the ReLU of the table of TestMaxPoolBatchRangeTable (NaN
-// first and later in a window, all NaN, ±0 ties, all negative) under a zero,
-// a −0, a positive and a NaN bias, over windows inside, clipped and made of
-// padding only — against MaxPool2D.Forward of the same panel.
-func TestReLUMaxPoolTable(t *testing.T) {
-	biases := []float64{0, math.Copysign(0, -1), 2.5, math.NaN()}
-	for _, g := range poolTableGeoms {
-		for _, in := range poolTableInputs {
-			for bi := range biases {
-				vol := g.InC * g.InH * g.InW
-				biased := tensor.New(1, vol)
-				bias := make([]float64, g.InC)
-				for c := range bias {
-					bias[c] = biases[(bi+c)%len(biases)]
-				}
-				for i := range biased.Data() {
-					biased.Data()[i] = in.at(i) + bias[i/(g.InH*g.InW)]
-				}
-				panel := NewReLU("r").Forward(biased)
-				want := NewMaxPool2D("p", g).Forward(panel)
-				got := tensor.Full(99, 1, want.Len())
-				reluMaxPool(got.Data(), panel.Data(), g)
-				for i, w := range want.Data() {
-					if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
-						t.Errorf("%s bias %v %+v: output %d = %v, the layer chain says %v", in.name, bias, g, i, got.Data()[i], w)
-						break
-					}
-				}
+// poolKernels are the two 2×2 pool kernels: the host's (SSE2 on amd64) and
+// the Go twin, which is the kernel off amd64.
+var poolKernels = []struct {
+	name string
+	pool func(out, panel []float64, planes, inH, inW int)
+}{
+	{"host", tensor.ReLUMaxPool2x2},
+	{"generic", tensor.ReLUMaxPool2x2Generic},
+}
+
+// reluValueClasses are the values a ReLU'd panel can hold that order
+// differently as floats and as something else — +0, the smallest denormal,
+// 1, MaxFloat64, +Inf — ascending.
+var reluValueClasses = []float64{0, 5e-324, 1, math.MaxFloat64, math.Inf(1)}
+
+// poolVsLayer runs every pool kernel over panel — planes (inH×inW) planes of
+// ReLU'd values — and holds each to MaxPool2D.Forward's 2×2 stride-2 pool of
+// the same panel, bit for bit. Guard elements past the output must stay
+// untouched.
+func poolVsLayer(t *testing.T, what string, panel []float64, planes, inH, inW int) {
+	t.Helper()
+	g := tensor.ConvGeom{InC: planes, InH: inH, InW: inW, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
+	want := NewMaxPool2D("p", g).Forward(tensor.FromSlice(panel, 1, len(panel))).Data()
+	const guard = 3
+	for _, k := range poolKernels {
+		got := make([]float64, len(want)+guard)
+		for i := range got {
+			got[i] = -99
+		}
+		k.pool(got[:len(want)], panel, planes, inH, inW)
+		requireSameBits(t, k.name+" "+what, got[:len(want)], want)
+		for _, v := range got[len(want):] {
+			if v != -99 {
+				t.Fatalf("%s %s: kernel wrote past its %d outputs", k.name, what, len(want))
 			}
 		}
 	}
 }
 
-// FuzzConvBlockVsChain holds the fused block to the Forward chain's bits on
-// fuzzer-chosen convolution and pool geometries — kernels, strides and
-// paddings of 1..3 (a padding may exceed its window), outputs on both sides
-// of the register tile's thresholds — with salted operands. pool == 0 fuses
-// conv → ReLU only. The committed corpus under testdata/fuzz names the cases.
+// TestReLUMaxPoolTable holds both 2×2 pool kernels to MaxPool2D.Forward on
+// panels where each window's maximum is one value class at one of the four
+// window positions, the other three holding lower classes or a tie. Over the
+// twenty shifts every window sees every (class, position) pair. Planes are
+// even and odd in both dimensions (an odd last row or column is never pooled,
+// and holds +Inf, which would win any window that read it) and widths cover
+// the kernel's two-output step, its one-output tail and both.
+func TestReLUMaxPoolTable(t *testing.T) {
+	shapes := [][3]int{{2, 7, 7}, {3, 5, 9}, {1, 4, 4}, {2, 6, 2}, {1, 3, 3}, {2, 8, 10}}
+	combos := len(reluValueClasses) * 4
+	for _, sh := range shapes {
+		planes, inH, inW := sh[0], sh[1], sh[2]
+		outH, outW := inH/2, inW/2
+		for shift := range combos {
+			panel := make([]float64, planes*inH*inW)
+			for i := range panel {
+				panel[i] = math.Inf(1)
+			}
+			for w := range planes * outH * outW {
+				c := (w + shift) % combos
+				cls, pos := c/4, c%4
+				p, oh, ow := w/(outH*outW), w/outW%outH, w%outW
+				for q := range 4 {
+					at := (p*inH+2*oh+q/2)*inW + 2*ow + q%2
+					// below the maximum: the class under it, or a tie with
+					// it on every third window
+					v := reluValueClasses[max(cls-1, 0)]
+					if w%3 == 0 {
+						v = reluValueClasses[cls]
+					}
+					if q == pos {
+						v = reluValueClasses[cls]
+					}
+					panel[at] = v
+				}
+			}
+			poolVsLayer(t, fmt.Sprintf("%d×%d×%d shift %d", planes, inH, inW, shift), panel, planes, inH, inW)
+		}
+	}
+}
+
+// FuzzReLUMaxPool2x2 holds both 2×2 pool kernels to MaxPool2D.Forward on
+// fuzzer-chosen panels — planes 1..4, inH and inW 2..40 — of ReLU'd
+// uniform values salted with +0, the smallest denormal and +Inf.
+func FuzzReLUMaxPool2x2(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(5), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, planesB, inHB, inWB uint8) {
+		planes, inH, inW := int(planesB)%4+1, int(inHB)%39+2, int(inWB)%39+2
+		r := rng.New(seed)
+		panel := make([]float64, planes*inH*inW)
+		for i := range panel {
+			switch r.Intn(8) {
+			case 0:
+				panel[i] = 0
+			case 1:
+				panel[i] = 5e-324
+			case 2:
+				panel[i] = math.Inf(1)
+			default:
+				panel[i] = math.Float64frombits(tensor.ReLUBits(r.Float64()*4 - 2))
+			}
+		}
+		poolVsLayer(t, fmt.Sprintf("%d×%d×%d", planes, inH, inW), panel, planes, inH, inW)
+	})
+}
+
+// FuzzConvBlockVsChain holds the conv block, and the pool step behind it when
+// the pool is not fused, to the Forward chain's bits on fuzzer-chosen
+// convolution and pool geometries — kernels, strides and paddings of 1..3 (a
+// padding may exceed its window), outputs on both sides of the register
+// tile's thresholds, odd maps under a fused 2×2 pool — with salted operands;
+// blockVsChain asserts the pool is fused exactly when it is 2×2, stride 2 and
+// unpadded. pool == 0 builds conv → ReLU only. The committed corpus under
+// testdata/fuzz names the cases.
 func FuzzConvBlockVsChain(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, shape, convWin, pool, poolWin, classes uint8) {

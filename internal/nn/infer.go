@@ -21,10 +21,12 @@ import (
 //
 // Every compute layer implements it, and so does one thing that is not a
 // layer: ConvBlock (convblock.go), a Conv2D run as one kernel with the ReLU
-// and max-pool behind it, held to the bits of the three layers' Forward
-// chain. The convolution sample loop lives there once; Conv2D's own
-// ForwardBatchRange is that loop with no activation behind it, and ReLU's
-// shares its branch-free comparison.
+// and a 2×2 stride-2 max-pool behind it, held to the bits of the three
+// layers' Forward chain. The convolution sample loop lives there once;
+// Conv2D's own ForwardBatchRange is that loop with no activation behind it,
+// and ReLU's shares its branch-free comparison. Conv2D and Dense both run
+// the register-tiled tensor.MatMulBlockedSlices, whose zero-skip argument
+// makes it MatMulSlices's bits.
 type BatchInfer interface {
 	ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64)
 	// InferScratch returns the per-call scratch requirement in float64s.
@@ -46,14 +48,18 @@ func (l *Flatten) InferencePassthrough() bool { return true }
 func (l *Dropout) InferencePassthrough() bool { return true }
 
 // ForwardBatchRange implements BatchInfer: y = x·W + b for rows [lo, hi),
-// via MatMulRowsInto — MatMulSlices's per-element fold, cache-tiled — and the
-// same per-row bias loop as Forward.
+// through tensor.MatMulBlockedSlices — MatMulSlices's per-element fold, four
+// sample rows per register tile, so a zero activation facing a non-finite
+// weight sends its 4-row block back to MatMulSlices; fewer than four rows
+// take MatMulSlices directly — and the same per-column bias loop as Forward.
+// The train engine's dense forward (TrainForwardRange) is this call.
 func (d *Dense) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64) {
 	tensor.AssertDims("Dense.ForwardBatchRange x", x, tensor.Wildcard, d.in)
 	tensor.AssertDims("Dense.ForwardBatchRange dst", dst, x.Dim(0), d.out)
-	tensor.MatMulRowsInto(dst, x, d.weight.Value, lo, hi)
-	od, bd := dst.Data(), d.bias.Value.Data()
-	for s := lo; s < hi; s++ {
+	od := dst.Data()[lo*d.out : hi*d.out]
+	tensor.MatMulBlockedSlices(od, x.Data()[lo*d.in:hi*d.in], d.weight.Value.Data(), hi-lo, d.in, d.out)
+	bd := d.bias.Value.Data()
+	for s := 0; s < hi-lo; s++ {
 		row := od[s*d.out : (s+1)*d.out]
 		for j := range row {
 			row[j] += bd[j]
@@ -68,7 +74,7 @@ func (d *Dense) InferScratch() int { return 0 }
 // for rows [lo, hi), the conv sample loop (forwardRange) with no activation
 // behind it. scratch holds one (InC*KH*KW, OutH*OutW) column matrix.
 func (c *Conv2D) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64) {
-	c.forwardRange(dst, x, lo, hi, scratch, false, nil)
+	c.forwardRange(dst, x, lo, hi, scratch, false, false)
 }
 
 // InferScratch implements BatchInfer: one im2col column matrix.

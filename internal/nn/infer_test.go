@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -196,6 +197,48 @@ func TestMaxPoolBatchRangeTable(t *testing.T) {
 				if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
 					t.Errorf("%s %+v: output %d = %v, Forward says %v", in.name, g, i, got.Data()[i], w)
 					break
+				}
+			}
+		}
+	}
+}
+
+// TestDenseBatchRangeMatchesForward holds Dense.ForwardBatchRange — four
+// sample rows per register tile, the reference loop under four rows — to
+// Dense.Forward's bits on every dense shape of LeNet-5, ConvNet-7 and the
+// stock MLP, at batches on both sides of the tile's four rows, whole and
+// assembled from row ranges that are not multiples of four (the train
+// engine's chunks), on healthy weights and on weights a tenth stuck at 0,
+// facing ReLU'd inputs of which half are exact zeros.
+func TestDenseBatchRangeMatchesForward(t *testing.T) {
+	shapes := [][2]int{{400, 120}, {120, 84}, {84, 10}, {512, 128}, {128, 64}, {64, 10}, {16, 24}, {24, 16}, {16, 6}}
+	for _, sh := range shapes {
+		for _, sa0 := range []bool{false, true} {
+			r := rng.New(int64(sh[0] + sh[1]))
+			d := NewDense("d", r, sh[0], sh[1])
+			for i := range d.bias.Value.Data() {
+				d.bias.Value.Data()[i] = r.Float64() - 0.5
+			}
+			if sa0 {
+				for i := range d.weight.Value.Data() {
+					if r.Intn(10) == 0 {
+						d.weight.Value.Data()[i] = 0
+					}
+				}
+			}
+			for _, n := range []int{1, 3, 4, 5, 8, 64} {
+				x := NewReLU("r").Forward(tensor.RandUniform(r, -1, 1, n, sh[0]))
+				want := d.Forward(x).Data()
+				what := fmt.Sprintf("%d→%d sa0=%v batch %d", sh[0], sh[1], sa0, n)
+				got := tensor.Full(99, n, sh[1])
+				d.ForwardBatchRange(got, x, 0, n, nil)
+				requireSameBits(t, what, got.Data(), want)
+				for _, chunk := range []int{3, 5, 7} {
+					got := tensor.Full(99, n, sh[1])
+					for lo := 0; lo < n; lo += chunk {
+						d.ForwardBatchRange(got, x, lo, min(lo+chunk, n), nil)
+					}
+					requireSameBits(t, fmt.Sprintf("%s in chunks of %d", what, chunk), got.Data(), want)
 				}
 			}
 		}

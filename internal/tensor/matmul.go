@@ -33,103 +33,6 @@ func MatMulInto(dst, a, b *Tensor) {
 	MatMulSlices(dst.data, a.data, b.data, m, k, n)
 }
 
-// MatMulRowsInto computes output rows [lo, hi) of dst = a·b, leaving the
-// other rows of dst untouched. a is m×k, b is k×n, dst is m×n. Disjoint row
-// ranges write disjoint regions of dst, so callers may compute ranges
-// concurrently; each row's summation order is identical to MatMulInto, so the
-// result is bit-identical however the rows are partitioned.
-func MatMulRowsInto(dst, a, b *Tensor, lo, hi int) {
-	m, k := mustMatrix("MatMulRowsInto lhs", a)
-	k2, n := mustMatrix("MatMulRowsInto rhs", b)
-	AssertDims("MatMulRowsInto dst", dst, m, n)
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulRowsInto inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	if lo < 0 || hi > m || lo > hi {
-		panic(fmt.Sprintf("tensor: MatMulRowsInto row range [%d, %d) out of [0, %d)", lo, hi, m))
-	}
-	MatMulTiledSlices(dst.data[lo*n:hi*n], a.data[lo*k:hi*k], b.data, hi-lo, k, n)
-}
-
-// MatMulTiledSlices computes exactly what MatMulSlices computes — same
-// per-element summation order, same zero-skip, bit-identical result — but
-// visits b in row blocks sized to stay cache-resident while the block is
-// applied to every sample, so a large b is streamed from memory once per call
-// instead of once per sample.
-//
-// There are three f64 a·b kernels with this one per-element fold.
-// MatMulSlices is the reference loop: every tensor-level matmul (the
-// per-layer Forward path, ParallelMatMul) lands there, and the
-// golden-equivalence suites compare against it. MatMulTiledSlices, through
-// MatMulRowsInto, carries Dense.ForwardBatchRange, where a is the sample
-// batch and b the weight matrix. MatMulBlockedSlices carries
-// Conv2D.ForwardBatchRange, where a is the weight matrix and b one sample's
-// im2col panel. Both engines' forward passes run those two BatchRange kernels.
-func MatMulTiledSlices(dst, a, b []float64, m, k, n int) {
-	blk := 2048 / n // ~16KB of b rows live across the inner sample sweep
-	if m <= 1 || blk >= k {
-		MatMulSlices(dst, a, b, m, k, n)
-		return
-	}
-	if blk < 16 {
-		blk = 16
-	}
-	if len(a) != m*k || len(b) != k*n || len(dst) != m*n {
-		panic(fmt.Sprintf("tensor: MatMulTiledSlices length mismatch dst=%d a=%d b=%d for (%d×%d)·(%d×%d)",
-			len(dst), len(a), len(b), m, k, k, n))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for p0 := 0; p0 < k; p0 += blk {
-		p1 := p0 + blk
-		if p1 > k {
-			p1 = k
-		}
-		// two samples per sweep: each loaded b row feeds two independent
-		// accumulator rows, doubling the work per load without touching any
-		// element's addition order
-		i := 0
-		for ; i+1 < m; i += 2 {
-			d0 := dst[i*n : (i+1)*n]
-			d1 := dst[(i+1)*n : (i+2)*n]
-			a0 := a[i*k+p0 : i*k+p1]
-			a1 := a[(i+1)*k+p0 : (i+1)*k+p1]
-			for pi, av0 := range a0 {
-				av1 := a1[pi]
-				brow := b[(p0+pi)*n : (p0+pi+1)*n]
-				if av0 != 0 && av1 != 0 {
-					for j, bv := range brow {
-						d0[j] += av0 * bv
-						d1[j] += av1 * bv
-					}
-				} else if av0 != 0 {
-					for j, bv := range brow {
-						d0[j] += av0 * bv
-					}
-				} else if av1 != 0 {
-					for j, bv := range brow {
-						d1[j] += av1 * bv
-					}
-				}
-			}
-		}
-		if i < m {
-			drow := dst[i*n : (i+1)*n]
-			arow := a[i*k+p0 : i*k+p1]
-			for pi, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b[(p0+pi)*n : (p0+pi+1)*n]
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
-			}
-		}
-	}
-}
-
 // MatMulSlices is the raw matmul kernel over bare slices: dst = a·b where a
 // is m×k, b is k×n and dst is m×n, all row-major. It exists so workspace-
 // reusing callers (the batch inference engine, the accelerator's im2col path)
@@ -137,6 +40,14 @@ func MatMulTiledSlices(dst, a, b []float64, m, k, n int) {
 // tensor headers. Every tensor-level matmul in this package delegates here,
 // which is what makes the batched forward path bit-identical to the serial
 // one: there is exactly one summation order.
+//
+// There are two f64 forward a·b kernels with this one per-element fold.
+// MatMulSlices is the reference loop: every tensor-level matmul (the
+// per-layer Forward path, ParallelMatMul) lands here, and the
+// golden-equivalence suites compare against it. MatMulBlockedSlices is the
+// register-tiled kernel both engines' forward passes run, for Conv2D (a is
+// the weight matrix, b one sample's im2col panel) and for Dense (a is the
+// sample rows, b the weight matrix); off amd64 it is this loop.
 func MatMulSlices(dst, a, b []float64, m, k, n int) {
 	if len(a) != m*k || len(b) != k*n || len(dst) != m*n {
 		panic(fmt.Sprintf("tensor: MatMulSlices length mismatch dst=%d a=%d b=%d for (%d×%d)·(%d×%d)",

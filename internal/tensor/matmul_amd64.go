@@ -27,6 +27,11 @@ func matmulRows4AVX2(dst, a, b, bias []float64, k, n int) (nonFinite bool)
 //go:noescape
 func matmulRows4AVX512(dst, a, b, bias []float64, k, n int) (nonFinite bool)
 
+// reluMaxPool2x2 is ReLUMaxPool2x2's SSE2 kernel, in pool_amd64.s.
+//
+//go:noescape
+func reluMaxPool2x2(out, panel []float64, planes, inH, inW int)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax uint32)
 
@@ -86,19 +91,21 @@ var blockedFallbacks atomic.Uint64
 // for p ascending — four rows at a time through a register tile in
 // matmul_amd64.s: 4×16 AVX-512, 4×8 AVX2 or 4×4 SSE2, the widest the host
 // runs and the product is wide enough for (16, 8 and 4 columns). It is the
-// f64 convolution kernel of the inference engine (a is the layer's weight
-// matrix, b one sample's im2col panel).
+// f64 convolution and dense kernel of both engines' forward passes: for a
+// convolution a is the layer's weight matrix and b one sample's im2col panel,
+// for a dense layer a is the sample rows and b the weight matrix.
 //
 // The tile multiplies every term; MatMulSlices skips those whose a[i,p] is
 // zero. The two agree whenever every skipped product is ±0: an accumulator
 // that starts at +0 is never −0 under round-to-nearest (x + y is −0 only
 // when both are), so adding ±0 to it is the identity. They differ only where
-// a zero a[i,p] — a stuck-at-0 cell — faces a non-finite b[p,j], and there
-// the tile's 0·Inf leaves a NaN in that output element. So a row block whose
-// accumulators hold any non-finite value (the kernel tests them before it
-// stores) is recomputed by MatMulSlices, which also settles NaN payloads and
-// overflow the reference's way; a block of finite accumulators had only
-// finite, order-independent terms and is already the reference's bits.
+// a zero a[i,p] — a stuck-at-0 conv weight, a zero activation entering a
+// dense layer — faces a non-finite b[p,j], and there the tile's 0·Inf leaves
+// a NaN in that output element. So a row block whose accumulators hold any
+// non-finite value (the kernel tests them before it stores) is recomputed by
+// MatMulSlices, which also settles NaN payloads and overflow the reference's
+// way; a block of finite accumulators had only finite, order-independent
+// terms and is already the reference's bits.
 //
 // Rows past the last whole block are covered by one more block ending at row
 // m, which recomputes up to three rows to the same bits. Products with fewer

@@ -40,19 +40,35 @@ func onTile(t tile) func(dst, a, b, bias []float64, m, k, n int) {
 	return func(dst, a, b, bias []float64, m, k, n int) { matMulBlocked(t, dst, a, b, bias, m, k, n) }
 }
 
-// BenchmarkMatMulBlocked times each tile the host runs on the six conv
-// products, storing bias + ReLU as the engine's fused step does, in GFLOP/s
-// (two per multiply-add).
+// BenchmarkMatMulBlocked times each tile the host runs, in GFLOP/s (two per
+// multiply-add), on the six conv products, storing bias + ReLU as the
+// engine's fused step does, and on the six dense products of the paper
+// models at batch 8, storing the raw product as Dense does (its sample rows
+// are a, the weight matrix b).
 func BenchmarkMatMulBlocked(b *testing.B) {
+	type product struct {
+		kind    string
+		m, k, n int
+	}
+	var products []product
+	for _, s := range convProductShapes {
+		products = append(products, product{"conv", s[0], s[1], s[2]})
+	}
+	for _, s := range denseProductShapes[:6] {
+		products = append(products, product{"dense", 8, s[0], s[1]})
+	}
 	for _, tile := range blockedTiles {
-		for _, s := range convProductShapes {
-			m, k, n := s[0], s[1], s[2]
-			b.Run(fmt.Sprintf("%s/%dx%dx%d", tile.name, m, k, n), func(b *testing.B) {
+		for _, s := range products {
+			m, k, n := s.m, s.k, s.n
+			b.Run(fmt.Sprintf("%s/%s/%dx%dx%d", tile.name, s.kind, m, k, n), func(b *testing.B) {
 				if !tile.ok {
 					b.Skip("host has no " + tile.name)
 				}
 				a, p := sa0Product(m, k, n)
 				dst, bias := make([]float64, m*n), make([]float64, m)
+				if s.kind == "dense" {
+					bias = nil
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					tile.mul(dst, a, p, bias, m, k, n)
@@ -171,5 +187,34 @@ func testMatMulBlockedFallbacks(t *testing.T, tile blockedTile) {
 	bias := []float64{0.5, -1, 0, 2, 0, 0, 0, 0, 0, -0.25, 1, 0}
 	if _, fell := blockedVsRef(t, tile, a, b, bias, m, k, n); fell != 1 {
 		t.Errorf("overflow in row 9 with bias + ReLU: %d row blocks fell back, want 1", fell)
+	}
+
+	// Dense orientation: a is a batch of ReLU'd activations (exact zeros
+	// among them), b a weight matrix a tenth stuck at 0. No block goes back.
+	r := rng.New(7)
+	for _, s := range denseProductShapes {
+		x := RandUniform(r, -1, 1, 8*s[0]).Data()
+		for i := range x {
+			x[i] = max(x[i], 0)
+		}
+		w, _ := sa0Product(s[0], s[1], 1)
+		if _, fell := blockedVsRef(t, tile, x, w, nil, 8, s[0], s[1]); fell != 0 {
+			t.Errorf("dense (8×%d)·(%d×%d), ReLU'd activations, 10%% zero weights: %d row blocks fell back, want 0",
+				s[0], s[0], s[1], fell)
+		}
+	}
+	// A zero activation facing a +Inf weight: the one block goes back, and
+	// that row's element comes out as the reference's finite sum, not 0·Inf.
+	const dk, dn = 120, 84
+	x := RandUniform(r, 0.5, 1, 4*dk).Data()
+	w, _ := sa0Product(dk, dn, 1)
+	x[2*dk+3] = 0
+	w[3*dn+17] = math.Inf(1)
+	got, fell = blockedVsRef(t, tile, x, w, nil, 4, dk, dn)
+	if fell != 1 {
+		t.Errorf("dense zero activation facing +Inf weight: %d row blocks fell back, want 1", fell)
+	}
+	if v := got[2*dn+17]; math.IsNaN(v) || math.IsInf(v, 0) {
+		t.Errorf("dense zero activation facing +Inf: element (2,17) = %v, want the finite sum of the other terms", v)
 	}
 }

@@ -55,9 +55,14 @@ func requireSameBits(t *testing.T, what string, got, want []float64, n int) {
 	}
 }
 
+// denseProductShapes are the (k, n) of the (batch × k)·(k × n) products of
+// the dense layers of LeNet-5 and ConvNet-7, then of the stock MLP.
+var denseProductShapes = [][2]int{{400, 120}, {120, 84}, {84, 10}, {512, 128}, {128, 64}, {64, 10}, {16, 24}, {24, 16}, {16, 6}}
+
 // FuzzMatMulBlockedVsRef holds every tile the host can run to MatMulSlices's
 // bits on fuzzer-chosen shapes (m 1..13, k 0..40, n 1..37: below each tile's
-// threshold, ragged rows and columns on every width, an empty sum) with
+// threshold, ragged rows and columns on every width, an empty sum; or, for
+// dense 1..9, m 1..13 rows of that dense product of denseProductShapes) with
 // operands salted from the value classes where "multiply every term" and
 // "skip zero terms" could part: signed zeros, denormals, ±Inf, NaN and
 // ±MaxFloat64. meet != 0 additionally plants the one case that does part them
@@ -67,10 +72,13 @@ func requireSameBits(t *testing.T, what string, got, want []float64, n int) {
 // kernel failed to write shows. The committed corpus under testdata/fuzz
 // names the cases.
 func FuzzMatMulBlockedVsRef(f *testing.F) {
-	f.Add(int64(1), uint8(7), uint8(24), uint8(15), uint8(0), uint16(0))
-	f.Add(int64(2), uint8(11), uint8(9), uint8(36), uint8(0x1f), uint16(0))
-	f.Fuzz(func(t *testing.T, seed int64, mb, kb, nb, classes uint8, meet uint16) {
+	f.Add(int64(1), uint8(7), uint8(24), uint8(15), uint8(0), uint16(0), uint8(0))
+	f.Add(int64(2), uint8(11), uint8(9), uint8(36), uint8(0x1f), uint16(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, mb, kb, nb, classes uint8, meet uint16, dense uint8) {
 		m, k, n := int(mb)%13+1, int(kb)%41, int(nb)%37+1
+		if d := int(dense); d >= 1 && d <= len(denseProductShapes) {
+			k, n = denseProductShapes[d-1][0], denseProductShapes[d-1][1]
+		}
 		r := rng.New(seed)
 		fill := func(dst []float64) {
 			for i := range dst {

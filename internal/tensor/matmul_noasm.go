@@ -20,3 +20,8 @@ func MatMulBlockedBiasReLU(dst, a, b, bias []float64, m, k, n int) {
 // MatMulBlockedKernel names the kernel the blocked matmuls run: off amd64,
 // the reference loop.
 func MatMulBlockedKernel() string { return "generic" }
+
+// reluMaxPool2x2: off amd64 the 2×2 pool is its Go twin.
+func reluMaxPool2x2(out, panel []float64, planes, inH, inW int) {
+	ReLUMaxPool2x2Generic(out, panel, planes, inH, inW)
+}

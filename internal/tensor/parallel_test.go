@@ -75,44 +75,6 @@ func TestMatMulParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMatMulRowsIntoMatchesFull: computing disjoint row ranges must
-// reassemble into exactly the full product, and rows outside the range must
-// be untouched.
-func TestMatMulRowsIntoMatchesFull(t *testing.T) {
-	r := rng.New(4)
-	a := Randn(r, 0, 1, 10, 6)
-	b := Randn(r, 0, 1, 6, 8)
-	want := MatMul(a, b)
-	got := Full(-99, 10, 8)
-	MatMulRowsInto(got, a, b, 3, 7)
-	gd, wd := got.Data(), want.Data()
-	for i := 0; i < 10*8; i++ {
-		row := i / 8
-		if row >= 3 && row < 7 {
-			if gd[i] != wd[i] {
-				t.Fatalf("in-range element %d differs", i)
-			}
-		} else if gd[i] != -99 {
-			t.Fatalf("out-of-range element %d was written", i)
-		}
-	}
-	MatMulRowsInto(got, a, b, 0, 3)
-	MatMulRowsInto(got, a, b, 7, 10)
-	if !got.Equal(want) {
-		t.Fatal("range-assembled product differs from full product")
-	}
-}
-
-func TestMatMulRowsIntoBadRangePanics(t *testing.T) {
-	a, b, d := New(4, 2), New(2, 3), New(4, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range rows did not panic")
-		}
-	}()
-	MatMulRowsInto(d, a, b, 2, 5)
-}
-
 // TestPoolSharedAcrossGoroutines drives one pool from several goroutines at
 // once (the fleet's topology: engines on different devices sharing the
 // process pool). Run under -race by `make check`.
