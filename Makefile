@@ -21,6 +21,8 @@
 #                arms' minima over alternating slices, max allocs/op), after
 #                asserting bit-identity; fails on regression
 #   make loc     non-test Go line count (ROADMAP item 6's exit criterion)
+#   make unreached  list every internal/ function no binary links (a report,
+#                not a gate: what it prints is reached only from tests)
 #   make ab-engine REV=<rev>  A/B the f64 engine row (BenchmarkEngineRow)
 #                between <rev> and the working tree: adjacent runs of two
 #                prebuilt test binaries, pairwise ratios and median
@@ -51,7 +53,7 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
         fleet-soak-smoke fleet-soak serve-soak-smoke serve-soak \
         net-soak-smoke net-soak crash-soak-smoke crash-soak \
         lifetime-soak-smoke lifetime-soak examples-smoke fuzz-short \
-        bench-smoke loc ab-engine
+        bench-smoke loc unreached ab-engine
 
 check: fmt-check vet gen-check build test race-fast soak-smoke fleet-soak-smoke serve-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke
 	@echo "check: PASS"
@@ -126,6 +128,9 @@ examples-smoke:
 # non-test Go lines, the number ROADMAP item 6 tracks
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1
+
+unreached:
+	@GO=$(GO) sh scripts/unreached.sh
 
 # kernel A/B: REV is required (e.g. REV=HEAD for uncommitted work)
 PAIRS ?= 8

@@ -19,7 +19,6 @@ import (
 func trainFixture() (*nn.Network, *dataset.Dataset) {
 	train := dataset.SynthDigits(31, dataset.DefaultDigitsConfig(128))
 	net := models.MLP(rng.New(13), train.SampleDim(), []int{64, 32}, train.Classes)
-	net.SetTraining(true)
 	return net, train
 }
 

@@ -247,9 +247,7 @@ func inferGate(base Baseline, jsonDir string) bool {
 func trainGate(base Baseline, jsonDir string) bool {
 	const batch, in, classes, steps = 16, 16, 6, 25
 	buildNet := func() *nn.Network {
-		n := models.MLP(rng.New(7), in, []int{24, 16}, classes)
-		n.SetTraining(true)
-		return n
+		return models.MLP(rng.New(7), in, []int{24, 16}, classes)
 	}
 	x := tensor.RandUniform(rng.New(8), 0, 1, batch, in)
 	labels := make([]int, batch)
@@ -297,9 +295,7 @@ func trainGate(base Baseline, jsonDir string) bool {
 	// tracks the shape users actually pay for
 	const tBatch, tIn, tClasses = 32, 784, 10
 	buildTimingNet := func() *nn.Network {
-		n := models.MLP(rng.New(13), tIn, []int{64, 32}, tClasses)
-		n.SetTraining(true)
-		return n
+		return models.MLP(rng.New(13), tIn, []int{64, 32}, tClasses)
 	}
 	tx := tensor.RandUniform(rng.New(9), 0, 1, tBatch, tIn)
 	tLabels := make([]int, tBatch)
@@ -345,8 +341,8 @@ func trainGate(base Baseline, jsonDir string) bool {
 	return ok
 }
 
-// hardenGate measures the drop-connect hardening step — the repair ladder's
-// commissioning-time rung — against the unmasked training step, after first
+// hardenGate measures the drop-connect hardening step — commissioning-time
+// fault-aware training — against the unmasked training step, after first
 // demanding that hardening is bit-identical between a serial and a pooled
 // engine (masks are drawn serially outside the kernels, so worker count must
 // not move a single weight bit) and that the masked step allocates nothing
@@ -365,7 +361,6 @@ func hardenGate(base Baseline, jsonDir string) bool {
 	defer pool.Close()
 	runDC := func(opts tengine.Options) *nn.Network {
 		net := models.MLP(rng.New(7), in, []int{24, 16}, classes)
-		net.SetTraining(true)
 		sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 0)
 		dc := tengine.NewDropConnect(tengine.MustCompile(net, opts), 0.1, rng.New(17))
 		for i := 0; i < steps; i++ {
@@ -387,9 +382,7 @@ func hardenGate(base Baseline, jsonDir string) bool {
 	// timing arms on the default training workload, masked vs unmasked step
 	const tBatch, tIn, tClasses = 32, 784, 10
 	buildTimingNet := func() *nn.Network {
-		n := models.MLP(rng.New(13), tIn, []int{64, 32}, tClasses)
-		n.SetTraining(true)
-		return n
+		return models.MLP(rng.New(13), tIn, []int{64, 32}, tClasses)
 	}
 	tx := tensor.RandUniform(rng.New(9), 0, 1, tBatch, tIn)
 	tLabels := make([]int, tBatch)

@@ -10,7 +10,8 @@
 //
 //	POST /v1/infer    {"tenant":"t","priority":"bulk","input":[[...16 floats]]}
 //	GET  /v1/healthz  per-shard serving/draining snapshot (503 when no shard live)
-//	GET  /v1/stats    lifetime counters
+//	GET  /statsz      lifetime counters (under "stats"), response-granular
+//	                  hardware cost and every device's per-class spend
 //
 // A background goroutine runs fleet monitoring ticks; SIGINT/SIGTERM drains
 // every shard gracefully (in-flight requests finish, new ones get typed

@@ -238,16 +238,7 @@ func Run(seed int64, cfg Config) (Result, error) {
 		for len(pending) > 0 && pending[0].Round == round {
 			ev := &pending[0] // aliases res.Events' backing array
 			pending = pending[1:]
-			switch ev.Kind {
-			case KindDrift:
-				plant.Accelerator().AdvanceTime(ev.Hours)
-			case KindSoftShower:
-				plant.Accelerator().InjectSoftErrors(ev.P)
-			case KindStuckBurst:
-				plant.Accelerator().InjectStuckAt(ev.P0, ev.P1)
-			default:
-				plant.StartGlitch(ev.Kind.glitchMode(), round, ev.Duration)
-			}
+			applyEvent(plant, *ev)
 			ev.FidelityAfter = -1
 			if !ev.Kind.Transient() {
 				ev.Severity = plant.ShadowStatus(cfg.Monitor)

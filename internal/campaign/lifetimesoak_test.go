@@ -119,9 +119,6 @@ func TestPlantStrategySurface(t *testing.T) {
 	if !ladder[0].Applicable(repair.Diagnosis{Drifted: 3, Stuck: 1}) {
 		t.Error("scrub not applicable on a drift-dominated diagnosis")
 	}
-	if ladder[2].Applicable(repair.Diagnosis{Commissioning: true}) {
-		t.Error("retrain applicable during commissioning")
-	}
 }
 
 func names(ss []repair.Strategy) []string {

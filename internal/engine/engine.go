@@ -143,7 +143,7 @@ type Engine struct {
 	perSample reram.Cost     // modeled hardware cost of one sample
 }
 
-// layerSpec is one non-passthrough layer with its per-sample volumes, the
+// layerSpec is one compute layer with its per-sample volumes, the
 // shape-walk every tier's compile and rebind share.
 type layerSpec struct {
 	layer  nn.Layer
@@ -151,8 +151,9 @@ type layerSpec struct {
 	outVol int
 }
 
-// planSpecs walks net's layer stack, eliding inference passthroughs, and
-// returns the compute-layer specs plus the final per-sample output volume.
+// planSpecs walks net's layer stack, eliding Flatten (the identity on the
+// batched representation), and returns the compute-layer specs plus the
+// final per-sample output volume.
 func planSpecs(net *nn.Network) ([]layerSpec, int) {
 	shape := []int{net.InDim()}
 	vol := net.InDim()
@@ -160,7 +161,7 @@ func planSpecs(net *nn.Network) ([]layerSpec, int) {
 	for _, l := range net.Layers() {
 		outShape := l.OutputShape(shape)
 		outVol := volume(outShape)
-		if !isPassthrough(l) {
+		if _, flat := l.(*nn.Flatten); !flat {
 			specs = append(specs, layerSpec{layer: l, inVol: vol, outVol: outVol})
 		}
 		shape, vol = outShape, outVol
@@ -558,23 +559,6 @@ func (e *Engine) Probs(x *tensor.Tensor) *tensor.Tensor {
 	return e.probs
 }
 
-// ProbsInto runs ForwardBatch and applies the row-wise softmax, writing the
-// (N, outDim) confidence batch into dst and returning it. Unlike Probs the
-// result does not alias any engine workspace, so the caller owns it outright
-// — this is the snapshot primitive that lets one compiled plan serve
-// multiple consumers (see Shared). It panics on an empty batch.
-func (e *Engine) ProbsInto(dst, x *tensor.Tensor) *tensor.Tensor {
-	logits, err := e.ForwardBatch(nil, x)
-	if err != nil {
-		panic(err)
-	}
-	n := logits.Dim(0)
-	tensor.AssertDims("engine.ProbsInto dst", dst, n, e.outVol)
-	copy(dst.Data(), logits.Data())
-	nn.SoftmaxInPlace(dst)
-	return dst
-}
-
 // Predict returns the argmax class per sample, matching nn.Network.Predict.
 // An empty batch predicts nothing.
 func (e *Engine) Predict(x *tensor.Tensor) []int {
@@ -627,12 +611,6 @@ func (e *Engine) Accuracy(x *tensor.Tensor, y []int, batchSize int) float64 {
 		}
 	}
 	return float64(correct) / float64(nb)
-}
-
-// isPassthrough reports whether the layer is elided from inference plans.
-func isPassthrough(l nn.Layer) bool {
-	p, ok := l.(nn.InferencePassthrough)
-	return ok && p.InferencePassthrough()
 }
 
 func volume(shape []int) int {

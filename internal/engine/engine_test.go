@@ -12,55 +12,6 @@ import (
 	"reramtest/internal/tensor"
 )
 
-// TestSharedConcurrentCallersBitIdentical: one compiled plan behind a Shared
-// wrapper, hammered by concurrent goroutines with different batches — every
-// caller must get exactly the confidences a private engine would have
-// produced for its batch, because results are copied out of the shared
-// workspaces before the plan lock is released. Run under -race this is also
-// the locking regression test for serve's per-device plan reuse.
-func TestSharedConcurrentCallersBitIdentical(t *testing.T) {
-	r := rng.New(11)
-	net := models.MLP(r, 16, []int{24, 16}, 6)
-	shared := NewShared(MustCompile(net, Options{}))
-
-	const workers, iters = 8, 50
-	batches := make([]*tensor.Tensor, workers)
-	want := make([]*tensor.Tensor, workers)
-	for w := range batches {
-		n := 1 + w%4 // mixed batch sizes stress the workspace resizing path
-		batches[w] = tensor.RandUniform(rng.New(int64(100+w)), 0, 1, n, 16)
-		// golden per-batch answer from a private, serial engine
-		want[w] = MustCompile(net, Options{}).Probs(batches[w]).Clone()
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			dst := tensor.New(batches[w].Dim(0), 6)
-			for i := 0; i < iters; i++ {
-				var got *tensor.Tensor
-				if i%2 == 0 {
-					got = shared.Probs(batches[w])
-				} else {
-					got = shared.ProbsInto(dst, batches[w])
-				}
-				if !got.Equal(want[w]) {
-					errs <- "shared engine returned confidences from someone else's batch"
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	if msg, ok := <-errs; ok {
-		t.Fatal(msg)
-	}
-}
-
 // seedModels enumerates every architecture the repo ships. The golden
 // equivalence gate below runs each one through the engine and demands exact
 // float64 equality against the per-sample training-path forward — this is the
@@ -81,18 +32,6 @@ func seedModels() []struct {
 		}},
 		{"mlp-deep", func(r *rng.RNG) *nn.Network {
 			return models.MLP(r, 32, []int{40, 32, 20}, 8)
-		}},
-		{"dropout-flatten", func(r *rng.RNG) *nn.Network {
-			// exercises both passthrough elisions plus tanh/sigmoid kernels
-			return nn.NewNetwork("dp", 12,
-				nn.NewDense("fc1", r, 12, 20),
-				nn.NewTanh("t1"),
-				nn.NewDropout("drop", r, 0.5),
-				nn.NewFlatten("flat"),
-				nn.NewDense("fc2", r, 20, 10),
-				nn.NewSigmoid("s1"),
-				nn.NewDense("fc3", r, 10, 4),
-			)
 		}},
 	}
 }
@@ -137,7 +76,7 @@ func TestEngineGoldenEquivalence(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			net := m.build(rng.New(11))
 			batches := []int{1, 3, 7}
-			if strings.HasPrefix(m.name, "mlp") || m.name == "dropout-flatten" {
+			if strings.HasPrefix(m.name, "mlp") {
 				batches = []int{1, 3, 7, 64}
 			}
 			configs := []struct {
@@ -338,8 +277,7 @@ func TestEngineCompileRejectsUnbatchable(t *testing.T) {
 	}
 }
 
-// unbatchable is a Layer with neither a BatchInfer kernel nor a passthrough
-// marker.
+// unbatchable is a Layer other than Flatten with no BatchInfer kernel.
 type unbatchable struct{}
 
 func (u *unbatchable) Name() string                             { return "unbatchable" }
@@ -398,8 +336,9 @@ func TestSmallBatchStaysOffThePool(t *testing.T) {
 		holders.Add(1)
 		go func() {
 			defer holders.Done()
+			var run sync.WaitGroup
 			// chunk 0 runs on this goroutine, chunk 1 parks a worker
-			pool.Run(2, 2, func(chunk, _, _ int) {
+			pool.RunWith(&run, 2, 2, func(chunk, _, _ int) {
 				if chunk == 1 {
 					parked <- struct{}{}
 					<-gate

@@ -143,13 +143,7 @@ func TestEngineI8ExactVsQuantOracle(t *testing.T) {
 	}{
 		{"mlp", func(r *rng.RNG) *nn.Network { return models.MLP(r, 16, []int{24, 16}, 6) }},
 		{"mlp-deep", func(r *rng.RNG) *nn.Network { return models.MLP(r, 32, []int{40, 32, 20}, 8) }},
-		{"tanh-sigmoid", func(r *rng.RNG) *nn.Network {
-			return nn.NewNetwork("ts", 12,
-				nn.NewDense("fc1", r, 12, 20), nn.NewTanh("t1"),
-				nn.NewDense("fc2", r, 20, 10), nn.NewSigmoid("s1"),
-				nn.NewDense("fc3", r, 10, 4),
-			)
-		}},
+		{"lenet5", models.LeNet5},
 	}
 	for _, m := range nets {
 		m := m

@@ -256,7 +256,7 @@ type Supervisor struct {
 }
 
 // ErrStoreHasHistory is returned by New when the store already holds a
-// fleet's journal. Commissioning over it would restart the rounds at 0 below
+// fleet's journal. Calling New on it would restart the rounds at 0 below
 // the stored history — the new life's records sort under the old snapshot's
 // sequence and are lost on the next recovery — so the caller must Resume.
 var ErrStoreHasHistory = errors.New("fleet: store already holds a journal — use Resume with what OpenStore recovered")
@@ -634,25 +634,6 @@ func (s *Supervisor) Station(id string) *Station {
 		return ds.dev
 	}
 	return nil
-}
-
-// CostOf returns one metered device's cumulative hardware spend by class
-// (zero breakdown, false when the device is unknown or unmetered).
-func (s *Supervisor) CostOf(id string) (reram.CostBreakdown, bool) {
-	ds, ok := s.states[id]
-	if !ok || ds.dev.ctr == nil {
-		return reram.CostBreakdown{}, false
-	}
-	return ds.dev.ctr.Snapshot(), true
-}
-
-// FleetCost sums every metered device's cumulative spend.
-func (s *Supervisor) FleetCost() reram.CostBreakdown {
-	var total reram.CostBreakdown
-	for _, id := range s.order {
-		total.Add(s.states[id].dev.ctr.Snapshot())
-	}
-	return total
 }
 
 // Dispatch routes one inference request through the health-aware router.

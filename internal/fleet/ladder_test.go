@@ -45,7 +45,7 @@ func (d *ladderDevice) Strategies() []repair.Strategy {
 	return []repair.Strategy{
 		d.rung("scrub", repair.CostScrub, func(dg repair.Diagnosis) bool { return dg.Drifted > 0 }),
 		d.rung("remap", repair.CostRemap, func(dg repair.Diagnosis) bool { return dg.Stuck > 0 }),
-		d.rung("retrain", repair.CostRetrain, func(dg repair.Diagnosis) bool { return !dg.Commissioning }),
+		d.rung("retrain", repair.CostRetrain, func(repair.Diagnosis) bool { return true }),
 	}
 }
 

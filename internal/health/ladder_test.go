@@ -42,9 +42,9 @@ func (s *scriptedLadder) rung(name string, cost int, when func(repair.Diagnosis)
 
 func (s *scriptedLadder) Strategies() []repair.Strategy {
 	return []repair.Strategy{
-		s.rung("scrub", repair.CostScrub, func(d repair.Diagnosis) bool { return !d.Commissioning && d.Drifted > 0 }),
-		s.rung("remap", repair.CostRemap, func(d repair.Diagnosis) bool { return !d.Commissioning && d.Stuck > 0 }),
-		s.rung("retrain", repair.CostRetrain, func(d repair.Diagnosis) bool { return !d.Commissioning }),
+		s.rung("scrub", repair.CostScrub, func(d repair.Diagnosis) bool { return d.Drifted > 0 }),
+		s.rung("remap", repair.CostRemap, func(d repair.Diagnosis) bool { return d.Stuck > 0 }),
+		s.rung("retrain", repair.CostRetrain, func(d repair.Diagnosis) bool { return d.Drifted > 0 || d.Stuck > 0 }),
 	}
 }
 
@@ -168,8 +168,9 @@ func TestLadderAdvisesRetirementWhenNothingApplies(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EscalateAfter = 1
 	rt, net := testRuntime(t, cfg)
-	// a commissioning-shaped diagnosis in the field: no rung applies
-	sl := &scriptedLadder{diag: repair.Diagnosis{Commissioning: true}, fixedBy: ""}
+	// damage the cell census cannot see (no drifted or stuck cell): no
+	// scripted rung applies
+	sl := &scriptedLadder{diag: repair.Diagnosis{Status: monitor.Degraded}, fixedBy: ""}
 
 	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 10)
 	if !ep.GaveUp || !ep.RetireAdvised {

@@ -59,7 +59,6 @@ func Train(net *nn.Network, train, test *dataset.Dataset, cfg TrainConfig) float
 	}
 	r := rng.New(cfg.Seed)
 	sgd := opt.NewSGD(net.Params(), cfg.LR, cfg.Momentum, cfg.Decay)
-	net.SetTraining(true)
 	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: cfg.BatchSize})
 	it := train.BatchIterator(cfg.BatchSize)
 	smooth := newSmoothTargets(cfg.BatchSize, train.Classes, cfg.LabelSmooth)
@@ -89,7 +88,6 @@ func Train(net *nn.Network, train, test *dataset.Dataset, cfg TrainConfig) float
 		fmt.Fprintf(logw, "epoch %d/%d: loss=%.4f lr=%.4f (%.1fs)\n",
 			epoch+1, cfg.Epochs, totalLoss/float64(nBatches), sgd.LR(), time.Since(start).Seconds())
 	}
-	net.SetTraining(false)
 	eval := test
 	if eval == nil {
 		eval = train
@@ -142,7 +140,6 @@ func TrainOrLoad(path string, build func() *nn.Network, trainFn func(net *nn.Net
 		if err := LoadWeights(path, net); err != nil {
 			return nil, fmt.Errorf("models: cached weights at %s are unreadable: %w", path, err)
 		}
-		net.SetTraining(false)
 		return net, nil
 	}
 	trainFn(net)

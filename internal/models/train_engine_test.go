@@ -18,7 +18,6 @@ import (
 func legacyTrain(net *nn.Network, train *dataset.Dataset, cfg TrainConfig) float64 {
 	r := rng.New(cfg.Seed)
 	sgd := opt.NewSGD(net.Params(), cfg.LR, cfg.Momentum, cfg.Decay)
-	net.SetTraining(true)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if cfg.LRStep > 0 {
 			sgd.SetLR(opt.StepDecay(cfg.LR, 0.5, cfg.LRStep)(epoch))
@@ -41,7 +40,6 @@ func legacyTrain(net *nn.Network, train *dataset.Dataset, cfg TrainConfig) float
 			sgd.Step()
 		}
 	}
-	net.SetTraining(false)
 	return net.Accuracy(train.X, train.Y, 64)
 }
 

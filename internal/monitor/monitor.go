@@ -256,11 +256,6 @@ func NetworkInfer(net *nn.Network) Infer {
 	return eng.Probs
 }
 
-// EngineInfer adapts an already compiled engine into an Infer — for callers
-// that manage their own plans (the fleet compiles one engine per device and
-// routes both monitoring and fidelity probes through it).
-func EngineInfer(e *engine.Engine) Infer { return e.Probs }
-
 // Check runs one concurrent-test round against the accelerator.
 func (m *Monitor) Check(accel Infer) Report {
 	probs := accel(m.golden.Patterns.X)

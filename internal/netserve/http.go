@@ -33,7 +33,6 @@ func (f *Frontend) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/infer", f.handleInfer)
 	mux.HandleFunc("/v1/healthz", f.handleHealthz)
-	mux.HandleFunc("/v1/stats", f.handleStats)
 	mux.HandleFunc("/statsz", f.handleStatsz)
 	return mux
 }
@@ -163,12 +162,6 @@ func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	json.NewEncoder(w).Encode(out)
-}
-
-// handleStats dumps the tier's lifetime counters.
-func (f *Frontend) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(f.Stats())
 }
 
 // handleStatsz dumps the full telemetry surface in one scrape: the tier's

@@ -207,17 +207,29 @@ func TestHTTPHealthzAndStats(t *testing.T) {
 		t.Fatalf("healthz: %d %+v", resp.StatusCode, health)
 	}
 
+	resp, err = ts.Client().Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var statsz struct {
+		Stats Stats `json:"stats"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&statsz); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st := statsz.Stats; st.Completed != 1 || st.Admitted != st.Terminal() {
+		t.Fatalf("stats over the wire: %+v", st)
+	}
+
+	// the counters have one endpoint: /statsz's stats member
 	resp, err = ts.Client().Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
-	if st.Completed != 1 || st.Admitted != st.Terminal() {
-		t.Fatalf("stats over the wire: %+v", st)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/v1/stats = %d, want 404", resp.StatusCode)
 	}
 
 	// numeric precision is private to engine.Compile: neither telemetry

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"reramtest/internal/tensor"
-)
+import "reramtest/internal/tensor"
 
 // ReLU is the rectified-linear activation max(0, x).
 type ReLU struct {
@@ -54,82 +50,6 @@ func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		if !l.mask[i] {
 			od[i] = 0
 		}
-	}
-	return out
-}
-
-// Tanh is the hyperbolic-tangent activation used by the original LeNet-5.
-type Tanh struct {
-	name    string
-	lastOut *tensor.Tensor
-}
-
-// NewTanh builds a tanh activation layer.
-func NewTanh(name string) *Tanh { return &Tanh{name: name} }
-
-// Name returns the layer name.
-func (l *Tanh) Name() string { return l.name }
-
-// Params returns nil: activations are parameter-free.
-func (l *Tanh) Params() []*Param { return nil }
-
-// OutputShape implements Layer: activations preserve shape.
-func (l *Tanh) OutputShape(in []int) []int { return in }
-
-// Clone returns an independent copy.
-func (l *Tanh) Clone() Layer { return &Tanh{name: l.name} }
-
-// Forward applies tanh element-wise.
-func (l *Tanh) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Map(math.Tanh)
-	l.lastOut = out
-	return out
-}
-
-// Backward multiplies by 1 - tanh².
-func (l *Tanh) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	out := gradOut.Clone()
-	od, yd := out.Data(), l.lastOut.Data()
-	for i := range od {
-		od[i] *= 1 - yd[i]*yd[i]
-	}
-	return out
-}
-
-// Sigmoid is the logistic activation 1/(1+e^-x).
-type Sigmoid struct {
-	name    string
-	lastOut *tensor.Tensor
-}
-
-// NewSigmoid builds a sigmoid activation layer.
-func NewSigmoid(name string) *Sigmoid { return &Sigmoid{name: name} }
-
-// Name returns the layer name.
-func (l *Sigmoid) Name() string { return l.name }
-
-// Params returns nil: activations are parameter-free.
-func (l *Sigmoid) Params() []*Param { return nil }
-
-// OutputShape implements Layer: activations preserve shape.
-func (l *Sigmoid) OutputShape(in []int) []int { return in }
-
-// Clone returns an independent copy.
-func (l *Sigmoid) Clone() Layer { return &Sigmoid{name: l.name} }
-
-// Forward applies the logistic function element-wise.
-func (l *Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Map(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
-	l.lastOut = out
-	return out
-}
-
-// Backward multiplies by y·(1-y).
-func (l *Sigmoid) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	out := gradOut.Clone()
-	od, yd := out.Data(), l.lastOut.Data()
-	for i := range od {
-		od[i] *= yd[i] * (1 - yd[i])
 	}
 	return out
 }

@@ -165,7 +165,6 @@ func TestFuseConvBlockPattern(t *testing.T) {
 		{"padded pool stays out", []Layer{conv, relu, other(func(g *tensor.ConvGeom) { g.PadH = 1 })}, 2},
 		{"avg pool stays out", []Layer{conv, relu, NewAvgPool2D("a", pool.geom)}, 2},
 		{"no relu", []Layer{conv, pool}, 0},
-		{"tanh", []Layer{conv, NewTanh("t"), pool}, 0},
 		{"conv alone", []Layer{conv}, 0},
 		{"not a conv", []Layer{relu, pool}, 0},
 		{"empty", nil, 0},

@@ -117,10 +117,6 @@ func TestAvgPoolGradients(t *testing.T) {
 
 func TestActivationGradients(t *testing.T) {
 	r := rng.New(6)
-	for _, l := range []Layer{NewTanh("tanh"), NewSigmoid("sig")} {
-		x := tensor.Randn(r, 0, 1, 2, 10)
-		checkLayerGradients(t, l, x, 1e-5)
-	}
 	// ReLU: keep values away from the kink
 	x := tensor.RandUniform(r, 0.5, 2, 2, 10)
 	neg := tensor.RandUniform(r, -2, -0.5, 2, 10)
@@ -135,7 +131,7 @@ func TestNetworkInputGradient(t *testing.T) {
 	pool := tensor.ConvGeom{InC: 2, InH: 4, InW: 4, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
 	net := NewNetwork("tiny", 36,
 		NewConv2D("c1", r, g, 2),
-		NewTanh("t1"),
+		NewReLU("r1"),
 		NewMaxPool2D("p1", pool),
 		NewDense("fc", r, 8, 3),
 	)
@@ -192,24 +188,6 @@ func TestSoftCrossEntropyGradient(t *testing.T) {
 		want := numericalGrad(loss, ld, i)
 		if got := grad.Data()[i]; math.Abs(want-got) > 1e-6 {
 			t.Errorf("softCE grad[%d]: analytic %v vs numeric %v", i, got, want)
-		}
-	}
-}
-
-func TestMSEGradient(t *testing.T) {
-	r := rng.New(10)
-	pred := tensor.Randn(r, 0, 1, 2, 3)
-	target := tensor.Randn(r, 0, 1, 2, 3)
-	loss := func() float64 {
-		l, _ := MSE(pred, target)
-		return l
-	}
-	_, grad := MSE(pred, target)
-	pd := pred.Data()
-	for i := range pd {
-		want := numericalGrad(loss, pd, i)
-		if got := grad.Data()[i]; math.Abs(want-got) > 1e-6 {
-			t.Errorf("MSE grad[%d]: analytic %v vs numeric %v", i, got, want)
 		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 // rows — the same per-element fold: every output element folds the same
 // terms in the same order, whatever kernel and loop nest deliver them — and
 // must not touch the training caches (no argmax, no masks, no lastIn), so it
-// never pairs with Backward. Layers whose inference pass is the identity
-// implement InferencePassthrough instead.
+// never pairs with Backward. Flatten, whose inference pass is the identity,
+// does not implement it: the engine elides it from the plan.
 //
 // Every compute layer implements it, and so does one thing that is not a
 // layer: ConvBlock (convblock.go), a Conv2D run as one kernel with the ReLU
@@ -32,20 +32,6 @@ type BatchInfer interface {
 	// InferScratch returns the per-call scratch requirement in float64s.
 	InferScratch() int
 }
-
-// InferencePassthrough marks layers that are the identity at inference time
-// (Flatten always, Dropout outside training). The engine elides them from
-// the compiled plan entirely.
-type InferencePassthrough interface {
-	InferencePassthrough() bool
-}
-
-// InferencePassthrough implements the marker: flatten never moves data.
-func (l *Flatten) InferencePassthrough() bool { return true }
-
-// InferencePassthrough implements the marker: the engine is inference-only,
-// where dropout is the identity regardless of the training flag.
-func (l *Dropout) InferencePassthrough() bool { return true }
 
 // ForwardBatchRange implements BatchInfer: y = x·W + b for rows [lo, hi),
 // through tensor.MatMulBlockedSlices — MatMulSlices's per-element fold, four
@@ -214,27 +200,3 @@ func (l *ReLU) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64)
 
 // InferScratch implements BatchInfer.
 func (l *ReLU) InferScratch() int { return 0 }
-
-// ForwardBatchRange implements BatchInfer: tanh without the output cache.
-func (l *Tanh) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64) {
-	vol := elementwiseVol("Tanh.ForwardBatchRange dst", dst, x)
-	xd, od := x.Data(), dst.Data()
-	for i := lo * vol; i < hi*vol; i++ {
-		od[i] = math.Tanh(xd[i])
-	}
-}
-
-// InferScratch implements BatchInfer.
-func (l *Tanh) InferScratch() int { return 0 }
-
-// ForwardBatchRange implements BatchInfer: logistic without the output cache.
-func (l *Sigmoid) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64) {
-	vol := elementwiseVol("Sigmoid.ForwardBatchRange dst", dst, x)
-	xd, od := x.Data(), dst.Data()
-	for i := lo * vol; i < hi*vol; i++ {
-		od[i] = 1 / (1 + math.Exp(-xd[i]))
-	}
-}
-
-// InferScratch implements BatchInfer.
-func (l *Sigmoid) InferScratch() int { return 0 }

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"reramtest/internal/tensor"
-)
+import "reramtest/internal/tensor"
 
 // BatchInferF32 is the float32 fast-tier mirror of BatchInfer. The engine
 // keeps a per-layer converted-parameter cache (sized by InferParamsF32,
@@ -229,40 +225,5 @@ func (l *ReLU) ForwardBatchRangeF32(dst, x []float32, _, vol, _, lo, hi int, _, 
 		} else {
 			dst[i] = 0
 		}
-	}
-}
-
-// InferParamsF32 implements BatchInferF32.
-func (l *Tanh) InferParamsF32() int { return 0 }
-
-// LoadParamsF32 implements BatchInferF32.
-func (l *Tanh) LoadParamsF32([]float32) {}
-
-// InferScratchF32 implements BatchInferF32.
-func (l *Tanh) InferScratchF32() int { return 0 }
-
-// ForwardBatchRangeF32 implements BatchInferF32: tanh evaluated through the
-// f64 libm kernel on the f32 input, rounded once on store — within 1 ULP of
-// rounding the reference output, on top of the input's own error.
-func (l *Tanh) ForwardBatchRangeF32(dst, x []float32, _, vol, _, lo, hi int, _, _ []float32) {
-	for i := lo * vol; i < hi*vol; i++ {
-		dst[i] = float32(math.Tanh(float64(x[i])))
-	}
-}
-
-// InferParamsF32 implements BatchInferF32.
-func (l *Sigmoid) InferParamsF32() int { return 0 }
-
-// LoadParamsF32 implements BatchInferF32.
-func (l *Sigmoid) LoadParamsF32([]float32) {}
-
-// InferScratchF32 implements BatchInferF32.
-func (l *Sigmoid) InferScratchF32() int { return 0 }
-
-// ForwardBatchRangeF32 implements BatchInferF32: the logistic through the
-// f64 libm exp on the f32 input, rounded once on store.
-func (l *Sigmoid) ForwardBatchRangeF32(dst, x []float32, _, vol, _, lo, hi int, _, _ []float32) {
-	for i := lo * vol; i < hi*vol; i++ {
-		dst[i] = float32(1 / (1 + math.Exp(-float64(x[i]))))
 	}
 }

@@ -101,8 +101,6 @@ func TestForwardBatchRangeMatchesForward(t *testing.T) {
 		{"maxpool", NewMaxPool2D("mp", poolGeom), 2 * 7 * 7},
 		{"avgpool", NewAvgPool2D("ap", poolGeom), 2 * 7 * 7},
 		{"relu", NewReLU("r"), 11},
-		{"tanh", NewTanh("t"), 11},
-		{"sigmoid", NewSigmoid("s"), 11},
 	}
 	const n = 5
 	for _, tc := range cases {
@@ -127,16 +125,6 @@ func TestForwardBatchRangeMatchesForward(t *testing.T) {
 				t.Fatal("assembled row ranges differ from full range")
 			}
 		})
-	}
-}
-
-// TestPassthroughMarkers: the layers the engine elides must say so.
-func TestPassthroughMarkers(t *testing.T) {
-	if !NewFlatten("f").InferencePassthrough() {
-		t.Fatal("Flatten must be an inference passthrough")
-	}
-	if !NewDropout("d", rng.New(1), 0.5).InferencePassthrough() {
-		t.Fatal("Dropout must be an inference passthrough")
 	}
 }
 

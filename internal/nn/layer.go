@@ -48,9 +48,3 @@ type Layer interface {
 	// input shape, without running data through the layer.
 	OutputShape(in []int) []int
 }
-
-// trainable is implemented by layers whose behaviour differs between training
-// and inference (e.g. Dropout).
-type trainable interface {
-	SetTraining(on bool)
-}

@@ -97,23 +97,6 @@ func SoftCrossEntropy(logits, target *tensor.Tensor) (loss float64, grad *tensor
 	return loss * inv, probs
 }
 
-// MSE computes the mean squared error between prediction and target batches
-// and the gradient with respect to the prediction: 2(pred-target)/len.
-func MSE(pred, target *tensor.Tensor) (loss float64, grad *tensor.Tensor) {
-	if pred.Len() != target.Len() {
-		panic(fmt.Sprintf("nn: MSE shape mismatch %v vs %v", pred.Shape(), target.Shape()))
-	}
-	grad = tensor.New(pred.Shape()...)
-	pd, td, gd := pred.Data(), target.Data(), grad.Data()
-	inv := 1 / float64(len(pd))
-	for i, v := range pd {
-		d := v - td[i]
-		loss += d * d
-		gd[i] = 2 * d * inv
-	}
-	return loss * inv, grad
-}
-
 // OneHot builds a (N, n) one-hot target batch from integer labels.
 func OneHot(labels []int, classes int) *tensor.Tensor {
 	out := tensor.New(len(labels), classes)

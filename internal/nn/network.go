@@ -62,15 +62,6 @@ func (n *Network) ZeroGrad() {
 	}
 }
 
-// SetTraining switches training-only behaviour (dropout) on or off.
-func (n *Network) SetTraining(on bool) {
-	for _, l := range n.layers {
-		if t, ok := l.(trainable); ok {
-			t.SetTraining(on)
-		}
-	}
-}
-
 // Clone deep-copies the network: independent weights, zeroed gradients, no
 // shared caches. Fault models are clones of the clean model with an injector
 // applied to the clone's parameters.

@@ -166,54 +166,6 @@ func TestZeroGrad(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainingVsInference(t *testing.T) {
-	r := rng.New(7)
-	l := NewDropout("do", r, 0.5)
-	x := tensor.Ones(1, 1000)
-
-	// inference: identity
-	out := l.Forward(x)
-	if !out.Equal(x) {
-		t.Fatal("inference dropout is not identity")
-	}
-
-	// training: ≈half dropped, survivors scaled by 2
-	l.SetTraining(true)
-	out = l.Forward(x)
-	zeros, twos := 0, 0
-	for _, v := range out.Data() {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-			twos++
-		default:
-			t.Fatalf("dropout output %v, want 0 or 2", v)
-		}
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("dropout kept %d of 1000 at p=0.5", 1000-zeros)
-	}
-	// inverted scaling keeps the expectation ≈1
-	if mean := out.Mean(); math.Abs(mean-1) > 0.1 {
-		t.Fatalf("dropout mean %v, want ≈1", mean)
-	}
-}
-
-func TestDropoutBackwardUsesSameMask(t *testing.T) {
-	r := rng.New(8)
-	l := NewDropout("do", r, 0.5)
-	l.SetTraining(true)
-	x := tensor.Ones(1, 100)
-	out := l.Forward(x)
-	grad := l.Backward(tensor.Ones(1, 100))
-	for i, v := range out.Data() {
-		if (v == 0) != (grad.Data()[i] == 0) {
-			t.Fatal("backward mask differs from forward mask")
-		}
-	}
-}
-
 func TestMaxPoolKnownValues(t *testing.T) {
 	g := tensor.ConvGeom{InC: 1, InH: 2, InW: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
 	l := NewMaxPool2D("p", g)

@@ -31,9 +31,6 @@ type TrainDims struct {
 	// IntsPerSample is the per-sample int cache requirement (e.g. max-pool
 	// argmax routing).
 	IntsPerSample int
-	// FloatsPerSample is the per-sample float cache requirement (e.g. the
-	// dropout mask).
-	FloatsPerSample int
 	// Scratch is the per-chunk float64 scratch requirement (private to one
 	// concurrent range call, like BatchInfer.InferScratch).
 	Scratch int
@@ -45,9 +42,6 @@ type TrainCache struct {
 	// Ints is the layer-wide int cache, n*IntsPerSample long; rows [lo, hi)
 	// own the corresponding per-sample regions.
 	Ints []int
-	// Floats is the layer-wide float cache, n*FloatsPerSample long. It is
-	// filled by TrainPrepass (serial) and read by the range kernels.
-	Floats []float64
 	// Scratch is the per-chunk scratch, private to the call.
 	Scratch []float64
 	// Shard is the (n, ShardVol) per-sample parameter-gradient workspace where
@@ -60,9 +54,9 @@ type TrainCache struct {
 // engine. Implementations must satisfy the bit-identity contract documented
 // above.
 type TrainKernel interface {
-	// TrainDims reports cache requirements given the per-sample input volume.
-	TrainDims(inVol int) TrainDims
-	// TrainForwardRange writes output rows [lo, hi) of the training-mode
+	// TrainDims reports the layer's cache requirements.
+	TrainDims() TrainDims
+	// TrainForwardRange writes output rows [lo, hi) of the training
 	// forward pass into out (N, outVol), reading rows [lo, hi) of x (N, inVol)
 	// and recording backward state into c.
 	TrainForwardRange(out, x *tensor.Tensor, lo, hi int, c TrainCache)
@@ -105,33 +99,10 @@ type TrainBackPrep interface {
 	TrainBackPrep()
 }
 
-// TrainPrepass is implemented by kernels that must consume sequential state
-// (an RNG stream) before their ranges run concurrently. The engine calls it
-// once per ForwardBackward, serially, in layer order — exactly where the
-// legacy per-layer Forward would have consumed the same stream.
-type TrainPrepass interface {
-	TrainPrepass(n int, c TrainCache)
-}
-
-// TrainPassthrough marks layers the train plan elides entirely: both their
-// forward and backward passes are the identity (Flatten always; Dropout when
-// inactive). The flag is sampled at compile time.
-type TrainPassthrough interface {
-	TrainPassthrough() bool
-}
-
-// TrainPassthrough implements the marker: flatten never moves data in either
-// direction.
-func (l *Flatten) TrainPassthrough() bool { return true }
-
-// TrainPassthrough implements the marker: outside training mode (or with
-// p = 0) dropout is the identity forward and backward.
-func (l *Dropout) TrainPassthrough() bool { return !l.training || l.p == 0 }
-
 // ---------------------------------------------------------------- Dense
 
 // TrainDims implements TrainKernel: dense layers need no caches or scratch.
-func (d *Dense) TrainDims(int) TrainDims { return TrainDims{} }
+func (d *Dense) TrainDims() TrainDims { return TrainDims{} }
 
 // TrainForwardRange implements TrainKernel via the shared inference kernel
 // (dense layers cache nothing the backward pass cannot recover from x).
@@ -266,7 +237,7 @@ func (d *Dense) TrainGradRange(param int, gradOut, x *tensor.Tensor, lo, hi int)
 
 // TrainDims implements TrainKernel: scratch for one im2col column matrix plus
 // one gradient column matrix.
-func (c *Conv2D) TrainDims(int) TrainDims {
+func (c *Conv2D) TrainDims() TrainDims {
 	cols := c.geom.InC * c.geom.KH * c.geom.KW * c.geom.OutH() * c.geom.OutW()
 	return TrainDims{Scratch: 2 * cols}
 }
@@ -318,7 +289,7 @@ func (c *Conv2D) TrainBackwardRange(gradIn, gradOut, x, _ *tensor.Tensor, lo, hi
 // ---------------------------------------------------------------- MaxPool2D
 
 // TrainDims implements TrainKernel: one argmax int per output element.
-func (p *MaxPool2D) TrainDims(int) TrainDims {
+func (p *MaxPool2D) TrainDims() TrainDims {
 	return TrainDims{IntsPerSample: p.geom.InC * p.geom.OutH() * p.geom.OutW()}
 }
 
@@ -395,7 +366,7 @@ func (p *MaxPool2D) TrainBackwardRange(gradIn, gradOut, _, _ *tensor.Tensor, lo,
 // ---------------------------------------------------------------- AvgPool2D
 
 // TrainDims implements TrainKernel: the spread is recomputed from geometry.
-func (p *AvgPool2D) TrainDims(int) TrainDims { return TrainDims{} }
+func (p *AvgPool2D) TrainDims() TrainDims { return TrainDims{} }
 
 // TrainForwardRange implements TrainKernel via the shared inference kernel.
 func (p *AvgPool2D) TrainForwardRange(out, x *tensor.Tensor, lo, hi int, _ TrainCache) {
@@ -450,7 +421,7 @@ func (p *AvgPool2D) TrainBackwardRange(gradIn, gradOut, _, _ *tensor.Tensor, lo,
 // ---------------------------------------------------------------- activations
 
 // TrainDims implements TrainKernel: the gate is recovered from the output.
-func (l *ReLU) TrainDims(int) TrainDims { return TrainDims{} }
+func (l *ReLU) TrainDims() TrainDims { return TrainDims{} }
 
 // TrainForwardRange implements TrainKernel via the shared inference kernel.
 func (l *ReLU) TrainForwardRange(out, x *tensor.Tensor, lo, hi int, _ TrainCache) {
@@ -472,97 +443,6 @@ func (l *ReLU) TrainBackwardRange(gradIn, gradOut, _, out *tensor.Tensor, lo, hi
 		} else {
 			gid[i] = 0
 		}
-	}
-}
-
-// TrainDims implements TrainKernel: 1 - tanh² reads the output workspace.
-func (l *Tanh) TrainDims(int) TrainDims { return TrainDims{} }
-
-// TrainForwardRange implements TrainKernel via the shared inference kernel.
-func (l *Tanh) TrainForwardRange(out, x *tensor.Tensor, lo, hi int, _ TrainCache) {
-	l.ForwardBatchRange(out, x, lo, hi, nil)
-}
-
-// TrainBackwardRange implements TrainKernel: g·(1 - y²) with the same
-// expression shape as the legacy Backward.
-func (l *Tanh) TrainBackwardRange(gradIn, gradOut, _, out *tensor.Tensor, lo, hi int, _ TrainCache) {
-	if gradIn == nil {
-		return
-	}
-	vol := elementwiseVol("Tanh.TrainBackwardRange gradIn", gradIn, gradOut)
-	gd, yd, gid := gradOut.Data(), out.Data(), gradIn.Data()
-	for i := lo * vol; i < hi*vol; i++ {
-		gid[i] = gd[i] * (1 - yd[i]*yd[i])
-	}
-}
-
-// TrainDims implements TrainKernel: y·(1-y) reads the output workspace.
-func (l *Sigmoid) TrainDims(int) TrainDims { return TrainDims{} }
-
-// TrainForwardRange implements TrainKernel via the shared inference kernel.
-func (l *Sigmoid) TrainForwardRange(out, x *tensor.Tensor, lo, hi int, _ TrainCache) {
-	l.ForwardBatchRange(out, x, lo, hi, nil)
-}
-
-// TrainBackwardRange implements TrainKernel: g·y·(1-y), legacy expression
-// shape.
-func (l *Sigmoid) TrainBackwardRange(gradIn, gradOut, _, out *tensor.Tensor, lo, hi int, _ TrainCache) {
-	if gradIn == nil {
-		return
-	}
-	vol := elementwiseVol("Sigmoid.TrainBackwardRange gradIn", gradIn, gradOut)
-	gd, yd, gid := gradOut.Data(), out.Data(), gradIn.Data()
-	for i := lo * vol; i < hi*vol; i++ {
-		gid[i] = gd[i] * (yd[i] * (1 - yd[i]))
-	}
-}
-
-// ---------------------------------------------------------------- Dropout
-
-// TrainDims implements TrainKernel (active dropout only — the engine elides
-// inactive dropout via TrainPassthrough): one mask float per element.
-func (l *Dropout) TrainDims(inVol int) TrainDims {
-	return TrainDims{FloatsPerSample: inVol}
-}
-
-// TrainPrepass implements TrainPrepass: the Bernoulli mask draws must consume
-// the layer's RNG stream in row-major batch order — exactly the order the
-// legacy Forward draws — so it runs serially before the ranges fan out.
-func (l *Dropout) TrainPrepass(_ int, c TrainCache) {
-	keep := 1 - l.p
-	for i := range c.Floats {
-		if l.r.Bernoulli(l.p) {
-			c.Floats[i] = 0
-		} else {
-			c.Floats[i] = 1 / keep
-		}
-	}
-}
-
-// TrainForwardRange implements TrainKernel: dropped positions are set to 0
-// outright (not multiplied) to match the legacy Forward bit for bit.
-func (l *Dropout) TrainForwardRange(out, x *tensor.Tensor, lo, hi int, c TrainCache) {
-	vol := elementwiseVol("Dropout.TrainForwardRange dst", out, x)
-	xd, od := x.Data(), out.Data()
-	for i := lo * vol; i < hi*vol; i++ {
-		if m := c.Floats[i]; m == 0 {
-			od[i] = 0
-		} else {
-			od[i] = xd[i] * m
-		}
-	}
-}
-
-// TrainBackwardRange implements TrainKernel: the gradient multiplies the mask
-// unconditionally, like the legacy Backward.
-func (l *Dropout) TrainBackwardRange(gradIn, gradOut, _, _ *tensor.Tensor, lo, hi int, c TrainCache) {
-	if gradIn == nil {
-		return
-	}
-	vol := elementwiseVol("Dropout.TrainBackwardRange gradIn", gradIn, gradOut)
-	gd, gid := gradOut.Data(), gradIn.Data()
-	for i := lo * vol; i < hi*vol; i++ {
-		gid[i] = gd[i] * c.Floats[i]
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package opt provides the gradient-descent optimizers used to train the
+// Package opt provides the gradient-descent optimizer used to train the
 // evaluation models and to drive the O-TP input-optimization loop
 // (Algorithm 1 of the paper updates the test pattern with plain SGD; model
-// training uses momentum or Adam).
+// training adds momentum and weight decay) and its learning-rate schedule.
 package opt
 
 import (
@@ -10,22 +10,6 @@ import (
 
 	"reramtest/internal/nn"
 )
-
-// Optimizer updates a fixed set of parameters from their accumulated
-// gradients.
-type Optimizer interface {
-	// Step applies one update using the gradients currently stored in the
-	// parameters, then the caller typically zeroes them.
-	Step()
-	// StepAndZero applies one update and zeroes each gradient in the same
-	// pass — the fused, allocation-free variant the training engine's step
-	// loop uses. Bit-identical to Step followed by zeroing every gradient.
-	StepAndZero()
-	// SetLR changes the learning rate (for schedules).
-	SetLR(lr float64)
-	// LR returns the current learning rate.
-	LR() float64
-}
 
 // SGD is plain stochastic gradient descent with optional momentum and weight
 // decay.
@@ -101,77 +85,6 @@ func (s *SGD) SetLR(lr float64) { s.lr = lr }
 
 // LR returns the current learning rate.
 func (s *SGD) LR() float64 { return s.lr }
-
-// Adam is the Adam optimizer (Kingma & Ba 2015).
-type Adam struct {
-	params []*nn.Param
-	lr     float64
-	beta1  float64
-	beta2  float64
-	eps    float64
-	t      int
-	m, v   [][]float64
-}
-
-// NewAdam builds an Adam optimizer with the usual defaults
-// (beta1=0.9, beta2=0.999, eps=1e-8).
-func NewAdam(params []*nn.Param, lr float64) *Adam {
-	if lr <= 0 {
-		panic(fmt.Sprintf("opt: Adam learning rate must be positive, got %v", lr))
-	}
-	a := &Adam{params: params, lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8}
-	a.m = make([][]float64, len(params))
-	a.v = make([][]float64, len(params))
-	for i, p := range params {
-		a.m[i] = make([]float64, p.Value.Len())
-		a.v[i] = make([]float64, p.Value.Len())
-	}
-	return a
-}
-
-// Step applies one Adam update.
-func (a *Adam) Step() {
-	a.t++
-	c1 := 1 - math.Pow(a.beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.beta2, float64(a.t))
-	for i, p := range a.params {
-		val, g := p.Value.Data(), p.Grad.Data()
-		m, v := a.m[i], a.v[i]
-		for j := range val {
-			m[j] = a.beta1*m[j] + (1-a.beta1)*g[j]
-			v[j] = a.beta2*v[j] + (1-a.beta2)*g[j]*g[j]
-			mh := m[j] / c1
-			vh := v[j] / c2
-			val[j] -= a.lr * mh / (math.Sqrt(vh) + a.eps)
-		}
-	}
-}
-
-// StepAndZero applies one Adam update and zeroes the gradients in the same
-// pass, bit-identical to Step followed by zeroing.
-func (a *Adam) StepAndZero() {
-	a.t++
-	c1 := 1 - math.Pow(a.beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.beta2, float64(a.t))
-	for i, p := range a.params {
-		val, g := p.Value.Data(), p.Grad.Data()
-		m, v := a.m[i], a.v[i]
-		for j := range val {
-			m[j] = a.beta1*m[j] + (1-a.beta1)*g[j]
-			v[j] = a.beta2*v[j] + (1-a.beta2)*g[j]*g[j]
-			mh := m[j] / c1
-			vh := v[j] / c2
-			val[j] -= a.lr * mh / (math.Sqrt(vh) + a.eps)
-			g[j] = 0
-		}
-	}
-}
-
-// SetLR changes the learning rate.
-func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
-// LR returns the current learning rate.
-func (a *Adam) LR() float64 { return a.lr }
 
 // StepDecay returns a schedule that multiplies the base LR by factor every
 // interval epochs: lr(e) = base * factor^(e/interval).

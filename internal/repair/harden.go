@@ -1,7 +1,6 @@
 package repair
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -46,7 +45,6 @@ func HardenDropConnect(net *nn.Network, train, eval *dataset.Dataset, cfg Harden
 	}
 	r := rng.New(cfg.Seed)
 	sgd := opt.NewSGD(net.Params(), cfg.LR, cfg.Momentum, 0)
-	net.SetTraining(true)
 	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: cfg.BatchSize})
 	dc := tengine.NewDropConnect(eng, cfg.DropP, r.Split())
 	it := train.BatchIterator(cfg.BatchSize)
@@ -65,33 +63,8 @@ func HardenDropConnect(net *nn.Network, train, eval *dataset.Dataset, cfg Harden
 		}
 		fmt.Fprintf(logw, "harden epoch %d/%d: loss=%.4f\n", epoch+1, cfg.Epochs, total/float64(batches))
 	}
-	net.SetTraining(false)
 	if eval == nil {
 		eval = train
 	}
 	return net.Accuracy(eval.X, eval.Y, 64)
-}
-
-// NewHardenStrategy adapts commissioning-time hardening to the Strategy
-// interface so it can sit on the ladder as its zero-cost first rung: it is
-// applicable only to a commissioning diagnosis (a deployed device cannot be
-// hardened in the field — the weights would need the cloud-edge path, which
-// is what the retrain strategy already is).
-func NewHardenStrategy(net *nn.Network, train, eval *dataset.Dataset, cfg HardenConfig) Strategy {
-	return Func{
-		StrategyName: "harden",
-		StrategyCost: CostHarden,
-		When:         func(d Diagnosis) bool { return d.Commissioning },
-		Do: func(ctx context.Context, _ Diagnosis) (Report, error) {
-			if err := ctx.Err(); err != nil {
-				return Report{}, &Error{Strategy: "harden", Op: "train", Err: err}
-			}
-			acc := HardenDropConnect(net, train, eval, cfg)
-			return Report{
-				Action: Retrain, Strategy: "harden", NewRef: net,
-				AccBefore: -1, AccAfter: acc,
-				Detail: fmt.Sprintf("drop-connect hardened at p=%.2f", cfg.DropP),
-			}, nil
-		},
-	}
 }

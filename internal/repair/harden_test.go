@@ -1,7 +1,6 @@
 package repair
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -64,28 +63,5 @@ func TestHardenDropConnectImprovesFaultTolerance(t *testing.T) {
 	ph, pp := damagedAcc(hardened), damagedAcc(plain)
 	if ph < pp-0.01 {
 		t.Fatalf("hardened model under damage %.3f worse than plain %.3f", ph, pp)
-	}
-}
-
-func TestHardenStrategyCommissioningOnly(t *testing.T) {
-	net, train := trainToy(t)
-	cfg := DefaultHardenConfig()
-	cfg.Epochs = 1
-	s := NewHardenStrategy(net, train, nil, cfg)
-	if s.Name() != "harden" || s.Cost() != CostHarden {
-		t.Fatalf("harden identity wrong: %s/%d", s.Name(), s.Cost())
-	}
-	if s.Applicable(Diagnosis{Stuck: 5}) {
-		t.Fatal("harden applicable to a deployed device")
-	}
-	if !s.Applicable(Diagnosis{Commissioning: true}) {
-		t.Fatal("harden not applicable at commissioning")
-	}
-	rep, err := s.Apply(context.Background(), Diagnosis{Commissioning: true})
-	if err != nil {
-		t.Fatalf("harden apply: %v", err)
-	}
-	if rep.Strategy != "harden" || rep.NewRef != net {
-		t.Fatalf("harden report wrong: %+v", rep)
 	}
 }

@@ -48,9 +48,8 @@ func RetrainAround(net *nn.Network, stuck StuckMask, train, eval *dataset.Datase
 
 // RetrainAroundCtx is RetrainAround with cooperative cancellation: ctx is
 // checked before every batch, and on cancellation the stuck positions are
-// restored (via the SnapshotStuck restore closure) and the network is taken
-// out of training mode before returning, so no frozen-gradient or
-// training-mode state leaks out of an aborted retrain. The non-stuck weights
+// restored (via the SnapshotStuck restore closure) before returning, so no
+// frozen-gradient state leaks out of an aborted retrain. The non-stuck weights
 // keep whatever fine-tuning they had received — the caller decides whether
 // to deploy or discard the partially-trained network; nothing here touches
 // the hardware. The returned error is typed (*Error wrapping ctx.Err()).
@@ -65,7 +64,6 @@ func RetrainAroundCtx(ctx context.Context, net *nn.Network, stuck StuckMask, tra
 	r := rng.New(cfg.Seed)
 	sgd := opt.NewSGD(net.Params(), cfg.LR, cfg.Momentum, 0)
 	restoreStuck := SnapshotStuck(net, stuck)
-	net.SetTraining(true)
 	// the fine-tuning loop runs through a compiled training plan: one
 	// ForwardBackward leaves the batch gradient in every Param.Grad (same
 	// bits as the legacy ZeroGrad+Backward), so the freeze→step→restore
@@ -78,7 +76,6 @@ func RetrainAroundCtx(ctx context.Context, net *nn.Network, stuck StuckMask, tra
 		for {
 			if err := ctx.Err(); err != nil {
 				restoreStuck()
-				net.SetTraining(false)
 				return 0, &Error{Strategy: "retrain", Op: "train", Err: err}
 			}
 			bx, by, ok := it.Next()
@@ -94,7 +91,6 @@ func RetrainAroundCtx(ctx context.Context, net *nn.Network, stuck StuckMask, tra
 		}
 		fmt.Fprintf(logw, "retrain epoch %d/%d: loss=%.4f\n", epoch+1, cfg.Epochs, total/float64(batches))
 	}
-	net.SetTraining(false)
 	if eval == nil {
 		eval = train
 	}

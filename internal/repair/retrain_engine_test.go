@@ -19,7 +19,6 @@ func legacyRetrain(net *nn.Network, stuck StuckMask, train *dataset.Dataset, cfg
 	r := rng.New(cfg.Seed)
 	sgd := opt.NewSGD(net.Params(), cfg.LR, cfg.Momentum, 0)
 	restoreStuck := SnapshotStuck(net, stuck)
-	net.SetTraining(true)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for _, b := range train.Batches(cfg.BatchSize, r) {
 			logits := net.Forward(b.X)
@@ -31,7 +30,6 @@ func legacyRetrain(net *nn.Network, stuck StuckMask, train *dataset.Dataset, cfg
 			restoreStuck()
 		}
 	}
-	net.SetTraining(false)
 	return net.Accuracy(train.X, train.Y, 64)
 }
 

@@ -47,7 +47,6 @@ import (
 // retraining round costs data movement and training compute on top of a full
 // redeploy (the paper's cloud-edge collaborative path).
 const (
-	CostHarden  = 0 // commissioning-time: charged to manufacturing, not the field budget
 	CostScrub   = 1
 	CostRemap   = 2
 	CostRetrain = 4
@@ -57,9 +56,6 @@ const (
 // must pick a repair: the debounced severity plus the cheap hardware census
 // the strategies key their applicability on.
 type Diagnosis struct {
-	// Commissioning marks a pre-deployment diagnosis: the device is healthy
-	// and strategies that harden (rather than repair) apply.
-	Commissioning bool
 	// Status is the runtime's confirmed severity.
 	Status monitor.Status
 	// Drifted counts healthy cells whose conductance sits outside the scrub
@@ -75,9 +71,6 @@ type Diagnosis struct {
 
 // String renders the diagnosis on one line.
 func (d Diagnosis) String() string {
-	if d.Commissioning {
-		return "commissioning"
-	}
 	return fmt.Sprintf("status=%s drifted=%d stuck=%d spares=%d", d.Status, d.Drifted, d.Stuck, d.Spares)
 }
 
@@ -234,7 +227,7 @@ func (s *scrub) Name() string { return "scrub" }
 func (s *scrub) Cost() int    { return CostScrub }
 
 func (s *scrub) Applicable(d Diagnosis) bool {
-	return !d.Commissioning && d.Drifted > 0
+	return d.Drifted > 0
 }
 
 func (s *scrub) Apply(ctx context.Context, _ Diagnosis) (Report, error) {
@@ -278,7 +271,7 @@ func (s *remap) Name() string { return "remap" }
 func (s *remap) Cost() int    { return CostRemap }
 
 func (s *remap) Applicable(d Diagnosis) bool {
-	return !d.Commissioning && d.Stuck > 0
+	return d.Stuck > 0
 }
 
 func (s *remap) Apply(ctx context.Context, _ Diagnosis) (Report, error) {
@@ -315,7 +308,7 @@ func NewRetrain(accel *reram.Accelerator, ref func() *nn.Network, train, eval *d
 func (s *retrainStrategy) Name() string { return "retrain" }
 func (s *retrainStrategy) Cost() int    { return CostRetrain }
 
-func (s *retrainStrategy) Applicable(d Diagnosis) bool { return !d.Commissioning }
+func (s *retrainStrategy) Applicable(Diagnosis) bool { return true }
 
 func (s *retrainStrategy) Apply(ctx context.Context, _ Diagnosis) (Report, error) {
 	stuck, err := DiagnoseStuck(s.accel, s.ref(), s.tol)

@@ -251,8 +251,8 @@ func (a *Accelerator) exportReadout(dst *nn.Network) {
 // everything else runs through the digital skeleton's batched inference
 // kernels. Returns the (N, classes) logits in a per-accelerator workspace
 // that is reused by the next Infer call — callers that need the batch to
-// outlive the next readout must Clone it. Reshape-only layers (Flatten,
-// Dropout at inference) are elided: the batch is already flat.
+// outlive the next readout must Clone it. Flatten is elided: the batch is
+// already flat.
 func (a *Accelerator) Infer(x *tensor.Tensor) *tensor.Tensor {
 	tensor.AssertDims("reram.Infer x", x, tensor.Wildcard, a.model.InDim())
 	n := x.Dim(0)
@@ -261,7 +261,7 @@ func (a *Accelerator) Infer(x *tensor.Tensor) *tensor.Tensor {
 	}
 	cur := x
 	for li, layer := range a.model.Layers() {
-		if p, ok := layer.(nn.InferencePassthrough); ok && p.InferencePassthrough() {
+		if _, flat := layer.(*nn.Flatten); flat {
 			continue
 		}
 		w := a.ws[li]

@@ -24,11 +24,11 @@ import (
 // compensated at inference time, so training must not pretend it is.
 //
 // Determinism contract: masks are drawn serially, in network parameter order
-// and row-major element order, from the DropConnect's own RNG — the same
-// serial-prepass discipline nn.Dropout uses inside the engine. All weight
-// mutation happens outside the (possibly pooled) kernels, so pooled and
-// serial engines over the same seed produce bit-identical weights, and a
-// steady stream of same-size batches allocates nothing.
+// and row-major element order, from the DropConnect's own RNG, before the
+// (possibly pooled) kernels run. All weight mutation happens outside those
+// kernels, so pooled and serial engines over the same seed produce
+// bit-identical weights, and a steady stream of same-size batches allocates
+// nothing.
 type DropConnect struct {
 	eng    *Engine
 	p      float64

@@ -25,7 +25,6 @@ func dcToy(seed int64) (*nn.Network, *dataset.Dataset) {
 func TestDropConnectSerialPooledBitIdentical(t *testing.T) {
 	runDC := func(workers int) *nn.Network {
 		net, train := dcToy(51)
-		net.SetTraining(true)
 		eng := tengine.MustCompile(net, tengine.Options{MaxBatch: 16, Workers: workers})
 		dc := tengine.NewDropConnect(eng, 0.2, rng.New(52))
 		sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 0)
@@ -40,7 +39,6 @@ func TestDropConnectSerialPooledBitIdentical(t *testing.T) {
 			dc.Step(bx, by)
 			sgd.StepAndZero()
 		}
-		net.SetTraining(false)
 		return net
 	}
 	serial, pooled := runDC(1), runDC(4)
@@ -59,7 +57,6 @@ func TestDropConnectSerialPooledBitIdentical(t *testing.T) {
 // — the optimizer, not the mask, is the only thing that moves weights.
 func TestDropConnectStepRestoresWeights(t *testing.T) {
 	net, train := dcToy(55)
-	net.SetTraining(true)
 	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: 16})
 	dc := tengine.NewDropConnect(eng, 0.3, rng.New(56))
 	before := net.Clone()
@@ -85,7 +82,6 @@ func TestDropConnectStepRestoresWeights(t *testing.T) {
 // (never masked) still flow.
 func TestDropConnectZeroesDroppedGradients(t *testing.T) {
 	net, train := dcToy(58)
-	net.SetTraining(true)
 	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: 16})
 	dc := tengine.NewDropConnect(eng, 0.999999, rng.New(59))
 	it := train.BatchIterator(16)
@@ -116,7 +112,6 @@ func TestDropConnectZeroesDroppedGradients(t *testing.T) {
 
 func TestDropConnectSteadyStateAllocs(t *testing.T) {
 	net, train := dcToy(61)
-	net.SetTraining(true)
 	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: 16, Workers: 1})
 	dc := tengine.NewDropConnect(eng, 0.2, rng.New(62))
 	it := train.BatchIterator(16)

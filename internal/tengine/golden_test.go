@@ -55,7 +55,6 @@ func TestGoldenGradsFixture(t *testing.T) {
 			// weight digest after the fifth
 			run := func(opts tengine.Options) (string, string) {
 				net := m.build(rng.New(11))
-				net.SetTraining(true)
 				opts.MaxBatch = n
 				eng := tengine.MustCompile(net, opts)
 				sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 1e-4)

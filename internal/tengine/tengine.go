@@ -23,7 +23,7 @@
 //
 // After ForwardBackward the batch gradient is stored into every Param.Grad
 // (overwriting — equivalent to the legacy ZeroGrad-then-Backward sequence),
-// ready for opt.SGD/Adam StepAndZero. An Engine is a single-goroutine object
+// ready for opt.SGD.StepAndZero. An Engine is a single-goroutine object
 // like the layers it wraps; clone the network and compile per goroutine for
 // concurrent training.
 package tengine
@@ -81,7 +81,6 @@ type Options struct {
 type step struct {
 	layer   nn.Layer
 	tk      nn.TrainKernel
-	prepass nn.TrainPrepass  // non-nil for RNG-consuming layers (dropout)
 	bwdPrep nn.TrainBackPrep // non-nil for layers with a serial pre-backward hook
 
 	inVol, outVol int
@@ -92,13 +91,11 @@ type step struct {
 	gradBuf  []float64 // dL/d(input) workspace, nil for an untapped first step
 	shardBuf []float64 // per-sample parameter gradients, cap >= capN*paramVol
 	intBuf   []int
-	floatBuf []float64
 	scratch  [][]float64 // per-chunk kernel scratch
 
 	// current-batch views and prefixes, rebuilt only when the size changes
 	out, grad *tensor.Tensor
 	ints      []int
-	floats    []float64
 	shard     []float64
 
 	in      *tensor.Tensor // input view, set each pass
@@ -129,11 +126,10 @@ type Engine struct {
 	lossGrad *tensor.Tensor // (curN, outVol) view of lossBuf
 }
 
-// Compile builds a training plan for net. It fails if a layer neither
-// implements nn.TrainKernel nor marks itself as a training passthrough — such
-// a network has no batched training semantics. Mode-dependent layers
-// (dropout) are planned according to their state at compile time: compile
-// after net.SetTraining.
+// Compile builds a training plan for net. It fails if a layer other than
+// Flatten (elided: the identity both ways on the batched representation) does
+// not implement nn.TrainKernel — such a network has no batched training
+// semantics.
 func Compile(net *nn.Network, opts Options) (*Engine, error) {
 	e := &Engine{net: net, inDim: net.InDim(), pool: opts.Pool, inputGrad: opts.InputGrad}
 	if e.pool == nil {
@@ -171,7 +167,7 @@ func (e *Engine) compileSteps(net *nn.Network, opts Options) error {
 	for _, l := range net.Layers() {
 		outShape := l.OutputShape(shape)
 		outVol := volume(outShape)
-		if isPassthrough(l) {
+		if _, flat := l.(*nn.Flatten); flat {
 			shape, vol = outShape, outVol
 			continue
 		}
@@ -179,10 +175,7 @@ func (e *Engine) compileSteps(net *nn.Network, opts Options) error {
 		if !ok {
 			return fmt.Errorf("tengine: layer %q (%T) has no batched training path", l.Name(), l)
 		}
-		s := &step{layer: l, tk: tk, inVol: vol, outVol: outVol, dims: tk.TrainDims(vol)}
-		if pp, ok := l.(nn.TrainPrepass); ok {
-			s.prepass = pp
-		}
+		s := &step{layer: l, tk: tk, inVol: vol, outVol: outVol, dims: tk.TrainDims()}
 		if bp, ok := l.(nn.TrainBackPrep); ok {
 			s.bwdPrep = bp
 		}
@@ -198,11 +191,11 @@ func (e *Engine) compileSteps(net *nn.Network, opts Options) error {
 		}
 		s.fwdBody = func(chunk, lo, hi int) {
 			s.tk.TrainForwardRange(s.out, s.in, lo, hi,
-				nn.TrainCache{Ints: s.ints, Floats: s.floats, Scratch: s.scratch[chunk], Shard: s.shard})
+				nn.TrainCache{Ints: s.ints, Scratch: s.scratch[chunk], Shard: s.shard})
 		}
 		s.bwdBody = func(chunk, lo, hi int) {
 			s.tk.TrainBackwardRange(s.grad, s.gradOut, s.in, s.out, lo, hi,
-				nn.TrainCache{Ints: s.ints, Floats: s.floats, Scratch: s.scratch[chunk], Shard: s.shard})
+				nn.TrainCache{Ints: s.ints, Scratch: s.scratch[chunk], Shard: s.shard})
 		}
 		// one fold body per parameter: partition its elements (or the layer's
 		// coarser units) across chunks; each element folds the whole sample
@@ -268,10 +261,6 @@ func (e *Engine) InDim() int { return e.inDim }
 // OutDim returns the flattened per-sample output (logit) size.
 func (e *Engine) OutDim() int { return e.outVol }
 
-// StepCost returns the modeled per-sample hardware cost of one training step
-// (forward + backward; see Options.CostTileRows/CostTileCols).
-func (e *Engine) StepCost() hwcost.Cost { return e.perStep }
-
 // Counter returns the counter the plan charges; never nil.
 func (e *Engine) Counter() *hwcost.Counter { return e.counter }
 
@@ -291,9 +280,6 @@ func (e *Engine) setBatch(n int) {
 			if s.dims.IntsPerSample > 0 {
 				s.intBuf = make([]int, n*s.dims.IntsPerSample)
 			}
-			if s.dims.FloatsPerSample > 0 {
-				s.floatBuf = make([]float64, n*s.dims.FloatsPerSample)
-			}
 		}
 		e.lossBuf = make([]float64, n*e.outVol)
 		e.capN = n
@@ -308,7 +294,6 @@ func (e *Engine) setBatch(n int) {
 			s.grad = tensor.FromSlice(s.gradBuf[:n*s.inVol], n, s.inVol)
 		}
 		s.ints = s.intBuf[:n*s.dims.IntsPerSample]
-		s.floats = s.floatBuf[:n*s.dims.FloatsPerSample]
 		s.shard = s.shardBuf[:n*s.paramVol]
 	}
 	e.lossGrad = tensor.FromSlice(e.lossBuf[:n*e.outVol], n, e.outVol)
@@ -324,11 +309,6 @@ func (e *Engine) forward(x *tensor.Tensor) *tensor.Tensor {
 	cur := x
 	for _, s := range e.steps {
 		s.in = cur
-		if s.prepass != nil {
-			// serial: consumes the layer's RNG stream in row-major batch
-			// order, exactly like the legacy per-layer Forward
-			s.prepass.TrainPrepass(n, nn.TrainCache{Ints: s.ints, Floats: s.floats})
-		}
 		if e.chunks <= 1 || n == 1 {
 			s.fwdBody(0, 0, n)
 		} else {
@@ -415,12 +395,6 @@ func (e *Engine) InputGrad() *tensor.Tensor {
 		panic("tengine: InputGrad requires Options.InputGrad at compile time")
 	}
 	return e.steps[0].grad
-}
-
-// isPassthrough reports whether the layer is elided from training plans.
-func isPassthrough(l nn.Layer) bool {
-	p, ok := l.(nn.TrainPassthrough)
-	return ok && p.TrainPassthrough()
 }
 
 func volume(shape []int) int {

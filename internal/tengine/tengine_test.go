@@ -16,11 +16,9 @@ import (
 	"reramtest/internal/tensor"
 )
 
-// seedModels enumerates every architecture the repo ships, plus one synthetic
-// stack that exercises the passthrough elisions (Flatten, inference-mode
-// Dropout would be elided; here Dropout runs in training mode) and the
-// tanh/sigmoid backward kernels. The golden gate below demands exact float64
-// equality against the legacy per-layer Forward/ZeroGrad/Backward path.
+// seedModels enumerates every architecture the repo ships. The golden gate
+// below demands exact float64 equality against the legacy per-layer
+// Forward/ZeroGrad/Backward path.
 func seedModels() []struct {
 	name    string
 	build   func(r *rng.RNG) *nn.Network
@@ -39,17 +37,6 @@ func seedModels() []struct {
 		{"mlp-deep", func(r *rng.RNG) *nn.Network {
 			return models.MLP(r, 32, []int{40, 32, 20}, 8)
 		}, 8},
-		{"dropout-flatten", func(r *rng.RNG) *nn.Network {
-			return nn.NewNetwork("dp", 12,
-				nn.NewDense("fc1", r, 12, 20),
-				nn.NewTanh("t1"),
-				nn.NewDropout("drop", r, 0.5),
-				nn.NewFlatten("flat"),
-				nn.NewDense("fc2", r, 20, 10),
-				nn.NewSigmoid("s1"),
-				nn.NewDense("fc3", r, 10, 4),
-			)
-		}, 4},
 	}
 }
 
@@ -85,9 +72,7 @@ func randBatch(seed int64, n, dim, classes int) (*tensor.Tensor, []int) {
 // seed model, serial and pooled engines, batch sizes 1/7/32 streamed through
 // ONE engine (so the workspace-view rebuild path is exercised), hard and
 // smoothed-soft targets. Loss, logits, every parameter gradient and the input
-// gradient must match the legacy path to the last bit. Dropout models are
-// rebuilt from the same seed for each arm so both arms consume identical
-// mask streams.
+// gradient must match the legacy path to the last bit.
 func TestForwardBackwardMatchesLegacy(t *testing.T) {
 	pool := tensor.NewPool(4)
 	defer pool.Close()
@@ -103,8 +88,6 @@ func TestForwardBackwardMatchesLegacy(t *testing.T) {
 			t.Run(m.name+"/"+cfg.name, func(t *testing.T) {
 				legacy := m.build(rng.New(3))
 				subject := m.build(rng.New(3))
-				legacy.SetTraining(true)
-				subject.SetTraining(true)
 				eng := tengine.MustCompile(subject, cfg.opts)
 				for pass, n := range []int{1, 7, 32, 7} {
 					x, labels := randBatch(int64(40+pass), n, legacy.InDim(), m.classes)
@@ -164,9 +147,6 @@ func TestTrainingRunBitIdentical(t *testing.T) {
 			legacy := m.build(rng.New(5))
 			serial := m.build(rng.New(5))
 			pooled := m.build(rng.New(5))
-			for _, net := range []*nn.Network{legacy, serial, pooled} {
-				net.SetTraining(true)
-			}
 			const steps, batch = 8, 7
 			lOpt := opt.NewSGD(legacy.Params(), 0.05, 0.9, 1e-4)
 			sOpt := opt.NewSGD(serial.Params(), 0.05, 0.9, 1e-4)
@@ -214,7 +194,6 @@ func TestForwardBackwardAllocFree(t *testing.T) {
 		} {
 			t.Run(m.name+"/"+cfg.name, func(t *testing.T) {
 				net := m.build(rng.New(9))
-				net.SetTraining(true)
 				eng := tengine.MustCompile(net, cfg.opts)
 				x, labels := randBatch(99, 8, net.InDim(), m.classes)
 				target := nn.UniformLabels(8, m.classes)
@@ -236,7 +215,6 @@ func TestForwardBackwardAllocFree(t *testing.T) {
 // charging the counter.
 func TestForwardBackwardEmptyBatch(t *testing.T) {
 	net := models.MLP(rng.New(3), 16, []int{24, 16}, 6)
-	net.SetTraining(true)
 	eng := tengine.MustCompile(net, tengine.Options{Workers: 1})
 	empty := tensor.New(0, 16)
 	if _, err := eng.ForwardBackward(empty, nil); !errors.Is(err, tengine.ErrEmptyBatch) {
@@ -280,7 +258,6 @@ func TestPoolShutdownNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	pool := tensor.NewPool(4)
 	net := models.MLP(rng.New(2), 16, []int{24, 16}, 6)
-	net.SetTraining(true)
 	eng := tengine.MustCompile(net, tengine.Options{Pool: pool, MaxBatch: 8})
 	x, labels := randBatch(1, 8, 16, 6)
 	for i := 0; i < 5; i++ {

@@ -12,10 +12,10 @@ import (
 // is a disjoint row range with an unchanged per-row summation order, the
 // parallel result is bit-identical to the serial one.
 //
-// A Pool is safe for concurrent use: each Run call carries its own completion
-// WaitGroup, so independent engines can share one pool. The jobs it executes
-// are plain value structs sent over a channel — the steady state makes no
-// allocations.
+// A Pool is safe for concurrent use: each RunWith call carries its caller's
+// completion WaitGroup, so independent engines can share one pool. The jobs
+// it executes are plain value structs sent over a channel — the steady state
+// makes no allocations.
 type Pool struct {
 	workers int
 	jobs    chan poolJob
@@ -54,7 +54,8 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool's worker count (1 for an inline pool).
 func (p *Pool) Workers() int { return p.workers }
 
-// Close stops the workers. Runs must not be in flight or issued afterwards.
+// Close stops the workers. RunWith calls must not be in flight or issued
+// afterwards.
 func (p *Pool) Close() {
 	p.closed.Do(func() {
 		if p.jobs != nil {
@@ -77,18 +78,12 @@ func SharedPool() *Pool {
 	return sharedPool
 }
 
-// Run splits [0, n) into at most `chunks` contiguous ranges and executes
-// body(chunk, lo, hi) for each, returning when all ranges are done. It is a
-// convenience wrapper around RunWith with a local WaitGroup; hot paths that
-// must not allocate should hold their own WaitGroup and call RunWith.
-func (p *Pool) Run(n, chunks int, body func(chunk, lo, hi int)) {
-	var wg sync.WaitGroup
-	p.RunWith(&wg, n, chunks, body)
-}
-
-// RunWith is Run with a caller-owned WaitGroup (it must be idle). The caller's
-// goroutine executes chunk 0 itself while the workers run the rest, so an
-// inline pool or a single chunk degrades to a plain function call.
+// RunWith splits [0, n) into at most `chunks` contiguous ranges and executes
+// body(chunk, lo, hi) for each, returning when all ranges are done. wg is the
+// caller's, idle, and reused across calls, so the steady state allocates
+// nothing. The caller's goroutine executes chunk 0 itself while the workers
+// run the rest, so an inline pool or a single chunk degrades to a plain
+// function call.
 //
 // Ranges are balanced: the first n%chunks ranges get one extra element.
 func (p *Pool) RunWith(wg *sync.WaitGroup, n, chunks int, body func(chunk, lo, hi int)) {
@@ -126,25 +121,4 @@ func (p *Pool) RunWith(wg *sync.WaitGroup, n, chunks int, body func(chunk, lo, h
 	}
 	body(0, 0, hi0)
 	wg.Wait()
-}
-
-// MatMulParallelInto computes dst = a·b with output rows tiled across the
-// pool. Each worker computes a disjoint row range via the shared MatMulSlices
-// kernel, so the result is bit-identical to MatMulInto regardless of the
-// worker count. A nil pool runs serially.
-func MatMulParallelInto(p *Pool, dst, a, b *Tensor) {
-	m, k := mustMatrix("MatMulParallelInto lhs", a)
-	k2, n := mustMatrix("MatMulParallelInto rhs", b)
-	AssertDims("MatMulParallelInto dst", dst, m, n)
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulParallelInto inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	if p == nil || p.workers <= 1 {
-		MatMulSlices(dst.data, a.data, b.data, m, k, n)
-		return
-	}
-	dd, ad, bd := dst.data, a.data, b.data
-	p.Run(m, p.workers, func(_, lo, hi int) {
-		MatMulSlices(dd[lo*n:hi*n], ad[lo*k:hi*k], bd, hi-lo, k, n)
-	})
 }

@@ -15,8 +15,9 @@ func TestPoolRunCoversRange(t *testing.T) {
 		for _, n := range []int{1, 2, 3, 7, 16, 64, 65} {
 			for _, chunks := range []int{1, 2, 3, 8} {
 				var mu sync.Mutex
+				var wg sync.WaitGroup
 				seen := make([]int, n)
-				p.Run(n, chunks, func(_, lo, hi int) {
+				p.RunWith(&wg, n, chunks, func(_, lo, hi int) {
 					mu.Lock()
 					for i := lo; i < hi; i++ {
 						seen[i]++
@@ -38,46 +39,18 @@ func TestPoolRunCoversRange(t *testing.T) {
 func TestPoolRunZero(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
+	var wg sync.WaitGroup
 	called := false
-	p.Run(0, 4, func(_, _, _ int) { called = true })
+	p.RunWith(&wg, 0, 4, func(_, _, _ int) { called = true })
 	if called {
 		t.Fatal("body invoked for empty range")
 	}
 }
 
-// TestMatMulParallelBitIdentical: the worker pool must not change a single
-// bit of the product relative to the serial kernel, for any worker count —
-// rows are disjoint and each row keeps its summation order.
-func TestMatMulParallelBitIdentical(t *testing.T) {
-	r := rng.New(3)
-	a := Randn(r, 0, 1, 37, 19)
-	b := Randn(r, 0, 1, 19, 23)
-	// sparsify a little so the av==0 skip path is exercised too
-	ad := a.Data()
-	for i := 0; i < len(ad); i += 5 {
-		ad[i] = 0
-	}
-	want := MatMul(a, b)
-	for _, workers := range []int{1, 2, 3, 8} {
-		p := NewPool(workers)
-		got := New(37, 23)
-		MatMulParallelInto(p, got, a, b)
-		if !got.Equal(want) {
-			t.Fatalf("workers=%d: parallel product differs from serial", workers)
-		}
-		p.Close()
-	}
-	// nil pool must work too
-	got := New(37, 23)
-	MatMulParallelInto(nil, got, a, b)
-	if !got.Equal(want) {
-		t.Fatal("nil-pool product differs from serial")
-	}
-}
-
 // TestPoolSharedAcrossGoroutines drives one pool from several goroutines at
 // once (the fleet's topology: engines on different devices sharing the
-// process pool). Run under -race by `make check`.
+// process pool), each computing a row-tiled product with its own WaitGroup.
+// Run under -race by `make check`.
 func TestPoolSharedAcrossGoroutines(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -91,9 +64,13 @@ func TestPoolSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var run sync.WaitGroup
 			got := New(31, 13)
+			gd, ad, bd := got.Data(), a.Data(), b.Data()
 			for iter := 0; iter < 50; iter++ {
-				MatMulParallelInto(p, got, a, b)
+				p.RunWith(&run, 31, 4, func(_, lo, hi int) {
+					MatMulSlices(gd[lo*13:hi*13], ad[lo*17:hi*17], bd, hi-lo, 17, 13)
+				})
 				if !got.Equal(want) {
 					errs <- "concurrent parallel product diverged"
 					return

@@ -13,7 +13,6 @@
 //	            "retried":false, "attempts":1, "cost":{...}}
 //	  4xx/5xx: {"error":"<kind>", "message":"..."}  (kind ∈ netserve.KnownKinds)
 //	GET /v1/healthz   per-shard serving/quarantined/retired/draining snapshot
-//	GET /v1/stats     the tier's lifetime counters
 //	GET /statsz       full telemetry: lifetime counters, per-tenant/per-shard
 //	                  response-granular hardware cost, and every device's live
 //	                  per-class counter snapshot
