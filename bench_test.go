@@ -174,9 +174,10 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkLeNetInference(b *testing.B) {
 	e := env(b)
 	x := e.DigitsTest.Input(0)
+	eng := engine.MustCompile(e.LeNet, engine.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.LeNet.Forward(x)
+		eng.ForwardBatch(nil, x)
 	}
 }
 
@@ -184,9 +185,10 @@ func BenchmarkLeNetInference(b *testing.B) {
 func BenchmarkConvNetInference(b *testing.B) {
 	e := env(b)
 	x := e.ObjectsTest.Input(0)
+	eng := engine.MustCompile(e.ConvNet, engine.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.ConvNet.Forward(x)
+		eng.ForwardBatch(nil, x)
 	}
 }
 
@@ -213,9 +215,10 @@ func BenchmarkConcurrentTestRound(b *testing.B) {
 func BenchmarkFullTestSetEvaluation(b *testing.B) {
 	e := env(b)
 	eval := e.DigitsTest.Head(300)
+	eng := engine.MustCompile(e.LeNet, engine.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.LeNet.Accuracy(eval.X, eval.Y, 64)
+		eng.Accuracy(eval.X, eval.Y, 64)
 	}
 }
 
@@ -301,7 +304,7 @@ func BenchmarkAblationADCBits(b *testing.B) {
 	}
 }
 
-// batchBenchModels builds the serial-vs-batched benchmark workloads. These
+// batchBenchModels builds the batched-readout benchmark workloads. These
 // run on untrained weights (inference cost is weight-value independent) so
 // the comparison needs no trained-weight cache and never skips.
 func batchBenchModels() []struct {
@@ -318,30 +321,7 @@ func batchBenchModels() []struct {
 	}
 }
 
-// BenchmarkForwardSerial measures the pre-engine monitor readout: each
-// pattern cloned through the per-sample training-path forward plus softmax.
-func BenchmarkForwardSerial(b *testing.B) {
-	for _, m := range batchBenchModels() {
-		for _, n := range []int{1, 16, 64} {
-			b.Run(fmt.Sprintf("%s/B%d", m.name, n), func(b *testing.B) {
-				x := tensor.RandUniform(rng.New(3), 0, 1, n, m.net.InDim())
-				rows := make([]*tensor.Tensor, n)
-				for s := 0; s < n; s++ {
-					rows[s] = tensor.FromSlice(x.Data()[s*m.net.InDim():(s+1)*m.net.InDim()], 1, m.net.InDim())
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, row := range rows {
-						nn.Softmax(m.net.Forward(row))
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkForwardBatched measures the same readout through a compiled
+// BenchmarkForwardBatched measures the monitor readout through a compiled
 // batch-first engine: one Probs call over the whole batch, reusing
 // workspaces (0 allocs/op in steady state — asserted by
 // TestBatchedForwardAllocFree).

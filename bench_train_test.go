@@ -13,8 +13,8 @@ import (
 	"reramtest/internal/tensor"
 )
 
-// trainFixture builds the training workload both arms share: a fresh MLP on
-// a synthetic digit set (no weight cache required — untrained weights cost
+// trainFixture builds the training workload: a fresh MLP on a synthetic
+// digit set (no weight cache required — untrained weights cost
 // the same to differentiate as trained ones).
 func trainFixture() (*nn.Network, *dataset.Dataset) {
 	train := dataset.SynthDigits(31, dataset.DefaultDigitsConfig(128))
@@ -22,27 +22,9 @@ func trainFixture() (*nn.Network, *dataset.Dataset) {
 	return net, train
 }
 
-// BenchmarkTrainStepLegacy is the pre-engine training step: layer-wise batch
-// forward, cross-entropy with a fresh gradient tensor, ZeroGrad, layer-wise
-// backward, momentum SGD step.
-func BenchmarkTrainStepLegacy(b *testing.B) {
-	net, train := trainFixture()
-	sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 1e-4)
-	x := tensor.FromSlice(train.X.Data()[:32*train.SampleDim()], 32, train.SampleDim())
-	y := train.Y[:32]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		logits := net.Forward(x)
-		_, grad := nn.CrossEntropy(logits, y)
-		net.ZeroGrad()
-		net.Backward(grad)
-		sgd.Step()
-	}
-}
-
-// BenchmarkTrainStepEngine is the same step through the compiled training
-// plan with the fused allocation-free optimizer update.
+// BenchmarkTrainStepEngine is one training step — batch forward,
+// cross-entropy, backward, momentum SGD — through the compiled training plan
+// with the fused allocation-free optimizer update.
 func BenchmarkTrainStepEngine(b *testing.B) {
 	net, train := trainFixture()
 	sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 1e-4)
@@ -77,27 +59,8 @@ func TestTrainStepAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkRetrainEpochLegacy reproduces the pre-engine RetrainAround inner
-// loop for one epoch: slice-of-batches allocation plus per-layer backprop.
-func BenchmarkRetrainEpochLegacy(b *testing.B) {
-	net, train := trainFixture()
-	sgd := opt.NewSGD(net.Params(), 0.01, 0.9, 0)
-	r := rng.New(3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, batch := range train.Batches(32, r) {
-			logits := net.Forward(batch.X)
-			_, grad := nn.CrossEntropy(logits, batch.Y)
-			net.ZeroGrad()
-			net.Backward(grad)
-			sgd.Step()
-		}
-	}
-}
-
-// BenchmarkRetrainEpochEngine is the same epoch through the compiled plan and
-// the reusable batch iterator.
+// BenchmarkRetrainEpochEngine is one RetrainAround-style epoch through the
+// compiled plan and the reusable batch iterator.
 func BenchmarkRetrainEpochEngine(b *testing.B) {
 	net, train := trainFixture()
 	sgd := opt.NewSGD(net.Params(), 0.01, 0.9, 0)
@@ -127,45 +90,9 @@ func otpNets() (*nn.Network, *nn.Network) {
 	return clean, faulty
 }
 
-// BenchmarkOTPSynthesisLegacy runs Algorithm 1's optimization loop (20
-// iterations, convergence thresholds disabled) through the pre-engine path.
-func BenchmarkOTPSynthesisLegacy(b *testing.B) {
-	clean, faulty := otpNets()
-	soft := nn.UniformLabels(10, 10)
-	labels := make([]int, 10)
-	for j := range labels {
-		labels[j] = j
-	}
-	hard := nn.OneHot(labels, 10)
-	x := tensor.RandUniform(rng.New(5), 0, 1, 10, 64)
-	const lr, alpha = 0.5, 0.5
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for iter := 0; iter < 20; iter++ {
-			zClean := clean.Forward(x)
-			_, g1 := nn.SoftCrossEntropy(zClean, soft)
-			clean.ZeroGrad()
-			gx1 := clean.Backward(g1)
-			zFault := faulty.Forward(x)
-			_, g2 := nn.SoftCrossEntropy(zFault, hard)
-			faulty.ZeroGrad()
-			gx2 := faulty.Backward(g2)
-			xd, d1, d2 := x.Data(), gx1.Data(), gx2.Data()
-			for i := range xd {
-				xd[i] -= lr * (alpha*d1[i] + (1-alpha)*d2[i])
-				if xd[i] < 0 {
-					xd[i] = 0
-				} else if xd[i] > 1 {
-					xd[i] = 1
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkOTPSynthesisEngine runs the same 20-iteration loop through two
-// compiled plans with input-gradient taps — the path GenerateOTP now uses.
+// BenchmarkOTPSynthesisEngine runs Algorithm 1's optimization loop (20
+// iterations, convergence thresholds disabled) through two compiled plans
+// with input-gradient taps — the path GenerateOTP uses.
 func BenchmarkOTPSynthesisEngine(b *testing.B) {
 	clean, faulty := otpNets()
 	ce := tengine.MustCompile(clean, tengine.Options{Workers: 1, MaxBatch: 10, InputGrad: true, NoParamGrads: true})

@@ -1,23 +1,19 @@
-// Command benchsmoke is the CI performance gate for the batch-first
-// inference engine, the batch-first training engine and the drop-connect
-// hardening step. It rebuilds the default monitoring workload (the fleet
-// plant's MLP shape with its 16-pattern concurrent-test batch), verifies the
-// batched paths are bit-identical to the legacy serial/per-layer paths (and
-// hardening bit-identical between serial and pooled engines), then measures
-// everything and compares against the committed baseline
-// (cmd/benchsmoke/testdata/bench_baseline.json).
+// Command benchsmoke is the CI performance gate for the drop-connect
+// hardening step and the hardware cost accounting layer. On the default
+// monitoring workload's MLP shape it verifies that hardening is
+// bit-identical between serial and pooled training plans and that metering
+// is numerically invisible, then measures both and compares against the
+// committed baseline (cmd/benchsmoke/testdata/bench_baseline.json).
 //
 // The baseline is expressed as machine-independent ratios — minimum
-// batched-over-serial speedup and maximum steady-state allocations per
-// operation — so the gate is stable across host CPUs and core counts (the
-// speedup on a single-core runner comes from allocation avoidance and
-// workspace reuse, not parallelism). Exit status 0 means the gate holds;
-// 1 means a regression (or a bit-identity violation, which fails first and
-// loudest).
+// masked-over-plain and metered-over-unmetered wall-time ratios and maximum
+// steady-state allocations per operation — so the gate is stable across
+// host CPUs and core counts. Exit status 0 means the gate holds; 1 means a
+// regression (or a bit-identity violation, which fails first and loudest).
 //
 // With -json DIR the measured numbers are also written to
-// DIR/BENCH_infer.json, DIR/BENCH_train.json and DIR/BENCH_harden.json, the
-// machine-readable perf-trajectory artifacts documented in DESIGN.md §11.
+// DIR/BENCH_harden.json and DIR/BENCH_cost.json, the machine-readable
+// perf-trajectory artifacts documented in DESIGN.md §11.
 //
 //	go run ./cmd/benchsmoke [-baseline path] [-json dir]
 package main
@@ -32,7 +28,6 @@ import (
 	"testing"
 	"time"
 
-	"reramtest/internal/engine"
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
 	"reramtest/internal/opt"
@@ -44,17 +39,6 @@ import (
 
 // Baseline is the committed performance contract.
 type Baseline struct {
-	// MinSpeedup is the minimum serial/batched wall-time ratio for one full
-	// monitor readout (all patterns through the model plus softmax).
-	MinSpeedup float64 `json:"min_speedup"`
-	// MaxAllocsPerOp caps steady-state heap allocations per batched readout.
-	MaxAllocsPerOp float64 `json:"max_allocs_per_op"`
-	// TrainMinSpeedup is the minimum legacy/engine wall-time ratio for one
-	// full training step (forward + backward + optimizer update).
-	TrainMinSpeedup float64 `json:"train_min_speedup"`
-	// TrainMaxAllocsPerOp caps steady-state heap allocations per engine
-	// training step (ForwardBackward + fused StepAndZero).
-	TrainMaxAllocsPerOp float64 `json:"train_max_allocs_per_op"`
 	// HardenMinSpeedup is the minimum plain-step-over-masked-step wall-time
 	// ratio for drop-connect hardening: the mask prepass and restore are O(n)
 	// passes over the weights, so a masked step must stay within a bounded
@@ -74,8 +58,8 @@ type Baseline struct {
 	CostMaxAllocsPerOp float64 `json:"cost_max_allocs_per_op"`
 }
 
-// Report is one emitted perf-trajectory record (BENCH_infer.json /
-// BENCH_train.json).
+// Report is one emitted perf-trajectory record (BENCH_harden.json /
+// BENCH_cost.json).
 type Report struct {
 	Workload      string  `json:"workload"`
 	LegacyNsPerOp int64   `json:"legacy_ns_per_op"`
@@ -104,7 +88,7 @@ func writeReport(dir, name string, r Report) {
 
 func main() {
 	baselinePath := flag.String("baseline", "cmd/benchsmoke/testdata/bench_baseline.json", "baseline ratios to gate against")
-	jsonDir := flag.String("json", "", "directory to write BENCH_infer.json / BENCH_train.json perf-trajectory artifacts (empty = skip)")
+	jsonDir := flag.String("json", "", "directory to write BENCH_harden.json / BENCH_cost.json perf-trajectory artifacts (empty = skip)")
 	flag.Parse()
 
 	raw, err := os.ReadFile(*baselinePath)
@@ -119,12 +103,6 @@ func main() {
 	}
 
 	failed := false
-	if !inferGate(base, *jsonDir) {
-		failed = true
-	}
-	if !trainGate(base, *jsonDir) {
-		failed = true
-	}
 	if !hardenGate(base, *jsonDir) {
 		failed = true
 	}
@@ -176,169 +154,6 @@ func minPair(a, b func()) (aNs, bNs int64) {
 		}
 	}
 	return best[0].Nanoseconds() / int64(iters[0]), best[1].Nanoseconds() / int64(iters[1])
-}
-
-// inferGate measures the batched monitor readout against the per-sample
-// serial path.
-func inferGate(base Baseline, jsonDir string) bool {
-	// the default plant workload: untrained weights cost the same to run as
-	// trained ones, so the gate needs no weight cache
-	const patterns, in, classes = 16, 16, 6
-	net := models.MLP(rng.New(7), in, []int{24, 16}, classes)
-	x := tensor.RandUniform(rng.New(8), 0, 1, patterns, in)
-	// a serial plan, like every other gate's timed engine and the fleet's
-	// devices: this readout is ~8 µs of work, and handing half of it to a
-	// second pool worker costs more than it saves on a shared 2-vCPU host
-	// (12.7 vs 8.3 µs) — a pooled arm would gate the neighbours' load on the
-	// second core, not the engine
-	eng := engine.MustCompile(net, engine.Options{Workers: 1})
-
-	serial := func(dst *tensor.Tensor) {
-		dd := dst.Data()
-		for s := 0; s < patterns; s++ {
-			row := tensor.FromSlice(x.Data()[s*in:(s+1)*in], 1, in)
-			probs := nn.Softmax(net.Forward(row))
-			copy(dd[s*classes:(s+1)*classes], probs.Data())
-		}
-	}
-
-	// hard gate first: the batched readout must be bit-identical to the
-	// serial one — a fast engine that moves a single confidence bit would
-	// silently shift every monitor distance in the fleet
-	want := tensor.New(patterns, classes)
-	serial(want)
-	if !eng.Probs(x).Equal(want) {
-		fmt.Fprintln(os.Stderr, "benchsmoke: FAIL batched readout is not bit-identical to the serial path")
-		return false
-	}
-
-	scratch := tensor.New(patterns, classes)
-	serialNs, batchedNs := minPair(
-		func() { serial(scratch) },
-		func() { eng.Probs(x) })
-	allocs := testing.AllocsPerRun(50, func() { eng.Probs(x) })
-
-	speedup := float64(serialNs) / float64(batchedNs)
-	fmt.Printf("benchsmoke: infer serial %d ns/op, batched %d ns/op, speedup %.2fx (min %.2fx), allocs/op %.0f (max %.0f)\n",
-		serialNs, batchedNs, speedup, base.MinSpeedup, allocs, base.MaxAllocsPerOp)
-	writeReport(jsonDir, "BENCH_infer.json", Report{
-		Workload:      fmt.Sprintf("MLP 16-[24 16]-6, %d-pattern monitor readout", patterns),
-		LegacyNsPerOp: serialNs, EngineNsPerOp: batchedNs,
-		Speedup: speedup, AllocsPerOp: allocs,
-		MinSpeedup: base.MinSpeedup, MaxAllocsOp: base.MaxAllocsPerOp,
-	})
-
-	ok := true
-	if speedup < base.MinSpeedup {
-		fmt.Fprintf(os.Stderr, "benchsmoke: FAIL infer speedup %.2fx below baseline %.2fx\n", speedup, base.MinSpeedup)
-		ok = false
-	}
-	if allocs > base.MaxAllocsPerOp {
-		fmt.Fprintf(os.Stderr, "benchsmoke: FAIL infer %.0f allocs/op above baseline %.0f\n", allocs, base.MaxAllocsPerOp)
-		ok = false
-	}
-	return ok
-}
-
-// trainGate measures one full training step (forward + backward + momentum
-// SGD update) through the training engine against the legacy per-layer loop,
-// after first demanding that a multi-step training run lands on bit-identical
-// weights on all three arms: legacy, serial engine, pooled engine.
-func trainGate(base Baseline, jsonDir string) bool {
-	const batch, in, classes, steps = 16, 16, 6, 25
-	buildNet := func() *nn.Network {
-		return models.MLP(rng.New(7), in, []int{24, 16}, classes)
-	}
-	x := tensor.RandUniform(rng.New(8), 0, 1, batch, in)
-	labels := make([]int, batch)
-	for j := range labels {
-		labels[j] = j % classes
-	}
-
-	legacyStep := func(net *nn.Network, sgd *opt.SGD) {
-		logits := net.Forward(x)
-		_, grad := nn.CrossEntropy(logits, labels)
-		net.ZeroGrad()
-		net.Backward(grad)
-		sgd.Step()
-	}
-
-	// hard gate first: K momentum-SGD steps must produce bit-identical final
-	// weights via the legacy loop, the serial engine and the pooled engine —
-	// the determinism contract of the fixed-order shard reduction. Only after
-	// equality holds is any ratio worth measuring.
-	pool := tensor.NewPool(4)
-	defer pool.Close()
-	legacyNet, serialNet, pooledNet := buildNet(), buildNet(), buildNet()
-	lOpt := opt.NewSGD(legacyNet.Params(), 0.05, 0.9, 1e-4)
-	sOpt := opt.NewSGD(serialNet.Params(), 0.05, 0.9, 1e-4)
-	pOpt := opt.NewSGD(pooledNet.Params(), 0.05, 0.9, 1e-4)
-	se := tengine.MustCompile(serialNet, tengine.Options{Workers: 1, MaxBatch: batch})
-	pe := tengine.MustCompile(pooledNet, tengine.Options{Pool: pool, MaxBatch: batch})
-	for i := 0; i < steps; i++ {
-		legacyStep(legacyNet, lOpt)
-		se.ForwardBackward(x, labels)
-		sOpt.StepAndZero()
-		pe.ForwardBackward(x, labels)
-		pOpt.StepAndZero()
-	}
-	lp, sp, pp := legacyNet.Params(), serialNet.Params(), pooledNet.Params()
-	for i := range lp {
-		if !sp[i].Value.Equal(lp[i].Value) || !pp[i].Value.Equal(lp[i].Value) {
-			fmt.Fprintf(os.Stderr, "benchsmoke: FAIL trained weights of %s are not bit-identical across legacy/serial/pooled arms\n", lp[i].Name)
-			return false
-		}
-	}
-
-	// timing arms use the repo's default training workload — the digits-sized
-	// MLP models.DefaultTrainConfig trains, batch 32 — so the committed ratio
-	// tracks the shape users actually pay for
-	const tBatch, tIn, tClasses = 32, 784, 10
-	buildTimingNet := func() *nn.Network {
-		return models.MLP(rng.New(13), tIn, []int{64, 32}, tClasses)
-	}
-	tx := tensor.RandUniform(rng.New(9), 0, 1, tBatch, tIn)
-	tLabels := make([]int, tBatch)
-	for j := range tLabels {
-		tLabels[j] = j % tClasses
-	}
-	benchLegacy, benchEngineNet := buildTimingNet(), buildTimingNet()
-	blOpt := opt.NewSGD(benchLegacy.Params(), 0.05, 0.9, 1e-4)
-	beOpt := opt.NewSGD(benchEngineNet.Params(), 0.05, 0.9, 1e-4)
-	be := tengine.MustCompile(benchEngineNet, tengine.Options{Workers: 1, MaxBatch: tBatch})
-	engineStep := func() {
-		be.ForwardBackward(tx, tLabels)
-		beOpt.StepAndZero()
-	}
-	legacyNs, engineNs := minPair(func() {
-		logits := benchLegacy.Forward(tx)
-		_, grad := nn.CrossEntropy(logits, tLabels)
-		benchLegacy.ZeroGrad()
-		benchLegacy.Backward(grad)
-		blOpt.Step()
-	}, engineStep)
-	allocs := testing.AllocsPerRun(50, engineStep)
-
-	speedup := float64(legacyNs) / float64(engineNs)
-	fmt.Printf("benchsmoke: train legacy %d ns/op, engine %d ns/op, speedup %.2fx (min %.2fx), allocs/op %.0f (max %.0f)\n",
-		legacyNs, engineNs, speedup, base.TrainMinSpeedup, allocs, base.TrainMaxAllocsPerOp)
-	writeReport(jsonDir, "BENCH_train.json", Report{
-		Workload:      fmt.Sprintf("MLP 784-[64 32]-10, batch-%d momentum-SGD training step", tBatch),
-		LegacyNsPerOp: legacyNs, EngineNsPerOp: engineNs,
-		Speedup: speedup, AllocsPerOp: allocs,
-		MinSpeedup: base.TrainMinSpeedup, MaxAllocsOp: base.TrainMaxAllocsPerOp,
-	})
-
-	ok := true
-	if speedup < base.TrainMinSpeedup {
-		fmt.Fprintf(os.Stderr, "benchsmoke: FAIL train speedup %.2fx below baseline %.2fx\n", speedup, base.TrainMinSpeedup)
-		ok = false
-	}
-	if allocs > base.TrainMaxAllocsPerOp {
-		fmt.Fprintf(os.Stderr, "benchsmoke: FAIL train %.0f allocs/op above baseline %.0f\n", allocs, base.TrainMaxAllocsPerOp)
-		ok = false
-	}
-	return ok
 }
 
 // hardenGate measures the drop-connect hardening step — commissioning-time

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 
 	"reramtest/internal/detect"
+	"reramtest/internal/engine"
 	"reramtest/internal/experiments"
 	"reramtest/internal/faults"
 	"reramtest/internal/nn"
@@ -91,7 +92,7 @@ func pregenerate(env *experiments.Env) {
 // meanConfStd is the mean per-pattern standard deviation of the clean
 // model's confidences — near 1/classes·0 for a well-converged O-TP set.
 func meanConfStd(net *nn.Network, x *tensor.Tensor, classes int) float64 {
-	probs := nn.Softmax(net.Forward(x))
+	probs := engine.MustCompile(net, engine.Options{}).Probs(x)
 	pd := probs.Data()
 	m := probs.Dim(0)
 	sum := 0.0

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 
+	"reramtest/internal/engine"
 	"reramtest/internal/experiments"
 )
 
@@ -24,7 +25,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println(env.LeNet.Summary())
-	fmt.Printf("LeNet-5 test accuracy: %.2f%%\n\n", 100*env.LeNet.Accuracy(env.DigitsTest.X, env.DigitsTest.Y, 64))
+	fmt.Printf("LeNet-5 test accuracy: %.2f%%\n\n", 100*engine.MustCompile(env.LeNet, engine.Options{}).Accuracy(env.DigitsTest.X, env.DigitsTest.Y, 64))
 	fmt.Println(env.ConvNet.Summary())
-	fmt.Printf("ConvNet-7 test accuracy: %.2f%%\n", 100*env.ConvNet.Accuracy(env.ObjectsTest.X, env.ObjectsTest.Y, 64))
+	fmt.Printf("ConvNet-7 test accuracy: %.2f%%\n", 100*engine.MustCompile(env.ConvNet, engine.Options{}).Accuracy(env.ObjectsTest.X, env.ObjectsTest.Y, 64))
 }

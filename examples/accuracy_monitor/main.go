@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 
+	"reramtest/internal/engine"
 	"reramtest/internal/experiments"
 	"reramtest/internal/faults"
 	"reramtest/internal/monitor"
@@ -38,7 +39,7 @@ func main() {
 	for _, sigma := range []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5} {
 		faulty := faults.MakeFaulty(net, faults.LogNormal{Sigma: sigma}, int64(7000+sigma*100))
 		rep := mon.Check(monitor.NetworkInfer(faulty))
-		trueAcc := faulty.Accuracy(eval.X, eval.Y, 64)
+		trueAcc := engine.MustCompile(faulty, engine.Options{}).Accuracy(eval.X, eval.Y, 64)
 		fmt.Printf("%-8.2f %-12s %-12s %-12s %s\n", sigma,
 			fmt.Sprintf("%.1f%%", 100*rep.EstAccuracy),
 			fmt.Sprintf("%.1f%%", 100*trueAcc),

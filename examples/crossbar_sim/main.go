@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"reramtest/internal/dataset"
+	"reramtest/internal/engine"
 	"reramtest/internal/experiments"
 	"reramtest/internal/reram"
 	"reramtest/internal/tensor"
@@ -25,7 +26,7 @@ func main() {
 	}
 	net, test := env.ModelFor("lenet5")
 	eval := test.Head(200)
-	digital := net.Accuracy(eval.X, eval.Y, 64)
+	digital := engine.MustCompile(net, engine.Options{}).Accuracy(eval.X, eval.Y, 64)
 	fmt.Printf("digital reference accuracy: %.1f%%\n\n", 100*digital)
 
 	// 1. ideal devices, real converters: the analog path itself
@@ -65,7 +66,7 @@ func main() {
 		}},
 	} {
 		a := c.build()
-		acc := a.ReadoutNetwork().Accuracy(eval.X, eval.Y, 64)
+		acc := engine.MustCompile(a.ReadoutNetwork(), engine.Options{}).Accuracy(eval.X, eval.Y, 64)
 		fmt.Printf("%-40s %.1f%%\n", c.name, 100*acc)
 	}
 }

@@ -13,8 +13,10 @@ import (
 
 	"reramtest/internal/dataset"
 	"reramtest/internal/detect"
+	"reramtest/internal/engine"
 	"reramtest/internal/faults"
 	"reramtest/internal/models"
+	"reramtest/internal/nn"
 	"reramtest/internal/rng"
 	"reramtest/internal/testgen"
 )
@@ -28,8 +30,8 @@ func main() {
 	cfg.Epochs = 4
 	cfg.LR = 0.02
 	cfg.Log = os.Stdout
-	acc := models.Train(net, train, test, cfg)
-	fmt.Printf("clean model accuracy: %.1f%%\n\n", 100*acc)
+	models.Train(net, train, cfg)
+	fmt.Printf("clean model accuracy: %.1f%%\n\n", 100*accuracy(net, test))
 
 	// 2. generate O-TP patterns: the clean model must be maximally confused
 	//    by them, a reference fault model maximally confident
@@ -48,6 +50,11 @@ func main() {
 		fmt.Printf("σ=%.2f: O-TP distance=%.4f (flagged=%v) | plain-image distance=%.4f (flagged=%v) | true acc=%.1f%%\n",
 			sigma, otp.AllDist, otp.Detect(detect.SDCA3),
 			plain.AllDist, plain.Detect(detect.SDCA3),
-			100*faulty.Accuracy(test.X, test.Y, 64))
+			100*accuracy(faulty, test))
 	}
+}
+
+// accuracy is net's top-1 accuracy on d, through a compiled inference plan.
+func accuracy(net *nn.Network, d *dataset.Dataset) float64 {
+	return engine.MustCompile(net, engine.Options{}).Accuracy(d.X, d.Y, 64)
 }

@@ -5,6 +5,7 @@ import (
 
 	"reramtest/internal/dataset"
 	"reramtest/internal/detect"
+	"reramtest/internal/engine"
 	"reramtest/internal/faults"
 	"reramtest/internal/models"
 	"reramtest/internal/monitor"
@@ -13,7 +14,7 @@ import (
 	"reramtest/internal/repair"
 	"reramtest/internal/reram"
 	"reramtest/internal/rng"
-	"reramtest/internal/tensor"
+	"reramtest/internal/tengine"
 	"reramtest/internal/testgen"
 )
 
@@ -30,21 +31,24 @@ func pipeline(t *testing.T) (*nn.Network, *dataset.Dataset) {
 	train := dataset.SynthDigits(900, dataset.DefaultDigitsConfig(800))
 	net := models.MLP(rng.New(901), train.SampleDim(), []int{48}, 10)
 	sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 0)
+	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: 32})
 	r := rng.New(902)
 	for epoch := 0; epoch < 5; epoch++ {
 		for _, b := range train.Batches(32, r) {
-			logits := net.Forward(b.X)
-			_, grad := nn.CrossEntropy(logits, b.Y)
-			net.ZeroGrad()
-			net.Backward(grad)
-			sgd.Step()
+			eng.ForwardBackward(b.X, b.Y) // batches are never empty
+			sgd.StepAndZero()
 		}
 	}
-	if acc := net.Accuracy(train.X, train.Y, 64); acc < 0.9 {
+	if acc := accuracy(net, train); acc < 0.9 {
 		t.Fatalf("pipeline model failed to train: %.2f", acc)
 	}
 	pipelineModel, pipelineData = net, train
 	return net, train
+}
+
+// accuracy is net's top-1 accuracy on d, through a compiled inference plan.
+func accuracy(net *nn.Network, d *dataset.Dataset) float64 {
+	return engine.MustCompile(net, engine.Options{}).Accuracy(d.X, d.Y, 64)
 }
 
 // TestEndToEndDetectionPipeline exercises the full paper flow on a live
@@ -109,8 +113,8 @@ func TestEndToEndHardwarePipeline(t *testing.T) {
 	accel := reram.NewAccelerator(net, cfg, 42)
 
 	// device view == digital view at commissioning
-	d0 := net.Accuracy(eval.X, eval.Y, 64)
-	a0 := accel.ReadoutNetwork().Accuracy(eval.X, eval.Y, 64)
+	d0 := accuracy(net, eval)
+	a0 := accuracy(accel.ReadoutNetwork(), eval)
 	if d0 != a0 {
 		t.Fatalf("commissioned accelerator accuracy %.3f != digital %.3f", a0, d0)
 	}
@@ -118,7 +122,7 @@ func TestEndToEndHardwarePipeline(t *testing.T) {
 	// age and damage
 	accel.AdvanceTime(800)
 	accel.InjectStuckAt(0.01, 0.01)
-	damaged := accel.ReadoutNetwork().Accuracy(eval.X, eval.Y, 64)
+	damaged := accuracy(accel.ReadoutNetwork(), eval)
 	if damaged >= d0 {
 		t.Fatalf("aging did not damage accuracy: %.3f vs %.3f", damaged, d0)
 	}
@@ -129,9 +133,7 @@ func TestEndToEndHardwarePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("monitor.New: %v", err)
 	}
-	rep := mon.Check(func(x *tensor.Tensor) *tensor.Tensor {
-		return nn.Softmax(accel.ReadoutNetwork().Forward(x))
-	})
+	rep := mon.Check(monitor.NetworkInfer(accel.ReadoutNetwork()))
 	if rep.Status == monitor.Healthy {
 		t.Fatalf("monitor missed damage (dist %.4f, accuracy %.3f→%.3f)", rep.AllDist, d0, damaged)
 	}
@@ -149,7 +151,7 @@ func TestEndToEndHardwarePipeline(t *testing.T) {
 	rcfg.Epochs = 2
 	repair.RetrainAround(faulty, stuck, data, nil, rcfg)
 	accel.ProgramNetwork(faulty)
-	repaired := accel.ReadoutNetwork().Accuracy(eval.X, eval.Y, 64)
+	repaired := accuracy(accel.ReadoutNetwork(), eval)
 	if repaired <= damaged {
 		t.Fatalf("repair did not recover accuracy: %.3f (damaged %.3f)", repaired, damaged)
 	}

@@ -128,7 +128,7 @@ func buildTemplate(cfg PlantConfig) *template {
 	tcfg := models.DefaultTrainConfig()
 	tcfg.Epochs = 5
 	tcfg.Seed = r.Int63()
-	models.Train(net, pool, nil, tcfg)
+	models.Train(net, pool, tcfg)
 	if cfg.Harden {
 		// commissioning-time drop-connect hardening: the deployed weights are
 		// fault-aware BEFORE self-labelling, so commissioning fidelity stays
@@ -145,7 +145,7 @@ func buildTemplate(cfg PlantConfig) *template {
 	}
 
 	// self-label everything with the trained model's predictions
-	pool.Y = net.Predict(pool.X)
+	pool.Y = engine.MustCompile(net, engine.Options{}).Predict(pool.X)
 	train := pool.Head(cfg.TrainN)
 	probeIdx := make([]int, cfg.ProbeN)
 	for i := range probeIdx {
@@ -376,8 +376,7 @@ func (p *Plant) Infer() monitor.Infer {
 
 // Fidelity measures the accelerator's functional agreement with the clean
 // model on the probe set (1.0 = perfect agreement). The probe sweep runs
-// through the batched readout engine with the same batching and argmax
-// tie-breaking as nn.Network.Accuracy.
+// through the batched readout engine (Engine.Accuracy, batches of 64).
 //
 // It runs outside any station, so it books its own spend (and anything else
 // pending) to the serving class.

@@ -114,7 +114,7 @@ func (d *Dataset) Batches(batchSize int, r *rng.RNG) []Batch {
 // rebuilding every batch tensor every epoch. Reset re-shuffles with exactly
 // the RNG stream Batches consumes (identity order, then one Fisher–Yates
 // shuffle), so a loop over the iterator visits bit-identical batches in the
-// same order as the legacy slice-of-batches loop.
+// same order as a loop over Batches.
 //
 // The returned tensors and label slices are views into the iterator's
 // workspace, valid until the next Next or Reset; callers may mutate the batch

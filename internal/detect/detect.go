@@ -121,8 +121,7 @@ type Golden struct {
 // Capture runs the pattern set through the ideal model and records its
 // softmax confidences and top-k rankings.
 func Capture(ideal *nn.Network, patterns *testgen.PatternSet) *Golden {
-	logits := ideal.Forward(patterns.X)
-	probs := nn.Softmax(logits)
+	probs := engine.MustCompile(ideal, engine.Options{}).Probs(patterns.X).Clone()
 	m, n := probs.Dim(0), probs.Dim(1)
 	g := &Golden{Patterns: patterns, Probs: probs, Classes: n,
 		Top1: make([]int, m), Top5: make([][]int, m)}
@@ -165,26 +164,18 @@ type Observation struct {
 
 // Observe runs the patterns through target and scores the divergence from
 // the golden reference. The forward pass goes through a cached batch
-// inference engine whose outputs are bit-identical to target.Forward, so
-// every distance, flag and fingerprint matches the per-sample path exactly.
+// inference plan that each call rebinds to target.
 func (g *Golden) Observe(target *nn.Network) Observation {
 	return g.ObserveProbs(g.probsOf(target))
 }
 
 // probsOf computes target's softmax confidences on the pattern batch,
-// reusing the cached engine when target matches its compiled architecture
-// and falling back to the plain training-path forward for networks with no
-// batched inference semantics.
+// reusing the cached engine when target matches its compiled architecture.
 func (g *Golden) probsOf(target *nn.Network) *tensor.Tensor {
-	if g.eng != nil && g.eng.Rebind(target) == nil {
-		return g.eng.Probs(g.Patterns.X)
+	if g.eng == nil || g.eng.Rebind(target) != nil {
+		g.eng = engine.MustCompile(target, engine.Options{})
 	}
-	eng, err := engine.Compile(target, engine.Options{})
-	if err != nil {
-		return nn.Softmax(target.Forward(g.Patterns.X))
-	}
-	g.eng = eng
-	return eng.Probs(g.Patterns.X)
+	return g.eng.Probs(g.Patterns.X)
 }
 
 // ObserveProbs scores an externally produced (M, n) confidence batch — e.g.

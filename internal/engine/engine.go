@@ -21,9 +21,9 @@
 // fusion changes where activations live, not what a crossbar would be
 // charged for them.
 //
-// F64 outputs are bit-identical to the per-sample nn.Network.Forward path:
+// F64 outputs are the same bits whatever the batch size or worker count:
 // every kernel processes batch rows independently and folds each output
-// element's terms in the same order as its training-path twin; a post-ReLU
+// element's terms in one fixed order, its training-path twin's; a post-ReLU
 // window maximum is order-free (no NaN, no −0), which is what lets the fused
 // pool take it with MAXPD. Parallelism only ever partitions whole samples:
 // a batch fans out over the pool at most once, each chunk of rows running
@@ -559,8 +559,9 @@ func (e *Engine) Probs(x *tensor.Tensor) *tensor.Tensor {
 	return e.probs
 }
 
-// Predict returns the argmax class per sample, matching nn.Network.Predict.
-// An empty batch predicts nothing.
+// Predict returns the argmax class per sample: a row's first maximum (a NaN
+// never beats one, so an all-NaN row predicts class 0). An empty batch
+// predicts nothing.
 func (e *Engine) Predict(x *tensor.Tensor) []int {
 	if x.Dim(0) == 0 {
 		return nil
@@ -586,9 +587,8 @@ func (e *Engine) Predict(x *tensor.Tensor) []int {
 	return out
 }
 
-// Accuracy evaluates top-1 accuracy on inputs x with labels y in batches of
-// batchSize, mirroring nn.Network.Accuracy (same batching, same argmax
-// tie-breaking) so engine-backed fidelity probes report identical numbers.
+// Accuracy evaluates top-1 accuracy (Predict's argmax) on inputs x with
+// labels y in batches of batchSize (≤ 0 selects 64); an empty x scores 0.
 func (e *Engine) Accuracy(x *tensor.Tensor, y []int, batchSize int) float64 {
 	nb := x.Dim(0)
 	if nb == 0 {

@@ -14,9 +14,10 @@ import (
 
 // seedModels enumerates every architecture the repo ships. The golden
 // equivalence gate below runs each one through the engine and demands exact
-// float64 equality against the per-sample training-path forward — this is the
-// contract that lets the monitor, detect and fleet layers adopt the batched
-// readout without moving a single distance metric or journal fingerprint.
+// float64 equality with the same rows run one at a time, and
+// testdata/golden_logits.json pins the bits themselves — the contract that
+// lets the monitor, detect and fleet layers share batched readouts without
+// moving a single distance metric or journal fingerprint.
 func seedModels() []struct {
 	name  string
 	build func(r *rng.RNG) *nn.Network
@@ -47,19 +48,21 @@ func mustForward(t testing.TB, eng *Engine, dst, x *tensor.Tensor) *tensor.Tenso
 	return out
 }
 
-// serialForward is the reference path: one sample at a time through the
-// training-path Network.Forward, reassembled into a batch.
+// serialForward is the batch-invariance reference: one sample at a time
+// through a fresh single-worker plan of net, reassembled into a batch. A
+// row's logits depend on that row alone, so every batch size, worker count
+// and rebinding must reproduce them.
 func serialForward(net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dim(0)
+	eng := MustCompile(net, Options{Workers: 1})
+	n, k := x.Dim(0), eng.OutDim()
 	in := x.Len() / n
-	var out *tensor.Tensor
+	out := tensor.New(n, k)
 	for s := 0; s < n; s++ {
-		row := tensor.FromSlice(x.Data()[s*in:(s+1)*in], 1, in)
-		y := net.Forward(row)
-		if out == nil {
-			out = tensor.New(n, y.Len())
+		y, err := eng.ForwardBatch(nil, tensor.FromSlice(x.Data()[s*in:(s+1)*in], 1, in))
+		if err != nil {
+			panic(err) // a one-row batch is never empty
 		}
-		copy(out.Data()[s*y.Len():], y.Data())
+		copy(out.Data()[s*k:], y.Data())
 	}
 	return out
 }
@@ -96,7 +99,7 @@ func TestEngineGoldenEquivalence(t *testing.T) {
 					want := serialForward(net, x)
 					got := mustForward(t, eng, nil, x)
 					if !got.Equal(want) {
-						t.Fatalf("%s n=%d: batched forward is not bit-identical to serial", cfg.label, n)
+						t.Fatalf("%s n=%d: batched forward is not bit-identical to row-at-a-time", cfg.label, n)
 					}
 					// dst-passing variant must produce the same bits too
 					dst := tensor.New(n, eng.OutDim())
@@ -104,10 +107,10 @@ func TestEngineGoldenEquivalence(t *testing.T) {
 					if !dst.Equal(want) {
 						t.Fatalf("%s n=%d: dst-passing forward differs", cfg.label, n)
 					}
-					// Probs must match the training-path softmax exactly
+					// Probs must be the softmax of those logits exactly
 					wantP := nn.Softmax(want)
 					if !eng.Probs(x).Equal(wantP) {
-						t.Fatalf("%s n=%d: Probs differs from nn.Softmax(Forward)", cfg.label, n)
+						t.Fatalf("%s n=%d: Probs differs from nn.Softmax of the logits", cfg.label, n)
 					}
 				}
 			}
@@ -116,27 +119,33 @@ func TestEngineGoldenEquivalence(t *testing.T) {
 }
 
 // TestEnginePredictAccuracyParity: the convenience evaluators must agree with
-// their nn.Network counterparts sample for sample.
+// the logits sample for sample — Predict is each row's first maximum, and
+// Accuracy counts its matches whatever the batch size.
 func TestEnginePredictAccuracyParity(t *testing.T) {
 	net := models.MLP(rng.New(21), 16, []int{24, 16}, 6)
 	eng := MustCompile(net, Options{Workers: 1})
 	x := tensor.RandUniform(rng.New(22), 0, 1, 150, 16)
-	wantPred := net.Predict(x)
-	gotPred := eng.Predict(x)
-	for i := range wantPred {
-		if gotPred[i] != wantPred[i] {
-			t.Fatalf("sample %d: engine predicted %d, network %d", i, gotPred[i], wantPred[i])
-		}
-	}
+	logits := serialForward(net, x)
 	y := make([]int, 150)
 	for i := range y {
 		y[i] = i % 6
 	}
-	if got, want := eng.Accuracy(x, y, 64), net.Accuracy(x, y, 64); got != want {
-		t.Fatalf("accuracy: engine %v, network %v", got, want)
+	gotPred := eng.Predict(x)
+	correct := 0
+	for i := range y {
+		want := tensor.FromSlice(logits.Data()[i*6:(i+1)*6], 6).ArgMax()
+		if gotPred[i] != want {
+			t.Fatalf("sample %d: engine predicted %d, logits say %d", i, gotPred[i], want)
+		}
+		if want == y[i] {
+			correct++
+		}
 	}
-	if got, want := eng.Accuracy(x, y, 0), net.Accuracy(x, y, 64); got != want {
-		t.Fatalf("accuracy default batch: engine %v, network %v", got, want)
+	want := float64(correct) / 150
+	for _, batch := range []int{64, 0, 7, 150} {
+		if got := eng.Accuracy(x, y, batch); got != want {
+			t.Fatalf("accuracy at batch %d: engine %v, logits %v", batch, got, want)
+		}
 	}
 }
 
@@ -280,12 +289,10 @@ func TestEngineCompileRejectsUnbatchable(t *testing.T) {
 // unbatchable is a Layer other than Flatten with no BatchInfer kernel.
 type unbatchable struct{}
 
-func (u *unbatchable) Name() string                             { return "unbatchable" }
-func (u *unbatchable) Forward(x *tensor.Tensor) *tensor.Tensor  { return x }
-func (u *unbatchable) Backward(g *tensor.Tensor) *tensor.Tensor { return g }
-func (u *unbatchable) Params() []*nn.Param                      { return nil }
-func (u *unbatchable) Clone() nn.Layer                          { return &unbatchable{} }
-func (u *unbatchable) OutputShape(in []int) []int               { return in }
+func (u *unbatchable) Name() string               { return "unbatchable" }
+func (u *unbatchable) Params() []*nn.Param        { return nil }
+func (u *unbatchable) Clone() nn.Layer            { return &unbatchable{} }
+func (u *unbatchable) OutputShape(in []int) []int { return in }
 
 // TestEngineSteadyStateAllocFree: after warmup, same-size batches must not
 // allocate — serial and pooled — which is the property the bench-smoke gate

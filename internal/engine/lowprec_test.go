@@ -82,14 +82,19 @@ func TestEngineF32WithinULPOfReference(t *testing.T) {
 // quantize activations and weights with the SAME tensor helpers the engine
 // uses, run the integer matmul through the f64 reference kernel (exact — the
 // values are integers far below 2⁵³), and dequantize through the SAME shared
-// expression; every other layer runs its ordinary f64 forward. The I8 tier
-// must match this bitwise.
+// expression; every other layer runs its f64 BatchInfer kernel over the whole
+// batch (Flatten, the identity, is skipped). The I8 tier must match this
+// bitwise.
 func i8Oracle(net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
 	cur := x
 	for _, l := range net.Layers() {
 		d, isDense := l.(*nn.Dense)
 		if !isDense {
-			cur = l.Forward(cur)
+			if bl, ok := l.(nn.BatchInfer); ok {
+				out := tensor.New(cur.Dim(0), volume(l.OutputShape([]int{cur.Dim(1)})))
+				bl.ForwardBatchRange(out, cur, 0, cur.Dim(0), make([]float64, bl.InferScratch()))
+				cur = out
+			}
 			continue
 		}
 		n := cur.Dim(0)

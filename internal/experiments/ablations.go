@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"reramtest/internal/detect"
+	"reramtest/internal/engine"
 	"reramtest/internal/faults"
 	"reramtest/internal/reram"
 	"reramtest/internal/rng"
@@ -99,6 +100,7 @@ func (e *Env) AblationCTPPool() *PoolAblationResult {
 	pool := e.PoolFor(model)
 	fms := faults.MakeFaultySet(net, faults.LogNormal{Sigma: otpRefSigma(model)}, e.Scale.FaultModels, seedFaultBase+444)
 
+	eng := engine.MustCompile(net, engine.Options{})
 	res := &PoolAblationResult{}
 	for _, n := range []int{500, 1000, 2000, 4000, pool.N()} {
 		if n > pool.N() {
@@ -112,7 +114,7 @@ func (e *Env) AblationCTPPool() *PoolAblationResult {
 		}
 		p := testgen.SelectCTP(net, sub, m)
 		// mean logit std of the selection
-		logits := net.Forward(p.X)
+		logits, _ := eng.ForwardBatch(nil, p.X) // m ≥ 1: never empty
 		k := logits.Dim(1)
 		flat := 0.0
 		for i := 0; i < p.M(); i++ {

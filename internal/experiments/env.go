@@ -160,7 +160,7 @@ func NewEnv(scale Scale, logw io.Writer) (*Env, error) {
 			cfg := models.DefaultTrainConfig()
 			cfg.LR = 0.01
 			cfg.Log = logw
-			models.Train(net, e.DigitsTrain, e.DigitsTest, cfg)
+			models.Train(net, e.DigitsTrain, cfg)
 		})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: LeNet-5: %w", err)
@@ -172,7 +172,7 @@ func NewEnv(scale Scale, logw io.Writer) (*Env, error) {
 			cfg := models.DefaultTrainConfig()
 			cfg.LR = 0.01
 			cfg.Log = logw
-			models.Train(net, e.ObjectsTrain, e.ObjectsTest, cfg)
+			models.Train(net, e.ObjectsTrain, cfg)
 		})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ConvNet-7: %w", err)

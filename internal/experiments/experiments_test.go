@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"reramtest/internal/detect"
+	"reramtest/internal/engine"
 )
 
 // tinyScale keeps the experiment tests to seconds: the heavy lifting (model
@@ -40,10 +41,12 @@ func env(t *testing.T) *Env {
 
 func TestEnvLoadsModels(t *testing.T) {
 	e := env(t)
-	if acc := e.LeNet.Accuracy(e.DigitsTest.X, e.DigitsTest.Y, 64); acc < 0.9 {
+	lenet := engine.MustCompile(e.LeNet, engine.Options{})
+	if acc := lenet.Accuracy(e.DigitsTest.X, e.DigitsTest.Y, 64); acc < 0.9 {
 		t.Fatalf("cached LeNet-5 accuracy %.2f, want >0.9", acc)
 	}
-	if acc := e.ConvNet.Accuracy(e.ObjectsTest.X, e.ObjectsTest.Y, 64); acc < 0.6 {
+	convnet := engine.MustCompile(e.ConvNet, engine.Options{})
+	if acc := convnet.Accuracy(e.ObjectsTest.X, e.ObjectsTest.Y, 64); acc < 0.6 {
 		t.Fatalf("cached ConvNet-7 accuracy %.2f, want >0.6", acc)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"reramtest/internal/detect"
+	"reramtest/internal/engine"
 	"reramtest/internal/faults"
 	"reramtest/internal/stats"
 )
@@ -27,7 +28,10 @@ func (e *Env) AccuracySweep(model string) *AccuracyTable {
 	net, test := e.ModelFor(model)
 	eval := test.Head(e.Scale.AccImages)
 	t := &AccuracyTable{Model: model, Sigmas: SigmasFor(model)}
-	t.CleanAcc = net.Accuracy(eval.X, eval.Y, 64)
+	// one plan per model, rebound to each fault model in turn: every
+	// fault model is a clone of net
+	eng := engine.MustCompile(net, engine.Options{})
+	t.CleanAcc = eng.Accuracy(eval.X, eval.Y, 64)
 	t.MeanAcc = make([]float64, len(t.Sigmas))
 	t.StdAcc = make([]float64, len(t.Sigmas))
 	for si, sigma := range t.Sigmas {
@@ -35,7 +39,10 @@ func (e *Env) AccuracySweep(model string) *AccuracyTable {
 		accs := make([]float64, e.Scale.AccModels)
 		fms := faults.MakeFaultySet(net, faults.LogNormal{Sigma: sigma}, e.Scale.AccModels, seedFaultBase+9000+int64(si)*131)
 		for i, fm := range fms {
-			accs[i] = fm.Accuracy(eval.X, eval.Y, 64)
+			if err := eng.Rebind(fm); err != nil {
+				panic(err)
+			}
+			accs[i] = eng.Accuracy(eval.X, eval.Y, 64)
 		}
 		t.MeanAcc[si] = stats.Mean(accs)
 		t.StdAcc[si] = stats.Std(accs)

@@ -6,9 +6,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"reramtest/internal/engine"
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
 	"reramtest/internal/rng"
+	"reramtest/internal/tengine"
 	"reramtest/internal/tensor"
 )
 
@@ -274,14 +276,18 @@ func TestAccuracyDegradesMonotonically(t *testing.T) {
 	net := models.MLP(rng.New(7), dim, []int{16}, 2)
 	// quick fit
 	trainNet(net, x, y, 200)
-	clean := net.Accuracy(x, y, 32)
+	eng := engine.MustCompile(net, engine.Options{})
+	clean := eng.Accuracy(x, y, 32)
 	if clean < 0.9 {
 		t.Fatalf("tiny model failed to fit: %v", clean)
 	}
 	accAt := func(sigma float64) float64 {
 		sum := 0.0
 		for _, fm := range MakeFaultySet(net, LogNormal{Sigma: sigma}, 10, 37) {
-			sum += fm.Accuracy(x, y, 32)
+			if err := eng.Rebind(fm); err != nil {
+				t.Fatal(err)
+			}
+			sum += eng.Accuracy(x, y, 32)
 		}
 		return sum / 10
 	}
@@ -292,11 +298,9 @@ func TestAccuracyDegradesMonotonically(t *testing.T) {
 }
 
 func trainNet(net *nn.Network, x *tensor.Tensor, y []int, iters int) {
+	eng := tengine.MustCompile(net, tengine.Options{})
 	for i := 0; i < iters; i++ {
-		logits := net.Forward(x)
-		_, grad := nn.CrossEntropy(logits, y)
-		net.ZeroGrad()
-		net.Backward(grad)
+		eng.ForwardBackward(x, y) // x has rows: never empty
 		for _, p := range net.Params() {
 			p.Value.AxpyInPlace(-0.5, p.Grad)
 		}

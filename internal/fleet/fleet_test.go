@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"reramtest/internal/engine"
 	"reramtest/internal/health"
 	"reramtest/internal/journal"
 	"reramtest/internal/models"
@@ -64,7 +65,7 @@ func (d *fakeDevice) Infer() monitor.Infer {
 		if d.sensorDead() {
 			panic("fakeDevice: sensor dead")
 		}
-		probs := nn.Softmax(d.net.Forward(x))
+		probs := probsOf(d.net, x)
 		if d.damaged {
 			probs.Apply(func(v float64) float64 { return v + 0.2 })
 		}
@@ -637,4 +638,10 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := New(asDevices(devs), testConfig(), nil); err == nil {
 		t.Fatal("duplicate device IDs accepted")
 	}
+}
+
+// probsOf is net's softmax readout of x through a freshly compiled inference
+// plan: a tensor of its own, which the caller may mutate.
+func probsOf(net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
+	return engine.MustCompile(net, engine.Options{}).Probs(x)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"reramtest/internal/engine"
 	"reramtest/internal/models"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
@@ -40,7 +41,7 @@ func testRuntime(t *testing.T, cfg Config) (*Runtime, *nn.Network) {
 // running the clean model and shifting every confidence.
 func shiftInfer(net *nn.Network, dist float64) monitor.Infer {
 	return func(x *tensor.Tensor) *tensor.Tensor {
-		probs := nn.Softmax(net.Forward(x))
+		probs := probsOf(net, x)
 		probs.Apply(func(v float64) float64 { return v + dist + 1e-9 })
 		return probs
 	}
@@ -145,7 +146,7 @@ func TestDeescalationIsSlower(t *testing.T) {
 func TestPoisonedInferNaN(t *testing.T) {
 	rt, net := testRuntime(t, DefaultConfig())
 	nan := func(x *tensor.Tensor) *tensor.Tensor {
-		probs := nn.Softmax(net.Forward(x))
+		probs := probsOf(net, x)
 		probs.Data()[3] = math.NaN()
 		return probs
 	}
@@ -193,7 +194,7 @@ func TestRetryRecoversFlakyReadout(t *testing.T) {
 		if calls == 1 {
 			panic("transient")
 		}
-		return nn.Softmax(net.Forward(x))
+		return probsOf(net, x)
 	}
 	r := rt.Check(flaky)
 	if !r.ReadoutOK || r.Rejected != 1 {
@@ -279,7 +280,7 @@ func TestSuperviseEscalatesUntilVerified(t *testing.T) {
 		if sr.fixed {
 			d = 0
 		}
-		probs := nn.Softmax(net.Forward(x))
+		probs := probsOf(net, x)
 		probs.Apply(func(v float64) float64 { return v + d + 1e-9 })
 		return probs
 	}
@@ -482,4 +483,10 @@ func TestSuperviseHealthyNoRepair(t *testing.T) {
 	if ep.Repaired() || len(sr.applied) != 0 {
 		t.Fatalf("healthy device was repaired: %s", ep)
 	}
+}
+
+// probsOf is net's softmax readout of x through a freshly compiled inference
+// plan: a tensor of its own, which the caller may mutate.
+func probsOf(net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
+	return engine.MustCompile(net, engine.Options{}).Probs(x)
 }

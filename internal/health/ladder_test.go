@@ -55,7 +55,7 @@ func ladderInfer(net *nn.Network, s *scriptedLadder) monitor.Infer {
 		if s.fixed {
 			d = 0
 		}
-		probs := nn.Softmax(net.Forward(x))
+		probs := probsOf(net, x)
 		probs.Apply(func(v float64) float64 { return v + d + 1e-9 })
 		return probs
 	}

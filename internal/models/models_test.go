@@ -6,10 +6,26 @@ import (
 	"testing"
 
 	"reramtest/internal/dataset"
+	"reramtest/internal/engine"
 	"reramtest/internal/nn"
 	"reramtest/internal/rng"
 	"reramtest/internal/tensor"
 )
+
+// logits runs x through a compiled inference plan of net.
+func logits(t *testing.T, net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	out, err := engine.MustCompile(net, engine.Options{}).ForwardBatch(nil, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// accuracy is net's top-1 accuracy on d, through a compiled inference plan.
+func accuracy(net *nn.Network, d *dataset.Dataset) float64 {
+	return engine.MustCompile(net, engine.Options{}).Accuracy(d.X, d.Y, 64)
+}
 
 func TestLeNet5Architecture(t *testing.T) {
 	net := LeNet5(rng.New(1))
@@ -20,7 +36,7 @@ func TestLeNet5Architecture(t *testing.T) {
 	if got := net.NumParams(); got != 61706 {
 		t.Fatalf("LeNet-5 has %d params, want 61706", got)
 	}
-	out := net.Forward(tensor.New(2, 784))
+	out := logits(t, net, tensor.New(2, 784))
 	if out.Dim(0) != 2 || out.Dim(1) != 10 {
 		t.Fatalf("LeNet-5 output %v, want (2, 10)", out.Shape())
 	}
@@ -44,7 +60,7 @@ func TestConvNet7Architecture(t *testing.T) {
 	if convs != 4 || denses != 3 {
 		t.Fatalf("ConvNet-7 has %d conv + %d FC, want 4 + 3", convs, denses)
 	}
-	out := net.Forward(tensor.New(1, 3*32*32))
+	out := logits(t, net, tensor.New(1, 3*32*32))
 	if out.Dim(1) != 10 {
 		t.Fatalf("ConvNet-7 output width %d", out.Dim(1))
 	}
@@ -52,7 +68,7 @@ func TestConvNet7Architecture(t *testing.T) {
 
 func TestMLPShapes(t *testing.T) {
 	net := MLP(rng.New(3), 20, []int{8, 4}, 3)
-	out := net.Forward(tensor.New(5, 20))
+	out := logits(t, net, tensor.New(5, 20))
 	if out.Dim(0) != 5 || out.Dim(1) != 3 {
 		t.Fatalf("MLP output %v", out.Shape())
 	}
@@ -116,8 +132,8 @@ func TestTrainFitsSmallDataset(t *testing.T) {
 	train := dataset.SynthDigits(50, dataset.DefaultDigitsConfig(400))
 	net := MLP(rng.New(7), train.SampleDim(), []int{32}, 10)
 	cfg := TrainConfig{Epochs: 5, BatchSize: 32, LR: 0.03, Momentum: 0.9, Seed: 1}
-	acc := Train(net, train, nil, cfg)
-	if acc < 0.85 {
+	Train(net, train, cfg)
+	if acc := accuracy(net, train); acc < 0.85 {
 		t.Fatalf("training reached only %.1f%% on its own training set", 100*acc)
 	}
 }
@@ -126,13 +142,12 @@ func TestTrainWithLabelSmoothing(t *testing.T) {
 	train := dataset.SynthDigits(51, dataset.DefaultDigitsConfig(300))
 	net := MLP(rng.New(8), train.SampleDim(), []int{24}, 10)
 	cfg := TrainConfig{Epochs: 4, BatchSize: 32, LR: 0.03, Momentum: 0.9, LabelSmooth: 0.1, Seed: 2}
-	acc := Train(net, train, nil, cfg)
-	if acc < 0.8 {
+	Train(net, train, cfg)
+	if acc := accuracy(net, train); acc < 0.8 {
 		t.Fatalf("smoothed training reached only %.1f%%", 100*acc)
 	}
 	// smoothing caps confidence: max softmax output should stay below ~0.95
-	logits := net.Forward(train.Input(0))
-	probs := nn.Softmax(logits)
+	probs := engine.MustCompile(net, engine.Options{}).Probs(train.Input(0))
 	if probs.Max() > 0.995 {
 		t.Errorf("label smoothing left confidence at %v", probs.Max())
 	}
@@ -149,7 +164,7 @@ func TestTrainOrLoadCaches(t *testing.T) {
 	}
 	trainFn := func(net *nn.Network) {
 		trains++
-		Train(net, train, nil, TrainConfig{Epochs: 1, BatchSize: 32, LR: 0.01, Seed: 3})
+		Train(net, train, TrainConfig{Epochs: 1, BatchSize: 32, LR: 0.01, Seed: 3})
 	}
 	first, err := TrainOrLoad(path, build, trainFn)
 	if err != nil {

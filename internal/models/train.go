@@ -40,16 +40,14 @@ func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{Epochs: 6, BatchSize: 32, LR: 0.05, Momentum: 0.9, Decay: 1e-4, LRStep: 3, LabelSmooth: 0.1, Seed: 7}
 }
 
-// Train runs mini-batch SGD on net over train, reporting per-epoch loss and
-// (if test is non-nil) test accuracy. It returns the final test accuracy, or
-// final train accuracy when test is nil.
+// Train runs mini-batch SGD on net over train, reporting per-epoch loss.
+// Accuracy is the caller's to measure, through an inference plan
+// (engine.Engine.Accuracy): models sits below engine in the import graph.
 //
 // The loop runs through a compiled tengine plan and the reusable batch
-// iterator, so the steady state allocates nothing; batches, losses, gradients
-// and final weights are bit-identical to the legacy per-layer
-// Forward/CrossEntropy/Backward/Step sequence (asserted by
-// TestTrainEngineMatchesLegacy).
-func Train(net *nn.Network, train, test *dataset.Dataset, cfg TrainConfig) float64 {
+// iterator, so the steady state allocates nothing; train_engine_test.go pins
+// the weights it trains.
+func Train(net *nn.Network, train *dataset.Dataset, cfg TrainConfig) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
 	}
@@ -88,19 +86,11 @@ func Train(net *nn.Network, train, test *dataset.Dataset, cfg TrainConfig) float
 		fmt.Fprintf(logw, "epoch %d/%d: loss=%.4f lr=%.4f (%.1fs)\n",
 			epoch+1, cfg.Epochs, totalLoss/float64(nBatches), sgd.LR(), time.Since(start).Seconds())
 	}
-	eval := test
-	if eval == nil {
-		eval = train
-	}
-	acc := net.Accuracy(eval.X, eval.Y, 64)
-	fmt.Fprintf(logw, "%s final accuracy on %s: %.2f%%\n", net.Name(), eval.Name, 100*acc)
-	return acc
 }
 
 // smoothTargets is a reusable label-smoothing target buffer: one workspace
 // sized to the full batch, refilled in place every fill call (the tail batch
-// rebuilds only the view header). Values match the legacy smoothLabels
-// construction exactly: ε/(n-1) everywhere, 1-ε on the true class.
+// rebuilds only the view header): ε/(n-1) everywhere, 1-ε on the true class.
 type smoothTargets struct {
 	classes int
 	eps     float64

@@ -241,19 +241,11 @@ func (r Report) String() string {
 type Infer func(x *tensor.Tensor) *tensor.Tensor
 
 // NetworkInfer adapts an nn.Network into an Infer. The returned Infer runs
-// the whole pattern batch through a compiled engine (bit-identical to the
-// per-sample Forward path, allocation-free in steady state); weight changes
-// made through the network's Params remain visible because the kernels read
-// the parameter tensors at call time. Networks with no batched inference
-// semantics fall back to the training-path forward.
+// the whole pattern batch through a compiled engine (allocation-free in
+// steady state); weight changes made through the network's Params remain
+// visible because the kernels read the parameter tensors at call time.
 func NetworkInfer(net *nn.Network) Infer {
-	eng, err := engine.Compile(net, engine.Options{})
-	if err != nil {
-		return func(x *tensor.Tensor) *tensor.Tensor {
-			return nn.Softmax(net.Forward(x))
-		}
-	}
-	return eng.Probs
+	return engine.MustCompile(net, engine.Options{}).Probs
 }
 
 // Check runs one concurrent-test round against the accelerator.

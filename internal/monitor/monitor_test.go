@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"reramtest/internal/detect"
+	"reramtest/internal/engine"
 	"reramtest/internal/faults"
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
@@ -44,7 +45,7 @@ func TestHealthyOnIdealModel(t *testing.T) {
 
 // TestNetworkInferTracksWeightMutation: one Infer outlives many probes, and
 // the monitor's fault sweeps mutate networks in place between them — the
-// change must show on the next probe, at the bits of a fresh Forward.
+// change must show on the next probe, at the bits of a freshly compiled plan.
 func TestNetworkInferTracksWeightMutation(t *testing.T) {
 	m, net := testMonitor(t, nil)
 	infer := NetworkInfer(net)
@@ -55,8 +56,8 @@ func TestNetworkInferTracksWeightMutation(t *testing.T) {
 	if after.Equal(before) {
 		t.Fatal("probe did not see the in-place weight mutation")
 	}
-	if !after.Equal(nn.Softmax(net.Forward(x))) {
-		t.Fatal("probe after mutation diverges from net.Forward")
+	if !after.Equal(engine.MustCompile(net, engine.Options{}).Probs(x)) {
+		t.Fatal("probe after mutation diverges from a fresh plan")
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"reramtest/internal/models"
-	"reramtest/internal/nn"
 	"reramtest/internal/rng"
 	"reramtest/internal/serve"
 	"reramtest/internal/tensor"
@@ -339,7 +338,7 @@ func TestHedgedAnswersStayBitIdentical(t *testing.T) {
 	r := rng.New(11)
 	for i := range bodies {
 		x := tensor.RandUniform(r, 0, 1, 2, 16)
-		want[i] = nn.Softmax(ref.Forward(x))
+		want[i] = probsOf(ref, x)
 		var err error
 		bodies[i], err = wire.AppendRequest(nil, "t", false, [][]float64{x.Data()[:16], x.Data()[16:]})
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"reramtest/internal/engine"
 	"reramtest/internal/fleet"
 	"reramtest/internal/health"
 	"reramtest/internal/models"
@@ -55,7 +56,7 @@ func (d *tierDevice) Infer() monitor.Infer {
 		if crash {
 			panic("tierDevice: injected crash")
 		}
-		return nn.Softmax(d.net.Forward(x))
+		return probsOf(d.net, x)
 	}
 }
 
@@ -497,4 +498,10 @@ func TestRingSpreadsTenants(t *testing.T) {
 	if lo, hi := share(4, 1000, "tenant-%d"); lo < 0.6/4 || hi > 1.4/4 {
 		t.Errorf("1000 tenants over 4 shards: shares span [%.3f, %.3f], want within 40%% of 0.25", lo, hi)
 	}
+}
+
+// probsOf is net's softmax readout of x through a freshly compiled inference
+// plan: a tensor of its own, which the caller may mutate.
+func probsOf(net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
+	return engine.MustCompile(net, engine.Options{}).Probs(x)
 }

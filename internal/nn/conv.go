@@ -12,15 +12,11 @@ import (
 // same flattened layout the ReRAM crossbar mapper consumes, so a trained
 // layer maps onto crossbar tiles without reshuffling.
 type Conv2D struct {
-	name    string
-	geom    tensor.ConvGeom
-	outC    int
-	weight  *Param // (OutC, InC*KH*KW)
-	bias    *Param // (OutC)
-	lastIn  *tensor.Tensor
-	colBuf  *tensor.Tensor // (InC*KH*KW, OutH*OutW) scratch
-	gradCol *tensor.Tensor
-	gwTmp   *tensor.Tensor
+	name   string
+	geom   tensor.ConvGeom
+	outC   int
+	weight *Param // (OutC, InC*KH*KW)
+	bias   *Param // (OutC)
 }
 
 // NewConv2D builds a convolution layer with He-initialised weights.
@@ -71,85 +67,3 @@ func (c *Conv2D) Clone() Layer {
 }
 
 func (c *Conv2D) sampleVolume() int { return c.geom.InC * c.geom.InH * c.geom.InW }
-
-// Forward convolves a (N, InC*InH*InW) batch into (N, OutC*OutH*OutW).
-func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dim(0)
-	inVol := c.sampleVolume()
-	if x.Len() != n*inVol {
-		panic(fmt.Sprintf("nn: %s forward input %v does not match geometry %+v", c.name, x.Shape(), c.geom))
-	}
-	outH, outW := c.geom.OutH(), c.geom.OutW()
-	spatial := outH * outW
-	ckk := c.geom.InC * c.geom.KH * c.geom.KW
-	if c.colBuf == nil || c.colBuf.Len() != ckk*spatial {
-		c.colBuf = tensor.New(ckk, spatial)
-	}
-	c.lastIn = x
-	out := tensor.New(n, c.outC*spatial)
-	xd, od, bd := x.Data(), out.Data(), c.bias.Value.Data()
-	for s := 0; s < n; s++ {
-		sample := tensor.FromSlice(xd[s*inVol:(s+1)*inVol], inVol)
-		tensor.Im2Col(c.colBuf, sample, c.geom)
-		dst := tensor.FromSlice(od[s*c.outC*spatial:(s+1)*c.outC*spatial], c.outC, spatial)
-		tensor.MatMulInto(dst, c.weight.Value, c.colBuf)
-		// add bias per output channel
-		dd := dst.Data()
-		for oc := 0; oc < c.outC; oc++ {
-			b := bd[oc]
-			row := dd[oc*spatial : (oc+1)*spatial]
-			for i := range row {
-				row[i] += b
-			}
-		}
-	}
-	return out
-}
-
-// Backward propagates gradients, recomputing im2col per sample rather than
-// caching every column matrix (memory stays O(1) in batch size).
-func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if c.lastIn == nil {
-		panic(fmt.Sprintf("nn: %s Backward called before Forward", c.name))
-	}
-	n := c.lastIn.Dim(0)
-	inVol := c.sampleVolume()
-	outH, outW := c.geom.OutH(), c.geom.OutW()
-	spatial := outH * outW
-	ckk := c.geom.InC * c.geom.KH * c.geom.KW
-	if gradOut.Len() != n*c.outC*spatial {
-		panic(fmt.Sprintf("nn: %s Backward grad %v does not match output", c.name, gradOut.Shape()))
-	}
-	if c.gradCol == nil || c.gradCol.Len() != ckk*spatial {
-		c.gradCol = tensor.New(ckk, spatial)
-	}
-	if c.gwTmp == nil {
-		c.gwTmp = tensor.New(c.outC, ckk)
-	}
-	gradIn := tensor.New(n, inVol)
-	xd, gd, gid := c.lastIn.Data(), gradOut.Data(), gradIn.Data()
-	gb := c.bias.Grad.Data()
-	for s := 0; s < n; s++ {
-		sample := tensor.FromSlice(xd[s*inVol:(s+1)*inVol], inVol)
-		tensor.Im2Col(c.colBuf, sample, c.geom)
-		g := tensor.FromSlice(gd[s*c.outC*spatial:(s+1)*c.outC*spatial], c.outC, spatial)
-		// dW += g · colsᵀ
-		tensor.MatMulTransBInto(c.gwTmp, g, c.colBuf)
-		c.weight.Grad.AddInPlace(c.gwTmp)
-		// db += row sums of g
-		ggd := g.Data()
-		for oc := 0; oc < c.outC; oc++ {
-			row := ggd[oc*spatial : (oc+1)*spatial]
-			sum := 0.0
-			for _, v := range row {
-				sum += v
-			}
-			gb[oc] += sum
-		}
-		// dCols = Wᵀ · g, then scatter back to image space
-		tensor.MatMulTransAInto(c.gradCol, c.weight.Value, g)
-		gsample := tensor.FromSlice(gid[s*inVol:(s+1)*inVol], inVol)
-		tensor.Col2Im(gsample, c.gradCol, c.geom)
-	}
-	return gradIn
-}

@@ -7,7 +7,7 @@ import "reramtest/internal/tensor"
 // im2col → register-tiled matmul storing bias + ReLU (→ tensor.ReLUMaxPool2x2
 // over the cache-hot ReLU'd product), so neither the convolution's nor the
 // ReLU's full-batch output is ever written. It implements BatchInfer with the
-// bits of the layers' Forward chain.
+// bits of the layers' ForwardBatchRange chain.
 type ConvBlock struct {
 	conv *Conv2D
 	pool bool // false: the block ends at the ReLU
@@ -59,8 +59,8 @@ func (b *ConvBlock) InferScratch() int {
 }
 
 // forwardRange is the conv sample loop of the inference path: im2col, then a
-// register-tiled kernel with the per-element fold of the MatMulSlices that
-// Forward calls, on the sample's (OutC, spatial) product. A bare Conv2D
+// register-tiled kernel with MatMulSlices's per-element fold, on the
+// sample's (OutC, spatial) product. A bare Conv2D
 // stores the product (tensor.MatMulBlockedSlices) and adds the bias; a block
 // stores bias + ReLU straight from the tile (tensor.MatMulBlockedBiasReLU),
 // into dst or, before the pool, into a scratch panel that

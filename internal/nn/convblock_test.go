@@ -56,9 +56,11 @@ func pool2x2(g tensor.ConvGeom) bool {
 
 // blockVsChain builds conv (→ ReLU → pool when pool is non-nil) with salted
 // weights, biases and inputs and holds the engine's steps for it to the bits
-// of the layers' Forward chain, over the whole batch and assembled from row
-// ranges: FuseConvBlock must fuse the pool exactly when pool2x2 says so, and
-// any other pool runs as its own MaxPool2D step behind the conv → ReLU block.
+// of the layers' reference chain (refChain: Im2ColInto + MatMulSlices + bias,
+// then v > 0 ? v : +0, then the bounds-tested window sweep), over the whole
+// batch and assembled from row ranges: FuseConvBlock must fuse the pool
+// exactly when pool2x2 says so, and any other pool runs as its own MaxPool2D
+// step behind the conv → ReLU block.
 // The first bias is −0, the one addend that can turn a +0 product negative.
 func blockVsChain(t *testing.T, seed int64, cg tensor.ConvGeom, outC int, pg *tensor.ConvGeom, classes uint8) {
 	t.Helper()
@@ -79,10 +81,7 @@ func blockVsChain(t *testing.T, seed int64, cg tensor.ConvGeom, outC int, pg *te
 	x := tensor.Randn(r, 0, 1, n, conv.sampleVolume())
 	salt(r, x.Data(), classes)
 
-	want := x
-	for _, l := range layers {
-		want = l.Forward(want)
-	}
+	want := refChain(layers, x)
 	blk, k := FuseConvBlock(layers)
 	wantK := 2
 	if pg != nil && pool2x2(*pg) {
@@ -118,7 +117,7 @@ func blockVsChain(t *testing.T, seed int64, cg tensor.ConvGeom, outC int, pg *te
 }
 
 // TestConvBlockMatchesChain holds the conv → ReLU → max-pool steps to the
-// three layers' Forward chain, bit for bit, over the pool geometries of
+// three layers' reference chain, bit for bit, over the pool geometries of
 // TestMaxPoolBatchRangeTable and a fused 2×2 pool over an odd 5×7 map, fed
 // by a 3×3 same-size convolution of five output channels (a register tile
 // plus a ragged row), with every salt class mixed in and with none.
@@ -180,17 +179,17 @@ func TestFuseConvBlockPattern(t *testing.T) {
 }
 
 // TestReLUBitsTable holds tensor.ReLUBits, and the ReLU kernel built on it,
-// to Forward's v > 0 ? v : +0 on every value class that rule distinguishes.
+// to v > 0 ? v : +0 on every value class that rule distinguishes.
 func TestReLUBitsTable(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1022, 1, -1,
 		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
 		math.Float64frombits(0x7FF0000000000001), math.Float64frombits(0xFFF8000000000000)}
 	x := tensor.FromSlice(vals, 1, len(vals))
 	l := NewReLU("r")
-	want := l.Forward(x)
+	want := refForward(l, x)
 	for i, v := range vals {
 		if got := tensor.ReLUBits(v); got != math.Float64bits(want.Data()[i]) {
-			t.Errorf("ReLUBits(%v [%x]) = %x, Forward says %x", v, math.Float64bits(v), got, math.Float64bits(want.Data()[i]))
+			t.Errorf("ReLUBits(%v [%x]) = %x, the reference says %x", v, math.Float64bits(v), got, math.Float64bits(want.Data()[i]))
 		}
 	}
 	got := tensor.Full(99, 1, len(vals))
@@ -214,13 +213,13 @@ var poolKernels = []struct {
 var reluValueClasses = []float64{0, 5e-324, 1, math.MaxFloat64, math.Inf(1)}
 
 // poolVsLayer runs every pool kernel over panel — planes (inH×inW) planes of
-// ReLU'd values — and holds each to MaxPool2D.Forward's 2×2 stride-2 pool of
-// the same panel, bit for bit. Guard elements past the output must stay
-// untouched.
+// ReLU'd values — and holds each to the reference 2×2 stride-2 max-pool
+// (refForward) of the same panel, bit for bit. Guard elements past the
+// output must stay untouched.
 func poolVsLayer(t *testing.T, what string, panel []float64, planes, inH, inW int) {
 	t.Helper()
 	g := tensor.ConvGeom{InC: planes, InH: inH, InW: inW, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
-	want := NewMaxPool2D("p", g).Forward(tensor.FromSlice(panel, 1, len(panel))).Data()
+	want := refForward(NewMaxPool2D("p", g), tensor.FromSlice(panel, 1, len(panel))).Data()
 	const guard = 3
 	for _, k := range poolKernels {
 		got := make([]float64, len(want)+guard)
@@ -237,7 +236,7 @@ func poolVsLayer(t *testing.T, what string, panel []float64, planes, inH, inW in
 	}
 }
 
-// TestReLUMaxPoolTable holds both 2×2 pool kernels to MaxPool2D.Forward on
+// TestReLUMaxPoolTable holds both 2×2 pool kernels to the reference pool on
 // panels where each window's maximum is one value class at one of the four
 // window positions, the other three holding lower classes or a tie. Over the
 // twenty shifts every window sees every (class, position) pair. Planes are
@@ -278,7 +277,7 @@ func TestReLUMaxPoolTable(t *testing.T) {
 	}
 }
 
-// FuzzReLUMaxPool2x2 holds both 2×2 pool kernels to MaxPool2D.Forward on
+// FuzzReLUMaxPool2x2 holds both 2×2 pool kernels to the reference pool on
 // fuzzer-chosen panels — planes 1..4, inH and inW 2..40 — of ReLU'd
 // uniform values salted with +0, the smallest denormal and +Inf.
 func FuzzReLUMaxPool2x2(f *testing.F) {
@@ -304,7 +303,7 @@ func FuzzReLUMaxPool2x2(f *testing.F) {
 }
 
 // FuzzConvBlockVsChain holds the conv block, and the pool step behind it when
-// the pool is not fused, to the Forward chain's bits on fuzzer-chosen
+// the pool is not fused, to the reference chain's bits on fuzzer-chosen
 // convolution and pool geometries — kernels, strides and paddings of 1..3 (a
 // padding may exceed its window), outputs on both sides of the register
 // tile's thresholds, odd maps under a fused 2×2 pool — with salted operands;

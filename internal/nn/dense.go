@@ -13,10 +13,8 @@ type Dense struct {
 	name   string
 	in     int
 	out    int
-	weight *Param // (In, Out)
-	bias   *Param // (Out)
-	lastIn *tensor.Tensor
-	gwTmp  *tensor.Tensor
+	weight *Param    // (In, Out)
+	bias   *Param    // (Out)
 	wT     []float64 // (Out, In) transposed-weight cache for the train dx kernel
 }
 
@@ -53,51 +51,4 @@ func (d *Dense) OutputShape([]int) []int { return []int{d.out} }
 // Clone deep-copies the layer.
 func (d *Dense) Clone() Layer {
 	return &Dense{name: d.name, in: d.in, out: d.out, weight: d.weight.clone(), bias: d.bias.clone()}
-}
-
-// Forward maps a (N, In) batch to (N, Out).
-func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dim(0)
-	if x.Len() != n*d.in {
-		panic(fmt.Sprintf("nn: %s forward input %v does not match width %d", d.name, x.Shape(), d.in))
-	}
-	x2 := x.Reshape(n, d.in)
-	d.lastIn = x2
-	out := tensor.New(n, d.out)
-	tensor.MatMulInto(out, x2, d.weight.Value)
-	od, bd := out.Data(), d.bias.Value.Data()
-	for s := 0; s < n; s++ {
-		row := od[s*d.out : (s+1)*d.out]
-		for j := range row {
-			row[j] += bd[j]
-		}
-	}
-	return out
-}
-
-// Backward accumulates dW = xᵀ·g and db = Σ g, and returns dx = g·Wᵀ.
-func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if d.lastIn == nil {
-		panic(fmt.Sprintf("nn: %s Backward called before Forward", d.name))
-	}
-	n := d.lastIn.Dim(0)
-	if gradOut.Len() != n*d.out {
-		panic(fmt.Sprintf("nn: %s Backward grad %v does not match output width %d", d.name, gradOut.Shape(), d.out))
-	}
-	g := gradOut.Reshape(n, d.out)
-	if d.gwTmp == nil {
-		d.gwTmp = tensor.New(d.in, d.out)
-	}
-	tensor.MatMulTransAInto(d.gwTmp, d.lastIn, g)
-	d.weight.Grad.AddInPlace(d.gwTmp)
-	gb, gd := d.bias.Grad.Data(), g.Data()
-	for s := 0; s < n; s++ {
-		row := gd[s*d.out : (s+1)*d.out]
-		for j, v := range row {
-			gb[j] += v
-		}
-	}
-	gradIn := tensor.New(n, d.in)
-	tensor.MatMulTransBInto(gradIn, g, d.weight.Value)
-	return gradIn
 }

@@ -1,7 +1,5 @@
 package nn
 
-import "reramtest/internal/tensor"
-
 // Flatten reshapes (N, C, H, W)-style batches to (N, D). Because layers in
 // this package already carry batches as (N, volume), Flatten is a shape
 // bookkeeping no-op that exists to make model definitions read like their
@@ -30,17 +28,3 @@ func (l *Flatten) OutputShape(in []int) []int {
 
 // Clone returns an independent copy.
 func (l *Flatten) Clone() Layer { return &Flatten{name: l.name} }
-
-// Forward is the identity on the batched representation: it returns a
-// reshaped view sharing x's storage (no copy — downstream layers only read
-// their inputs, so aliasing is safe).
-func (l *Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dim(0)
-	return x.Reshape(n, x.Len()/n)
-}
-
-// Backward is the identity; like Forward it returns a view, not a copy.
-func (l *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	n := gradOut.Dim(0)
-	return gradOut.Reshape(n, gradOut.Len()/n)
-}

@@ -12,21 +12,25 @@ import (
 // x (N, inVol). scratch must hold InferScratch() float64s and is private to
 // the call, so disjoint ranges with separate scratch may run concurrently.
 //
-// Contract: ForwardBatchRange must be bit-identical to Forward on the same
-// rows — the same per-element fold: every output element folds the same
-// terms in the same order, whatever kernel and loop nest deliver them — and
-// must not touch the training caches (no argmax, no masks, no lastIn), so it
-// never pairs with Backward. Flatten, whose inference pass is the identity,
+// Contract: a row's output depends on that row alone, and every output
+// element folds the same terms in the same order whatever kernel, loop nest
+// or row range delivers it — so any partition of the batch yields the same
+// bits, and internal/engine/testdata/golden_logits.json pins those bits for
+// every seed model. The reference each kernel is held to is the unfused
+// composition of the tensor reference kernels: Im2ColInto + MatMulSlices +
+// bias for a convolution, MatMulSlices + bias for a dense layer, the
+// first-element-then-strictly-greater window sweep for a max-pool and
+// v > 0 ? v : +0 for a ReLU. Flatten, whose inference pass is the identity,
 // does not implement it: the engine elides it from the plan.
 //
 // Every compute layer implements it, and so does one thing that is not a
 // layer: ConvBlock (convblock.go), a Conv2D run as one kernel with the ReLU
 // and a 2×2 stride-2 max-pool behind it, held to the bits of the three
-// layers' Forward chain. The convolution sample loop lives there once;
-// Conv2D's own ForwardBatchRange is that loop with no activation behind it,
-// and ReLU's shares its branch-free comparison. Conv2D and Dense both run
-// the register-tiled tensor.MatMulBlockedSlices, whose zero-skip argument
-// makes it MatMulSlices's bits.
+// layers' ForwardBatchRange chain. The convolution sample loop lives there
+// once; Conv2D's own ForwardBatchRange is that loop with no activation
+// behind it, and ReLU's shares its branch-free comparison. Conv2D and Dense
+// both run the register-tiled tensor.MatMulBlockedSlices, whose zero-skip
+// argument makes it MatMulSlices's bits.
 type BatchInfer interface {
 	ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64)
 	// InferScratch returns the per-call scratch requirement in float64s.
@@ -37,7 +41,7 @@ type BatchInfer interface {
 // through tensor.MatMulBlockedSlices — MatMulSlices's per-element fold, four
 // sample rows per register tile, so a zero activation facing a non-finite
 // weight sends its 4-row block back to MatMulSlices; fewer than four rows
-// take MatMulSlices directly — and the same per-column bias loop as Forward.
+// take MatMulSlices directly — then the per-column bias loop.
 // The train engine's dense forward (TrainForwardRange) is this call.
 func (d *Dense) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64) {
 	tensor.AssertDims("Dense.ForwardBatchRange x", x, tensor.Wildcard, d.in)
@@ -68,9 +72,9 @@ func (c *Conv2D) InferScratch() int {
 	return c.geom.InC * c.geom.KH * c.geom.KW * c.geom.OutH() * c.geom.OutW()
 }
 
-// ForwardBatchRange implements BatchInfer: the Forward window sweep without
-// the argmax cache. A window's maximum is its first in-bounds element, then
-// any strictly greater one, so NaN and ±0 ties resolve as in Forward.
+// ForwardBatchRange implements BatchInfer: the window sweep. A window's
+// maximum is its first in-bounds element, then any strictly greater one, so
+// NaN and ±0 ties resolve as TrainForwardRange's argmax does.
 func (p *MaxPool2D) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64) {
 	g := p.geom
 	inVol := g.InC * g.InH * g.InW
@@ -137,7 +141,7 @@ func (p *MaxPool2D) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []flo
 // InferScratch implements BatchInfer.
 func (p *MaxPool2D) InferScratch() int { return 0 }
 
-// ForwardBatchRange implements BatchInfer: the Forward window-mean sweep.
+// ForwardBatchRange implements BatchInfer: the window-mean sweep.
 func (p *AvgPool2D) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64) {
 	g := p.geom
 	inVol := g.InC * g.InH * g.InW
@@ -188,8 +192,8 @@ func elementwiseVol(op string, dst, x *tensor.Tensor) int {
 	return vol
 }
 
-// ForwardBatchRange implements BatchInfer: Forward's v > 0 ? v : +0 without
-// the mask cache and, through tensor.ReLUBits, without a branch on the data.
+// ForwardBatchRange implements BatchInfer: v > 0 ? v : +0 through
+// tensor.ReLUBits, without a branch on the data.
 func (l *ReLU) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64) {
 	vol := elementwiseVol("ReLU.ForwardBatchRange dst", dst, x)
 	xd, od := x.Data()[lo*vol:hi*vol], dst.Data()[lo*vol:hi*vol]

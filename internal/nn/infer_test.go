@@ -9,67 +9,63 @@ import (
 	"reramtest/internal/tensor"
 )
 
-// TestFlattenForwardIsView: the reshape-only layer must not copy — its output
-// shares the input's storage.
-func TestFlattenForwardIsView(t *testing.T) {
-	f := NewFlatten("f")
-	x := tensor.RandUniform(rng.New(1), 0, 1, 3, 8)
-	y := f.Forward(x)
-	if y.Dim(0) != 3 || y.Dim(1) != 8 {
-		t.Fatalf("Forward shape %v", y.Shape())
+// refForward is the reference forward pass of one layer over the whole batch
+// x, composed of the kernels every fast path is held to: a convolution is
+// Im2ColInto, MatMulSlices and the bias per sample; a dense layer is
+// MatMulSlices and the bias; a ReLU is v > 0 ? v : +0; a max-pool is the
+// bounds-tested window sweep that records the training argmax
+// (TrainForwardRange). An average pool has no second kernel: its
+// ForwardBatchRange is pinned by TestAvgPoolKnownValues and the fixtures.
+func refForward(l Layer, x *tensor.Tensor) *tensor.Tensor {
+	n := x.Dim(0)
+	switch l := l.(type) {
+	case *Conv2D:
+		g := l.geom
+		spatial, ckk, inVol := g.OutH()*g.OutW(), g.InC*g.KH*g.KW, l.sampleVolume()
+		cols := make([]float64, ckk*spatial)
+		out := tensor.New(n, l.outC*spatial)
+		for s := 0; s < n; s++ {
+			tensor.Im2ColInto(cols, x.Data()[s*inVol:(s+1)*inVol], g)
+			o := out.Data()[s*l.outC*spatial : (s+1)*l.outC*spatial]
+			tensor.MatMulSlices(o, l.weight.Value.Data(), cols, l.outC, ckk, spatial)
+			for i := range o {
+				o[i] += l.bias.Value.Data()[i/spatial]
+			}
+		}
+		return out
+	case *Dense:
+		out := tensor.New(n, l.out)
+		od := out.Data()
+		tensor.MatMulSlices(od, x.Data(), l.weight.Value.Data(), n, l.in, l.out)
+		for i := range od {
+			od[i] += l.bias.Value.Data()[i%l.out]
+		}
+		return out
+	case *ReLU:
+		out := x.Clone()
+		for i, v := range out.Data() {
+			if !(v > 0) {
+				out.Data()[i] = 0
+			}
+		}
+		return out
+	case *MaxPool2D:
+		outVol := volume(l.OutputShape(nil))
+		out := tensor.New(n, outVol)
+		l.TrainForwardRange(out, x, 0, n, TrainCache{Ints: make([]int, n*outVol)})
+		return out
 	}
-	x.Data()[0] = 42
-	if y.Data()[0] != 42 {
-		t.Fatal("Flatten.Forward copied instead of returning a view")
-	}
-	g := f.Backward(y)
-	y.Data()[1] = 7
-	if g.Data()[1] != 7 {
-		t.Fatal("Flatten.Backward copied instead of returning a view")
-	}
+	panic(fmt.Sprintf("refForward: no reference for %T", l))
 }
 
-// TestFlattenBackpropStillTrains: regression for the view-returning Flatten —
-// a conv→flatten→dense stack must still train (gradients flow through the
-// aliased tensors and a step reduces the loss).
-func TestFlattenBackpropStillTrains(t *testing.T) {
-	r := rng.New(2)
-	g := tensor.ConvGeom{InC: 1, InH: 6, InW: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
-	net := NewNetwork("flat", 36,
-		NewConv2D("c", r, g, 2),
-		NewReLU("r1"),
-		NewFlatten("f"),
-		NewDense("fc", r, 2*4*4, 3),
-	)
-	x := tensor.RandUniform(r, 0, 1, 8, 36)
-	labels := []int{0, 1, 2, 0, 1, 2, 0, 1}
-
-	step := func() float64 {
-		net.ZeroGrad()
-		logits := net.Forward(x)
-		loss, grad := CrossEntropy(logits, labels)
-		net.Backward(grad)
-		for _, p := range net.Params() {
-			p.Value.AxpyInPlace(-0.1, p.Grad)
+// refChain runs x through layers on refForward, skipping Flatten.
+func refChain(layers []Layer, x *tensor.Tensor) *tensor.Tensor {
+	for _, l := range layers {
+		if _, flat := l.(*Flatten); !flat {
+			x = refForward(l, x)
 		}
-		return loss
 	}
-	first := step()
-	var last float64
-	for i := 0; i < 20; i++ {
-		last = step()
-	}
-	if !(last < first) {
-		t.Fatalf("loss did not decrease through Flatten: first=%v last=%v", first, last)
-	}
-	// gradient must actually reach the conv layer below the flatten
-	net.ZeroGrad()
-	logits := net.Forward(x)
-	_, grad := CrossEntropy(logits, labels)
-	net.Backward(grad)
-	if net.Layers()[0].Params()[0].Grad.L2Norm() == 0 {
-		t.Fatal("no gradient reached the layer below Flatten")
-	}
+	return x
 }
 
 // TestSoftmaxInPlaceMatchesSoftmax: same kernel, bit-identical output.
@@ -85,8 +81,8 @@ func TestSoftmaxInPlaceMatchesSoftmax(t *testing.T) {
 }
 
 // TestForwardBatchRangeMatchesForward: every BatchInfer layer must reproduce
-// its Forward output bit-exactly, both over the full batch and assembled from
-// partial row ranges.
+// its reference forward (refForward) bit-exactly, both over the full batch
+// and assembled from partial row ranges.
 func TestForwardBatchRangeMatchesForward(t *testing.T) {
 	r := rng.New(4)
 	convGeom := tensor.ConvGeom{InC: 2, InH: 7, InW: 7, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
@@ -110,13 +106,12 @@ func TestForwardBatchRangeMatchesForward(t *testing.T) {
 				t.Fatalf("%T does not implement BatchInfer", tc.layer)
 			}
 			x := tensor.Randn(rng.New(9), 0, 1, n, tc.inVol)
-			want := tc.layer.Forward(x)
-			outVol := want.Len() / n
+			outVol := volume(tc.layer.OutputShape([]int{tc.inVol}))
 			scratch := make([]float64, bl.InferScratch())
 			full := tensor.New(n, outVol)
 			bl.ForwardBatchRange(full, x, 0, n, scratch)
-			if !full.Equal(want.Reshape(n, outVol)) {
-				t.Fatal("full-range ForwardBatchRange differs from Forward")
+			if _, avg := tc.layer.(*AvgPool2D); !avg && !full.Equal(refForward(tc.layer, x)) {
+				t.Fatal("full-range ForwardBatchRange differs from the reference")
 			}
 			ranged := tensor.New(n, outVol)
 			bl.ForwardBatchRange(ranged, x, 0, 2, scratch)
@@ -162,9 +157,9 @@ var poolTableInputs = func() []struct {
 
 // TestMaxPoolBatchRangeTable holds MaxPool2D.ForwardBatchRange's two sweeps —
 // windows wholly inside the input, and bounds-tested windows on a padded
-// edge — to Forward's bits on the inputs where "first element, then strictly
-// greater" is visible: a NaN first in its window stays, a NaN later never
-// wins, and of +0 and −0 the earlier one stays.
+// edge — to the training sweep's bits (refForward) on the inputs where "first
+// element, then strictly greater" is visible: a NaN first in its window
+// stays, a NaN later never wins, and of +0 and −0 the earlier one stays.
 func TestMaxPoolBatchRangeTable(t *testing.T) {
 	for _, g := range poolTableGeoms {
 		for _, in := range poolTableInputs {
@@ -175,7 +170,7 @@ func TestMaxPoolBatchRangeTable(t *testing.T) {
 				x.Data()[i] = in.at(i)
 			}
 			p := NewMaxPool2D("mp", g)
-			want := p.Forward(x)
+			want := refForward(p, x)
 			got := tensor.New(n, want.Len()/n)
 			for i := range got.Data() {
 				got.Data()[i] = 99
@@ -183,7 +178,7 @@ func TestMaxPoolBatchRangeTable(t *testing.T) {
 			p.ForwardBatchRange(got, x, 0, n, nil)
 			for i, w := range want.Data() {
 				if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
-					t.Errorf("%s %+v: output %d = %v, Forward says %v", in.name, g, i, got.Data()[i], w)
+					t.Errorf("%s %+v: output %d = %v, the reference says %v", in.name, g, i, got.Data()[i], w)
 					break
 				}
 			}
@@ -193,7 +188,7 @@ func TestMaxPoolBatchRangeTable(t *testing.T) {
 
 // TestDenseBatchRangeMatchesForward holds Dense.ForwardBatchRange — four
 // sample rows per register tile, the reference loop under four rows — to
-// Dense.Forward's bits on every dense shape of LeNet-5, ConvNet-7 and the
+// the reference forward's bits (MatMulSlices + bias) on every dense shape of LeNet-5, ConvNet-7 and the
 // stock MLP, at batches on both sides of the tile's four rows, whole and
 // assembled from row ranges that are not multiples of four (the train
 // engine's chunks), on healthy weights and on weights a tenth stuck at 0,
@@ -215,8 +210,8 @@ func TestDenseBatchRangeMatchesForward(t *testing.T) {
 				}
 			}
 			for _, n := range []int{1, 3, 4, 5, 8, 64} {
-				x := NewReLU("r").Forward(tensor.RandUniform(r, -1, 1, n, sh[0]))
-				want := d.Forward(x).Data()
+				x := refForward(NewReLU("r"), tensor.RandUniform(r, -1, 1, n, sh[0]))
+				want := refForward(d, x).Data()
 				what := fmt.Sprintf("%d→%d sa0=%v batch %d", sh[0], sh[1], sa0, n)
 				got := tensor.Full(99, n, sh[1])
 				d.ForwardBatchRange(got, x, 0, n, nil)

@@ -1,13 +1,18 @@
 // Package nn implements the neural-network substrate the paper's methods run
-// on: layer-wise forward/backward propagation with gradients available both
-// for the weights (training) and for the input (FGSM adversarial examples and
-// the O-TP pattern-generation algorithm both differentiate the loss with
-// respect to the input image).
+// on: the layers, their parameters, and the destination-passing kernels the
+// two compiled plans run — BatchInfer (infer.go) for internal/engine's
+// inference plan and TrainKernel (train.go) for internal/tengine's training
+// plan, which yields gradients both for the weights (training) and for the
+// input (FGSM adversarial examples and the O-TP pattern-generation algorithm
+// both differentiate the loss with respect to the input image). A layer has
+// no forward method of its own: every forward pass runs through a plan.
 //
-// All layers operate on batched tensors whose leading axis is the batch
+// All kernels operate on batched tensors whose leading axis is the batch
 // dimension: images are (N, C*H*W) flattened row-major, feature vectors are
-// (N, D). Layers are single-goroutine objects; clone the network to run
-// concurrent inferences.
+// (N, D). The bits the kernels produce are pinned by fixtures, not by a
+// second implementation: internal/engine/testdata/golden_logits.json holds
+// the inference plan's logits and internal/tengine/testdata/golden_grads.json
+// the training plan's gradients, input gradients and trained weights.
 package nn
 
 import (
@@ -31,17 +36,12 @@ func (p *Param) clone() *Param {
 	return newParam(p.Name, p.Value.Clone())
 }
 
-// Layer is one differentiable stage of a network.
-//
-// Forward consumes a batch and returns the batch of outputs. Backward
-// consumes dL/d(output) for the most recent Forward call and returns
-// dL/d(input), accumulating parameter gradients into Params().Grad along the
-// way. Layers cache whatever they need between Forward and Backward, so a
-// Backward call must always be paired with the immediately preceding Forward.
+// Layer is one stage of a network: its name, parameters and shape. The
+// computation lives in the BatchInfer and TrainKernel kernels every layer
+// kind implements (Flatten, the identity on flat batches, implements
+// neither: the plans elide it).
 type Layer interface {
 	Name() string
-	Forward(x *tensor.Tensor) *tensor.Tensor
-	Backward(gradOut *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 	Clone() Layer
 	// OutputShape returns the per-sample output shape given the per-sample

@@ -48,55 +48,6 @@ func softmaxRow(row []float64) {
 	}
 }
 
-// CrossEntropy computes the mean softmax cross-entropy of a (N, n) logit
-// batch against integer class labels, and the gradient with respect to the
-// logits: (softmax(z) - onehot(y)) / N.
-func CrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, grad *tensor.Tensor) {
-	n := logits.Dim(0)
-	if len(labels) != n {
-		panic(fmt.Sprintf("nn: CrossEntropy got %d labels for batch of %d", len(labels), n))
-	}
-	k := logits.Len() / n
-	probs := Softmax(logits)
-	pd := probs.Data()
-	inv := 1 / float64(n)
-	for s, y := range labels {
-		if y < 0 || y >= k {
-			panic(fmt.Sprintf("nn: CrossEntropy label %d out of range [0,%d)", y, k))
-		}
-		p := pd[s*k+y]
-		loss -= math.Log(math.Max(p, 1e-300))
-		// grad = (p - onehot) / N, reusing the probability buffer
-		row := pd[s*k : (s+1)*k]
-		for j := range row {
-			row[j] *= inv
-		}
-		row[y] -= inv
-	}
-	return loss * inv, probs
-}
-
-// SoftCrossEntropy computes the mean cross-entropy of a (N, n) logit batch
-// against target probability distributions (same shape), and the gradient
-// with respect to the logits: (softmax(z) - target) / N. This is the loss
-// the O-TP generator minimises: the paper's Eq. 1 combines a uniform soft
-// label on the clean model with a hard label on the fault model, both of
-// which are instances of this loss.
-func SoftCrossEntropy(logits, target *tensor.Tensor) (loss float64, grad *tensor.Tensor) {
-	if logits.Len() != target.Len() {
-		panic(fmt.Sprintf("nn: SoftCrossEntropy shape mismatch %v vs %v", logits.Shape(), target.Shape()))
-	}
-	n := logits.Dim(0)
-	probs := Softmax(logits)
-	pd, td := probs.Data(), target.Data()
-	inv := 1 / float64(n)
-	for i, p := range pd {
-		loss -= td[i] * math.Log(math.Max(p, 1e-300))
-		pd[i] = (p - td[i]) * inv
-	}
-	return loss * inv, probs
-}
-
 // OneHot builds a (N, n) one-hot target batch from integer labels.
 func OneHot(labels []int, classes int) *tensor.Tensor {
 	out := tensor.New(len(labels), classes)

@@ -9,10 +9,12 @@ import (
 	"reramtest/internal/tensor"
 )
 
-// Network is an ordered stack of layers ending in logits. Forward returns
-// raw (pre-softmax) class scores — the paper's Z(X) — because both the C-TP
-// selector (logit standard deviation) and the detection metrics operate on
-// logits/confidences directly.
+// Network is an ordered stack of layers ending in logits: raw (pre-softmax)
+// class scores — the paper's Z(X) — because both the C-TP selector (logit
+// standard deviation) and the detection metrics operate on
+// logits/confidences directly. A Network holds the weights and the
+// architecture; internal/engine compiles it into the inference plan and
+// internal/tengine into the training plan.
 type Network struct {
 	name   string
 	layers []Layer
@@ -55,91 +57,15 @@ func (n *Network) NumParams() int {
 	return total
 }
 
-// ZeroGrad clears every parameter gradient.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.Grad.Zero()
-	}
-}
-
-// Clone deep-copies the network: independent weights, zeroed gradients, no
-// shared caches. Fault models are clones of the clean model with an injector
-// applied to the clone's parameters.
+// Clone deep-copies the network: independent weights, zeroed gradients.
+// Fault models are clones of the clean model with an injector applied to the
+// clone's parameters.
 func (n *Network) Clone() *Network {
 	ls := make([]Layer, len(n.layers))
 	for i, l := range n.layers {
 		ls[i] = l.Clone()
 	}
 	return &Network{name: n.name, layers: ls, inDim: n.inDim}
-}
-
-// Forward runs a (N, inDim) batch through the stack and returns logits.
-func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 2 || x.Dim(1) != n.inDim {
-		panic(fmt.Sprintf("nn: network %q expects (N, %d) input, got %v", n.name, n.inDim, x.Shape()))
-	}
-	cur := x
-	for _, l := range n.layers {
-		cur = l.Forward(cur)
-	}
-	return cur
-}
-
-// Backward back-propagates dL/d(logits) through the stack, accumulating
-// parameter gradients, and returns dL/d(input) — the input gradient used by
-// FGSM and the O-TP generator.
-func (n *Network) Backward(gradLogits *tensor.Tensor) *tensor.Tensor {
-	cur := gradLogits
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		cur = n.layers[i].Backward(cur)
-	}
-	return cur
-}
-
-// Predict returns the argmax class for each sample in the batch.
-func (n *Network) Predict(x *tensor.Tensor) []int {
-	logits := n.Forward(x)
-	nb := logits.Dim(0)
-	k := logits.Len() / nb
-	ld := logits.Data()
-	out := make([]int, nb)
-	for s := 0; s < nb; s++ {
-		row := ld[s*k : (s+1)*k]
-		best, bi := math.Inf(-1), 0
-		for j, v := range row {
-			if v > best {
-				best, bi = v, j
-			}
-		}
-		out[s] = bi
-	}
-	return out
-}
-
-// Accuracy evaluates top-1 accuracy of the network on inputs x with integer
-// labels y, processing in batches of batchSize.
-func (n *Network) Accuracy(x *tensor.Tensor, y []int, batchSize int) float64 {
-	nb := x.Dim(0)
-	if nb == 0 {
-		return 0
-	}
-	if batchSize <= 0 {
-		batchSize = 64
-	}
-	correct := 0
-	for s := 0; s < nb; s += batchSize {
-		e := s + batchSize
-		if e > nb {
-			e = nb
-		}
-		batch := tensor.FromSlice(x.Data()[s*n.inDim:e*n.inDim], e-s, n.inDim)
-		for i, p := range n.Predict(batch) {
-			if p == y[s+i] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(nb)
 }
 
 // Summary renders a human-readable architecture table.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -59,7 +60,7 @@ func TestSoftmaxLargeLogitsStable(t *testing.T) {
 func TestCrossEntropyPerfectPrediction(t *testing.T) {
 	// logits strongly favouring the right class → near-zero loss
 	logits := tensor.FromSlice([]float64{100, 0, 0}, 1, 3)
-	loss, _ := CrossEntropy(logits, []int{0})
+	loss := CrossEntropyInto(tensor.New(1, 3), logits, []int{0})
 	if loss > 1e-6 {
 		t.Fatalf("confident correct prediction has loss %v", loss)
 	}
@@ -67,7 +68,7 @@ func TestCrossEntropyPerfectPrediction(t *testing.T) {
 
 func TestCrossEntropyUniformPrediction(t *testing.T) {
 	logits := tensor.New(1, 4) // all-equal logits → uniform probs
-	loss, _ := CrossEntropy(logits, []int{2})
+	loss := CrossEntropyInto(tensor.New(1, 4), logits, []int{2})
 	if math.Abs(loss-math.Log(4)) > 1e-12 {
 		t.Fatalf("uniform loss %v, want ln(4)=%v", loss, math.Log(4))
 	}
@@ -79,7 +80,7 @@ func TestCrossEntropyLabelRangePanics(t *testing.T) {
 			t.Fatal("out-of-range label did not panic")
 		}
 	}()
-	CrossEntropy(tensor.New(1, 3), []int{3})
+	CrossEntropyInto(tensor.New(1, 3), tensor.New(1, 3), []int{3})
 }
 
 func TestOneHot(t *testing.T) {
@@ -110,59 +111,11 @@ func TestNetworkCloneIndependence(t *testing.T) {
 		t.Fatal("clone shares weight storage with original")
 	}
 	x := tensor.Randn(r, 0, 1, 1, 4)
-	a := net.Forward(x)
-	b := clone.Forward(x)
+	a, b := tensor.New(1, 2), tensor.New(1, 2)
+	net.Layers()[0].(*Dense).ForwardBatchRange(a, x, 0, 1, nil)
+	clone.Layers()[0].(*Dense).ForwardBatchRange(b, x, 0, 1, nil)
 	if a.AllClose(b, 1e-9) {
 		t.Fatal("zeroed clone still produces original outputs")
-	}
-}
-
-func TestNetworkPredictMatchesArgmax(t *testing.T) {
-	r := rng.New(4)
-	net := NewNetwork("n", 6, NewDense("fc", r, 6, 3))
-	x := tensor.Randn(r, 0, 1, 5, 6)
-	logits := net.Forward(x)
-	preds := net.Predict(x)
-	for s := 0; s < 5; s++ {
-		row := tensor.FromSlice(logits.Data()[s*3:(s+1)*3], 3)
-		if preds[s] != row.ArgMax() {
-			t.Fatalf("Predict[%d]=%d, argmax=%d", s, preds[s], row.ArgMax())
-		}
-	}
-}
-
-func TestNetworkAccuracy(t *testing.T) {
-	// identity-ish network: logits = x, so argmax of x decides
-	r := rng.New(5)
-	net := NewNetwork("n", 3, NewFlatten("f"))
-	_ = r
-	x := tensor.FromSlice([]float64{
-		1, 0, 0,
-		0, 0, 1,
-		0, 1, 0,
-	}, 3, 3)
-	if acc := net.Accuracy(x, []int{0, 2, 1}, 2); acc != 1 {
-		t.Fatalf("accuracy %v, want 1", acc)
-	}
-	if acc := net.Accuracy(x, []int{1, 2, 1}, 2); math.Abs(acc-2.0/3) > 1e-12 {
-		t.Fatalf("accuracy %v, want 2/3", acc)
-	}
-}
-
-func TestZeroGrad(t *testing.T) {
-	r := rng.New(6)
-	net := NewNetwork("n", 4, NewDense("fc", r, 4, 2))
-	x := tensor.Randn(r, 0, 1, 2, 4)
-	_, grad := CrossEntropy(net.Forward(x), []int{0, 1})
-	net.Backward(grad)
-	if net.Params()[0].Grad.L2Norm() == 0 {
-		t.Fatal("backward accumulated no gradient")
-	}
-	net.ZeroGrad()
-	for _, p := range net.Params() {
-		if p.Grad.L2Norm() != 0 {
-			t.Fatalf("ZeroGrad left %s non-zero", p.Name)
-		}
 	}
 }
 
@@ -170,11 +123,16 @@ func TestMaxPoolKnownValues(t *testing.T) {
 	g := tensor.ConvGeom{InC: 1, InH: 2, InW: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
 	l := NewMaxPool2D("p", g)
 	x := tensor.FromSlice([]float64{1, 7, 3, 5}, 1, 4)
-	out := l.Forward(x)
-	if out.Len() != 1 || out.Data()[0] != 7 {
+	out := tensor.New(1, 1)
+	l.ForwardBatchRange(out, x, 0, 1, nil)
+	if out.Data()[0] != 7 {
 		t.Fatalf("maxpool got %v", out.Data())
 	}
-	grad := l.Backward(tensor.Ones(1, 1))
+	// the training pass routes the gradient to the window's winner
+	tc := TrainCache{Ints: make([]int, 1)}
+	l.TrainForwardRange(out, x, 0, 1, tc)
+	grad := tensor.Full(99, 1, 4)
+	l.TrainBackwardRange(grad, tensor.Ones(1, 1), x, out, 0, 1, tc)
 	want := []float64{0, 1, 0, 0}
 	for i, v := range grad.Data() {
 		if v != want[i] {
@@ -187,7 +145,8 @@ func TestAvgPoolKnownValues(t *testing.T) {
 	g := tensor.ConvGeom{InC: 1, InH: 2, InW: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
 	l := NewAvgPool2D("p", g)
 	x := tensor.FromSlice([]float64{1, 7, 3, 5}, 1, 4)
-	out := l.Forward(x)
+	out := tensor.New(1, 1)
+	l.ForwardBatchRange(out, x, 0, 1, nil)
 	if out.Data()[0] != 4 {
 		t.Fatalf("avgpool got %v", out.Data())
 	}
@@ -201,7 +160,8 @@ func TestConvKnownValues(t *testing.T) {
 	l.Params()[0].Value.Fill(2)
 	l.Params()[1].Value.Fill(1)
 	x := tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 4)
-	out := l.Forward(x)
+	out := tensor.New(1, 4)
+	l.ForwardBatchRange(out, x, 0, 1, make([]float64, l.InferScratch()))
 	want := []float64{3, 5, 7, 9}
 	for i, v := range out.Data() {
 		if v != want[i] {
@@ -236,72 +196,60 @@ func TestNumParams(t *testing.T) {
 	}
 }
 
-func TestBackwardBeforeForwardPanics(t *testing.T) {
-	r := rng.New(12)
-	l := NewDense("fc", r, 2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Backward before Forward did not panic")
-		}
-	}()
-	l.Backward(tensor.New(1, 2))
-}
-
 func TestForwardWrongWidthPanics(t *testing.T) {
 	r := rng.New(13)
-	net := NewNetwork("n", 4, NewDense("fc", r, 4, 2))
+	l := NewDense("fc", r, 4, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("wrong input width did not panic")
 		}
 	}()
-	net.Forward(tensor.New(1, 5))
+	l.ForwardBatchRange(tensor.New(1, 2), tensor.New(1, 5), 0, 1, nil)
 }
 
-// TestBatchInvariance: running samples through a network one at a time must
-// produce exactly the rows of the batched forward pass — pooling, conv and
-// dense layers must not leak state across batch lanes.
+// volume is the element count of a per-sample shape.
+func volume(shape []int) int {
+	v := 1
+	for _, d := range shape {
+		v *= d
+	}
+	return v
+}
+
+// TestBatchInvariance: running samples through a layer stack one row range
+// at a time must produce exactly the rows of the whole-batch pass — pooling,
+// conv and dense kernels must not leak state across batch lanes.
 func TestBatchInvariance(t *testing.T) {
 	r := rng.New(20)
 	g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	pool := tensor.ConvGeom{InC: 3, InH: 8, InW: 8, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
-	net := NewNetwork("bi", 64,
+	layers := []Layer{
 		NewConv2D("c1", r, g, 3),
 		NewReLU("r1"),
 		NewMaxPool2D("p1", pool),
 		NewFlatten("f"),
 		NewDense("fc", r, 3*16, 5),
-	)
-	batch := tensor.RandUniform(r, 0, 1, 4, 64)
-	whole := net.Forward(batch)
-	for s := 0; s < 4; s++ {
-		single := tensor.FromSlice(batch.Data()[s*64:(s+1)*64], 1, 64)
-		got := net.Forward(single)
-		want := tensor.FromSlice(whole.Data()[s*5:(s+1)*5], 1, 5)
-		if !got.AllClose(want, 1e-12) {
-			t.Fatalf("sample %d differs between batched and single forward", s)
-		}
 	}
-}
-
-// TestGradientAccumulation: two backward passes without ZeroGrad must sum
-// gradients (the contract optimizers rely on for gradient accumulation).
-func TestGradientAccumulation(t *testing.T) {
-	r := rng.New(21)
-	net := NewNetwork("acc", 6, NewDense("fc", r, 6, 3))
-	x := tensor.RandUniform(r, 0, 1, 2, 6)
-	y := []int{0, 2}
-
-	_, g1 := CrossEntropy(net.Forward(x), y)
-	net.ZeroGrad()
-	net.Backward(g1)
-	once := net.Params()[0].Grad.Clone()
-
-	_, g2 := CrossEntropy(net.Forward(x), y)
-	net.Backward(g2) // no ZeroGrad: accumulate
-	twice := net.Params()[0].Grad
-	if !twice.AllClose(once.Scale(2), 1e-12) {
-		t.Fatal("gradients did not accumulate additively")
+	batch := tensor.RandUniform(r, 0, 1, 4, 64)
+	// run passes rows [lo, hi) of batch through every layer but the Flatten
+	run := func(lo, hi int) *tensor.Tensor {
+		cur, shape := batch, []int{64}
+		for _, l := range layers {
+			shape = l.OutputShape(shape)
+			bl, ok := l.(BatchInfer)
+			if !ok {
+				continue
+			}
+			out := tensor.New(4, volume(shape))
+			bl.ForwardBatchRange(out, cur, lo, hi, make([]float64, bl.InferScratch()))
+			cur = out
+		}
+		return cur
+	}
+	whole := run(0, 4)
+	for s := 0; s < 4; s++ {
+		got := run(s, s+1).Data()[s*5 : (s+1)*5]
+		requireSameBits(t, fmt.Sprintf("sample %d alone vs in the batch", s), got, whole.Data()[s*5:(s+1)*5])
 	}
 }
 

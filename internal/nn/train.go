@@ -10,21 +10,22 @@ import (
 // backward kernels the batch-first training engine (internal/tengine) compiles
 // against. The contract mirrors BatchInfer's, extended with gradients:
 //
-//   - TrainForwardRange must be bit-identical to Forward on the same rows and
-//     must record whatever per-sample state Backward needs into the caller's
-//     TrainCache (never into the layer — the layer's own training caches are
-//     untouched, so legacy Forward/Backward keeps working side by side).
-//   - TrainBackwardRange must produce, for every sample row, exactly the
-//     contribution the legacy Backward would have accumulated for that sample:
-//     parameter gradients go into the sample's shard row (the engine folds
-//     shard rows over the sample axis in fixed order, reproducing the legacy
-//     accumulation chain bit for bit), and dL/dx goes into gradIn (nil when
-//     the caller does not need input gradients).
+//   - TrainForwardRange must be bit-identical to ForwardBatchRange on the same
+//     rows and must record whatever per-sample state the backward pass needs
+//     into the caller's TrainCache, never into the layer.
+//   - TrainBackwardRange must produce, for every sample row, that sample's
+//     whole contribution: parameter gradients go into the sample's shard row
+//     (the engine folds shard rows over the sample axis in ascending order,
+//     one fixed accumulation chain per element), and dL/dx goes into gradIn
+//     (nil when the caller does not need input gradients).
 //
 // Parallelism only ever partitions whole samples (forward/backward) or whole
-// parameter elements (the shard fold) — never a summation axis — which is the
-// same mechanism that makes the inference engine bit-identical to the serial
-// path.
+// parameter elements (the shard fold) — never a summation axis — so a serial
+// plan and a pooled one produce the same bits, and
+// internal/tengine/testdata/golden_grads.json pins them: gradients, input
+// gradients and the weights after momentum-SGD and drop-connect steps, for
+// every seed model. internal/nn/gradcheck_test.go holds the gradients to
+// finite differences of the loss.
 
 // TrainDims sizes the per-layer caches a train plan must preallocate.
 type TrainDims struct {
@@ -77,8 +78,8 @@ type TrainKernel interface {
 //
 // The bit-identity contract is the same as the shard fold's: units partition
 // the parameter's gradient elements, and every element's whole sample fold
-// runs inside one TrainGradRange call in ascending sample order — the legacy
-// accumulation chain — so worker count never changes a bit.
+// runs inside one TrainGradRange call in ascending sample order — the same
+// accumulation chain as the shard fold — so worker count never changes a bit.
 type TrainGradKernel interface {
 	// TrainGradUnits returns the length of the partitionable unit axis for
 	// parameter i of Params(); a unit may own several contiguous gradient
@@ -137,9 +138,10 @@ func (d *Dense) TrainBackwardRange(gradIn, gradOut, _, _ *tensor.Tensor, lo, hi 
 	}
 	// One ranged matmul covering samples [lo, hi) against the weight view
 	// TrainBackPrep transposed: every dL/dx element sums the same terms in
-	// the same ascending order as the legacy g·Wᵀ register dot product, so
-	// any sample partition yields the same bits as the legacy full-batch
-	// call — pipelined across elements instead of serialized on add latency.
+	// the same ascending order as the g·Wᵀ register dot product
+	// (MatMulTransBSlices), so any sample partition yields the same bits as
+	// one full-batch call — pipelined across elements instead of serialized
+	// on add latency.
 	gd, gid := gradOut.Data(), gradIn.Data()
 	tensor.MatMulNoSkipSlices(gid[lo*d.in:hi*d.in], gd[lo*d.out:hi*d.out], d.wT, hi-lo, d.out, d.in)
 }
@@ -155,11 +157,11 @@ func (d *Dense) TrainGradUnits(param int) int {
 }
 
 // TrainGradRange implements TrainGradKernel. The weight fold computes the
-// same per-element addition chain as the legacy MatMulTransAInto — samples
-// ascending, same zero-skip — but iterates row-outer/sample-inner, so each
-// 1×Out gradient row is zeroed and accumulated while cache-hot instead of the
-// whole In×Out matrix being re-streamed once per sample: identical bits,
-// a fraction of the memory traffic. The bias fold is the legacy sample-outer
+// same per-element addition chain as xᵀ·g through MatMulTransASlices —
+// samples ascending, same zero-skip — but iterates row-outer/sample-inner, so
+// each 1×Out gradient row is zeroed and accumulated while cache-hot instead
+// of the whole In×Out matrix being re-streamed once per sample: identical
+// bits, a fraction of the memory traffic. The bias fold is the sample-outer
 // column sum restricted to columns [lo, hi).
 func (d *Dense) TrainGradRange(param int, gradOut, x *tensor.Tensor, lo, hi int) {
 	n := gradOut.Dim(0)
@@ -170,13 +172,13 @@ func (d *Dense) TrainGradRange(param int, gradOut, x *tensor.Tensor, lo, hi int)
 		for j := lo * out; j < hi*out; j++ {
 			wg[j] = 0
 		}
-		// sample-outer sweep over the x row segment [lo, hi) — the legacy
+		// sample-outer sweep over the x row segment [lo, hi) — the
 		// MatMulTransASlices loop shape (sequential x reads, ascending
 		// gradient rows) restricted to this element range. Two samples per
 		// sweep: each gradient row is loaded and stored once for both
 		// contributions, and (old + av0·b0) + av1·b1 performs the same adds
 		// on the same values in the same order as two single-sample sweeps,
-		// so every element keeps the legacy addition chain.
+		// so every element keeps MatMulTransASlices's addition chain.
 		p := 0
 		for ; p+1 < n; p += 2 {
 			x0 := xd[p*in+lo : p*in+hi]
@@ -243,16 +245,15 @@ func (c *Conv2D) TrainDims() TrainDims {
 }
 
 // TrainForwardRange implements TrainKernel via the shared inference kernel;
-// the backward pass re-expands im2col per sample instead of caching columns,
-// exactly like the legacy Backward.
+// the backward pass re-expands im2col per sample instead of caching columns.
 func (c *Conv2D) TrainForwardRange(out, x *tensor.Tensor, lo, hi int, tc TrainCache) {
 	c.ForwardBatchRange(out, x, lo, hi, tc.Scratch)
 }
 
 // TrainBackwardRange implements TrainKernel. Per sample the shard row is
 // [dW_s (OutC*CKK) | db_s (OutC)]: dW_s = g_s·cols_sᵀ and db_s the spatial row
-// sums, via the same kernels and loop orders as the legacy per-sample
-// Backward; dL/dx is Wᵀ·g_s scattered back through the shared col2im kernel.
+// sums (MatMulTransBSlices and an ascending row sum); dL/dx is Wᵀ·g_s
+// (MatMulTransASlices) scattered back through Col2ImInto.
 // An empty Shard (a plan compiled without parameter gradients — the O-TP /
 // FGSM input-gradient tap) skips the dW/db work entirely.
 func (c *Conv2D) TrainBackwardRange(gradIn, gradOut, x, _ *tensor.Tensor, lo, hi int, tc TrainCache) {
@@ -295,7 +296,7 @@ func (p *MaxPool2D) TrainDims() TrainDims {
 
 // TrainForwardRange implements TrainKernel: the inference window sweep, with
 // the winning flat batch index of every window recorded into the caller's int
-// cache (not the layer's argmax — legacy Forward/Backward stays independent).
+// cache.
 func (p *MaxPool2D) TrainForwardRange(out, x *tensor.Tensor, lo, hi int, tc TrainCache) {
 	g := p.geom
 	inVol := g.InC * g.InH * g.InW
@@ -341,7 +342,7 @@ func (p *MaxPool2D) TrainForwardRange(out, x *tensor.Tensor, lo, hi int, tc Trai
 
 // TrainBackwardRange implements TrainKernel: each output gradient routes to
 // the input element that won its window, scattering in ascending output order
-// within the sample — the legacy Backward's order restricted to one sample.
+// within the sample.
 func (p *MaxPool2D) TrainBackwardRange(gradIn, gradOut, _, _ *tensor.Tensor, lo, hi int, tc TrainCache) {
 	if gradIn == nil {
 		return
@@ -374,7 +375,7 @@ func (p *AvgPool2D) TrainForwardRange(out, x *tensor.Tensor, lo, hi int, _ Train
 }
 
 // TrainBackwardRange implements TrainKernel: each output gradient spreads
-// uniformly over its window, same loops as the legacy Backward per sample.
+// uniformly over its window, in ascending output order within the sample.
 func (p *AvgPool2D) TrainBackwardRange(gradIn, gradOut, _, _ *tensor.Tensor, lo, hi int, _ TrainCache) {
 	if gradIn == nil {
 		return
@@ -448,10 +449,10 @@ func (l *ReLU) TrainBackwardRange(gradIn, gradOut, _, out *tensor.Tensor, lo, hi
 
 // ---------------------------------------------------------------- losses
 
-// CrossEntropyInto is the destination-passing CrossEntropy: it writes the
-// logit gradient (softmax(z) - onehot(y)) / N into grad, reusing grad's
-// storage, and returns the mean loss. Same softmax row kernel and mutation
-// loop as CrossEntropy, so results are bit-identical with zero allocations.
+// CrossEntropyInto computes the mean softmax cross-entropy of a (N, n) logit
+// batch against integer class labels and writes its gradient with respect to
+// the logits, (softmax(z) - onehot(y)) / N, into grad, reusing grad's
+// storage: zero allocations.
 func CrossEntropyInto(grad, logits *tensor.Tensor, labels []int) float64 {
 	n := logits.Dim(0)
 	if len(labels) != n {
@@ -479,9 +480,12 @@ func CrossEntropyInto(grad, logits *tensor.Tensor, labels []int) float64 {
 	return loss * inv
 }
 
-// SoftCrossEntropyInto is the destination-passing SoftCrossEntropy: it writes
-// (softmax(z) - target) / N into grad and returns the mean loss, bit-identical
-// to SoftCrossEntropy with zero allocations.
+// SoftCrossEntropyInto computes the mean cross-entropy of a (N, n) logit
+// batch against target probability distributions (same shape) and writes its
+// gradient with respect to the logits, (softmax(z) - target) / N, into grad
+// with zero allocations. This is the loss the O-TP generator minimises: the
+// paper's Eq. 1 combines a uniform soft label on the clean model with a hard
+// label on the fault model, both of which are instances of this loss.
 func SoftCrossEntropyInto(grad, logits, target *tensor.Tensor) float64 {
 	if logits.Len() != target.Len() || grad.Len() != logits.Len() {
 		panic("nn: SoftCrossEntropyInto shape mismatch")

@@ -57,8 +57,8 @@ func (s *SGD) Step() {
 }
 
 // StepAndZero applies one SGD update and zeroes the gradients in the same
-// pass over the parameters (one fewer traversal than Step + ZeroGrad, same
-// bits: the update reads g[j] before it is cleared).
+// pass over the parameters (Step's bits: the update reads g[j] before it is
+// cleared).
 func (s *SGD) StepAndZero() {
 	for i, p := range s.params {
 		v, g := p.Value.Data(), p.Grad.Data()

@@ -4,8 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"reramtest/internal/engine"
 	"reramtest/internal/nn"
 	"reramtest/internal/rng"
+	"reramtest/internal/tengine"
 	"reramtest/internal/tensor"
 )
 
@@ -70,8 +72,7 @@ func TestSGDMomentumFasterThanVanillaOnIllConditioned(t *testing.T) {
 func TestSGDWeightDecayShrinksWeights(t *testing.T) {
 	p := quadParam([]float64{1})
 	sgd := NewSGD([]*nn.Param{p}, 0.1, 0, 0.5)
-	// zero task gradient: only decay acts
-	p.Grad.Zero()
+	// zero task gradient (a fresh Param's): only decay acts
 	sgd.Step()
 	if got := p.Value.Data()[0]; math.Abs(got-0.95) > 1e-12 {
 		t.Fatalf("decay step got %v, want 0.95", got)
@@ -121,14 +122,14 @@ func TestOptimizersTrainRealNetwork(t *testing.T) {
 	net := nn.NewNetwork("xor", 2,
 		nn.NewDense("fc1", r, 2, 8), nn.NewReLU("r"), nn.NewDense("fc2", r, 8, 2))
 	sgd := NewSGD(net.Params(), 0.3, 0.9, 0)
+	eng := tengine.MustCompile(net, tengine.Options{Workers: 1})
 	for i := 0; i < 800; i++ {
-		logits := net.Forward(x)
-		_, grad := nn.CrossEntropy(logits, y)
-		net.ZeroGrad()
-		net.Backward(grad)
-		sgd.Step()
+		if _, err := eng.ForwardBackward(x, y); err != nil {
+			t.Fatal(err)
+		}
+		sgd.StepAndZero()
 	}
-	if acc := net.Accuracy(x, y, 4); acc != 1 {
+	if acc := engine.MustCompile(net, engine.Options{}).Accuracy(x, y, 4); acc != 1 {
 		t.Errorf("SGD failed to fit XOR, accuracy %v", acc)
 	}
 }

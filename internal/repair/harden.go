@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"reramtest/internal/dataset"
+	"reramtest/internal/engine"
 	"reramtest/internal/nn"
 	"reramtest/internal/opt"
 	"reramtest/internal/rng"
@@ -66,5 +67,5 @@ func HardenDropConnect(net *nn.Network, train, eval *dataset.Dataset, cfg Harden
 	if eval == nil {
 		eval = train
 	}
-	return net.Accuracy(eval.X, eval.Y, 64)
+	return engine.MustCompile(net, engine.Options{}).Accuracy(eval.X, eval.Y, 64)
 }

@@ -10,7 +10,7 @@ import (
 
 func TestHardenDropConnectKeepsAccuracy(t *testing.T) {
 	net, train := trainToy(t)
-	before := net.Accuracy(train.X, train.Y, 64)
+	before := accuracy(net, train)
 	cfg := DefaultHardenConfig()
 	cfg.Epochs = 2
 	cfg.DropP = 0.15
@@ -56,7 +56,7 @@ func TestHardenDropConnectImprovesFaultTolerance(t *testing.T) {
 					}
 				}
 			}
-			sum += victim.Accuracy(train.X, train.Y, 64)
+			sum += accuracy(victim, train)
 		}
 		return sum / trials
 	}

@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"reramtest/internal/dataset"
+	"reramtest/internal/engine"
 	"reramtest/internal/models"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
-	"reramtest/internal/opt"
 	"reramtest/internal/reram"
 	"reramtest/internal/rng"
 )
@@ -102,23 +102,18 @@ func trainToy(t *testing.T) (*nn.Network, *dataset.Dataset) {
 	t.Helper()
 	train := dataset.SynthDigits(60, dataset.DefaultDigitsConfig(500))
 	net := models.MLP(rng.New(3), train.SampleDim(), []int{32}, 10)
-	sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 0)
-	r := rng.New(4)
-	for epoch := 0; epoch < 4; epoch++ {
-		for _, b := range train.Batches(32, r) {
-			logits := net.Forward(b.X)
-			_, grad := nn.CrossEntropy(logits, b.Y)
-			net.ZeroGrad()
-			net.Backward(grad)
-			sgd.Step()
-		}
-	}
+	models.Train(net, train, models.TrainConfig{Epochs: 4, BatchSize: 32, LR: 0.05, Momentum: 0.9, Seed: 4})
 	return net, train
+}
+
+// accuracy is net's top-1 accuracy on d, through a compiled inference plan.
+func accuracy(net *nn.Network, d *dataset.Dataset) float64 {
+	return engine.MustCompile(net, engine.Options{}).Accuracy(d.X, d.Y, 64)
 }
 
 func TestRetrainAroundRecoversAccuracy(t *testing.T) {
 	net, train := trainToy(t)
-	clean := net.Accuracy(train.X, train.Y, 64)
+	clean := accuracy(net, train)
 	if clean < 0.9 {
 		t.Fatalf("toy model failed to train: %.2f", clean)
 	}
@@ -140,7 +135,7 @@ func TestRetrainAroundRecoversAccuracy(t *testing.T) {
 		}
 		stuck[p.Name] = mask
 	}
-	damaged := net.Accuracy(train.X, train.Y, 64)
+	damaged := accuracy(net, train)
 	if damaged >= clean {
 		t.Fatalf("damage did not reduce accuracy: %.2f vs %.2f", damaged, clean)
 	}
@@ -166,7 +161,7 @@ func TestRetrainAroundRecoversAccuracy(t *testing.T) {
 
 func TestRetrainWithEmptyMaskIsOrdinaryFineTune(t *testing.T) {
 	net, train := trainToy(t)
-	before := net.Accuracy(train.X, train.Y, 64)
+	before := accuracy(net, train)
 	cfg := DefaultRetrainConfig()
 	cfg.Epochs = 1
 	after := RetrainAround(net, StuckMask{}, train, nil, cfg)

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"reramtest/internal/dataset"
+	"reramtest/internal/engine"
 	"reramtest/internal/nn"
 	"reramtest/internal/opt"
 	"reramtest/internal/rng"
@@ -40,7 +41,7 @@ func RetrainAround(net *nn.Network, stuck StuckMask, train, eval *dataset.Datase
 	acc, err := RetrainAroundCtx(context.Background(), net, stuck, train, eval, cfg)
 	if err != nil {
 		// background context never cancels, so this is unreachable; keep the
-		// legacy signature total anyway
+		// context-free signature total anyway
 		return 0
 	}
 	return acc
@@ -65,9 +66,8 @@ func RetrainAroundCtx(ctx context.Context, net *nn.Network, stuck StuckMask, tra
 	sgd := opt.NewSGD(net.Params(), cfg.LR, cfg.Momentum, 0)
 	restoreStuck := SnapshotStuck(net, stuck)
 	// the fine-tuning loop runs through a compiled training plan: one
-	// ForwardBackward leaves the batch gradient in every Param.Grad (same
-	// bits as the legacy ZeroGrad+Backward), so the freeze→step→restore
-	// sandwich keeps its exact legacy ordering and semantics
+	// ForwardBackward overwrites every Param.Grad with the batch gradient,
+	// which the freeze→step→restore sandwich then edits, applies and clears
 	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: cfg.BatchSize})
 	it := train.BatchIterator(cfg.BatchSize)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -94,7 +94,7 @@ func RetrainAroundCtx(ctx context.Context, net *nn.Network, stuck StuckMask, tra
 	if eval == nil {
 		eval = train
 	}
-	return net.Accuracy(eval.X, eval.Y, 64), nil
+	return engine.MustCompile(net, engine.Options{}).Accuracy(eval.X, eval.Y, 64), nil
 }
 
 // freezeStuckGradients zeroes the gradient of every stuck position so the

@@ -1,6 +1,9 @@
 package repair
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
@@ -8,30 +11,8 @@ import (
 	"reramtest/internal/dataset"
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
-	"reramtest/internal/opt"
 	"reramtest/internal/rng"
 )
-
-// legacyRetrain replicates the pre-engine RetrainAround loop verbatim:
-// slice-of-batches iteration, layer-wise Forward/Backward, freeze, unfused
-// Step, restore. Reference arm for the engine-migration bit-identity gate.
-func legacyRetrain(net *nn.Network, stuck StuckMask, train *dataset.Dataset, cfg RetrainConfig) float64 {
-	r := rng.New(cfg.Seed)
-	sgd := opt.NewSGD(net.Params(), cfg.LR, cfg.Momentum, 0)
-	restoreStuck := SnapshotStuck(net, stuck)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for _, b := range train.Batches(cfg.BatchSize, r) {
-			logits := net.Forward(b.X)
-			_, grad := nn.CrossEntropy(logits, b.Y)
-			net.ZeroGrad()
-			net.Backward(grad)
-			freezeStuckGradients(net, stuck)
-			sgd.Step()
-			restoreStuck()
-		}
-	}
-	return net.Accuracy(train.X, train.Y, 64)
-}
 
 // maskSomeWeights marks ~frac of every weight tensor as stuck at value v.
 func maskSomeWeights(net *nn.Network, frac, v float64, seed int64) StuckMask {
@@ -53,29 +34,42 @@ func maskSomeWeights(net *nn.Network, frac, v float64, seed int64) StuckMask {
 	return stuck
 }
 
+// legacyRetrainDigest is retrainDigest of the pre-engine RetrainAround loop
+// on TestRetrainEngineMatchesLegacy's input — slice-of-batches iteration,
+// layer-wise Forward/Backward, freeze, unfused Step, restore — taken before
+// the per-layer methods were deleted.
+const legacyRetrainDigest = "a3a1ff384958a845fc300b2b458c28cef4229cd9e48b0a8596cace30c64517e3"
+
+// retrainDigest is the SHA-256 of every weight's bits, in Params() order,
+// then of the returned accuracy.
+func retrainDigest(net *nn.Network, acc float64) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	for _, p := range net.Params() {
+		put(p.Value.Data()...)
+	}
+	put(acc)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestRetrainEngineMatchesLegacy: RetrainAround on the compiled engine must
 // reproduce the legacy loop's final weights and accuracy bit-for-bit,
-// including the freeze→step→restore interaction with momentum.
+// including the freeze→step→restore interaction with momentum — which the
+// pinned digest of the legacy run holds it to.
 func TestRetrainEngineMatchesLegacy(t *testing.T) {
 	train := dataset.SynthDigits(80, dataset.DefaultDigitsConfig(64))
-	build := func() (*nn.Network, StuckMask) {
-		net := buildToyNet(train)
-		stuck := maskSomeWeights(net, 0.15, 0, 21)
-		return net, stuck
-	}
+	net := buildToyNet(train)
+	stuck := maskSomeWeights(net, 0.15, 0, 21)
 	cfg := RetrainConfig{Epochs: 2, BatchSize: 16, LR: 0.01, Momentum: 0.9, Seed: 17}
-	legacyNet, legacyStuck := build()
-	subjectNet, subjectStuck := build()
-	wantAcc := legacyRetrain(legacyNet, legacyStuck, train, cfg)
-	gotAcc := RetrainAround(subjectNet, subjectStuck, train, nil, cfg)
-	if math.Float64bits(wantAcc) != math.Float64bits(gotAcc) {
-		t.Errorf("accuracy %v != legacy %v", gotAcc, wantAcc)
-	}
-	lp, sp := legacyNet.Params(), subjectNet.Params()
-	for i := range lp {
-		if !sp[i].Value.Equal(lp[i].Value) {
-			t.Errorf("weights of %s diverge from legacy retrain loop", lp[i].Name)
-		}
+	acc := RetrainAround(net, stuck, train, nil, cfg)
+	if d := retrainDigest(net, acc); d != legacyRetrainDigest {
+		t.Fatalf("retrain digest %s (accuracy %v), legacy loop %s", d, acc, legacyRetrainDigest)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"reramtest/internal/models"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
-	"reramtest/internal/opt"
 	"reramtest/internal/reram"
 	"reramtest/internal/rng"
 )
@@ -42,7 +41,7 @@ func TestDiagnoseStuckRejectsDegenerateLayer(t *testing.T) {
 	var zeroed string
 	for _, p := range net.Params() {
 		if strings.HasSuffix(p.Name, ".weight") {
-			p.Value.Zero()
+			p.Value.Fill(0)
 			zeroed = p.Name
 			break
 		}
@@ -88,14 +87,7 @@ func TestRetrainAroundCtxCancelRestoresState(t *testing.T) {
 		nn.NewReLU("relu1"),
 		nn.NewDense("fc2", r, 24, 10),
 	)
-	sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 0)
-	for _, b := range train.Batches(32, rng.New(22)) {
-		logits := net.Forward(b.X)
-		_, grad := nn.CrossEntropy(logits, b.Y)
-		net.ZeroGrad()
-		net.Backward(grad)
-		sgd.Step()
-	}
+	models.Train(net, train, models.TrainConfig{Epochs: 1, BatchSize: 32, LR: 0.05, Momentum: 0.9, Seed: 22})
 
 	// damage: SA0-freeze a fifth of the first layer
 	stuck := make(StuckMask)

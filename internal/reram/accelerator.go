@@ -271,12 +271,7 @@ func (a *Accelerator) Infer(x *tensor.Tensor) *tensor.Tensor {
 		}
 		engine, mapped := a.engines[li]
 		if !mapped {
-			bl, ok := layer.(nn.BatchInfer)
-			if !ok {
-				// no batched kernel: fall back to the training-path Forward
-				cur = layer.Forward(cur)
-				continue
-			}
+			bl := layer.(nn.BatchInfer) // every layer but Flatten has one
 			outVol := volume(layer.OutputShape([]int{cur.Len() / n}))
 			out := w.batch(n, outVol)
 			if need := bl.InferScratch(); len(w.cols) < need {

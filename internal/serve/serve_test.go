@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"reramtest/internal/engine"
 	"reramtest/internal/fleet"
 	"reramtest/internal/health"
 	"reramtest/internal/models"
@@ -69,7 +70,7 @@ func (d *servDevice) Infer() monitor.Infer {
 		if crash {
 			panic("servDevice: injected crash")
 		}
-		probs := nn.Softmax(d.net.Forward(x))
+		probs := probsOf(d.net, x)
 		if shift != 0 {
 			probs.Apply(func(v float64) float64 { return v + shift })
 		}
@@ -122,7 +123,7 @@ func TestServeHappyPath(t *testing.T) {
 	defer s.Close()
 
 	x := requestBatch(0.5)
-	want := nn.Softmax(devs[0].net.Forward(x)) // identical nets on every device
+	want := probsOf(devs[0].net, x) // identical nets on every device
 	resp, err := s.Do(context.Background(), x, serve.Bulk)
 	if err != nil {
 		t.Fatal(err)
@@ -503,4 +504,10 @@ func waitFor(t *testing.T, cond func() bool) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// probsOf is net's softmax readout of x through a freshly compiled inference
+// plan: a tensor of its own, which the caller may mutate.
+func probsOf(net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
+	return engine.MustCompile(net, engine.Options{}).Probs(x)
 }

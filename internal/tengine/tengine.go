@@ -5,25 +5,22 @@
 // optional input gradients — performs zero heap allocations.
 //
 // Gradient accumulation over the minibatch is parallel yet bit-identical to
-// both the serial plan and the legacy per-layer Network.Backward path. The
-// invariant: parallelism partitions parameter *elements* (each element's
+// the serial plan. The invariant: parallelism partitions parameter *elements* (each element's
 // whole sample fold runs on one worker, in ascending sample order — a
 // degenerate left-leaning reduction tree), never the sample axis of a sum, so
 // the addition order never depends on worker count. Two mechanisms implement
 // it: layers with a direct fold (nn.TrainGradKernel — dense layers, whose
 // per-sample gradients would dwarf the gradient itself) compute Param.Grad
-// straight from the batch with the legacy loop restricted to a unit range;
-// the rest (convolutions) write sample s's contribution into row s of a
-// (N, paramVol) shard workspace that the engine folds over the sample axis.
-// The legacy path accumulates per-sample contributions into Param.Grad in
-// exactly that sample order, so both mechanisms reproduce its IEEE addition
-// chain bit for bit; a balanced reduction tree would be equally deterministic
-// but would reassociate the sums away from the legacy chain and break the
-// golden equivalence the migration relies on. See DESIGN.md §11.
+// straight from the batch, one unit range per call; the rest (convolutions)
+// write sample s's contribution into row s of a (N, paramVol) shard
+// workspace that the engine folds over the sample axis. Both accumulate each
+// element's per-sample contributions in ascending sample order — one IEEE
+// addition chain, the one testdata/golden_grads.json pins; a balanced
+// reduction tree would be equally deterministic but would reassociate the
+// sums and move those bits. See DESIGN.md §11.
 //
 // After ForwardBackward the batch gradient is stored into every Param.Grad
-// (overwriting — equivalent to the legacy ZeroGrad-then-Backward sequence),
-// ready for opt.SGD.StepAndZero. An Engine is a single-goroutine object
+// (overwriting, not accumulating), ready for opt.SGD.StepAndZero. An Engine is a single-goroutine object
 // like the layers it wraps; clone the network and compile per goroutine for
 // concurrent training.
 package tengine
@@ -63,7 +60,7 @@ type Options struct {
 	// NoParamGrads drops the parameter-gradient folds from the plan: no
 	// shard workspaces, no reductions, Param.Grad tensors untouched. The
 	// input-gradient consumers (O-TP synthesis, FGSM) set this — Eq. 1 only
-	// ever reads dL/d(input), and the legacy path had no way to say so.
+	// ever reads dL/d(input).
 	NoParamGrads bool
 	// Counter receives the plan's modeled hardware charges; nil compiles a
 	// private one. Pass the owning device's counter (under ClassRepair for a
@@ -350,8 +347,8 @@ func (e *Engine) backward() {
 
 // ForwardBackward runs one training step's compute on a (N, inDim) batch with
 // integer labels: forward pass, mean softmax cross-entropy, backward pass.
-// Every Param.Grad holds the batch gradient afterwards (overwritten — matching
-// the legacy ZeroGrad-then-Backward sequence bit for bit) and the input
+// Every Param.Grad holds the batch gradient afterwards (overwritten, not
+// accumulated) and the input
 // gradient is available from InputGrad() when compiled with the tap. Returns
 // the loss, or ErrEmptyBatch for an N=0 batch. Steady state performs zero heap
 // allocations.

@@ -1,6 +1,9 @@
 package tengine_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"runtime"
@@ -16,9 +19,10 @@ import (
 	"reramtest/internal/tensor"
 )
 
-// seedModels enumerates every architecture the repo ships. The golden gate
-// below demands exact float64 equality against the legacy per-layer
-// Forward/ZeroGrad/Backward path.
+// seedModels enumerates every architecture the repo ships. The golden gates
+// below demand exact float64 equality with the legacy per-layer
+// Forward/ZeroGrad/Backward path, through digests of its output taken before
+// it was deleted.
 func seedModels() []struct {
 	name    string
 	build   func(r *rng.RNG) *nn.Network
@@ -40,23 +44,33 @@ func seedModels() []struct {
 	}
 }
 
-// legacyStep is the reference gradient computation the rest of the repo used
-// before the training engine existed: whole-batch layer-wise forward, loss on
-// the logits, ZeroGrad, layer-wise backward. Returns the loss, a clone of the
-// logits and the input gradient.
-func legacyStep(net *nn.Network, x *tensor.Tensor, labels []int, target *tensor.Tensor) (float64, *tensor.Tensor, *tensor.Tensor) {
-	logits := net.Forward(x)
-	keep := logits.Clone()
-	var loss float64
-	var grad *tensor.Tensor
-	if target != nil {
-		loss, grad = nn.SoftCrossEntropy(logits, target)
-	} else {
-		loss, grad = nn.CrossEntropy(logits, labels)
+// legacyDigests holds, per seed model, the SHA-256 over the four passes of
+// TestForwardBackwardMatchesLegacy (each pass a passDigest of loss, logits,
+// input gradient and every parameter gradient) and over the final weights
+// of TestTrainingRunBitIdentical, as the legacy per-layer path computed them:
+// whole-batch layer-wise Forward, loss on the logits, ZeroGrad, layer-wise
+// Backward (and, in the run, SGD.Step).
+var legacyDigests = map[string]struct{ pass, run string }{
+	"lenet5":   {"2fcd963d1c9c2b2849d3757e526e37592d3f821d9ff2d2e88337bf759ff2df15", "bb0ace433548b7778ba6c69d60233123cc52d6702eab1a99db5008ab8af7a8df"},
+	"convnet7": {"aa712570fb43caf113f8b5b6d0f8c9fb0a8ce13f427a5dbcb5d1855d4f6fce60", "95227c0834a601657a0379ad4036fcf32179047e4d4e3fe555ab1ce4e0c4acd8"},
+	"mlp":      {"fcfa797bb758eda80996d8e73f106006b6fa6ce4436daf60c08eb8d3db069391", "cd09fa5175c5860d38ce7a3c54f3e1b5df3c7cde7460c462122fbb808ecdb64f"},
+	"mlp-deep": {"95603c6fa3c45f96298387937765a5cccdbf00b991cda3843054ad9a47bedd89", "9c8c879d5746cf9df1cf399a078dab2d375ebe409c49f427b5859863da56adaf"},
+}
+
+// passDigest is the SHA-256 of loss's bits followed by every element's bits
+// of ts, in order.
+func passDigest(loss float64, ts ...*tensor.Tensor) []byte {
+	h := sha256.New()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(loss))
+	h.Write(b[:])
+	for _, t := range ts {
+		for _, v := range t.Data() {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
 	}
-	net.ZeroGrad()
-	gx := net.Backward(grad)
-	return loss, keep, gx
+	return h.Sum(nil)
 }
 
 func randBatch(seed int64, n, dim, classes int) (*tensor.Tensor, []int) {
@@ -72,7 +86,8 @@ func randBatch(seed int64, n, dim, classes int) (*tensor.Tensor, []int) {
 // seed model, serial and pooled engines, batch sizes 1/7/32 streamed through
 // ONE engine (so the workspace-view rebuild path is exercised), hard and
 // smoothed-soft targets. Loss, logits, every parameter gradient and the input
-// gradient must match the legacy path to the last bit.
+// gradient must match the legacy path to the last bit: the digest over all
+// four passes must be the legacy one.
 func TestForwardBackwardMatchesLegacy(t *testing.T) {
 	pool := tensor.NewPool(4)
 	defer pool.Close()
@@ -86,11 +101,11 @@ func TestForwardBackwardMatchesLegacy(t *testing.T) {
 	for _, m := range seedModels() {
 		for _, cfg := range configs {
 			t.Run(m.name+"/"+cfg.name, func(t *testing.T) {
-				legacy := m.build(rng.New(3))
 				subject := m.build(rng.New(3))
 				eng := tengine.MustCompile(subject, cfg.opts)
+				run := sha256.New()
 				for pass, n := range []int{1, 7, 32, 7} {
-					x, labels := randBatch(int64(40+pass), n, legacy.InDim(), m.classes)
+					x, labels := randBatch(int64(40+pass), n, subject.InDim(), m.classes)
 					var target *tensor.Tensor
 					if pass == 3 { // one smoothed soft-target pass
 						target = tensor.Full(0.1/float64(m.classes-1), n, m.classes)
@@ -99,7 +114,6 @@ func TestForwardBackwardMatchesLegacy(t *testing.T) {
 							td[s*m.classes+y] = 0.9
 						}
 					}
-					wantLoss, wantLogits, wantGX := legacyStep(legacy, x, labels, target)
 					var gotLoss float64
 					var stepErr error
 					if target != nil {
@@ -110,21 +124,14 @@ func TestForwardBackwardMatchesLegacy(t *testing.T) {
 					if stepErr != nil {
 						t.Fatalf("n=%d pass=%d: %v", n, pass, stepErr)
 					}
-					if math.Float64bits(wantLoss) != math.Float64bits(gotLoss) {
-						t.Fatalf("n=%d pass=%d: loss %v != legacy %v", n, pass, gotLoss, wantLoss)
+					ts := []*tensor.Tensor{eng.Logits(), eng.InputGrad()}
+					for _, p := range subject.Params() {
+						ts = append(ts, p.Grad)
 					}
-					if !eng.Logits().Equal(wantLogits) {
-						t.Fatalf("n=%d pass=%d: logits diverge from legacy", n, pass)
-					}
-					if !eng.InputGrad().Equal(wantGX) {
-						t.Fatalf("n=%d pass=%d: input gradient diverges from legacy", n, pass)
-					}
-					wp, gp := legacy.Params(), subject.Params()
-					for i := range wp {
-						if !gp[i].Grad.Equal(wp[i].Grad) {
-							t.Fatalf("n=%d pass=%d: gradient of %s diverges from legacy", n, pass, wp[i].Name)
-						}
-					}
+					run.Write(passDigest(gotLoss, ts...))
+				}
+				if d := hex.EncodeToString(run.Sum(nil)); d != legacyDigests[m.name].pass {
+					t.Fatalf("loss, logits or gradients diverge from legacy: digest %s, legacy %s", d, legacyDigests[m.name].pass)
 				}
 			})
 		}
@@ -132,10 +139,10 @@ func TestForwardBackwardMatchesLegacy(t *testing.T) {
 }
 
 // TestTrainingRunBitIdentical drives multi-step momentum-SGD training through
-// three arms — legacy per-layer loop, serial engine, pooled engine — and
-// demands bit-identical final weights. This is the determinism contract of
-// the fixed-order shard reduction: parallelism must not move a single bit of
-// the trained model.
+// two arms — serial engine, pooled engine — and demands bit-identical final
+// weights, equal to the legacy per-layer loop's (its pinned digest). This is
+// the determinism contract of the fixed-order shard reduction: parallelism
+// must not move a single bit of the trained model.
 func TestTrainingRunBitIdentical(t *testing.T) {
 	pool := tensor.NewPool(4)
 	defer pool.Close()
@@ -144,35 +151,30 @@ func TestTrainingRunBitIdentical(t *testing.T) {
 			continue
 		}
 		t.Run(m.name, func(t *testing.T) {
-			legacy := m.build(rng.New(5))
 			serial := m.build(rng.New(5))
 			pooled := m.build(rng.New(5))
 			const steps, batch = 8, 7
-			lOpt := opt.NewSGD(legacy.Params(), 0.05, 0.9, 1e-4)
 			sOpt := opt.NewSGD(serial.Params(), 0.05, 0.9, 1e-4)
 			pOpt := opt.NewSGD(pooled.Params(), 0.05, 0.9, 1e-4)
 			se := tengine.MustCompile(serial, tengine.Options{Workers: 1, MaxBatch: batch})
 			pe := tengine.MustCompile(pooled, tengine.Options{Pool: pool, MaxBatch: batch})
 			for step := 0; step < steps; step++ {
-				x, labels := randBatch(int64(70+step), batch, legacy.InDim(), m.classes)
-				logits := legacy.Forward(x)
-				_, grad := nn.CrossEntropy(logits, labels)
-				legacy.ZeroGrad()
-				legacy.Backward(grad)
-				lOpt.Step()
+				x, labels := randBatch(int64(70+step), batch, serial.InDim(), m.classes)
 				se.ForwardBackward(x, labels)
 				sOpt.StepAndZero()
 				pe.ForwardBackward(x, labels)
 				pOpt.StepAndZero()
 			}
-			lp, sp, pp := legacy.Params(), serial.Params(), pooled.Params()
-			for i := range lp {
-				if !sp[i].Value.Equal(lp[i].Value) {
-					t.Errorf("serial engine weights of %s diverge from legacy", lp[i].Name)
+			sp, pp := serial.Params(), pooled.Params()
+			var ws []*tensor.Tensor
+			for i := range sp {
+				if !pp[i].Value.Equal(sp[i].Value) {
+					t.Errorf("pooled engine weights of %s diverge from serial", sp[i].Name)
 				}
-				if !pp[i].Value.Equal(lp[i].Value) {
-					t.Errorf("pooled engine weights of %s diverge from legacy", lp[i].Name)
-				}
+				ws = append(ws, sp[i].Value)
+			}
+			if d := hex.EncodeToString(passDigest(0, ws...)); d != legacyDigests[m.name].run {
+				t.Errorf("trained weights digest %s, legacy loop %s", d, legacyDigests[m.name].run)
 			}
 		})
 	}
@@ -232,11 +234,7 @@ func TestForwardBackwardEmptyBatch(t *testing.T) {
 // must reject it with a useful error instead of silently falling back.
 type opaqueLayer struct{ nn.Layer }
 
-func (o opaqueLayer) Name() string                            { return "opaque" }
-func (o opaqueLayer) Forward(x *tensor.Tensor) *tensor.Tensor { return x }
-func (o opaqueLayer) Backward(g *tensor.Tensor) *tensor.Tensor {
-	return g
-}
+func (o opaqueLayer) Name() string               { return "opaque" }
 func (o opaqueLayer) Params() []*nn.Param        { return nil }
 func (o opaqueLayer) Clone() nn.Layer            { return o }
 func (o opaqueLayer) OutputShape(in []int) []int { return in }

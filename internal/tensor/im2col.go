@@ -36,19 +36,13 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
-// Im2Col expands a (C, H, W) input into a (C*KH*KW, OutH*OutW) matrix so a
-// convolution becomes a single matmul with the (OutC, C*KH*KW) kernel matrix.
-// dst must have exactly that shape; src must be (C, H, W) flattened.
-func Im2Col(dst, src *Tensor, g ConvGeom) {
-	Im2ColInto(dst.data, src.data, g)
-}
-
-// Im2ColInto is Im2Col over bare row-major slices, for workspace-reusing
-// callers that expand samples out of a larger batch buffer without building
-// tensor headers. dst must have InC*KH*KW*OutH*OutW elements and src
-// InC*InH*InW. It is the single im2col kernel in the package — Im2Col
-// delegates here — so batched and per-sample convolutions expand windows in
-// exactly the same order.
+// Im2ColInto expands a (C, H, W) input into a (C*KH*KW, OutH*OutW) matrix so
+// a convolution becomes a single matmul with the (OutC, C*KH*KW) kernel
+// matrix. It works over bare row-major slices, so callers expand samples out
+// of a larger batch buffer without building tensor headers: dst must have
+// InC*KH*KW*OutH*OutW elements and src InC*InH*InW. It is the single im2col
+// kernel in the package, so every convolution expands windows in exactly the
+// same order.
 func Im2ColInto(dst, src []float64, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	cols := outH * outW
@@ -130,18 +124,11 @@ func zeroOutside(row []float64, lo, hi int) {
 	}
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters a (C*KH*KW, OutH*OutW) column
-// matrix back into a (C, H, W) image, accumulating where windows overlap.
-// dst is zeroed first.
-func Col2Im(dst, src *Tensor, g ConvGeom) {
-	Col2ImInto(dst.data, src.data, g)
-}
-
-// Col2ImInto is Col2Im over bare row-major slices, for workspace-reusing
-// callers that scatter per-sample input gradients into rows of a larger batch
-// buffer without building tensor headers. It is the single col2im kernel in
-// the package — Col2Im delegates here — so batched and per-sample backward
-// convolutions accumulate overlapping windows in exactly the same order.
+// Col2ImInto is the adjoint of Im2ColInto: it scatters a
+// (C*KH*KW, OutH*OutW) column matrix back into a (C, H, W) image, zeroing dst
+// first and accumulating where windows overlap. It works over bare row-major
+// slices, so the training plan scatters per-sample input gradients into rows
+// of a larger batch buffer without building tensor headers.
 func Col2ImInto(dst, src []float64, g ConvGeom) {
 	outH, outW := g.OutH(), g.OutW()
 	cols := outH * outW

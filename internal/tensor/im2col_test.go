@@ -42,7 +42,7 @@ func TestIm2Col1x1Identity(t *testing.T) {
 	g := ConvGeom{InC: 2, InH: 3, InW: 3, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
 	src := FromSlice([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}, 18)
 	dst := New(2, 9)
-	Im2Col(dst, src, g)
+	Im2ColInto(dst.Data(), src.Data(), g)
 	if !dst.Reshape(18).Equal(src) {
 		t.Fatalf("1x1 im2col is not identity: %v", dst.Data())
 	}
@@ -53,7 +53,7 @@ func TestIm2ColKnownWindow(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, StrideH: 1, StrideW: 1}
 	src := FromSlice([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, 9)
 	dst := New(4, 4)
-	Im2Col(dst, src, g)
+	Im2ColInto(dst.Data(), src.Data(), g)
 	// column p corresponds to output position p; row r to kernel offset r
 	want := [][]float64{
 		{1, 2, 4, 5}, // kernel (0,0)
@@ -74,7 +74,7 @@ func TestIm2ColZeroPadding(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	src := FromSlice([]float64{1, 2, 3, 4}, 4)
 	dst := New(9, 4)
-	Im2Col(dst, src, g)
+	Im2ColInto(dst.Data(), src.Data(), g)
 	// top-left output position, kernel offset (0,0) looks at (-1,-1): padded 0
 	if dst.At(0, 0) != 0 {
 		t.Fatalf("padded region not zero: %v", dst.At(0, 0))
@@ -86,7 +86,7 @@ func TestIm2ColZeroPadding(t *testing.T) {
 }
 
 // TestCol2ImAdjoint verifies the defining property of the adjoint:
-// ⟨Im2Col(x), y⟩ = ⟨x, Col2Im(y)⟩ for all x, y.
+// ⟨Im2ColInto(x), y⟩ = ⟨x, Col2ImInto(y)⟩ for all x, y.
 func TestCol2ImAdjoint(t *testing.T) {
 	geoms := []ConvGeom{
 		{InC: 1, InH: 5, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1},
@@ -101,9 +101,9 @@ func TestCol2ImAdjoint(t *testing.T) {
 			x := RandUniform(r, -1, 1, g.InC*g.InH*g.InW)
 			y := RandUniform(r, -1, 1, rows*cols)
 			ix := New(rows, cols)
-			Im2Col(ix, x, g)
+			Im2ColInto(ix.Data(), x.Data(), g)
 			cy := New(g.InC * g.InH * g.InW)
-			Col2Im(cy, y.Reshape(rows, cols), g)
+			Col2ImInto(cy.Data(), y.Data(), g)
 			return math.Abs(dot(ix.Data(), y.Data())-dot(x.Data(), cy.Data())) < 1e-9
 		}, &quick.Config{MaxCount: 20})
 		if err != nil {
@@ -126,7 +126,7 @@ func TestCol2ImAccumulatesOverlaps(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, StrideH: 1, StrideW: 1}
 	cols := Ones(4, 4)
 	img := New(9)
-	Col2Im(img, cols, g)
+	Col2ImInto(img.Data(), cols.Data(), g)
 	if img.Data()[4] != 4 {
 		t.Fatalf("centre accumulation %v, want 4", img.Data()[4])
 	}

@@ -14,37 +14,20 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	MatMulInto(out, a, b)
+	MatMulSlices(out.data, a.data, b.data, m, k, n)
 	return out
-}
-
-// MatMulInto computes dst = a·b, reusing dst's storage. dst must be m×n.
-//
-// The kernel iterates in (i, k, j) order so the inner loop walks both b and
-// dst contiguously — on a single core this is the difference between the
-// training loop being usable and not.
-func MatMulInto(dst, a, b *Tensor) {
-	m, k := mustMatrix("MatMulInto lhs", a)
-	k2, n := mustMatrix("MatMulInto rhs", b)
-	dm, dn := mustMatrix("MatMulInto dst", dst)
-	if k != k2 || dm != m || dn != n {
-		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch dst%v = %v x %v", dst.shape, a.shape, b.shape))
-	}
-	MatMulSlices(dst.data, a.data, b.data, m, k, n)
 }
 
 // MatMulSlices is the raw matmul kernel over bare slices: dst = a·b where a
 // is m×k, b is k×n and dst is m×n, all row-major. It exists so workspace-
-// reusing callers (the batch inference engine, the accelerator's im2col path)
-// can multiply into sub-regions of preallocated buffers without building
-// tensor headers. Every tensor-level matmul in this package delegates here,
-// which is what makes the batched forward path bit-identical to the serial
-// one: there is exactly one summation order.
+// reusing callers can multiply into sub-regions of preallocated buffers
+// without building tensor headers. The kernel iterates in (i, k, j) order so
+// the inner loop walks both b and dst contiguously.
 //
 // There are two f64 forward a·b kernels with this one per-element fold.
-// MatMulSlices is the reference loop: every tensor-level matmul (the
-// per-layer Forward path, ParallelMatMul) lands here, and the
-// golden-equivalence suites compare against it. MatMulBlockedSlices is the
+// MatMulSlices is the reference loop: every tensor-level matmul (MatMul,
+// ParallelMatMul) lands here, and the golden-equivalence suites compare
+// against it. MatMulBlockedSlices is the
 // register-tiled kernel both engines' forward passes run, for Conv2D (a is
 // the weight matrix, b one sample's im2col panel) and for Dense (a is the
 // sample rows, b the weight matrix); off amd64 it is this loop.
@@ -105,24 +88,13 @@ func checkBias(bias []float64, m int) {
 	}
 }
 
-// MatMulTransBInto computes dst = a·bᵀ where a is m×k and b is n×k.
-func MatMulTransBInto(dst, a, b *Tensor) {
-	m, k := mustMatrix("MatMulTransBInto lhs", a)
-	n, k2 := mustMatrix("MatMulTransBInto rhs", b)
-	dm, dn := mustMatrix("MatMulTransBInto dst", dst)
-	if k != k2 || dm != m || dn != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBInto shape mismatch dst%v = %v x %vᵀ", dst.shape, a.shape, b.shape))
-	}
-	MatMulTransBSlices(dst.data, a.data, b.data, m, k, n)
-}
-
 // MatMulTransBSlices is the raw dst = a·bᵀ kernel over bare slices: a is m×k,
 // b is n×k and dst is m×n, all row-major. Each dst element is accumulated in
 // a register over p in increasing order, so the result is independent of how
 // callers partition the output — the train engine's per-sample backward
 // kernels (conv dW, dense dx) multiply into shard rows of preallocated
-// workspaces through this single kernel, which is what keeps the batched
-// gradient bit-identical to the per-layer training path.
+// workspaces through this single kernel, which is what keeps serial and
+// pooled training plans bit-identical.
 func MatMulTransBSlices(dst, a, b []float64, m, k, n int) {
 	if len(a) != m*k || len(b) != n*k || len(dst) != m*n {
 		panic(fmt.Sprintf("tensor: MatMulTransBSlices length mismatch dst=%d a=%d b=%d for (%d×%d)·(%d×%d)ᵀ",
@@ -170,22 +142,11 @@ func MatMulNoSkipSlices(dst, a, b []float64, m, k, n int) {
 	}
 }
 
-// MatMulTransAInto computes dst = aᵀ·b where a is k×m and b is k×n.
-func MatMulTransAInto(dst, a, b *Tensor) {
-	k, m := mustMatrix("MatMulTransAInto lhs", a)
-	k2, n := mustMatrix("MatMulTransAInto rhs", b)
-	dm, dn := mustMatrix("MatMulTransAInto dst", dst)
-	if k != k2 || dm != m || dn != n {
-		panic(fmt.Sprintf("tensor: MatMulTransAInto shape mismatch dst%v = %vᵀ x %v", dst.shape, a.shape, b.shape))
-	}
-	MatMulTransASlices(dst.data, a.data, b.data, k, m, n)
-}
-
 // MatMulTransASlices is the raw dst = aᵀ·b kernel over bare slices: a is k×m,
 // b is k×n and dst is m×n, all row-major. dst is zeroed first and accumulated
-// over p in increasing order with the same zero-skip as MatMulTransAInto
-// (which delegates here), so per-sample calls (k = 1) compose into exactly
-// the batch-level accumulation when folded in sample order.
+// over p in increasing order, skipping zero a elements, so per-sample calls
+// (k = 1) compose into exactly the batch-level accumulation when folded in
+// sample order.
 func MatMulTransASlices(dst, a, b []float64, k, m, n int) {
 	if len(a) != k*m || len(b) != k*n || len(dst) != m*n {
 		panic(fmt.Sprintf("tensor: MatMulTransASlices length mismatch dst=%d a=%d b=%d for (%d×%d)ᵀ·(%d×%d)",

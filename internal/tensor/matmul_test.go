@@ -61,10 +61,10 @@ func TestMatMulTransB(t *testing.T) {
 	a := Randn(r, 0, 1, 4, 6)
 	b := Randn(r, 0, 1, 5, 6) // b is (n, k): a·bᵀ is (4, 5)
 	got := New(4, 5)
-	MatMulTransBInto(got, a, b)
+	MatMulTransBSlices(got.Data(), a.Data(), b.Data(), 4, 6, 5)
 	want := naiveMatMul(a, Transpose2D(b))
 	if !got.AllClose(want, 1e-10) {
-		t.Fatal("MatMulTransBInto mismatch")
+		t.Fatal("MatMulTransBSlices mismatch")
 	}
 }
 
@@ -73,10 +73,10 @@ func TestMatMulTransA(t *testing.T) {
 	a := Randn(r, 0, 1, 6, 4) // a is (k, m): aᵀ·b is (4, 5)
 	b := Randn(r, 0, 1, 6, 5)
 	got := New(4, 5)
-	MatMulTransAInto(got, a, b)
+	MatMulTransASlices(got.Data(), a.Data(), b.Data(), 6, 4, 5)
 	want := naiveMatMul(Transpose2D(a), b)
 	if !got.AllClose(want, 1e-10) {
-		t.Fatal("MatMulTransAInto mismatch")
+		t.Fatal("MatMulTransASlices mismatch")
 	}
 }
 
@@ -106,9 +106,9 @@ func TestMatMulIntoReuse(t *testing.T) {
 	a := Randn(r, 0, 1, 3, 3)
 	b := Randn(r, 0, 1, 3, 3)
 	dst := Full(123, 3, 3) // pre-filled garbage must be overwritten
-	MatMulInto(dst, a, b)
+	MatMulSlices(dst.Data(), a.Data(), b.Data(), 3, 3, 3)
 	if !dst.AllClose(naiveMatMul(a, b), 1e-10) {
-		t.Fatal("MatMulInto did not overwrite destination")
+		t.Fatal("MatMulSlices did not overwrite destination")
 	}
 }
 
@@ -156,7 +156,7 @@ func BenchmarkMatMul64(b *testing.B) {
 	dst := New(64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, x, y)
+		MatMulSlices(dst.Data(), x.Data(), y.Data(), 64, 64, 64)
 	}
 }
 

@@ -12,8 +12,8 @@ import "fmt"
 type Precision uint8
 
 const (
-	// F64 is the scalar float64 reference tier: bit-identical to the legacy
-	// per-sample path, and the arm every fast tier is gated against.
+	// F64 is the scalar float64 reference tier: pinned by the engine's
+	// golden_logits.json, and the arm every fast tier is gated against.
 	F64 Precision = iota
 	// F32 is the float32 fast tier: dot-product-form kernels with four
 	// independent accumulators and fused bias/activation, accepted only

@@ -16,7 +16,7 @@ func SameShape(a, b *Tensor) bool { return sameShape(a.shape, b.shape) }
 // entry matches any size on that axis, so kernels can pin the axes they care
 // about while leaving batch sizes free:
 //
-//	tensor.AssertDims("MatMulInto dst", dst, m, n)
+//	tensor.AssertDims("Dense.ForwardBatchRange dst", dst, n, out)
 //	tensor.AssertDims("ForwardBatch x", x, tensor.Wildcard, inDim)
 //
 // The panic message names the operation, the expected shape and the shape

@@ -160,13 +160,6 @@ func (t *Tensor) ResliceRows(buf []float64, n int) {
 	t.shape[0] = n
 }
 
-// Zero sets every element to 0.
-func (t *Tensor) Zero() {
-	for i := range t.data {
-		t.data[i] = 0
-	}
-}
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float64) {
 	for i := range t.data {

@@ -65,9 +65,8 @@ func GenerateAET(net *nn.Network, pool *dataset.Dataset, m int, cfg AETConfig, r
 // InputGradient returns ∇ₓ of the cross-entropy loss of net's logits against
 // labels, for a whole (M, D) batch. The network's weight gradients are left
 // untouched (the plan is compiled without parameter folds). The batch runs
-// through a compiled train plan with an input-gradient tap, bit-identical to
-// the legacy per-layer Forward/CrossEntropy/ZeroGrad/Backward sequence; the
-// returned tensor is a view into the plan's workspace, valid until the plan
+// through a compiled train plan with an input-gradient tap; the returned
+// tensor is a view into the plan's workspace, valid until the plan
 // is garbage-collected (it is copied by nothing here, so callers that need
 // the values past their next use should Clone).
 func InputGradient(net *nn.Network, x *tensor.Tensor, labels []int) *tensor.Tensor {

@@ -45,21 +45,16 @@ func RankByLogitStd(net *nn.Network, pool *dataset.Dataset) (idx []int, score []
 	scores := make([]float64, n)
 	const batch = 64
 	pd := pool.X.Data()
-	// sweep the pool through a batch-inference plan: the same bits as
-	// net.Forward, but the whole scan reuses one set of workspaces
-	eng, engErr := engine.Compile(net, engine.Options{MaxBatch: batch})
+	// sweep the pool through a batch-inference plan: the whole scan reuses
+	// one set of workspaces
+	eng := engine.MustCompile(net, engine.Options{MaxBatch: batch})
 	for s := 0; s < n; s += batch {
 		e := s + batch
 		if e > n {
 			e = n
 		}
 		x := tensor.FromSlice(pd[s*dim:e*dim], e-s, dim)
-		var logits *tensor.Tensor
-		if engErr == nil {
-			logits, _ = eng.ForwardBatch(nil, x) // e > s: never empty
-		} else {
-			logits = net.Forward(x)
-		}
+		logits, _ := eng.ForwardBatch(nil, x) // e > s: never empty
 		k := logits.Dim(1)
 		ld := logits.Data()
 		for j := 0; j < e-s; j++ {

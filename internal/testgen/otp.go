@@ -82,7 +82,7 @@ func GenerateOTP(clean, faulty *nn.Network, classes int, cfg OTPConfig, r *rng.R
 
 	// the optimization loop runs up to 600 full forward+backward iterations;
 	// compiled train plans with an input-gradient tap keep every one of them
-	// allocation-free and bit-identical to the legacy per-layer path
+	// allocation-free (otp_engine_test.go pins the run's bits)
 	ce := tengine.MustCompile(clean, tengine.Options{MaxBatch: m, InputGrad: true, NoParamGrads: true})
 	fe := tengine.MustCompile(faulty, tengine.Options{MaxBatch: m, InputGrad: true, NoParamGrads: true})
 	pClean := tensor.New(m, classes) // reused softmax buffers for convergence

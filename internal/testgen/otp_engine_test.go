@@ -1,113 +1,59 @@
 package testgen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
 	"reramtest/internal/faults"
-	"reramtest/internal/nn"
 	"reramtest/internal/rng"
 	"reramtest/internal/tensor"
 )
 
-// legacyOTP replicates Algorithm 1 as it ran before the training engine:
-// layer-wise Forward/ZeroGrad/Backward per term, fresh tensors every
-// iteration, convergence statistics through tensor.Std on row views. It is
-// the reference arm for the engine-migration bit-identity gate.
-func legacyOTP(clean, faulty *nn.Network, classes int, cfg OTPConfig, r *rng.RNG) (*tensor.Tensor, OTPResult) {
-	m := classes * cfg.PerClass
-	x := tensor.RandUniform(r, 0, 1, m, clean.InDim())
-	labels := make([]int, m)
-	for j := range labels {
-		labels[j] = j % classes
-	}
-	soft := nn.UniformLabels(m, classes)
-	hard := nn.OneHot(labels, classes)
+// legacyOTPDigest is otpDigest of Algorithm 1 as the per-layer reference
+// implementation ran it on TestGenerateOTPMatchesLegacyAlgorithm's input —
+// layer-wise Forward/Backward per term, fresh tensors every iteration,
+// convergence statistics through tensor.Std on row views — taken before
+// that implementation was deleted with the per-layer methods.
+const legacyOTPDigest = "5278250f56042b8ed26a51b726e58498dcccf9258586bb7d437cd0967fb2ceb7"
 
-	res := OTPResult{CleanStd: make([]float64, m), FaultL1: make([]float64, m)}
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		zClean := clean.Forward(x)
-		loss1, g1 := nn.SoftCrossEntropy(zClean, soft)
-		clean.ZeroGrad()
-		gx1 := clean.Backward(g1)
-
-		zFault := faulty.Forward(x)
-		loss2, g2 := nn.SoftCrossEntropy(zFault, hard)
-		faulty.ZeroGrad()
-		gx2 := faulty.Backward(g2)
-
-		xd, d1, d2 := x.Data(), gx1.Data(), gx2.Data()
-		for i := range xd {
-			xd[i] -= cfg.LR * (cfg.Alpha*d1[i] + (1-cfg.Alpha)*d2[i])
-			if xd[i] < 0 {
-				xd[i] = 0
-			} else if xd[i] > 1 {
-				xd[i] = 1
-			}
-		}
-		res.Iters = iter
-		res.FinalLoss = cfg.Alpha*loss1 + (1-cfg.Alpha)*loss2
-
-		pClean := nn.Softmax(zClean)
-		pFault := nn.Softmax(zFault)
-		cd, fd, hd := pClean.Data(), pFault.Data(), hard.Data()
-		ok := true
-		for j := 0; j < m; j++ {
-			row := tensor.FromSlice(cd[j*classes:(j+1)*classes], classes)
-			res.CleanStd[j] = row.Std()
-			l1 := 0.0
-			for c := 0; c < classes; c++ {
-				l1 += math.Abs(fd[j*classes+c] - hd[j*classes+c])
-			}
-			l1 /= float64(classes)
-			res.FaultL1[j] = l1
-			if res.CleanStd[j] >= cfg.Eps1 || l1 >= cfg.Eps2 {
-				ok = false
-			}
-		}
-		if ok {
-			res.Converged = true
-			break
+// otpDigest is the SHA-256 of an O-TP run: the patterns' bits, then the
+// iteration count, the convergence flag and the final loss, then the
+// per-pattern statistics.
+func otpDigest(x *tensor.Tensor, res OTPResult) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
 		}
 	}
-	return x, res
+	put(x.Data()...)
+	conv := 0.0
+	if res.Converged {
+		conv = 1
+	}
+	put(float64(res.Iters), conv, res.FinalLoss)
+	put(res.CleanStd...)
+	put(res.FaultL1...)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestGenerateOTPMatchesLegacyAlgorithm: the engine-backed GenerateOTP must
 // retrace the legacy optimization step for step — identical patterns,
 // iteration count, convergence flag, loss and per-pattern statistics, down to
-// the last bit. The legacy arm reads the convergence softmax off the logits
-// tensor the network returned; the engine arm reads it off the plan's logit
-// workspace — both see the same bits, so the loop breaks on the same
-// iteration.
+// the last bit — which the pinned digest of the legacy run holds it to.
 func TestGenerateOTPMatchesLegacyAlgorithm(t *testing.T) {
 	net, _ := trainedToy(t)
 	cfg := DefaultOTPConfig()
 	cfg.MaxIters = 60 // enough iterations to expose any drift, fast enough for CI
-	legacyClean := net.Clone()
-	legacyFault := faults.MakeFaulty(net, faults.LogNormal{Sigma: 0.4}, 33)
-	engineClean := net.Clone()
-	engineFault := faults.MakeFaulty(net, faults.LogNormal{Sigma: 0.4}, 33)
-
-	wantX, wantRes := legacyOTP(legacyClean, legacyFault, 10, cfg, rng.New(55))
-	got, gotRes := GenerateOTP(engineClean, engineFault, 10, cfg, rng.New(55))
-
-	if !got.X.Equal(wantX) {
-		t.Fatal("engine-backed OTP patterns diverge from legacy algorithm")
-	}
-	if gotRes.Iters != wantRes.Iters || gotRes.Converged != wantRes.Converged {
-		t.Fatalf("trajectory diverged: got %d iters (conv=%v), legacy %d (conv=%v)",
-			gotRes.Iters, gotRes.Converged, wantRes.Iters, wantRes.Converged)
-	}
-	if math.Float64bits(gotRes.FinalLoss) != math.Float64bits(wantRes.FinalLoss) {
-		t.Errorf("final loss %v != legacy %v", gotRes.FinalLoss, wantRes.FinalLoss)
-	}
-	for j := range wantRes.CleanStd {
-		if math.Float64bits(gotRes.CleanStd[j]) != math.Float64bits(wantRes.CleanStd[j]) {
-			t.Errorf("CleanStd[%d] %v != legacy %v", j, gotRes.CleanStd[j], wantRes.CleanStd[j])
-		}
-		if math.Float64bits(gotRes.FaultL1[j]) != math.Float64bits(wantRes.FaultL1[j]) {
-			t.Errorf("FaultL1[%d] %v != legacy %v", j, gotRes.FaultL1[j], wantRes.FaultL1[j])
-		}
+	faulty := faults.MakeFaulty(net, faults.LogNormal{Sigma: 0.4}, 33)
+	got, res := GenerateOTP(net.Clone(), faulty, 10, cfg, rng.New(55))
+	if d := otpDigest(got.X, res); d != legacyOTPDigest {
+		t.Fatalf("O-TP run digest %s (%d iters, converged=%v), legacy algorithm %s",
+			d, res.Iters, res.Converged, legacyOTPDigest)
 	}
 }

@@ -8,11 +8,13 @@ import (
 	"testing"
 
 	"reramtest/internal/dataset"
+	"reramtest/internal/engine"
 	"reramtest/internal/faults"
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
 	"reramtest/internal/opt"
 	"reramtest/internal/rng"
+	"reramtest/internal/tengine"
 	"reramtest/internal/tensor"
 )
 
@@ -24,14 +26,12 @@ func trainedToy(t *testing.T) (*nn.Network, *dataset.Dataset) {
 	train := dataset.SynthDigits(100, cfg)
 	net := models.MLP(rng.New(3), train.SampleDim(), []int{48}, 10)
 	sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 0)
+	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: 32})
 	r := rng.New(4)
 	for epoch := 0; epoch < 4; epoch++ {
 		for _, b := range train.Batches(32, r) {
-			logits := net.Forward(b.X)
-			_, grad := nn.CrossEntropy(logits, b.Y)
-			net.ZeroGrad()
-			net.Backward(grad)
-			sgd.Step()
+			eng.ForwardBackward(b.X, b.Y) // batches are never empty
+			sgd.StepAndZero()
 		}
 	}
 	return net, dataset.SynthDigits(101, dataset.DefaultDigitsConfig(300))
@@ -65,9 +65,13 @@ func TestSelectCTPPicksFlattestLogits(t *testing.T) {
 	// every selected pattern's logit std must be ≤ the pool median
 	_, scores := RankByLogitStd(net, pool)
 	median := scores[len(scores)/2]
+	eng := engine.MustCompile(net, engine.Options{})
 	for i := 0; i < p.M(); i++ {
 		x := tensor.FromSlice(p.X.Data()[i*p.Dim():(i+1)*p.Dim()], 1, p.Dim())
-		logits := net.Forward(x)
+		logits, err := eng.ForwardBatch(nil, x)
+		if err != nil {
+			t.Fatal(err)
+		}
 		std := tensor.FromSlice(logits.Data(), logits.Len()).Std()
 		if std > median {
 			t.Fatalf("C-TP pattern %d has logit std %v above pool median %v", i, std, median)
@@ -174,7 +178,7 @@ func TestGenerateOTPLabelsCycleClasses(t *testing.T) {
 }
 
 func meanProbStd(net *nn.Network, x *tensor.Tensor) float64 {
-	probs := nn.Softmax(net.Forward(x))
+	probs := engine.MustCompile(net, engine.Options{}).Probs(x)
 	m, k := probs.Dim(0), probs.Dim(1)
 	sum := 0.0
 	for i := 0; i < m; i++ {
@@ -276,14 +280,23 @@ func TestInputGradientMatchesNumeric(t *testing.T) {
 	x := pool.Input(0).Clone()
 	labels := []int{pool.Y[0]}
 	grad := InputGradient(net, x, labels)
+	// the loss through the inference plan and the loss kernel
+	eng := engine.MustCompile(net, engine.Options{})
+	loss := func() float64 {
+		logits, err := eng.ForwardBatch(nil, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nn.CrossEntropyInto(tensor.New(logits.Shape()...), logits, labels)
+	}
 	xd := x.Data()
 	const h = 1e-6
 	for _, i := range []int{0, 100, 400, 783} {
 		orig := xd[i]
 		xd[i] = orig + h
-		lp, _ := nn.CrossEntropy(net.Forward(x), labels)
+		lp := loss()
 		xd[i] = orig - h
-		lm, _ := nn.CrossEntropy(net.Forward(x), labels)
+		lm := loss()
 		xd[i] = orig
 		want := (lp - lm) / (2 * h)
 		if got := grad.Data()[i]; math.Abs(got-want) > 1e-5*(1+math.Abs(want)) {
