@@ -3,7 +3,9 @@ package engine
 import (
 	"testing"
 
+	"reramtest/internal/hwcost"
 	"reramtest/internal/models"
+	"reramtest/internal/nn"
 	"reramtest/internal/reram"
 	"reramtest/internal/rng"
 	"reramtest/internal/tensor"
@@ -89,5 +91,41 @@ func TestRebindPreservesCost(t *testing.T) {
 	ctr.Settle(reram.ClassServing)
 	if got := ctr.Snapshot().Total(); got != per.Scale(6) {
 		t.Fatalf("post-rebind cumulative %+v, want %+v (no reset, no double-count)", got, per.Scale(6))
+	}
+}
+
+// TestPlanCostPinned pins the per-sample sticker of the stock MLP and the
+// paper's two models on every tier, priced at the reference tile
+// (hwcost.DefaultTileRows × hwcost.DefaultTileCols). The sticker depends only
+// on the architecture and the tier, so the seed does not matter.
+func TestPlanCostPinned(t *testing.T) {
+	type pin struct {
+		name string
+		net  *nn.Network
+		want map[tensor.Precision]hwcost.Cost
+	}
+	pins := []pin{
+		{"mlp", models.MLP(rng.New(1), 16, []int{24, 16}, 6), map[tensor.Precision]hwcost.Cost{
+			tensor.F64: {ComputeCycles: 3, DACConversions: 56, ADCConversions: 768, CrossbarReads: 1728, EnergyFJ: 14240, BufferBytes: 1456},
+			tensor.F32: {ComputeCycles: 3, DACConversions: 56, ADCConversions: 768, CrossbarReads: 1728, EnergyFJ: 14240, BufferBytes: 728},
+			tensor.I8:  {ComputeCycles: 3, DACConversions: 56, ADCConversions: 768, CrossbarReads: 1728, EnergyFJ: 4856, BufferBytes: 182},
+		}},
+		{"lenet5", models.LeNet5(rng.New(1)), map[tensor.Precision]hwcost.Cost{
+			tensor.F64: {ComputeCycles: 990, DACConversions: 35204, ADCConversions: 253440, CrossbarReads: 833040, EnergyFJ: 5028896, BufferBytes: 500944},
+			tensor.F32: {ComputeCycles: 990, DACConversions: 35204, ADCConversions: 253440, CrossbarReads: 833040, EnergyFJ: 5028896, BufferBytes: 250472},
+			tensor.I8:  {ComputeCycles: 990, DACConversions: 35204, ADCConversions: 253440, CrossbarReads: 833040, EnergyFJ: 1882004, BufferBytes: 62618},
+		}},
+		{"convnet7", models.ConvNet7(rng.New(1)), map[tensor.Precision]hwcost.Cost{
+			tensor.F64: {ComputeCycles: 1606, DACConversions: 88256, ADCConversions: 411136, CrossbarReads: 4203776, EnergyFJ: 11134976, BufferBytes: 1456208},
+			tensor.F32: {ComputeCycles: 1606, DACConversions: 88256, ADCConversions: 411136, CrossbarReads: 4203776, EnergyFJ: 11134976, BufferBytes: 728104},
+			tensor.I8:  {ComputeCycles: 1606, DACConversions: 88256, ADCConversions: 411136, CrossbarReads: 4203776, EnergyFJ: 5936576, BufferBytes: 182026},
+		}},
+	}
+	for _, p := range pins {
+		for _, prec := range []tensor.Precision{tensor.F64, tensor.F32, tensor.I8} {
+			if got := MustCompile(p.net, Options{Precision: prec}).PlanCost(); got != p.want[prec] {
+				t.Errorf("%s %v: PlanCost %+v, want %+v", p.name, prec, got, p.want[prec])
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"reramtest/internal/hwcost"
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
 	"reramtest/internal/opt"
@@ -227,6 +228,29 @@ func TestForwardBackwardEmptyBatch(t *testing.T) {
 	}
 	if spent := eng.Counter().Settle(reram.ClassServing); !spent.IsZero() {
 		t.Fatal("empty batch charged the hardware counter")
+	}
+}
+
+// TestStepCostPinned pins the per-sample training-step sticker (3× the
+// forward model, priced at the reference tile hwcost.DefaultTileRows ×
+// hwcost.DefaultTileCols) of the stock MLP and the paper's two models,
+// read back off the counter after a two-sample step.
+func TestStepCostPinned(t *testing.T) {
+	want := map[string]hwcost.Cost{
+		"lenet5":   {ComputeCycles: 2970, DACConversions: 105612, ADCConversions: 760320, CrossbarReads: 2499120, EnergyFJ: 15086688, BufferBytes: 1502832},
+		"convnet7": {ComputeCycles: 4818, DACConversions: 264768, ADCConversions: 1233408, CrossbarReads: 12611328, EnergyFJ: 33404928, BufferBytes: 4368624},
+		"mlp":      {ComputeCycles: 9, DACConversions: 168, ADCConversions: 2304, CrossbarReads: 5184, EnergyFJ: 42720, BufferBytes: 4368},
+	}
+	for _, m := range seedModels()[:3] {
+		net := m.build(rng.New(1))
+		eng := tengine.MustCompile(net, tengine.Options{})
+		x, labels := randBatch(3, 2, net.InDim(), m.classes)
+		if _, err := eng.ForwardBackward(x, labels); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if got := eng.Counter().Settle(hwcost.ClassRepair); got != want[m.name].Scale(2) {
+			t.Errorf("%s: two-sample step charged %+v, want 2 × %+v", m.name, got, want[m.name])
+		}
 	}
 }
 
