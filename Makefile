@@ -46,7 +46,7 @@ GO ?= go
 # The packages with concurrency-sensitive or newly hardened logic; raced on
 # every check. `make race` covers the rest.
 RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/... \
-            ./internal/detect/... ./internal/stats/... ./internal/repair/... \
+            ./internal/stats/... ./internal/repair/... \
             ./internal/fleet/... ./internal/journal/... ./internal/engine/... \
             ./internal/tensor/... ./internal/serve/... ./internal/tengine/... \
             ./internal/netserve/... ./internal/loadgen/... \

@@ -16,11 +16,11 @@ import (
 	"sync"
 	"testing"
 
-	"reramtest/internal/detect"
 	"reramtest/internal/engine"
 	"reramtest/internal/experiments"
 	"reramtest/internal/faults"
 	"reramtest/internal/models"
+	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
 	"reramtest/internal/reram"
 	"reramtest/internal/rng"
@@ -199,7 +199,7 @@ func BenchmarkConvNetInference(b *testing.B) {
 func BenchmarkConcurrentTestRound(b *testing.B) {
 	e := env(b)
 	patterns := e.PatternsDefault("lenet5", "otp")
-	golden := detect.Capture(e.LeNet, patterns)
+	golden := monitor.Capture(e.LeNet, patterns)
 	faulty := faults.MakeFaulty(e.LeNet, faults.LogNormal{Sigma: 0.2}, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

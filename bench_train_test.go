@@ -7,7 +7,6 @@ import (
 	"reramtest/internal/faults"
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
-	"reramtest/internal/opt"
 	"reramtest/internal/rng"
 	"reramtest/internal/tengine"
 	"reramtest/internal/tensor"
@@ -27,7 +26,7 @@ func trainFixture() (*nn.Network, *dataset.Dataset) {
 // with the fused allocation-free optimizer update.
 func BenchmarkTrainStepEngine(b *testing.B) {
 	net, train := trainFixture()
-	sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 1e-4)
+	sgd := tengine.NewSGD(net.Params(), 0.05, 0.9, 1e-4)
 	eng := tengine.MustCompile(net, tengine.Options{Workers: 1, MaxBatch: 32})
 	x := tensor.FromSlice(train.X.Data()[:32*train.SampleDim()], 32, train.SampleDim())
 	y := train.Y[:32]
@@ -45,7 +44,7 @@ func BenchmarkTrainStepEngine(b *testing.B) {
 // the full training step (engine compute + fused optimizer).
 func TestTrainStepAllocFree(t *testing.T) {
 	net, train := trainFixture()
-	sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 1e-4)
+	sgd := tengine.NewSGD(net.Params(), 0.05, 0.9, 1e-4)
 	eng := tengine.MustCompile(net, tengine.Options{Workers: 1, MaxBatch: 32})
 	x := tensor.FromSlice(train.X.Data()[:32*train.SampleDim()], 32, train.SampleDim())
 	y := train.Y[:32]
@@ -63,7 +62,7 @@ func TestTrainStepAllocFree(t *testing.T) {
 // compiled plan and the reusable batch iterator.
 func BenchmarkRetrainEpochEngine(b *testing.B) {
 	net, train := trainFixture()
-	sgd := opt.NewSGD(net.Params(), 0.01, 0.9, 0)
+	sgd := tengine.NewSGD(net.Params(), 0.01, 0.9, 0)
 	eng := tengine.MustCompile(net, tengine.Options{Workers: 1, MaxBatch: 32})
 	it := train.BatchIterator(32)
 	r := rng.New(3)

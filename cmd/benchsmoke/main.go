@@ -28,9 +28,9 @@ import (
 	"testing"
 	"time"
 
+	"reramtest/internal/hwcost"
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
-	"reramtest/internal/opt"
 	"reramtest/internal/reram"
 	"reramtest/internal/rng"
 	"reramtest/internal/tengine"
@@ -176,7 +176,7 @@ func hardenGate(base Baseline, jsonDir string) bool {
 	defer pool.Close()
 	runDC := func(opts tengine.Options) *nn.Network {
 		net := models.MLP(rng.New(7), in, []int{24, 16}, classes)
-		sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 0)
+		sgd := tengine.NewSGD(net.Params(), 0.05, 0.9, 0)
 		dc := tengine.NewDropConnect(tengine.MustCompile(net, opts), 0.1, rng.New(17))
 		for i := 0; i < steps; i++ {
 			dc.Step(x, labels)
@@ -205,8 +205,8 @@ func hardenGate(base Baseline, jsonDir string) bool {
 		tLabels[j] = j % tClasses
 	}
 	plainNet, maskedNet := buildTimingNet(), buildTimingNet()
-	plOpt := opt.NewSGD(plainNet.Params(), 0.05, 0.9, 1e-4)
-	mkOpt := opt.NewSGD(maskedNet.Params(), 0.05, 0.9, 1e-4)
+	plOpt := tengine.NewSGD(plainNet.Params(), 0.05, 0.9, 1e-4)
+	mkOpt := tengine.NewSGD(maskedNet.Params(), 0.05, 0.9, 1e-4)
 	plainEng := tengine.MustCompile(plainNet, tengine.Options{Workers: 1, MaxBatch: tBatch})
 	dc := tengine.NewDropConnect(tengine.MustCompile(maskedNet, tengine.Options{Workers: 1, MaxBatch: tBatch}), 0.1, rng.New(19))
 	maskedStep := func() {
@@ -272,19 +272,19 @@ func costGate(base Baseline, jsonDir string) bool {
 		}
 	}
 	// no station owns this accelerator: book its spend here
-	if metered.Counter().Settle(reram.ClassServing).IsZero() {
+	if metered.Counter().Settle(hwcost.ClassServing).IsZero() {
 		fmt.Fprintln(os.Stderr, "benchsmoke: FAIL metered accelerator charged nothing")
 		return false
 	}
 
 	// the counting hot path itself: charge + settle + snapshot, zero
 	// allocations
-	ctr := reram.NewCounter()
-	unit := reram.Cost{ComputeCycles: 1, DACConversions: 2, ADCConversions: 3,
+	ctr := hwcost.NewCounter()
+	unit := hwcost.Cost{ComputeCycles: 1, DACConversions: 2, ADCConversions: 3,
 		CrossbarReads: 4, CrossbarWrites: 5, EnergyFJ: 6, BufferBytes: 7}
 	allocs := testing.AllocsPerRun(100, func() {
 		ctr.Charge(unit)
-		ctr.Settle(reram.ClassMonitor)
+		ctr.Settle(hwcost.ClassMonitor)
 		_ = ctr.Snapshot()
 	})
 

@@ -10,10 +10,10 @@ import (
 	"os"
 	"path/filepath"
 
-	"reramtest/internal/detect"
 	"reramtest/internal/engine"
 	"reramtest/internal/experiments"
 	"reramtest/internal/faults"
+	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
 	"reramtest/internal/tensor"
 )
@@ -42,7 +42,7 @@ func main() {
 			m = pool.Classes
 		}
 		p := env.Patterns(*model, method, m)
-		golden := detect.Capture(net, p)
+		golden := monitor.Capture(net, p)
 		// report the sensitivity of the set against a representative fault
 		fm := faults.MakeFaulty(net, faults.LogNormal{Sigma: 0.3}, 1)
 		o := golden.Observe(fm)

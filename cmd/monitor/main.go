@@ -55,6 +55,7 @@ import (
 	"reramtest/internal/experiments"
 	"reramtest/internal/fleet"
 	"reramtest/internal/health"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
 	"reramtest/internal/repair"
@@ -230,7 +231,7 @@ func runCost(w io.Writer, seed int64, rounds int) int {
 	b := st.CostCounter().Snapshot()
 	fmt.Fprintf(w, "\n%-10s %14s %12s %12s %14s %14s %16s %14s\n", "class",
 		"cycles", "DAC", "ADC", "xbar reads", "xbar writes", "energy (fJ)", "buffer B")
-	row := func(name string, c reram.Cost) {
+	row := func(name string, c hwcost.Cost) {
 		fmt.Fprintf(w, "%-10s %14d %12d %12d %14d %14d %16d %14d\n", name,
 			c.ComputeCycles, c.DACConversions, c.ADCConversions,
 			c.CrossbarReads, c.CrossbarWrites, c.EnergyFJ, c.BufferBytes)

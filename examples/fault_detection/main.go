@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"os"
 
-	"reramtest/internal/detect"
 	"reramtest/internal/experiments"
 	"reramtest/internal/faults"
+	"reramtest/internal/monitor"
 )
 
 func main() {
@@ -24,10 +24,10 @@ func main() {
 	}
 	net, _ := env.ModelFor("lenet5")
 
-	goldens := map[string]*detect.Golden{}
+	goldens := map[string]*monitor.Golden{}
 	for _, m := range experiments.Methods {
 		p := env.PatternsDefault("lenet5", m)
-		goldens[m] = detect.Capture(net, p)
+		goldens[m] = monitor.Capture(net, p)
 		fmt.Printf("%-4s: %d patterns armed\n", m, p.M())
 	}
 	fmt.Println()
@@ -39,8 +39,8 @@ func main() {
 		fms := faults.MakeFaultySet(net, faults.LogNormal{Sigma: sigma}, perSigma, int64(sigma*10000))
 		fmt.Printf("%-6.2f", sigma)
 		for _, m := range experiments.Methods {
-			rates := goldens[m].DetectionRate(fms, []detect.Criterion{detect.SDCA3})
-			fmt.Printf(" %-10s", fmt.Sprintf("%.0f%%", 100*rates[detect.SDCA3]))
+			rates := goldens[m].DetectionRate(fms, []monitor.Criterion{monitor.SDCA3})
+			fmt.Printf(" %-10s", fmt.Sprintf("%.0f%%", 100*rates[monitor.SDCA3]))
 		}
 		fmt.Println()
 	}

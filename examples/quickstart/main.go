@@ -12,10 +12,10 @@ import (
 	"os"
 
 	"reramtest/internal/dataset"
-	"reramtest/internal/detect"
 	"reramtest/internal/engine"
 	"reramtest/internal/faults"
 	"reramtest/internal/models"
+	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
 	"reramtest/internal/rng"
 	"reramtest/internal/testgen"
@@ -41,15 +41,15 @@ func main() {
 		patterns.M(), res.Iters, res.Converged)
 
 	// 3. capture golden outputs, then check accelerators of varying health
-	golden := detect.Capture(net, patterns)
-	plainGolden := detect.Capture(net, testgen.SelectPlain(test, patterns.M()))
+	golden := monitor.Capture(net, patterns)
+	plainGolden := monitor.Capture(net, testgen.SelectPlain(test, patterns.M()))
 	for _, sigma := range []float64{0.05, 0.15, 0.3, 0.5} {
 		faulty := faults.MakeFaulty(net, faults.LogNormal{Sigma: sigma}, int64(100+sigma*1000))
 		otp := golden.Observe(faulty)
 		plain := plainGolden.Observe(faulty)
 		fmt.Printf("σ=%.2f: O-TP distance=%.4f (flagged=%v) | plain-image distance=%.4f (flagged=%v) | true acc=%.1f%%\n",
-			sigma, otp.AllDist, otp.Detect(detect.SDCA3),
-			plain.AllDist, plain.Detect(detect.SDCA3),
+			sigma, otp.AllDist, otp.Detect(monitor.SDCA3),
+			plain.AllDist, plain.Detect(monitor.SDCA3),
 			100*accuracy(faulty, test))
 	}
 }

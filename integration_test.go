@@ -4,13 +4,11 @@ import (
 	"testing"
 
 	"reramtest/internal/dataset"
-	"reramtest/internal/detect"
 	"reramtest/internal/engine"
 	"reramtest/internal/faults"
 	"reramtest/internal/models"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
-	"reramtest/internal/opt"
 	"reramtest/internal/repair"
 	"reramtest/internal/reram"
 	"reramtest/internal/rng"
@@ -30,7 +28,7 @@ func pipeline(t *testing.T) (*nn.Network, *dataset.Dataset) {
 	}
 	train := dataset.SynthDigits(900, dataset.DefaultDigitsConfig(800))
 	net := models.MLP(rng.New(901), train.SampleDim(), []int{48}, 10)
-	sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 0)
+	sgd := tengine.NewSGD(net.Params(), 0.05, 0.9, 0)
 	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: 32})
 	r := rng.New(902)
 	for epoch := 0; epoch < 5; epoch++ {
@@ -63,9 +61,9 @@ func TestEndToEndDetectionPipeline(t *testing.T) {
 	aet := testgen.GenerateAET(net, data, 30, testgen.DefaultAETConfig(), rng.New(3))
 	plain := testgen.SelectPlain(data, 30)
 
-	goldens := map[string]*detect.Golden{
-		"otp": detect.Capture(net, otp), "ctp": detect.Capture(net, ctp),
-		"aet": detect.Capture(net, aet), "plain": detect.Capture(net, plain),
+	goldens := map[string]*monitor.Golden{
+		"otp": monitor.Capture(net, otp), "ctp": monitor.Capture(net, ctp),
+		"aet": monitor.Capture(net, aet), "plain": monitor.Capture(net, plain),
 	}
 
 	// severity must increase every method's distance monotonically (on

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"reramtest/internal/fleet"
-	"reramtest/internal/reram"
+	"reramtest/internal/hwcost"
 )
 
 // escalationFixture pins what the default (fixed-escalation) plant does
@@ -93,8 +93,8 @@ func TestFixedEscalationFixture(t *testing.T) {
 //	CAMPAIGN_REGEN_FIXTURES=1 go test ./internal/campaign -run LedgerFixture
 const ledgerFixture = "testdata/ledgers.json"
 
-func costsOf(res FleetResult) map[string]reram.CostBreakdown {
-	out := make(map[string]reram.CostBreakdown, len(res.FinalSnapshot))
+func costsOf(res FleetResult) map[string]hwcost.CostBreakdown {
+	out := make(map[string]hwcost.CostBreakdown, len(res.FinalSnapshot))
 	for id, snap := range res.FinalSnapshot {
 		out[id] = snap.Cost
 	}
@@ -110,7 +110,7 @@ func TestLedgerFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := json.MarshalIndent(map[string]map[string]reram.CostBreakdown{
+	got, err := json.MarshalIndent(map[string]map[string]hwcost.CostBreakdown{
 		"fleet-soak seed 1000":              costsOf(fleetRes),
 		"lifetime-soak seed 5 ladder":       costsOf(life.Parity.Uninterrupted),
 		"lifetime-soak seed 5 ladder crash": costsOf(life.Parity.Crashed),

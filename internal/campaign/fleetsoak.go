@@ -23,10 +23,10 @@ import (
 
 	"reramtest/internal/fleet"
 	"reramtest/internal/health"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/journal"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
-	"reramtest/internal/reram"
 	"reramtest/internal/rng"
 	"reramtest/internal/testgen"
 )
@@ -47,7 +47,7 @@ func (d fleetDevice) Patterns() *testgen.PatternSet { return d.plant.Patterns() 
 // CostCounter implements fleet.CostMetered: the supervisor journals the
 // plant's cumulative per-class spend each tick and restores it on resume, so
 // cost survives supervisor crashes the same way hysteresis state does.
-func (d fleetDevice) CostCounter() *reram.Counter { return d.plant.CostCounter() }
+func (d fleetDevice) CostCounter() *hwcost.Counter { return d.plant.CostCounter() }
 
 // FleetSoakConfig parameterises one fleet campaign.
 type FleetSoakConfig struct {

@@ -28,10 +28,10 @@ import (
 	"time"
 
 	"reramtest/internal/fleet"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/loadgen"
 	"reramtest/internal/monitor"
 	"reramtest/internal/netserve"
-	"reramtest/internal/reram"
 	"reramtest/internal/rng"
 	"reramtest/internal/serve"
 )
@@ -158,7 +158,7 @@ func (r NetSoakResult) Failures() []string {
 	// fleet totals from the same response stream, so the sums must agree
 	// exactly — any gap means a response was costed in one ledger and not
 	// another
-	var tenantSum, shardSum reram.Cost
+	var tenantSum, shardSum hwcost.Cost
 	for _, c := range r.Cost.Tenants {
 		tenantSum.Add(c)
 	}
@@ -186,7 +186,7 @@ func (r NetSoakResult) Failures() []string {
 }
 
 // costWithin reports a ≤ b in every dimension.
-func costWithin(a, b reram.Cost) bool {
+func costWithin(a, b hwcost.Cost) bool {
 	return a.ComputeCycles <= b.ComputeCycles &&
 		a.DACConversions <= b.DACConversions &&
 		a.ADCConversions <= b.ADCConversions &&

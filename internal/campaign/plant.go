@@ -19,6 +19,7 @@ import (
 
 	"reramtest/internal/dataset"
 	"reramtest/internal/engine"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/models"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
@@ -230,7 +231,7 @@ type Plant struct {
 	// own, not the accelerator's default: a module replacement swaps the
 	// accelerator but the device's cost history spans parts, so the counter
 	// re-attaches to every new accelerator and to the readout engine.
-	counter *reram.Counter
+	counter *hwcost.Counter
 
 	// eng is the compiled inference plan over the accelerator's cached
 	// readout network; every monitored readout and fidelity probe reuses its
@@ -248,7 +249,7 @@ func NewPlant(seed int64, cfg PlantConfig) *Plant {
 	// scratch buffers, so concurrent plants (parallel campaigns, fleet
 	// ticks) must never route through one shared instance
 	p := &Plant{cfg: cfg, tmpl: tmpl, ref: tmpl.clean.Clone(), r: rng.New(seed),
-		counter: reram.NewCounter()}
+		counter: hwcost.NewCounter()}
 	p.accel = reram.NewAccelerator(p.ref, p.reramConfig(), p.r.Int63())
 	p.accel.SetCounter(p.counter)
 	return p
@@ -256,7 +257,7 @@ func NewPlant(seed int64, cfg PlantConfig) *Plant {
 
 // CostCounter implements fleet.CostMetered: the plant's lifetime hardware
 // spend, surviving module replacements and readout-engine recompiles.
-func (p *Plant) CostCounter() *reram.Counter { return p.counter }
+func (p *Plant) CostCounter() *hwcost.Counter { return p.counter }
 
 func (p *Plant) reramConfig() reram.Config {
 	rc := reram.DefaultConfig()
@@ -381,7 +382,7 @@ func (p *Plant) Infer() monitor.Infer {
 // It runs outside any station, so it books its own spend (and anything else
 // pending) to the serving class.
 func (p *Plant) Fidelity() float64 {
-	defer p.counter.Settle(reram.ClassServing)
+	defer p.counter.Settle(hwcost.ClassServing)
 	return p.readoutEngine().Accuracy(p.tmpl.probe.X, p.tmpl.probe.Y, 64)
 }
 
@@ -391,7 +392,7 @@ func (p *Plant) Fidelity() float64 {
 // the runtime's monitor history untouched. Like Fidelity it runs outside any
 // station and books its spend to the serving class.
 func (p *Plant) ShadowStatus(cfg monitor.Config) monitor.Status {
-	defer p.counter.Settle(reram.ClassServing)
+	defer p.counter.Settle(hwcost.ClassServing)
 	shadow := monitor.MustNew(p.ref, p.tmpl.patterns, nil, cfg)
 	return shadow.Check(p.BaseInfer()).Status
 }

@@ -27,10 +27,10 @@ import (
 
 	"reramtest/internal/engine"
 	"reramtest/internal/fleet"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/models"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
-	"reramtest/internal/reram"
 	"reramtest/internal/rng"
 	"reramtest/internal/serve"
 	"reramtest/internal/tensor"
@@ -190,7 +190,7 @@ func (d *soakDevice) Patterns() *testgen.PatternSet { return d.pats }
 func (d *soakDevice) Repairer() health.Repairer     { return nil }
 
 // CostCounter implements fleet.CostMetered via the compiled engine's meter.
-func (d *soakDevice) CostCounter() *reram.Counter { return d.eng.Counter() }
+func (d *soakDevice) CostCounter() *hwcost.Counter { return d.eng.Counter() }
 func (d *soakDevice) Infer() monitor.Infer {
 	return func(x *tensor.Tensor) *tensor.Tensor {
 		if d.chaos != nil {

@@ -6,7 +6,6 @@ import (
 	"reramtest/internal/hwcost"
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
-	"reramtest/internal/reram"
 	"reramtest/internal/rng"
 	"reramtest/internal/tensor"
 )
@@ -16,7 +15,7 @@ import (
 // counter's owner settles it to.
 func TestEngineChargesPerSample(t *testing.T) {
 	net := models.MLP(rng.New(41), 16, []int{24, 16}, 6)
-	ctr := reram.NewCounter()
+	ctr := hwcost.NewCounter()
 	eng := MustCompile(net, Options{Counter: ctr})
 	if eng.Counter() != ctr {
 		t.Fatal("engine ignored the supplied counter")
@@ -28,12 +27,12 @@ func TestEngineChargesPerSample(t *testing.T) {
 
 	x := tensor.RandUniform(rng.New(42), 0, 1, 5, 16)
 	eng.ForwardBatch(nil, x)
-	if got := ctr.Settle(reram.ClassServing); got != per.Scale(5) {
+	if got := ctr.Settle(hwcost.ClassServing); got != per.Scale(5) {
 		t.Fatalf("5-sample batch charged %+v, want %+v", got, per.Scale(5))
 	}
 
 	eng.Probs(tensor.FromSlice(x.Data()[:2*16], 2, 16))
-	ctr.Settle(reram.ClassMonitor)
+	ctr.Settle(hwcost.ClassMonitor)
 	snap := ctr.Snapshot()
 	if snap.Monitor != per.Scale(2) {
 		t.Fatalf("monitor-class batch charged %+v, want %+v", snap.Monitor, per.Scale(2))
@@ -56,7 +55,7 @@ func TestRebindPreservesCost(t *testing.T) {
 	x := tensor.RandUniform(rng.New(52), 0, 1, 3, 16)
 
 	eng.ForwardBatch(nil, x)
-	ctr.Settle(reram.ClassServing)
+	ctr.Settle(hwcost.ClassServing)
 	before := ctr.Snapshot()
 	if before.Total() != per.Scale(3) {
 		t.Fatalf("pre-rebind charge %+v, want %+v", before.Total(), per.Scale(3))
@@ -72,7 +71,7 @@ func TestRebindPreservesCost(t *testing.T) {
 	if eng.Counter() != ctr {
 		t.Fatal("rebind swapped the counter")
 	}
-	if got := ctr.Snapshot(); got != before || !ctr.Settle(reram.ClassServing).IsZero() {
+	if got := ctr.Snapshot(); got != before || !ctr.Settle(hwcost.ClassServing).IsZero() {
 		t.Fatalf("rebind itself charged or reset: %+v vs %+v", got, before)
 	}
 	if eng.PlanCost() != per {
@@ -83,12 +82,12 @@ func TestRebindPreservesCost(t *testing.T) {
 	if err := eng.Rebind(models.MLP(rng.New(53), 16, []int{25, 16}, 6)); err == nil {
 		t.Fatal("rebind accepted a mismatched architecture")
 	}
-	if got := ctr.Snapshot(); got != before || !ctr.Settle(reram.ClassServing).IsZero() {
+	if got := ctr.Snapshot(); got != before || !ctr.Settle(hwcost.ClassServing).IsZero() {
 		t.Fatal("rejected rebind perturbed the meter")
 	}
 
 	eng.ForwardBatch(nil, x)
-	ctr.Settle(reram.ClassServing)
+	ctr.Settle(hwcost.ClassServing)
 	if got := ctr.Snapshot().Total(); got != per.Scale(6) {
 		t.Fatalf("post-rebind cumulative %+v, want %+v (no reset, no double-count)", got, per.Scale(6))
 	}

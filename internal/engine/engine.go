@@ -30,7 +30,7 @@
 // every step, and a batch under fanOutMinMACs of work does not fan out at
 // all. The golden equivalence tests in this package assert exact float64
 // equality for every seed model, and testdata/golden_logits.json pins the
-// bits themselves, which is what lets the monitor, detect, campaign and fleet
+// bits themselves, which is what lets the monitor, campaign and fleet
 // layers route their readouts through an engine without perturbing a single
 // metric, soak gate or journal fingerprint.
 //
@@ -56,8 +56,8 @@ import (
 	"math"
 	"sync"
 
+	"reramtest/internal/hwcost"
 	"reramtest/internal/nn"
-	"reramtest/internal/reram"
 	"reramtest/internal/tensor"
 )
 
@@ -83,11 +83,9 @@ type Options struct {
 	// a fresh counter, so an engine is always metered; pass the device's
 	// counter to pool spend with the analog path, and pass the SAME counter
 	// across Rebind/recompile cycles so cumulative spend survives fault-model
-	// sweeps and accelerator replacement.
-	Counter *reram.Counter
-	// CostModel supplies the crossbar organisation the per-sample cost is
-	// modeled against. The zero value selects reram.DefaultConfig().
-	CostModel reram.Config
+	// sweeps and accelerator replacement. The cost is priced at the
+	// reference tile (hwcost.DefaultTileRows × hwcost.DefaultTileCols).
+	Counter *hwcost.Counter
 	// Precision selects the numeric tier the plan computes in. The zero
 	// value is tensor.F64, the bit-exact reference arm. tensor.F32 and
 	// tensor.I8 are explicit opt-ins: their outputs differ from the
@@ -139,8 +137,8 @@ type Engine struct {
 	probsBuf []float64
 	probs    *tensor.Tensor // (n, outVol) view of probsBuf
 
-	counter   *reram.Counter // never nil after Compile
-	perSample reram.Cost     // modeled hardware cost of one sample
+	counter   *hwcost.Counter // never nil after Compile
+	perSample hwcost.Cost     // modeled hardware cost of one sample
 }
 
 // layerSpec is one compute layer with its per-sample volumes, the
@@ -202,14 +200,10 @@ func Compile(net *nn.Network, opts Options) (*Engine, error) {
 	}
 	e.counter = opts.Counter
 	if e.counter == nil {
-		e.counter = reram.NewCounter()
-	}
-	costCfg := opts.CostModel
-	if costCfg.TileRows <= 0 || costCfg.TileCols <= 0 {
-		costCfg = reram.DefaultConfig()
+		e.counter = hwcost.NewCounter()
 	}
 	for _, sp := range specs {
-		e.perSample.Add(reram.ModelLayerCostPrec(sp.layer, sp.inVol, sp.outVol, costCfg, e.prec))
+		e.perSample.Add(hwcost.ModelLayerCostPrec(sp.layer, sp.inVol, sp.outVol, e.prec))
 	}
 	if opts.MaxBatch > 0 {
 		e.setBatch(opts.MaxBatch)
@@ -363,13 +357,14 @@ func (e *Engine) OutDim() int { return e.outVol }
 func (e *Engine) Precision() tensor.Precision { return e.prec }
 
 // PlanCost returns the modeled per-sample hardware cost of the compiled
-// plan (see Options.CostModel and Options.Precision). Rebind does not change
-// it: the plan's architecture and tier — the only cost inputs — are
-// invariant across rebinds.
-func (e *Engine) PlanCost() reram.Cost { return e.perSample }
+// plan, priced at the reference tile (hwcost.DefaultTileRows ×
+// hwcost.DefaultTileCols) on the compiled tier (see Options.Precision).
+// Rebind does not change it: the plan's architecture and tier — the only
+// cost inputs — are invariant across rebinds.
+func (e *Engine) PlanCost() hwcost.Cost { return e.perSample }
 
 // Counter returns the counter the plan charges; never nil.
-func (e *Engine) Counter() *reram.Counter { return e.counter }
+func (e *Engine) Counter() *hwcost.Counter { return e.counter }
 
 // Rebind points the compiled plan at another network with the same
 // architecture (typically a clone of the original with different weights:

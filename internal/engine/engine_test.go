@@ -16,7 +16,7 @@ import (
 // equivalence gate below runs each one through the engine and demands exact
 // float64 equality with the same rows run one at a time, and
 // testdata/golden_logits.json pins the bits themselves — the contract that
-// lets the monitor, detect and fleet layers share batched readouts without
+// lets the monitor and fleet layers share batched readouts without
 // moving a single distance metric or journal fingerprint.
 func seedModels() []struct {
 	name  string

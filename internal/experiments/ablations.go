@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"reramtest/internal/detect"
 	"reramtest/internal/engine"
 	"reramtest/internal/faults"
+	"reramtest/internal/monitor"
 	"reramtest/internal/reram"
 	"reramtest/internal/rng"
 	"reramtest/internal/stats"
@@ -54,7 +54,7 @@ func (e *Env) AblationOTPAlpha() *AlphaAblationResult {
 		res.Iters = append(res.Iters, r.Iters)
 		res.CleanFlatness = append(res.CleanFlatness, stats.Mean(r.CleanStd))
 
-		golden := detect.Capture(net, p)
+		golden := monitor.Capture(net, p)
 		dists := make([]float64, len(fms))
 		for i, fm := range fms {
 			dists[i] = golden.Observe(fm).AllDist
@@ -122,7 +122,7 @@ func (e *Env) AblationCTPPool() *PoolAblationResult {
 		}
 		flat /= float64(p.M())
 
-		golden := detect.Capture(net, p)
+		golden := monitor.Capture(net, p)
 		dists := make([]float64, len(fms))
 		for i, fm := range fms {
 			dists[i] = golden.Observe(fm).AllDist
@@ -240,7 +240,7 @@ func (e *Env) AblationOTPRefSigma() *RefSigmaAblationResult {
 		cfg := testgen.DefaultOTPConfig()
 		cfg.MaxIters = 300
 		p, _ := testgen.GenerateOTP(net, ref, 10, cfg, rng.New(seedOTPNoise))
-		golden := detect.Capture(net, p)
+		golden := monitor.Capture(net, p)
 		row := make([]float64, len(res.RefSigmas))
 		for j, evalSigma := range res.RefSigmas {
 			fms := faults.MakeFaultySet(net, faults.LogNormal{Sigma: evalSigma}, e.Scale.FaultModels, seedFaultBase+555+int64(j))

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"reramtest/internal/detect"
 	"reramtest/internal/engine"
+	"reramtest/internal/monitor"
 )
 
 // tinyScale keeps the experiment tests to seconds: the heavy lifting (model
@@ -119,7 +119,7 @@ func TestTable3ReportsAllCells(t *testing.T) {
 	tab := e.Table3()
 	for _, model := range tab.Models {
 		for _, m := range Methods {
-			for _, c := range detect.AllCriteria {
+			for _, c := range monitor.AllCriteria {
 				r := tab.Rates[model][m][c]
 				if r < 0 || r > 1 {
 					t.Fatalf("rate %v out of range for %s/%s/%s", r, model, m, c)

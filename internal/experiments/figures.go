@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"reramtest/internal/detect"
 	"reramtest/internal/faults"
+	"reramtest/internal/monitor"
 	"reramtest/internal/stats"
 )
 
@@ -69,23 +69,23 @@ type RateFigResult struct {
 	LevelName string
 	Levels    map[string][]float64
 	// Rates[model][method][criterion] per level
-	Rates map[string]map[string]map[detect.Criterion][]float64
+	Rates map[string]map[string]map[monitor.Criterion][]float64
 	// Criteria reported by this figure
-	Criteria []detect.Criterion
+	Criteria []monitor.Criterion
 }
 
-func (e *Env) rateFigure(name string, criteria []detect.Criterion, sweepFn func(string) *SweepResult) *RateFigResult {
+func (e *Env) rateFigure(name string, criteria []monitor.Criterion, sweepFn func(string) *SweepResult) *RateFigResult {
 	res := &RateFigResult{Name: name, Models: []string{"lenet5", "convnet7"},
 		Levels:   make(map[string][]float64),
-		Rates:    make(map[string]map[string]map[detect.Criterion][]float64),
+		Rates:    make(map[string]map[string]map[monitor.Criterion][]float64),
 		Criteria: criteria}
 	for _, model := range res.Models {
 		sw := sweepFn(model)
 		res.LevelName = sw.LevelName
 		res.Levels[model] = sw.Levels
-		res.Rates[model] = make(map[string]map[detect.Criterion][]float64)
+		res.Rates[model] = make(map[string]map[monitor.Criterion][]float64)
 		for _, m := range Methods {
-			res.Rates[model][m] = make(map[detect.Criterion][]float64)
+			res.Rates[model][m] = make(map[monitor.Criterion][]float64)
 			for _, c := range criteria {
 				res.Rates[model][m][c] = sw.Rates(m, c)
 			}
@@ -98,7 +98,7 @@ func (e *Env) rateFigure(name string, criteria []detect.Criterion, sweepFn func(
 // criteria (SDC-T5%, SDC-T10%, SDC-A3%, SDC-A5%).
 func (e *Env) Fig4() *RateFigResult {
 	return e.rateFigure("Fig4",
-		[]detect.Criterion{detect.SDCT5, detect.SDCT10, detect.SDCA3, detect.SDCA5},
+		[]monitor.Criterion{monitor.SDCT5, monitor.SDCT10, monitor.SDCA3, monitor.SDCA5},
 		e.ProgrammingErrorSweep)
 }
 
@@ -106,14 +106,14 @@ func (e *Env) Fig4() *RateFigResult {
 // (SDC-1, SDC-5).
 func (e *Env) Fig5() *RateFigResult {
 	return e.rateFigure("Fig5",
-		[]detect.Criterion{detect.SDC1, detect.SDC5},
+		[]monitor.Criterion{monitor.SDC1, monitor.SDC5},
 		e.ProgrammingErrorSweep)
 }
 
 // Fig6 reproduces Fig. 6: detection rates under random soft errors on all
 // six criteria.
 func (e *Env) Fig6() *RateFigResult {
-	return e.rateFigure("Fig6", detect.AllCriteria, e.RandomSoftSweep)
+	return e.rateFigure("Fig6", monitor.AllCriteria, e.RandomSoftSweep)
 }
 
 // Render prints one series table per (model, criterion) panel.
@@ -176,7 +176,7 @@ func (e *Env) Fig7() *Fig7Result {
 			full := e.Patterns(model, m, counts[len(counts)-1])
 			var stds []float64
 			for _, cnt := range counts {
-				golden := detect.Capture(net, full.Head(cnt))
+				golden := monitor.Capture(net, full.Head(cnt))
 				dists := make([]float64, len(fms))
 				for i, fm := range fms {
 					o := golden.Observe(fm)
@@ -260,7 +260,7 @@ func (e *Env) Fig8() *Fig8Result {
 	}
 	// the plain-images baseline is not part of the main sweep: score it here
 	net, _ := e.ModelFor(model)
-	golden := detect.Capture(net, e.Patterns(model, "plain", e.Scale.Patterns))
+	golden := monitor.Capture(net, e.Patterns(model, "plain", e.Scale.Patterns))
 	plain := make([]float64, len(sw.Levels))
 	for li := range sw.Levels {
 		fms := faults.MakeFaultySet(net, faults.LogNormal{Sigma: sw.Levels[li]}, e.Scale.AccModels, seedFaultBase+int64(li)*977)

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"reramtest/internal/detect"
 	"reramtest/internal/faults"
+	"reramtest/internal/monitor"
 	"reramtest/internal/stats"
 )
 
@@ -19,7 +19,7 @@ type SweepResult struct {
 	LevelName string    // "sigma" for programming error, "p" for soft error
 	Levels    []float64 // error intensities swept
 	// Obs[method][level] holds one Observation per fault model.
-	Obs map[string][][]detect.Observation
+	Obs map[string][][]monitor.Observation
 }
 
 // injectorFor builds the level-i injector of the sweep.
@@ -33,13 +33,13 @@ func (e *Env) sweep(model, levelName string, levels []float64, mk injectorFor) *
 	}
 	net, _ := e.ModelFor(model)
 	res := &SweepResult{Model: model, LevelName: levelName, Levels: levels,
-		Obs: make(map[string][][]detect.Observation)}
+		Obs: make(map[string][][]monitor.Observation)}
 
 	// golden references are captured once per method
-	goldens := make(map[string]*detect.Golden, len(Methods))
+	goldens := make(map[string]*monitor.Golden, len(Methods))
 	for _, m := range Methods {
-		goldens[m] = detect.Capture(net, e.PatternsDefault(model, m))
-		res.Obs[m] = make([][]detect.Observation, len(levels))
+		goldens[m] = monitor.Capture(net, e.PatternsDefault(model, m))
+		res.Obs[m] = make([][]monitor.Observation, len(levels))
 	}
 
 	for li, level := range levels {
@@ -48,7 +48,7 @@ func (e *Env) sweep(model, levelName string, levels []float64, mk injectorFor) *
 		fms := faults.MakeFaultySet(net, inj, e.Scale.FaultModels, seedFaultBase+int64(li)*977)
 		fmt.Fprintf(e.Log, "sweep %s %s=%.3f: %d fault models\n", model, levelName, level, len(fms))
 		for _, m := range Methods {
-			obs := make([]detect.Observation, len(fms))
+			obs := make([]monitor.Observation, len(fms))
 			for fi, fm := range fms {
 				obs[fi] = goldens[m].Observe(fm)
 			}
@@ -82,13 +82,13 @@ func (e *Env) RandomSoftSweep(model string) *SweepResult {
 // MeanTopDist returns the per-level mean top-ranked confidence distance for
 // a method (Fig. 3 left panels).
 func (s *SweepResult) MeanTopDist(method string) []float64 {
-	return s.project(method, func(o detect.Observation) float64 { return o.TopDist })
+	return s.project(method, func(o monitor.Observation) float64 { return o.TopDist })
 }
 
 // MeanAllDist returns the per-level mean all-class confidence distance
 // (Fig. 3 right panels).
 func (s *SweepResult) MeanAllDist(method string) []float64 {
-	return s.project(method, func(o detect.Observation) float64 { return o.AllDist })
+	return s.project(method, func(o monitor.Observation) float64 { return o.AllDist })
 }
 
 // CVAllDist returns the per-level coefficient of variation of the all-class
@@ -107,7 +107,7 @@ func (s *SweepResult) CVAllDist(method string) []float64 {
 
 // Rates returns the per-level detection rate of the method under one
 // criterion (Figs. 4-6).
-func (s *SweepResult) Rates(method string, c detect.Criterion) []float64 {
+func (s *SweepResult) Rates(method string, c monitor.Criterion) []float64 {
 	out := make([]float64, len(s.Levels))
 	for li := range s.Levels {
 		n := 0
@@ -122,11 +122,11 @@ func (s *SweepResult) Rates(method string, c detect.Criterion) []float64 {
 }
 
 // AvgRate averages the detection rate over all levels (Table III).
-func (s *SweepResult) AvgRate(method string, c detect.Criterion) float64 {
+func (s *SweepResult) AvgRate(method string, c monitor.Criterion) float64 {
 	return stats.Mean(s.Rates(method, c))
 }
 
-func (s *SweepResult) project(method string, f func(detect.Observation) float64) []float64 {
+func (s *SweepResult) project(method string, f func(monitor.Observation) float64) []float64 {
 	out := make([]float64, len(s.Levels))
 	for li := range s.Levels {
 		xs := make([]float64, len(s.Obs[method][li]))

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"reramtest/internal/detect"
 	"reramtest/internal/engine"
 	"reramtest/internal/faults"
+	"reramtest/internal/monitor"
 	"reramtest/internal/stats"
 )
 
@@ -76,20 +76,20 @@ func (e *Env) Table2() *AccuracyTable { return e.AccuracySweep("convnet7") }
 type Table3Result struct {
 	Models []string
 	// Rates[model][method][criterion]
-	Rates map[string]map[string]map[detect.Criterion]float64
+	Rates map[string]map[string]map[monitor.Criterion]float64
 }
 
 // Table3 computes the average detection rates from the programming-error
 // sweeps.
 func (e *Env) Table3() *Table3Result {
 	res := &Table3Result{Models: []string{"lenet5", "convnet7"},
-		Rates: make(map[string]map[string]map[detect.Criterion]float64)}
+		Rates: make(map[string]map[string]map[monitor.Criterion]float64)}
 	for _, model := range res.Models {
 		sw := e.ProgrammingErrorSweep(model)
-		res.Rates[model] = make(map[string]map[detect.Criterion]float64)
+		res.Rates[model] = make(map[string]map[monitor.Criterion]float64)
 		for _, m := range Methods {
-			res.Rates[model][m] = make(map[detect.Criterion]float64)
-			for _, c := range detect.AllCriteria {
+			res.Rates[model][m] = make(map[monitor.Criterion]float64)
+			for _, c := range monitor.AllCriteria {
 				res.Rates[model][m][c] = sw.AvgRate(m, c)
 			}
 		}
@@ -98,8 +98,8 @@ func (e *Env) Table3() *Table3Result {
 }
 
 // otpApplies reports whether a criterion is meaningful for O-TP.
-func otpApplies(c detect.Criterion) bool {
-	return c == detect.SDCA3 || c == detect.SDCA5
+func otpApplies(c monitor.Criterion) bool {
+	return c == monitor.SDCA3 || c == monitor.SDCA5
 }
 
 // Render prints Table III in the paper's layout.
@@ -110,7 +110,7 @@ func (t *Table3Result) Render() string {
 		tab := newTable("", "SDC-1", "SDC-5", "SDC-T5%", "SDC-T10%", "SDC-A3%", "SDC-A5%")
 		for _, m := range Methods {
 			cells := []string{methodLabel(m)}
-			for _, c := range detect.AllCriteria {
+			for _, c := range monitor.AllCriteria {
 				if m == "otp" && !otpApplies(c) {
 					cells = append(cells, "-")
 					continue

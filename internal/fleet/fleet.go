@@ -22,10 +22,10 @@ import (
 	"sync"
 
 	"reramtest/internal/health"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/journal"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
-	"reramtest/internal/reram"
 	"reramtest/internal/testgen"
 )
 
@@ -58,7 +58,7 @@ type Device interface {
 // made it (monitor, serving or repair), and the supervisor journals the
 // counter's snapshot in every tick record and restores it on Resume.
 type CostMetered interface {
-	CostCounter() *reram.Counter
+	CostCounter() *hwcost.Counter
 }
 
 // Config tunes the fleet supervisor.

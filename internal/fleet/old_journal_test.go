@@ -7,8 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"reramtest/internal/hwcost"
 	"reramtest/internal/journal"
-	"reramtest/internal/reram"
 )
 
 // precostFixture is the committed WAL written by the pre-cost-accounting
@@ -22,16 +22,16 @@ const precostFixture = "testdata/precost.wal"
 // fleet.CostMetered so the supervisor journals and restores its spend.
 type meteredFake struct {
 	*fakeDevice
-	ctr *reram.Counter
+	ctr *hwcost.Counter
 }
 
-func (d meteredFake) CostCounter() *reram.Counter { return d.ctr }
+func (d meteredFake) CostCounter() *hwcost.Counter { return d.ctr }
 
-func asMetered(devs []*fakeDevice) ([]Device, []*reram.Counter) {
+func asMetered(devs []*fakeDevice) ([]Device, []*hwcost.Counter) {
 	out := make([]Device, len(devs))
-	ctrs := make([]*reram.Counter, len(devs))
+	ctrs := make([]*hwcost.Counter, len(devs))
 	for i, d := range devs {
-		ctrs[i] = reram.NewCounter()
+		ctrs[i] = hwcost.NewCounter()
 		out[i] = meteredFake{fakeDevice: d, ctr: ctrs[i]}
 	}
 	return out, ctrs
@@ -133,7 +133,7 @@ func TestResumeJournalWithoutCostFields(t *testing.T) {
 	devs := testFleet(2)
 	metered, ctrs := asMetered(devs)
 	for _, c := range ctrs {
-		c.Charge(reram.Cost{ComputeCycles: 999, EnergyFJ: 999})
+		c.Charge(hwcost.Cost{ComputeCycles: 999, EnergyFJ: 999})
 	}
 	path := filepath.Join(t.TempDir(), "fleet.wal")
 	if err := os.WriteFile(path, raw, 0o644); err != nil {

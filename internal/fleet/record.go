@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"reramtest/internal/health"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/journal"
-	"reramtest/internal/reram"
 )
 
 // RepairDecision is one journaled strategy choice: which rung of the repair
@@ -46,7 +46,7 @@ type DeviceRecord struct {
 	// Journals written before cost accounting existed simply omit the key;
 	// replay backfills the zero breakdown, so old WALs resume cleanly with
 	// the meter restarting from zero.
-	Cost reram.CostBreakdown `json:"cost"`
+	Cost hwcost.CostBreakdown `json:"cost"`
 }
 
 // Record is one journaled durable state transition for the whole fleet.
@@ -100,7 +100,7 @@ type DeviceSnapshot struct {
 	Decisions   []RepairDecision
 	// Cost is the cumulative per-class hardware spend as of the snapshot
 	// (zero for journals predating cost accounting).
-	Cost reram.CostBreakdown
+	Cost hwcost.CostBreakdown
 }
 
 // Validate rejects snapshots that could not have been journaled by a

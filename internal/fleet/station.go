@@ -5,10 +5,10 @@ import (
 	"sync"
 
 	"reramtest/internal/health"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
 	"reramtest/internal/repair"
-	"reramtest/internal/reram"
 	"reramtest/internal/tensor"
 	"reramtest/internal/testgen"
 )
@@ -35,7 +35,7 @@ import (
 type Station struct {
 	mu  sync.Mutex
 	dev Device
-	ctr *reram.Counter // nil when the device is not CostMetered
+	ctr *hwcost.Counter // nil when the device is not CostMetered
 }
 
 // NewStation wraps dev. The raw device must not be driven directly while the
@@ -58,7 +58,7 @@ func (st *Station) Reference() *nn.Network { return st.dev.Reference() }
 func (st *Station) Patterns() *testgen.PatternSet { return st.dev.Patterns() }
 
 // CostCounter implements CostMetered; nil when the device is unmetered.
-func (st *Station) CostCounter() *reram.Counter { return st.ctr }
+func (st *Station) CostCounter() *hwcost.Counter { return st.ctr }
 
 // Infer returns the guarded readout path: lock, run the device's own Infer,
 // clone the result out, book the spend to the monitor class, unlock. A panic
@@ -70,7 +70,7 @@ func (st *Station) Infer() monitor.Infer { return st.guardedInfer }
 func (st *Station) guardedInfer(x *tensor.Tensor) *tensor.Tensor {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	defer st.ctr.Settle(reram.ClassMonitor)
+	defer st.ctr.Settle(hwcost.ClassMonitor)
 	return cloneOut(st.dev.Infer()(x))
 }
 
@@ -78,10 +78,10 @@ func (st *Station) guardedInfer(x *tensor.Tensor) *tensor.Tensor {
 // same copy-out discipline, but books the spend to the serving class and
 // returns it — the request's measured hardware cost (zero for unmetered
 // devices).
-func (st *Station) ServeInfer(x *tensor.Tensor) (out *tensor.Tensor, cost reram.Cost) {
+func (st *Station) ServeInfer(x *tensor.Tensor) (out *tensor.Tensor, cost hwcost.Cost) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	defer func() { cost = st.ctr.Settle(reram.ClassServing) }()
+	defer func() { cost = st.ctr.Settle(hwcost.ClassServing) }()
 	return cloneOut(st.dev.Infer()(x)), cost
 }
 
@@ -114,10 +114,10 @@ type lockedRepairer struct {
 
 // locked runs f holding the station lock and books what it charged to the
 // repair class.
-func (lr lockedRepairer) locked(f func()) (spent reram.Cost) {
+func (lr lockedRepairer) locked(f func()) (spent hwcost.Cost) {
 	lr.st.mu.Lock()
 	defer lr.st.mu.Unlock()
-	defer func() { spent = lr.st.ctr.Settle(reram.ClassRepair) }()
+	defer func() { spent = lr.st.ctr.Settle(hwcost.ClassRepair) }()
 	f()
 	return spent
 }

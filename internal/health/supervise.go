@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"strings"
 
+	"reramtest/internal/hwcost"
 	"reramtest/internal/monitor"
 	"reramtest/internal/repair"
-	"reramtest/internal/reram"
 	"reramtest/internal/tensor"
 )
 
@@ -40,7 +40,7 @@ type Attempt struct {
 	// rung's repair.Report.Measured carries it — the measured figure next to
 	// the ladder's sticker Cost. Zero when the ladder does not run behind a
 	// station (fleet.Station) or the device is unmetered.
-	Measured reram.Cost
+	Measured hwcost.Cost
 }
 
 // String renders the attempt on one line.
@@ -81,7 +81,7 @@ type Episode struct {
 	CostSpent int
 	// Measured is the summed measured hardware spend of the episode's repair
 	// applications (see Attempt.Measured).
-	Measured reram.Cost
+	Measured hwcost.Cost
 	// RetireAdvised reports that no applicable strategy fits the remaining
 	// budget (or nothing is applicable at all): spending more rounds on this
 	// device cannot help, so the fleet should retire it rather than wait for

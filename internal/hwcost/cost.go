@@ -25,11 +25,10 @@
 // is a modeled (relative) figure, not a measured one. See DESIGN.md §14.
 //
 // This package is a dependency leaf (it imports only nn, tensor and the
-// runtime):
-// the simulated accelerator (internal/reram), the inference engine and the
-// training engine all charge into it without importing each other. The reram
-// package re-exports every name here under type aliases, so device-facing
-// code keeps writing reram.Cost / reram.Counter.
+// runtime): the simulated accelerator (internal/reram), the inference engine
+// and the training engine all charge into it without importing each other,
+// and every package above them names the ledger as hwcost.Cost /
+// hwcost.Counter.
 package hwcost
 
 import (
@@ -380,8 +379,9 @@ func (k *Counter) Restore(b CostBreakdown) {
 	k.cells[ClassRepair].store(b.Repair)
 }
 
-// DefaultTileRows/Cols mirror the simulator's default crossbar organisation;
-// cost models fall back to them when the caller passes no tile dims.
+// DefaultTileRows/Cols are the reference crossbar organisation (ISAAC and
+// PRIME use 128×128): the engines price their sticker at it, and
+// reram.DefaultConfig uses it.
 const (
 	DefaultTileRows = 128
 	DefaultTileCols = 128
@@ -393,7 +393,6 @@ const (
 // columns). This is also the model the digital engines use for a per-sample
 // charge when serving from the weight-level readout: there the read term is
 // included at its dense upper bound because no DAC sparsity gate runs.
-// tileRows/tileCols ≤ 0 select the defaults.
 func MatVecCost(out, in, tileRows, tileCols int, denseReads bool) Cost {
 	return MatVecCostPrec(out, in, tileRows, tileCols, denseReads, tensor.F64)
 }
@@ -404,12 +403,6 @@ func MatVecCost(out, in, tileRows, tileCols int, denseReads bool) Cost {
 // charges the tier's element width. MatVecCostPrec(..., tensor.F64) is
 // exactly MatVecCost — the sticker model stays the committed baseline.
 func MatVecCostPrec(out, in, tileRows, tileCols int, denseReads bool, p tensor.Precision) Cost {
-	if tileRows <= 0 {
-		tileRows = DefaultTileRows
-	}
-	if tileCols <= 0 {
-		tileCols = DefaultTileCols
-	}
 	rowTiles := uint64((in + tileRows - 1) / tileRows)
 	colTiles := uint64((out + tileCols - 1) / tileCols)
 	c := Cost{
@@ -432,13 +425,14 @@ func MatVecCostPrec(out, in, tileRows, tileCols int, denseReads bool, p tensor.P
 }
 
 // ModelLayerCost is the per-sample forward hardware model of one compute
-// layer, shared by the digital engines: weight-bearing layers price as
+// layer, shared by the digital engines and priced at the reference tile
+// (DefaultTileRows × DefaultTileCols): weight-bearing layers price as
 // crossbar matvecs at the dense read upper bound (those engines serve from
 // the weight-level readout, where no DAC sparsity gate runs), a convolution
 // prices one matvec per output spatial position, and digital peripheral ops
 // price as buffer traffic only.
-func ModelLayerCost(l nn.Layer, inVol, outVol, tileRows, tileCols int) Cost {
-	return ModelLayerCostPrec(l, inVol, outVol, tileRows, tileCols, tensor.F64)
+func ModelLayerCost(l nn.Layer, inVol, outVol int) Cost {
+	return ModelLayerCostPrec(l, inVol, outVol, tensor.F64)
 }
 
 // ModelLayerCostPrec is ModelLayerCost priced at a plan precision, so a
@@ -446,15 +440,15 @@ func ModelLayerCost(l nn.Layer, inVol, outVol, tileRows, tileCols int) Cost {
 // and narrower buffer traffic up through its /statsz cost breakdown instead
 // of the f64 sticker numbers. ModelLayerCostPrec(..., tensor.F64) is exactly
 // ModelLayerCost.
-func ModelLayerCostPrec(l nn.Layer, inVol, outVol, tileRows, tileCols int, p tensor.Precision) Cost {
+func ModelLayerCostPrec(l nn.Layer, inVol, outVol int, p tensor.Precision) Cost {
 	switch ll := l.(type) {
 	case *nn.Dense:
-		return MatVecCostPrec(ll.Out(), ll.In(), tileRows, tileCols, true, p)
+		return MatVecCostPrec(ll.Out(), ll.In(), DefaultTileRows, DefaultTileCols, true, p)
 	case *nn.Conv2D:
 		g := ll.Geom()
 		spatial := g.OutH() * g.OutW()
 		ckk := g.InC * g.KH * g.KW
-		return MatVecCostPrec(ll.OutC(), ckk, tileRows, tileCols, true, p).Scale(uint64(spatial))
+		return MatVecCostPrec(ll.OutC(), ckk, DefaultTileRows, DefaultTileCols, true, p).Scale(uint64(spatial))
 	default:
 		return Cost{BufferBytes: uint64(inVol+outVol) * ElemBytes(p)}
 	}

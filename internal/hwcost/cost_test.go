@@ -43,6 +43,29 @@ func TestPlusMinusRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCostArithmetic: Plus agrees with Scale, a breakdown totals its
+// classes, and every class names itself and reads back its own spend.
+func TestCostArithmetic(t *testing.T) {
+	a := Cost{ComputeCycles: 1, DACConversions: 2, ADCConversions: 3,
+		CrossbarReads: 4, CrossbarWrites: 5, EnergyFJ: 6, BufferBytes: 7}
+	if b := a.Plus(a); b != a.Scale(2) {
+		t.Fatalf("Plus/Scale disagree: %+v vs %+v", b, a.Scale(2))
+	}
+	var bd CostBreakdown
+	bd.Add(CostBreakdown{Serving: a, Monitor: a, Repair: a})
+	if bd.Total() != a.Scale(3) {
+		t.Fatalf("breakdown Total = %+v, want %+v", bd.Total(), a.Scale(3))
+	}
+	for cl, want := range map[Class]string{ClassServing: "serving", ClassMonitor: "monitor", ClassRepair: "repair"} {
+		if cl.String() != want {
+			t.Fatalf("Class(%d).String() = %q, want %q", cl, cl.String(), want)
+		}
+		if bd.ByClass(cl) != a {
+			t.Fatalf("ByClass(%v) = %+v, want %+v", cl, bd.ByClass(cl), a)
+		}
+	}
+}
+
 // TestChargeClassAttribution: a charge shows up in exactly the class it is
 // settled to, and never before it is settled.
 func TestChargeClassAttribution(t *testing.T) {
@@ -72,6 +95,31 @@ func TestChargeClassAttribution(t *testing.T) {
 	}
 	if got := k.Snapshot(); got != want {
 		t.Fatalf("snapshot %+v, want %+v", got, want)
+	}
+
+	// one unit, two and three settled to the three classes, one left pending;
+	// Restore then drops the pending unit
+	c := NewCounter()
+	one := Cost{EnergyFJ: 1, CrossbarReads: 1}
+	c.Charge(one)
+	if got := c.Settle(ClassServing); got != one {
+		t.Fatalf("Settle returned %+v, want %+v", got, one)
+	}
+	c.Charge(one.Scale(2))
+	c.Settle(ClassMonitor)
+	c.Charge(one.Scale(3))
+	c.Settle(ClassRepair)
+	c.Charge(one)
+	snap := c.Snapshot()
+	if snap.Serving != one || snap.Monitor != one.Scale(2) || snap.Repair != one.Scale(3) {
+		t.Fatalf("snapshot %+v", snap)
+	}
+	if snap.Total() != one.Scale(6) {
+		t.Fatalf("total %+v, want %+v", snap.Total(), one.Scale(6))
+	}
+	c.Restore(CostBreakdown{Repair: one})
+	if got := c.Snapshot(); got != (CostBreakdown{Repair: one}) || !c.Settle(ClassServing).IsZero() {
+		t.Fatalf("after Restore: %+v", got)
 	}
 }
 
@@ -113,7 +161,7 @@ func TestNilCounterIsANoOpSink(t *testing.T) {
 	if !k.Settle(ClassMonitor).IsZero() {
 		t.Fatal("nil counter settled a charge")
 	}
-	if got := k.Snapshot(); got != (CostBreakdown{}) {
+	if got := k.Snapshot(); got != (CostBreakdown{}) || !got.Total().IsZero() {
 		t.Fatalf("nil counter snapshot %+v", got)
 	}
 }
@@ -186,5 +234,25 @@ func TestChargeAndSnapshotDoNotAllocate(t *testing.T) {
 	}
 	if sink.Monitor.IsZero() {
 		t.Fatal("charges lost")
+	}
+}
+
+// TestMatVecCostModel: a 130 × 200 layer on 128 × 128 tiles spans two row
+// tiles by two column tiles; the dense model adds every cell read of both
+// polarities and costs more energy.
+func TestMatVecCostModel(t *testing.T) {
+	c := MatVecCost(130, 200, 128, 128, false)
+	if c.ComputeCycles != 4 || c.DACConversions != 200 || c.ADCConversions != 2*4*128 {
+		t.Fatalf("model: %+v", c)
+	}
+	if c.CrossbarReads != 0 {
+		t.Fatal("sparse model charged reads")
+	}
+	d := MatVecCost(130, 200, 128, 128, true)
+	if d.CrossbarReads != 2*130*200 {
+		t.Fatalf("dense model reads: %+v", d)
+	}
+	if d.EnergyFJ <= c.EnergyFJ {
+		t.Fatal("dense model not costlier")
 	}
 }

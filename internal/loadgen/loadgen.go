@@ -22,7 +22,7 @@ import (
 	"sync"
 	"time"
 
-	"reramtest/internal/reram"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/rng"
 )
 
@@ -127,7 +127,7 @@ type Outcome struct {
 	// (zero for failed requests or unmetered tiers). Summed into the report's
 	// client-observed cost ledger, which the soak gates reconcile against the
 	// tier's own per-tenant table.
-	Cost reram.Cost
+	Cost hwcost.Cost
 }
 
 // Target serves one generated request and classifies the result. Both the
@@ -151,8 +151,8 @@ type Report struct {
 	// Cost is the total hardware spend the tier reported across this
 	// campaign's ok answers, and CostByTenant its per-tenant split — the
 	// client-observed side of the tier's cost ledger.
-	Cost         reram.Cost
-	CostByTenant map[string]reram.Cost
+	Cost         hwcost.Cost
+	CostByTenant map[string]hwcost.Cost
 
 	// Latencies holds the non-storm round-trip times, in completion order —
 	// raw so a soak can pool baseline and chaos passes before computing
@@ -190,7 +190,7 @@ func (r *Report) Merge(other Report) {
 	}
 	r.Cost.Add(other.Cost)
 	if len(other.CostByTenant) > 0 && r.CostByTenant == nil {
-		r.CostByTenant = make(map[string]reram.Cost)
+		r.CostByTenant = make(map[string]hwcost.Cost)
 	}
 	for t, c := range other.CostByTenant {
 		merged := r.CostByTenant[t]
@@ -303,7 +303,7 @@ func Run(ctx context.Context, seed int64, target Target, cfg Config, progress fu
 		return Report{}, err
 	}
 	rep := Report{ByKind: make(map[string]int), ByTenant: make(map[string]int),
-		CostByTenant: make(map[string]reram.Cost)}
+		CostByTenant: make(map[string]hwcost.Cost)}
 	var mu sync.Mutex
 	start := time.Now()
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"reramtest/internal/reram"
+	"reramtest/internal/hwcost"
 )
 
 // fakeReport builds a deterministic report from a small integer seed so the
@@ -17,10 +17,10 @@ func fakeReport(n uint64) Report {
 		Untyped: 0, Storms: i,
 		ByKind:   map[string]int{"ok": 7 * i, "deadline": 2 * i, "hung": i % 2},
 		ByTenant: map[string]int{"a": 6 * i, "b": 4 * i},
-		Cost: reram.Cost{ComputeCycles: 100 * n, DACConversions: 10 * n,
+		Cost: hwcost.Cost{ComputeCycles: 100 * n, DACConversions: 10 * n,
 			ADCConversions: 20 * n, CrossbarReads: 30 * n, EnergyFJ: 1000 * n,
 			BufferBytes: 64 * n},
-		CostByTenant: map[string]reram.Cost{
+		CostByTenant: map[string]hwcost.Cost{
 			"a": {ComputeCycles: 60 * n, EnergyFJ: 600 * n},
 			"b": {ComputeCycles: 40 * n, EnergyFJ: 400 * n},
 		},

@@ -9,7 +9,6 @@ import (
 
 	"reramtest/internal/dataset"
 	"reramtest/internal/nn"
-	"reramtest/internal/opt"
 	"reramtest/internal/rng"
 	"reramtest/internal/tengine"
 	"reramtest/internal/tensor"
@@ -56,13 +55,13 @@ func Train(net *nn.Network, train *dataset.Dataset, cfg TrainConfig) {
 		logw = io.Discard
 	}
 	r := rng.New(cfg.Seed)
-	sgd := opt.NewSGD(net.Params(), cfg.LR, cfg.Momentum, cfg.Decay)
+	sgd := tengine.NewSGD(net.Params(), cfg.LR, cfg.Momentum, cfg.Decay)
 	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: cfg.BatchSize})
 	it := train.BatchIterator(cfg.BatchSize)
 	smooth := newSmoothTargets(cfg.BatchSize, train.Classes, cfg.LabelSmooth)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if cfg.LRStep > 0 {
-			sgd.SetLR(opt.StepDecay(cfg.LR, 0.5, cfg.LRStep)(epoch))
+			sgd.SetLR(tengine.StepDecay(cfg.LR, 0.5, cfg.LRStep)(epoch))
 		}
 		start := time.Now()
 		totalLoss, nBatches := 0.0, 0

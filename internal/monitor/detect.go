@@ -1,15 +1,4 @@
-// Package detect implements the paper's fault-detection machinery: golden
-// output capture, the six SDC detection criteria (§IV-A "Metrics"), the
-// confidence-distance measurements of Fig. 3, the detection rate of Fig. 4-6
-// and Table III, and the coefficient-of-variation stability metric of
-// Table IV.
-//
-// The flow mirrors the concurrent-test deployment: at commissioning time the
-// ideal (fault-free) model's softmax confidences on the test-pattern set are
-// captured as the golden reference; at run time the same patterns are pushed
-// through the possibly-degraded accelerator and the divergence between the
-// two confidence sets is scored.
-package detect
+package monitor
 
 import (
 	"fmt"

@@ -1,4 +1,4 @@
-package detect
+package monitor
 
 import (
 	"math"

@@ -15,6 +15,16 @@
 // patterns have peaked goldens and catch that fault class. Monitors guarding
 // drift-prone devices should arm C-TP (or a C-TP + O-TP mix); O-TP remains
 // the better accuracy estimator for bias-style faults (see cmd/monitor).
+//
+// Underneath sits the paper's fault-detection machinery (detect.go): golden
+// output capture, the six SDC detection criteria (§IV-A "Metrics"), the
+// confidence-distance measurements of Fig. 3, the detection rate of Fig. 4-6
+// and Table III, and the coefficient-of-variation stability metric of
+// Table IV. The flow mirrors the concurrent-test deployment: at
+// commissioning time the ideal (fault-free) model's softmax confidences on
+// the test-pattern set are captured as the golden reference; at run time the
+// same patterns are pushed through the possibly-degraded accelerator and the
+// divergence between the two confidence sets is scored.
 package monitor
 
 import (
@@ -25,7 +35,6 @@ import (
 	"sort"
 	"strings"
 
-	"reramtest/internal/detect"
 	"reramtest/internal/engine"
 	"reramtest/internal/nn"
 	"reramtest/internal/stats"
@@ -96,7 +105,7 @@ type Config struct {
 	// DegradedAt/ImpairedAt/CriticalAt are ascending distance thresholds.
 	DegradedAt, ImpairedAt, CriticalAt float64
 	// Criteria lists the SDC rules to evaluate and report on each check.
-	Criteria []detect.Criterion
+	Criteria []Criterion
 	// MaxHistory caps the retained report history (ring buffer). 0 selects
 	// DefaultMaxHistory; negative keeps every report (tests, short sweeps).
 	MaxHistory int
@@ -107,7 +116,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		DegradedAt: 0.03, ImpairedAt: 0.06, CriticalAt: 0.10,
-		Criteria:   detect.AllCriteria,
+		Criteria:   AllCriteria,
 		MaxHistory: DefaultMaxHistory,
 	}
 }
@@ -137,7 +146,7 @@ func (c Config) Validate() error {
 // Monitor is a commissioned concurrent-test agent for one accelerator.
 type Monitor struct {
 	cfg     Config
-	golden  *detect.Golden
+	golden  *Golden
 	calib   []CalibPoint
 	history []Report // ring buffer once cfg.MaxHistory is reached
 	start   int      // index of the oldest retained report
@@ -155,7 +164,7 @@ func New(ideal *nn.Network, patterns *testgen.PatternSet, calib []CalibPoint, cf
 	if cfg.MaxHistory == 0 {
 		cfg.MaxHistory = DefaultMaxHistory
 	}
-	m := &Monitor{cfg: cfg, golden: detect.Capture(ideal, patterns),
+	m := &Monitor{cfg: cfg, golden: Capture(ideal, patterns),
 		calib: append([]CalibPoint(nil), calib...)}
 	sort.Slice(m.calib, func(i, j int) bool { return m.calib[i].Distance < m.calib[j].Distance })
 	return m, nil
@@ -176,7 +185,7 @@ func MustNew(ideal *nn.Network, patterns *testgen.PatternSet, calib []CalibPoint
 // monitor stops comparing the accelerator to a model that no longer exists.
 // History, calibration and thresholds are preserved.
 func (m *Monitor) Recommission(ideal *nn.Network) {
-	m.golden = detect.Capture(ideal, m.golden.Patterns)
+	m.golden = Capture(ideal, m.golden.Patterns)
 }
 
 // Fingerprint digests the commission: the stimulus patterns and the golden
@@ -209,7 +218,7 @@ type Report struct {
 	Round       int
 	TopDist     float64
 	AllDist     float64
-	Detected    map[detect.Criterion]bool
+	Detected    map[Criterion]bool
 	Status      Status
 	EstAccuracy float64 // -1 when no calibration curve is loaded
 	Action      string
@@ -222,7 +231,7 @@ type Report struct {
 // String renders the report on one line.
 func (r Report) String() string {
 	var flags []string
-	for _, c := range detect.AllCriteria {
+	for _, c := range AllCriteria {
 		if r.Detected[c] {
 			flags = append(flags, c.String())
 		}
@@ -257,7 +266,7 @@ func (m *Monitor) Check(accel Infer) Report {
 		Round:       m.rounds,
 		TopDist:     o.TopDist,
 		AllDist:     o.AllDist,
-		Detected:    make(map[detect.Criterion]bool, len(m.cfg.Criteria)),
+		Detected:    make(map[Criterion]bool, len(m.cfg.Criteria)),
 		EstAccuracy: -1,
 		NonFinite:   o.NonFinite,
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"reramtest/internal/detect"
 	"reramtest/internal/engine"
 	"reramtest/internal/faults"
 	"reramtest/internal/models"
@@ -183,8 +182,8 @@ func TestDetectedFlagsPopulated(t *testing.T) {
 	m, net := testMonitor(t, nil)
 	faulty := faults.MakeFaulty(net, faults.LogNormal{Sigma: 2}, 17)
 	rep := m.Check(NetworkInfer(faulty))
-	if len(rep.Detected) != len(detect.AllCriteria) {
-		t.Fatalf("report evaluates %d criteria, want %d", len(rep.Detected), len(detect.AllCriteria))
+	if len(rep.Detected) != len(AllCriteria) {
+		t.Fatalf("report evaluates %d criteria, want %d", len(rep.Detected), len(AllCriteria))
 	}
 	any := false
 	for _, v := range rep.Detected {

@@ -8,7 +8,7 @@ import (
 	"strconv"
 	"time"
 
-	"reramtest/internal/reram"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/serve"
 	"reramtest/internal/wire"
 )
@@ -179,10 +179,10 @@ func (f *Frontend) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	out := struct {
-		Stats       Stats                                     `json:"stats"`
-		Cost        CostStats                                 `json:"cost"`
-		Devices     map[string]map[string]reram.CostBreakdown `json:"devices"`
-		Unjournaled []string                                  `json:"unjournaled,omitempty"`
+		Stats       Stats                                      `json:"stats"`
+		Cost        CostStats                                  `json:"cost"`
+		Devices     map[string]map[string]hwcost.CostBreakdown `json:"devices"`
+		Unjournaled []string                                   `json:"unjournaled,omitempty"`
 	}{Stats: f.Stats(), Cost: f.CostStats(), Devices: f.DeviceCosts(), Unjournaled: unjournaled}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)

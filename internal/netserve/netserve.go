@@ -51,9 +51,9 @@ import (
 	"time"
 
 	"reramtest/internal/fleet"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/journal"
 	"reramtest/internal/monitor"
-	"reramtest/internal/reram"
 	"reramtest/internal/serve"
 	"reramtest/internal/tensor"
 )
@@ -180,7 +180,7 @@ type Result struct {
 	// serve.Response.Cost). The tier accumulates the same figure into its
 	// per-tenant/per-shard cost table, so client-observed spend and the
 	// tier's telemetry agree exactly.
-	Cost reram.Cost
+	Cost hwcost.Cost
 }
 
 // CostStats is the tier's spend telemetry at response granularity: what each
@@ -191,9 +191,9 @@ type Result struct {
 // charge device counters but never complete a response, so they appear in
 // device telemetry (serve.Server.CostStats) and not here.
 type CostStats struct {
-	Fleet   reram.Cost            `json:"fleet"`
-	Tenants map[string]reram.Cost `json:"tenants"`
-	Shards  map[string]reram.Cost `json:"shards"`
+	Fleet   hwcost.Cost            `json:"fleet"`
+	Tenants map[string]hwcost.Cost `json:"tenants"`
+	Shards  map[string]hwcost.Cost `json:"shards"`
 }
 
 // costTable accumulates completed-response spend. One mutex suffices: the
@@ -201,16 +201,16 @@ type CostStats struct {
 // inference that produced the figures.
 type costTable struct {
 	mu      sync.Mutex
-	tenants map[string]reram.Cost
-	shards  map[string]reram.Cost
-	fleet   reram.Cost
+	tenants map[string]hwcost.Cost
+	shards  map[string]hwcost.Cost
+	fleet   hwcost.Cost
 }
 
 func newCostTable() *costTable {
-	return &costTable{tenants: make(map[string]reram.Cost), shards: make(map[string]reram.Cost)}
+	return &costTable{tenants: make(map[string]hwcost.Cost), shards: make(map[string]hwcost.Cost)}
 }
 
-func (t *costTable) add(tenant, shard string, c reram.Cost) {
+func (t *costTable) add(tenant, shard string, c hwcost.Cost) {
 	if c.IsZero() {
 		return
 	}
@@ -226,8 +226,8 @@ func (t *costTable) snapshot() CostStats {
 	defer t.mu.Unlock()
 	out := CostStats{
 		Fleet:   t.fleet,
-		Tenants: make(map[string]reram.Cost, len(t.tenants)),
-		Shards:  make(map[string]reram.Cost, len(t.shards)),
+		Tenants: make(map[string]hwcost.Cost, len(t.tenants)),
+		Shards:  make(map[string]hwcost.Cost, len(t.shards)),
 	}
 	for k, v := range t.tenants {
 		out.Tenants[k] = v
@@ -681,8 +681,8 @@ func (f *Frontend) CostStats() CostStats { return f.costs.snapshot() }
 // shard then device ID. Unlike CostStats (response granularity), this reads
 // the live device counters, so it also includes monitor and repair work and
 // the serving spend of abandoned hedge attempts.
-func (f *Frontend) DeviceCosts() map[string]map[string]reram.CostBreakdown {
-	out := make(map[string]map[string]reram.CostBreakdown, len(f.shards))
+func (f *Frontend) DeviceCosts() map[string]map[string]hwcost.CostBreakdown {
+	out := make(map[string]map[string]hwcost.CostBreakdown, len(f.shards))
 	for _, sh := range f.shards {
 		out[sh.name] = sh.srv.CostStats()
 	}

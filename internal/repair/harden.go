@@ -7,7 +7,6 @@ import (
 	"reramtest/internal/dataset"
 	"reramtest/internal/engine"
 	"reramtest/internal/nn"
-	"reramtest/internal/opt"
 	"reramtest/internal/rng"
 	"reramtest/internal/tengine"
 )
@@ -45,7 +44,7 @@ func HardenDropConnect(net *nn.Network, train, eval *dataset.Dataset, cfg Harden
 		logw = io.Discard
 	}
 	r := rng.New(cfg.Seed)
-	sgd := opt.NewSGD(net.Params(), cfg.LR, cfg.Momentum, 0)
+	sgd := tengine.NewSGD(net.Params(), cfg.LR, cfg.Momentum, 0)
 	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: cfg.BatchSize})
 	dc := tengine.NewDropConnect(eng, cfg.DropP, r.Split())
 	it := train.BatchIterator(cfg.BatchSize)

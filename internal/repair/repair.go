@@ -25,9 +25,9 @@ import (
 	"fmt"
 	"strings"
 
+	"reramtest/internal/hwcost"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
-	"reramtest/internal/reram"
 )
 
 // Action identifies one repair mechanism.
@@ -97,6 +97,16 @@ func (m StuckMask) Count() int {
 	return n
 }
 
+// Reprogrammer is the hardware surface diagnosis and retraining drive:
+// rewrite every cell to its target, read the weights the arrays actually
+// hold, and program a new network onto them. *reram.Accelerator implements
+// it.
+type Reprogrammer interface {
+	Reprogram()
+	ReadoutNetwork() *nn.Network
+	ProgramNetwork(net *nn.Network)
+}
+
 // DiagnoseStuck identifies stuck weight positions on an accelerator by a
 // write-read-write test: reprogram the arrays, read the effective weights,
 // then compare against a second readout after reprogramming again. Cells
@@ -113,7 +123,7 @@ func (m StuckMask) Count() int {
 // returns a *DiagnosisError before touching the hardware — silently
 // producing a garbage mask used to feed those inputs straight into
 // retraining.
-func DiagnoseStuck(accel *reram.Accelerator, target *nn.Network, tol float64) (StuckMask, error) {
+func DiagnoseStuck(accel Reprogrammer, target *nn.Network, tol float64) (StuckMask, error) {
 	if tol <= 0 {
 		return nil, &DiagnosisError{Reason: "tolerance", Tol: tol}
 	}
@@ -183,7 +193,7 @@ type Report struct {
 	// repair class by the station that ran it under its lock (zero off a
 	// station or on an unmetered device). Set even when the application
 	// errors.
-	Measured reram.Cost
+	Measured hwcost.Cost
 }
 
 // String renders the report on one line.

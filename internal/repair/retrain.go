@@ -8,7 +8,6 @@ import (
 	"reramtest/internal/dataset"
 	"reramtest/internal/engine"
 	"reramtest/internal/nn"
-	"reramtest/internal/opt"
 	"reramtest/internal/rng"
 	"reramtest/internal/tengine"
 )
@@ -63,7 +62,7 @@ func RetrainAroundCtx(ctx context.Context, net *nn.Network, stuck StuckMask, tra
 		logw = io.Discard
 	}
 	r := rng.New(cfg.Seed)
-	sgd := opt.NewSGD(net.Params(), cfg.LR, cfg.Momentum, 0)
+	sgd := tengine.NewSGD(net.Params(), cfg.LR, cfg.Momentum, 0)
 	restoreStuck := SnapshotStuck(net, stuck)
 	// the fine-tuning loop runs through a compiled training plan: one
 	// ForwardBackward overwrites every Param.Grad with the batch gradient,

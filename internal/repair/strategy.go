@@ -38,7 +38,6 @@ import (
 	"reramtest/internal/dataset"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
-	"reramtest/internal/reram"
 )
 
 // Strategy costs in the fleet's repair-budget currency. One unit is "one
@@ -288,7 +287,7 @@ func (s *remap) Apply(ctx context.Context, _ Diagnosis) (Report, error) {
 
 // retrainStrategy is fault-aware retraining as a ladder rung.
 type retrainStrategy struct {
-	accel       *reram.Accelerator
+	accel       Reprogrammer
 	ref         func() *nn.Network // current reference weights
 	train, eval *dataset.Dataset
 	tol         float64              // DiagnoseStuck tolerance
@@ -301,7 +300,7 @@ type retrainStrategy struct {
 // ref must return the current reference network; cfg is called per
 // application so the caller can thread a fresh seed. Applicable on any
 // deployed device — it is the ladder's last software resort.
-func NewRetrain(accel *reram.Accelerator, ref func() *nn.Network, train, eval *dataset.Dataset, tol float64, cfg func() RetrainConfig) Strategy {
+func NewRetrain(accel Reprogrammer, ref func() *nn.Network, train, eval *dataset.Dataset, tol float64, cfg func() RetrainConfig) Strategy {
 	return &retrainStrategy{accel: accel, ref: ref, train: train, eval: eval, tol: tol, cfg: cfg}
 }
 

@@ -15,20 +15,45 @@ import (
 	"reramtest/internal/rng"
 )
 
+// countingReprogrammer is a Reprogrammer that only counts the calls it gets.
+type countingReprogrammer struct{ reprograms, readouts, programs int }
+
+func (c *countingReprogrammer) Reprogram()                  { c.reprograms++ }
+func (c *countingReprogrammer) ReadoutNetwork() *nn.Network { c.readouts++; return nil }
+func (c *countingReprogrammer) ProgramNetwork(*nn.Network)  { c.programs++ }
+
+// rejectsUntouched runs a DiagnoseStuck that must fail on its inputs against
+// the accelerator and against a counting fake, and asserts the fake saw no
+// call.
+func rejectsUntouched(t *testing.T, accel *reram.Accelerator, target *nn.Network, tol float64) []error {
+	t.Helper()
+	fake := &countingReprogrammer{}
+	var errs []error
+	for _, hw := range []Reprogrammer{accel, fake} {
+		mask, err := DiagnoseStuck(hw, target, tol)
+		if mask != nil || err == nil {
+			t.Fatalf("%T: want nil mask + error, got mask=%v err=%v", hw, mask, err)
+		}
+		errs = append(errs, err)
+	}
+	if *fake != (countingReprogrammer{}) {
+		t.Fatalf("rejected diagnosis touched the hardware: %+v", *fake)
+	}
+	return errs
+}
+
 func TestDiagnoseStuckRejectsBadTolerance(t *testing.T) {
 	net := models.MLP(rng.New(11), 8, nil, 3)
 	accel := reram.NewAccelerator(net, idealConfig(), 12)
 	for _, tol := range []float64{0, -0.5} {
-		mask, err := DiagnoseStuck(accel, net, tol)
-		if mask != nil || err == nil {
-			t.Fatalf("tol=%g: want nil mask + error, got mask=%v err=%v", tol, mask, err)
-		}
-		var de *DiagnosisError
-		if !errors.As(err, &de) || de.Reason != "tolerance" {
-			t.Fatalf("tol=%g: want *DiagnosisError{tolerance}, got %v", tol, err)
-		}
-		if !IsTyped(err) {
-			t.Fatalf("tol=%g: diagnosis error must count as typed", tol)
+		for _, err := range rejectsUntouched(t, accel, net, tol) {
+			var de *DiagnosisError
+			if !errors.As(err, &de) || de.Reason != "tolerance" {
+				t.Fatalf("tol=%g: want *DiagnosisError{tolerance}, got %v", tol, err)
+			}
+			if !IsTyped(err) {
+				t.Fatalf("tol=%g: diagnosis error must count as typed", tol)
+			}
 		}
 	}
 }
@@ -46,16 +71,14 @@ func TestDiagnoseStuckRejectsDegenerateLayer(t *testing.T) {
 			break
 		}
 	}
-	mask, err := DiagnoseStuck(accel, net, 0.25)
-	if mask != nil || err == nil {
-		t.Fatalf("want nil mask + error for degenerate layer, got mask=%v err=%v", mask, err)
-	}
-	var de *DiagnosisError
-	if !errors.As(err, &de) || de.Reason != "degenerate" || de.Param != zeroed {
-		t.Fatalf("want *DiagnosisError{degenerate, %s}, got %v", zeroed, err)
-	}
-	if !IsTyped(err) {
-		t.Fatal("degenerate-layer error must count as typed")
+	for _, err := range rejectsUntouched(t, accel, net, 0.25) {
+		var de *DiagnosisError
+		if !errors.As(err, &de) || de.Reason != "degenerate" || de.Param != zeroed {
+			t.Fatalf("want *DiagnosisError{degenerate, %s}, got %v", zeroed, err)
+		}
+		if !IsTyped(err) {
+			t.Fatal("degenerate-layer error must count as typed")
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package reram
 import (
 	"fmt"
 
+	"reramtest/internal/hwcost"
 	"reramtest/internal/nn"
 	"reramtest/internal/rng"
 	"reramtest/internal/tensor"
@@ -34,7 +35,7 @@ type Accelerator struct {
 	// NewAccelerator; SetCounter swaps in a caller-owned one — the deployment
 	// pattern where cumulative device spend must survive accelerator
 	// replacement.
-	counter *Counter
+	counter *hwcost.Counter
 }
 
 // layerWorkspace is the reusable state one Infer step needs: the output
@@ -79,14 +80,14 @@ func NewAccelerator(net *nn.Network, cfg Config, seed int64) *Accelerator {
 	}
 	// meter in-field spend from commissioning onward: the counter attaches
 	// after MapLinear, so fabrication-time programming is deliberately free
-	a.SetCounter(NewCounter())
+	a.SetCounter(hwcost.NewCounter())
 	return a
 }
 
 // SetCounter swaps the accelerator's cost counter (propagated to every tile)
 // for a caller-owned one. The counter meters in-field spend; it is attached
 // after commissioning, so fabrication-time programming never charges.
-func (a *Accelerator) SetCounter(c *Counter) {
+func (a *Accelerator) SetCounter(c *hwcost.Counter) {
 	a.counter = c
 	for _, e := range a.engines {
 		e.SetCounter(c)
@@ -94,7 +95,7 @@ func (a *Accelerator) SetCounter(c *Counter) {
 }
 
 // Counter returns the accelerator's cost counter.
-func (a *Accelerator) Counter() *Counter { return a.counter }
+func (a *Accelerator) Counter() *hwcost.Counter { return a.counter }
 
 // CommissionCost is the sticker write cost of programming every array cell
 // once — what deploying (or redeploying) the full weight set costs. Initial
@@ -102,8 +103,8 @@ func (a *Accelerator) Counter() *Counter { return a.counter }
 // never charged; callers that commission a replacement part IN the field
 // (module-swap repair) charge this explicitly so the fleet ledger sees the
 // write pass the new part absorbed.
-func (a *Accelerator) CommissionCost() Cost {
-	var c Cost
+func (a *Accelerator) CommissionCost() hwcost.Cost {
+	var c hwcost.Cost
 	for _, e := range a.engines {
 		c.Add(e.commissionCost())
 	}

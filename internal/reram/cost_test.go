@@ -4,76 +4,11 @@ import (
 	"sync"
 	"testing"
 
+	"reramtest/internal/hwcost"
 	"reramtest/internal/nn"
 	"reramtest/internal/rng"
 	"reramtest/internal/tensor"
 )
-
-func TestCostArithmetic(t *testing.T) {
-	a := Cost{ComputeCycles: 1, DACConversions: 2, ADCConversions: 3,
-		CrossbarReads: 4, CrossbarWrites: 5, EnergyFJ: 6, BufferBytes: 7}
-	b := a.Plus(a)
-	if b != a.Scale(2) {
-		t.Fatalf("Plus/Scale disagree: %+v vs %+v", b, a.Scale(2))
-	}
-	if b.Minus(a) != a {
-		t.Fatalf("Minus is not Plus's inverse: %+v", b.Minus(a))
-	}
-	if !(Cost{}).IsZero() || a.IsZero() {
-		t.Fatal("IsZero misclassifies")
-	}
-	var bd CostBreakdown
-	bd.Add(CostBreakdown{Serving: a, Monitor: a, Repair: a})
-	if bd.Total() != a.Scale(3) {
-		t.Fatalf("breakdown Total = %+v, want %+v", bd.Total(), a.Scale(3))
-	}
-	for cl, want := range map[Class]string{ClassServing: "serving", ClassMonitor: "monitor", ClassRepair: "repair"} {
-		if cl.String() != want {
-			t.Fatalf("Class(%d).String() = %q, want %q", cl, cl.String(), want)
-		}
-		if bd.ByClass(cl) != a {
-			t.Fatalf("ByClass(%v) = %+v, want %+v", cl, bd.ByClass(cl), a)
-		}
-	}
-}
-
-func TestCounterClassAttribution(t *testing.T) {
-	c := NewCounter()
-	one := Cost{EnergyFJ: 1, CrossbarReads: 1}
-	c.Charge(one)
-	if got := c.Settle(ClassServing); got != one {
-		t.Fatalf("Settle returned %+v, want %+v", got, one)
-	}
-	c.Charge(one.Scale(2))
-	c.Settle(ClassMonitor)
-	c.Charge(one.Scale(3))
-	c.Settle(ClassRepair)
-	c.Charge(one) // pending: not in any class yet
-	snap := c.Snapshot()
-	if snap.Serving != one || snap.Monitor != one.Scale(2) || snap.Repair != one.Scale(3) {
-		t.Fatalf("snapshot %+v", snap)
-	}
-	if snap.Total() != one.Scale(6) {
-		t.Fatalf("total %+v, want %+v", snap.Total(), one.Scale(6))
-	}
-
-	c.Restore(CostBreakdown{Repair: one})
-	if got := c.Snapshot(); got != (CostBreakdown{Repair: one}) || !c.Settle(ClassServing).IsZero() {
-		t.Fatalf("after Restore: %+v", got)
-	}
-}
-
-func TestNilCounterIsNoOp(t *testing.T) {
-	var c *Counter
-	c.Charge(Cost{EnergyFJ: 1})
-	c.Restore(CostBreakdown{})
-	if !c.Settle(ClassMonitor).IsZero() {
-		t.Fatal("nil counter settled a charge")
-	}
-	if !c.Snapshot().Total().IsZero() {
-		t.Fatal("nil counter snapshot not zero")
-	}
-}
 
 // TestCounterRaceSurface exercises every concurrent access the contract
 // allows under -race: one goroutine driving a metered device (MatVec +
@@ -101,13 +36,13 @@ func TestCounterRaceSurface(t *testing.T) {
 	go func() { // an unrelated charger (e.g. a digital engine sharing the meter)
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
-			ctr.Charge(Cost{EnergyFJ: 1})
+			ctr.Charge(hwcost.Cost{EnergyFJ: 1})
 		}
 	}()
 	go func() { // the owner booking what the device charged
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
-			ctr.Settle(ClassMonitor)
+			ctr.Settle(hwcost.ClassMonitor)
 		}
 	}()
 	go func() { // the telemetry scraper
@@ -123,7 +58,7 @@ func TestCounterRaceSurface(t *testing.T) {
 	}()
 	go func() { // the fleet-level merger
 		defer wg.Done()
-		var agg CostBreakdown
+		var agg hwcost.CostBreakdown
 		for {
 			select {
 			case <-done:
@@ -169,7 +104,7 @@ func TestMeteringIsNumericallyInvisible(t *testing.T) {
 			t.Fatalf("metered readout param %s diverged", mp[i].Name)
 		}
 	}
-	if metered.Counter().Settle(ClassServing).IsZero() {
+	if metered.Counter().Settle(hwcost.ClassServing).IsZero() {
 		t.Fatal("metered accelerator charged nothing")
 	}
 }
@@ -181,7 +116,7 @@ func TestChargePointsCover(t *testing.T) {
 	cfg.Device.SpareRows = 2
 	w := tensor.RandUniform(rng.New(2), -1, 1, 6, 8) // (Out=6, In=8): single tile
 	tl := MapLinear(w, cfg, rng.New(3))
-	ctr := NewCounter()
+	ctr := hwcost.NewCounter()
 	tl.SetCounter(ctr)
 
 	x := make([]float64, 8)
@@ -190,7 +125,7 @@ func TestChargePointsCover(t *testing.T) {
 	}
 	out := make([]float64, 6)
 	tl.MatVecInto(out, x)
-	s := ctr.Settle(ClassServing)
+	s := ctr.Settle(hwcost.ClassServing)
 	if s.DACConversions != 8 || s.ADCConversions != 2*8 || s.ComputeCycles != 1 {
 		t.Fatalf("matvec conversions: %+v", s)
 	}
@@ -203,28 +138,28 @@ func TestChargePointsCover(t *testing.T) {
 
 	// an all-zero input drives nothing and charges nothing
 	tl.MatVecInto(out, make([]float64, 8))
-	if idle := ctr.Settle(ClassServing); !idle.IsZero() {
+	if idle := ctr.Settle(hwcost.ClassServing); !idle.IsZero() {
 		t.Fatalf("idle pass charged %+v", idle)
 	}
 
 	buf := tensor.New(6, 8)
 	tl.EffectiveWeightsInto(buf)
-	m := ctr.Settle(ClassMonitor)
+	m := ctr.Settle(hwcost.ClassMonitor)
 	if m.CrossbarReads != 2*8*6 || m.BufferBytes != 8*6*8 {
 		t.Fatalf("readout charge: %+v", m)
 	}
 
 	tl.Reprogram()
-	rep := ctr.Settle(ClassRepair)
+	rep := ctr.Settle(hwcost.ClassRepair)
 	if rep.CrossbarWrites != 2*8*8 { // both full arrays rewritten
 		t.Fatalf("reprogram writes: %+v", rep)
 	}
 	tl.InjectStuckAt(0.5, 0.3)
-	if remap := ctr.Settle(ClassRepair); !remap.IsZero() {
+	if remap := ctr.Settle(hwcost.ClassRepair); !remap.IsZero() {
 		t.Fatalf("fault injection charged %+v", remap)
 	}
 	tl.RemapStuck(1, 0.05)
-	if remap := ctr.Settle(ClassRepair); remap.CrossbarWrites == 0 {
+	if remap := ctr.Settle(hwcost.ClassRepair); remap.CrossbarWrites == 0 {
 		t.Fatal("remap pass charged no writes")
 	}
 	if got := ctr.Snapshot(); got.Serving != s || got.Monitor != m || got.Repair.CrossbarWrites <= rep.CrossbarWrites {
@@ -233,31 +168,13 @@ func TestChargePointsCover(t *testing.T) {
 }
 
 func TestChargeIsAllocationFree(t *testing.T) {
-	ctr := NewCounter()
-	c := Cost{ComputeCycles: 3, DACConversions: 4, ADCConversions: 5,
+	ctr := hwcost.NewCounter()
+	c := hwcost.Cost{ComputeCycles: 3, DACConversions: 4, ADCConversions: 5,
 		CrossbarReads: 6, CrossbarWrites: 7, EnergyFJ: 8, BufferBytes: 9}
 	if allocs := testing.AllocsPerRun(100, func() {
 		ctr.Charge(c)
 		_ = ctr.Snapshot()
 	}); allocs != 0 {
 		t.Fatalf("Charge+Snapshot allocates %.0f/op, want 0", allocs)
-	}
-}
-
-func TestMatVecCostModel(t *testing.T) {
-	cfg := Config{TileRows: 128, TileCols: 128, DACBits: 8, ADCBits: 8, Device: DefaultDeviceParams()}
-	c := MatVecCost(130, 200, cfg, false) // 2 row tiles × 2 col tiles
-	if c.ComputeCycles != 4 || c.DACConversions != 200 || c.ADCConversions != 2*4*128 {
-		t.Fatalf("model: %+v", c)
-	}
-	if c.CrossbarReads != 0 {
-		t.Fatal("sparse model charged reads")
-	}
-	d := MatVecCost(130, 200, cfg, true)
-	if d.CrossbarReads != 2*130*200 {
-		t.Fatalf("dense model reads: %+v", d)
-	}
-	if d.EnergyFJ <= c.EnergyFJ {
-		t.Fatal("dense model not costlier")
 	}
 }

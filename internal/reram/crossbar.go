@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 
+	"reramtest/internal/hwcost"
 	"reramtest/internal/rng"
 	"reramtest/internal/tensor"
 )
@@ -83,15 +84,15 @@ type Crossbar struct {
 	target     []float64 // intended conductances
 	actual     []float64 // programmed conductances incl. variation/drift
 	state      []CellState
-	spares     int      // spare word-lines still available for RemapRow
-	counter    *Counter // nil = unmetered; see cost.go
+	spares     int             // spare word-lines still available for RemapRow
+	counter    *hwcost.Counter // nil = unmetered; see hwcost
 	r          *rng.RNG
 }
 
 // SetCounter attaches a cost counter; nil detaches. Reads, writes and their
 // energy charge here; conversions and cycles charge at the TiledLinear layer
 // that owns the DACs/ADCs.
-func (x *Crossbar) SetCounter(c *Counter) { x.counter = c }
+func (x *Crossbar) SetCounter(c *hwcost.Counter) { x.counter = c }
 
 // NewCrossbar allocates an array with every cell at HRS. Fabrication
 // stuck-at faults are drawn immediately from dev's rates.
@@ -144,7 +145,7 @@ func (x *Crossbar) Program(g *tensor.Tensor) {
 		}
 		x.actual[i] = a
 	}
-	x.counter.Charge(writeCost(uint64(x.Rows) * uint64(x.Cols)))
+	x.counter.Charge(hwcost.WriteCost(uint64(x.Rows) * uint64(x.Cols)))
 }
 
 // Conductance returns the effective conductance of cell (i, j), accounting
@@ -189,7 +190,7 @@ func (x *Crossbar) MatVec(v, out []float64) {
 			out[j] += vi * g
 		}
 	}
-	x.counter.Charge(readCost(uint64(activeRows) * uint64(x.Cols)))
+	x.counter.Charge(hwcost.ReadCost(uint64(activeRows) * uint64(x.Cols)))
 }
 
 // AdvanceTime ages the array by hours: conductances drift toward HRS with

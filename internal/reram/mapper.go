@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"reramtest/internal/hwcost"
 	"reramtest/internal/rng"
 	"reramtest/internal/tensor"
 )
@@ -22,10 +23,11 @@ type Config struct {
 	Device DeviceParams
 }
 
-// DefaultConfig returns a 128×128 organisation with 8-bit DACs/ADCs and
+// DefaultConfig returns the reference 128×128 organisation
+// (hwcost.DefaultTileRows × hwcost.DefaultTileCols) with 8-bit DACs/ADCs and
 // default device physics.
 func DefaultConfig() Config {
-	return Config{TileRows: 128, TileCols: 128, DACBits: 8, ADCBits: 8, Device: DefaultDeviceParams()}
+	return Config{TileRows: hwcost.DefaultTileRows, TileCols: hwcost.DefaultTileCols, DACBits: 8, ADCBits: 8, Device: DefaultDeviceParams()}
 }
 
 // TiledLinear maps one (Out, In) weight matrix onto a grid of differential
@@ -41,8 +43,8 @@ type TiledLinear struct {
 	rowTiles int
 	colTiles int
 	dac      Quantizer
-	counter  *Counter // nil = unmetered; shared with every tile's crossbars
-	passCost Cost     // data-independent per-MatVec charge, precomputed
+	counter  *hwcost.Counter // nil = unmetered; shared with every tile's crossbars
+	passCost hwcost.Cost     // data-independent per-MatVec charge, precomputed
 	// MatVecInto staging, allocated once at map time. These make TiledLinear
 	// a single-goroutine object, like the nn layers it stands in for.
 	vin, ip, in []float64
@@ -52,7 +54,7 @@ type TiledLinear struct {
 // nil detaches. Conversion, cycle and buffer charges land at this layer
 // (which owns the DACs/ADCs and staging buffers); read/write charges land in
 // the crossbars they touch.
-func (t *TiledLinear) SetCounter(c *Counter) {
+func (t *TiledLinear) SetCounter(c *hwcost.Counter) {
 	t.counter = c
 	for _, row := range t.tiles {
 		for i := range row {
@@ -82,7 +84,7 @@ func MapLinear(w *tensor.Tensor, cfg Config, r *rng.RNG) *TiledLinear {
 		rowTiles: (in + cfg.TileRows - 1) / cfg.TileRows,
 		colTiles: (out + cfg.TileCols - 1) / cfg.TileCols,
 		dac:      Quantizer{Bits: cfg.DACBits, Lo: 0, Hi: 1},
-		passCost: MatVecCost(out, in, cfg, false),
+		passCost: hwcost.MatVecCost(out, in, cfg.TileRows, cfg.TileCols, false),
 		vin:      make([]float64, cfg.TileRows),
 		ip:       make([]float64, cfg.TileCols),
 		in:       make([]float64, cfg.TileCols),
@@ -265,7 +267,7 @@ func (t *TiledLinear) EffectiveWeightsInto(w *tensor.Tensor) {
 	// a full differential scan: both polarities of every mapped cell read
 	// once, the weight view drained to the digital buffer
 	cells := 2 * uint64(t.In) * uint64(t.Out)
-	t.counter.Charge(readCost(cells).Plus(Cost{BufferBytes: uint64(t.In) * uint64(t.Out) * 8}))
+	t.counter.Charge(hwcost.ReadCost(cells).Plus(hwcost.Cost{BufferBytes: uint64(t.In) * uint64(t.Out) * 8}))
 	wd := w.Data()
 	for rt := 0; rt < t.rowTiles; rt++ {
 		for ct := 0; ct < t.colTiles; ct++ {
@@ -334,12 +336,12 @@ func (t *TiledLinear) TileCount() int { return 2 * t.rowTiles * t.colTiles }
 
 // commissionCost is the write cost of programming every cell in every array
 // once — what a full in-field (re)deployment of this layer's weights costs.
-func (t *TiledLinear) commissionCost() Cost {
+func (t *TiledLinear) commissionCost() hwcost.Cost {
 	var cells uint64
 	for _, row := range t.tiles {
 		for _, tp := range row {
 			cells += uint64(tp.pos.Rows)*uint64(tp.pos.Cols) + uint64(tp.neg.Rows)*uint64(tp.neg.Cols)
 		}
 	}
-	return writeCost(cells)
+	return hwcost.WriteCost(cells)
 }

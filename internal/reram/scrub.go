@@ -19,7 +19,11 @@
 // device window.
 package reram
 
-import "fmt"
+import (
+	"fmt"
+
+	"reramtest/internal/hwcost"
+)
 
 // window returns the device conductance window GOn−GOff.
 func (x *Crossbar) window() float64 { return x.dev.GOn - x.dev.GOff }
@@ -64,7 +68,7 @@ func (x *Crossbar) Scrub(tol float64) (scanned, rewritten int) {
 	}
 	// a scrub reads every healthy cell and pulses only the out-of-band ones —
 	// the cost profile that makes it the cheapest repair rung
-	x.counter.Charge(readCost(uint64(scanned)).Plus(writeCost(uint64(rewritten))))
+	x.counter.Charge(hwcost.ReadCost(uint64(scanned)).Plus(hwcost.WriteCost(uint64(rewritten))))
 	return scanned, rewritten
 }
 
@@ -102,7 +106,7 @@ func (x *Crossbar) RemapRow(i int) bool {
 		}
 		x.actual[idx] = g
 	}
-	x.counter.Charge(writeCost(uint64(x.Cols)))
+	x.counter.Charge(hwcost.WriteCost(uint64(x.Cols)))
 	return true
 }
 
@@ -118,7 +122,7 @@ func (x *Crossbar) ProgramCell(i, j int, g float64) {
 		a = clampG(g*x.r.LogNormal(0, x.dev.ProgramSigma), x.dev)
 	}
 	x.actual[idx] = a
-	x.counter.Charge(writeCost(1))
+	x.counter.Charge(hwcost.WriteCost(1))
 }
 
 // State returns the fault state of cell (i, j).

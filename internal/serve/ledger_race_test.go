@@ -9,9 +9,9 @@ import (
 	"reramtest/internal/engine"
 	"reramtest/internal/fleet"
 	"reramtest/internal/health"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/monitor"
 	"reramtest/internal/repair"
-	"reramtest/internal/reram"
 	"reramtest/internal/serve"
 	"reramtest/internal/tensor"
 )
@@ -32,10 +32,10 @@ type meteredDevice struct {
 }
 
 // repairCharge is what one rung application writes.
-var repairCharge = reram.Cost{CrossbarWrites: 64, EnergyFJ: 64 * reram.EnergyCellWriteFJ}
+var repairCharge = hwcost.Cost{CrossbarWrites: 64, EnergyFJ: 64 * hwcost.EnergyCellWriteFJ}
 
-func (d *meteredDevice) CostCounter() *reram.Counter { return d.eng.Counter() }
-func (d *meteredDevice) Repairer() health.Repairer   { return d }
+func (d *meteredDevice) CostCounter() *hwcost.Counter { return d.eng.Counter() }
+func (d *meteredDevice) Repairer() health.Repairer    { return d }
 
 func (d *meteredDevice) Infer() monitor.Infer {
 	return func(x *tensor.Tensor) *tensor.Tensor {
@@ -137,7 +137,7 @@ func TestLedgerExactUnderConcurrentServeMonitorRepair(t *testing.T) {
 		}(g)
 	}
 
-	var measured reram.Cost
+	var measured hwcost.Cost
 	for i := 0; i < 24; i++ {
 		parked, release := dev.parkNext()
 		var held sync.WaitGroup

@@ -51,9 +51,9 @@ import (
 	"time"
 
 	"reramtest/internal/fleet"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/journal"
 	"reramtest/internal/monitor"
-	"reramtest/internal/reram"
 	"reramtest/internal/tensor"
 )
 
@@ -132,7 +132,7 @@ type Response struct {
 	// answer (the winning device's serving-class counter delta; abandoned
 	// hedge attempts still charge their own device but are not reported
 	// here). Zero when the device is unmetered.
-	Cost reram.Cost
+	Cost hwcost.Cost
 }
 
 // Stats is a snapshot of the server's lifetime counters. For a drained
@@ -360,7 +360,7 @@ type attemptResult struct {
 	status monitor.Status
 	hedge  bool
 	retry  bool
-	cost   reram.Cost
+	cost   hwcost.Cost
 	err    error
 }
 
@@ -459,7 +459,7 @@ func (s *Server) launchAttempt(id string, status monitor.Status, hedge, retry bo
 
 // runOn executes one guarded serving inference on device id, validates the
 // answer and reports its measured hardware spend.
-func (s *Server) runOn(id string, x *tensor.Tensor) (probs *tensor.Tensor, cost reram.Cost, err error) {
+func (s *Server) runOn(id string, x *tensor.Tensor) (probs *tensor.Tensor, cost hwcost.Cost, err error) {
 	st := s.sup.Station(id)
 	if st == nil {
 		return nil, cost, fmt.Errorf("serve: router chose unknown device %q", id)
@@ -562,9 +562,9 @@ func (s *Server) Stats() Stats {
 // CostStats snapshots every station's cumulative hardware spend by
 // attribution class, keyed by device ID. Counters are read live (atomic
 // loads concurrent with serving); unmetered devices report zero.
-func (s *Server) CostStats() map[string]reram.CostBreakdown {
+func (s *Server) CostStats() map[string]hwcost.CostBreakdown {
 	ids := s.sup.DeviceIDs()
-	out := make(map[string]reram.CostBreakdown, len(ids))
+	out := make(map[string]hwcost.CostBreakdown, len(ids))
 	for _, id := range ids {
 		out[id] = s.sup.Station(id).CostCounter().Snapshot()
 	}

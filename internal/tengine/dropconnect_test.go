@@ -7,7 +7,6 @@ import (
 	"reramtest/internal/dataset"
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
-	"reramtest/internal/opt"
 	"reramtest/internal/rng"
 	"reramtest/internal/tengine"
 	"reramtest/internal/tensor"
@@ -27,7 +26,7 @@ func TestDropConnectSerialPooledBitIdentical(t *testing.T) {
 		net, train := dcToy(51)
 		eng := tengine.MustCompile(net, tengine.Options{MaxBatch: 16, Workers: workers})
 		dc := tengine.NewDropConnect(eng, 0.2, rng.New(52))
-		sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 0)
+		sgd := tengine.NewSGD(net.Params(), 0.05, 0.9, 0)
 		it := train.BatchIterator(16)
 		it.Reset(rng.New(53))
 		for i := 0; i < 12; i++ {

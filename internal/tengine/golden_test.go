@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"reramtest/internal/nn"
-	"reramtest/internal/opt"
 	"reramtest/internal/rng"
 	"reramtest/internal/tengine"
 	"reramtest/internal/tensor"
@@ -65,7 +64,7 @@ func TestGoldenGradsFixture(t *testing.T) {
 				net := m.build(rng.New(11))
 				opts.MaxBatch = n
 				eng := tengine.MustCompile(net, opts)
-				sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 1e-4)
+				sgd := tengine.NewSGD(net.Params(), 0.05, 0.9, 1e-4)
 				var g string
 				for step := 0; step < 5; step++ {
 					x, labels := randBatch(int64(200+10*n+step), n, net.InDim(), m.classes)
@@ -96,7 +95,7 @@ func TestGoldenGradsFixture(t *testing.T) {
 				net := m.build(rng.New(17))
 				opts.MaxBatch = n
 				dc := tengine.NewDropConnect(tengine.MustCompile(net, opts), 0.1, rng.New(19))
-				sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 1e-4)
+				sgd := tengine.NewSGD(net.Params(), 0.05, 0.9, 1e-4)
 				for step := 0; step < 5; step++ {
 					x, labels := randBatch(int64(400+10*n+step), n, net.InDim(), m.classes)
 					if _, err := dc.Step(x, labels); err != nil {

@@ -1,8 +1,10 @@
-// Package opt provides the gradient-descent optimizer used to train the
-// evaluation models and to drive the O-TP input-optimization loop
-// (Algorithm 1 of the paper updates the test pattern with plain SGD; model
-// training adds momentum and weight decay) and its learning-rate schedule.
-package opt
+// The gradient-descent optimizer that consumes a training plan's gradients:
+// it trains the evaluation models and drives the O-TP input-optimization
+// loop (Algorithm 1 of the paper updates the test pattern with plain SGD;
+// model training adds momentum and weight decay), with its learning-rate
+// schedule.
+
+package tengine
 
 import (
 	"fmt"
@@ -24,7 +26,7 @@ type SGD struct {
 // NewSGD builds an SGD optimizer over params. momentum=0 gives vanilla SGD.
 func NewSGD(params []*nn.Param, lr, momentum, weightDecay float64) *SGD {
 	if lr <= 0 {
-		panic(fmt.Sprintf("opt: SGD learning rate must be positive, got %v", lr))
+		panic(fmt.Sprintf("tengine: SGD learning rate must be positive, got %v", lr))
 	}
 	s := &SGD{params: params, lr: lr, momentum: momentum, decay: weightDecay}
 	if momentum != 0 {

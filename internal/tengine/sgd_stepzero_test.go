@@ -1,4 +1,4 @@
-package opt
+package tengine
 
 import (
 	"testing"

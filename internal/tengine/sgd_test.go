@@ -1,4 +1,4 @@
-package opt
+package tengine
 
 import (
 	"math"
@@ -7,7 +7,6 @@ import (
 	"reramtest/internal/engine"
 	"reramtest/internal/nn"
 	"reramtest/internal/rng"
-	"reramtest/internal/tengine"
 	"reramtest/internal/tensor"
 )
 
@@ -122,7 +121,7 @@ func TestOptimizersTrainRealNetwork(t *testing.T) {
 	net := nn.NewNetwork("xor", 2,
 		nn.NewDense("fc1", r, 2, 8), nn.NewReLU("r"), nn.NewDense("fc2", r, 8, 2))
 	sgd := NewSGD(net.Params(), 0.3, 0.9, 0)
-	eng := tengine.MustCompile(net, tengine.Options{Workers: 1})
+	eng := MustCompile(net, Options{Workers: 1})
 	for i := 0; i < 800; i++ {
 		if _, err := eng.ForwardBackward(x, y); err != nil {
 			t.Fatal(err)

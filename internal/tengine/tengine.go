@@ -20,9 +20,9 @@
 // sums and move those bits. See DESIGN.md §11.
 //
 // After ForwardBackward the batch gradient is stored into every Param.Grad
-// (overwriting, not accumulating), ready for opt.SGD.StepAndZero. An Engine is a single-goroutine object
-// like the layers it wraps; clone the network and compile per goroutine for
-// concurrent training.
+// (overwriting, not accumulating), ready for SGD.StepAndZero (sgd.go). An
+// Engine is a single-goroutine object like the layers it wraps; clone the
+// network and compile per goroutine for concurrent training.
 package tengine
 
 import (
@@ -62,15 +62,12 @@ type Options struct {
 	// input-gradient consumers (O-TP synthesis, FGSM) set this — Eq. 1 only
 	// ever reads dL/d(input).
 	NoParamGrads bool
-	// Counter receives the plan's modeled hardware charges; nil compiles a
-	// private one. Pass the owning device's counter (under ClassRepair for a
-	// retraining repair) so training spend lands on the device's meter. The
-	// type is identical to reram.Counter (an alias of hwcost.Counter).
+	// Counter receives the plan's modeled hardware charges, priced at the
+	// reference tile (hwcost.DefaultTileRows × hwcost.DefaultTileCols); nil
+	// compiles a private one. Pass the owning device's counter so training
+	// spend lands on the device's meter, booked to ClassRepair when the
+	// device's owner settles it after a retraining repair.
 	Counter *hwcost.Counter
-	// CostTileRows/CostTileCols supply the crossbar organisation the per-step
-	// cost is modeled against; ≤ 0 selects the hwcost defaults (which match
-	// reram.DefaultConfig()).
-	CostTileRows, CostTileCols int
 }
 
 // step is one compiled compute layer: its kernels, its workspaces, and the
@@ -147,8 +144,7 @@ func Compile(net *nn.Network, opts Options) (*Engine, error) {
 	// backward pass re-drives every layer twice (dL/d(input) plus the
 	// parameter-gradient fold), the standard accounting for in-situ training.
 	for _, s := range e.steps {
-		e.perStep.Add(hwcost.ModelLayerCost(s.layer, s.inVol, s.outVol,
-			opts.CostTileRows, opts.CostTileCols).Scale(3))
+		e.perStep.Add(hwcost.ModelLayerCost(s.layer, s.inVol, s.outVol).Scale(3))
 	}
 	if opts.MaxBatch > 0 {
 		e.setBatch(opts.MaxBatch)

@@ -13,8 +13,6 @@ import (
 	"reramtest/internal/hwcost"
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
-	"reramtest/internal/opt"
-	"reramtest/internal/reram"
 	"reramtest/internal/rng"
 	"reramtest/internal/tengine"
 	"reramtest/internal/tensor"
@@ -155,8 +153,8 @@ func TestTrainingRunBitIdentical(t *testing.T) {
 			serial := m.build(rng.New(5))
 			pooled := m.build(rng.New(5))
 			const steps, batch = 8, 7
-			sOpt := opt.NewSGD(serial.Params(), 0.05, 0.9, 1e-4)
-			pOpt := opt.NewSGD(pooled.Params(), 0.05, 0.9, 1e-4)
+			sOpt := tengine.NewSGD(serial.Params(), 0.05, 0.9, 1e-4)
+			pOpt := tengine.NewSGD(pooled.Params(), 0.05, 0.9, 1e-4)
 			se := tengine.MustCompile(serial, tengine.Options{Workers: 1, MaxBatch: batch})
 			pe := tengine.MustCompile(pooled, tengine.Options{Pool: pool, MaxBatch: batch})
 			for step := 0; step < steps; step++ {
@@ -226,7 +224,7 @@ func TestForwardBackwardEmptyBatch(t *testing.T) {
 	if _, err := eng.ForwardBackwardSoft(empty, tensor.New(0, 6)); !errors.Is(err, tengine.ErrEmptyBatch) {
 		t.Fatalf("ForwardBackwardSoft(empty) err = %v, want ErrEmptyBatch", err)
 	}
-	if spent := eng.Counter().Settle(reram.ClassServing); !spent.IsZero() {
+	if spent := eng.Counter().Settle(hwcost.ClassServing); !spent.IsZero() {
 		t.Fatal("empty batch charged the hardware counter")
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"reramtest/internal/faults"
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
-	"reramtest/internal/opt"
 	"reramtest/internal/rng"
 	"reramtest/internal/tengine"
 	"reramtest/internal/tensor"
@@ -25,7 +24,7 @@ func trainedToy(t *testing.T) (*nn.Network, *dataset.Dataset) {
 	cfg := dataset.DefaultDigitsConfig(600)
 	train := dataset.SynthDigits(100, cfg)
 	net := models.MLP(rng.New(3), train.SampleDim(), []int{48}, 10)
-	sgd := opt.NewSGD(net.Params(), 0.05, 0.9, 0)
+	sgd := tengine.NewSGD(net.Params(), 0.05, 0.9, 0)
 	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: 32})
 	r := rng.New(4)
 	for epoch := 0; epoch < 4; epoch++ {

@@ -9,7 +9,7 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
-	"reramtest/internal/reram"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/tensor"
 )
 
@@ -82,7 +82,7 @@ func ParseRequest(body []byte, inDim, maxRows int) (Request, error) {
 // format, so it is lenient where ParseRequest is strict: members come in any
 // order, the last of a repeated name wins, and everything else — "probs"
 // included — is validated and skipped. Every failure wraps ErrInvalid.
-func ParseResponse(body []byte) (degraded bool, cost reram.Cost, err error) {
+func ParseResponse(body []byte) (degraded bool, cost hwcost.Cost, err error) {
 	d := decoder{b: body}
 	err = d.document(func(key []byte) error {
 		switch string(key) {
@@ -121,7 +121,7 @@ func ParseResponse(body []byte) (degraded bool, cost reram.Cost, err error) {
 		return d.skip(0)
 	})
 	if err != nil {
-		return false, reram.Cost{}, err
+		return false, hwcost.Cost{}, err
 	}
 	return degraded, cost, nil
 }

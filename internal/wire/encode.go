@@ -9,7 +9,7 @@ import (
 	"strconv"
 	"unicode/utf8"
 
-	"reramtest/internal/reram"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/tensor"
 )
 
@@ -26,7 +26,7 @@ type Response struct {
 	// Cost is the measured hardware spend of the attempt that served this
 	// answer; clients summing it across completed requests reproduce the
 	// tier's per-tenant figure exactly (see netserve.CostStats).
-	Cost reram.Cost
+	Cost hwcost.Cost
 }
 
 // AppendRequest appends the request body for (tenant, priority, input) to

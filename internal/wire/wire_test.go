@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"reramtest/internal/reram"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/tensor"
 	"reramtest/internal/wire"
 	"reramtest/internal/wire/wiretest"
@@ -68,13 +68,13 @@ type jsonResponse struct {
 	Hedged   bool        `json:"hedged,omitempty"`
 	Retried  bool        `json:"retried,omitempty"`
 	Attempts int         `json:"attempts"`
-	Cost     reram.Cost  `json:"cost"`
+	Cost     hwcost.Cost `json:"cost"`
 }
 
 func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 	// every Cost field gets its own value, by reflection, so a field added to
 	// the ledger without a spelling here fails this test
-	var cost reram.Cost
+	var cost hwcost.Cost
 	cv := reflect.ValueOf(&cost).Elem()
 	for i := 0; i < cv.NumField(); i++ {
 		cv.Field(i).SetUint(math.MaxUint64 - uint64(i)*977)
@@ -126,7 +126,7 @@ func TestAppendRefusesNonFinite(t *testing.T) {
 
 func TestParseResponse(t *testing.T) {
 	const cost = `{"computeCycles":1,"dacConversions":2,"adcConversions":3,"crossbarReads":4,"crossbarWrites":5,"energyFJ":18446744073709551615,"bufferBytes":7}`
-	want := reram.Cost{ComputeCycles: 1, DACConversions: 2, ADCConversions: 3, CrossbarReads: 4, CrossbarWrites: 5, EnergyFJ: math.MaxUint64, BufferBytes: 7}
+	want := hwcost.Cost{ComputeCycles: 1, DACConversions: 2, ADCConversions: 3, CrossbarReads: 4, CrossbarWrites: 5, EnergyFJ: math.MaxUint64, BufferBytes: 7}
 	for name, body := range map[string]string{
 		"as netserve orders it":   `{"probs":[[0.25,0.75]],"shard":"s","device":"d","status":"DEGRADED","degraded":true,"attempts":1,"cost":` + cost + "}\n",
 		"any order, unknown kept": ` { "cost" : ` + cost + ` , "trace":{"cost":{"energyFJ":9},"degraded":[false,1e40]}, "degraded" : true , "probs":[] } `,
@@ -136,7 +136,7 @@ func TestParseResponse(t *testing.T) {
 			t.Errorf("%s: %v, %+v, %v", name, degraded, got, err)
 		}
 	}
-	if degraded, got, err := wire.ParseResponse([]byte(`{}`)); err != nil || degraded || got != (reram.Cost{}) {
+	if degraded, got, err := wire.ParseResponse([]byte(`{}`)); err != nil || degraded || got != (hwcost.Cost{}) {
 		t.Errorf("empty object: %v, %+v, %v", degraded, got, err)
 	}
 	for name, body := range map[string]string{
@@ -156,7 +156,7 @@ func TestParseResponse(t *testing.T) {
 		"bad skipped value":   `{"probs":[[0.5,]],"degraded":true}`,
 		"bad number in probs": `{"probs":[[0.5,1.]],"degraded":true}`,
 	} {
-		if degraded, got, err := wire.ParseResponse([]byte(body)); !errors.Is(err, wire.ErrInvalid) || degraded || got != (reram.Cost{}) {
+		if degraded, got, err := wire.ParseResponse([]byte(body)); !errors.Is(err, wire.ErrInvalid) || degraded || got != (hwcost.Cost{}) {
 			t.Errorf("%s: %v, %+v, %v, want ErrInvalid", name, degraded, got, err)
 		}
 	}
