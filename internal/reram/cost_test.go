@@ -10,6 +10,49 @@ import (
 	"reramtest/internal/tensor"
 )
 
+// TestCounterClassAttribution: the device ledger books one unit, two and
+// three to the three classes it is settled to, keeps a fourth pending, and
+// Restore drops the pending unit.
+func TestCounterClassAttribution(t *testing.T) {
+	c := hwcost.NewCounter()
+	one := hwcost.Cost{EnergyFJ: 1, CrossbarReads: 1}
+	c.Charge(one)
+	if got := c.Settle(hwcost.ClassServing); got != one {
+		t.Fatalf("Settle returned %+v, want %+v", got, one)
+	}
+	c.Charge(one.Scale(2))
+	c.Settle(hwcost.ClassMonitor)
+	c.Charge(one.Scale(3))
+	c.Settle(hwcost.ClassRepair)
+	c.Charge(one) // pending: not in any class yet
+	snap := c.Snapshot()
+	if snap.Serving != one || snap.Monitor != one.Scale(2) || snap.Repair != one.Scale(3) {
+		t.Fatalf("snapshot %+v", snap)
+	}
+	if snap.Total() != one.Scale(6) {
+		t.Fatalf("total %+v, want %+v", snap.Total(), one.Scale(6))
+	}
+
+	c.Restore(hwcost.CostBreakdown{Repair: one})
+	if got := c.Snapshot(); got != (hwcost.CostBreakdown{Repair: one}) || !c.Settle(hwcost.ClassServing).IsZero() {
+		t.Fatalf("after Restore: %+v", got)
+	}
+}
+
+// TestNilCounterIsNoOp: an accelerator with its meter detached holds a nil
+// counter, and every method on it must be a silent no-op.
+func TestNilCounterIsNoOp(t *testing.T) {
+	var c *hwcost.Counter
+	c.Charge(hwcost.Cost{EnergyFJ: 1})
+	c.Restore(hwcost.CostBreakdown{})
+	if !c.Settle(hwcost.ClassMonitor).IsZero() {
+		t.Fatal("nil counter settled a charge")
+	}
+	if !c.Snapshot().Total().IsZero() {
+		t.Fatal("nil counter snapshot not zero")
+	}
+}
+
 // TestCounterRaceSurface exercises every concurrent access the contract
 // allows under -race: one goroutine driving a metered device (MatVec +
 // RefreshReadout, the single-goroutine hot path), an unrelated charger, an
