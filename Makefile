@@ -188,8 +188,11 @@ crash-soak:
 # short coverage-guided pass over the journal record decoder, the snapshot
 # decoder, the f32-vs-f64 envelope of the two matmul kernels under the
 # engine's F32 plan, the register-tiled f64 matmul (every tile the host
-# runs) against the reference loop's bits, the fused conv → ReLU → max-pool
-# block against the three layers' unfused reference chain, the SSE2 2×2 pool
+# runs, and the Go fold) against the reference loop's bits, the convolution
+# read straight from its zero-bordered input (bare, or as the fused
+# conv → ReLU → max-pool block; rows on both sides of every tile's width and
+# half-width; strided through its im2col panel) against the layers' unfused
+# im2col reference chain, the SSE2 2×2 pool
 # kernel and its Go twin against the bounds-tested window sweep, the /v1/infer handler and the wire codec's
 # number scanner and shortest-digits renderer against strconv (committed
 # corpora seed all nine; go's fuzzer takes one target per invocation)

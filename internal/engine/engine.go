@@ -8,18 +8,19 @@
 //
 // On the default F64 tier a plan step is a layer, or a fused run: every
 // Conv2D, ReLU[, MaxPool2D] run the network holds compiles to one
-// nn.ConvBlock step — per sample im2col, then a register-tiled matmul that
-// stores bias + ReLU as it goes (tensor.MatMulBlockedBiasReLU, 4×16 AVX-512,
-// 4×8 AVX2 or 4×4 SSE2 by host), then tensor.ReLUMaxPool2x2's SSE2 2×2
-// maximum over the cache-hot ReLU'd product — so neither the convolution's
-// nor the ReLU's full-batch output exists. The pool fuses only when it is
-// 2×2, stride 2 and unpadded, as every pool of the paper models is; any
-// other pool is a step of its own. Dense layers run the same register tile,
-// four sample rows at a time (tensor.MatMulBlockedSlices). Rebind plans the
-// incoming network the same way and accepts it only if it lands on the
-// compiled steps one for one. PlanCost is summed over the unfused layers:
-// fusion changes where activations live, not what a crossbar would be
-// charged for them.
+// nn.ConvBlock step — per sample, the register tiles (4×16 AVX-512, 4×8 AVX2
+// or 4×4 SSE2 by host) read the sample straight from a zero-bordered copy of
+// it through the layer's row-offset table (tensor.ConvPlan; no im2col panel
+// is built) and store bias + ReLU as they go, one output row per sweep, then
+// tensor.ReLUMaxPool2x2's SSE2 2×2 maximum runs over the cache-hot ReLU'd
+// product — so neither the convolution's nor the ReLU's full-batch output
+// exists. The pool fuses only when it is 2×2, stride 2 and unpadded, as
+// every pool of the paper models is; any other pool is a step of its own.
+// Dense layers run the same register tiles, four sample rows at a time
+// (tensor.MatMulBlockedSlices). Rebind plans the incoming network the same
+// way and accepts it only if it lands on the compiled steps one for one.
+// PlanCost is summed over the unfused layers: fusion changes where
+// activations live, not what a crossbar would be charged for them.
 //
 // F64 outputs are the same bits whatever the batch size or worker count:
 // every kernel processes batch rows independently and folds each output

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -225,6 +226,55 @@ func TestRouterDispatchAvoiding(t *testing.T) {
 	r.Update([]RouteEntry{{ID: "a", Status: monitor.Healthy}})
 	if id, _, ok := r.DispatchAvoiding("a"); ok {
 		t.Fatalf("hedge with no alternate dispatched to %q", id)
+	}
+}
+
+// TestRouterPrefersIdleDevice pins idle-first placement: requests still in
+// flight push the next one onto an idle device, every device busy falls back
+// to the schedule slot at the cursor, and serial traffic walks the weighted
+// schedule slot by slot.
+func TestRouterPrefersIdleDevice(t *testing.T) {
+	r := NewRouter(1)
+	r.Update([]RouteEntry{{ID: "a", Status: monitor.Healthy}, {ID: "b", Status: monitor.Healthy}})
+	var got []string
+	for range 4 {
+		id, _, ok := r.Dispatch()
+		if !ok {
+			t.Fatal("shed with two serving devices")
+		}
+		got = append(got, id)
+	}
+	// a then b while a is busy; then both busy: the slots at the cursor,
+	// b (slot 3) and a (slot 0)
+	if want := "a b b a"; strings.Join(got, " ") != want {
+		t.Fatalf("dispatches without completion = %v, want %s", got, want)
+	}
+	for _, id := range got {
+		r.Complete(id)
+	}
+
+	r = NewRouter(1)
+	r.Update([]RouteEntry{{ID: "a", Status: monitor.Healthy}, {ID: "b", Status: monitor.Healthy},
+		{ID: "d", Status: monitor.Degraded}})
+	got = got[:0]
+	for range 10 {
+		id, _, _ := r.Dispatch()
+		got = append(got, id)
+		r.Complete(id)
+	}
+	if want := "a a b b d a a b b d"; strings.Join(got, " ") != want {
+		t.Fatalf("serial dispatches = %v, want the schedule in order: %s", got, want)
+	}
+
+	// the avoided device is never the idle pick: with b busy and a avoided,
+	// the retry still lands on d, the one idle device left
+	id1, _, _ := r.Dispatch() // a (slot 0), cursor at slot 1
+	id2, _, _ := r.Dispatch() // slot 1 is a, busy: b at slot 2
+	if id1 != "a" || id2 != "b" {
+		t.Fatalf("two concurrent dispatches = %s, %s; want a, b", id1, id2)
+	}
+	if id, _, ok := r.DispatchAvoiding("a"); !ok || id != "d" {
+		t.Fatalf("retry avoiding a with b busy = %q (ok %v), want the idle d", id, ok)
 	}
 }
 

@@ -24,12 +24,20 @@ type RouteEntry struct {
 }
 
 // Router dispatches inference requests across the serving members of the
-// fleet with health-aware weighting: a Healthy accelerator receives twice
-// the share of a Degraded-but-serving one, and devices the health layer has
-// condemned (Impaired/Critical, quarantined, retired) receive nothing — the
+// fleet with health-aware weighting: a Healthy accelerator holds twice the
+// schedule slots of a Degraded-but-serving one, and devices the health layer
+// has condemned (Impaired/Critical, quarantined, retired) hold none — the
 // supervisor never even offers them. When fewer than minServing devices
 // remain the router sheds load outright rather than overdriving survivors or
 // routing into known-bad silicon.
+//
+// Placement is idle first: a request takes the first slot at or after the
+// cursor whose device has nothing in flight, and only when every device is
+// busy the slot at the cursor, so a request never queues behind a busy
+// device while another idles. Serial traffic (each request completed before
+// the next) sees every device idle and walks the schedule slot by slot, in
+// exactly the weighted shares; under concurrency the shares bend toward
+// whichever devices finish first.
 //
 // The router also carries per-device in-flight counts so a device leaving
 // the serving set drains visibly: no new requests land on it, and the
@@ -133,12 +141,26 @@ func (r *Router) DispatchAvoiding(avoid string) (id string, status monitor.Statu
 func (r *Router) DispatchAvoidingErr(avoid string) (id string, status monitor.Status, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for probe := 0; probe < len(r.schedule); probe++ {
-		candidate := r.schedule[r.cursor]
-		r.cursor = (r.cursor + 1) % len(r.schedule)
+	// idle first: the first slot at or after the cursor whose device has no
+	// request in flight, else the first slot that is not avoided
+	pick := -1
+	for probe := range r.schedule {
+		slot := (r.cursor + probe) % len(r.schedule)
+		candidate := r.schedule[slot]
 		if candidate == avoid {
 			continue
 		}
+		if pick < 0 {
+			pick = slot
+		}
+		if r.inflight[candidate] == 0 {
+			pick = slot
+			break
+		}
+	}
+	if pick >= 0 {
+		candidate := r.schedule[pick]
+		r.cursor = (pick + 1) % len(r.schedule)
 		r.inflight[candidate]++
 		r.routed++
 		return candidate, r.status[candidate], nil

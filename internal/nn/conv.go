@@ -7,7 +7,7 @@ import (
 	"reramtest/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over (C, H, W) feature maps, implemented as
+// Conv2D is a 2-D convolution over (C, H, W) feature maps, defined as
 // im2col + matmul. The kernel is stored as a (OutC, InC*KH*KW) matrix — the
 // same flattened layout the ReRAM crossbar mapper consumes, so a trained
 // layer maps onto crossbar tiles without reshuffling.
@@ -15,8 +15,9 @@ type Conv2D struct {
 	name   string
 	geom   tensor.ConvGeom
 	outC   int
-	weight *Param // (OutC, InC*KH*KW)
-	bias   *Param // (OutC)
+	weight *Param           // (OutC, InC*KH*KW)
+	bias   *Param           // (OutC)
+	plan   *tensor.ConvPlan // the forward pass's row-offset table, fixed by geom
 }
 
 // NewConv2D builds a convolution layer with He-initialised weights.
@@ -35,6 +36,7 @@ func NewConv2D(name string, r *rng.RNG, geom tensor.ConvGeom, outC int) *Conv2D 
 		outC:   outC,
 		weight: newParam(name+".weight", w),
 		bias:   newParam(name+".bias", tensor.New(outC)),
+		plan:   tensor.NewConvPlan(geom, outC),
 	}
 }
 
@@ -63,6 +65,7 @@ func (c *Conv2D) Clone() Layer {
 		outC:   c.outC,
 		weight: c.weight.clone(),
 		bias:   c.bias.clone(),
+		plan:   c.plan,
 	}
 }
 

@@ -4,10 +4,11 @@ import "reramtest/internal/tensor"
 
 // ConvBlock is a Conv2D run as one inference step with the ReLU, and the
 // 2×2 max-pool if there is one, that follow it in the network: per sample,
-// im2col → register-tiled matmul storing bias + ReLU (→ tensor.ReLUMaxPool2x2
-// over the cache-hot ReLU'd product), so neither the convolution's nor the
-// ReLU's full-batch output is ever written. It implements BatchInfer with the
-// bits of the layers' ForwardBatchRange chain.
+// the register tiles read the (bordered) input through the layer's
+// tensor.ConvPlan and store bias + ReLU (→ tensor.ReLUMaxPool2x2 over the
+// cache-hot ReLU'd product), so neither the convolution's nor the ReLU's
+// full-batch output is ever written. It implements BatchInfer with the bits
+// of the layers' ForwardBatchRange chain.
 type ConvBlock struct {
 	conv *Conv2D
 	pool bool // false: the block ends at the ReLU
@@ -48,8 +49,9 @@ func (b *ConvBlock) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, scratch
 	b.conv.forwardRange(dst, x, lo, hi, scratch, true, b.pool)
 }
 
-// InferScratch implements BatchInfer: the im2col column matrix, plus one
-// sample's convolution output when a pool reads it instead of dst.
+// InferScratch implements BatchInfer: the convolution's scratch (the
+// bordered input copy, or the im2col panel of a strided convolution), plus
+// one sample's convolution output when a pool reads it instead of dst.
 func (b *ConvBlock) InferScratch() int {
 	n := b.conv.InferScratch()
 	if b.pool {
@@ -58,21 +60,20 @@ func (b *ConvBlock) InferScratch() int {
 	return n
 }
 
-// forwardRange is the conv sample loop of the inference path: im2col, then a
-// register-tiled kernel with MatMulSlices's per-element fold, on the
-// sample's (OutC, spatial) product. A bare Conv2D
-// stores the product (tensor.MatMulBlockedSlices) and adds the bias; a block
-// stores bias + ReLU straight from the tile (tensor.MatMulBlockedBiasReLU),
-// into dst or, before the pool, into a scratch panel that
-// tensor.ReLUMaxPool2x2 pools into dst. scratch holds the column matrix and,
-// with a pool, that panel.
+// forwardRange is the conv sample loop of the inference path: the layer's
+// tensor.ConvPlan convolves each sample straight from its input — a
+// zero-bordered copy of it when padded, its im2col panel when strided — on
+// the register tiles, with MatMulSlices's per-element fold. A bare Conv2D
+// stores the product plus the bias; a block stores bias + ReLU straight from
+// the tile, into dst or, before the pool, into a scratch panel that
+// tensor.ReLUMaxPool2x2 pools into dst. scratch holds the plan's scratch
+// and, with a pool, that panel.
 func (c *Conv2D) forwardRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64, relu, pool bool) {
 	inVol := c.sampleVolume()
 	outH, outW := c.geom.OutH(), c.geom.OutW()
-	spatial := outH * outW
-	ckk := c.geom.InC * c.geom.KH * c.geom.KW
-	convVol := c.outC * spatial
-	outVol, need := convVol, ckk*spatial
+	convVol := c.outC * outH * outW
+	planVol := c.plan.Scratch()
+	outVol, need := convVol, planVol
 	if pool {
 		outVol = c.outC * (outH / 2) * (outW / 2)
 		need += convVol
@@ -82,26 +83,16 @@ func (c *Conv2D) forwardRange(dst, x *tensor.Tensor, lo, hi int, scratch []float
 	if len(scratch) < need {
 		panic("nn: Conv2D.ForwardBatchRange scratch too small")
 	}
-	cols := scratch[:ckk*spatial]
+	ps := scratch[:planVol]
 	xd, od, wd, bd := x.Data(), dst.Data(), c.weight.Value.Data(), c.bias.Value.Data()
 	for s := lo; s < hi; s++ {
-		tensor.Im2ColInto(cols, xd[s*inVol:(s+1)*inVol], c.geom)
-		out := od[s*outVol : (s+1)*outVol]
-		switch {
-		case pool:
-			panel := scratch[ckk*spatial : need]
-			tensor.MatMulBlockedBiasReLU(panel, wd, cols, bd, c.outC, ckk, spatial)
+		in, out := xd[s*inVol:(s+1)*inVol], od[s*outVol:(s+1)*outVol]
+		if pool {
+			panel := scratch[planVol:need]
+			c.plan.Forward(panel, wd, in, bd, ps, true)
 			tensor.ReLUMaxPool2x2(out, panel, c.outC, outH, outW)
-		case relu:
-			tensor.MatMulBlockedBiasReLU(out, wd, cols, bd, c.outC, ckk, spatial)
-		default:
-			tensor.MatMulBlockedSlices(out, wd, cols, c.outC, ckk, spatial)
-			for oc, b := range bd {
-				row := out[oc*spatial : (oc+1)*spatial]
-				for i := range row {
-					row[i] += b
-				}
-			}
+			continue
 		}
+		c.plan.Forward(out, wd, in, bd, ps, relu)
 	}
 }

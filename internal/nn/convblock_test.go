@@ -54,15 +54,16 @@ func pool2x2(g tensor.ConvGeom) bool {
 		g.InH >= 2 && g.InW >= 2
 }
 
-// blockVsChain builds conv (→ ReLU → pool when pool is non-nil) with salted
-// weights, biases and inputs and holds the engine's steps for it to the bits
-// of the layers' reference chain (refChain: Im2ColInto + MatMulSlices + bias,
-// then v > 0 ? v : +0, then the bounds-tested window sweep), over the whole
-// batch and assembled from row ranges: FuseConvBlock must fuse the pool
-// exactly when pool2x2 says so, and any other pool runs as its own MaxPool2D
-// step behind the conv → ReLU block.
+// blockVsChain builds conv (→ ReLU → pool when pool is non-nil; the bare
+// convolution, its own step, without relu) with salted weights, biases and
+// inputs and holds the engine's steps for it to the bits of the layers'
+// reference chain (refChain: Im2ColInto + MatMulSlices + bias, then
+// v > 0 ? v : +0, then the bounds-tested window sweep), over the whole batch
+// and assembled from row ranges: FuseConvBlock must fuse the pool exactly
+// when pool2x2 says so, and any other pool runs as its own MaxPool2D step
+// behind the conv → ReLU block.
 // The first bias is −0, the one addend that can turn a +0 product negative.
-func blockVsChain(t *testing.T, seed int64, cg tensor.ConvGeom, outC int, pg *tensor.ConvGeom, classes uint8) {
+func blockVsChain(t *testing.T, seed int64, cg tensor.ConvGeom, outC int, pg *tensor.ConvGeom, classes uint8, relu bool) {
 	t.Helper()
 	r := rng.New(seed)
 	conv := NewConv2D("c", r, cg, outC)
@@ -77,22 +78,28 @@ func blockVsChain(t *testing.T, seed int64, cg tensor.ConvGeom, outC int, pg *te
 	if pg != nil {
 		layers = append(layers, NewMaxPool2D("p", *pg))
 	}
+	if !relu {
+		layers = layers[:1]
+	}
 	const n = 3
 	x := tensor.Randn(r, 0, 1, n, conv.sampleVolume())
 	salt(r, x.Data(), classes)
 
 	want := refChain(layers, x)
-	blk, k := FuseConvBlock(layers)
-	wantK := 2
-	if pg != nil && pool2x2(*pg) {
-		wantK = 3
-	}
-	if k != wantK {
-		t.Fatalf("FuseConvBlock took %d of %d layers, want %d for pool %+v", k, len(layers), wantK, pg)
-	}
-	steps := []BatchInfer{blk}
-	if k < len(layers) {
-		steps = append(steps, layers[k].(*MaxPool2D))
+	steps := []BatchInfer{conv}
+	if relu {
+		blk, k := FuseConvBlock(layers)
+		wantK := 2
+		if pg != nil && pool2x2(*pg) {
+			wantK = 3
+		}
+		if k != wantK {
+			t.Fatalf("FuseConvBlock took %d of %d layers, want %d for pool %+v", k, len(layers), wantK, pg)
+		}
+		steps = []BatchInfer{blk}
+		if k < len(layers) {
+			steps = append(steps, layers[k].(*MaxPool2D))
+		}
 	}
 	outVol := want.Len() / n
 	mid := tensor.New(n, outC*cg.OutH()*cg.OutW())
@@ -116,19 +123,21 @@ func blockVsChain(t *testing.T, seed int64, cg tensor.ConvGeom, outC int, pg *te
 	requireSameBits(t, "conv block steps by row ranges", ranged.Data(), want.Data())
 }
 
-// TestConvBlockMatchesChain holds the conv → ReLU → max-pool steps to the
-// three layers' reference chain, bit for bit, over the pool geometries of
-// TestMaxPoolBatchRangeTable and a fused 2×2 pool over an odd 5×7 map, fed
-// by a 3×3 same-size convolution of five output channels (a register tile
-// plus a ragged row), with every salt class mixed in and with none.
+// TestConvBlockMatchesChain holds the conv → ReLU → max-pool steps, and the
+// bare convolution, to the layers' reference chain, bit for bit, over the
+// pool geometries of TestMaxPoolBatchRangeTable and a fused 2×2 pool over an
+// odd 5×7 map, fed by a 3×3 same-size convolution of five output channels (a
+// register tile plus a ragged row), with every salt class mixed in and with
+// none.
 func TestConvBlockMatchesChain(t *testing.T) {
 	odd := tensor.ConvGeom{InH: 5, InW: 7, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
 	for gi, pg := range append(poolTableGeoms[:len(poolTableGeoms):len(poolTableGeoms)], odd) {
 		pg.InC = 5
 		cg := tensor.ConvGeom{InC: 2, InH: pg.InH, InW: pg.InW, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 		for _, classes := range []uint8{0, 0x1f} {
-			blockVsChain(t, int64(10+gi), cg, pg.InC, &pg, classes)
-			blockVsChain(t, int64(20+gi), cg, pg.InC, nil, classes)
+			blockVsChain(t, int64(10+gi), cg, pg.InC, &pg, classes, true)
+			blockVsChain(t, int64(20+gi), cg, pg.InC, nil, classes, true)
+			blockVsChain(t, int64(30+gi), cg, pg.InC, nil, classes, false)
 		}
 	}
 }
@@ -305,16 +314,19 @@ func FuzzReLUMaxPool2x2(f *testing.F) {
 // FuzzConvBlockVsChain holds the conv block, and the pool step behind it when
 // the pool is not fused, to the reference chain's bits on fuzzer-chosen
 // convolution and pool geometries — kernels, strides and paddings of 1..3 (a
-// padding may exceed its window), outputs on both sides of the register
-// tile's thresholds, odd maps under a fused 2×2 pool — with salted operands;
-// blockVsChain asserts the pool is fused exactly when it is 2×2, stride 2 and
-// unpadded. pool == 0 builds conv → ReLU only. The committed corpus under
-// testdata/fuzz names the cases.
+// padding may exceed its window), inputs up to 68 columns wide so output rows
+// fall on both sides of every tile's width and half-width, odd maps under a
+// fused 2×2 pool — with salted operands; blockVsChain asserts the pool is
+// fused exactly when it is 2×2, stride 2 and unpadded. pool&1 == 0 builds
+// conv → ReLU only, classes bit 5 the bare convolution. The committed corpus
+// under testdata/fuzz names the cases.
 func FuzzConvBlockVsChain(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, shape, convWin, pool, poolWin, classes uint8) {
-		// shape: inC 1..2 | inH 1..8 | inW 1..8 | outC 1..6 over its bits
-		cg := tensor.ConvGeom{InC: int(shape&1) + 1, InH: int(shape>>1&7) + 1, InW: int(shape>>4&7) + 1}
+		// shape: inC 1..2 | inH 1..8 | inW 1..8 | outC 1..6 over its bits;
+		// pool bits 3..6 widen the input by 4 columns each
+		cg := tensor.ConvGeom{InC: int(shape&1) + 1, InH: int(shape>>1&7) + 1,
+			InW: int(shape>>4&7) + 1 + 4*int(pool>>3&15)}
 		outC := int(shape>>7) + int(convWin>>6) + 1 + int(pool>>7)*2
 		// convWin: k 1..3, stride 1..2, pad 0..3 (square); poolWin likewise per axis
 		cg.KH, cg.KW = int(convWin&3)%3+1, int(convWin&3)%3+1
@@ -333,6 +345,6 @@ func FuzzConvBlockVsChain(f *testing.F) {
 				t.Skip("degenerate pool")
 			}
 		}
-		blockVsChain(t, seed, cg, outC, pg, classes)
+		blockVsChain(t, seed, cg, outC, pg, classes, classes>>5&1 == 0)
 	})
 }

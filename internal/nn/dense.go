@@ -15,6 +15,7 @@ type Dense struct {
 	out    int
 	weight *Param    // (In, Out)
 	bias   *Param    // (Out)
+	rows   []int     // tensor.RowOffsets(In, Out): the forward pass reads weight through it
 	wT     []float64 // (Out, In) transposed-weight cache for the train dx kernel
 }
 
@@ -30,6 +31,7 @@ func NewDense(name string, r *rng.RNG, in, out int) *Dense {
 		out:    out,
 		weight: newParam(name+".weight", w),
 		bias:   newParam(name+".bias", tensor.New(out)),
+		rows:   tensor.RowOffsets(in, out),
 	}
 }
 
@@ -50,5 +52,5 @@ func (d *Dense) OutputShape([]int) []int { return []int{d.out} }
 
 // Clone deep-copies the layer.
 func (d *Dense) Clone() Layer {
-	return &Dense{name: d.name, in: d.in, out: d.out, weight: d.weight.clone(), bias: d.bias.clone()}
+	return &Dense{name: d.name, in: d.in, out: d.out, weight: d.weight.clone(), bias: d.bias.clone(), rows: d.rows}
 }

@@ -28,9 +28,10 @@ import (
 // and a 2×2 stride-2 max-pool behind it, held to the bits of the three
 // layers' ForwardBatchRange chain. The convolution sample loop lives there
 // once; Conv2D's own ForwardBatchRange is that loop with no activation
-// behind it, and ReLU's shares its branch-free comparison. Conv2D and Dense
-// both run the register-tiled tensor.MatMulBlockedSlices, whose zero-skip
-// argument makes it MatMulSlices's bits.
+// behind it, and ReLU's shares its branch-free comparison. Conv2D (through
+// tensor.ConvPlan, which reads the im2col panel's values in place from the
+// input) and Dense (tensor.MatMulBlockedSlices) both run the register tiles,
+// whose zero-skip argument makes them MatMulSlices's bits.
 type BatchInfer interface {
 	ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64)
 	// InferScratch returns the per-call scratch requirement in float64s.
@@ -39,15 +40,21 @@ type BatchInfer interface {
 
 // ForwardBatchRange implements BatchInfer: y = x·W + b for rows [lo, hi),
 // through tensor.MatMulBlockedSlices — MatMulSlices's per-element fold, four
-// sample rows per register tile, so a zero activation facing a non-finite
-// weight sends its 4-row block back to MatMulSlices; fewer than four rows
-// take MatMulSlices directly — then the per-column bias loop.
+// sample rows per register tile reading the weight matrix through the
+// layer's row-offset table, so a zero activation facing a non-finite weight
+// sends its 4-row block back to the Go fold; fewer than four rows (every
+// one-row request) take MatMulSlices directly — then the per-column bias
+// loop.
 // The train engine's dense forward (TrainForwardRange) is this call.
 func (d *Dense) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64) {
 	tensor.AssertDims("Dense.ForwardBatchRange x", x, tensor.Wildcard, d.in)
 	tensor.AssertDims("Dense.ForwardBatchRange dst", dst, x.Dim(0), d.out)
-	od := dst.Data()[lo*d.out : hi*d.out]
-	tensor.MatMulBlockedSlices(od, x.Data()[lo*d.in:hi*d.in], d.weight.Value.Data(), hi-lo, d.in, d.out)
+	od, xd := dst.Data()[lo*d.out:hi*d.out], x.Data()[lo*d.in:hi*d.in]
+	if hi-lo < 4 {
+		tensor.MatMulSlices(od, xd, d.weight.Value.Data(), hi-lo, d.in, d.out)
+	} else {
+		tensor.MatMulBlockedSlices(od, xd, d.weight.Value.Data(), d.rows, hi-lo, d.out)
+	}
 	bd := d.bias.Value.Data()
 	for s := 0; s < hi-lo; s++ {
 		row := od[s*d.out : (s+1)*d.out]
@@ -60,17 +67,17 @@ func (d *Dense) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, _ []float64
 // InferScratch implements BatchInfer: dense layers need no scratch.
 func (d *Dense) InferScratch() int { return 0 }
 
-// ForwardBatchRange implements BatchInfer: im2col + matmul + bias per sample
-// for rows [lo, hi), the conv sample loop (forwardRange) with no activation
-// behind it. scratch holds one (InC*KH*KW, OutH*OutW) column matrix.
+// ForwardBatchRange implements BatchInfer: convolution + bias per sample for
+// rows [lo, hi), the conv sample loop (forwardRange) with no activation
+// behind it. scratch holds InferScratch() float64s.
 func (c *Conv2D) ForwardBatchRange(dst, x *tensor.Tensor, lo, hi int, scratch []float64) {
 	c.forwardRange(dst, x, lo, hi, scratch, false, false)
 }
 
-// InferScratch implements BatchInfer: one im2col column matrix.
-func (c *Conv2D) InferScratch() int {
-	return c.geom.InC * c.geom.KH * c.geom.KW * c.geom.OutH() * c.geom.OutW()
-}
+// InferScratch implements BatchInfer: the plan's zero-bordered copy of one
+// sample (InC·(InH+2·PadH)·(InW+2·PadW); none when unpadded), or one im2col
+// panel for a strided convolution.
+func (c *Conv2D) InferScratch() int { return c.plan.Scratch() }
 
 // ForwardBatchRange implements BatchInfer: the window sweep. A window's
 // maximum is its first in-bounds element, then any strictly greater one, so

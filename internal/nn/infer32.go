@@ -82,7 +82,9 @@ func (c *Conv2D) LoadParamsF32(dst []float32) {
 }
 
 // InferScratchF32 implements BatchInferF32: one f32 im2col column matrix.
-func (c *Conv2D) InferScratchF32() int { return c.InferScratch() }
+func (c *Conv2D) InferScratchF32() int {
+	return c.geom.InC * c.geom.KH * c.geom.KW * c.geom.OutH() * c.geom.OutW()
+}
 
 // ForwardBatchRangeF32 implements BatchInferF32: f32 im2col + f32 matmul per
 // sample, same window and sample order as the f64 path.

@@ -27,10 +27,11 @@ func MatMul(a, b *Tensor) *Tensor {
 // There are two f64 forward a·b kernels with this one per-element fold.
 // MatMulSlices is the reference loop: every tensor-level matmul (MatMul,
 // ParallelMatMul) lands here, and the golden-equivalence suites compare
-// against it. MatMulBlockedSlices is the
-// register-tiled kernel both engines' forward passes run, for Conv2D (a is
-// the weight matrix, b one sample's im2col panel) and for Dense (a is the
-// sample rows, b the weight matrix); off amd64 it is this loop.
+// against it. The blocked products (MatMulBlockedSlices for Dense, a the
+// sample rows and b the weight matrix; ConvPlan for Conv2D, a the weight
+// matrix and b one sample's im2col panel read in place) are the
+// register-tiled kernel both engines' forward passes run; off amd64 they are
+// this loop reading b through a row-offset table.
 func MatMulSlices(dst, a, b []float64, m, k, n int) {
 	if len(a) != m*k || len(b) != k*n || len(dst) != m*n {
 		panic(fmt.Sprintf("tensor: MatMulSlices length mismatch dst=%d a=%d b=%d for (%d×%d)·(%d×%d)",
@@ -67,25 +68,6 @@ func ReLUBits(v float64) uint64 {
 		b = 0
 	}
 	return b
-}
-
-// biasReLURows is the scalar epilogue of MatMulBlockedBiasReLU: each row i of
-// the row-major (len(bias)×n) dst becomes ReLU(row + bias[i]). An empty bias
-// leaves dst alone.
-func biasReLURows(dst, bias []float64, n int) {
-	for i, b := range bias {
-		row := dst[i*n : (i+1)*n]
-		for j, v := range row {
-			row[j] = math.Float64frombits(ReLUBits(v + b))
-		}
-	}
-}
-
-// checkBias panics unless bias holds one entry per row of an m-row product.
-func checkBias(bias []float64, m int) {
-	if len(bias) != m {
-		panic(fmt.Sprintf("tensor: MatMulBlockedBiasReLU has %d biases for %d rows", len(bias), m))
-	}
 }
 
 // MatMulTransBSlices is the raw dst = a·bᵀ kernel over bare slices: a is m×k,

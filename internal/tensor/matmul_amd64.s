@@ -1,19 +1,29 @@
-// Register tiles behind MatMulBlockedSlices and MatMulBlockedBiasReLU, and
-// the CPUID probes that choose between them. One row-kernel call computes four
-// whole rows of dst = a·b in 4-row register tiles: per p, the vectors
-// b[p, j..] are loaded once and each of the four a[i, p] is broadcast and
-// folded in with a packed multiply and a packed add. Every output element
-// starts at +0 and receives its products for p ascending, one rounded multiply
-// and one rounded add per term — no FMA, no reassociation — which is
-// MatMulSlices's chain for that element except that a zero a[i, p] is
-// multiplied instead of skipped (see MatMulBlockedSlices for why that is the
-// same bits whenever the result is finite).
+// Register tiles behind MatMulBlockedSlices and ConvPlan, and the CPUID
+// probes that choose between them. One row-kernel call computes four rows of
+// dst = a·B in 4-row register tiles, where a is 4×k and row p of B is read at
+// b[off[p] + j]: the row-offset table lets B be a contiguous matrix (off[p] =
+// p·n) or the windows of a zero-bordered convolution input read in place
+// (off[p] = c·Hp·Wp + kh·Wp + kw). Per p, the vectors B[p, j..] are loaded
+// once and each of the four a[i, p] is broadcast and folded in with a packed
+// multiply and a packed add. Every output element starts at +0 and receives
+// its products for p ascending, one rounded multiply and one rounded add per
+// term — no FMA, no reassociation — which is MatMulSlices's chain for that
+// element except that a zero a[i, p] is multiplied instead of skipped (see
+// MatMulBlockedSlices for why that is the same bits whenever the result is
+// finite).
 //
 // Each tile tests its raw accumulators for ±Inf/NaN, then, given a bias for
 // its four rows, stores max(acc + bias[i], +0) — the packed add, then MAXPD
 // against +0, which returns its second operand when the first is NaN or both
 // are zeros: ReLU's v > 0 ? v : +0 on every value — and otherwise stores the
-// accumulators as they are.
+// accumulators as they are. Row i of dst starts ldd elements after row i−1.
+//
+// A tile is two halves, one vector register of columns each. The upper half
+// reads B hi elements, and stores dst dhi elements, past the lower: with both
+// equal to the half's width the tile is one run of contiguous columns; with
+// both a row's width minus the half's, a row narrower than a tile is covered
+// by two overlapping halves; with hi the distance between two bands of B and
+// dhi the half's width, one tile covers two output rows as wide as a half.
 //
 // matmulRows4 is the SSE2 tile, 4 columns in eight XMM accumulators; SSE2 is
 // part of the amd64 baseline. matmulRows4AVX2 is the same fold 8 columns wide
@@ -48,25 +58,29 @@
 	MAXPD    X13, ACC0; \
 	MAXPD    X13, ACC1
 
-// func matmulRows4(dst, a, b, bias []float64, k, n int) (nonFinite bool)
-// dst is 4×n, a is 4×k, b is k×n, all row-major; bias is empty or holds the
-// four rows' biases; the caller guarantees the lengths and n >= 4. Columns
-// [0, n&^3) are covered by n/4 tiles; a ragged remainder by one more tile at
-// column n−4, which recomputes up to three columns to the same bits. Reports
-// whether any accumulator, before the bias, is ±Inf/NaN.
-TEXT ·matmulRows4(SB), NOSPLIT, $0-113
-	MOVQ dst_base+0(FP), DI // tile cursor in dst row 0
+// func matmulRows4(dst, a, b, bias []float64, off []int, n, ldd, hi, dhi int) (nonFinite bool)
+// dst holds four rows at stride ldd, a is 4×k row-major with k = len(off),
+// row p of B is read from b at off[p]; bias is empty or holds the four rows'
+// biases; each tile is two halves of 2 columns, hi and dhi apart (see
+// above); the caller guarantees every access is in bounds and n >= 4. Tiles
+// start at columns 0, 4, ..., n&^3 − 4; a ragged remainder is covered by one
+// more tile at column n−4, which recomputes up to three columns to the same
+// bits. Reports whether any accumulator, before the bias, is ±Inf/NaN.
+TEXT ·matmulRows4(SB), NOSPLIT, $0-153
+	MOVQ dst_base+0(FP), DI  // tile cursor in dst row 0
 	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), BX  // tile cursor in b row 0
-	MOVQ k+96(FP), CX
-	MOVQ n+104(FP), DX
-	MOVQ DX, R9
-	SHRQ $2, R9             // whole tiles
-	SHLQ $3, DX             // row stride of b and dst in bytes
-	LEAQ (DX)(DX*2), AX     // 3 rows of dst
+	MOVQ b_base+48(FP), BX   // tile cursor: column j of B, before the row offset
+	MOVQ off_len+104(FP), CX // k
+	MOVQ n+120(FP), R9
+	SHRQ $2, R9              // whole tiles
+	MOVQ ldd+128(FP), DX
+	SHLQ $3, DX              // row stride of dst in bytes
+	LEAQ (DX)(DX*2), AX      // 3 rows of dst
 	MOVQ CX, R8
 	SHLQ $3, R8             // row stride of a in bytes
 	LEAQ (R8)(R8*2), R13    // 3 rows of a
+	MOVQ hi+136(FP), R15
+	SHLQ $3, R15            // the upper half's columns, in bytes past the lower's
 	XORPS X12, X12
 	XORPS X13, X13
 
@@ -79,20 +93,22 @@ tile:
 	XORPS X5, X5
 	XORPS X6, X6
 	XORPS X7, X7
-	MOVQ  BX, R10 // &b[p, j]
-	MOVQ  SI, R11 // &a[0, p]
+	MOVQ  off_base+96(FP), R10 // &off[p]
+	MOVQ  SI, R11              // &a[0, p]
 	MOVQ  CX, R12
 	TESTQ R12, R12
 	JZ    epilogue
 
 ploop:
-	MOVUPD (R10), X8
-	MOVUPD 16(R10), X9
+	MOVQ   (R10), R14
+	LEAQ   (BX)(R14*8), R14 // &B[p, j]
+	MOVUPD (R14), X8
+	MOVUPD (R14)(R15*1), X9
 	ROW((R11), X0, X1)
 	ROW((R11)(R8*1), X2, X3)
 	ROW((R11)(R8*2), X4, X5)
 	ROW((R11)(R13*1), X6, X7)
-	ADDQ   DX, R10
+	ADDQ   $8, R10
 	ADDQ   $8, R11
 	DECQ   R12
 	JNZ    ploop
@@ -116,14 +132,16 @@ epilogue:
 	RELU(24(R10), X6, X7)
 
 store:
+	MOVQ   dhi+144(FP), R11
+	LEAQ   (DI)(R11*8), R11 // the upper half's place in dst row 0
 	MOVUPD X0, (DI)
-	MOVUPD X1, 16(DI)
+	MOVUPD X1, (R11)
 	MOVUPD X2, (DI)(DX*1)
-	MOVUPD X3, 16(DI)(DX*1)
+	MOVUPD X3, (R11)(DX*1)
 	MOVUPD X4, (DI)(DX*2)
-	MOVUPD X5, 16(DI)(DX*2)
+	MOVUPD X5, (R11)(DX*2)
 	MOVUPD X6, (DI)(AX*1)
-	MOVUPD X7, 16(DI)(AX*1)
+	MOVUPD X7, (R11)(AX*1)
 	ADDQ   $32, DI
 	ADDQ   $32, BX
 	DECQ   R9
@@ -131,8 +149,9 @@ store:
 
 	// DI stops at the end of row 0 once every column is written; short of
 	// it, step back so one last tile ends exactly there
-	MOVQ dst_base+0(FP), R9
-	ADDQ DX, R9
+	MOVQ n+120(FP), R9
+	SHLQ $3, R9
+	ADDQ dst_base+0(FP), R9
 	SUBQ DI, R9 // bytes of row 0 not yet covered: 0, 8, 16 or 24
 	JZ   done
 	SUBQ $32, R9
@@ -146,7 +165,7 @@ done:
 	UNPCKHPD X12, X12
 	MOVQ     X12, R10
 	ORQ      R10, R9
-	SETNE    nonFinite+112(FP)
+	SETNE    nonFinite+152(FP)
 	RET
 
 // The AVX2 tile. VEX VMULPD/VADDPD/VMAXPD are lane-wise IEEE double
@@ -174,23 +193,25 @@ done:
 	VMAXPD       Y13, ACC0, ACC0; \
 	VMAXPD       Y13, ACC1, ACC1
 
-// func matmulRows4AVX2(dst, a, b, bias []float64, k, n int) (nonFinite bool)
-// matmulRows4's contract with n >= 8: columns [0, n&^7) are covered by n/8
-// tiles, a ragged remainder by one more tile at column n−8. The caller has
+// func matmulRows4AVX2(dst, a, b, bias []float64, off []int, n, ldd, hi, dhi int) (nonFinite bool)
+// matmulRows4's contract with halves of 4 columns and n >= 8: tiles start at
+// columns 0, 8, ..., a ragged remainder at column n−8. The caller has
 // checked that the CPU and the OS support AVX2.
-TEXT ·matmulRows4AVX2(SB), NOSPLIT, $0-113
-	MOVQ   dst_base+0(FP), DI // tile cursor in dst row 0
+TEXT ·matmulRows4AVX2(SB), NOSPLIT, $0-153
+	MOVQ   dst_base+0(FP), DI  // tile cursor in dst row 0
 	MOVQ   a_base+24(FP), SI
-	MOVQ   b_base+48(FP), BX  // tile cursor in b row 0
-	MOVQ   k+96(FP), CX
-	MOVQ   n+104(FP), DX
-	MOVQ   DX, R9
-	SHRQ   $3, R9             // whole tiles
-	SHLQ   $3, DX             // row stride of b and dst in bytes
-	LEAQ   (DX)(DX*2), AX     // 3 rows of dst
+	MOVQ   b_base+48(FP), BX   // tile cursor: column j of B, before the row offset
+	MOVQ   off_len+104(FP), CX // k
+	MOVQ   n+120(FP), R9
+	SHRQ   $3, R9              // whole tiles
+	MOVQ   ldd+128(FP), DX
+	SHLQ   $3, DX              // row stride of dst in bytes
+	LEAQ   (DX)(DX*2), AX      // 3 rows of dst
 	MOVQ   CX, R8
 	SHLQ   $3, R8             // row stride of a in bytes
 	LEAQ   (R8)(R8*2), R13    // 3 rows of a
+	MOVQ   hi+136(FP), R15
+	SHLQ   $3, R15            // the upper half's columns, in bytes past the lower's
 	VXORPD Y12, Y12, Y12
 	VXORPD Y13, Y13, Y13
 
@@ -203,20 +224,22 @@ tiley:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	MOVQ   BX, R10 // &b[p, j]
-	MOVQ   SI, R11 // &a[0, p]
+	MOVQ   off_base+96(FP), R10 // &off[p]
+	MOVQ   SI, R11              // &a[0, p]
 	MOVQ   CX, R12
 	TESTQ  R12, R12
 	JZ     epilogy
 
 ploopy:
-	VMOVUPD (R10), Y8
-	VMOVUPD 32(R10), Y9
+	MOVQ    (R10), R14
+	LEAQ    (BX)(R14*8), R14 // &B[p, j]
+	VMOVUPD (R14), Y8
+	VMOVUPD (R14)(R15*1), Y9
 	ROWY((R11), Y0, Y1)
 	ROWY((R11)(R8*1), Y2, Y3)
 	ROWY((R11)(R8*2), Y4, Y5)
 	ROWY((R11)(R13*1), Y6, Y7)
-	ADDQ    DX, R10
+	ADDQ    $8, R10
 	ADDQ    $8, R11
 	DECQ    R12
 	JNZ     ploopy
@@ -240,22 +263,25 @@ epilogy:
 	RELUY(24(R10), Y6, Y7)
 
 storey:
+	MOVQ    dhi+144(FP), R11
+	LEAQ    (DI)(R11*8), R11 // the upper half's place in dst row 0
 	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y1, (R11)
 	VMOVUPD Y2, (DI)(DX*1)
-	VMOVUPD Y3, 32(DI)(DX*1)
+	VMOVUPD Y3, (R11)(DX*1)
 	VMOVUPD Y4, (DI)(DX*2)
-	VMOVUPD Y5, 32(DI)(DX*2)
+	VMOVUPD Y5, (R11)(DX*2)
 	VMOVUPD Y6, (DI)(AX*1)
-	VMOVUPD Y7, 32(DI)(AX*1)
+	VMOVUPD Y7, (R11)(AX*1)
 	ADDQ    $64, DI
 	ADDQ    $64, BX
 	DECQ    R9
 	JNZ     tiley
 
 	// as in matmulRows4: step back so one last tile ends at the row end
-	MOVQ dst_base+0(FP), R9
-	ADDQ DX, R9
+	MOVQ n+120(FP), R9
+	SHLQ $3, R9
+	ADDQ dst_base+0(FP), R9
 	SUBQ DI, R9 // bytes of row 0 not yet covered: 0, 8, ..., 56
 	JZ   doney
 	SUBQ $64, R9
@@ -266,7 +292,7 @@ storey:
 
 doney:
 	VPTEST Y12, Y12
-	SETNE  nonFinite+112(FP)
+	SETNE  nonFinite+152(FP)
 	VZEROUPPER
 	RET
 
@@ -295,23 +321,25 @@ doney:
 	VMAXPD       Z13, ACC0, ACC0; \
 	VMAXPD       Z13, ACC1, ACC1
 
-// func matmulRows4AVX512(dst, a, b, bias []float64, k, n int) (nonFinite bool)
-// matmulRows4's contract with n >= 16: columns [0, n&^15) are covered by n/16
-// tiles, a ragged remainder by one more tile at column n−16. The caller has
+// func matmulRows4AVX512(dst, a, b, bias []float64, off []int, n, ldd, hi, dhi int) (nonFinite bool)
+// matmulRows4's contract with halves of 8 columns and n >= 16: tiles start
+// at columns 0, 16, ..., a ragged remainder at column n−16. The caller has
 // checked that the CPU and the OS support AVX-512F.
-TEXT ·matmulRows4AVX512(SB), NOSPLIT, $0-113
-	MOVQ   dst_base+0(FP), DI // tile cursor in dst row 0
+TEXT ·matmulRows4AVX512(SB), NOSPLIT, $0-153
+	MOVQ   dst_base+0(FP), DI  // tile cursor in dst row 0
 	MOVQ   a_base+24(FP), SI
-	MOVQ   b_base+48(FP), BX  // tile cursor in b row 0
-	MOVQ   k+96(FP), CX
-	MOVQ   n+104(FP), DX
-	MOVQ   DX, R9
-	SHRQ   $4, R9             // whole tiles
-	SHLQ   $3, DX             // row stride of b and dst in bytes
-	LEAQ   (DX)(DX*2), AX     // 3 rows of dst
+	MOVQ   b_base+48(FP), BX   // tile cursor: column j of B, before the row offset
+	MOVQ   off_len+104(FP), CX // k
+	MOVQ   n+120(FP), R9
+	SHRQ   $4, R9              // whole tiles
+	MOVQ   ldd+128(FP), DX
+	SHLQ   $3, DX              // row stride of dst in bytes
+	LEAQ   (DX)(DX*2), AX      // 3 rows of dst
 	MOVQ   CX, R8
 	SHLQ   $3, R8             // row stride of a in bytes
 	LEAQ   (R8)(R8*2), R13    // 3 rows of a
+	MOVQ   hi+136(FP), R15
+	SHLQ   $3, R15            // the upper half's columns, in bytes past the lower's
 	VPXORQ Z12, Z12, Z12
 	VPXORQ Z13, Z13, Z13
 
@@ -324,20 +352,22 @@ tilez:
 	VPXORQ Z5, Z5, Z5
 	VPXORQ Z6, Z6, Z6
 	VPXORQ Z7, Z7, Z7
-	MOVQ   BX, R10 // &b[p, j]
-	MOVQ   SI, R11 // &a[0, p]
+	MOVQ   off_base+96(FP), R10 // &off[p]
+	MOVQ   SI, R11              // &a[0, p]
 	MOVQ   CX, R12
 	TESTQ  R12, R12
 	JZ     epilogz
 
 ploopz:
-	VMOVUPD (R10), Z8
-	VMOVUPD 64(R10), Z9
+	MOVQ    (R10), R14
+	LEAQ    (BX)(R14*8), R14 // &B[p, j]
+	VMOVUPD (R14), Z8
+	VMOVUPD (R14)(R15*1), Z9
 	ROWZ((R11), Z0, Z1)
 	ROWZ((R11)(R8*1), Z2, Z3)
 	ROWZ((R11)(R8*2), Z4, Z5)
 	ROWZ((R11)(R13*1), Z6, Z7)
-	ADDQ    DX, R10
+	ADDQ    $8, R10
 	ADDQ    $8, R11
 	DECQ    R12
 	JNZ     ploopz
@@ -361,22 +391,25 @@ epilogz:
 	RELUZ(24(R10), Z6, Z7)
 
 storez:
+	MOVQ    dhi+144(FP), R11
+	LEAQ    (DI)(R11*8), R11 // the upper half's place in dst row 0
 	VMOVUPD Z0, (DI)
-	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z1, (R11)
 	VMOVUPD Z2, (DI)(DX*1)
-	VMOVUPD Z3, 64(DI)(DX*1)
+	VMOVUPD Z3, (R11)(DX*1)
 	VMOVUPD Z4, (DI)(DX*2)
-	VMOVUPD Z5, 64(DI)(DX*2)
+	VMOVUPD Z5, (R11)(DX*2)
 	VMOVUPD Z6, (DI)(AX*1)
-	VMOVUPD Z7, 64(DI)(AX*1)
+	VMOVUPD Z7, (R11)(AX*1)
 	ADDQ    $128, DI
 	ADDQ    $128, BX
 	DECQ    R9
 	JNZ     tilez
 
 	// as in matmulRows4: step back so one last tile ends at the row end
-	MOVQ dst_base+0(FP), R9
-	ADDQ DX, R9
+	MOVQ n+120(FP), R9
+	SHLQ $3, R9
+	ADDQ dst_base+0(FP), R9
 	SUBQ DI, R9 // bytes of row 0 not yet covered: 0, 8, ..., 120
 	JZ   donez
 	SUBQ $128, R9
@@ -389,7 +422,7 @@ donez:
 	VEXTRACTF64X4 $1, Z12, Y10
 	VORPD         Y10, Y12, Y12
 	VPTEST        Y12, Y12
-	SETNE         nonFinite+112(FP)
+	SETNE         nonFinite+152(FP)
 	VZEROUPPER
 	RET
 

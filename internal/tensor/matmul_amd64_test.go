@@ -22,56 +22,43 @@ func sa0Product(m, k, n int) (a, b []float64) {
 	return a, RandUniform(r, 0, 1, k*n).Data()
 }
 
-// convProductShapes are the six (outC × ckk)·(ckk × spatial) products of
-// LeNet-5 and ConvNet-7, the shapes the engine sends.
-var convProductShapes = [][3]int{{6, 25, 784}, {16, 150, 100}, {12, 27, 1024}, {24, 108, 256}, {32, 216, 64}, {32, 288, 64}}
-
-// blockedTiles are amd64's three register tiles, each reached as the widest
-// tile through the wrapper the exported kernels are: the tests below hold all
-// three to the reference on an AVX-512 host, where production only ever
-// selects the widest.
-var blockedTiles = []blockedTile{
-	{"sse2", true, onTile(tileSSE2)},
-	{"avx2", hostTile >= tileAVX2, onTile(tileAVX2)},
-	{"avx512", hostTile >= tileAVX512, onTile(tileAVX512)},
-}
-
-func onTile(t tile) func(dst, a, b, bias []float64, m, k, n int) {
-	return func(dst, a, b, bias []float64, m, k, n int) { matMulBlocked(t, dst, a, b, bias, m, k, n) }
-}
-
-// BenchmarkMatMulBlocked times each tile the host runs, in GFLOP/s (two per
-// multiply-add), on the six conv products, storing bias + ReLU as the
-// engine's fused step does, and on the six dense products of the paper
-// models at batch 8, storing the raw product as Dense does (its sample rows
-// are a, the weight matrix b).
+// BenchmarkMatMulBlocked times each kernel the host runs, in GFLOP/s (two
+// per multiply-add): the six paper convolutions through ConvPlan from the
+// sample (the bordered copy or the panel included), storing bias + ReLU as
+// the engine's fused step does, with a tenth of the weights stuck at 0; and
+// the six dense products of the paper models at batch 8, storing the raw
+// product as Dense does (its sample rows are a, the weight matrix b).
 func BenchmarkMatMulBlocked(b *testing.B) {
-	type product struct {
-		kind    string
-		m, k, n int
-	}
-	var products []product
-	for _, s := range convProductShapes {
-		products = append(products, product{"conv", s[0], s[1], s[2]})
-	}
-	for _, s := range denseProductShapes[:6] {
-		products = append(products, product{"dense", 8, s[0], s[1]})
-	}
 	for _, tile := range blockedTiles {
-		for _, s := range products {
-			m, k, n := s.m, s.k, s.n
-			b.Run(fmt.Sprintf("%s/%s/%dx%dx%d", tile.name, s.kind, m, k, n), func(b *testing.B) {
+		for _, cv := range paperConvs {
+			b.Run(fmt.Sprintf("%s/conv/%s", tile.name, cv.name), func(b *testing.B) {
+				if !tile.ok {
+					b.Skip("host has no " + tile.name)
+				}
+				g, ckk := cv.g, cv.g.InC*cv.g.KH*cv.g.KW
+				w, _ := sa0Product(cv.outC, ckk, 1)
+				x := RandUniform(rng.New(3), 0, 1, g.InC*g.InH*g.InW).Data()
+				plan := NewConvPlan(g, cv.outC)
+				dst, bias := make([]float64, cv.outC*g.OutH()*g.OutW()), make([]float64, cv.outC)
+				scratch := make([]float64, plan.Scratch())
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					plan.forward(tile.t, dst, w, x, bias, scratch, true)
+				}
+				b.ReportMetric(2*float64(len(dst)*ckk)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+		for _, s := range denseProductShapes[:6] {
+			m, k, n := 8, s[0], s[1]
+			b.Run(fmt.Sprintf("%s/dense/%dx%dx%d", tile.name, m, k, n), func(b *testing.B) {
 				if !tile.ok {
 					b.Skip("host has no " + tile.name)
 				}
 				a, p := sa0Product(m, k, n)
-				dst, bias := make([]float64, m*n), make([]float64, m)
-				if s.kind == "dense" {
-					bias = nil
-				}
+				dst, off := make([]float64, m*n), RowOffsets(k, n)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					tile.mul(dst, a, p, bias, m, k, n)
+					mulBlocked(tile.t, dst, a, p, nil, off, m, n, n, 1, 0)
 				}
 				b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
@@ -103,7 +90,7 @@ func blockedVsRef(t *testing.T, tile blockedTile, a, b, bias []float64, m, k, n 
 // than a healthy device would bias the latency the fleet's hedging reads —
 // so this is a count, not a timing.
 func TestMatMulBlockedFallbacks(t *testing.T) {
-	for _, tile := range blockedTiles {
+	for _, tile := range blockedTiles[1:] { // the register tiles: the Go fold has nothing to fall back to
 		t.Run(tile.name, func(t *testing.T) {
 			if !tile.ok {
 				t.Skip("host has no " + tile.name)
@@ -114,20 +101,45 @@ func TestMatMulBlockedFallbacks(t *testing.T) {
 }
 
 func testMatMulBlockedFallbacks(t *testing.T, tile blockedTile) {
-	for _, s := range convProductShapes {
-		a, b := sa0Product(s[0], s[1], s[2])
+	for _, cv := range paperConvs {
+		g, ckk := cv.g, cv.g.InC*cv.g.KH*cv.g.KW
+		w, _ := sa0Product(cv.outC, ckk, 1)
+		x := RandUniform(rng.New(int64(ckk)), 0, 1, g.InC*g.InH*g.InW).Data()
 		// a finite bias, and one that is each non-finite class: the tile
 		// tests its accumulators before the bias, so none sends a block back
-		bias := make([]float64, s[0])
+		bias := make([]float64, cv.outC)
 		for i := range bias {
 			bias[i] = float64(i%5) - 2
 		}
 		copy(bias, biasSalts)
-		for _, bs := range [][]float64{nil, bias} {
-			if _, fell := blockedVsRef(t, tile, a, b, bs, s[0], s[1], s[2]); fell != 0 {
-				t.Errorf("(%d×%d)·(%d×%d), 10%% zero weights, finite activations, bias %v: %d row blocks fell back, want 0",
-					s[0], s[1], s[1], s[2], bs, fell)
+		for _, relu := range []bool{false, true} {
+			if fell := convVsRef(t, "10% zero weights", tile, cv, w, x, bias, relu); fell != 0 {
+				t.Errorf("%s, 10%% zero weights, finite inputs, relu %v: %d row blocks fell back, want 0", cv.name, relu, fell)
 			}
+		}
+
+		// One +Inf input element: only the tile calls whose output rows read
+		// it — every 4-channel block, on the KH output rows whose windows
+		// cover its row, in pairs where the tile pairs rows — go back, and
+		// the bits are still the reference's.
+		ih, iw := g.InH/2, g.InW/3
+		xi := append([]float64(nil), x...)
+		xi[(g.InC/2*g.InH+ih)*g.InW+iw] = math.Inf(1)
+		per := 1
+		if _, pair := tileShape(tile.t, cv.outC, g.OutW(), g.OutH()); pair {
+			per = 2
+		}
+		calls := 0
+		for r := 0; r < g.OutH(); r += per {
+			r := min(r, g.OutH()-per)
+			if r <= ih+g.PadH && ih+g.PadH < r+per-1+g.KH {
+				calls++
+			}
+		}
+		blocks := (cv.outC + 3) / 4
+		if fell := convVsRef(t, "+Inf input", tile, cv, w, xi, bias, true); fell != uint64(blocks*calls) {
+			t.Errorf("%s, +Inf input at (%d, %d): %d row blocks fell back, want %d blocks × %d tile calls",
+				cv.name, ih, iw, fell, blocks, calls)
 		}
 	}
 

@@ -22,18 +22,31 @@ var saltClasses = [][]float64{
 // MaxFloat64 salt class past −MaxFloat64 to −Inf.
 var biasSalts = []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), -math.MaxFloat64}
 
-// blockedTile is one kernel behind MatMulBlockedSlices and
-// MatMulBlockedBiasReLU; blockedTiles (one definition per platform) lists
-// them all, ok reporting whether this host can run it. mul stores
-// ReLU(a·b + bias) given a bias per row, the raw product given nil.
+// blockedTile is one kernel behind the blocked products: the Go fold, or one
+// of amd64's register tiles; blockedTiles lists them all, ok reporting
+// whether this host can run it (off amd64, only the Go fold).
 type blockedTile struct {
 	name string
 	ok   bool
-	mul  func(dst, a, b, bias []float64, m, k, n int)
+	t    tile
 }
 
-// refBiasReLU is MatMulBlockedBiasReLU's contract spelled out on the
-// reference loop: ReLUBits(MatMulSlices's element + its row's bias).
+var blockedTiles = []blockedTile{
+	{"generic", true, tileGeneric},
+	{"sse2", hostTile >= tileSSE2, tileSSE2},
+	{"avx2", hostTile >= tileAVX2, tileAVX2},
+	{"avx512", hostTile >= tileAVX512, tileAVX512},
+}
+
+// mul runs the contiguous (m×k)·(k×n) product on the tile as the widest,
+// through the sweep every blocked product runs: it stores ReLU(a·b + bias)
+// given a bias per row, the raw product given nil.
+func (bt blockedTile) mul(dst, a, b, bias []float64, m, k, n int) {
+	mulBlocked(bt.t, dst, a, b, bias, RowOffsets(k, n), m, n, n, 1, 0)
+}
+
+// refBiasReLU is the fused store's contract spelled out on the reference
+// loop: ReLUBits(MatMulSlices's element + its row's bias).
 func refBiasReLU(a, b, bias []float64, m, k, n int) []float64 {
 	want := make([]float64, m*n)
 	MatMulSlices(want, a, b, m, k, n)

@@ -2,24 +2,14 @@
 
 package tensor
 
-// MatMulBlockedSlices computes exactly MatMulSlices's bits; off amd64 it is
-// MatMulSlices (see matmul_amd64.go for the register-tiled kernels and the
-// argument that they agree).
-func MatMulBlockedSlices(dst, a, b []float64, m, k, n int) {
-	MatMulSlices(dst, a, b, m, k, n)
-}
+// hostTile: off amd64 the blocked kernels run the Go fold.
+var hostTile = tileGeneric
 
-// MatMulBlockedBiasReLU computes dst = ReLU(a·b + bias) with one bias per row
-// of dst; off amd64 it is MatMulSlices followed by the scalar epilogue.
-func MatMulBlockedBiasReLU(dst, a, b, bias []float64, m, k, n int) {
-	checkBias(bias, m)
-	MatMulSlices(dst, a, b, m, k, n)
-	biasReLURows(dst, bias, n)
+// tileRows4 is never reached off amd64, where every product takes the Go
+// fold.
+func tileRows4(tile, []float64, []float64, []float64, []float64, []int, int, int, int, int) bool {
+	panic("tensor: no register tiles off amd64")
 }
-
-// MatMulBlockedKernel names the kernel the blocked matmuls run: off amd64,
-// the reference loop.
-func MatMulBlockedKernel() string { return "generic" }
 
 // reluMaxPool2x2: off amd64 the 2×2 pool is its Go twin.
 func reluMaxPool2x2(out, panel []float64, planes, inH, inW int) {
