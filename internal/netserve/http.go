@@ -23,6 +23,13 @@ type errorResponse struct {
 	Message string `json:"message"`
 }
 
+// Header values every answer shares; net/http only reads a response's
+// header values, so one slice serves them all.
+var (
+	jsonContentType = []string{"application/json"}
+	degradedTrue    = []string{"true"}
+)
+
 // DeadlineHeader carries the client's end-to-end deadline in milliseconds;
 // it is clamped to Config.MaxDeadline and propagated through context into
 // the shard, the fleet router and the device attempt.
@@ -122,10 +129,11 @@ func (f *Frontend) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("netserve: %s/%s: %v: %w", res.Shard, res.Device, err, serve.ErrFaulted))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Served-By", res.Shard+"/"+res.Device)
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["X-Served-By"] = f.servedBy(res.Shard, res.Device)
 	if res.Degraded {
-		w.Header().Set("X-Degraded", "true")
+		h["X-Degraded"] = degradedTrue
 	}
 	w.Write(out.B)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -67,7 +68,7 @@ func inferBody(tenant string, rows, width int) string {
 }
 
 func TestHTTPHappyPath(t *testing.T) {
-	_, _, ts := httpTier(t, Config{})
+	f, devs, ts := httpTier(t, Config{})
 	resp, body := postInfer(t, ts, inferBody("alice", 2, 16), nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, body %v", resp.StatusCode, body)
@@ -79,11 +80,39 @@ func TestHTTPHappyPath(t *testing.T) {
 	if body["shard"] == "" || body["device"] == "" {
 		t.Fatalf("response names no placement: %v", body)
 	}
-	if served := resp.Header.Get("X-Served-By"); served == "" {
-		t.Fatal("no X-Served-By header")
-	}
+	checkAnswerHeaders(t, resp, body)
 	if body["status"] != "HEALTHY" {
 		t.Fatalf("status %v, want HEALTHY", body["status"])
+	}
+
+	// drift between DegradedAt and ImpairedAt: the devices keep serving, and
+	// every answer says so
+	for _, row := range devs {
+		row[0].set(func(d *tierDevice) { d.shift = 0.04 })
+	}
+	f.Tick()
+	f.Tick() // EscalateAfter=2 rounds to confirm
+	resp, body = postInfer(t, ts, inferBody("alice", 1, 16), nil)
+	if resp.StatusCode != http.StatusOK || body["degraded"] != true {
+		t.Fatalf("status %d, body %v: want a 200 flagged degraded", resp.StatusCode, body)
+	}
+	checkAnswerHeaders(t, resp, body)
+}
+
+// checkAnswerHeaders holds a 200's headers to its body: X-Served-By names the
+// body's shard/device exactly, and X-Degraded is there exactly when the
+// answer is degraded.
+func checkAnswerHeaders(t *testing.T, resp *http.Response, body map[string]any) {
+	t.Helper()
+	if got, want := resp.Header.Get("Content-Type"), "application/json"; got != want {
+		t.Fatalf("Content-Type %q, want %q", got, want)
+	}
+	if got, want := resp.Header.Get("X-Served-By"), fmt.Sprintf("%v/%v", body["shard"], body["device"]); got != want {
+		t.Fatalf("X-Served-By %q, want %q", got, want)
+	}
+	degraded := body["degraded"] == true
+	if got := resp.Header.Values("X-Degraded"); degraded && (len(got) != 1 || got[0] != "true") || !degraded && len(got) != 0 {
+		t.Fatalf("X-Degraded %q on an answer with degraded=%v", got, degraded)
 	}
 }
 

@@ -290,6 +290,9 @@ type ringSlot struct {
 	idx  int // shard index
 }
 
+// placement names the device that served an answer.
+type placement struct{ shard, device string }
+
 // Frontend is the sharded network-facing tier. All exported methods are safe
 // for concurrent use.
 type Frontend struct {
@@ -301,6 +304,9 @@ type Frontend struct {
 
 	quotas *quotaTable
 	costs  *costTable
+
+	// X-Served-By header values by placement, built once in New
+	served map[placement][]string
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -328,6 +334,7 @@ func New(specs []ShardSpec, cfg Config) (*Frontend, error) {
 		byName: make(map[string]*shard, len(specs)),
 		quotas: newQuotaTable(cfg.Quota, nil),
 		costs:  newCostTable(),
+		served: make(map[placement][]string),
 	}
 	for i, spec := range specs {
 		if spec.Name == "" {
@@ -352,6 +359,9 @@ func New(specs []ShardSpec, cfg Config) (*Frontend, error) {
 		if err != nil && !errors.Is(err, fleet.ErrUnjournaled) {
 			return nil, fmt.Errorf("netserve: commission shard %q: %w", spec.Name, err)
 		}
+		for _, d := range spec.Devices {
+			f.served[placement{spec.Name, d.ID()}] = []string{spec.Name + "/" + d.ID()}
+		}
 		sh := &shard{name: spec.Name, idx: i, srv: srv}
 		f.shards = append(f.shards, sh)
 		f.byName[spec.Name] = sh
@@ -365,6 +375,14 @@ func New(specs []ShardSpec, cfg Config) (*Frontend, error) {
 	}
 	sort.Slice(f.ring, func(a, b int) bool { return f.ring[a].hash < f.ring[b].hash })
 	return f, nil
+}
+
+// servedBy is the X-Served-By value for an answer from device on shard.
+func (f *Frontend) servedBy(shard, device string) []string {
+	if v, ok := f.served[placement{shard, device}]; ok {
+		return v
+	}
+	return []string{shard + "/" + device}
 }
 
 // hash64 is FNV-1a over s, finished with murmur3's fmix64. Bare FNV-1a

@@ -21,15 +21,16 @@ import (
 	"reramtest/internal/testgen"
 )
 
-// tierDevice is a scripted accelerator for tier tests: injectable crashes
-// and slow readouts, mutex-guarded because tests mutate the script while the
-// tier drives traffic.
+// tierDevice is a scripted accelerator for tier tests: injectable drift
+// (confidence shift), crashes and slow readouts, mutex-guarded because tests
+// mutate the script while the tier drives traffic.
 type tierDevice struct {
 	id       string
 	net      *nn.Network
 	patterns *testgen.PatternSet
 
 	mu    sync.Mutex
+	shift float64
 	crash bool
 	delay time.Duration
 }
@@ -48,7 +49,7 @@ func (d *tierDevice) set(f func(*tierDevice)) {
 func (d *tierDevice) Infer() monitor.Infer {
 	return func(x *tensor.Tensor) *tensor.Tensor {
 		d.mu.Lock()
-		crash, delay := d.crash, d.delay
+		shift, crash, delay := d.shift, d.crash, d.delay
 		d.mu.Unlock()
 		if delay > 0 {
 			time.Sleep(delay)
@@ -56,7 +57,11 @@ func (d *tierDevice) Infer() monitor.Infer {
 		if crash {
 			panic("tierDevice: injected crash")
 		}
-		return probsOf(d.net, x)
+		probs := probsOf(d.net, x)
+		if shift != 0 {
+			probs.Apply(func(v float64) float64 { return v + shift })
+		}
+		return probs
 	}
 }
 
