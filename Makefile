@@ -6,8 +6,8 @@
 #                power-of-ten table against its generator + build +
 #                full test suite + race detector
 #                on the hardened-runtime packages + short campaign, fleet,
-#                serving-chaos, network-tier, crash/disk-fault and
-#                repair-ladder lifetime soak smokes + the repair_ladder
+#                network-tier, crash/disk-fault and repair-ladder lifetime
+#                soak smokes (cmd/monitor -soak NAME) + the repair_ladder
 #                and fleet examples end to end + a short fuzz pass over
 #                the journal record and snapshot decoders, the f32 kernel
 #                envelope, the register-tiled f64 matmul's, the fused conv
@@ -54,12 +54,12 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
             ./internal/nn/...
 
 .PHONY: check fmt-check vet gen-check build test race-fast race soak-smoke soak \
-        fleet-soak-smoke fleet-soak serve-soak-smoke serve-soak \
+        fleet-soak-smoke fleet-soak \
         net-soak-smoke net-soak crash-soak-smoke crash-soak \
         lifetime-soak-smoke lifetime-soak examples-smoke fuzz-short \
         bench-smoke repro-check loc unreached ab-engine
 
-check: fmt-check vet gen-check build test race-fast soak-smoke fleet-soak-smoke serve-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke
+check: fmt-check vet gen-check build test race-fast soak-smoke fleet-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke
 	@echo "check: PASS"
 
 # gofmt prints the files it would rewrite; any name is a failure
@@ -96,18 +96,18 @@ race:
 
 # short-budget smoke: fewer campaigns than the acceptance gate, same scoring
 soak-smoke:
-	$(GO) run ./cmd/monitor -soak -campaigns 6
+	$(GO) run ./cmd/monitor -soak campaign -campaigns 6
 
 soak:
-	$(GO) run ./cmd/monitor -soak -campaigns 20
+	$(GO) run ./cmd/monitor -soak campaign -campaigns 20
 
 # fleet crash/restart soak: each campaign is run crashed AND uninterrupted
 # from the same seed; the gate demands zero state divergence after replay
 fleet-soak-smoke:
-	$(GO) run ./cmd/monitor -fleet-soak -campaigns 3
+	$(GO) run ./cmd/monitor -soak fleet -campaigns 3
 
 fleet-soak:
-	$(GO) run ./cmd/monitor -fleet-soak -campaigns 10
+	$(GO) run ./cmd/monitor -soak fleet -campaigns 10
 
 # repair-ladder lifetime soak: each seed runs three arms — the scrub →
 # remap → retrain escalation ladder, a retrain-only control in the same
@@ -116,10 +116,10 @@ fleet-soak:
 # equal-or-better fidelity floor, zero untyped strategy errors, and exact
 # crash/restart parity on journaled strategy decisions
 lifetime-soak-smoke:
-	$(GO) run ./cmd/monitor -lifetime-soak -seed 5 -campaigns 3
+	$(GO) run ./cmd/monitor -soak lifetime -seed 5 -campaigns 3
 
 lifetime-soak:
-	$(GO) run ./cmd/monitor -lifetime-soak -seed 3 -campaigns 9
+	$(GO) run ./cmd/monitor -soak lifetime -seed 3 -campaigns 9
 
 # the examples are callers with no test of their own; repair_ladder drives
 # the supervised ladder end to end in ≈3 s and exits non-zero on an untyped
@@ -152,27 +152,19 @@ ab-engine:
 	@test -n "$(REV)" || { echo "usage: make ab-engine REV=<rev> [PAIRS=8] [BENCHTIME=0.5s]"; exit 2; }
 	sh scripts/ab-engine.sh $(REV) $(PAIRS) $(BENCHTIME)
 
-# serving-frontend chaos soak: concurrent traffic with injected slow
-# readouts, mid-request crashes and deadline storms; gated on zero hung
-# requests, zero silent drops, bounded p99 vs a no-chaos baseline, and zero
-# leaked goroutines
-serve-soak-smoke:
-	$(GO) run ./cmd/monitor -serve-soak -campaigns 3
-
-serve-soak:
-	$(GO) run ./cmd/monitor -serve-soak -campaigns 10
-
 # network-tier chaos soak: seeded multi-tenant HTTP campaigns against the
-# sharded serving tier over a live loopback listener, with device chaos and
-# a mid-campaign graceful shard drain; gated on zero hung calls, exact typed
-# accounting (admitted == terminal), post-drain liveness, bounded p99 vs a
+# sharded serving tier over a live loopback listener, with device chaos
+# (slow readouts, mid-request crashes, deadline storms, concurrent
+# monitoring ticks) and a mid-campaign graceful shard drain; gated on zero
+# hung calls, exact typed accounting (admitted == terminal, at the tier and
+# in every shard's serve.Server), post-drain liveness, bounded p99 vs a
 # same-seed baseline, and zero leaked goroutines. The full gate runs
 # million-request campaigns; the smoke keeps CI fast.
 net-soak-smoke:
-	$(GO) run ./cmd/monitor -net-soak -campaigns 2
+	$(GO) run ./cmd/monitor -soak net -campaigns 2
 
 net-soak:
-	$(GO) run ./cmd/monitor -net-soak -campaigns 4 -net-requests 250000
+	$(GO) run ./cmd/monitor -soak net -campaigns 4 -net-requests 250000
 
 # durable-state torture matrix: every (crash point × disk fault) cell runs a
 # seeded fleet campaign over the snapshot-compacting journal store, kills it,
@@ -180,10 +172,10 @@ net-soak:
 # failed fsyncs, crash-at-byte tears), recovers, and gates on bit-identical
 # state, bounded WAL size and zero acknowledged-then-lost writes
 crash-soak-smoke:
-	$(GO) run ./cmd/monitor -crash-soak -campaigns 2 -devices 2
+	$(GO) run ./cmd/monitor -soak crash -campaigns 2 -devices 2
 
 crash-soak:
-	$(GO) run ./cmd/monitor -crash-soak -campaigns 8 -devices 3
+	$(GO) run ./cmd/monitor -soak crash -campaigns 8 -devices 3
 
 # short coverage-guided pass over the journal record decoder, the snapshot
 # decoder, the f32-vs-f64 envelope of the two matmul kernels under the

@@ -13,42 +13,29 @@
 // uniform-golden SDC-A criterion is structurally blind to. O-TP remains the
 // better accuracy estimator; this demo trades that for drift coverage.
 //
-// With -soak the command instead runs the randomized fault-injection
-// campaign harness against the hardened runtime and reports the robustness
-// scorecard, exiting non-zero if the acceptance gate fails.
+// With -soak NAME the command instead runs -campaigns seeded campaigns
+// (seeds -seed, -seed+1, …) of one internal/campaign soak, prints its
+// report, then one "gate violation:" line per violated gate and "gate: PASS"
+// or GATE FAILED; it exits 0 only when every gate held and at least one
+// campaign ran. The soaks: campaign (fault-injection campaigns against the
+// hardened single-device runtime), fleet (supervisor crash/restart
+// equivalence), lifetime (the three-arm repair-ladder economics), net (the
+// network-tier chaos soak; -net-requests sets its requests per campaign,
+// ~10⁶ for the full gate) and crash (the durable-state torture matrix).
 //
-// With -fleet-soak it runs the fleet supervisor crash/restart soak: each
-// campaign drives an N-device fleet with journaled supervisor state, kills
-// and replays the supervisor mid-campaign (corrupting the journal tail),
-// and gates on resume fidelity against an uninterrupted same-seed run.
-//
-// With -lifetime-soak it runs the three-arm repair-ladder lifetime soak:
-// the same seeded fleet campaign with the pluggable escalation ladder
-// (scrub → remap → retrain), with the retrain-only control, and
-// crash-replayed from the journal — gated on the ladder beating the control
-// economically at an equal-or-better fidelity floor with exact decision
-// parity across crashes.
-//
-// With -serve-soak it runs the serving-frontend chaos soak: concurrent
-// client traffic with injected slow readouts, mid-request device crashes and
-// deadline storms, gated on zero hung requests, zero silent drops, a bounded
-// p99 against a no-chaos baseline, and zero leaked goroutines.
-//
-// With -net-soak it runs the network-tier chaos soak: seeded multi-tenant
-// HTTP campaigns against the sharded serving tier over a live loopback
-// listener, with device chaos and a mid-campaign graceful shard drain,
-// gated on zero hung calls, exact accounting (admitted == terminal typed
-// outcomes), post-drain liveness, a bounded p99 and zero leaked goroutines.
-// -net-requests sets the per-campaign request count (the full gate runs
-// ~10⁶; the smoke default stays CI-sized).
+// With -cost it drives one plant through a serving + monitoring + repair
+// lifetime and prints the per-class hardware cost ledger.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"sort"
+	"strings"
 
 	"reramtest/internal/campaign"
 	"reramtest/internal/engine"
@@ -64,51 +51,239 @@ import (
 	"reramtest/internal/tensor"
 )
 
-func main() {
-	hoursPerStep := flag.Float64("step", 200, "simulated hours between checks")
-	steps := flag.Int("steps", 8, "number of monitoring rounds")
-	analog := flag.Bool("analog", false, "run checks through the full DAC/ADC analog path (slower)")
-	soak := flag.Bool("soak", false, "run the randomized fault-injection soak campaigns instead of the demo")
-	fleetSoak := flag.Bool("fleet-soak", false, "run the fleet supervisor crash/restart soak instead of the demo")
-	lifetimeSoak := flag.Bool("lifetime-soak", false, "run the three-arm repair-ladder lifetime soak instead of the demo")
-	serveSoak := flag.Bool("serve-soak", false, "run the serving-frontend chaos soak instead of the demo")
-	netSoak := flag.Bool("net-soak", false, "run the network-tier chaos soak instead of the demo")
-	crashSoak := flag.Bool("crash-soak", false, "run the durable-state crash/disk-fault torture matrix instead of the demo")
-	cost := flag.Bool("cost", false, "run a plant-scale workload and print the per-class hardware cost breakdown")
-	netRequests := flag.Int("net-requests", 0, "net-soak: requests per campaign (0 = smoke default)")
-	campaigns := flag.Int("campaigns", 20, "soak: number of seeded campaigns")
-	rounds := flag.Int("rounds", 40, "soak: monitoring rounds per campaign")
-	seed := flag.Int64("seed", 1000, "soak: base seed (campaign i uses seed+i)")
-	minRecovery := flag.Float64("min-recovery", 0.8, "soak: gate threshold on repair-recovery rate")
-	devices := flag.Int("devices", 4, "fleet-soak/serve-soak: accelerators per fleet")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *fleetSoak {
-		os.Exit(runFleetSoak(*seed, *campaigns, *rounds, *devices))
+// run parses args and runs one mode: a soak, the cost ledger or the aging
+// demo. It returns the process exit code: 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("monitor", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	hoursPerStep := fs.Float64("step", 200, "demo: simulated hours between checks")
+	steps := fs.Int("steps", 8, "demo: number of monitoring rounds")
+	analog := fs.Bool("analog", false, "demo: run checks through the full DAC/ADC analog path (slower)")
+	soak := fs.String("soak", "", "run the named soak instead of the demo: "+strings.Join(soakNames(), "|"))
+	cost := fs.Bool("cost", false, "run a plant-scale workload and print the per-class hardware cost breakdown")
+	var o soakFlags
+	fs.IntVar(&o.netRequests, "net-requests", 0, "net soak: requests per campaign (0 = smoke default)")
+	fs.IntVar(&o.campaigns, "campaigns", 20, "soak: number of seeded campaigns")
+	fs.IntVar(&o.rounds, "rounds", 40, "campaign, fleet and lifetime soaks, and -cost: rounds per campaign")
+	fs.Int64Var(&o.seed, "seed", 1000, "soak and -cost: base seed (campaign i uses seed+i)")
+	fs.IntVar(&o.devices, "devices", 4, "fleet, lifetime and crash soaks: accelerators per fleet")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if *lifetimeSoak {
-		os.Exit(runLifetimeSoak(*seed, *campaigns, *rounds, *devices))
+	switch {
+	case *cost && *soak != "":
+		fmt.Fprintln(stderr, "monitor: -cost and -soak are separate modes; give one")
+		return 2
+	case *cost:
+		return runCost(stdout, o.seed, o.rounds)
+	case *soak != "":
+		return runSoak(stdout, stderr, *soak, o)
 	}
-	if *serveSoak {
-		os.Exit(runServeSoak(*seed, *campaigns, *devices))
-	}
-	if *netSoak {
-		os.Exit(runNetSoak(*seed, *campaigns, *netRequests))
-	}
-	if *crashSoak {
-		os.Exit(runCrashSoak(*seed, *campaigns, *devices))
-	}
-	if *cost {
-		os.Exit(runCost(os.Stdout, *seed, *rounds))
-	}
-	if *soak {
-		os.Exit(runSoak(*seed, *campaigns, *rounds, *minRecovery))
-	}
+	return demo(stdout, stderr, *hoursPerStep, *steps, *analog)
+}
 
-	env, err := experiments.NewEnv(experiments.DefaultScale(), os.Stderr)
+// soakFlags are the flags the soaks read.
+type soakFlags struct {
+	seed                                    int64
+	campaigns, rounds, devices, netRequests int
+}
+
+// soaks are the -soak harnesses by name. Each prints its header and report
+// to w and returns every violated gate; runSoak owns everything else.
+var soaks = map[string]func(w io.Writer, o soakFlags) ([]string, error){
+	"campaign": campaignSoak, "fleet": fleetSoak, "lifetime": lifetimeSoak,
+	"net": netSoak, "crash": crashSoak,
+}
+
+func soakNames() []string {
+	names := make([]string, 0, len(soaks))
+	for name := range soaks {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// runSoak runs the named soak and returns the process exit code: 2 for an
+// unknown name, 1 when nothing ran, the soak failed to run or a gate was
+// violated, 0 when every gate held.
+func runSoak(stdout, stderr io.Writer, name string, o soakFlags) int {
+	soak, ok := soaks[name]
+	if !ok {
+		fmt.Fprintf(stderr, "monitor: unknown soak %q; valid: %s\n", name, strings.Join(soakNames(), ", "))
+		return 2
+	}
+	if o.campaigns < 1 {
+		fmt.Fprintf(stderr, "GATE FAILED: nothing exercised (campaigns=%d)\n", o.campaigns)
+		return 1
+	}
+	fails, err := soak(stdout, o)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "monitor:", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "%s soak: %v\n", name, err)
+		return 1
+	}
+	for _, f := range fails {
+		fmt.Fprintln(stdout, "gate violation:", f)
+	}
+	if len(fails) > 0 {
+		fmt.Fprintf(stderr, "\nGATE FAILED: %d gate violation(s)\n", len(fails))
+		return 1
+	}
+	fmt.Fprintln(stdout, "\ngate: PASS")
+	return 0
+}
+
+// seedFailures prefixes one campaign's violations with its seed.
+func seedFailures(seed int64, fails []string) []string {
+	out := make([]string, len(fails))
+	for i, f := range fails {
+		out[i] = fmt.Sprintf("seed %d: %s", seed, f)
+	}
+	return out
+}
+
+// campaignSoak runs the single-device campaigns and prints the robustness
+// scorecard.
+func campaignSoak(w io.Writer, o soakFlags) ([]string, error) {
+	cfg := campaign.DefaultConfig()
+	cfg.Rounds = o.rounds
+	fmt.Fprintf(w, "soak: %d campaigns × %d rounds, base seed %d\n", o.campaigns, o.rounds, o.seed)
+	fmt.Fprintf(w, "plant: MLP %d→%v→%d on %d×%d crossbar tiles\n",
+		cfg.Plant.In, cfg.Plant.Hidden, cfg.Plant.Classes, cfg.Plant.Tile, cfg.Plant.Tile)
+	results, err := campaign.RunMany(o.seed, o.campaigns, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sc := campaign.Score(results)
+	fmt.Fprintf(w, "\n%s\n", sc)
+	return sc.Failures(), nil
+}
+
+// fleetSoak runs the fleet crash-equivalence pairs and prints the fleet
+// scorecard.
+func fleetSoak(w io.Writer, o soakFlags) ([]string, error) {
+	cfg := campaign.DefaultFleetSoakConfig()
+	cfg.Rounds = o.rounds
+	cfg.Devices = o.devices
+	fmt.Fprintf(w, "fleet soak: %d campaigns × %d rounds × %d devices, base seed %d\n",
+		o.campaigns, o.rounds, o.devices, o.seed)
+	fmt.Fprintf(w, "crashes after rounds %v (journal tail corrupted), shower at round %d\n",
+		cfg.CrashAfter, cfg.ShowerRound)
+	pairs := make([]campaign.FleetPairResult, 0, o.campaigns)
+	for i := 0; i < o.campaigns; i++ {
+		pair, err := campaign.RunFleetPair(o.seed+int64(i), cfg)
+		if err != nil {
+			return nil, err
+		}
+		pairs = append(pairs, pair)
+	}
+	sc := campaign.ScoreFleet(pairs)
+	fmt.Fprintf(w, "\n%s\n", sc)
+	return sc.Failures(), nil
+}
+
+// lifetimeSoak runs the three-arm lifetime soak and prints each seed's
+// verdict table.
+func lifetimeSoak(w io.Writer, o soakFlags) ([]string, error) {
+	cfg := campaign.DefaultLifetimeSoakConfig()
+	cfg.Rounds = o.rounds
+	cfg.Devices = o.devices
+	fmt.Fprintf(w, "lifetime soak: %d campaigns × %d rounds × %d devices, base seed %d\n",
+		o.campaigns, o.rounds, o.devices, o.seed)
+	fmt.Fprintf(w, "ladder scrub(%d) → remap(%d) → retrain(%d), budget %d units/device; crashes after rounds %v\n",
+		repair.CostScrub, repair.CostRemap, repair.CostRetrain, cfg.Fleet.RepairBudget, cfg.CrashAfter)
+	var fails []string
+	for i := 0; i < o.campaigns; i++ {
+		res, err := campaign.RunLifetimeSoak(o.seed+int64(i), cfg)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(w, "\n%s", res)
+		fails = append(fails, seedFailures(res.Seed, res.Failures())...)
+	}
+	return fails, nil
+}
+
+// netSoak runs the network-tier chaos campaigns and prints one line per
+// campaign.
+func netSoak(w io.Writer, o soakFlags) ([]string, error) {
+	cfg := campaign.DefaultNetSoakConfig()
+	if o.netRequests > 0 {
+		cfg.Load.Requests = o.netRequests
+	}
+	fmt.Fprintf(w, "net soak: %d campaigns × %d requests over %d shards × %d devices, base seed %d\n",
+		o.campaigns, cfg.Load.Requests, cfg.Shards, cfg.DevicesPerShard, o.seed)
+	fmt.Fprintf(w, "chaos: slow %.0f%%@%v, crash %.1f%%, deadline storm every %d waves @%dms, shard-0 drains at %.0f%%\n",
+		100*cfg.SlowP, cfg.SlowDelay, 100*cfg.CrashP, cfg.Load.StormEvery,
+		cfg.Load.StormDeadlineMs, 100*campaign.NetSoakDrainAfter)
+	var fails []string
+	for i := 0; i < o.campaigns; i++ {
+		res, err := campaign.RunNetSoak(o.seed+int64(i), cfg)
+		if err != nil {
+			return nil, err
+		}
+		verdict := "PASS"
+		if len(res.Failures()) != 0 {
+			verdict = "FAIL"
+		}
+		fmt.Fprintf(w, "seed %d: %s | ok %d/%d sent (degraded %d, post-drain %d) "+
+			"| invalid %d quota %d deadline %d overload %d no-device %d faulted %d "+
+			"| retries %d drains %d (auto %d) | slow %d crash %d ticks %d "+
+			"| %.0f req/s | p99 %v (baseline %v, bound %v)\n",
+			res.Seed, verdict, res.Chaos.OK, res.Chaos.Sent, res.Chaos.Degraded, res.PostDrainOK,
+			res.Stats.Invalid, res.Stats.QuotaRejected, res.Stats.Deadlines, res.Stats.Overloaded,
+			res.Stats.Unavailable, res.Stats.Faulted,
+			res.Stats.Retries, res.Stats.Drains, res.Stats.AutoDrains,
+			res.InjectedSlows, res.InjectedCrashes, res.Ticks,
+			res.Chaos.Throughput, res.ChaosP99, res.BaselineP99, res.P99Bound)
+		fails = append(fails, seedFailures(res.Seed, res.Failures())...)
+	}
+	return fails, nil
+}
+
+// crashSoak runs the durable-state torture matrix once per seed and prints
+// one line per matrix.
+func crashSoak(w io.Writer, o soakFlags) ([]string, error) {
+	cfg := campaign.DefaultCrashSoakConfig()
+	cfg.Devices = o.devices
+	fmt.Fprintf(w, "crash soak: %d matrices × (%d crash points × %d faults), %d devices × %d rounds, base seed %d\n",
+		o.campaigns, len(cfg.CrashPoints), len(campaign.AllFaults()), cfg.Devices, cfg.Rounds, o.seed)
+	fmt.Fprintf(w, "compaction every %d rounds or %d bytes; WAL gated at 2×threshold + one record\n",
+		cfg.Fleet.CompactEvery, campaign.CrashSoakCompactBytes)
+	var fails []string
+	for i := 0; i < o.campaigns; i++ {
+		res, err := campaign.RunCrashSoak(o.seed+int64(i), cfg)
+		if err != nil {
+			return nil, err
+		}
+		identical, degraded := 0, 0
+		for _, c := range res.Cells {
+			if c.StateMatch {
+				identical++
+			}
+			if c.Degraded {
+				degraded++
+			}
+		}
+		fmt.Fprintf(w, "seed %d: %d/%d cells recovered bit-identical, %d degraded to memory-only, WAL peak %d of %d bytes\n",
+			res.Seed, identical, len(res.Cells), degraded, res.MaxWALBytes, res.WALBound)
+		fails = append(fails, seedFailures(res.Seed, res.Failures())...)
+	}
+	return fails, nil
+}
+
+// demo ages one accelerator in the field under a C-TP monitor, repairing
+// when the monitor asks for it.
+func demo(w, stderr io.Writer, hoursPerStep float64, steps int, analog bool) int {
+	env, err := experiments.NewEnv(experiments.DefaultScale(), stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "monitor:", err)
+		return 1
 	}
 	net := env.LeNet
 	patterns := env.PatternsDefault("lenet5", "ctp")
@@ -127,15 +302,15 @@ func main() {
 	cfg.Device.DriftJitter = 0.004
 	cfg.Device.SoftErrorRate = 2e-7
 	accel := reram.NewAccelerator(net, cfg, 42)
-	fmt.Printf("accelerator: %d crossbar tiles of %dx%d, DAC=%d-bit ADC=%d-bit\n",
+	fmt.Fprintf(w, "accelerator: %d crossbar tiles of %dx%d, DAC=%d-bit ADC=%d-bit\n",
 		accel.TileCount(), cfg.TileRows, cfg.TileCols, cfg.DACBits, cfg.ADCBits)
 
 	mon, err := monitor.New(net, patterns, calib, monitor.DefaultConfig())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "monitor:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "monitor:", err)
+		return 1
 	}
-	fmt.Printf("monitor armed with %d C-TP patterns\n\n", mon.PatternCount())
+	fmt.Fprintf(w, "monitor armed with %d C-TP patterns\n\n", mon.PatternCount())
 
 	// readout refreshes the cached weight-level view and returns the batched
 	// inference plan bound to it; the whole demo shares one set of workspaces
@@ -145,7 +320,7 @@ func main() {
 		return roEng
 	}
 	infer := func() monitor.Infer {
-		if *analog {
+		if analog {
 			return func(x *tensor.Tensor) *tensor.Tensor {
 				return nn.Softmax(accel.Infer(x))
 			}
@@ -156,26 +331,27 @@ func main() {
 	}()
 
 	eval := env.DigitsTest.Head(300)
-	for s := 0; s < *steps; s++ {
+	for s := 0; s < steps; s++ {
 		rep := mon.Check(infer)
 		trueAcc := readout().Accuracy(eval.X, eval.Y, 64)
-		fmt.Printf("t=%6.0fh %s | true accuracy %.1f%%\n", accel.Hours(), rep, 100*trueAcc)
+		fmt.Fprintf(w, "t=%6.0fh %s | true accuracy %.1f%%\n", accel.Hours(), rep, 100*trueAcc)
 
 		if rep.Status >= monitor.Impaired {
-			fmt.Printf("         → executing repair: reprogramming all crossbars\n")
+			fmt.Fprintf(w, "         → executing repair: reprogramming all crossbars\n")
 			accel.Reprogram()
 			rep = mon.Check(infer)
-			fmt.Printf("         after repair: %s\n", rep)
+			fmt.Fprintf(w, "         after repair: %s\n", rep)
 		}
 		// age the device; inject a burst of stuck-at faults late in life
-		accel.AdvanceTime(*hoursPerStep)
-		if s == *steps-3 {
-			fmt.Println("         (injecting endurance stuck-at faults: 0.2% SA0, 0.1% SA1)")
+		accel.AdvanceTime(hoursPerStep)
+		if s == steps-3 {
+			fmt.Fprintln(w, "         (injecting endurance stuck-at faults: 0.2% SA0, 0.1% SA1)")
 			accel.InjectStuckAt(0.002, 0.001)
 		}
 	}
 	slope, summary := mon.Trend()
-	fmt.Printf("\ndistance trend: slope=%.5f per round, %s\n", slope, summary)
+	fmt.Fprintf(w, "\ndistance trend: slope=%.5f per round, %s\n", slope, summary)
+	return 0
 }
 
 // costDevice adapts a campaign Plant to fleet.Device.
@@ -248,248 +424,5 @@ func runCost(w io.Writer, seed int64, rounds int) int {
 		fmt.Fprintln(os.Stderr, "\ncost: metered workload accumulated zero cost")
 		return 1
 	}
-	return 0
-}
-
-// runSoak executes the seeded campaign fleet and prints the scorecard.
-// Returns the process exit code: 0 when the acceptance gate holds.
-func runSoak(seed int64, campaigns, rounds int, minRecovery float64) int {
-	cfg := campaign.DefaultConfig()
-	cfg.Rounds = rounds
-	fmt.Printf("soak: %d campaigns × %d rounds, base seed %d\n", campaigns, rounds, seed)
-	fmt.Printf("plant: MLP %d→%v→%d on %d×%d crossbar tiles\n",
-		cfg.Plant.In, cfg.Plant.Hidden, cfg.Plant.Classes, cfg.Plant.Tile, cfg.Plant.Tile)
-	results, err := campaign.RunMany(seed, campaigns, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "soak:", err)
-		return 1
-	}
-	sc := campaign.Score(results, cfg.FidelityBudget)
-	fmt.Printf("\n%s\n", sc)
-	if err := sc.Gate(minRecovery); err != nil {
-		fmt.Fprintln(os.Stderr, "\nGATE FAILED:", err)
-		return 1
-	}
-	fmt.Println("\ngate: PASS")
-	return 0
-}
-
-// runServeSoak executes the seeded serving chaos campaigns and prints one
-// verdict line per campaign. Each campaign runs twice internally — a
-// no-chaos baseline to calibrate the latency envelope, then the chaos pass —
-// and gates on zero hung requests, zero silent drops, zero untyped errors, a
-// bounded p99 and zero leaked goroutines. Returns the process exit code: 0
-// when every campaign's gate holds.
-func runServeSoak(seed int64, campaigns, devices int) int {
-	cfg := campaign.DefaultServeSoakConfig()
-	cfg.Devices = devices
-	fmt.Printf("serve soak: %d campaigns × %d rounds × %d devices × %d req/round, base seed %d\n",
-		campaigns, cfg.Rounds, cfg.Devices, cfg.RequestsPerRound, seed)
-	fmt.Printf("chaos: slow %.0f%%@%v, crash %.1f%%, deadline storm every %d rounds @%v\n",
-		100*cfg.SlowP, cfg.SlowDelay, 100*cfg.CrashP, cfg.StormEvery, cfg.StormDeadline)
-	failed := 0
-	for i := 0; i < campaigns; i++ {
-		res, err := campaign.RunServeSoak(seed+int64(i), cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "serve soak:", err)
-			return 1
-		}
-		verdict := "PASS"
-		fails := res.Failures()
-		if len(fails) != 0 {
-			verdict = "FAIL"
-			failed++
-		}
-		fmt.Printf("seed %d: %s | served %d/%d admitted (degraded %d, hedged %d, retried %d) "+
-			"| deadline %d overload %d no-device %d faulted %d | slow %d crash %d storms %d ticks %d "+
-			"| p99 %v (baseline %v, bound %v)\n",
-			res.Seed, verdict, res.Stats.Served, res.Stats.Admitted, res.Stats.ServedDegraded,
-			res.Stats.Hedges, res.Stats.Retries, res.Stats.Deadlines, res.Stats.Overloads,
-			res.Stats.NoDevices, res.Stats.FaultFailures, res.InjectedSlows, res.InjectedCrashes,
-			res.StormRounds, res.Ticks, res.ChaosP99, res.BaselineP99, res.P99Bound)
-		for _, f := range fails {
-			fmt.Printf("         gate violation: %s\n", f)
-		}
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "\nGATE FAILED: %d/%d campaigns violated the serving contract\n", failed, campaigns)
-		return 1
-	}
-	fmt.Println("\ngate: PASS")
-	return 0
-}
-
-// runNetSoak executes the seeded network-tier chaos campaigns and prints one
-// verdict line per campaign. Each campaign stands the sharded tier up behind
-// a live loopback listener twice — a clean baseline pass to calibrate the
-// latency envelope, then the chaos pass with device injections and a
-// graceful shard-0 drain at the midpoint — and gates on zero hung calls,
-// exact typed accounting, post-drain liveness, a bounded p99 and zero leaked
-// goroutines. Returns the process exit code: 0 when every campaign's gate
-// holds.
-func runNetSoak(seed int64, campaigns, requests int) int {
-	if campaigns < 1 {
-		fmt.Fprintln(os.Stderr, "GATE FAILED: nothing exercised (campaigns=0)")
-		return 1
-	}
-	cfg := campaign.DefaultNetSoakConfig()
-	if requests > 0 {
-		cfg.Load.Requests = requests
-	}
-	fmt.Printf("net soak: %d campaigns × %d requests over %d shards × %d devices, base seed %d\n",
-		campaigns, cfg.Load.Requests, cfg.Shards, cfg.DevicesPerShard, seed)
-	fmt.Printf("chaos: slow %.0f%%@%v, crash %.1f%%, deadline storm every %d waves @%dms, shard-0 drains at %.0f%%\n",
-		100*cfg.SlowP, cfg.SlowDelay, 100*cfg.CrashP, cfg.Load.StormEvery,
-		cfg.Load.StormDeadlineMs, 100*cfg.DrainAfter)
-	failed := 0
-	for i := 0; i < campaigns; i++ {
-		res, err := campaign.RunNetSoak(seed+int64(i), cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "net soak:", err)
-			return 1
-		}
-		verdict := "PASS"
-		fails := res.Failures()
-		if len(fails) != 0 {
-			verdict = "FAIL"
-			failed++
-		}
-		fmt.Printf("seed %d: %s | ok %d/%d sent (degraded %d, post-drain %d) "+
-			"| invalid %d quota %d deadline %d overload %d no-device %d faulted %d "+
-			"| retries %d drains %d (auto %d) | %.0f req/s | p99 %v (baseline %v, bound %v)\n",
-			res.Seed, verdict, res.Chaos.OK, res.Chaos.Sent, res.Chaos.Degraded, res.PostDrainOK,
-			res.Stats.Invalid, res.Stats.QuotaRejected, res.Stats.Deadlines, res.Stats.Overloaded,
-			res.Stats.Unavailable, res.Stats.Faulted,
-			res.Stats.Retries, res.Stats.Drains, res.Stats.AutoDrains,
-			res.Chaos.Throughput, res.ChaosP99, res.BaselineP99, res.P99Bound)
-		for _, f := range fails {
-			fmt.Printf("         gate violation: %s\n", f)
-		}
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "\nGATE FAILED: %d/%d campaigns violated the network-tier contract\n", failed, campaigns)
-		return 1
-	}
-	fmt.Println("\ngate: PASS")
-	return 0
-}
-
-// runLifetimeSoak executes the three-arm repair-ladder lifetime soak for
-// each seed: the escalation-ladder fleet campaign (scrub → remap → retrain,
-// costs charged per strategy), the retrain-only control in the same cost
-// units, and the ladder campaign crash-replayed from its journal. The gate
-// demands the ladder beat the control on budget spend and retirements at an
-// equal-or-better fidelity floor, zero untyped strategy errors, and exact
-// crash/restart parity on the journaled strategy decisions. Returns the
-// process exit code: 0 when every seed's gate holds.
-func runLifetimeSoak(seed int64, campaigns, rounds, devices int) int {
-	cfg := campaign.DefaultLifetimeSoakConfig()
-	cfg.Fleet.Rounds = rounds
-	cfg.Fleet.Devices = devices
-	fmt.Printf("lifetime soak: %d campaigns × %d rounds × %d devices, base seed %d\n",
-		campaigns, rounds, devices, seed)
-	fmt.Printf("ladder scrub(%d) → remap(%d) → retrain(%d), budget %d units/device; crashes after rounds %v\n",
-		repair.CostScrub, repair.CostRemap, repair.CostRetrain,
-		cfg.Fleet.Fleet.RepairBudget, cfg.Fleet.CrashAfter)
-	failed, replays := 0, 0
-	for i := 0; i < campaigns; i++ {
-		res, err := campaign.RunLifetimeSoak(seed+int64(i), cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lifetime soak:", err)
-			return 1
-		}
-		fmt.Printf("\n%s", res)
-		if !res.Pass() {
-			failed++
-		}
-		replays += res.Crashed.Replays
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "\nGATE FAILED: %d/%d campaigns violated the lifetime contract\n", failed, campaigns)
-		return 1
-	}
-	// a soak whose parity arm never crashed (campaigns=0, or rounds short of
-	// the crash schedule) proved nothing about decision durability
-	if replays == 0 {
-		fmt.Fprintln(os.Stderr, "\nGATE FAILED: nothing exercised (no crash/replay cycles ran)")
-		return 1
-	}
-	fmt.Println("\ngate: PASS")
-	return 0
-}
-
-// runFleetSoak executes the seeded fleet crash-equivalence campaigns and
-// prints the fleet scorecard. Each campaign runs twice from the same seed —
-// uninterrupted and with mid-campaign supervisor crashes (torn journal
-// tails included) — and the gate demands zero divergence between the two.
-// Returns the process exit code: 0 when the gate holds.
-// runCrashSoak executes the durable-state torture matrix: every
-// (crash point × disk fault) cell runs a seeded fleet campaign over the
-// snapshot-compacting journal store, kills it, injects the fault, recovers,
-// and gates on bit-identical state, bounded WAL size and zero writes that
-// were acknowledged and then lost. One matrix runs per campaign seed.
-func runCrashSoak(seed int64, campaigns, devices int) int {
-	cfg := campaign.DefaultCrashSoakConfig()
-	cfg.Devices = devices
-	faults := campaign.AllFaults()
-	fmt.Printf("crash soak: %d matrices × (%d crash points × %d faults), %d devices × %d rounds, base seed %d\n",
-		campaigns, len(cfg.CrashPoints), len(faults), cfg.Devices, cfg.Rounds, seed)
-	fmt.Printf("compaction every %d rounds or %d bytes; WAL gated at 2×threshold + one record\n",
-		cfg.Fleet.CompactEvery, cfg.CompactBytes)
-	exit := 0
-	for i := 0; i < campaigns; i++ {
-		res, err := campaign.RunCrashSoak(seed+int64(i), cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crash soak:", err)
-			return 1
-		}
-		identical, degraded := 0, 0
-		for _, c := range res.Cells {
-			if c.StateMatch {
-				identical++
-			}
-			if c.Degraded {
-				degraded++
-			}
-		}
-		fmt.Printf("seed %d: %d/%d cells recovered bit-identical, %d degraded to memory-only, WAL peak %d of %d bytes\n",
-			res.Seed, identical, len(res.Cells), degraded, res.MaxWALBytes, res.WALBound)
-		for _, f := range res.Failures() {
-			fmt.Fprintln(os.Stderr, "  FAIL:", f)
-			exit = 1
-		}
-	}
-	if exit != 0 {
-		fmt.Fprintln(os.Stderr, "\nGATE FAILED: durable-state matrix has failing cells")
-		return exit
-	}
-	fmt.Println("\ngate: PASS")
-	return 0
-}
-
-func runFleetSoak(seed int64, campaigns, rounds, devices int) int {
-	cfg := campaign.DefaultFleetSoakConfig()
-	cfg.Rounds = rounds
-	cfg.Devices = devices
-	fmt.Printf("fleet soak: %d campaigns × %d rounds × %d devices, base seed %d\n",
-		campaigns, rounds, devices, seed)
-	fmt.Printf("crashes after rounds %v (journal tail corrupted), shower at round %d\n",
-		cfg.CrashAfter, cfg.ShowerRound)
-	pairs := make([]campaign.FleetPairResult, 0, campaigns)
-	for i := 0; i < campaigns; i++ {
-		pair, err := campaign.RunFleetPair(seed+int64(i), cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fleet soak:", err)
-			return 1
-		}
-		pairs = append(pairs, pair)
-	}
-	sc := campaign.ScoreFleet(pairs)
-	fmt.Printf("\n%s\n", sc)
-	if err := sc.Gate(); err != nil {
-		fmt.Fprintln(os.Stderr, "\nGATE FAILED:", err)
-		return 1
-	}
-	fmt.Println("\ngate: PASS")
 	return 0
 }

@@ -9,7 +9,7 @@
 // victory open-loop. Every unit of cost is charged against the device's
 // lifetime repair budget, whether or not the rung worked. The same ladder,
 // driven fleet-wide against a retrain-only control arm, is what `go run
-// ./cmd/monitor -lifetime-soak` gates on.
+// ./cmd/monitor -soak lifetime` gates on.
 //
 //	go run ./examples/repair_ladder
 package main
@@ -26,12 +26,12 @@ import (
 
 func main() {
 	// a plant bundles the trained workload model, the simulated crossbar
-	// accelerator and the repair actuators; Ladder exposes the strategy
-	// suite, Harden bakes drop-connect stuck-at tolerance in at
+	// accelerator and the repair actuators; the Ladder repair mode exposes
+	// the strategy suite, Harden bakes drop-connect stuck-at tolerance in at
 	// commissioning (the ladder's zero-cost rung — it runs before the
 	// device ever ships)
 	pcfg := campaign.DefaultPlantConfig()
-	pcfg.Ladder = true
+	pcfg.Repair = campaign.Ladder
 	pcfg.Harden = true
 	pcfg.SpareRows = 2
 	plant := campaign.NewPlant(7, pcfg)

@@ -119,10 +119,12 @@ type Config struct {
 	Health health.Config
 	// Monitor sets the decision thresholds.
 	Monitor monitor.Config
-	// FidelityBudget is the allowed agreement loss after repair (the
-	// acceptance gate's "within 2% of commissioning": 0.02).
-	FidelityBudget float64
 }
+
+// RecoveryBand is the probe-fidelity loss a repaired device may carry: the
+// campaign gate's "within 2% of commissioning", and the slack the lifetime
+// soak allows the ladder's fidelity floor against the retrain-only control.
+const RecoveryBand = 0.02
 
 // DefaultConfig returns the gate-scale campaign: 40 rounds against the
 // default plant with the default hardened runtime.
@@ -134,11 +136,10 @@ func DefaultConfig() Config {
 	// status. Timelines glitch for up to 2 rounds, so confirm on 3.
 	hcfg.EscalateAfter = 3
 	return Config{
-		Rounds:         40,
-		Plant:          DefaultPlantConfig(),
-		Health:         hcfg,
-		Monitor:        monitor.DefaultConfig(),
-		FidelityBudget: 0.02,
+		Rounds:  40,
+		Plant:   DefaultPlantConfig(),
+		Health:  hcfg,
+		Monitor: monitor.DefaultConfig(),
 	}
 }
 

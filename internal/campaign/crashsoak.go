@@ -85,34 +85,30 @@ type CrashSoakConfig struct {
 	// compaction (must be ≥ 1 so snapshot-dependent faults have a snapshot
 	// to attack).
 	Fleet fleet.Config
-	// CompactBytes is the Store's size-compaction threshold and the base of
-	// the WAL bound (max WAL ≤ 2×CompactBytes + one record).
-	CompactBytes int64
-	// CrashPoints are the rounds after which each fault column strikes.
-	// Every point must be ≥ Fleet.CompactEvery and ≤ Rounds.
+	// CrashPoints are the rounds after which every fault column strikes
+	// (at least one). Every point must be ≥ Fleet.CompactEvery and ≤ Rounds.
 	CrashPoints []int
-	// Faults selects the columns (nil → AllFaults()).
-	Faults []string
-	// DegradedRounds is how many extra memory-only ticks a fail-stop cell
-	// runs after degrading, proving the fleet keeps supervising (0 → 2).
-	DegradedRounds int
 }
+
+// CrashSoakCompactBytes is the Store's size-compaction threshold and the
+// base of the WAL bound (max WAL ≤ 2×CrashSoakCompactBytes + one record).
+const CrashSoakCompactBytes = 16 << 10
+
+// crashDegradedRounds is how many extra memory-only ticks a fail-stop cell
+// runs after degrading, proving the fleet keeps supervising.
+const crashDegradedRounds = 2
 
 // DefaultCrashSoakConfig returns the gate-scale matrix: 3 devices, 12
 // rounds, 3 crash points × all 9 fault columns = 27 cells plus a baseline.
 func DefaultCrashSoakConfig() CrashSoakConfig {
-	fcfg := fleet.DefaultConfig()
-	fcfg.Health = DefaultConfig().Health
-	fcfg.Monitor = monitor.DefaultConfig()
+	fcfg := soakFleetConfig()
 	fcfg.RepairBudget = 10
 	fcfg.CompactEvery = 3
 	return CrashSoakConfig{
 		Devices: 3, Rounds: 12,
-		Plant:          DefaultPlantConfig(),
-		Fleet:          fcfg,
-		CompactBytes:   16 << 10,
-		CrashPoints:    []int{4, 7, 11},
-		DegradedRounds: 2,
+		Plant:       DefaultPlantConfig(),
+		Fleet:       fcfg,
+		CrashPoints: []int{4, 7, 11},
 	}
 }
 
@@ -126,7 +122,6 @@ type CrashCell struct {
 	LastAcked      int  // last round acknowledged as durable before the kill
 	RecoveredRound int  // round the recovery landed on
 	StateMatch     bool // recovered state bit-identical to baseline at RecoveredRound
-	FinalMatch     bool // campaign finished matching baseline (recoverable cells)
 	MaxWALBytes    int64
 	Failures       []string
 }
@@ -166,15 +161,8 @@ func RunCrashSoak(seed int64, cfg CrashSoakConfig) (CrashSoakResult, error) {
 	if cfg.Fleet.CompactEvery < 1 {
 		return CrashSoakResult{}, errors.New("campaign: crash soak requires Fleet.CompactEvery ≥ 1 — snapshot faults need snapshots")
 	}
-	if cfg.CompactBytes <= 0 {
-		cfg.CompactBytes = 16 << 10
-	}
-	if cfg.DegradedRounds == 0 {
-		cfg.DegradedRounds = 2
-	}
-	faults := cfg.Faults
-	if faults == nil {
-		faults = AllFaults()
+	if len(cfg.CrashPoints) == 0 {
+		return CrashSoakResult{}, errors.New("campaign: crash soak needs ≥ 1 crash point — an empty matrix proves nothing")
 	}
 	for _, p := range cfg.CrashPoints {
 		if p < cfg.Fleet.CompactEvery || p > cfg.Rounds {
@@ -194,10 +182,10 @@ func RunCrashSoak(seed int64, cfg CrashSoakConfig) (CrashSoakResult, error) {
 		return res, fmt.Errorf("campaign: crash-soak baseline: %w", err)
 	}
 	res.MaxWALBytes = base.maxWAL
-	res.WALBound = 2*cfg.CompactBytes + base.maxRecord
+	res.WALBound = 2*CrashSoakCompactBytes + base.maxRecord
 
 	for _, point := range cfg.CrashPoints {
-		for _, fault := range faults {
+		for _, fault := range AllFaults() {
 			cell := runCrashCell(seed, cfg, filepath.Join(dir, fmt.Sprintf("r%02d-%s", point, fault)), point, fault, base)
 			if cell.MaxWALBytes > res.MaxWALBytes {
 				res.MaxWALBytes = cell.MaxWALBytes
@@ -208,7 +196,7 @@ func RunCrashSoak(seed int64, cfg CrashSoakConfig) (CrashSoakResult, error) {
 	if res.MaxWALBytes > res.WALBound {
 		res.Cells = append(res.Cells, CrashCell{Fault: "wal-bound", Failures: []string{
 			fmt.Sprintf("WAL peaked at %d bytes, bound %d (2×%d + %d-byte record)",
-				res.MaxWALBytes, res.WALBound, cfg.CompactBytes, base.maxRecord)}})
+				res.MaxWALBytes, res.WALBound, CrashSoakCompactBytes, base.maxRecord)}})
 	}
 	return res, nil
 }
@@ -221,7 +209,7 @@ func runCrashBaseline(seed int64, cfg CrashSoakConfig, dir string) (*crashBaseli
 	}
 	plants, pending, devices, _ := buildFleetHardware(seed, cfg.Devices, cfg.Rounds, cfg.Plant)
 	st, _, err := journal.OpenStore(filepath.Join(dir, "fleet.wal"),
-		journal.StoreConfig{CompactBytes: cfg.CompactBytes})
+		journal.StoreConfig{CompactBytes: CrashSoakCompactBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +298,7 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 	plants, pending, devices, _ := buildFleetHardware(seed, cfg.Devices, cfg.Rounds, cfg.Plant)
 	path := filepath.Join(dir, "fleet.wal")
 	efs := journal.NewErrFS(nil)
-	scfg := journal.StoreConfig{FS: efs, CompactBytes: cfg.CompactBytes}
+	scfg := journal.StoreConfig{FS: efs, CompactBytes: CrashSoakCompactBytes}
 	st, _, err := journal.OpenStore(path, scfg)
 	if err != nil {
 		fail("open store: %v", err)
@@ -330,7 +318,7 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 		renameRound = crashRound - crashRound%cfg.Fleet.CompactEvery
 	}
 
-	trackWAL := func() {
+	trackWAL := func(st *journal.Store) {
 		if st.Err() == nil {
 			if sz := st.Size(); sz > cell.MaxWALBytes {
 				cell.MaxWALBytes = sz
@@ -372,7 +360,7 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 		if err == nil && !sup.Unjournaled() {
 			cell.LastAcked = round
 		}
-		trackWAL()
+		trackWAL(st)
 	}
 	if fault == FaultNone || fault == FaultTornTail || fault == FaultTornSnapshotTmp || fault == FaultCorruptSnapshot {
 		cell.FaultSurfaced = true // these strike the dead disk; surfacing is judged at recovery
@@ -386,7 +374,7 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 		if !cell.Degraded {
 			fail("fail-stop fault did not flip the supervisor to Unjournaled")
 		}
-		end := crashRound + cfg.DegradedRounds
+		end := crashRound + crashDegradedRounds
 		if end > cfg.Rounds {
 			end = cfg.Rounds
 		}
@@ -466,7 +454,6 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 	}
 
 	if failStop {
-		cell.FinalMatch = cell.StateMatch
 		return cell
 	}
 
@@ -480,15 +467,9 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 		if _, err := sup2.Tick(); err != nil {
 			fail("post-recovery round %d: %v", round, err)
 		}
-		if st2.Err() == nil {
-			if sz := st2.Size(); sz > cell.MaxWALBytes {
-				cell.MaxWALBytes = sz
-			}
-		}
+		trackWAL(st2)
 	}
-	if reflect.DeepEqual(sup2.Snapshot(), base.perRound[cfg.Rounds]) {
-		cell.FinalMatch = true
-	} else {
+	if !reflect.DeepEqual(sup2.Snapshot(), base.perRound[cfg.Rounds]) {
 		fail("final state diverges from the uninterrupted baseline")
 	}
 	return cell

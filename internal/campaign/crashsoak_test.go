@@ -12,7 +12,6 @@ func smokeCrashSoakConfig() CrashSoakConfig {
 	cfg.Devices = 2
 	cfg.Rounds = 8
 	cfg.CrashPoints = []int{4, 6}
-	cfg.DegradedRounds = 2
 	return cfg
 }
 
@@ -69,5 +68,10 @@ func TestCrashSoakRejectsBadConfig(t *testing.T) {
 	cfg.CrashPoints = []int{cfg.Rounds + 1}
 	if _, err := RunCrashSoak(1, cfg); err == nil {
 		t.Fatal("crash point past the campaign accepted")
+	}
+	cfg = smokeCrashSoakConfig()
+	cfg.CrashPoints = nil // zero cells: the matrix would pass having run nothing
+	if _, err := RunCrashSoak(1, cfg); err == nil {
+		t.Fatal("empty crash-point list accepted")
 	}
 }

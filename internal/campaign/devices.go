@@ -2,10 +2,16 @@ package campaign
 
 import (
 	"fmt"
+	"sync"
+	"time"
 
 	"reramtest/internal/engine"
 	"reramtest/internal/fleet"
+	"reramtest/internal/health"
+	"reramtest/internal/hwcost"
 	"reramtest/internal/models"
+	"reramtest/internal/monitor"
+	"reramtest/internal/nn"
 	"reramtest/internal/rng"
 	"reramtest/internal/tensor"
 	"reramtest/internal/testgen"
@@ -44,4 +50,68 @@ func engineDevices(r *rng.RNG, n int, prefix string, chaos *chaosInjector) []fle
 		}
 	}
 	return devices
+}
+
+// chaosInjector perturbs device readouts from one seeded stream, shared by
+// every device (attempt goroutines draw concurrently, so it locks).
+type chaosInjector struct {
+	mu        sync.Mutex
+	r         *rng.RNG
+	enabled   bool
+	slowP     float64
+	slowDelay time.Duration
+	crashP    float64
+	slows     int
+	crashes   int
+}
+
+func (c *chaosInjector) disturb() {
+	c.mu.Lock()
+	if !c.enabled {
+		c.mu.Unlock()
+		return
+	}
+	slow := c.r.Bernoulli(c.slowP)
+	crash := c.r.Bernoulli(c.crashP)
+	if slow {
+		c.slows++
+	}
+	if crash {
+		c.crashes++
+	}
+	delay := c.slowDelay
+	c.mu.Unlock()
+	if slow {
+		time.Sleep(delay)
+	}
+	if crash {
+		panic("campaign: injected mid-request crash")
+	}
+}
+
+// soakDevice is an engine-backed accelerator with a chaos tap on its readout
+// path. The engine is single-goroutine, which is fine: the fleet Station
+// wrapping this device serialises all access.
+type soakDevice struct {
+	id    string
+	net   *nn.Network
+	pats  *testgen.PatternSet
+	eng   *engine.Engine
+	chaos *chaosInjector
+}
+
+func (d *soakDevice) ID() string                    { return d.id }
+func (d *soakDevice) Reference() *nn.Network        { return d.net }
+func (d *soakDevice) Patterns() *testgen.PatternSet { return d.pats }
+func (d *soakDevice) Repairer() health.Repairer     { return nil }
+
+// CostCounter implements fleet.CostMetered via the compiled engine's meter.
+func (d *soakDevice) CostCounter() *hwcost.Counter { return d.eng.Counter() }
+func (d *soakDevice) Infer() monitor.Infer {
+	return func(x *tensor.Tensor) *tensor.Tensor {
+		if d.chaos != nil {
+			d.chaos.disturb()
+		}
+		return d.eng.Probs(x)
+	}
 }

@@ -61,41 +61,42 @@ func ScoreFleet(pairs []FleetPairResult) FleetScorecard {
 	return s
 }
 
-// Gate checks the fleet soak acceptance criteria and returns a descriptive
-// error on the first violation: zero state divergence after journal replay
-// (identical confirmed statuses and repair budgets versus an uninterrupted
-// run), zero requests routed to quarantined or Impaired/Critical devices,
-// corrupt journal tails truncated rather than trusted, and every crash,
-// breaker and probe path actually exercised (a soak that exercised nothing
-// proves nothing).
-func (s FleetScorecard) Gate() error {
+// Failures lists every violated fleet soak acceptance criterion (empty =
+// the soak passed): zero state divergence after journal replay (identical
+// confirmed statuses and repair budgets versus an uninterrupted run), zero
+// requests routed to quarantined or Impaired/Critical devices, corrupt
+// journal tails truncated rather than trusted, and every crash, breaker and
+// probe path actually exercised (a soak that exercised nothing proves
+// nothing).
+func (s FleetScorecard) Failures() []string {
 	if s.Campaigns == 0 || s.Replays == 0 || s.Routed == 0 {
-		return fmt.Errorf("fleet gate: nothing exercised (campaigns=%d replays=%d routed=%d) — run more campaigns/rounds",
-			s.Campaigns, s.Replays, s.Routed)
+		return []string{fmt.Sprintf("nothing exercised (campaigns=%d replays=%d routed=%d) — run more campaigns/rounds",
+			s.Campaigns, s.Replays, s.Routed)}
 	}
+	var fails []string
 	if s.BreakerTrips == 0 || s.Probes == 0 {
-		return fmt.Errorf("fleet gate: breaker path unexercised (trips=%d probes=%d)", s.BreakerTrips, s.Probes)
+		fails = append(fails, fmt.Sprintf("breaker path unexercised (trips=%d probes=%d)", s.BreakerTrips, s.Probes))
 	}
 	if s.TornCrashes > 0 && s.TruncatedBytes == 0 {
-		return fmt.Errorf("fleet gate: %d torn crashes injected but no journal bytes truncated — corrupt-tail recovery untested",
-			s.TornCrashes)
+		fails = append(fails, fmt.Sprintf("%d torn crashes injected but no journal bytes truncated — corrupt-tail recovery untested",
+			s.TornCrashes))
 	}
 	if s.StateDivergences > 0 {
-		return fmt.Errorf("fleet gate: %d replays reconstructed a different supervisor state", s.StateDivergences)
+		fails = append(fails, fmt.Sprintf("%d replays reconstructed a different supervisor state", s.StateDivergences))
 	}
 	if s.StatusDivergences > 0 {
-		return fmt.Errorf("fleet gate: %d confirmed statuses diverged between crashed and uninterrupted runs", s.StatusDivergences)
+		fails = append(fails, fmt.Sprintf("%d confirmed statuses diverged between crashed and uninterrupted runs", s.StatusDivergences))
 	}
 	if s.BudgetDivergences > 0 {
-		return fmt.Errorf("fleet gate: %d devices' repair budgets diverged after replay", s.BudgetDivergences)
+		fails = append(fails, fmt.Sprintf("%d devices' repair budgets diverged after replay", s.BudgetDivergences))
 	}
 	if s.FinalDivergences > 0 {
-		return fmt.Errorf("fleet gate: %d devices ended with different durable state after replay", s.FinalDivergences)
+		fails = append(fails, fmt.Sprintf("%d devices ended with different durable state after replay", s.FinalDivergences))
 	}
 	if s.Misroutes > 0 {
-		return fmt.Errorf("fleet gate: %d requests routed to quarantined or Impaired/Critical devices", s.Misroutes)
+		fails = append(fails, fmt.Sprintf("%d requests routed to quarantined or Impaired/Critical devices", s.Misroutes))
 	}
-	return nil
+	return fails
 }
 
 // String renders the scorecard as a small report.

@@ -72,17 +72,21 @@ type FleetSoakConfig struct {
 	ShowerP     float64
 }
 
+// soakFleetConfig is the supervisor every fleet-backed soak starts from: the
+// fleet defaults over the campaign's hardened runtime (simulated time and a
+// flap-proof debounce).
+func soakFleetConfig() fleet.Config {
+	fcfg := fleet.DefaultConfig()
+	fcfg.Health = DefaultConfig().Health
+	return fcfg
+}
+
 // DefaultFleetSoakConfig returns the gate-scale fleet campaign: 4 devices,
 // 40 rounds, two mid-campaign supervisor crashes with corrupt journal
 // tails, and one correlated shower.
 func DefaultFleetSoakConfig() FleetSoakConfig {
-	fcfg := fleet.DefaultConfig()
-	fcfg.Health = DefaultConfig().Health // simulated time + flap-proof debounce
-	fcfg.Monitor = monitor.DefaultConfig()
-	fcfg.BreakerOpenAfter = 2
-	fcfg.BreakerCooldown = 3
+	fcfg := soakFleetConfig()
 	fcfg.RepairBudget = 10
-	fcfg.MinServing = 1
 	return FleetSoakConfig{
 		Devices: 4, Rounds: 40,
 		Plant:            DefaultPlantConfig(),

@@ -11,12 +11,12 @@
 //
 //  1. economics — the ladder must not spend more lifetime budget than
 //     retrain-only, must not retire more devices, and must hold an
-//     equal-or-better fidelity floor (within FidelityTol);
+//     equal-or-better fidelity floor (within RecoveryBand);
 //  2. typed errors — zero strategy applications across all arms may return
 //     an error outside the *repair.Error / *repair.DiagnosisError contract;
 //  3. decision parity — the crashed ladder arm must replay to the exact
 //     confirmed-status history, durable state AND journaled strategy
-//     decisions of the uninterrupted one.
+//     decisions of the uninterrupted one, and must actually have crashed.
 package campaign
 
 import (
@@ -28,21 +28,10 @@ import (
 	"reramtest/internal/monitor"
 )
 
-// LifetimeSoakConfig parameterises the three-arm lifetime soak.
-type LifetimeSoakConfig struct {
-	// Fleet is the shared campaign script: devices, rounds, event timelines,
-	// crash schedule (applied to the parity arm only). Plant.Ladder /
-	// Plant.RetrainOnly are overridden per arm.
-	Fleet FleetSoakConfig
-	// FidelityTol is the slack allowed on the ladder arm's fidelity floor
-	// relative to the control arm (0 → 0.02, the campaign's recovery band).
-	FidelityTol float64
-}
-
 // DefaultLifetimeSoakConfig returns the gate-scale soak: the default fleet
 // campaign with drop-connect-hardened commissioning, spare rows provisioned,
 // and a budget tight enough that repair economics actually bite.
-func DefaultLifetimeSoakConfig() LifetimeSoakConfig {
+func DefaultLifetimeSoakConfig() FleetSoakConfig {
 	fcfg := DefaultFleetSoakConfig()
 	fcfg.Plant.Harden = true
 	fcfg.Plant.SpareRows = 2
@@ -53,21 +42,15 @@ func DefaultLifetimeSoakConfig() LifetimeSoakConfig {
 	// beyond gate scale.
 	fcfg.Plant.Patterns = 48
 	fcfg.Fleet.RepairBudget = 12
-	return LifetimeSoakConfig{Fleet: fcfg, FidelityTol: 0.02}
+	return fcfg
 }
 
 // LifetimeArm is one arm's economic summary.
 type LifetimeArm struct {
-	Result    FleetResult
-	CostSpent int // lifetime budget units charged fleet-wide
-	Retired   int // devices retired to hardware service
-	// FidelityFloor is the worst final fidelity across SERVING devices — the
-	// ones the router actually dispatches to (not retired, confirmed at
-	// worst Degraded). A quarantined wreck the arm kept limping does not
-	// drag the floor: it receives no traffic, so it is not part of the
-	// service the fleet delivers.
-	FidelityFloor float64
-	Serving       int
+	Result        FleetResult
+	CostSpent     int // lifetime budget units charged fleet-wide
+	Retired       int // devices retired to hardware service
+	Serving       int // devices in service at the end (see serves)
 	UntypedErrors int
 }
 
@@ -76,21 +59,22 @@ func summarizeArm(res FleetResult) LifetimeArm {
 		Result:        res,
 		CostSpent:     res.RepairCostSpent,
 		Retired:       res.Retired,
-		FidelityFloor: 1,
 		UntypedErrors: res.UntypedRepairErrors,
 	}
-	final := res.Confirmed[len(res.Confirmed)-1]
-	for i, id := range res.Devices {
-		if res.FinalSnapshot[id].Retired || final[i] > monitor.Degraded {
-			continue
+	for i := range res.Devices {
+		if serves(res, i) {
+			arm.Serving++
 		}
-		arm.Serving++
-		arm.FidelityFloor = math.Min(arm.FidelityFloor, res.FinalFidelity[id])
-	}
-	if arm.Serving == 0 {
-		arm.FidelityFloor = 0
 	}
 	return arm
+}
+
+// serves reports whether device i ends the campaign in service: not
+// retired and confirmed at worst Degraded, so the router still dispatches to
+// it. A quarantined wreck an arm kept limping receives no traffic, so it is
+// not part of the service the fleet delivers.
+func serves(res FleetResult, i int) bool {
+	return !res.FinalSnapshot[res.Devices[i]].Retired && res.Confirmed[len(res.Confirmed)-1][i] <= monitor.Degraded
 }
 
 // LifetimeSoakResult is the three-arm comparison and its gate verdicts.
@@ -112,14 +96,32 @@ type LifetimeSoakResult struct {
 	// Gate verdicts.
 	SpendOK    bool // ladder spend ≤ retrain-only spend
 	RetireOK   bool // ladder retirements ≤ retrain-only retirements
-	FidelityOK bool // ladder floor ≥ control floor − FidelityTol
+	FidelityOK bool // ladder floor ≥ control floor − RecoveryBand
 	TypedOK    bool // zero untyped strategy errors across all arms
 	ParityOK   bool // crash/restart replay is byte-equivalent, decisions included
 }
 
-// Pass reports whether every gate held.
-func (r LifetimeSoakResult) Pass() bool {
-	return r.SpendOK && r.RetireOK && r.FidelityOK && r.TypedOK && r.ParityOK
+// Failures lists every violated gate (empty = campaign passed); String
+// prints the numbers behind each. A parity arm that never crashed proved
+// nothing about decision durability, so it fails too.
+func (r LifetimeSoakResult) Failures() []string {
+	var fails []string
+	for _, g := range []struct {
+		ok   bool
+		fail string
+	}{
+		{r.SpendOK, "spend: the ladder spent more budget than retrain-only"},
+		{r.RetireOK, "retire: the ladder retired more devices than retrain-only"},
+		{r.FidelityOK, "fidelity: the ladder's floor trails retrain-only's by more than the recovery band (0.02)"},
+		{r.TypedOK, "typed: strategy errors outside the typed contract"},
+		{r.ParityOK, "parity: the crash-replayed ladder arm diverged from the uninterrupted one"},
+		{r.Crashed.Replays > 0, "nothing exercised (no crash/replay cycles ran)"},
+	} {
+		if !g.ok {
+			fails = append(fails, g.fail)
+		}
+	}
+	return fails
 }
 
 // String renders the verdict table.
@@ -140,24 +142,21 @@ func (r LifetimeSoakResult) String() string {
 		r.Ladder.UntypedErrors+r.RetrainOnly.UntypedErrors+r.Crashed.UntypedRepairErrors)
 	fmt.Fprintf(&b, "  parity   %s  status=%d state=%d decisions=%d replays=%d truncated=%dB\n", mark(r.ParityOK),
 		r.Parity.StatusDivergences, r.Parity.FinalStateDivergences, r.DecisionDivergences, r.Crashed.Replays, r.Crashed.TruncatedBytes)
-	fmt.Fprintf(&b, "  verdict  %s\n", mark(r.Pass()))
+	fmt.Fprintf(&b, "  verdict  %s\n", mark(len(r.Failures()) == 0))
 	return b.String()
 }
 
 // RunLifetimeSoak executes the three-arm soak for one seed. Deterministic:
 // the same seed and config always produce the same result.
-func RunLifetimeSoak(seed int64, cfg LifetimeSoakConfig) (LifetimeSoakResult, error) {
-	if cfg.FidelityTol <= 0 {
-		cfg.FidelityTol = 0.02
-	}
+//
+// cfg is the shared campaign script: devices, rounds, event timelines and a
+// crash schedule applied to the parity arm only. Plant.Repair is set per arm.
+func RunLifetimeSoak(seed int64, cfg FleetSoakConfig) (LifetimeSoakResult, error) {
+	ladderCfg := cfg
+	ladderCfg.Plant.Repair = Ladder
 
-	ladderCfg := cfg.Fleet
-	ladderCfg.Plant.Ladder = true
-	ladderCfg.Plant.RetrainOnly = false
-
-	controlCfg := cfg.Fleet
-	controlCfg.Plant.Ladder = false
-	controlCfg.Plant.RetrainOnly = true
+	controlCfg := cfg
+	controlCfg.Plant.Repair = RetrainOnly
 	controlCfg.CrashAfter = nil
 	controlCfg.CorruptTail = false
 
@@ -185,12 +184,8 @@ func RunLifetimeSoak(seed int64, cfg LifetimeSoakConfig) (LifetimeSoakResult, er
 	// device only the control kept is symmetric
 	res.CommonFloorLadder, res.CommonFloorControl = 1, 1
 	common := 0
-	finalL := pair.Uninterrupted.Confirmed[len(pair.Uninterrupted.Confirmed)-1]
-	finalC := control.Confirmed[len(control.Confirmed)-1]
 	for i, id := range pair.Uninterrupted.Devices {
-		servesL := !pair.Uninterrupted.FinalSnapshot[id].Retired && finalL[i] <= monitor.Degraded
-		servesC := !control.FinalSnapshot[id].Retired && finalC[i] <= monitor.Degraded
-		if !servesL || !servesC {
+		if !serves(pair.Uninterrupted, i) || !serves(control, i) {
 			continue
 		}
 		common++
@@ -213,7 +208,7 @@ func RunLifetimeSoak(seed int64, cfg LifetimeSoakConfig) (LifetimeSoakResult, er
 
 	res.SpendOK = res.Ladder.CostSpent <= res.RetrainOnly.CostSpent
 	res.RetireOK = res.Ladder.Retired <= res.RetrainOnly.Retired
-	res.FidelityOK = res.CommonFloorLadder >= res.CommonFloorControl-cfg.FidelityTol
+	res.FidelityOK = res.CommonFloorLadder >= res.CommonFloorControl-RecoveryBand
 	res.TypedOK = res.Ladder.UntypedErrors == 0 && res.RetrainOnly.UntypedErrors == 0 &&
 		res.Crashed.UntypedRepairErrors == 0
 	res.ParityOK = res.Parity.StatusDivergences == 0 && res.Parity.FinalStateDivergences == 0 &&

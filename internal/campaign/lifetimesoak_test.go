@@ -28,8 +28,8 @@ func TestLifetimeSoakGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", res)
-	if !res.Pass() {
-		t.Fatalf("lifetime soak gate failed:\n%s", res)
+	if fails := res.Failures(); len(fails) != 0 {
+		t.Fatalf("lifetime soak gate failed: %v\n%s", fails, res)
 	}
 	// the economics must be a strict win on the demonstration seed, not a tie
 	if res.Ladder.CostSpent >= res.RetrainOnly.CostSpent {
@@ -38,7 +38,7 @@ func TestLifetimeSoakGate(t *testing.T) {
 	}
 	// the parity arm must actually have crashed and replayed — a soak that
 	// never exercised the journal proves nothing about decision durability
-	if want := len(DefaultLifetimeSoakConfig().Fleet.CrashAfter); res.Crashed.Replays != want {
+	if want := len(DefaultLifetimeSoakConfig().CrashAfter); res.Crashed.Replays != want {
 		t.Errorf("crashed arm replays = %d, want %d", res.Crashed.Replays, want)
 	}
 	if res.Crashed.TruncatedBytes == 0 {
@@ -92,14 +92,13 @@ func TestPlantStrategySurface(t *testing.T) {
 		t.Fatalf("default plant strategies = %v, want %v", got, want)
 	}
 
-	cfg.RetrainOnly = true
+	cfg.Repair = RetrainOnly
 	control := NewPlant(1, cfg).Strategies()
 	if len(control) != 1 || control[0].Name() != "retrain" {
 		t.Fatalf("retrain-only plant strategies = %v, want [retrain]", names(control))
 	}
 
-	cfg.RetrainOnly = false
-	cfg.Ladder = true
+	cfg.Repair = Ladder
 	ladder := NewPlant(1, cfg).Strategies()
 	want := []string{"scrub", "remap", "retrain"}
 	if !reflect.DeepEqual(names(ladder), want) {

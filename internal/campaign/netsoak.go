@@ -1,14 +1,17 @@
 // Network soak: chaos campaign against the sharded network-facing serving
-// tier (internal/netserve) over a real loopback listener. Where the serve
-// soak attacks one in-process frontend, this soak exercises the full wire
-// path — HTTP decode, header deadlines, tenant quotas, consistent-hash
-// placement, cross-shard retries — while injecting device-level chaos AND a
-// mid-campaign graceful shard drain, then audits the tier's contract:
+// tier (internal/netserve) over a real loopback listener. It exercises the
+// full wire path — HTTP decode, header deadlines, tenant quotas,
+// consistent-hash placement, cross-shard retries — down through each
+// shard's serve.Server frontend, while injecting device-level chaos (slow
+// readouts, mid-request crashes, deadline storms, monitoring ticks
+// concurrent with traffic) AND a mid-campaign graceful shard drain, then
+// audits the tier's contract:
 //
 //   - zero hung requests: every wire call answers within its own deadline
 //     plus a fixed grace, drain or not;
 //   - zero silent drops: admitted == terminal typed outcomes in the tier's
-//     own accounting, and received == invalid + quota + closed + admitted;
+//     own accounting, received == invalid + quota + closed + admitted, and
+//     admitted == terminal in every shard's serve.Server accounting;
 //   - zero untyped outcomes: every reply carries a known error kind and the
 //     tier's Internal counter stays at zero;
 //   - traffic survives the drain: requests keep completing on the remaining
@@ -30,7 +33,6 @@ import (
 	"reramtest/internal/fleet"
 	"reramtest/internal/hwcost"
 	"reramtest/internal/loadgen"
-	"reramtest/internal/monitor"
 	"reramtest/internal/netserve"
 	"reramtest/internal/rng"
 	"reramtest/internal/serve"
@@ -50,29 +52,27 @@ type NetSoakConfig struct {
 	Net netserve.Config
 
 	// SlowP / SlowDelay / CrashP arm the device-level chaos tap (chaos pass
-	// only), identical in kind to the serve soak's injections.
+	// only): a readout stalls for SlowDelay with probability SlowP and
+	// panics mid-request with probability CrashP.
 	SlowP     float64
 	SlowDelay time.Duration
 	CrashP    float64
 
-	// DrainAfter is the fraction of the campaign after which shard-0 drains
-	// gracefully (chaos pass only; 0 → 0.5).
-	DrainAfter float64
 	// TickEvery runs a monitoring tick concurrently with every Nth wave's
 	// traffic (0 disables ticks).
 	TickEvery int
 }
 
+// NetSoakDrainAfter is the fraction of the campaign after which shard-0
+// drains gracefully (chaos pass only).
+const NetSoakDrainAfter = 0.5
+
 // DefaultNetSoakConfig returns the smoke-scale network chaos campaign; the
 // full gate runs the same shape with Load.Requests raised to ~10⁶ from
 // cmd/monitor or cmd/loadgen.
 func DefaultNetSoakConfig() NetSoakConfig {
-	fcfg := fleet.DefaultConfig()
-	fcfg.Health = DefaultConfig().Health
-	fcfg.Monitor = monitor.DefaultConfig()
-	fcfg.BreakerOpenAfter = 2
+	fcfg := soakFleetConfig()
 	fcfg.BreakerCooldown = 2
-	fcfg.MinServing = 1
 	return NetSoakConfig{
 		Shards: 2, DevicesPerShard: 2,
 		Load: loadgen.Config{
@@ -91,9 +91,8 @@ func DefaultNetSoakConfig() NetSoakConfig {
 		Net: netserve.Config{RetryMax: 1, MaxRows: 8,
 			DefaultDeadline: 2 * time.Second, MaxDeadline: 5 * time.Second},
 		SlowP: 0.05, SlowDelay: 10 * time.Millisecond,
-		CrashP:     0.02,
-		DrainAfter: 0.5,
-		TickEvery:  4,
+		CrashP:    0.02,
+		TickEvery: 4,
 	}
 }
 
@@ -105,6 +104,9 @@ type NetSoakResult struct {
 	Chaos    loadgen.Report // chaos pass: injections + mid-campaign drain
 
 	Stats netserve.Stats // the chaos tier's final counters
+	// Shards is the chaos tier's per-shard status after close; each shard's
+	// serve.Server accounting must close (admitted == terminal).
+	Shards []netserve.ShardStatus
 
 	// Cost is the chaos tier's own response-granular hardware-cost ledger
 	// (per tenant, per shard, fleet total); the cost gates reconcile it
@@ -119,6 +121,9 @@ type NetSoakResult struct {
 	Leaked        int   // goroutines alive after close + settle
 	PostDrainOK   int   // requests completed after shard-0 drained
 
+	// chaos census (chaos pass): proof the injections actually fired
+	InjectedSlows, InjectedCrashes, Ticks int
+
 	// latency envelope
 	BaselineP99, ChaosP99, P99Bound time.Duration
 }
@@ -131,6 +136,11 @@ func (r NetSoakResult) Failures() []string {
 	}
 	if r.SilentDrops != 0 {
 		fails = append(fails, fmt.Sprintf("accounting: admitted - terminal = %d (want 0)", r.SilentDrops))
+	}
+	for _, sh := range r.Shards {
+		if gap := int64(sh.Stats.Admitted) - int64(sh.Stats.Terminal()); gap != 0 {
+			fails = append(fails, fmt.Sprintf("accounting: %s admitted - terminal = %d (want 0)", sh.Name, gap))
+		}
 	}
 	if r.AccountingGap != 0 {
 		fails = append(fails, fmt.Sprintf("accounting: received - classified = %d (want 0)", r.AccountingGap))
@@ -209,9 +219,6 @@ func RunNetSoak(seed int64, cfg NetSoakConfig) (NetSoakResult, error) {
 	if cfg.Load.Requests < 4 {
 		return NetSoakResult{}, fmt.Errorf("campaign: net soak needs ≥ 4 requests, got %d", cfg.Load.Requests)
 	}
-	if cfg.DrainAfter <= 0 || cfg.DrainAfter >= 1 {
-		cfg.DrainAfter = 0.5
-	}
 	res := NetSoakResult{Seed: seed}
 
 	baseline, err := runNetPass(seed, cfg, false)
@@ -226,6 +233,7 @@ func RunNetSoak(seed int64, cfg NetSoakConfig) (NetSoakResult, error) {
 	res.Baseline = baseline.report
 	res.Chaos = chaos.report
 	res.Stats = chaos.stats
+	res.Shards = chaos.shards
 	res.Cost = chaos.costs
 	res.Hung = chaos.report.Hung
 	res.SilentDrops = int64(chaos.stats.Admitted) - int64(chaos.stats.Terminal())
@@ -234,11 +242,12 @@ func RunNetSoak(seed int64, cfg NetSoakConfig) (NetSoakResult, error) {
 	res.Untyped = chaos.report.Untyped + int(chaos.stats.Internal)
 	res.Leaked = chaos.leaked
 	res.PostDrainOK = chaos.postDrainOK
+	res.InjectedSlows, res.InjectedCrashes, res.Ticks = chaos.slows, chaos.crashes, chaos.ticks
 	res.BaselineP99 = baseline.report.P(0.99)
 	res.ChaosP99 = chaos.report.P(0.99)
-	// same envelope rationale as the serve soak: chaos may cost one injected
-	// stall plus scheduling slack over an inflated baseline, never an
-	// unbounded stall
+	// the envelope: chaos may cost one injected stall plus scheduling slack
+	// over an inflated baseline, but never an unbounded stall — that would
+	// mean hedging failed to route around the slow device
 	floor := 4 * res.BaselineP99
 	if floor < 5*time.Millisecond {
 		floor = 5 * time.Millisecond
@@ -249,11 +258,14 @@ func RunNetSoak(seed int64, cfg NetSoakConfig) (NetSoakResult, error) {
 
 // netPassTrace is one pass's raw measurements.
 type netPassTrace struct {
-	report      loadgen.Report
-	stats       netserve.Stats
-	costs       netserve.CostStats
-	postDrainOK int
-	leaked      int
+	report         loadgen.Report
+	stats          netserve.Stats
+	shards         []netserve.ShardStatus
+	costs          netserve.CostStats
+	postDrainOK    int
+	slows, crashes int
+	ticks          int
+	leaked         int
 }
 
 // runNetPass stands up a fresh tier behind a loopback listener and drives
@@ -298,6 +310,7 @@ func runNetPass(seed int64, cfg NetSoakConfig, chaosOn bool) (netPassTrace, erro
 	progress := func(done int) {
 		if cfg.TickEvery > 0 && cfg.Load.Concurrency > 0 &&
 			(done/cfg.Load.Concurrency)%cfg.TickEvery == 0 {
+			tr.ticks++
 			tickWG.Add(1)
 			go func() { defer tickWG.Done(); f.Tick() }()
 		}
@@ -305,7 +318,7 @@ func runNetPass(seed int64, cfg NetSoakConfig, chaosOn bool) (netPassTrace, erro
 
 	lcfg := cfg.Load
 	lcfg.InDim = StockInDim
-	preDrain := int(float64(lcfg.Requests) * cfg.DrainAfter)
+	preDrain := int(float64(lcfg.Requests) * NetSoakDrainAfter)
 	ctx := context.Background()
 
 	seg1 := lcfg
@@ -358,7 +371,11 @@ func runNetPass(seed int64, cfg NetSoakConfig, chaosOn bool) (netPassTrace, erro
 		return tr, serr
 	}
 	tr.stats = f.Stats()
+	tr.shards = f.Status()
 	tr.costs = f.CostStats()
+	chaos.mu.Lock()
+	tr.slows, tr.crashes = chaos.slows, chaos.crashes
+	chaos.mu.Unlock()
 
 	settle := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > goroutinesBefore && time.Now().Before(settle) {

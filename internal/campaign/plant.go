@@ -51,32 +51,43 @@ type PlantConfig struct {
 	// RetrainEpochs bounds the fault-aware retraining repair.
 	RetrainEpochs int
 
-	// Ladder makes the plant's repair ladder the pluggable strategy suite
-	// (scrub → remap → retrain); when false (and RetrainOnly is unset) the
-	// ladder is the fixed reprogram → retrain → replace escalation.
-	Ladder bool
-	// RetrainOnly restricts the exposed suite to the retrain strategy — the
-	// lifetime soak's control arm, charged in the same cost units as the
-	// full ladder.
-	RetrainOnly bool
-	// SpareRows provisions spare lines per crossbar for stuck-at remapping
-	// (0 → 2 when Ladder is set).
+	// Repair selects the repair ladder the plant exposes.
+	Repair RepairMode
+	// SpareRows provisions spare lines per crossbar for stuck-at remapping.
 	SpareRows int
-	// ScrubTol is the relative conductance-error band for scrub/remap
-	// diagnosis (0 → 0.25).
-	ScrubTol float64
-	// RemapMaxPerLine is the stuck-cell count above which a whole line is
-	// remapped to a spare instead of corrected cell-by-cell (0 → 2).
-	RemapMaxPerLine int
 
 	// Harden fine-tunes the workload model under drop-connect weight masking
-	// at commissioning, baking stuck-at tolerance into the weights before
-	// they are ever programmed (arXiv:2404.15498).
+	// at commissioning (repair.DefaultHardenConfig's schedule), baking
+	// stuck-at tolerance into the weights before they are ever programmed
+	// (arXiv:2404.15498).
 	Harden bool
-	// HardenP/HardenEpochs tune the hardening schedule (0 → 0.1 / 2).
-	HardenP      float64
-	HardenEpochs int
 }
+
+// RepairMode is the repair ladder a plant exposes to its supervisor.
+type RepairMode int
+
+// Repair modes.
+const (
+	// FixedEscalation is the reprogram → retrain → replace escalation.
+	FixedEscalation RepairMode = iota
+	// Ladder is the pluggable strategy suite: scrub → remap → retrain.
+	Ladder
+	// RetrainOnly exposes the retrain strategy alone — the lifetime soak's
+	// control arm, charged in the same cost units as the full ladder.
+	RetrainOnly
+)
+
+// Ladder tuning. scrubTol is the relative conductance-error band for
+// scrub/remap diagnosis. It is tight: a scrub that leaves cells 25% off
+// their programmed level verifies at the monitor yet drags probe fidelity
+// well below the retrain-only control, while 10% of the conductance window
+// keeps the repaired array functionally close to the reference.
+// remapMaxPerLine is the stuck-cell count above which a whole line is
+// remapped to a spare instead of corrected cell by cell.
+const (
+	scrubTol        = 0.10
+	remapMaxPerLine = 2
+)
 
 // DefaultPlantConfig returns a seconds-scale plant: a 3-layer MLP on 32×32
 // crossbar tiles with mild programming noise.
@@ -110,8 +121,7 @@ var (
 // (repair-suite wiring, device spares), so the ladder and retrain-only arms
 // of a lifetime soak share one trained workload model.
 func templateKey(cfg PlantConfig) string {
-	cfg.Ladder, cfg.RetrainOnly = false, false
-	cfg.SpareRows, cfg.ScrubTol, cfg.RemapMaxPerLine = 0, 0, 0
+	cfg.Repair, cfg.SpareRows = FixedEscalation, 0
 	return fmt.Sprintf("%+v", cfg)
 }
 
@@ -135,12 +145,6 @@ func buildTemplate(cfg PlantConfig) *template {
 		// fault-aware BEFORE self-labelling, so commissioning fidelity stays
 		// 1.0 by construction against the hardened model
 		hcfg := repair.DefaultHardenConfig()
-		if cfg.HardenP > 0 {
-			hcfg.DropP = cfg.HardenP
-		}
-		if cfg.HardenEpochs > 0 {
-			hcfg.Epochs = cfg.HardenEpochs
-		}
 		hcfg.Seed = r.Int63()
 		repair.HardenDropConnect(net, pool, nil, hcfg)
 	}
@@ -265,38 +269,8 @@ func (p *Plant) reramConfig() reram.Config {
 	rc.Device.ProgramSigma = p.cfg.ProgramSigma
 	rc.Device.DriftRate = p.cfg.DriftRate
 	rc.Device.DriftJitter = p.cfg.DriftJitter
-	rc.Device.SpareRows = p.spareRows()
+	rc.Device.SpareRows = p.cfg.SpareRows
 	return rc
-}
-
-// Ladder-knob defaults: only meaningful when cfg.Ladder (or RetrainOnly)
-// exposes the strategy suite.
-func (p *Plant) spareRows() int {
-	if p.cfg.SpareRows > 0 {
-		return p.cfg.SpareRows
-	}
-	if p.cfg.Ladder {
-		return 2
-	}
-	return 0
-}
-
-func (p *Plant) scrubTol() float64 {
-	if p.cfg.ScrubTol > 0 {
-		return p.cfg.ScrubTol
-	}
-	// Tight by default: a scrub that leaves cells 25% off their programmed
-	// level verifies at the monitor yet drags probe fidelity well below the
-	// retrain-only control. 10% of the conductance window keeps the repaired
-	// array functionally close to the reference.
-	return 0.10
-}
-
-func (p *Plant) remapMaxPerLine() int {
-	if p.cfg.RemapMaxPerLine > 0 {
-		return p.cfg.RemapMaxPerLine
-	}
-	return 2
 }
 
 // Reference returns the model the monitor should currently be commissioned
@@ -445,31 +419,28 @@ func (p *Plant) Apply(action repair.Action) (*nn.Network, error) {
 // positions — a stuck cell whose differential partner already re-encodes the
 // weight around it no longer motivates a remap.
 func (p *Plant) Diagnose(confirmed monitor.Status) repair.Diagnosis {
-	tol := p.scrubTol()
-	_, uncompensated := p.accel.StuckStats(tol)
+	_, uncompensated := p.accel.StuckStats(scrubTol)
 	return repair.Diagnosis{
 		Status:  confirmed,
-		Drifted: p.accel.DriftedCells(tol),
+		Drifted: p.accel.DriftedCells(scrubTol),
 		Stuck:   uncompensated,
 		Spares:  p.accel.SpareLines(),
 	}
 }
 
 // Strategies implements health.Repairer: the plant's repair ladder in
-// escalation order. By default that is the fixed escalation over Apply;
-// cfg.Ladder swaps in the strategy suite. The RetrainOnly variant is the
-// lifetime soak's control arm: the same cost accounting with the cloud-edge
-// retrain as the only rung.
+// escalation order, as cfg.Repair selects it — the fixed escalation over
+// Apply, the strategy suite, or the lifetime soak's control arm (the same
+// cost accounting with the cloud-edge retrain as the only rung).
 func (p *Plant) Strategies() []repair.Strategy {
-	if !p.cfg.Ladder && !p.cfg.RetrainOnly {
+	if p.cfg.Repair == FixedEscalation {
 		return repair.Escalation(p.Apply)
 	}
 	retrain := p.counted(p.retrainStrategy())
-	if p.cfg.RetrainOnly {
+	if p.cfg.Repair == RetrainOnly {
 		return []repair.Strategy{retrain}
 	}
-	tol := p.scrubTol()
-	scrub := repair.NewScrub(p.accel, tol)
+	scrub := repair.NewScrub(p.accel, scrubTol)
 	return []repair.Strategy{
 		// scrub is gated to drift-DOMINATED diagnoses: rewriting healthy
 		// cells cannot clear stuck-at damage, and a rung that predictably
@@ -479,7 +450,7 @@ func (p *Plant) Strategies() []repair.Strategy {
 			When: func(d repair.Diagnosis) bool { return scrub.Applicable(d) && d.Drifted > d.Stuck },
 			Do:   scrub.Apply,
 		}),
-		p.counted(repair.NewRemap(p.accel, p.remapMaxPerLine(), tol)),
+		p.counted(repair.NewRemap(p.accel, remapMaxPerLine, scrubTol)),
 		retrain,
 	}
 }

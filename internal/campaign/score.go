@@ -30,9 +30,12 @@ type Scorecard struct {
 	SensorFaultRounds, RejectedReadouts, RecoveredPanics int
 }
 
+// minRecoveryRate is the gate's floor on RecoveryRate.
+const minRecoveryRate = 0.8
+
 // RecoveryRate is the fraction of repairable (persistent, detected) events
 // whose supervised repair verified clean AND restored probe fidelity within
-// the campaign's budget.
+// RecoveryBand of commissioning.
 func (s Scorecard) RecoveryRate() float64 {
 	if s.Repairable == 0 {
 		return 1
@@ -40,9 +43,8 @@ func (s Scorecard) RecoveryRate() float64 {
 	return float64(s.Recovered) / float64(s.Repairable)
 }
 
-// Score aggregates campaign results into a scorecard. fidelityBudget is the
-// allowed post-repair agreement loss versus commissioning (e.g. 0.02).
-func Score(results []Result, fidelityBudget float64) Scorecard {
+// Score aggregates campaign results into a scorecard.
+func Score(results []Result) Scorecard {
 	var s Scorecard
 	s.Campaigns = len(results)
 	for _, res := range results {
@@ -121,7 +123,7 @@ func Score(results []Result, fidelityBudget float64) Scorecard {
 			}
 			if ev.Severity >= monitor.Degraded {
 				s.Repairable++
-				if ev.Recovered && ev.FidelityAfter >= res.CommissionFidelity-fidelityBudget {
+				if ev.Recovered && ev.FidelityAfter >= res.CommissionFidelity-RecoveryBand {
 					s.Recovered++
 				}
 				if ev.GaveUp {
@@ -133,36 +135,37 @@ func Score(results []Result, fidelityBudget float64) Scorecard {
 	return s
 }
 
-// Gate checks the soak acceptance criteria and returns a descriptive error
-// on the first violation: zero missed Critical events, zero confirmed flaps
-// on transient glitches (while the raw evidence demonstrably deviates), and
-// a recovery rate of at least minRecovery.
-func (s Scorecard) Gate(minRecovery float64) error {
+// Failures lists every violated acceptance criterion (empty = the soak
+// passed): zero missed Critical events, zero confirmed flaps on transient
+// glitches (while the raw evidence demonstrably deviates), and a recovery
+// rate of at least minRecoveryRate.
+func (s Scorecard) Failures() []string {
 	// a soak that exercised nothing proves nothing: refuse the vacuous pass
 	if s.Campaigns == 0 || s.Persistent == 0 || s.TransientWindows == 0 {
-		return fmt.Errorf("campaign gate: nothing exercised (campaigns=%d persistent=%d transientWindows=%d) — run more campaigns/rounds",
-			s.Campaigns, s.Persistent, s.TransientWindows)
+		return []string{fmt.Sprintf("nothing exercised (campaigns=%d persistent=%d transientWindows=%d) — run more campaigns/rounds",
+			s.Campaigns, s.Persistent, s.TransientWindows)}
 	}
+	var fails []string
 	if s.MissedCritical > 0 {
-		return fmt.Errorf("campaign gate: %d/%d Critical-severity events missed", s.MissedCritical, s.CriticalEvents)
+		fails = append(fails, fmt.Sprintf("%d/%d Critical-severity events missed", s.MissedCritical, s.CriticalEvents))
 	}
 	if s.MissedPersistent > 0 {
-		return fmt.Errorf("campaign gate: %d/%d persistent events never detected", s.MissedPersistent, s.Persistent)
+		fails = append(fails, fmt.Sprintf("%d/%d persistent events never detected", s.MissedPersistent, s.Persistent))
 	}
 	if s.TransientFlaps > 0 {
-		return fmt.Errorf("campaign gate: %d confirmed-status flaps on transient glitches", s.TransientFlaps)
+		fails = append(fails, fmt.Sprintf("%d confirmed-status flaps on transient glitches", s.TransientFlaps))
 	}
-	if s.TransientWindows > 0 && s.RawFlapWindows == 0 {
-		return fmt.Errorf("campaign gate: no transient window perturbed the raw monitor — flap suppression untested")
+	if s.RawFlapWindows == 0 {
+		fails = append(fails, "no transient window perturbed the raw monitor — flap suppression untested")
 	}
 	if s.FalseAlarmFlips > 0 {
-		return fmt.Errorf("campaign gate: %d false-alarm escalations on healthy rounds", s.FalseAlarmFlips)
+		fails = append(fails, fmt.Sprintf("%d false-alarm escalations on healthy rounds", s.FalseAlarmFlips))
 	}
-	if rate := s.RecoveryRate(); rate < minRecovery {
-		return fmt.Errorf("campaign gate: recovery rate %.0f%% < %.0f%% (%d/%d, %d gave up)",
-			100*rate, 100*minRecovery, s.Recovered, s.Repairable, s.GaveUp)
+	if rate := s.RecoveryRate(); rate < minRecoveryRate {
+		fails = append(fails, fmt.Sprintf("recovery rate %.0f%% < %.0f%% (%d/%d, %d gave up)",
+			100*rate, 100*minRecoveryRate, s.Recovered, s.Repairable, s.GaveUp))
 	}
-	return nil
+	return fails
 }
 
 // String renders the scorecard as a small report.

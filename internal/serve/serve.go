@@ -36,9 +36,9 @@
 //     outlives it.
 //
 // Every admitted request terminates in exactly one of: a Response, or an
-// error matching ErrDeadline, ErrNoDevices or ErrFaulted. The chaos soak
-// (internal/campaign.RunServeSoak) audits that invariant under injected
-// slow readouts, mid-request crashes and deadline storms.
+// error matching ErrDeadline, ErrNoDevices or ErrFaulted. The net chaos soak
+// (internal/campaign.RunNetSoak) audits that invariant on every shard under
+// injected slow readouts, mid-request crashes and deadline storms.
 package serve
 
 import (
