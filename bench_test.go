@@ -274,11 +274,11 @@ func BenchmarkCrossbarAnalogMatVec(b *testing.B) {
 	r := rng.New(5)
 	w := tensor.Randn(r, 0, 0.5, 128, 128)
 	tl := reram.MapLinear(w, reram.DefaultConfig(), r)
-	x := make([]float64, 128)
+	x, out := make([]float64, 128), make([]float64, 128)
 	rng.New(6).FillUniform(x, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tl.MatVec(x)
+		tl.MatVecInto(out, x)
 	}
 }
 

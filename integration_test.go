@@ -31,9 +31,11 @@ func pipeline(t *testing.T) (*nn.Network, *dataset.Dataset) {
 	sgd := tengine.NewSGD(net.Params(), 0.05, 0.9, 0)
 	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: 32})
 	r := rng.New(902)
+	it := train.BatchIterator(32)
 	for epoch := 0; epoch < 5; epoch++ {
-		for _, b := range train.Batches(32, r) {
-			eng.ForwardBackward(b.X, b.Y) // batches are never empty
+		it.Reset(r)
+		for x, y, ok := it.Next(); ok; x, y, ok = it.Next() {
+			eng.ForwardBackward(x, y) // batches are never empty
 			sgd.StepAndZero()
 		}
 	}

@@ -11,7 +11,6 @@ package campaign
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -36,26 +35,6 @@ const (
 	KindGlitchShape
 	KindGlitchPanic
 )
-
-// String names the kind.
-func (k EventKind) String() string {
-	switch k {
-	case KindDrift:
-		return "drift"
-	case KindSoftShower:
-		return "soft-shower"
-	case KindStuckBurst:
-		return "stuck-burst"
-	case KindGlitchNoise:
-		return "glitch-noise"
-	case KindGlitchNaN:
-		return "glitch-nan"
-	case KindGlitchShape:
-		return "glitch-shape"
-	default:
-		return "glitch-panic"
-	}
-}
 
 // Transient reports whether the kind self-clears without repair.
 func (k EventKind) Transient() bool { return k >= KindGlitchNoise }
@@ -93,20 +72,6 @@ type Event struct {
 	Recovered     bool           // a supervised repair episode verified clean
 	GaveUp        bool           // the repair loop exhausted its budget
 	FidelityAfter float64        // probe fidelity after recovery (-1 until then)
-}
-
-// String renders the event schedule line.
-func (e Event) String() string {
-	switch e.Kind {
-	case KindDrift:
-		return fmt.Sprintf("r%02d %s(%.0fh)", e.Round, e.Kind, e.Hours)
-	case KindSoftShower:
-		return fmt.Sprintf("r%02d %s(%.1f%%)", e.Round, e.Kind, 100*e.P)
-	case KindStuckBurst:
-		return fmt.Sprintf("r%02d %s(sa0=%.1f%% sa1=%.1f%%)", e.Round, e.Kind, 100*e.P0, 100*e.P1)
-	default:
-		return fmt.Sprintf("r%02d %s(%d rounds)", e.Round, e.Kind, e.Duration)
-	}
 }
 
 // Config parameterises one campaign run.

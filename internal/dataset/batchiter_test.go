@@ -6,15 +6,32 @@ import (
 	"reramtest/internal/rng"
 )
 
+// wantBatches is the reference split: the identity order, shuffled by r
+// when r is non-nil, cut into batches of size copied out with Subset.
+func wantBatches(d *Dataset, size int, r *rng.RNG) []*Dataset {
+	order := make([]int, d.N())
+	for i := range order {
+		order[i] = i
+	}
+	if r != nil {
+		r.Shuffle(order)
+	}
+	var out []*Dataset
+	for s := 0; s < len(order); s += size {
+		out = append(out, d.Subset(order[s:min(s+size, len(order))]))
+	}
+	return out
+}
+
 // TestBatchIteratorMatchesBatches: over several epochs, the reusable iterator
-// must visit exactly the batches the legacy slice-of-batches API builds —
-// same shuffle stream, same sample order, same data bits, same tail batch.
+// must visit exactly the reference batches — same shuffle stream, same sample
+// order, same data bits, same tail batch.
 func TestBatchIteratorMatchesBatches(t *testing.T) {
 	d := SynthDigits(7, DefaultDigitsConfig(50)) // 50 % 16 != 0 exercises the tail
 	r1, r2 := rng.New(9), rng.New(9)
 	it := d.BatchIterator(16)
 	for epoch := 0; epoch < 3; epoch++ {
-		want := d.Batches(16, r1)
+		want := wantBatches(d, 16, r1)
 		it.Reset(r2)
 		for i, wb := range want {
 			x, y, ok := it.Next()
@@ -22,7 +39,7 @@ func TestBatchIteratorMatchesBatches(t *testing.T) {
 				t.Fatalf("epoch %d: iterator exhausted at batch %d, want %d batches", epoch, i, len(want))
 			}
 			if !x.Equal(wb.X) {
-				t.Fatalf("epoch %d batch %d: iterator data diverges from Batches", epoch, i)
+				t.Fatalf("epoch %d batch %d: iterator data diverges from the reference", epoch, i)
 			}
 			if len(y) != len(wb.Y) {
 				t.Fatalf("epoch %d batch %d: %d labels, want %d", epoch, i, len(y), len(wb.Y))
@@ -34,29 +51,27 @@ func TestBatchIteratorMatchesBatches(t *testing.T) {
 			}
 		}
 		if _, _, ok := it.Next(); ok {
-			t.Fatalf("epoch %d: iterator produced more batches than Batches", epoch)
+			t.Fatalf("epoch %d: iterator produced more batches than the reference", epoch)
 		}
 	}
 }
 
-// TestBatchIteratorNilRNGKeepsOrder: Reset(nil) must visit dataset order, like
-// Batches(batchSize, nil).
+// TestBatchIteratorNilRNGKeepsOrder: Reset(nil) must visit dataset order.
 func TestBatchIteratorNilRNGKeepsOrder(t *testing.T) {
 	d := SynthDigits(8, DefaultDigitsConfig(20))
-	want := d.Batches(8, nil)
+	want := wantBatches(d, 8, nil)
 	it := d.BatchIterator(8)
 	it.Reset(nil)
 	for i, wb := range want {
 		x, _, ok := it.Next()
 		if !ok || !x.Equal(wb.X) {
-			t.Fatalf("batch %d diverges from unshuffled Batches", i)
+			t.Fatalf("batch %d diverges from dataset order", i)
 		}
 	}
 }
 
 // TestBatchIteratorAllocFree: after construction, an entire epoch — reshuffle
-// included — performs zero heap allocations. This is the churn fix: the
-// legacy API allocated every batch tensor every epoch.
+// included — performs zero heap allocations.
 func TestBatchIteratorAllocFree(t *testing.T) {
 	d := SynthDigits(9, DefaultDigitsConfig(64))
 	it := d.BatchIterator(16)

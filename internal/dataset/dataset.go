@@ -11,9 +11,7 @@
 //
 // The methods under test (C-TP, O-TP, AET) depend only on the decision-
 // boundary geometry of a trained classifier, not on what the images depict,
-// so these substitutions preserve the behaviour the paper measures. An IDX
-// reader (ReadIDXImages/ReadIDXLabels) is included so the real MNIST files
-// drop in when present.
+// so these substitutions preserve the behaviour the paper measures.
 package dataset
 
 import (
@@ -70,51 +68,11 @@ func (d *Dataset) Head(n int) *Dataset {
 	return d.Subset(idx)
 }
 
-// Batch is one mini-batch of training data.
-type Batch struct {
-	X *tensor.Tensor // (B, C*H*W)
-	Y []int
-}
-
-// Batches splits the dataset into mini-batches. If r is non-nil the sample
-// order is shuffled first. The batches copy data so callers may mutate them.
-func (d *Dataset) Batches(batchSize int, r *rng.RNG) []Batch {
-	if batchSize <= 0 {
-		panic(fmt.Sprintf("dataset: batch size must be positive, got %d", batchSize))
-	}
-	order := make([]int, d.N())
-	for i := range order {
-		order[i] = i
-	}
-	if r != nil {
-		r.Shuffle(order)
-	}
-	dim := d.SampleDim()
-	xd := d.X.Data()
-	var out []Batch
-	for s := 0; s < len(order); s += batchSize {
-		e := s + batchSize
-		if e > len(order) {
-			e = len(order)
-		}
-		b := Batch{X: tensor.New(e-s, dim), Y: make([]int, e-s)}
-		bd := b.X.Data()
-		for j, i := range order[s:e] {
-			copy(bd[j*dim:(j+1)*dim], xd[i*dim:(i+1)*dim])
-			b.Y[j] = d.Y[i]
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
-// BatchIter is a reusable mini-batch iterator over a dataset. Unlike Batches
-// it owns one batch-sized workspace and fills it in place every Next call, so
-// an entire training run allocates a fixed amount of memory instead of
-// rebuilding every batch tensor every epoch. Reset re-shuffles with exactly
-// the RNG stream Batches consumes (identity order, then one Fisher–Yates
-// shuffle), so a loop over the iterator visits bit-identical batches in the
-// same order as a loop over Batches.
+// BatchIter is a reusable mini-batch iterator over a dataset. It owns one
+// batch-sized workspace and fills it in place every Next call, so an entire
+// training run allocates a fixed amount of memory instead of rebuilding every
+// batch tensor every epoch. Reset shuffles the identity order with one
+// Fisher–Yates pass of its RNG.
 //
 // The returned tensors and label slices are views into the iterator's
 // workspace, valid until the next Next or Reset; callers may mutate the batch
@@ -151,8 +109,8 @@ func (d *Dataset) BatchIterator(batchSize int) *BatchIter {
 }
 
 // Reset rewinds the iterator for a new epoch. If r is non-nil the sample
-// order is rebuilt and shuffled, consuming r identically to
-// Batches(batchSize, r); nil keeps dataset order.
+// order is rebuilt from the identity and shuffled with r.Shuffle; nil keeps
+// dataset order.
 func (it *BatchIter) Reset(r *rng.RNG) {
 	for i := range it.order {
 		it.order[i] = i
@@ -189,26 +147,4 @@ func (it *BatchIter) Next() (x *tensor.Tensor, y []int, ok bool) {
 		it.xN = b
 	}
 	return it.x, it.yBuf[:b], true
-}
-
-// ClassCounts returns a histogram of labels.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.Y {
-		counts[y]++
-	}
-	return counts
-}
-
-// Validate checks internal consistency and label ranges.
-func (d *Dataset) Validate() error {
-	if d.X.Len() != d.N()*d.SampleDim() {
-		return fmt.Errorf("dataset %s: tensor volume %d != %d samples × %d", d.Name, d.X.Len(), d.N(), d.SampleDim())
-	}
-	for i, y := range d.Y {
-		if y < 0 || y >= d.Classes {
-			return fmt.Errorf("dataset %s: label %d of sample %d out of range [0,%d)", d.Name, y, i, d.Classes)
-		}
-	}
-	return nil
 }

@@ -1,9 +1,6 @@
 package dataset
 
 import (
-	"compress/gzip"
-	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -28,11 +25,32 @@ func TestSynthDigitsDeterminism(t *testing.T) {
 	}
 }
 
+// classCounts is the histogram of labels over classes.
+func classCounts(labels []int, classes int) []int {
+	counts := make([]int, classes)
+	for _, y := range labels {
+		counts[y]++
+	}
+	return counts
+}
+
+// checkConsistent fails t unless d's tensor holds exactly N samples and
+// every label is a class index.
+func checkConsistent(t *testing.T, d *Dataset) {
+	t.Helper()
+	if d.X.Len() != d.N()*d.SampleDim() {
+		t.Fatalf("tensor volume %d != %d samples × %d", d.X.Len(), d.N(), d.SampleDim())
+	}
+	for i, y := range d.Y {
+		if y < 0 || y >= d.Classes {
+			t.Fatalf("label %d of sample %d out of range [0,%d)", y, i, d.Classes)
+		}
+	}
+}
+
 func TestSynthDigitsShapeAndRange(t *testing.T) {
 	d := SynthDigits(1, DefaultDigitsConfig(30))
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkConsistent(t, d)
 	if d.C != 1 || d.H != 28 || d.W != 28 || d.Classes != 10 {
 		t.Fatalf("unexpected dataset geometry %+v", d)
 	}
@@ -43,8 +61,7 @@ func TestSynthDigitsShapeAndRange(t *testing.T) {
 
 func TestSynthDigitsClassCoverage(t *testing.T) {
 	d := SynthDigits(2, DefaultDigitsConfig(500))
-	counts := d.ClassCounts()
-	for c, n := range counts {
+	for c, n := range classCounts(d.Y, d.Classes) {
 		if n < 20 {
 			t.Fatalf("class %d has only %d samples in 500", c, n)
 		}
@@ -83,7 +100,7 @@ func TestSynthDigitsMorphLabels(t *testing.T) {
 		}
 	}
 	// coin-flip labels: both sides of some pair must appear
-	counts := d.ClassCounts()
+	counts := classCounts(d.Y, d.Classes)
 	if counts[8] == 0 || counts[0] == 0 {
 		t.Fatal("morph labelling never chose one side of the 8/0 pair")
 	}
@@ -99,9 +116,7 @@ func TestSynthObjectsDeterminism(t *testing.T) {
 
 func TestSynthObjectsShapeAndRange(t *testing.T) {
 	d := SynthObjects(8, DefaultObjectsConfig(30))
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkConsistent(t, d)
 	if d.C != 3 || d.H != 32 || d.W != 32 || d.Classes != 10 {
 		t.Fatalf("unexpected dataset geometry %+v", d)
 	}
@@ -116,7 +131,7 @@ func TestSubsetCopies(t *testing.T) {
 	if s.N() != 2 || s.Y[0] != d.Y[3] || s.Y[1] != d.Y[7] {
 		t.Fatal("Subset selected wrong samples")
 	}
-	s.X.Fill(0)
+	clear(s.X.Data())
 	if d.X.Sum() == 0 {
 		t.Fatal("Subset shares storage with parent")
 	}
@@ -135,86 +150,51 @@ func TestHead(t *testing.T) {
 
 func TestBatchesCoverAllSamples(t *testing.T) {
 	d := SynthDigits(11, DefaultDigitsConfig(25))
-	batches := d.Batches(8, nil)
-	if len(batches) != 4 {
-		t.Fatalf("25 samples in batches of 8: got %d batches", len(batches))
-	}
-	total := 0
-	for _, b := range batches {
-		if b.X.Dim(0) != len(b.Y) {
+	it := d.BatchIterator(8)
+	it.Reset(nil)
+	batches, total := 0, 0
+	for {
+		x, y, ok := it.Next()
+		if !ok {
+			break
+		}
+		if x.Dim(0) != len(y) {
 			t.Fatal("batch X/Y length mismatch")
 		}
-		total += len(b.Y)
+		// unshuffled batches preserve order
+		if y[0] != d.Y[total] {
+			t.Fatal("unshuffled batch reordered samples")
+		}
+		batches++
+		total += len(y)
+	}
+	if batches != 4 {
+		t.Fatalf("25 samples in batches of 8: got %d batches", batches)
 	}
 	if total != 25 {
 		t.Fatalf("batches cover %d of 25 samples", total)
-	}
-	// unshuffled batches preserve order
-	if batches[0].Y[0] != d.Y[0] {
-		t.Fatal("unshuffled batch reordered samples")
 	}
 }
 
 func TestBatchesShuffleKeepsMultiset(t *testing.T) {
 	d := SynthDigits(12, DefaultDigitsConfig(40))
-	batches := d.Batches(7, rng.New(1))
+	it := d.BatchIterator(7)
+	it.Reset(rng.New(1))
 	counts := make([]int, 10)
-	for _, b := range batches {
-		for _, y := range b.Y {
-			counts[y]++
+	for {
+		_, y, ok := it.Next()
+		if !ok {
+			break
+		}
+		for _, c := range y {
+			counts[c]++
 		}
 	}
-	want := d.ClassCounts()
+	want := classCounts(d.Y, d.Classes)
 	for c := range counts {
 		if counts[c] != want[c] {
 			t.Fatalf("shuffled batches changed class histogram: %v vs %v", counts, want)
 		}
-	}
-}
-
-func TestIDXRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	d := SynthDigits(13, DefaultDigitsConfig(10))
-	path := filepath.Join(dir, "imgs.idx3")
-	if err := WriteIDXImages(path, d.X, d.H, d.W); err != nil {
-		t.Fatal(err)
-	}
-	x, h, w, err := ReadIDXImages(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != 28 || w != 28 || x.Dim(0) != 10 {
-		t.Fatalf("round trip geometry %dx%d n=%d", h, w, x.Dim(0))
-	}
-	// 8-bit quantization bound
-	if !x.AllClose(d.X, 1.0/255+1e-9) {
-		t.Fatal("round trip exceeded 8-bit quantization error")
-	}
-}
-
-func TestReadIDXRejectsWrongMagic(t *testing.T) {
-	dir := t.TempDir()
-	d := SynthDigits(14, DefaultDigitsConfig(4))
-	path := filepath.Join(dir, "imgs.idx3")
-	if err := WriteIDXImages(path, d.X, d.H, d.W); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadIDXLabels(path); err == nil {
-		t.Fatal("label reader accepted an image file")
-	}
-}
-
-func TestLoadMNISTMissing(t *testing.T) {
-	if _, err := LoadMNIST(t.TempDir(), "train"); err == nil {
-		t.Fatal("LoadMNIST of empty dir did not error")
-	}
-}
-
-func TestValidateCatchesBadLabels(t *testing.T) {
-	d := SynthDigits(15, DefaultDigitsConfig(5))
-	d.Y[2] = 10
-	if err := d.Validate(); err == nil {
-		t.Fatal("Validate accepted out-of-range label")
 	}
 }
 
@@ -239,44 +219,5 @@ func TestDigitsImagesDistinct(t *testing.T) {
 	}, &quick.Config{MaxCount: 5})
 	if err != nil {
 		t.Error(err)
-	}
-}
-
-func TestReadIDXGzip(t *testing.T) {
-	dir := t.TempDir()
-	d := SynthDigits(16, DefaultDigitsConfig(6))
-	plain := filepath.Join(dir, "imgs.idx3")
-	if err := WriteIDXImages(plain, d.X, d.H, d.W); err != nil {
-		t.Fatal(err)
-	}
-	// gzip the file and read through the .gz path
-	raw, err := os.ReadFile(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gzPath := filepath.Join(dir, "imgs.idx3.gz")
-	f, err := os.Create(gzPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zw := gzip.NewWriter(f)
-	if _, err := zw.Write(raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	x, h, w, err := ReadIDXImages(gzPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != 28 || w != 28 || x.Dim(0) != 6 {
-		t.Fatalf("gzip round trip geometry %dx%d n=%d", h, w, x.Dim(0))
-	}
-	if !x.AllClose(d.X, 1.0/255+1e-9) {
-		t.Fatal("gzip round trip exceeded quantization error")
 	}
 }

@@ -63,7 +63,7 @@ func TestRebindPreservesCost(t *testing.T) {
 
 	clone := net.Clone()
 	for _, p := range clone.Params() {
-		p.Value.ScaleInPlace(0.5)
+		p.Value.Apply(func(v float64) float64 { return v * 0.5 })
 	}
 	if err := eng.Rebind(clone); err != nil {
 		t.Fatalf("rebind: %v", err)

@@ -345,18 +345,6 @@ func MustCompile(net *nn.Network, opts Options) *Engine {
 	return e
 }
 
-// Network returns the network the engine is currently bound to.
-func (e *Engine) Network() *nn.Network { return e.net }
-
-// InDim returns the flattened per-sample input size.
-func (e *Engine) InDim() int { return e.inDim }
-
-// OutDim returns the flattened per-sample output size.
-func (e *Engine) OutDim() int { return e.outVol }
-
-// Precision returns the numeric tier the plan was compiled for.
-func (e *Engine) Precision() tensor.Precision { return e.prec }
-
 // PlanCost returns the modeled per-sample hardware cost of the compiled
 // plan, priced at the reference tile (hwcost.DefaultTileRows ×
 // hwcost.DefaultTileCols) on the compiled tier (see Options.Precision).

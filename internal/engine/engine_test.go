@@ -54,7 +54,7 @@ func mustForward(t testing.TB, eng *Engine, dst, x *tensor.Tensor) *tensor.Tenso
 // and rebinding must reproduce them.
 func serialForward(net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
 	eng := MustCompile(net, Options{Workers: 1})
-	n, k := x.Dim(0), eng.OutDim()
+	n, k := x.Dim(0), eng.outVol
 	in := x.Len() / n
 	out := tensor.New(n, k)
 	for s := 0; s < n; s++ {
@@ -102,7 +102,7 @@ func TestEngineGoldenEquivalence(t *testing.T) {
 						t.Fatalf("%s n=%d: batched forward is not bit-identical to row-at-a-time", cfg.label, n)
 					}
 					// dst-passing variant must produce the same bits too
-					dst := tensor.New(n, eng.OutDim())
+					dst := tensor.New(n, eng.outVol)
 					mustForward(t, eng, dst, x)
 					if !dst.Equal(want) {
 						t.Fatalf("%s n=%d: dst-passing forward differs", cfg.label, n)
@@ -160,13 +160,13 @@ func TestEngineRebind(t *testing.T) {
 
 	clone := net.Clone()
 	for _, p := range clone.Params() {
-		p.Value.ScaleInPlace(1.5)
+		p.Value.Apply(func(v float64) float64 { return v * 1.5 })
 	}
 	if err := eng.Rebind(clone); err != nil {
 		t.Fatalf("rebind clone: %v", err)
 	}
-	if eng.Network() != clone {
-		t.Fatal("Network() does not report the rebound net")
+	if eng.net != clone {
+		t.Fatal("the engine is not bound to the rebound net")
 	}
 	got := mustForward(t, eng, nil, x)
 	if !got.Equal(serialForward(clone, x)) {
@@ -231,7 +231,7 @@ func TestEngineRebind(t *testing.T) {
 	}
 	clone = fusedNet.Clone()
 	for _, p := range clone.Params() {
-		p.Value.ScaleInPlace(-0.75)
+		p.Value.Apply(func(v float64) float64 { return v * -0.75 })
 	}
 	if err := eng.Rebind(clone); err != nil {
 		t.Fatalf("rebind fused clone: %v", err)
@@ -255,7 +255,7 @@ func TestEngineRebind(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), bad.want) {
 			t.Fatalf("rebind onto a fused plan, %s: error %v, want one naming %q", bad.name, err, bad.want)
 		}
-		if eng.Network() != fusedNet || !mustForward(t, eng, nil, x).Equal(base) {
+		if eng.net != fusedNet || !mustForward(t, eng, nil, x).Equal(base) {
 			t.Fatalf("rejected rebind (%s) perturbed the fused plan", bad.name)
 		}
 	}

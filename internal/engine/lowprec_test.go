@@ -59,8 +59,8 @@ func TestEngineF32WithinULPOfReference(t *testing.T) {
 			ref := MustCompile(net, Options{Workers: 1})
 			serial := MustCompile(net, Options{Workers: 1, Precision: tensor.F32})
 			pooled := MustCompile(net, Options{Pool: pool, Precision: tensor.F32})
-			if serial.Precision() != tensor.F32 {
-				t.Fatal("Precision() does not report the compiled tier")
+			if serial.prec != tensor.F32 {
+				t.Fatal("the plan does not carry the compiled tier")
 			}
 			for _, n := range []int{1, 3, 7} {
 				x := tensor.RandUniform(rng.New(int64(300+n)), 0, 1, n, net.InDim())
@@ -229,7 +229,7 @@ func TestEngineFastTierRebindAndReload(t *testing.T) {
 
 		clone := net.Clone()
 		for _, p := range clone.Params() {
-			p.Value.ScaleInPlace(1.5)
+			p.Value.Apply(func(v float64) float64 { return v * 1.5 })
 		}
 		if err := eng.Rebind(clone); err != nil {
 			t.Fatalf("%v: rebind clone: %v", prec, err)
@@ -245,7 +245,7 @@ func TestEngineFastTierRebindAndReload(t *testing.T) {
 
 		// in-place mutation is invisible until ReloadParams
 		for _, p := range clone.Params() {
-			p.Value.ScaleInPlace(0.5)
+			p.Value.Apply(func(v float64) float64 { return v * 0.5 })
 		}
 		if !mustForward(t, eng, nil, x).Equal(rebound) {
 			t.Fatalf("%v: cache unexpectedly tracked an in-place mutation", prec)

@@ -108,7 +108,7 @@ func TestBiasesUntouched(t *testing.T) {
 	// make biases non-zero so corruption would be visible
 	for _, p := range clean.Params() {
 		if strings.HasSuffix(p.Name, ".bias") {
-			p.Value.Fill(0.5)
+			p.Value.CopyFrom(tensor.Full(0.5, p.Value.Shape()...))
 		}
 	}
 	for _, inj := range []Injector{
@@ -228,7 +228,7 @@ func TestComposeAppliesAll(t *testing.T) {
 	// SA0 with P0=1 zeroes everything regardless of drift
 	for i, pr := range clean.Params() {
 		if strings.HasSuffix(pr.Name, ".weight") {
-			if faulty.Params()[i].Value.L2Norm() != 0 {
+			if w := faulty.Params()[i].Value; w.Min() != 0 || w.Max() != 0 {
 				t.Fatal("compose did not apply final stuck-at")
 			}
 		}
@@ -302,7 +302,10 @@ func trainNet(net *nn.Network, x *tensor.Tensor, y []int, iters int) {
 	for i := 0; i < iters; i++ {
 		eng.ForwardBackward(x, y) // x has rows: never empty
 		for _, p := range net.Params() {
-			p.Value.AxpyInPlace(-0.5, p.Grad)
+			v := p.Value.Data()
+			for i, g := range p.Grad.Data() {
+				v[i] += -0.5 * g
+			}
 		}
 	}
 }

@@ -189,14 +189,14 @@ func TestRouterWeightingAndShed(t *testing.T) {
 	}
 
 	// drain bookkeeping
-	if r.Drained("h") {
+	if r.inflight["h"] == 0 {
 		t.Fatal("in-flight device reported drained")
 	}
 	for i := 0; i < counts["h"]; i++ {
 		r.Complete("h")
 	}
-	if !r.Drained("h") {
-		t.Fatalf("device with completed requests not drained: %d in flight", r.InFlight("h"))
+	if n := r.inflight["h"]; n != 0 {
+		t.Fatalf("device with completed requests not drained: %d in flight", n)
 	}
 
 	// shed below the serving floor
@@ -324,9 +324,7 @@ func TestRouterConcurrentRouteAndUpdate(t *testing.T) {
 	for i := 0; ; i++ {
 		r.Update(sets[i%len(sets)])
 		if i%100 == 0 {
-			r.Serving()
 			r.Stats()
-			r.Drained("a")
 			if routed, _ := r.Stats(); (routed > 5000 && i > 2000) || time.Now().After(deadline) {
 				break
 			}

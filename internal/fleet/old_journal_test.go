@@ -63,10 +63,11 @@ func TestRegenPrecostFixture(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	payloads, _, err := journal.Replay(filepath.Join(dir, "live.wal"))
+	wal, err := os.ReadFile(filepath.Join(dir, "live.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	payloads, _ := journal.DecodeAll(wal)
 	var out bytes.Buffer
 	for _, p := range payloads {
 		var rec map[string]any

@@ -187,24 +187,6 @@ func (r *Router) Complete(id string) {
 	}
 }
 
-// InFlight returns the number of requests currently outstanding on id.
-func (r *Router) InFlight(id string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.inflight[id]
-}
-
-// Drained reports whether id has no outstanding requests — a quarantined
-// device must reach this state before invasive repair or replacement.
-func (r *Router) Drained(id string) bool { return r.InFlight(id) == 0 }
-
-// Serving returns the number of distinct devices in the current schedule.
-func (r *Router) Serving() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.status)
-}
-
 // Stats returns lifetime dispatch counters: requests routed and requests
 // shed.
 func (r *Router) Stats() (routed, sheds int) {

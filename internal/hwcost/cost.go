@@ -182,20 +182,6 @@ const (
 	numClasses
 )
 
-// String names the class for telemetry.
-func (c Class) String() string {
-	switch c {
-	case ClassServing:
-		return "serving"
-	case ClassMonitor:
-		return "monitor"
-	case ClassRepair:
-		return "repair"
-	default:
-		return "unknown"
-	}
-}
-
 // CostBreakdown is a per-class snapshot of cumulative spend.
 type CostBreakdown struct {
 	Serving Cost `json:"serving"`
@@ -206,28 +192,6 @@ type CostBreakdown struct {
 // Total returns the class-summed spend.
 func (b CostBreakdown) Total() Cost {
 	return b.Serving.Plus(b.Monitor).Plus(b.Repair)
-}
-
-// Add accumulates o into b class-wise.
-func (b *CostBreakdown) Add(o CostBreakdown) {
-	b.Serving.Add(o.Serving)
-	b.Monitor.Add(o.Monitor)
-	b.Repair.Add(o.Repair)
-}
-
-// Plus returns b + o.
-func (b CostBreakdown) Plus(o CostBreakdown) CostBreakdown {
-	b.Add(o)
-	return b
-}
-
-// Minus returns b − o class-wise (delta of two snapshots of one monotone
-// counter).
-func (b CostBreakdown) Minus(o CostBreakdown) CostBreakdown {
-	b.Serving = b.Serving.Minus(o.Serving)
-	b.Monitor = b.Monitor.Minus(o.Monitor)
-	b.Repair = b.Repair.Minus(o.Repair)
-	return b
 }
 
 // ByClass returns one class's spend.

@@ -14,10 +14,6 @@ func randCost(r *rand.Rand) Cost {
 		CrossbarReads: f(), CrossbarWrites: f(), EnergyFJ: f(), BufferBytes: f()}
 }
 
-func randBreakdown(r *rand.Rand) CostBreakdown {
-	return CostBreakdown{Serving: randCost(r), Monitor: randCost(r), Repair: randCost(r)}
-}
-
 var classes = []Class{ClassServing, ClassMonitor, ClassRepair}
 
 func TestPlusMinusRoundTrip(t *testing.T) {
@@ -30,13 +26,6 @@ func TestPlusMinusRoundTrip(t *testing.T) {
 		if a.Plus(b) != b.Plus(a) {
 			t.Fatalf("Plus not commutative on %+v, %+v", a, b)
 		}
-		x, y := randBreakdown(r), randBreakdown(r)
-		if got := x.Plus(y).Minus(y); got != x {
-			t.Fatalf("breakdown round trip: %+v", got)
-		}
-		if x.Plus(y).Total() != x.Total().Plus(y.Total()) {
-			t.Fatal("Total does not distribute over Plus")
-		}
 	}
 	if !(Cost{}).IsZero() || (Cost{EnergyFJ: 1}).IsZero() {
 		t.Fatal("IsZero")
@@ -44,22 +33,18 @@ func TestPlusMinusRoundTrip(t *testing.T) {
 }
 
 // TestCostArithmetic: Plus agrees with Scale, a breakdown totals its
-// classes, and every class names itself and reads back its own spend.
+// classes, and every class reads back its own spend.
 func TestCostArithmetic(t *testing.T) {
 	a := Cost{ComputeCycles: 1, DACConversions: 2, ADCConversions: 3,
 		CrossbarReads: 4, CrossbarWrites: 5, EnergyFJ: 6, BufferBytes: 7}
 	if b := a.Plus(a); b != a.Scale(2) {
 		t.Fatalf("Plus/Scale disagree: %+v vs %+v", b, a.Scale(2))
 	}
-	var bd CostBreakdown
-	bd.Add(CostBreakdown{Serving: a, Monitor: a, Repair: a})
+	bd := CostBreakdown{Serving: a, Monitor: a, Repair: a}
 	if bd.Total() != a.Scale(3) {
 		t.Fatalf("breakdown Total = %+v, want %+v", bd.Total(), a.Scale(3))
 	}
-	for cl, want := range map[Class]string{ClassServing: "serving", ClassMonitor: "monitor", ClassRepair: "repair"} {
-		if cl.String() != want {
-			t.Fatalf("Class(%d).String() = %q, want %q", cl, cl.String(), want)
-		}
+	for _, cl := range classes {
 		if bd.ByClass(cl) != a {
 			t.Fatalf("ByClass(%v) = %+v, want %+v", cl, bd.ByClass(cl), a)
 		}
@@ -89,8 +74,9 @@ func TestChargeClassAttribution(t *testing.T) {
 		case ClassRepair:
 			want.Repair.Add(c)
 		}
-		if delta := k.Snapshot().Minus(before); delta.ByClass(cl) != c || delta.Total() != c {
-			t.Fatalf("charge settled to %s landed as %+v", cl, delta)
+		after := k.Snapshot()
+		if after.ByClass(cl).Minus(before.ByClass(cl)) != c || after.Total().Minus(before.Total()) != c {
+			t.Fatalf("charge settled to class %d moved the snapshot from %+v to %+v", cl, before, after)
 		}
 	}
 	if got := k.Snapshot(); got != want {
@@ -167,10 +153,7 @@ func TestCostArithmeticSaturates(t *testing.T) {
 	if got := one.Scale(max); got != full {
 		t.Fatalf("1 × max = %+v", got)
 	}
-	var b CostBreakdown
-	b.Add(CostBreakdown{Serving: full})
-	b.Add(CostBreakdown{Serving: one, Monitor: one})
-	if b.Serving != full || b.Monitor != one || b.Total() != full {
+	if b := (CostBreakdown{Serving: full, Monitor: one}); b.Total() != full {
 		t.Fatalf("breakdown rollup %+v, total %+v", b, b.Total())
 	}
 }

@@ -12,12 +12,31 @@ func tmpJournal(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "fleet.wal")
 }
 
-func TestRoundTrip(t *testing.T) {
-	path := tmpJournal(t)
-	w, err := Create(path)
+// openWriter opens the journal at path for appends, creating it when absent.
+func openWriter(t *testing.T, fsys FS, path string) *Writer {
+	t.Helper()
+	w, _, _, err := OpenAppendFS(fsys, path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
+
+// replay decodes the journal at path without opening it for writing: its
+// intact records, and how many bytes of torn or corrupt tail follow them.
+func replay(t *testing.T, path string) (records [][]byte, truncated int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, consumed := DecodeAll(data)
+	return records, len(data) - consumed
+}
+
+func TestRoundTrip(t *testing.T) {
+	path := tmpJournal(t)
+	w := openWriter(t, OS, path)
 	payloads := [][]byte{[]byte("alpha"), {}, []byte("a longer third record with bytes \x00\xff")}
 	for _, p := range payloads {
 		if err := w.Append(p); err != nil {
@@ -28,10 +47,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	records, truncated, err := Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records, truncated := replay(t, path)
 	if truncated != 0 {
 		t.Fatalf("clean journal reported %d truncated bytes", truncated)
 	}
@@ -42,13 +58,6 @@ func TestRoundTrip(t *testing.T) {
 		if !bytes.Equal(records[i], payloads[i]) {
 			t.Fatalf("record %d: got %q want %q", i, records[i], payloads[i])
 		}
-	}
-}
-
-func TestReplayMissingFile(t *testing.T) {
-	records, truncated, err := Replay(filepath.Join(t.TempDir(), "absent.wal"))
-	if err != nil || truncated != 0 || len(records) != 0 {
-		t.Fatalf("missing journal: records=%d truncated=%d err=%v", len(records), truncated, err)
 	}
 }
 
@@ -66,10 +75,7 @@ func TestReopenEmptyJournal(t *testing.T) {
 			}
 		},
 		"created-closed": func(t *testing.T, path string) {
-			w, err := Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := openWriter(t, OS, path)
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +85,7 @@ func TestReopenEmptyJournal(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			path := tmpJournal(t)
 			setup(t, path)
-			w, records, truncated, err := OpenAppend(path)
+			w, records, truncated, err := OpenAppendFS(OS, path)
 			if err != nil {
 				t.Fatalf("reopening an empty journal failed: %v", err)
 			}
@@ -93,9 +99,9 @@ func TestReopenEmptyJournal(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			records, truncated, err = Replay(path)
-			if err != nil || truncated != 0 || len(records) != 1 || string(records[0]) != "first" {
-				t.Fatalf("post-reopen journal unusable: records=%q truncated=%d err=%v", records, truncated, err)
+			records, truncated = replay(t, path)
+			if truncated != 0 || len(records) != 1 || string(records[0]) != "first" {
+				t.Fatalf("post-reopen journal unusable: records=%q truncated=%d", records, truncated)
 			}
 		})
 	}
@@ -112,7 +118,7 @@ func TestTornTailTruncated(t *testing.T) {
 		if err := os.WriteFile(path, full[:len(full)-cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, records, truncated, err := OpenAppend(path)
+		w, records, truncated, err := OpenAppendFS(OS, path)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -129,9 +135,9 @@ func TestTornTailTruncated(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		records, truncated, err = Replay(path)
-		if err != nil || truncated != 0 {
-			t.Fatalf("cut %d: post-resume replay truncated=%d err=%v", cut, truncated, err)
+		records, truncated = replay(t, path)
+		if truncated != 0 {
+			t.Fatalf("cut %d: post-resume replay truncated=%d", cut, truncated)
 		}
 		if len(records) != 2 || string(records[1]) != "resumed" {
 			t.Fatalf("cut %d: post-resume records %q", cut, records)
@@ -148,7 +154,7 @@ func TestCorruptTailTruncated(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, records, truncated, err := OpenAppend(path)
+	_, records, truncated, err := OpenAppendFS(OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +176,7 @@ func TestGarbageFile(t *testing.T) {
 	if err := os.WriteFile(path, bytes.Repeat([]byte{0x13, 0x37}, 300), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	records, truncated, err := Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records, truncated := replay(t, path)
 	if len(records) != 0 || truncated != 600 {
 		t.Fatalf("garbage replay: records=%d truncated=%d", len(records), truncated)
 	}
@@ -191,10 +194,7 @@ func TestAbsurdLengthRejected(t *testing.T) {
 }
 
 func TestAppendAfterClose(t *testing.T) {
-	w, err := Create(tmpJournal(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, OS, tmpJournal(t))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +204,7 @@ func TestAppendAfterClose(t *testing.T) {
 }
 
 func TestOversizeRecordRejected(t *testing.T) {
-	w, err := Create(tmpJournal(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, OS, tmpJournal(t))
 	defer w.Close()
 	if err := w.Append(make([]byte, MaxRecord+1)); err == nil {
 		t.Fatal("oversize append succeeded")

@@ -46,10 +46,7 @@ func keepAfter(n int) func([]byte) bool {
 func TestWriterFailStopOnShortWrite(t *testing.T) {
 	efs := NewErrFS(OS)
 	path := tmpJournal(t)
-	w, err := CreateFS(efs, path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, efs, path)
 	if err := w.Append([]byte("good")); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +72,7 @@ func TestWriterFailStopOnShortWrite(t *testing.T) {
 	w.Close()
 
 	// recovery truncates the torn frame and keeps the committed record
-	_, records, truncated, err := OpenAppend(path)
+	_, records, truncated, err := OpenAppendFS(OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +86,7 @@ func TestWriterFailStopOnShortWrite(t *testing.T) {
 // be acknowledged.
 func TestWriterFailStopOnSyncFailure(t *testing.T) {
 	efs := NewErrFS(OS)
-	w, err := CreateFS(efs, tmpJournal(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, efs, tmpJournal(t))
 	if err := w.Append([]byte("r1")); err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +106,7 @@ func TestWriterFailStopOnSyncFailure(t *testing.T) {
 // writer like any other append failure.
 func TestWriterNoSpace(t *testing.T) {
 	efs := NewErrFS(OS)
-	w, err := CreateFS(efs, tmpJournal(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := openWriter(t, efs, tmpJournal(t))
 	efs.SetNoSpace(true)
 	if err := w.Append([]byte("r")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("ENOSPC surfaced as %v", err)
@@ -191,9 +182,9 @@ func TestStoreCompactionBoundsWAL(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	records, truncated, err := Replay(path)
-	if err != nil || truncated != 0 {
-		t.Fatalf("replay: truncated=%d err=%v", truncated, err)
+	records, truncated := replay(t, path)
+	if truncated != 0 {
+		t.Fatalf("replay: truncated=%d", truncated)
 	}
 	if len(records) != 8 || decodeSeq(records[0]) != 33 || decodeSeq(records[7]) != 40 {
 		seqs := make([]int, len(records))

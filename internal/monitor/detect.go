@@ -102,8 +102,8 @@ type Golden struct {
 
 	// eng is the cached batch-inference plan Observe compiles on first use
 	// and rebinds across the fault-model sweep: every model in a
-	// DetectionRate or DistanceStats pass shares the ideal model's
-	// architecture, so one set of workspaces serves the whole sweep.
+	// DetectionRate pass shares the ideal model's architecture, so one set
+	// of workspaces serves the whole sweep.
 	eng *engine.Engine
 }
 
@@ -258,17 +258,4 @@ func (g *Golden) DetectionRate(faultModels []*nn.Network, criteria []Criterion) 
 		out[c] = float64(counts[c]) / float64(len(faultModels))
 	}
 	return out
-}
-
-// DistanceStats collects the confidence distances of every fault model and
-// summarises them; the CV field reproduces Table IV's stability metric.
-func (g *Golden) DistanceStats(faultModels []*nn.Network) (top, all stats.Summary) {
-	tops := make([]float64, len(faultModels))
-	alls := make([]float64, len(faultModels))
-	for i, fm := range faultModels {
-		o := g.Observe(fm)
-		tops[i] = o.TopDist
-		alls[i] = o.AllDist
-	}
-	return stats.Summarize(tops), stats.Summarize(alls)
 }

@@ -149,22 +149,6 @@ func TestDetectionRateCounts(t *testing.T) {
 	}
 }
 
-func TestDistanceStats(t *testing.T) {
-	net := models.MLP(rng.New(5), 12, []int{8}, 6)
-	g := Capture(net, testPatterns(8, 12))
-	fms := faults.MakeFaultySet(net, faults.LogNormal{Sigma: 0.5}, 6, 11)
-	top, all := g.DistanceStats(fms)
-	if top.N != 6 || all.N != 6 {
-		t.Fatalf("stats over %d/%d models, want 6", top.N, all.N)
-	}
-	if top.Mean <= 0 || all.Mean <= 0 {
-		t.Fatal("zero mean distance for corrupted models")
-	}
-	if all.Min > all.Max {
-		t.Fatal("summary min > max")
-	}
-}
-
 func TestGoldenTop5Recorded(t *testing.T) {
 	net := models.MLP(rng.New(6), 10, nil, 7)
 	g := Capture(net, testPatterns(3, 10))

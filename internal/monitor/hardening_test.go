@@ -71,8 +71,8 @@ func TestHistoryRingEviction(t *testing.T) {
 			t.Fatalf("ring out of chronological order: rounds %v", roundsOf(hist))
 		}
 	}
-	if m.Rounds() != 10 {
-		t.Fatalf("Rounds()=%d after 10 checks", m.Rounds())
+	if m.rounds != 10 {
+		t.Fatalf("%d rounds counted after 10 checks", m.rounds)
 	}
 }
 
@@ -171,8 +171,8 @@ func TestRecommissionTracksNewReference(t *testing.T) {
 	if rep.Status != Healthy || rep.AllDist != 0 {
 		t.Fatalf("after recommissioning, the new reference reports %+v", rep)
 	}
-	if m.Rounds() != 2 {
-		t.Fatalf("recommissioning reset round numbering: %d", m.Rounds())
+	if rep.Round != 2 {
+		t.Fatalf("recommissioning reset round numbering: %d", rep.Round)
 	}
 }
 

@@ -352,10 +352,6 @@ func (m *Monitor) History() []Report {
 	return out
 }
 
-// Rounds returns the total number of checks run since commissioning,
-// including reports already evicted from the bounded history.
-func (m *Monitor) Rounds() int { return m.rounds }
-
 // Trend summarises the all-distance history — a monotone increase flags
 // progressive degradation (drift/endurance) as opposed to a step change
 // (hard fault event). With fewer than two retained reports the slope is 0.
@@ -380,6 +376,3 @@ func (m *Monitor) Input() *tensor.Tensor { return m.golden.Patterns.X }
 
 // Classes returns the number of output classes a readout must carry.
 func (m *Monitor) Classes() int { return m.golden.Classes }
-
-// Config returns the monitor's decision configuration.
-func (m *Monitor) Config() Config { return m.cfg }

@@ -50,7 +50,7 @@ func TestNetworkInferTracksWeightMutation(t *testing.T) {
 	infer := NetworkInfer(net)
 	x := m.golden.Patterns.X
 	before := infer(x).Clone()
-	net.Params()[0].Value.ScaleInPlace(0.5)
+	net.Params()[0].Value.Apply(func(v float64) float64 { return v * 0.5 })
 	after := infer(x)
 	if after.Equal(before) {
 		t.Fatal("probe did not see the in-place weight mutation")

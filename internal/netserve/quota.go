@@ -90,10 +90,3 @@ func (t *quotaTable) Allow(tenant string, cost float64) bool {
 	b.tokens -= cost
 	return true
 }
-
-// Tenants reports how many distinct tenants have been seen.
-func (t *quotaTable) Tenants() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.buckets)
-}

@@ -16,7 +16,7 @@ import (
 func identity() *nn.Network {
 	fc := nn.NewDense("fc", rng.New(1), 3, 3)
 	w := fc.Params()[0].Value
-	w.Fill(0)
+	clear(w.Data())
 	for i := 0; i < 3; i++ {
 		w.Data()[i*3+i] = 1
 	}
@@ -107,11 +107,14 @@ func TestFlattenBackpropStillTrains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if net.Layers()[0].Params()[0].Grad.L2Norm() == 0 {
+		if g := net.Layers()[0].Params()[0].Grad; g.Min() == 0 && g.Max() == 0 {
 			t.Fatal("no gradient reached the layer below Flatten")
 		}
 		for _, p := range net.Params() {
-			p.Value.AxpyInPlace(-0.1, p.Grad)
+			v := p.Value.Data()
+			for i, g := range p.Grad.Data() {
+				v[i] += -0.1 * g
+			}
 		}
 		return loss
 	}

@@ -188,7 +188,7 @@ func TestSnapshotStuckRestores(t *testing.T) {
 	stuck := StuckMask{p.Name: mask}
 	v0, v3 := p.Value.Data()[0], p.Value.Data()[3]
 	restore := SnapshotStuck(net, stuck)
-	p.Value.Fill(99)
+	p.Value.Apply(func(float64) float64 { return 99 })
 	restore()
 	d := p.Value.Data()
 	if d[0] != v0 || d[3] != v3 {

@@ -66,7 +66,7 @@ func TestDiagnoseStuckRejectsDegenerateLayer(t *testing.T) {
 	var zeroed string
 	for _, p := range net.Params() {
 		if strings.HasSuffix(p.Name, ".weight") {
-			p.Value.Fill(0)
+			clear(p.Value.Data())
 			zeroed = p.Name
 			break
 		}

@@ -101,14 +101,13 @@ func TestCounterRaceSurface(t *testing.T) {
 	}()
 	go func() { // the fleet-level merger
 		defer wg.Done()
-		var agg hwcost.CostBreakdown
+		var agg hwcost.Cost
 		for {
 			select {
 			case <-done:
-				_ = agg.Total()
 				return
 			default:
-				agg.Add(ctr.Snapshot())
+				agg.Add(ctr.Snapshot().Total())
 			}
 		}
 	}()

@@ -255,21 +255,6 @@ func (x *Crossbar) InjectStuckAt(p0, p1 float64) {
 	}
 }
 
-// FaultCounts returns the number of healthy, SA0 and SA1 cells.
-func (x *Crossbar) FaultCounts() (ok, sa0, sa1 int) {
-	for _, s := range x.state {
-		switch s {
-		case CellSA0:
-			sa0++
-		case CellSA1:
-			sa1++
-		default:
-			ok++
-		}
-	}
-	return ok, sa0, sa1
-}
-
 // Reprogram rewrites the stored target conductances (a repair action after
 // drift), drawing fresh programming variation.
 func (x *Crossbar) Reprogram() {

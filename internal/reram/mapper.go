@@ -179,27 +179,21 @@ func calibrateADC(x *Crossbar, bits int) Quantizer {
 	return Quantizer{Bits: bits, Lo: 0, Hi: maxCol}
 }
 
-// MatVec executes y = W·x on the analog path: DAC-quantized inputs drive the
-// word-lines of each tile pair, per-bitline currents are ADC-quantized,
-// differential pairs are subtracted and partial sums accumulated digitally.
-// x must have length In; the result has length Out (bias-free — biases stay
-// in digital logic).
+// MatVecInto executes out = W·x on the analog path: DAC-quantized inputs
+// drive the word-lines of each tile pair, per-bitline currents are
+// ADC-quantized, differential pairs are subtracted and partial sums
+// accumulated digitally. x must have length In and out length Out; every
+// element of out is overwritten (bias-free — biases stay in digital logic).
 //
 // Word-line voltages are unsigned, so inputs are dynamically range-scaled:
 // x is divided by max(x) before the DAC and the result rescaled digitally,
 // the standard input-encoding trick in ISAAC-class designs. Negative inputs
 // are clamped to zero — valid for this repository's ReLU pipelines, where
 // every crossbar-facing activation is non-negative.
-func (t *TiledLinear) MatVec(x []float64) []float64 {
-	out := make([]float64, t.Out)
-	t.MatVecInto(out, x)
-	return out
-}
-
-// MatVecInto is MatVec writing into a caller-owned slice of length Out —
-// the allocation-free path the accelerator's batched inference uses. It
-// reuses the tile staging buffers allocated at map time, so it must not be
-// called from more than one goroutine at a time.
+//
+// It is the allocation-free path the accelerator's batched inference uses,
+// and it reuses the tile staging buffers allocated at map time, so it must
+// not be called from more than one goroutine at a time.
 func (t *TiledLinear) MatVecInto(out, x []float64) {
 	if len(x) != t.In {
 		panic(fmt.Sprintf("reram: MatVec input length %d, want %d", len(x), t.In))
@@ -250,18 +244,11 @@ func (t *TiledLinear) MatVecInto(out, x []float64) {
 	}
 }
 
-// EffectiveWeights reads the weight matrix back from the arrays, reflecting
-// programming variation, stuck-at faults, soft errors and drift — the
-// weight-level view of the hardware's current state.
-func (t *TiledLinear) EffectiveWeights() *tensor.Tensor {
-	w := tensor.New(t.Out, t.In)
-	t.EffectiveWeightsInto(w)
-	return w
-}
-
-// EffectiveWeightsInto is EffectiveWeights writing into a caller-owned
-// (Out, In) tensor — every element is overwritten, so the buffer can be
-// reused across readouts without clearing.
+// EffectiveWeightsInto reads the weight matrix back from the arrays into a
+// caller-owned (Out, In) tensor, reflecting programming variation, stuck-at
+// faults, soft errors and drift — the weight-level view of the hardware's
+// current state. Every element is overwritten, so the buffer can be reused
+// across readouts without clearing.
 func (t *TiledLinear) EffectiveWeightsInto(w *tensor.Tensor) {
 	tensor.AssertDims("reram.EffectiveWeightsInto", w, t.Out, t.In)
 	// a full differential scan: both polarities of every mapped cell read

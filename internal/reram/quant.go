@@ -40,14 +40,6 @@ func (q Quantizer) QuantizeSlice(v []float64) {
 	}
 }
 
-// Levels returns the number of representable values.
-func (q Quantizer) Levels() int {
-	if q.Bits <= 0 {
-		return 0
-	}
-	return 1 << uint(q.Bits)
-}
-
 // String describes the converter.
 func (q Quantizer) String() string {
 	if q.Bits <= 0 {

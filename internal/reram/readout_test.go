@@ -8,9 +8,8 @@ import (
 	"reramtest/internal/tensor"
 )
 
-// TestMatVecIntoMatchesMatVec: the destination-passing path must be the
-// bit-identical twin of the allocating one, including the vmax==0 zero fill
-// when the destination holds stale values.
+// TestMatVecIntoMatchesMatVec: a destination holding stale values must read
+// back bit-identical to a fresh one, including the vmax==0 zero fill.
 func TestMatVecIntoMatchesMatVec(t *testing.T) {
 	r := rng.New(61)
 	w := tensor.Randn(r, 0, 1, 20, 30)
@@ -23,7 +22,8 @@ func TestMatVecIntoMatchesMatVec(t *testing.T) {
 			x[i] = float64(i) / 30
 		}
 	}
-	want := tl.MatVec(x)
+	want := make([]float64, 20)
+	tl.MatVecInto(want, x)
 	got := make([]float64, 20)
 	for i := range got {
 		got[i] = -5 // stale contents must be overwritten
@@ -31,7 +31,7 @@ func TestMatVecIntoMatchesMatVec(t *testing.T) {
 	tl.MatVecInto(got, x)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("element %d: MatVecInto %v, MatVec %v", i, got[i], want[i])
+			t.Fatalf("element %d: stale destination %v, fresh %v", i, got[i], want[i])
 		}
 	}
 	zero := make([]float64, 30)
@@ -43,18 +43,19 @@ func TestMatVecIntoMatchesMatVec(t *testing.T) {
 	}
 }
 
-// TestEffectiveWeightsIntoMatches: same loop, caller-owned buffer.
+// TestEffectiveWeightsIntoMatches: same check for the weight readout.
 func TestEffectiveWeightsIntoMatches(t *testing.T) {
 	r := rng.New(62)
 	w := tensor.Randn(r, 0, 1, 20, 30)
 	cfg := DefaultConfig()
 	cfg.TileRows, cfg.TileCols = 16, 16
 	tl := MapLinear(w, cfg, r.Split())
-	want := tl.EffectiveWeights()
+	want := tensor.New(20, 30)
+	tl.EffectiveWeightsInto(want)
 	got := tensor.Full(-9, 20, 30)
 	tl.EffectiveWeightsInto(got)
 	if !got.Equal(want) {
-		t.Fatal("EffectiveWeightsInto differs from EffectiveWeights")
+		t.Fatal("a stale destination reads back different weights than a fresh one")
 	}
 }
 
@@ -96,7 +97,7 @@ func TestRefreshReadoutMatchesReadoutNetwork(t *testing.T) {
 	// digital-side redeployment (new biases) must be re-synced too
 	retrained := net.Clone()
 	for _, p := range retrained.Params() {
-		p.Value.ScaleInPlace(0.9)
+		p.Value.Apply(func(v float64) float64 { return v * 0.9 })
 	}
 	a.ProgramNetwork(retrained)
 	sameParams(t)

@@ -149,9 +149,8 @@ func stuckPin(tl *TiledLinear, rt, ct, i, j int, pos bool, s CellState) {
 func TestTiledRemapCorrectsThroughPartner(t *testing.T) {
 	cfg := Config{TileRows: 8, TileCols: 8, DACBits: 0, ADCBits: 0, Device: idealParams()}
 	r := rng.New(36)
-	w := tensor.New(8, 8)
-	w.Fill(0.5)
-	w.Set(1.0, 0, 0) // wmax=1 so 0.5 maps to mid-window, not full scale
+	w := tensor.Full(0.5, 8, 8)
+	w.Data()[0] = 1.0 // wmax=1 so 0.5 maps to mid-window, not full scale
 	tl := MapLinear(w, cfg, r)
 
 	// pin one G⁺ cell at GOn: the positive weight 0.5 was mapped mid-window,
@@ -172,7 +171,7 @@ func TestTiledRemapCorrectsThroughPartner(t *testing.T) {
 		t.Fatalf("%d pairs still uncompensated after correction", uncomp)
 	}
 	// the effective weight is back near its target
-	got := tl.EffectiveWeights().At(3, 2)
+	got := effectiveWeights(tl).Data()[3*8+2]
 	if math.Abs(got-0.5) > 0.02 {
 		t.Fatalf("corrected weight reads %v, want ≈0.5", got)
 	}
@@ -180,9 +179,8 @@ func TestTiledRemapCorrectsThroughPartner(t *testing.T) {
 
 func TestTiledRemapBothStuckIsUncorrectable(t *testing.T) {
 	cfg := Config{TileRows: 4, TileCols: 4, DACBits: 0, ADCBits: 0, Device: idealParams()}
-	w := tensor.New(4, 4)
-	w.Fill(0.5)
-	w.Set(1.0, 0, 0)
+	w := tensor.Full(0.5, 4, 4)
+	w.Data()[0] = 1.0
 	tl := MapLinear(w, cfg, rng.New(37))
 	stuckPin(tl, 0, 0, 1, 1, true, CellSA1)
 	stuckPin(tl, 0, 0, 1, 1, false, CellSA0)
@@ -196,9 +194,8 @@ func TestTiledRemapUsesSparesForClusteredFaults(t *testing.T) {
 	dev := idealParams()
 	dev.SpareRows = 2
 	cfg := Config{TileRows: 8, TileCols: 8, DACBits: 0, ADCBits: 0, Device: dev}
-	w := tensor.New(8, 8)
-	w.Fill(0.5)
-	w.Set(1.0, 0, 0)
+	w := tensor.Full(0.5, 8, 8)
+	w.Data()[0] = 1.0
 	tl := MapLinear(w, cfg, rng.New(38))
 	// cluster: five stuck cells on one word-line of G⁺ — past maxPerLine 2
 	for j := 0; j < 5; j++ {

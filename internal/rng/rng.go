@@ -29,15 +29,6 @@ func (r *RNG) Split() *RNG {
 	return New(r.src.Int63())
 }
 
-// SplitN derives n independent child RNGs.
-func (r *RNG) SplitN(n int) []*RNG {
-	out := make([]*RNG, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
-}
-
 // Int63 returns a non-negative 63-bit integer.
 func (r *RNG) Int63() int64 { return r.src.Int63() }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"reramtest/internal/engine"
-	"reramtest/internal/fleet"
 	"reramtest/internal/health"
 	"reramtest/internal/hwcost"
 	"reramtest/internal/monitor"
@@ -103,11 +102,14 @@ func TestLedgerExactUnderConcurrentServeMonitorRepair(t *testing.T) {
 
 	fcfg := fleetConfig()
 	fcfg.Health.EscalateAfter = 1
-	sup, err := fleet.New([]fleet.Device{st}, fcfg, nil)
+	mon, err := monitor.New(st.Reference(), st.Patterns(), nil, fcfg.Monitor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, _ := sup.RuntimeOf(dev.ID())
+	rt, err := health.New(mon, fcfg.Health)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var servedRows atomic.Uint64
 	var misbilled atomic.Int64

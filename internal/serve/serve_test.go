@@ -398,8 +398,8 @@ func TestCloseDrainsWithoutLeaks(t *testing.T) {
 
 // TestCloseConcurrentCallersShareOneDrain: Close must be idempotent under
 // concurrent callers — exactly one drain runs, every caller (racing or late)
-// blocks until it completes and returns the first call's result, and the
-// drained-counter snapshot is identical for all of them.
+// blocks until it completes and returns the first call's result, and each
+// finds admission shut once its Close returns.
 func TestCloseConcurrentCallersShareOneDrain(t *testing.T) {
 	devs := testDevices(2)
 	devs[0].set(func(d *servDevice) { d.delay = 10 * time.Millisecond })
@@ -417,14 +417,14 @@ func TestCloseConcurrentCallersShareOneDrain(t *testing.T) {
 
 	const closers = 8
 	errs := make([]error, closers)
-	snaps := make([]serve.Stats, closers)
+	after := make([]error, closers)
 	var closeWG sync.WaitGroup
 	for i := 0; i < closers; i++ {
 		closeWG.Add(1)
 		go func(i int) {
 			defer closeWG.Done()
 			errs[i] = s.Close()
-			snaps[i], _ = s.Drained()
+			_, after[i] = s.Do(context.Background(), requestBatch(-1), serve.Bulk)
 		}(i)
 	}
 	closeWG.Wait()
@@ -434,28 +434,12 @@ func TestCloseConcurrentCallersShareOneDrain(t *testing.T) {
 		if errs[i] != errs[0] {
 			t.Fatalf("closer %d returned %v, closer 0 returned %v — drain result not shared", i, errs[i], errs[0])
 		}
-		if snaps[i] != snaps[0] {
-			t.Fatalf("closer %d saw drained stats %+v, closer 0 saw %+v", i, snaps[i], snaps[0])
+		if !errors.Is(after[i], serve.ErrClosed) {
+			t.Fatalf("closer %d: Do after Close returned %v, want ErrClosed", i, after[i])
 		}
-	}
-	if _, ok := s.Drained(); !ok {
-		t.Fatal("Drained reports not-closed after Close")
 	}
 	if st := s.Stats(); st.Admitted != st.Terminal() {
 		t.Fatalf("drain left silent drops: %+v", st)
-	}
-}
-
-// TestDrainedBeforeClose: Drained on a live server reports ok=false and must
-// not itself trigger a drain.
-func TestDrainedBeforeClose(t *testing.T) {
-	s := newServer(t, testDevices(1), fleetConfig(), serve.Config{})
-	defer s.Close()
-	if _, ok := s.Drained(); ok {
-		t.Fatal("Drained reported a drain on a live server")
-	}
-	if _, err := s.Do(context.Background(), requestBatch(1), serve.Bulk); err != nil {
-		t.Fatalf("server stopped serving after Drained probe: %v", err)
 	}
 }
 

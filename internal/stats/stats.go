@@ -36,20 +36,6 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// SampleStd returns the Bessel-corrected sample standard deviation.
-func SampleStd(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // CV returns the coefficient of variation σ/μ — the paper's stability metric
 // for confidence distances (smaller is more stable). It returns 0 when the
 // mean is 0.
@@ -125,30 +111,6 @@ func LinearFit(x, y []float64) (slope, intercept, r float64) {
 		return slope, intercept, 0
 	}
 	return slope, intercept, sxy / math.Sqrt(sxx*syy)
-}
-
-// Histogram bins xs into nbins equal-width bins over [lo, hi]; values outside
-// the range are clamped into the first/last bin.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 {
-		panic(fmt.Sprintf("stats: Histogram needs positive bin count, got %d", nbins))
-	}
-	counts := make([]int, nbins)
-	if hi <= lo {
-		counts[0] = len(xs)
-		return counts
-	}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		} else if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
 }
 
 // Summary is a five-number-plus description of a sample.

@@ -22,17 +22,6 @@ func TestStdKnownValues(t *testing.T) {
 	}
 }
 
-func TestSampleStdVsStd(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	pop, samp := Std(xs), SampleStd(xs)
-	if samp <= pop {
-		t.Fatalf("sample std %v should exceed population std %v", samp, pop)
-	}
-	if SampleStd([]float64{5}) != 0 {
-		t.Fatal("SampleStd of singleton not 0")
-	}
-}
-
 func TestCV(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9} // mean 5, std 2
 	if got := CV(xs); math.Abs(got-0.4) > 1e-12 {
@@ -137,24 +126,6 @@ func TestLinearFitLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	LinearFit([]float64{1}, []float64{1, 2})
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.5, 0.9, -5, 99}
-	h := Histogram(xs, 0, 1, 4)
-	if h[0] != 3 { // 0.1, 0.2 and clamped -5
-		t.Fatalf("bin0=%d, want 3", h[0])
-	}
-	if h[3] != 2 { // 0.9 and clamped 99
-		t.Fatalf("bin3=%d, want 2", h[3])
-	}
-	total := 0
-	for _, n := range h {
-		total += n
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram lost samples: %d of %d", total, len(xs))
-	}
 }
 
 func TestSummarize(t *testing.T) {

@@ -57,9 +57,6 @@ func NewDropConnect(eng *Engine, p float64, r *rng.RNG) *DropConnect {
 	return d
 }
 
-// Engine returns the wrapped engine.
-func (d *DropConnect) Engine() *Engine { return d.eng }
-
 // Step runs one masked training step: draw fresh masks, zero the dropped
 // weights, ForwardBackward, restore the weights, zero the dropped
 // positions' gradients. Param.Grad then holds the masked-objective batch

@@ -248,15 +248,6 @@ func MustCompile(net *nn.Network, opts Options) *Engine {
 // Network returns the network the engine is bound to.
 func (e *Engine) Network() *nn.Network { return e.net }
 
-// InDim returns the flattened per-sample input size.
-func (e *Engine) InDim() int { return e.inDim }
-
-// OutDim returns the flattened per-sample output (logit) size.
-func (e *Engine) OutDim() int { return e.outVol }
-
-// Counter returns the counter the plan charges; never nil.
-func (e *Engine) Counter() *hwcost.Counter { return e.counter }
-
 // setBatch sizes workspaces and rebuilds the (n, vol) views. Buffers grow
 // when n exceeds capacity; views are rebuilt only when n changes, so a steady
 // stream of same-size batches allocates nothing.

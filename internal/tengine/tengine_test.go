@@ -216,7 +216,8 @@ func TestForwardBackwardAllocFree(t *testing.T) {
 // charging the counter.
 func TestForwardBackwardEmptyBatch(t *testing.T) {
 	net := models.MLP(rng.New(3), 16, []int{24, 16}, 6)
-	eng := tengine.MustCompile(net, tengine.Options{Workers: 1})
+	ctr := hwcost.NewCounter()
+	eng := tengine.MustCompile(net, tengine.Options{Workers: 1, Counter: ctr})
 	empty := tensor.New(0, 16)
 	if _, err := eng.ForwardBackward(empty, nil); !errors.Is(err, tengine.ErrEmptyBatch) {
 		t.Fatalf("ForwardBackward(empty) err = %v, want ErrEmptyBatch", err)
@@ -224,7 +225,7 @@ func TestForwardBackwardEmptyBatch(t *testing.T) {
 	if _, err := eng.ForwardBackwardSoft(empty, tensor.New(0, 6)); !errors.Is(err, tengine.ErrEmptyBatch) {
 		t.Fatalf("ForwardBackwardSoft(empty) err = %v, want ErrEmptyBatch", err)
 	}
-	if spent := eng.Counter().Settle(hwcost.ClassServing); !spent.IsZero() {
+	if spent := ctr.Settle(hwcost.ClassServing); !spent.IsZero() {
 		t.Fatal("empty batch charged the hardware counter")
 	}
 }
@@ -241,12 +242,13 @@ func TestStepCostPinned(t *testing.T) {
 	}
 	for _, m := range seedModels()[:3] {
 		net := m.build(rng.New(1))
-		eng := tengine.MustCompile(net, tengine.Options{})
+		ctr := hwcost.NewCounter()
+		eng := tengine.MustCompile(net, tengine.Options{Counter: ctr})
 		x, labels := randBatch(3, 2, net.InDim(), m.classes)
 		if _, err := eng.ForwardBackward(x, labels); err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
-		if got := eng.Counter().Settle(hwcost.ClassRepair); got != want[m.name].Scale(2) {
+		if got := ctr.Settle(hwcost.ClassRepair); got != want[m.name].Scale(2) {
 			t.Errorf("%s: two-sample step charged %+v, want 2 × %+v", m.name, got, want[m.name])
 		}
 	}

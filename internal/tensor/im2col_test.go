@@ -63,8 +63,8 @@ func TestIm2ColKnownWindow(t *testing.T) {
 	}
 	for r := 0; r < 4; r++ {
 		for c := 0; c < 4; c++ {
-			if dst.At(r, c) != want[r][c] {
-				t.Fatalf("im2col[%d][%d]=%v, want %v", r, c, dst.At(r, c), want[r][c])
+			if got := dst.Data()[r*4+c]; got != want[r][c] {
+				t.Fatalf("im2col[%d][%d]=%v, want %v", r, c, got, want[r][c])
 			}
 		}
 	}
@@ -76,12 +76,12 @@ func TestIm2ColZeroPadding(t *testing.T) {
 	dst := New(9, 4)
 	Im2ColInto(dst.Data(), src.Data(), g)
 	// top-left output position, kernel offset (0,0) looks at (-1,-1): padded 0
-	if dst.At(0, 0) != 0 {
-		t.Fatalf("padded region not zero: %v", dst.At(0, 0))
+	if got := dst.Data()[0]; got != 0 {
+		t.Fatalf("padded region not zero: %v", got)
 	}
 	// centre of kernel at output (0,0) is input (0,0) = 1
-	if dst.At(4, 0) != 1 {
-		t.Fatalf("kernel centre wrong: %v", dst.At(4, 0))
+	if got := dst.Data()[4*4]; got != 1 {
+		t.Fatalf("kernel centre wrong: %v", got)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestCol2ImAccumulatesOverlaps(t *testing.T) {
 	// 2×2 kernel stride 1 over 3×3: centre pixel (1,1) is covered by all 4
 	// windows, so scattering all-ones columns back accumulates 4 there.
 	g := ConvGeom{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, StrideH: 1, StrideW: 1}
-	cols := Ones(4, 4)
+	cols := Full(1, 4, 4)
 	img := New(9)
 	Col2ImInto(img.Data(), cols.Data(), g)
 	if img.Data()[4] != 4 {

@@ -152,27 +152,6 @@ func MatMulTransASlices(dst, a, b []float64, k, m, n int) {
 	}
 }
 
-// MatVec computes the matrix-vector product a·x for a rank-2 (m×k) tensor and
-// a length-k vector, returning a length-m vector. This is the operation a
-// ReRAM crossbar performs in the analog domain.
-func MatVec(a *Tensor, x []float64) []float64 {
-	m, k := mustMatrix("MatVec lhs", a)
-	if len(x) != k {
-		panic(fmt.Sprintf("tensor: MatVec dimension mismatch %v x vec(%d)", a.shape, len(x)))
-	}
-	out := make([]float64, m)
-	ad := a.data
-	for i := 0; i < m; i++ {
-		row := ad[i*k : (i+1)*k]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // Transpose2D returns the transpose of a rank-2 tensor as a new tensor.
 func Transpose2D(a *Tensor) *Tensor {
 	m, n := mustMatrix("Transpose2D", a)

@@ -8,10 +8,6 @@ import (
 // Wildcard matches any size in an AssertDims dimension list.
 const Wildcard = -1
 
-// SameShape reports whether a and b have identical shapes (same rank and the
-// same size on every axis).
-func SameShape(a, b *Tensor) bool { return sameShape(a.shape, b.shape) }
-
 // AssertDims panics unless t has exactly the given dimensions. A Wildcard (-1)
 // entry matches any size on that axis, so kernels can pin the axes they care
 // about while leaving batch sizes free:

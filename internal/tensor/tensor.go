@@ -66,9 +66,6 @@ func Full(v float64, shape ...int) *Tensor {
 	return t
 }
 
-// Ones returns a tensor of the given shape filled with 1.
-func Ones(shape ...int) *Tensor { return Full(1, shape...) }
-
 // Randn returns a tensor filled with Gaussian samples drawn from r.
 func Randn(r *rng.RNG, mean, std float64, shape ...int) *Tensor {
 	t := New(shape...)
@@ -99,27 +96,6 @@ func (t *Tensor) Len() int { return len(t.data) }
 // Data returns the backing slice in row-major order. Mutating it mutates the
 // tensor.
 func (t *Tensor) Data() []float64 { return t.data }
-
-// offset computes the row-major linear index of idx.
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match rank-%d shape %v", idx, len(t.shape), t.shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
-// At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx)] }
-
-// Set writes the element at the given multi-index.
-func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
 
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
@@ -160,80 +136,12 @@ func (t *Tensor) ResliceRows(buf []float64, n int) {
 	t.shape[0] = n
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
-// AddInPlace adds o element-wise into t.
-func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
-	checkSameVolume("AddInPlace", t, o)
-	for i, v := range o.data {
-		t.data[i] += v
-	}
-	return t
-}
-
-// SubInPlace subtracts o element-wise from t.
-func (t *Tensor) SubInPlace(o *Tensor) *Tensor {
-	checkSameVolume("SubInPlace", t, o)
-	for i, v := range o.data {
-		t.data[i] -= v
-	}
-	return t
-}
-
-// MulInPlace multiplies t element-wise by o (Hadamard product).
-func (t *Tensor) MulInPlace(o *Tensor) *Tensor {
-	checkSameVolume("MulInPlace", t, o)
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-	return t
-}
-
-// ScaleInPlace multiplies every element by s.
-func (t *Tensor) ScaleInPlace(s float64) *Tensor {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-	return t
-}
-
-// AxpyInPlace performs t += alpha * o.
-func (t *Tensor) AxpyInPlace(alpha float64, o *Tensor) *Tensor {
-	checkSameVolume("AxpyInPlace", t, o)
-	for i, v := range o.data {
-		t.data[i] += alpha * v
-	}
-	return t
-}
-
-// Add returns t + o as a new tensor.
-func (t *Tensor) Add(o *Tensor) *Tensor { return t.Clone().AddInPlace(o) }
-
-// Sub returns t - o as a new tensor.
-func (t *Tensor) Sub(o *Tensor) *Tensor { return t.Clone().SubInPlace(o) }
-
-// Mul returns the Hadamard product t ⊙ o as a new tensor.
-func (t *Tensor) Mul(o *Tensor) *Tensor { return t.Clone().MulInPlace(o) }
-
-// Scale returns s·t as a new tensor.
-func (t *Tensor) Scale(s float64) *Tensor { return t.Clone().ScaleInPlace(s) }
-
 // Apply replaces every element x with f(x).
 func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 	for i, v := range t.data {
 		t.data[i] = f(v)
 	}
 	return t
-}
-
-// Map returns a new tensor with f applied element-wise.
-func (t *Tensor) Map(f func(float64) float64) *Tensor {
-	return t.Clone().Apply(f)
 }
 
 // ClampInPlace limits every element to [lo, hi].
@@ -312,25 +220,6 @@ func (t *Tensor) ArgMax() int {
 	return bi
 }
 
-// L1Dist returns the mean absolute difference between t and o.
-func (t *Tensor) L1Dist(o *Tensor) float64 {
-	checkSameVolume("L1Dist", t, o)
-	s := 0.0
-	for i, v := range t.data {
-		s += math.Abs(v - o.data[i])
-	}
-	return s / float64(len(t.data))
-}
-
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2Norm() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Equal reports whether t and o have identical shapes and elements.
 func (t *Tensor) Equal(o *Tensor) bool {
 	if !sameShape(t.shape, o.shape) {
@@ -338,20 +227,6 @@ func (t *Tensor) Equal(o *Tensor) bool {
 	}
 	for i, v := range t.data {
 		if v != o.data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// AllClose reports whether t and o have identical shapes and elements within
-// absolute tolerance tol.
-func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
-	if !sameShape(t.shape, o.shape) {
-		return false
-	}
-	for i, v := range t.data {
-		if math.Abs(v-o.data[i]) > tol {
 			return false
 		}
 	}
@@ -373,10 +248,4 @@ func sameShape(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-func checkSameVolume(op string, a, b *Tensor) {
-	if len(a.data) != len(b.data) {
-		panic(fmt.Sprintf("tensor: %s volume mismatch %v vs %v", op, a.shape, b.shape))
-	}
 }

@@ -27,9 +27,11 @@ func trainedToy(t *testing.T) (*nn.Network, *dataset.Dataset) {
 	sgd := tengine.NewSGD(net.Params(), 0.05, 0.9, 0)
 	eng := tengine.MustCompile(net, tengine.Options{MaxBatch: 32})
 	r := rng.New(4)
+	it := train.BatchIterator(32)
 	for epoch := 0; epoch < 4; epoch++ {
-		for _, b := range train.Batches(32, r) {
-			eng.ForwardBackward(b.X, b.Y) // batches are never empty
+		it.Reset(r)
+		for x, y, ok := it.Next(); ok; x, y, ok = it.Next() {
+			eng.ForwardBackward(x, y) // batches are never empty
 			sgd.StepAndZero()
 		}
 	}
@@ -204,7 +206,7 @@ func TestPatternSetHead(t *testing.T) {
 	if h.M() != 4 || len(h.Labels) != 4 {
 		t.Fatalf("Head(4) gave %d patterns", h.M())
 	}
-	h.X.Fill(0)
+	clear(h.X.Data())
 	if p.X.Sum() == 0 {
 		t.Fatal("Head shares storage")
 	}
