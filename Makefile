@@ -14,7 +14,8 @@
 #                block's and the 2×2 pool kernel's bit-identity, the
 #                /v1/infer request decoder and the wire codec's two number
 #                kernels against strconv + the drop-connect hardening and
-#                cost-metering performance gates (bench-smoke)
+#                cost-metering performance gates (bench-smoke) + the
+#                unreached-function gate (unreached)
 #   make bench-smoke  gate the drop-connect step and the metered analog pass
 #                against the committed baseline ratios (min ratio of the two
 #                arms' minima over alternating slices, max allocs/op), after
@@ -24,9 +25,11 @@
 #                (≈ 5 min warm; trains and caches the two models first on a
 #                fresh checkout). Not part of check: go test pins the fast
 #                part at a tiny scale (internal/experiments/testdata/golden_tiny.txt)
-#   make loc     non-test Go line count (ROADMAP item 6's exit criterion)
-#   make unreached  list every internal/ function no binary links (a report,
-#                not a gate: what it prints is reached only from tests)
+#   make loc     non-test Go line count (what ROADMAP items 1, 8 and 13
+#                measure)
+#   make unreached  list every internal/ function no binary links and fail
+#                on one that scripts/unreached.allow does not name, or on an
+#                allowlist entry that is linked or no longer defined
 #   make ab-engine REV=<rev>  A/B the f64 engine row (BenchmarkEngineRow)
 #                between <rev> and the working tree: adjacent runs of two
 #                prebuilt test binaries, pairwise ratios and median
@@ -59,7 +62,7 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
         lifetime-soak-smoke lifetime-soak examples-smoke fuzz-short \
         bench-smoke repro-check loc unreached ab-engine
 
-check: fmt-check vet gen-check build test race-fast soak-smoke fleet-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke
+check: fmt-check vet gen-check build unreached test race-fast soak-smoke fleet-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke
 	@echo "check: PASS"
 
 # gofmt prints the files it would rewrite; any name is a failure
@@ -138,10 +141,11 @@ repro-check:
 	$(GO) run ./cmd/experiment -id ablations > "$$tmp/ablations.txt" && diff results_ablations.txt "$$tmp/ablations.txt"; \
 	rc=$$?; rm -rf "$$tmp"; [ $$rc -eq 0 ] && echo "repro-check: PASS"; exit $$rc
 
-# non-test Go lines, the number ROADMAP item 6 tracks
+# non-test Go lines, the number ROADMAP items 1, 8 and 13 measure
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1
 
+# every internal/ function no binary links is allowlisted with a reason
 unreached:
 	@GO=$(GO) sh scripts/unreached.sh
 
