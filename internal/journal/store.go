@@ -205,7 +205,7 @@ func (s *Store) Compact(snapshot []byte, seq uint64, keep func(rec []byte) bool)
 	w, _, _, err := OpenAppendFS(s.fs, s.path)
 	if err != nil {
 		// no live writer: the store is poisoned exactly like a failed append
-		s.w = &Writer{fs: s.fs, path: s.path, closed: true, err: err}
+		s.w = &Writer{path: s.path, closed: true, err: err}
 		return fmt.Errorf("journal: compact reopen %s: %w: %v", s.path, ErrWriterFailed, err)
 	}
 	s.w = w
