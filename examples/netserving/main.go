@@ -165,7 +165,7 @@ func deadlineDemo(base campaign.NetSoakConfig) error {
 		{Name: "shard-live", Devices: campaign.EngineDevices(10, 1, "live"), Fleet: base.Fleet, Serve: base.Serve},
 	}
 	ncfg := base.Net
-	ncfg.NoRetry = true // keep the demo on the slow shard
+	ncfg.RetryMax = 0 // keep the demo on the slow shard
 	sf, err := netserve.New(specs, ncfg)
 	if err != nil {
 		return err

@@ -199,13 +199,31 @@ func TestHTTPDeadlineClampsBeforeConverting(t *testing.T) {
 	}
 }
 
+// TestHTTPFaultedShardMaps502: a fault that outlasts the retry budget maps to
+// 502, after exactly RetryMax cross-shard retries — none at RetryMax 0, one
+// at RetryMax 1 with every shard faulted.
 func TestHTTPFaultedShardMaps502(t *testing.T) {
-	f, devs, ts := httpTier(t, Config{NoRetry: true})
-	tenant := tenantFor(t, f, "shard-0")
-	devs[0][0].set(func(d *tierDevice) { d.crash = true })
-	resp, body := postInfer(t, ts, inferBody(tenant, 1, 16), nil)
-	if resp.StatusCode != http.StatusBadGateway || body["error"] != "faulted" {
-		t.Fatalf("status %d error %v, want 502 faulted", resp.StatusCode, body["error"])
+	for _, tc := range []struct {
+		retryMax int
+		crashed  []int // shards whose device crashes
+	}{
+		{0, []int{0}},
+		{1, []int{0, 1}},
+	} {
+		t.Run(fmt.Sprintf("RetryMax=%d", tc.retryMax), func(t *testing.T) {
+			f, devs, ts := httpTier(t, Config{RetryMax: tc.retryMax})
+			tenant := tenantFor(t, f, "shard-0")
+			for _, s := range tc.crashed {
+				devs[s][0].set(func(d *tierDevice) { d.crash = true })
+			}
+			resp, body := postInfer(t, ts, inferBody(tenant, 1, 16), nil)
+			if resp.StatusCode != http.StatusBadGateway || body["error"] != "faulted" {
+				t.Fatalf("status %d error %v, want 502 faulted", resp.StatusCode, body["error"])
+			}
+			if st := f.Stats(); st.Retries != uint64(tc.retryMax) {
+				t.Fatalf("%d retries, want %d: %+v", st.Retries, tc.retryMax, st)
+			}
+		})
 	}
 }
 

@@ -88,10 +88,8 @@ type Config struct {
 	// Quota is the per-tenant admission quota (zero value disables).
 	Quota QuotaConfig
 	// RetryMax bounds retries after a shard-level fault: a request makes at
-	// most 1+RetryMax placements (0 → 1; use NoRetry to disable).
+	// most 1+RetryMax placements (0: no retry).
 	RetryMax int
-	// NoRetry disables cross-shard retries entirely.
-	NoRetry bool
 	// RetryBackoff is the sleep before the first retry, doubling per
 	// attempt and always cut short by the request deadline (0 → 1ms).
 	RetryBackoff time.Duration
@@ -120,12 +118,6 @@ func (c Config) Validate() error {
 func (c Config) withDefaults() Config {
 	if c.VNodes == 0 {
 		c.VNodes = 16
-	}
-	if c.RetryMax == 0 {
-		c.RetryMax = 1
-	}
-	if c.NoRetry {
-		c.RetryMax = 0
 	}
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = time.Millisecond

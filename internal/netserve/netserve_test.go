@@ -235,7 +235,7 @@ func TestQuotaBucketRefills(t *testing.T) {
 }
 
 func TestCrossShardRetryOnFaultedShard(t *testing.T) {
-	f, devs := newTier(t, 2, 1, Config{})
+	f, devs := newTier(t, 2, 1, Config{RetryMax: 1})
 	defer f.Close()
 	tenant := tenantFor(t, f, "shard-0")
 	devs[0][0].set(func(d *tierDevice) { d.crash = true })
@@ -253,7 +253,7 @@ func TestCrossShardRetryOnFaultedShard(t *testing.T) {
 }
 
 func TestMonitorClassNeverRetried(t *testing.T) {
-	f, devs := newTier(t, 2, 1, Config{})
+	f, devs := newTier(t, 2, 1, Config{RetryMax: 1})
 	defer f.Close()
 	tenant := tenantFor(t, f, "shard-0")
 	devs[0][0].set(func(d *tierDevice) { d.crash = true })
@@ -268,7 +268,7 @@ func TestMonitorClassNeverRetried(t *testing.T) {
 }
 
 func TestDeadlineNeverRetried(t *testing.T) {
-	f, devs := newTier(t, 2, 1, Config{})
+	f, devs := newTier(t, 2, 1, Config{RetryMax: 1})
 	defer f.Close()
 	for _, row := range devs {
 		row[0].set(func(d *tierDevice) { d.delay = 200 * time.Millisecond })
