@@ -7,8 +7,8 @@
 #                full test suite + race detector
 #                on the hardened-runtime packages + short campaign, fleet,
 #                network-tier, crash/disk-fault and repair-ladder lifetime
-#                soak smokes (cmd/monitor -soak NAME) + the repair_ladder
-#                and fleet examples end to end + a short fuzz pass over
+#                soak smokes (cmd/monitor -soak NAME) + the quickstart
+#                example end to end + a short fuzz pass over
 #                the journal record and snapshot decoders, the f32 kernel
 #                envelope, the register-tiled f64 matmul's, the fused conv
 #                block's and the 2×2 pool kernel's bit-identity, the
@@ -124,13 +124,12 @@ lifetime-soak-smoke:
 lifetime-soak:
 	$(GO) run ./cmd/monitor -soak lifetime -seed 3 -campaigns 9
 
-# the examples are callers with no test of their own; repair_ladder drives
-# the supervised ladder end to end in ≈3 s and exits non-zero on an untyped
-# strategy error; fleet crashes its supervisor, tears the journal tail and
-# exits non-zero if OpenStore + Resume fails
+# the examples are callers with no test of their own; quickstart trains a
+# small model, derives O-TP patterns and scores injected programming errors
+# in ≈3 s, and its exit status is checked (the soak smokes cover the typed
+# repair errors and the journal replay the deleted examples printed)
 examples-smoke:
-	$(GO) run ./examples/repair_ladder
-	$(GO) run ./examples/fleet
+	$(GO) run ./examples/quickstart
 
 # every table, figure and ablation cmd/experiment prints, diffed against the
 # committed reproduction; the weights and patterns cached under testdata/ are

@@ -15,9 +15,9 @@ import (
 const costFixture = "testdata/cost_ledger.txt"
 
 func TestCostLedgerFixture(t *testing.T) {
-	var got bytes.Buffer
-	if code := runCost(&got, 1000, 40); code != 0 {
-		t.Fatalf("runCost exited %d", code)
+	var got, stderr bytes.Buffer
+	if code := runCost(&got, &stderr, 1000, 40); code != 0 || stderr.Len() != 0 {
+		t.Fatalf("runCost exited %d, stderr %q", code, stderr.String())
 	}
 	if os.Getenv("MONITOR_REGEN_FIXTURES") != "" {
 		if err := os.WriteFile(costFixture, got.Bytes(), 0o644); err != nil {

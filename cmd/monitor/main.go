@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "monitor: -cost and -soak are separate modes; give one")
 		return 2
 	case *cost:
-		return runCost(stdout, o.seed, o.rounds)
+		return runCost(stdout, stderr, o.seed, o.rounds)
 	case *soak != "":
 		return runSoak(stdout, stderr, *soak, o)
 	}
@@ -354,12 +354,6 @@ func demo(w, stderr io.Writer, hoursPerStep float64, steps int, analog bool) int
 	return 0
 }
 
-// costDevice adapts a campaign Plant to fleet.Device.
-type costDevice struct{ *campaign.Plant }
-
-func (costDevice) ID() string                  { return "plant" }
-func (d costDevice) Repairer() health.Repairer { return d.Plant }
-
 // runCost drives one plant through a serving + monitoring + repair lifetime
 // and prints the accumulated hardware cost split by attribution class — the
 // telemetry the fleet journals per device and /statsz serves per tier. Rounds
@@ -368,19 +362,19 @@ func (d costDevice) Repairer() health.Repairer { return d.Plant }
 // shows up under the repair class. Every call goes through the plant's
 // fleet.Station, which books each charge to the class of the path that made
 // it.
-func runCost(w io.Writer, seed int64, rounds int) int {
+func runCost(w, stderr io.Writer, seed int64, rounds int) int {
 	pcfg := campaign.DefaultPlantConfig()
-	p := campaign.NewPlant(seed, pcfg)
-	st := fleet.NewStation(costDevice{p})
+	p := campaign.NewPlant("plant", seed, pcfg)
+	st := fleet.NewStation(p)
 	mon, err := monitor.New(p.Reference(), p.Patterns(), nil, monitor.DefaultConfig())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cost:", err)
+		fmt.Fprintln(stderr, "cost:", err)
 		return 1
 	}
 	hcfg := campaign.DefaultConfig().Health
 	rt, err := health.New(mon, hcfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cost:", err)
+		fmt.Fprintln(stderr, "cost:", err)
 		return 1
 	}
 	fmt.Fprintf(w, "cost meter: MLP %d→%v→%d on %d×%d tiles, %d rounds, seed %d\n",
@@ -421,7 +415,7 @@ func runCost(w io.Writer, seed int64, rounds int) int {
 			i+1, ep.CostSpent, ep.Measured.ComputeCycles, ep.Measured.EnergyFJ)
 	}
 	if b.Total().IsZero() {
-		fmt.Fprintln(os.Stderr, "\ncost: metered workload accumulated zero cost")
+		fmt.Fprintln(stderr, "\ncost: metered workload accumulated zero cost")
 		return 1
 	}
 	return 0

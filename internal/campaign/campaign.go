@@ -182,7 +182,7 @@ func RandomTimeline(r *rng.RNG, rounds int) []Event {
 
 // Run executes one seeded campaign and returns its full trace.
 func Run(seed int64, cfg Config) (Result, error) {
-	plant := NewPlant(seed, cfg.Plant)
+	plant := NewPlant("plant", seed, cfg.Plant)
 	mon, err := monitor.New(plant.Reference(), plant.Patterns(), nil, cfg.Monitor)
 	if err != nil {
 		return Result{}, err

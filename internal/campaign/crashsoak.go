@@ -30,7 +30,6 @@ import (
 
 	"reramtest/internal/fleet"
 	"reramtest/internal/journal"
-	"reramtest/internal/monitor"
 )
 
 // Disk-fault kinds, one per torture-matrix column.
@@ -204,36 +203,28 @@ func RunCrashSoak(seed int64, cfg CrashSoakConfig) (CrashSoakResult, error) {
 // runCrashBaseline runs the uninterrupted arm and records every round's
 // durable state.
 func runCrashBaseline(seed int64, cfg CrashSoakConfig, dir string) (*crashBaseline, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	plants, pending, devices, _ := buildFleetHardware(seed, cfg.Devices, cfg.Rounds, cfg.Plant)
-	st, _, err := journal.OpenStore(filepath.Join(dir, "fleet.wal"),
+	g, err := newRig(seed, cfg.Devices, cfg.Rounds, cfg.Plant, cfg.Fleet, dir,
 		journal.StoreConfig{CompactBytes: CrashSoakCompactBytes})
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
-	sup, err := fleet.New(devices, cfg.Fleet, st)
-	if err != nil {
-		return nil, err
-	}
+	defer g.close()
 	base := &crashBaseline{perRound: make([]map[string]fleet.DeviceSnapshot, cfg.Rounds+1)}
-	base.perRound[0] = sup.Snapshot()
-	base.maxWAL = st.Size()
+	base.perRound[0] = g.sup.Snapshot()
+	base.maxWAL = g.st.Size()
 	for round := 1; round <= cfg.Rounds; round++ {
-		applyRoundEvents(plants, pending, round)
-		before := st.Size()
-		if _, err := sup.Tick(); err != nil {
+		g.land(round)
+		before := g.st.Size()
+		if _, err := g.sup.Tick(); err != nil {
 			return nil, fmt.Errorf("round %d: %w", round, err)
 		}
-		if grew := st.Size() - before; grew > base.maxRecord {
+		if grew := g.st.Size() - before; grew > base.maxRecord {
 			base.maxRecord = grew
 		}
-		if st.Size() > base.maxWAL {
-			base.maxWAL = st.Size()
+		if g.st.Size() > base.maxWAL {
+			base.maxWAL = g.st.Size()
 		}
-		base.perRound[round] = sup.Snapshot()
+		base.perRound[round] = g.sup.Snapshot()
 	}
 	return base, nil
 }
@@ -285,30 +276,46 @@ func newestSnapshotFile(path string) string {
 	return gens[len(gens)-1]
 }
 
+// damageDisk strikes a dead-disk fault column on the killed supervisor's
+// files: a torn WAL tail, a half-written snapshot temp file, or flipped bytes
+// in the newest snapshot generation. The other columns strike while running.
+func damageDisk(path, fault string) error {
+	switch fault {
+	case FaultTornTail:
+		return appendGarbage(path)
+	case FaultTornSnapshotTmp:
+		tmp := fmt.Sprintf("%s.snap-%016x.tmp", path, uint64(999))
+		return os.WriteFile(tmp, []byte("RSNP torn mid-publish"), 0o644)
+	case FaultCorruptSnapshot:
+		newest := newestSnapshotFile(path)
+		if newest == "" {
+			return errors.New("no snapshot generation on disk to corrupt — compaction never ran before the crash")
+		}
+		img, err := os.ReadFile(newest)
+		if err != nil {
+			return err
+		}
+		img[len(img)/2] ^= 0xFF
+		img[len(img)-3] ^= 0xFF
+		return os.WriteFile(newest, img, 0o644)
+	}
+	return nil
+}
+
 // runCrashCell executes one torture-matrix cell.
 func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, fault string, base *crashBaseline) CrashCell {
 	cell := CrashCell{Round: crashRound, Fault: fault}
 	fail := func(format string, args ...any) {
 		cell.Failures = append(cell.Failures, fmt.Sprintf(format, args...))
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fail("mkdir: %v", err)
-		return cell
-	}
-	plants, pending, devices, _ := buildFleetHardware(seed, cfg.Devices, cfg.Rounds, cfg.Plant)
-	path := filepath.Join(dir, "fleet.wal")
 	efs := journal.NewErrFS(nil)
-	scfg := journal.StoreConfig{FS: efs, CompactBytes: CrashSoakCompactBytes}
-	st, _, err := journal.OpenStore(path, scfg)
+	g, err := newRig(seed, cfg.Devices, cfg.Rounds, cfg.Plant, cfg.Fleet, dir,
+		journal.StoreConfig{FS: efs, CompactBytes: CrashSoakCompactBytes})
 	if err != nil {
-		fail("open store: %v", err)
+		fail("%v", err)
 		return cell
 	}
-	sup, err := fleet.New(devices, cfg.Fleet, st)
-	if err != nil {
-		fail("commission: %v", err)
-		return cell
-	}
+	defer g.close()
 
 	failStop := isFailStop(fault)
 	// the torn rename strikes the last compaction round at or before the
@@ -318,20 +325,20 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 		renameRound = crashRound - crashRound%cfg.Fleet.CompactEvery
 	}
 
-	trackWAL := func(st *journal.Store) {
-		if st.Err() == nil {
-			if sz := st.Size(); sz > cell.MaxWALBytes {
+	trackWAL := func() {
+		if g.st.Err() == nil {
+			if sz := g.st.Size(); sz > cell.MaxWALBytes {
 				cell.MaxWALBytes = sz
 			}
 		}
 	}
 	for round := 1; round <= crashRound; round++ {
-		applyRoundEvents(plants, pending, round)
+		g.land(round)
 		strike := (failStop && round == crashRound) || round == renameRound
 		if strike {
 			armFault(efs, fault)
 		}
-		_, err := sup.Tick()
+		_, err := g.sup.Tick()
 		switch {
 		case strike && failStop:
 			if !errors.Is(err, fleet.ErrUnjournaled) {
@@ -339,8 +346,8 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 			} else {
 				cell.FaultSurfaced = true
 			}
-			if !errors.Is(sup.JournalError(), journal.ErrInjected) {
-				fail("JournalError %v does not surface the injected fault", sup.JournalError())
+			if !errors.Is(g.sup.JournalError(), journal.ErrInjected) {
+				fail("JournalError %v does not surface the injected fault", g.sup.JournalError())
 			}
 		case strike: // torn rename: typed compaction error, WAL stays live
 			if !errors.Is(err, journal.ErrInjected) {
@@ -348,24 +355,24 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 			} else {
 				cell.FaultSurfaced = true
 			}
-			if sup.Unjournaled() {
+			if g.sup.Unjournaled() {
 				fail("torn rename degraded the supervisor — the WAL was still healthy")
 			}
-			if sup.CompactionError() == nil {
+			if g.sup.CompactionError() == nil {
 				fail("torn rename not remembered in CompactionError")
 			}
 		case err != nil:
 			fail("round %d: unexpected tick error %v", round, err)
 		}
-		if err == nil && !sup.Unjournaled() {
+		if err == nil && !g.sup.Unjournaled() {
 			cell.LastAcked = round
 		}
-		trackWAL(st)
+		trackWAL()
 	}
 	if fault == FaultNone || fault == FaultTornTail || fault == FaultTornSnapshotTmp || fault == FaultCorruptSnapshot {
 		cell.FaultSurfaced = true // these strike the dead disk; surfacing is judged at recovery
 	}
-	cell.Degraded = sup.Unjournaled()
+	cell.Degraded = g.sup.Unjournaled()
 
 	// fail-stop cells: the degraded fleet must keep supervising, memory-only,
 	// bit-identical to the baseline
@@ -379,67 +386,38 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 			end = cfg.Rounds
 		}
 		for round := crashRound + 1; round <= end; round++ {
-			applyRoundEvents(plants, pending, round)
-			if _, err := sup.Tick(); err != nil {
+			g.land(round)
+			if _, err := g.sup.Tick(); err != nil {
 				fail("degraded round %d: %v", round, err)
 			}
 		}
 		postCrash = end
-		if !reflect.DeepEqual(sup.Snapshot(), base.perRound[postCrash]) {
+		if !reflect.DeepEqual(g.sup.Snapshot(), base.perRound[postCrash]) {
 			fail("degraded supervision diverged from baseline at round %d", postCrash)
 		}
-		if len(sup.Serving()) == 0 && len(servingOf(base.perRound[postCrash])) > 0 {
+		baseServes := false
+		for _, snap := range base.perRound[postCrash] {
+			baseServes = baseServes || inService(snap)
+		}
+		if len(g.sup.Serving()) == 0 && baseServes {
 			fail("degraded fleet stopped serving while the baseline still served")
 		}
 	}
 
-	// kill the process; dead-disk faults strike now
-	st.Close() // poisoned stores return their sticky error; nothing to save
-	switch fault {
-	case FaultTornTail:
-		if err := appendGarbage(path); err != nil {
-			fail("append garbage: %v", err)
-		}
-	case FaultTornSnapshotTmp:
-		tmp := fmt.Sprintf("%s.snap-%016x.tmp", path, uint64(999))
-		if err := os.WriteFile(tmp, []byte("RSNP torn mid-publish"), 0o644); err != nil {
-			fail("plant torn tmp: %v", err)
-		}
-	case FaultCorruptSnapshot:
-		newest := newestSnapshotFile(path)
-		if newest == "" {
-			fail("no snapshot generation on disk to corrupt — compaction never ran before round %d", crashRound)
-			return cell
-		}
-		img, err := os.ReadFile(newest)
-		if err != nil {
-			fail("read snapshot: %v", err)
-			return cell
-		}
-		img[len(img)/2] ^= 0xFF
-		img[len(img)-3] ^= 0xFF
-		if err := os.WriteFile(newest, img, 0o644); err != nil {
-			fail("corrupt snapshot: %v", err)
-		}
-	}
-
+	// kill the process, strike the dead disk, heal the filesystem and
 	// recover from whatever the disk holds
-	efs.Heal()
-	st2, rec, err := journal.OpenStore(path, scfg)
+	rec, err := g.restart(func(path string) error {
+		efs.Heal()
+		return damageDisk(path, fault)
+	})
 	if err != nil {
-		fail("recovery open: %v", err)
+		fail("recovery after round %d: %v", crashRound, err)
 		return cell
 	}
-	defer st2.Close()
 	if fault == FaultCorruptSnapshot && rec.SnapshotsSkipped == 0 {
 		fail("corrupt snapshot generation not detected during recovery")
 	}
-	sup2, err := fleet.Resume(devices, cfg.Fleet, st2, rec)
-	if err != nil {
-		fail("resume: %v", err)
-		return cell
-	}
-	cell.RecoveredRound = sup2.Round()
+	cell.RecoveredRound = g.sup.Round()
 
 	// gate: zero acknowledged-then-lost writes
 	if cell.RecoveredRound < cell.LastAcked {
@@ -447,7 +425,7 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 	}
 	// gate: recovered state bit-identical to the baseline at that round
 	if cell.RecoveredRound <= cfg.Rounds &&
-		reflect.DeepEqual(sup2.Snapshot(), base.perRound[cell.RecoveredRound]) {
+		reflect.DeepEqual(g.sup.Snapshot(), base.perRound[cell.RecoveredRound]) {
 		cell.StateMatch = true
 	} else {
 		fail("recovered state diverges from baseline at round %d", cell.RecoveredRound)
@@ -463,25 +441,14 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 		fail("recoverable fault lost rounds: recovered %d, crashed after %d", cell.RecoveredRound, crashRound)
 	}
 	for round := crashRound + 1; round <= cfg.Rounds; round++ {
-		applyRoundEvents(plants, pending, round)
-		if _, err := sup2.Tick(); err != nil {
+		g.land(round)
+		if _, err := g.sup.Tick(); err != nil {
 			fail("post-recovery round %d: %v", round, err)
 		}
-		trackWAL(st2)
+		trackWAL()
 	}
-	if !reflect.DeepEqual(sup2.Snapshot(), base.perRound[cfg.Rounds]) {
+	if !reflect.DeepEqual(g.sup.Snapshot(), base.perRound[cfg.Rounds]) {
 		fail("final state diverges from the uninterrupted baseline")
 	}
 	return cell
-}
-
-// servingOf counts the devices a snapshot map shows as eligible to serve.
-func servingOf(snaps map[string]fleet.DeviceSnapshot) []string {
-	var out []string
-	for id, s := range snaps {
-		if !s.Retired && s.Breaker.State == fleet.BreakerClosed && s.State.Confirmed <= monitor.Degraded {
-			out = append(out, id)
-		}
-	}
-	return out
 }

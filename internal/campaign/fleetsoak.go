@@ -22,32 +22,10 @@ import (
 	"reflect"
 
 	"reramtest/internal/fleet"
-	"reramtest/internal/health"
-	"reramtest/internal/hwcost"
 	"reramtest/internal/journal"
 	"reramtest/internal/monitor"
-	"reramtest/internal/nn"
 	"reramtest/internal/rng"
-	"reramtest/internal/testgen"
 )
-
-// fleetDevice adapts a campaign Plant to fleet.Device. The plant persists
-// across supervisor crashes — it is the hardware.
-type fleetDevice struct {
-	id    string
-	plant *Plant
-}
-
-func (d fleetDevice) ID() string                    { return d.id }
-func (d fleetDevice) Infer() monitor.Infer          { return d.plant.Infer() }
-func (d fleetDevice) Repairer() health.Repairer     { return d.plant }
-func (d fleetDevice) Reference() *nn.Network        { return d.plant.Reference() }
-func (d fleetDevice) Patterns() *testgen.PatternSet { return d.plant.Patterns() }
-
-// CostCounter implements fleet.CostMetered: the supervisor journals the
-// plant's cumulative per-class spend each tick and restores it on resume, so
-// cost survives supervisor crashes the same way hysteresis state does.
-func (d fleetDevice) CostCounter() *hwcost.Counter { return d.plant.CostCounter() }
 
 // FleetSoakConfig parameterises one fleet campaign.
 type FleetSoakConfig struct {
@@ -137,34 +115,32 @@ func RunFleet(seed int64, cfg FleetSoakConfig) (FleetResult, error) {
 		return FleetResult{}, fmt.Errorf("campaign: fleet needs ≥ 1 round, got %d", cfg.Rounds)
 	}
 
-	plants, pending, devices, ids := buildFleetHardware(seed, cfg.Devices, cfg.Rounds, cfg.Plant)
-	res := FleetResult{Seed: seed, Devices: ids}
+	// a directory, not a file: the store keeps its snapshot family beside
+	// the WAL
+	dir, err := os.MkdirTemp("", "fleet-soak-*")
+	if err != nil {
+		return FleetResult{}, fmt.Errorf("campaign: fleet journal: %w", err)
+	}
+	defer os.RemoveAll(dir)
+	g, err := newRig(seed, cfg.Devices, cfg.Rounds, cfg.Plant, cfg.Fleet, dir, journal.StoreConfig{})
+	if err != nil {
+		return FleetResult{}, err
+	}
+	defer g.close()
+	res := FleetResult{Seed: seed}
+	for _, p := range g.plants {
+		res.Devices = append(res.Devices, p.ID())
+	}
 	// deterministic extended sensor outage on device 0: long enough to trip
 	// the breaker and cool down, short enough that the half-open probe finds
 	// the sensor alive again — every campaign exercises quarantine AND
 	// probe-recovery
 	outage := Event{Round: cfg.Rounds / 2, Kind: KindGlitchPanic,
 		Duration: cfg.Fleet.BreakerOpenAfter + cfg.Fleet.BreakerCooldown - 1}
-
-	// a directory, not a file: the store keeps its snapshot family beside
-	// the WAL
-	dir, err := os.MkdirTemp("", "fleet-soak-*")
-	if err != nil {
-		return res, fmt.Errorf("campaign: fleet journal: %w", err)
+	var damage func(path string) error
+	if cfg.CorruptTail {
+		damage = appendGarbage
 	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "fleet.wal")
-	st, _, err := journal.OpenStore(path, journal.StoreConfig{})
-	if err != nil {
-		return res, err
-	}
-	defer func() { st.Close() }()
-
-	sup, err := fleet.New(devices, cfg.Fleet, st)
-	if err != nil {
-		return res, err
-	}
-
 	crashAfter := make(map[int]bool, len(cfg.CrashAfter))
 	for _, round := range cfg.CrashAfter {
 		crashAfter[round] = true
@@ -172,18 +148,18 @@ func RunFleet(seed int64, cfg FleetSoakConfig) (FleetResult, error) {
 
 	for round := 1; round <= cfg.Rounds; round++ {
 		// inject this round's field events into the hardware
-		applyRoundEvents(plants, pending, round)
+		g.land(round)
 		if round == outage.Round {
-			applyEvent(plants[0], outage)
+			applyEvent(g.plants[0], outage)
 		}
 		if cfg.ShowerRound > 0 && round == cfg.ShowerRound {
 			// correlated shower: every device disturbed in the same round
-			for _, p := range plants {
+			for _, p := range g.plants {
 				p.Accelerator().InjectSoftErrors(cfg.ShowerP)
 			}
 		}
 
-		results, err := sup.Tick()
+		results, err := g.sup.Tick()
 		if err != nil {
 			return res, fmt.Errorf("campaign: fleet round %d: %w", round, err)
 		}
@@ -214,60 +190,49 @@ func RunFleet(seed int64, cfg FleetSoakConfig) (FleetResult, error) {
 
 		// place this round's traffic and audit every placement
 		quarantined := make(map[string]bool)
-		for _, id := range sup.Quarantined() {
+		for _, id := range g.sup.Quarantined() {
 			quarantined[id] = true
 		}
 		var landed []string
 		for q := 0; q < cfg.RequestsPerRound; q++ {
-			id, ok := sup.Dispatch()
+			id, ok := g.sup.Dispatch()
 			if !ok {
 				continue // shed, counted by the router
 			}
-			st, _ := sup.StatusOf(id)
+			st, _ := g.sup.StatusOf(id)
 			if quarantined[id] || st > monitor.Degraded {
 				res.Misroutes++
 			}
 			landed = append(landed, id)
 		}
 		for _, id := range landed {
-			sup.Complete(id)
+			g.sup.Complete(id)
 		}
 
 		// kill the supervisor process and replay its journal
 		if crashAfter[round] {
 			// the router's traffic counters die with the process — bank them
-			routed, sheds := sup.Router().Stats()
+			routed, sheds := g.sup.Router().Stats()
 			res.Routed += routed
 			res.Sheds += sheds
-			preCrash := sup.Snapshot()
-			if err := st.Close(); err != nil {
-				return res, err
-			}
+			preCrash := g.sup.Snapshot()
 			if cfg.CorruptTail {
 				res.TornCrashes++
-				if err := appendGarbage(path); err != nil {
-					return res, err
-				}
 			}
-			var rec journal.Recovered
-			st, rec, err = journal.OpenStore(path, journal.StoreConfig{})
+			rec, err := g.restart(damage)
 			if err != nil {
-				return res, fmt.Errorf("campaign: reopen journal after crash at round %d: %w", round, err)
+				return res, fmt.Errorf("campaign: crash at round %d: %w", round, err)
 			}
 			res.TruncatedBytes += rec.Truncated
-			sup, err = fleet.Resume(devices, cfg.Fleet, st, rec)
-			if err != nil {
-				return res, fmt.Errorf("campaign: resume after crash at round %d: %w", round, err)
-			}
 			res.Replays++
-			if !reflect.DeepEqual(sup.Snapshot(), preCrash) {
+			if !reflect.DeepEqual(g.sup.Snapshot(), preCrash) {
 				res.StateDivergences++
 			}
 		}
 	}
 
-	res.FinalSnapshot = sup.Snapshot()
-	routed, sheds := sup.Router().Stats()
+	res.FinalSnapshot = g.sup.Snapshot()
+	routed, sheds := g.sup.Router().Stats()
 	res.Routed += routed
 	res.Sheds += sheds
 	for _, snap := range res.FinalSnapshot {
@@ -275,44 +240,105 @@ func RunFleet(seed int64, cfg FleetSoakConfig) (FleetResult, error) {
 			res.Retired++
 		}
 	}
-	res.FinalFidelity = make(map[string]float64, len(plants))
-	for i, p := range plants {
-		res.FinalFidelity[res.Devices[i]] = p.Fidelity()
+	res.FinalFidelity = make(map[string]float64, len(g.plants))
+	for _, p := range g.plants {
+		res.FinalFidelity[p.ID()] = p.Fidelity()
 		res.UntypedRepairErrors += p.UntypedRepairErrors()
 	}
 	return res, nil
 }
 
-// buildFleetHardware constructs the seeded plants, their event timelines and
-// fleet.Device adapters in a FIXED RNG call order: one r.Int63() then one
-// r.Split() per device. Every arm of a parity comparison (RunFleetPair,
-// RunCrashSoak) builds its hardware through this helper, so the same seed
-// always yields bit-identical accelerators and schedules.
-func buildFleetHardware(seed int64, devices, rounds int, pcfg PlantConfig) ([]*Plant, [][]Event, []fleet.Device, []string) {
-	r := rng.New(seed)
-	plants := make([]*Plant, devices)
-	pending := make([][]Event, devices)
-	devs := make([]fleet.Device, devices)
-	ids := make([]string, devices)
-	for i := range plants {
-		plants[i] = NewPlant(r.Int63(), pcfg)
-		pending[i] = RandomTimeline(r.Split(), rounds)
-		ids[i] = fmt.Sprintf("accel-%02d", i)
-		devs[i] = fleetDevice{id: ids[i], plant: plants[i]}
-	}
-	return plants, pending, devs, ids
+// rig is one fleet-backed soak arm: the seeded plants, their pending event
+// timelines, the plants as fleet devices, and the supervisor journaling to a
+// store. The plants outlive supervisor crashes; restart replaces the store
+// and the supervisor.
+type rig struct {
+	plants  []*Plant
+	pending [][]Event
+	devices []fleet.Device
+	st      *journal.Store
+	sup     *fleet.Supervisor
+
+	fcfg fleet.Config
+	scfg journal.StoreConfig
+	path string
 }
 
-// applyRoundEvents advances every plant's scripted time to round and lands
-// the timeline events due this round (consuming them from pending).
-func applyRoundEvents(plants []*Plant, pending [][]Event, round int) {
-	for i, p := range plants {
+// newRig builds the hardware in a FIXED RNG call order, one r.Int63() then
+// one r.Split() per device, so every arm of a parity comparison (the fleet
+// pair, the lifetime arms, the crash baseline and cells) gets bit-identical
+// accelerators and schedules from the same seed. It then opens dir/fleet.wal
+// and commissions the supervisor over it.
+func newRig(seed int64, devices, rounds int, pcfg PlantConfig, fcfg fleet.Config, dir string, scfg journal.StoreConfig) (*rig, error) {
+	r := rng.New(seed)
+	g := &rig{fcfg: fcfg, scfg: scfg, path: filepath.Join(dir, "fleet.wal")}
+	for i := 0; i < devices; i++ {
+		p := NewPlant(fmt.Sprintf("accel-%02d", i), r.Int63(), pcfg)
+		g.plants = append(g.plants, p)
+		g.pending = append(g.pending, RandomTimeline(r.Split(), rounds))
+		g.devices = append(g.devices, p)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	var err error
+	if g.st, _, err = journal.OpenStore(g.path, scfg); err != nil {
+		return nil, err
+	}
+	if g.sup, err = fleet.New(g.devices, fcfg, g.st); err != nil {
+		g.st.Close()
+		return nil, fmt.Errorf("commission: %w", err)
+	}
+	return g, nil
+}
+
+// land advances every plant's scripted time to round and lands the timeline
+// events due this round (consuming them from pending). Callers inject their
+// own extra events after land and before the tick.
+func (g *rig) land(round int) {
+	for i, p := range g.plants {
 		p.SetRound(round)
-		for len(pending[i]) > 0 && pending[i][0].Round == round {
-			applyEvent(p, pending[i][0])
-			pending[i] = pending[i][1:]
+		for len(g.pending[i]) > 0 && g.pending[i][0].Round == round {
+			applyEvent(p, g.pending[i][0])
+			g.pending[i] = g.pending[i][1:]
 		}
 	}
+}
+
+// restart kills the supervisor process: it closes the store, runs damage
+// (nil for none) on the dead WAL, reopens the store and resumes a supervisor
+// from what the disk holds. A store that is already poisoned has nothing to
+// save, so only a healthy store's Close error is reported.
+func (g *rig) restart(damage func(path string) error) (journal.Recovered, error) {
+	healthy := g.st.Err() == nil
+	if err := g.st.Close(); err != nil && healthy {
+		return journal.Recovered{}, err
+	}
+	if damage != nil {
+		if err := damage(g.path); err != nil {
+			return journal.Recovered{}, err
+		}
+	}
+	st, rec, err := journal.OpenStore(g.path, g.scfg)
+	if err != nil {
+		return rec, fmt.Errorf("reopen journal: %w", err)
+	}
+	g.st = st
+	if g.sup, err = fleet.Resume(g.devices, g.fcfg, st, rec); err != nil {
+		return rec, fmt.Errorf("resume: %w", err)
+	}
+	return rec, nil
+}
+
+// close closes the current store (a no-op when it is already closed).
+func (g *rig) close() { g.st.Close() }
+
+// inService reports whether a device's durable state lets the router
+// dispatch to it: not retired, breaker closed and confirmed at worst
+// Degraded. A quarantined wreck a soak arm kept limping receives no
+// traffic, so it is not part of the service the fleet delivers.
+func inService(s fleet.DeviceSnapshot) bool {
+	return !s.Retired && s.Breaker.State == fleet.BreakerClosed && s.State.Confirmed <= monitor.Degraded
 }
 
 // applyEvent lands one scheduled event on a plant.

@@ -24,8 +24,6 @@ import (
 	"math"
 	"reflect"
 	"strings"
-
-	"reramtest/internal/monitor"
 )
 
 // DefaultLifetimeSoakConfig returns the gate-scale soak: the default fleet
@@ -50,7 +48,7 @@ type LifetimeArm struct {
 	Result        FleetResult
 	CostSpent     int // lifetime budget units charged fleet-wide
 	Retired       int // devices retired to hardware service
-	Serving       int // devices in service at the end (see serves)
+	Serving       int // devices in service at the end (see inService)
 	UntypedErrors int
 }
 
@@ -61,20 +59,12 @@ func summarizeArm(res FleetResult) LifetimeArm {
 		Retired:       res.Retired,
 		UntypedErrors: res.UntypedRepairErrors,
 	}
-	for i := range res.Devices {
-		if serves(res, i) {
+	for _, snap := range res.FinalSnapshot {
+		if inService(snap) {
 			arm.Serving++
 		}
 	}
 	return arm
-}
-
-// serves reports whether device i ends the campaign in service: not
-// retired and confirmed at worst Degraded, so the router still dispatches to
-// it. A quarantined wreck an arm kept limping receives no traffic, so it is
-// not part of the service the fleet delivers.
-func serves(res FleetResult, i int) bool {
-	return !res.FinalSnapshot[res.Devices[i]].Retired && res.Confirmed[len(res.Confirmed)-1][i] <= monitor.Degraded
 }
 
 // LifetimeSoakResult is the three-arm comparison and its gate verdicts.
@@ -112,7 +102,7 @@ func (r LifetimeSoakResult) Failures() []string {
 	}{
 		{r.SpendOK, "spend: the ladder spent more budget than retrain-only"},
 		{r.RetireOK, "retire: the ladder retired more devices than retrain-only"},
-		{r.FidelityOK, "fidelity: the ladder's floor trails retrain-only's by more than the recovery band (0.02)"},
+		{r.FidelityOK, fmt.Sprintf("fidelity: the ladder's floor trails retrain-only's by more than the recovery band (%g)", RecoveryBand)},
 		{r.TypedOK, "typed: strategy errors outside the typed contract"},
 		{r.ParityOK, "parity: the crash-replayed ladder arm diverged from the uninterrupted one"},
 		{r.Crashed.Replays > 0, "nothing exercised (no crash/replay cycles ran)"},
@@ -184,8 +174,8 @@ func RunLifetimeSoak(seed int64, cfg FleetSoakConfig) (LifetimeSoakResult, error
 	// device only the control kept is symmetric
 	res.CommonFloorLadder, res.CommonFloorControl = 1, 1
 	common := 0
-	for i, id := range pair.Uninterrupted.Devices {
-		if !serves(pair.Uninterrupted, i) || !serves(control, i) {
+	for _, id := range pair.Uninterrupted.Devices {
+		if !inService(pair.Uninterrupted.FinalSnapshot[id]) || !inService(control.FinalSnapshot[id]) {
 			continue
 		}
 		common++

@@ -88,18 +88,18 @@ func TestLifetimeSoakDeterministic(t *testing.T) {
 // and the scrub → remap → retrain suite in cost order when opted in.
 func TestPlantStrategySurface(t *testing.T) {
 	cfg := DefaultPlantConfig()
-	if got, want := names(NewPlant(1, cfg).Strategies()), []string{"reprogram", "retrain", "replace"}; !reflect.DeepEqual(got, want) {
+	if got, want := names(NewPlant("plant", 1, cfg).Strategies()), []string{"reprogram", "retrain", "replace"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("default plant strategies = %v, want %v", got, want)
 	}
 
 	cfg.Repair = RetrainOnly
-	control := NewPlant(1, cfg).Strategies()
+	control := NewPlant("plant", 1, cfg).Strategies()
 	if len(control) != 1 || control[0].Name() != "retrain" {
 		t.Fatalf("retrain-only plant strategies = %v, want [retrain]", names(control))
 	}
 
 	cfg.Repair = Ladder
-	ladder := NewPlant(1, cfg).Strategies()
+	ladder := NewPlant("plant", 1, cfg).Strategies()
 	want := []string{"scrub", "remap", "retrain"}
 	if !reflect.DeepEqual(names(ladder), want) {
 		t.Fatalf("ladder strategies = %v, want %v", names(ladder), want)

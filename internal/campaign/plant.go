@@ -19,6 +19,7 @@ import (
 
 	"reramtest/internal/dataset"
 	"reramtest/internal/engine"
+	"reramtest/internal/health"
 	"reramtest/internal/hwcost"
 	"reramtest/internal/models"
 	"reramtest/internal/monitor"
@@ -218,8 +219,11 @@ func (g GlitchMode) String() string {
 	}
 }
 
-// Plant is one campaign's device-under-test. It implements health.Repairer.
+// Plant is one campaign's device-under-test. It is a fleet.Device (and
+// fleet.CostMetered) and its own health.Repairer. It persists across
+// supervisor crashes: it is the hardware.
 type Plant struct {
+	id      string
 	cfg     PlantConfig
 	tmpl    *template
 	ref     *nn.Network // current reference weights (changes after retrain)
@@ -245,22 +249,31 @@ type Plant struct {
 }
 
 // NewPlant programs the shared workload model onto a fresh simulated
-// accelerator. seed individualises the device (programming noise, drift
-// randomness), not the workload.
-func NewPlant(seed int64, cfg PlantConfig) *Plant {
+// accelerator named id. seed individualises the device (programming noise,
+// drift randomness), not the workload.
+func NewPlant(id string, seed int64, cfg PlantConfig) *Plant {
 	tmpl := buildTemplate(cfg)
 	// own clone of the shared template model: Forward passes use per-layer
 	// scratch buffers, so concurrent plants (parallel campaigns, fleet
 	// ticks) must never route through one shared instance
-	p := &Plant{cfg: cfg, tmpl: tmpl, ref: tmpl.clean.Clone(), r: rng.New(seed),
+	p := &Plant{id: id, cfg: cfg, tmpl: tmpl, ref: tmpl.clean.Clone(), r: rng.New(seed),
 		counter: hwcost.NewCounter()}
 	p.accel = reram.NewAccelerator(p.ref, p.reramConfig(), p.r.Int63())
 	p.accel.SetCounter(p.counter)
 	return p
 }
 
+// ID names the plant within its fleet.
+func (p *Plant) ID() string { return p.id }
+
+// Repairer returns the plant itself: it diagnoses and repairs its own
+// hardware.
+func (p *Plant) Repairer() health.Repairer { return p }
+
 // CostCounter implements fleet.CostMetered: the plant's lifetime hardware
-// spend, surviving module replacements and readout-engine recompiles.
+// spend, surviving module replacements and readout-engine recompiles. The
+// supervisor journals it each tick and restores it on resume, so cost
+// survives supervisor crashes the same way hysteresis state does.
 func (p *Plant) CostCounter() *hwcost.Counter { return p.counter }
 
 func (p *Plant) reramConfig() reram.Config {

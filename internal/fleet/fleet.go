@@ -197,30 +197,6 @@ type RoundResult struct {
 	Retired                     bool
 }
 
-// String renders the result on one line.
-func (r RoundResult) String() string {
-	switch {
-	case r.Retired:
-		return fmt.Sprintf("%s r%d: RETIRED (budget exhausted) confirmed=%s", r.Device, r.Round, r.Confirmed)
-	case r.Probe:
-		verdict := "failed, breaker re-opened"
-		if r.ProbeOK {
-			verdict = "ok, breaker closed"
-		}
-		return fmt.Sprintf("%s r%d: quarantine probe %s", r.Device, r.Round, verdict)
-	case r.Tripped:
-		return fmt.Sprintf("%s r%d: raw=%s sensor fault → breaker TRIPPED, quarantined", r.Device, r.Round, r.Raw)
-	case r.Quarantined:
-		return fmt.Sprintf("%s r%d: quarantined (breaker open)", r.Device, r.Round)
-	default:
-		extra := ""
-		if r.Repaired {
-			extra = fmt.Sprintf(" repaired(attempts=%d recovered=%v budgetLeft=%d)", r.Attempts, r.Recovered, r.BudgetLeft)
-		}
-		return fmt.Sprintf("%s r%d: confirmed=%s raw=%s%s", r.Device, r.Round, r.Confirmed, r.Raw, extra)
-	}
-}
-
 // ErrUnjournaled marks the moment a supervisor loses its journal to a
 // persistent disk fault and degrades to memory-only operation: the fleet
 // keeps supervising and serving — availability over durability — but a crash

@@ -128,31 +128,6 @@ type Round struct {
 	Err error
 }
 
-// Status is the health level the runtime stands behind for this round. It
-// is the debounced Confirmed level, floored at Degraded while the sensor
-// itself is faulted — an unobservable accelerator is never "Healthy".
-func (r Round) Status() monitor.Status {
-	s := r.Confirmed
-	if r.SensorFault && s < monitor.Degraded {
-		s = monitor.Degraded
-	}
-	return s
-}
-
-// String renders the round on one line.
-func (r Round) String() string {
-	if !r.ReadoutOK {
-		return fmt.Sprintf("round %d: SENSOR FAULT (%d readouts rejected, last: %v) confirmed=%s",
-			r.Seq, r.Rejected, r.Err, r.Confirmed)
-	}
-	flap := ""
-	if r.Changed {
-		flap = " [confirmed changed]"
-	}
-	return fmt.Sprintf("round %d: raw=%s confirmed=%s allDist=%.4f rejected=%d%s",
-		r.Seq, r.Raw, r.Confirmed, r.Report.AllDist, r.Rejected, flap)
-}
-
 // SensorFaultStatus is the severity a fully failed readout round feeds to
 // the hysteresis tracker: the accelerator is unobservable, which warrants
 // escalating toward repair if it persists, without jumping straight to
@@ -204,10 +179,6 @@ func (rt *Runtime) Monitor() *monitor.Monitor { return rt.mon }
 
 // Confirmed returns the current debounced status.
 func (rt *Runtime) Confirmed() monitor.Status { return rt.confirmed }
-
-// StatusFlips returns how many times the confirmed status has changed since
-// commissioning — the flap count a debounce exists to minimise.
-func (rt *Runtime) StatusFlips() int { return rt.flips }
 
 // RejectedReadouts returns the total number of discarded readout attempts
 // and how many of those were panics recovered from the Infer callback.

@@ -85,8 +85,8 @@ func TestHysteresisSuppressesTransientFlap(t *testing.T) {
 			t.Fatalf("round %d confirmed=%s, want HEALTHY (debounce must absorb 1-round glitch)", i+1, r.Confirmed)
 		}
 	}
-	if rt.StatusFlips() != 0 {
-		t.Fatalf("confirmed status flapped %d times on a transient", rt.StatusFlips())
+	if flips := rt.ExportState().Flips; flips != 0 {
+		t.Fatalf("confirmed status flapped %d times on a transient", flips)
 	}
 }
 
@@ -154,8 +154,8 @@ func TestPoisonedInferNaN(t *testing.T) {
 	if r.ReadoutOK {
 		t.Fatal("NaN readout accepted")
 	}
-	if !r.SensorFault || r.Status() == monitor.Healthy {
-		t.Fatalf("poisoned readout round: %+v (status %s)", r, r.Status())
+	if !r.SensorFault || r.Raw == monitor.Healthy {
+		t.Fatalf("poisoned readout round: %+v", r)
 	}
 	if r.Rejected != 1+DefaultConfig().MaxReadRetries {
 		t.Fatalf("rejected %d attempts, want %d", r.Rejected, 1+DefaultConfig().MaxReadRetries)
@@ -165,11 +165,11 @@ func TestPoisonedInferNaN(t *testing.T) {
 func TestPoisonedInferShapeAndNil(t *testing.T) {
 	rt, _ := testRuntime(t, DefaultConfig())
 	r := rt.Check(func(x *tensor.Tensor) *tensor.Tensor { return tensor.New(2, 2) })
-	if r.ReadoutOK || r.Status() == monitor.Healthy {
+	if r.ReadoutOK || !r.SensorFault || r.Raw == monitor.Healthy {
 		t.Fatalf("wrong-shape readout: %+v", r)
 	}
 	r = rt.Check(func(x *tensor.Tensor) *tensor.Tensor { return nil })
-	if r.ReadoutOK || r.Status() == monitor.Healthy {
+	if r.ReadoutOK || !r.SensorFault || r.Raw == monitor.Healthy {
 		t.Fatalf("nil readout: %+v", r)
 	}
 }
@@ -177,7 +177,7 @@ func TestPoisonedInferShapeAndNil(t *testing.T) {
 func TestPoisonedInferPanicRecovered(t *testing.T) {
 	rt, _ := testRuntime(t, DefaultConfig())
 	r := rt.Check(func(x *tensor.Tensor) *tensor.Tensor { panic("dead sensor") })
-	if r.ReadoutOK || r.Status() == monitor.Healthy {
+	if r.ReadoutOK || !r.SensorFault || r.Raw == monitor.Healthy {
 		t.Fatalf("panicking readout: %+v", r)
 	}
 	_, panics := rt.RejectedReadouts()
@@ -286,7 +286,7 @@ func TestSuperviseEscalatesUntilVerified(t *testing.T) {
 	}
 	ep := rt.Supervise(context.Background(), infer, escalation(sr.apply), cfg.MaxRepairAttempts)
 	if !ep.Recovered || ep.GaveUp {
-		t.Fatalf("episode did not recover: %s", ep)
+		t.Fatalf("episode did not recover: %+v", ep)
 	}
 	wantLadder := []repair.Action{repair.Reprogram, repair.Retrain}
 	if len(sr.applied) != len(wantLadder) {
@@ -311,10 +311,10 @@ func TestSuperviseGivesUpGracefully(t *testing.T) {
 	sr := &stepRepairer{needs: repair.Action(99)}
 	ep := rt.Supervise(context.Background(), bad, escalation(sr.apply), cfg.MaxRepairAttempts)
 	if ep.Recovered || !ep.GaveUp {
-		t.Fatalf("unrepairable damage not given up: %s", ep)
+		t.Fatalf("unrepairable damage not given up: %+v", ep)
 	}
 	if len(ep.Attempts) == 0 || ep.Recommendation == "none" {
-		t.Fatalf("give-up episode carries no escalation advice: %s", ep)
+		t.Fatalf("give-up episode carries no escalation advice: %+v", ep)
 	}
 	if rt.Confirmed() == monitor.Healthy {
 		t.Fatal("gave up but reports Healthy")
@@ -332,7 +332,7 @@ func TestSuperviseRepairApplyError(t *testing.T) {
 	})
 	ep := rt.Supervise(context.Background(), bad, failing, cfg.MaxRepairAttempts)
 	if !ep.GaveUp || len(ep.Attempts) != 2 {
-		t.Fatalf("failing repairer episode: %s", ep)
+		t.Fatalf("failing repairer episode: %+v", ep)
 	}
 	if ep.Attempts[0].ApplyErr == nil {
 		t.Fatal("apply error not recorded")
@@ -398,10 +398,10 @@ func TestEscalationRungsWalkTheFixedActionSchedule(t *testing.T) {
 				t.Fatalf("CostSpent %d over %d attempts", ep.CostSpent, len(ep.Attempts))
 			}
 			if ep.Recovered != tc.recovered || ep.GaveUp == tc.recovered {
-				t.Fatalf("recovered=%v gaveUp=%v, want recovered=%v: %s", ep.Recovered, ep.GaveUp, tc.recovered, ep)
+				t.Fatalf("recovered=%v gaveUp=%v, want recovered=%v: %+v", ep.Recovered, ep.GaveUp, tc.recovered, ep)
 			}
 			if ep.RetireAdvised != tc.retire {
-				t.Fatalf("RetireAdvised=%v, want %v: %s", ep.RetireAdvised, tc.retire, ep)
+				t.Fatalf("RetireAdvised=%v, want %v: %+v", ep.RetireAdvised, tc.retire, ep)
 			}
 		})
 	}
@@ -425,8 +425,8 @@ func TestCheckCtxCanceledSkipsBackoffSchedule(t *testing.T) {
 	if !r.SensorFault || !errors.Is(r.Err, context.Canceled) {
 		t.Fatalf("aborted round must be a sensor fault wrapping ctx.Err(): %+v", r)
 	}
-	if r.Status() == monitor.Healthy {
-		t.Fatalf("aborted readout round reports %s", r.Status())
+	if r.Raw == monitor.Healthy {
+		t.Fatalf("aborted readout round reports raw %s", r.Raw)
 	}
 }
 
@@ -472,7 +472,7 @@ func TestSuperviseCanceledCtxStartsNoRepair(t *testing.T) {
 		t.Fatalf("canceled episode still applied repairs: %v", sr.applied)
 	}
 	if ep.GaveUp {
-		t.Fatalf("drain-time cancellation must not condemn the device: %s", ep)
+		t.Fatalf("drain-time cancellation must not condemn the device: %+v", ep)
 	}
 }
 
@@ -481,7 +481,7 @@ func TestSuperviseHealthyNoRepair(t *testing.T) {
 	sr := &stepRepairer{}
 	ep := rt.Supervise(context.Background(), shiftInfer(net, 0), escalation(sr.apply), 3)
 	if ep.Repaired() || len(sr.applied) != 0 {
-		t.Fatalf("healthy device was repaired: %s", ep)
+		t.Fatalf("healthy device was repaired: %+v", ep)
 	}
 }
 

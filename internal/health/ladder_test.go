@@ -69,7 +69,7 @@ func TestLadderEscalatesAndChargesCosts(t *testing.T) {
 
 	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 10)
 	if !ep.Recovered || ep.GaveUp {
-		t.Fatalf("ladder episode did not recover: %s", ep)
+		t.Fatalf("ladder episode did not recover: %+v", ep)
 	}
 	want := []string{"scrub", "remap", "retrain"}
 	if len(sl.applied) != len(want) {
@@ -92,7 +92,7 @@ func TestLadderEscalatesAndChargesCosts(t *testing.T) {
 		}
 	}
 	if !ep.Attempts[2].Verified || ep.Attempts[0].Verified {
-		t.Fatalf("verification flags wrong: %s", ep)
+		t.Fatalf("verification flags wrong: %+v", ep)
 	}
 	if rt.Confirmed() != monitor.Healthy {
 		t.Fatalf("confirmed %s after verified ladder repair", rt.Confirmed())
@@ -108,7 +108,7 @@ func TestLadderSkipsInapplicableRungs(t *testing.T) {
 
 	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 10)
 	if !ep.Recovered {
-		t.Fatalf("episode did not recover: %s", ep)
+		t.Fatalf("episode did not recover: %+v", ep)
 	}
 	if len(sl.applied) != 1 || sl.applied[0] != "remap" {
 		t.Fatalf("applied %v, want [remap]", sl.applied)
@@ -127,7 +127,7 @@ func TestLadderStopsBeforeOverspendingKeepsDeviceWhenCheapRungRemains(t *testing
 
 	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 3)
 	if ep.Recovered || !ep.GaveUp {
-		t.Fatalf("unfixable episode: %s", ep)
+		t.Fatalf("unfixable episode: %+v", ep)
 	}
 	// scrub ran (cost 1); retrain at cost 4 exceeds the remaining 2 and must
 	// NOT have been applied
@@ -140,7 +140,7 @@ func TestLadderStopsBeforeOverspendingKeepsDeviceWhenCheapRungRemains(t *testing
 	// a future episode can still afford a scrub: the device must not be
 	// condemned yet
 	if ep.RetireAdvised {
-		t.Fatalf("retire advised while the cheapest applicable rung still fits: %s", ep)
+		t.Fatalf("retire advised while the cheapest applicable rung still fits: %+v", ep)
 	}
 }
 
@@ -153,11 +153,11 @@ func TestLadderAdvisesRetirementWhenCheapestRungExceedsBudget(t *testing.T) {
 
 	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 3)
 	if ep.Recovered || !ep.GaveUp {
-		t.Fatalf("unfixable episode: %s", ep)
+		t.Fatalf("unfixable episode: %+v", ep)
 	}
 	// remap ran (cost 2), leaving 1: no applicable rung fits ever again
 	if !ep.RetireAdvised {
-		t.Fatalf("retirement not advised with 1 budget left and cheapest rung at cost 2: %s", ep)
+		t.Fatalf("retirement not advised with 1 budget left and cheapest rung at cost 2: %+v", ep)
 	}
 	if ep.CostSpent != repair.CostRemap {
 		t.Fatalf("CostSpent %d, want %d", ep.CostSpent, repair.CostRemap)
@@ -174,7 +174,7 @@ func TestLadderAdvisesRetirementWhenNothingApplies(t *testing.T) {
 
 	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 10)
 	if !ep.GaveUp || !ep.RetireAdvised {
-		t.Fatalf("no-applicable-strategy episode must give up and advise retirement: %s", ep)
+		t.Fatalf("no-applicable-strategy episode must give up and advise retirement: %+v", ep)
 	}
 	if len(ep.Attempts) != 0 || ep.CostSpent != 0 {
 		t.Fatalf("no rung applies but attempts=%d cost=%d", len(ep.Attempts), ep.CostSpent)
@@ -193,7 +193,7 @@ func TestLadderChargesCostOnApplyError(t *testing.T) {
 
 	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 10)
 	if !ep.Recovered {
-		t.Fatalf("episode did not recover past the failing rung: %s", ep)
+		t.Fatalf("episode did not recover past the failing rung: %+v", ep)
 	}
 	if ep.Attempts[0].ApplyErr == nil || !repair.IsTyped(ep.Attempts[0].ApplyErr) {
 		t.Fatalf("failing rung's typed error not recorded: %+v", ep.Attempts[0])
@@ -233,6 +233,6 @@ func TestLadderCanceledCtxCondemnsNothing(t *testing.T) {
 		t.Fatalf("canceled episode still applied rungs: %v", sl.applied)
 	}
 	if ep.GaveUp || ep.RetireAdvised {
-		t.Fatalf("drain-time cancellation condemned the device: %s", ep)
+		t.Fatalf("drain-time cancellation condemned the device: %+v", ep)
 	}
 }

@@ -9,7 +9,6 @@ package health
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"reramtest/internal/hwcost"
 	"reramtest/internal/monitor"
@@ -41,22 +40,6 @@ type Attempt struct {
 	// the ladder's sticker Cost. Zero when the ladder does not run behind a
 	// station (fleet.Station) or the device is unmetered.
 	Measured hwcost.Cost
-}
-
-// String renders the attempt on one line.
-func (a Attempt) String() string {
-	if a.ApplyErr != nil {
-		return fmt.Sprintf("%s: apply failed: %v", a.Strategy, a.ApplyErr)
-	}
-	verdict := "FAILED verification"
-	if a.Verified {
-		verdict = "verified"
-	}
-	recom := ""
-	if a.Recommissioned {
-		recom = ", recommissioned"
-	}
-	return fmt.Sprintf("%s: %s (worst verify dist %.4f%s)", a.Strategy, verdict, a.VerifyDist, recom)
 }
 
 // Episode is the outcome of one Supervise call.
@@ -91,23 +74,6 @@ type Episode struct {
 
 // Repaired reports whether any repair work ran this episode.
 func (e Episode) Repaired() bool { return len(e.Attempts) > 0 }
-
-// String renders the episode for logs.
-func (e Episode) String() string {
-	if !e.Repaired() {
-		return fmt.Sprintf("episode: %s, no repair", e.Final)
-	}
-	parts := make([]string, len(e.Attempts))
-	for i, a := range e.Attempts {
-		parts[i] = a.String()
-	}
-	verdict := "RECOVERED"
-	if !e.Recovered {
-		verdict = "GAVE UP"
-	}
-	return fmt.Sprintf("episode: trigger=%s attempts=[%s] %s → %s",
-		e.Trigger.Status(), strings.Join(parts, "; "), verdict, e.Recommendation)
-}
 
 // Supervise runs one hardened monitoring round and, when the debounced
 // status confirms damage (≥ Degraded), drives the detect→repair→verify loop

@@ -101,9 +101,9 @@ type Golden struct {
 	Top5     [][]int
 
 	// eng is the cached batch-inference plan Observe compiles on first use
-	// and rebinds across the fault-model sweep: every model in a
-	// DetectionRate pass shares the ideal model's architecture, so one set
-	// of workspaces serves the whole sweep.
+	// and rebinds across the fault-model sweep: every model in a sweep
+	// shares the ideal model's architecture, so one set of workspaces serves
+	// the whole sweep.
 	eng *engine.Engine
 }
 
@@ -238,24 +238,4 @@ func (o Observation) Detect(c Criterion) bool {
 	default:
 		panic(fmt.Sprintf("detect: unknown criterion %d", int(c)))
 	}
-}
-
-// DetectionRate runs the golden pattern set against every fault model and
-// returns, per criterion, the fraction of fault models flagged — the paper's
-// headline metric (#detected / #total).
-func (g *Golden) DetectionRate(faultModels []*nn.Network, criteria []Criterion) map[Criterion]float64 {
-	counts := make(map[Criterion]int, len(criteria))
-	for _, fm := range faultModels {
-		o := g.Observe(fm)
-		for _, c := range criteria {
-			if o.Detect(c) {
-				counts[c]++
-			}
-		}
-	}
-	out := make(map[Criterion]float64, len(criteria))
-	for _, c := range criteria {
-		out[c] = float64(counts[c]) / float64(len(faultModels))
-	}
-	return out
 }

@@ -227,10 +227,10 @@ func TestStationCarriesTheLadder(t *testing.T) {
 		walked = append(walked, att.Strategy)
 	}
 	if want := []string{"scrub", "remap"}; !reflect.DeepEqual(walked, want) {
-		t.Fatalf("station-wrapped device walked %q, want %q: %s", walked, want, ep)
+		t.Fatalf("station-wrapped device walked %q, want %q: %+v", walked, want, ep)
 	}
 	if !ep.Recovered || ep.CostSpent != repair.CostScrub+repair.CostRemap {
-		t.Fatalf("ladder episode behind the station: %s (cost %d)", ep, ep.CostSpent)
+		t.Fatalf("ladder episode behind the station: %+v (cost %d)", ep, ep.CostSpent)
 	}
 	if n := dev.overlaps.Load(); n != 0 {
 		t.Fatalf("%d caller(s) entered the device while a readout, census or rung held it", n)
