@@ -15,7 +15,8 @@
 #                /v1/infer request decoder and the wire codec's two number
 #                kernels against strconv + the drop-connect hardening and
 #                cost-metering performance gates (bench-smoke) + the
-#                unreached-function gate (unreached)
+#                unreached-function gate (unreached) + the benchmark exit
+#                gate (bench-exit)
 #   make bench-smoke  gate the drop-connect step and the metered analog pass
 #                against the committed baseline ratios (min ratio of the two
 #                arms' minima over alternating slices, max allocs/op), after
@@ -25,6 +26,9 @@
 #                (≈ 5 min warm; trains and caches the two models first on a
 #                fresh checkout). Not part of check: go test pins the fast
 #                part at a tiny scale (internal/experiments/testdata/golden_tiny.txt)
+#   make bench-exit  build ./bench, run it -quick on lenet5_batch as the
+#                leader of its own process group, and fail if the run fails
+#                or any process of the group outlives it
 #   make loc     non-test Go line count (what ROADMAP items 1, 8 and 13
 #                measure)
 #   make unreached  list every internal/ function no binary links and fail
@@ -60,9 +64,9 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
         fleet-soak-smoke fleet-soak \
         net-soak-smoke net-soak crash-soak-smoke crash-soak \
         lifetime-soak-smoke lifetime-soak examples-smoke fuzz-short \
-        bench-smoke repro-check loc unreached ab-engine
+        bench-smoke bench-exit repro-check loc unreached ab-engine
 
-check: fmt-check vet gen-check build unreached test race-fast soak-smoke fleet-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke
+check: fmt-check vet gen-check build unreached test race-fast soak-smoke fleet-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke bench-exit
 	@echo "check: PASS"
 
 # gofmt prints the files it would rewrite; any name is a failure
@@ -143,6 +147,11 @@ repro-check:
 # non-test Go lines, the number ROADMAP items 1, 8 and 13 measure
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1
+
+# a benchmark run must end whole: a process it leaves alive keeps loading
+# the host under whatever is measured next
+bench-exit:
+	@GO=$(GO) sh scripts/bench-exit.sh
 
 # every internal/ function no binary links is allowlisted with a reason
 unreached:

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"net"
 	"net/http"
 	"net/http/httptrace"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -37,11 +39,22 @@ type HTTPTarget struct {
 const maxHeaders = 64
 
 // NewHTTPTarget points the generator at a serving tier's base URL
-// (e.g. "http://127.0.0.1:8080"). A nil client gets a dedicated one; only
-// its Transport (http.DefaultTransport when nil) is used.
+// (e.g. "http://127.0.0.1:8080"). A nil client gets a dedicated one over
+// pooledCopyConn connections; only its Transport (http.DefaultTransport when
+// nil) is used.
 func NewHTTPTarget(base string, client *http.Client) *HTTPTarget {
 	if client == nil {
-		client = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
+		var d net.Dialer
+		client = &http.Client{Transport: &http.Transport{
+			MaxIdleConnsPerHost: 64,
+			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+				c, err := d.DialContext(ctx, network, addr)
+				if err != nil {
+					return nil, err
+				}
+				return pooledCopyConn{c}, nil
+			},
+		}}
 	}
 	h := &HTTPTarget{client: client, rt: client.Transport}
 	if h.rt == nil {
@@ -52,6 +65,39 @@ func NewHTTPTarget(base string, client *http.Client) *HTTPTarget {
 	}
 	h.headers.Store(&map[int]http.Header{})
 	return h
+}
+
+// pooledCopyConn is a connection that writes what the transport hands its
+// ReadFrom — the part of a request body past the transport's 4 KiB write
+// buffer — through a buffer from wire's pool. A bare *net.TCPConn passes it
+// to io.Copy, which makes a fresh 32 KiB buffer for every such body.
+type pooledCopyConn struct{ net.Conn }
+
+// minCopyBuf is the smallest copy buffer, io.Copy's own size; a pooled
+// buffer that once held a bigger body copies in fewer writes.
+const minCopyBuf = 32 << 10
+
+func (c pooledCopyConn) ReadFrom(r io.Reader) (n int64, err error) {
+	buf := wire.GetBuffer()
+	defer buf.Release()
+	buf.B = slices.Grow(buf.B, minCopyBuf)
+	b := buf.B[:cap(buf.B)]
+	for {
+		nr, rerr := r.Read(b)
+		if nr > 0 {
+			nw, werr := c.Conn.Write(b[:nr])
+			n += int64(nw)
+			if werr != nil {
+				return n, werr
+			}
+		}
+		if rerr == io.EOF {
+			return n, nil
+		}
+		if rerr != nil {
+			return n, rerr
+		}
+	}
 }
 
 // CloseIdle releases kept-alive connections; soaks call it before the

@@ -11,9 +11,11 @@ import (
 
 // FuzzInferRequest throws arbitrary bodies and deadline headers at the
 // handler. The oracle: the status is one of the closed set and never 500;
-// the admission and terminal identities hold after every input; and whatever
+// the admission and terminal identities hold after every input; whatever
 // the strict decoder accepts, encoding/json accepts too, with the same
-// tenant, priority and bit-identical floats.
+// tenant, priority and bit-identical floats; and a batch a longer request
+// left full of NaN decodes every body as a fresh one does, keeping nothing
+// of a refused body readable.
 func FuzzInferRequest(f *testing.F) {
 	const width, maxRows = 16, 4
 	for _, c := range wiretest.Rejects(width, maxRows) {
@@ -42,7 +44,10 @@ func FuzzInferRequest(f *testing.F) {
 		if st.Received != st.Invalid+st.QuotaRejected+st.ClosedRejected+st.Admitted || st.Admitted != st.Terminal() || st.Internal != 0 {
 			t.Fatalf("accounting broken: %+v", st)
 		}
-		req, err := wire.ParseRequest(body, width, maxRows)
+		if err := wiretest.Recycles(body, width, maxRows); err != nil {
+			t.Fatal(err)
+		}
+		req, err := wire.ParseRequest(body, wire.NewBatch(width), maxRows)
 		if err != nil {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("decoder refused (%v) but the handler answered %d", err, rec.Code)

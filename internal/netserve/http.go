@@ -75,10 +75,11 @@ func (f *Frontend) handleInfer(w http.ResponseWriter, r *http.Request) {
 		f.refuse(w, err)
 		return
 	}
-	// the decoded tensor is a fresh allocation the request owns: serve may
-	// still read it from an abandoned hedge after Do returns, so only the
-	// byte buffers go back to a pool
-	req, err := wire.ParseRequest(body.B, f.inDim, f.cfg.MaxRows)
+	// the batch goes back to the pool when this handler returns: serve copies
+	// the input in at admission, so nothing reads the batch after Do returns
+	batch := f.batches.Get().(*wire.Batch)
+	defer f.batches.Put(batch)
+	req, err := wire.ParseRequest(body.B, batch, f.cfg.MaxRows)
 	body.Release()
 	if err != nil {
 		f.refuse(w, err)

@@ -16,10 +16,13 @@ import (
 	"testing"
 	"time"
 
+	"reramtest/internal/fleet"
 	"reramtest/internal/models"
+	"reramtest/internal/monitor"
 	"reramtest/internal/rng"
 	"reramtest/internal/serve"
 	"reramtest/internal/tensor"
+	"reramtest/internal/testgen"
 	"reramtest/internal/wire"
 	"reramtest/internal/wire/wiretest"
 )
@@ -369,9 +372,9 @@ func TestHTTPWireConformance(t *testing.T) {
 
 // TestHedgedAnswersStayBitIdentical guards the codec's ownership rule. With
 // one slow device and a 1 ms hedge, the slow attempt is abandoned and reads
-// its input tensor after the handler has answered and returned: if anyone
-// later pools the decoded tensor, the race detector (or a wrong answer) fails
-// this test.
+// its input after the handler has answered and put its decode batch back in
+// the pool: unless serve reads its own copy, the race detector (or a wrong
+// answer) fails this test.
 func TestHedgedAnswersStayBitIdentical(t *testing.T) {
 	f, devs := newTierServe(t, 1, 2, Config{}, serve.Config{Workers: 4, HedgeAfter: time.Millisecond})
 	ts := httptest.NewServer(f.Handler())
@@ -431,5 +434,185 @@ func TestHedgedAnswersStayBitIdentical(t *testing.T) {
 	wg.Wait()
 	if hedged.Load() == 0 {
 		t.Fatal("no request was hedged: the test exercised nothing")
+	}
+}
+
+// TestRecycledStateAnswersItsOwnInput is the ownership stress test of the
+// recycled request path: netserve's decode batches and serve's request
+// records go back to their pools while attempts a hedge or a deadline
+// abandoned may still run. Concurrent callers send inputs that all differ
+// through the handler; shard-0 has a slow device and a shorter HedgeAfter,
+// so hedge losers are abandoned; shard-1 crashes on a quarter of the inputs,
+// so those retry across shards; and one request in four carries a deadline
+// shorter than the slow readout, so it expires mid-attempt. Every 200 must
+// be, bit for bit, the reference engine's answer for that request's own
+// input: a late reader of a recycled buffer, or a result left behind in a
+// recycled record, answers with another request's numbers.
+func TestRecycledStateAnswersItsOwnInput(t *testing.T) {
+	const width, rows, clients, perClient = 16, 2, 8, 40
+	fcfg := tierFleetConfig()
+	fcfg.BreakerOpenAfter = 1 << 30 // crashes must not quarantine shard-1, or nothing retries
+	ref := models.MLP(rng.New(1), width, []int{12}, 5)
+	specs := make([]ShardSpec, 2)
+	devs := make([][]*tierDevice, 2)
+	for s := range specs {
+		wrapped := make([]fleet.Device, 2)
+		devs[s] = make([]*tierDevice, 2)
+		for i := range wrapped {
+			devs[s][i] = &tierDevice{id: fmt.Sprintf("s%d-dev%d", s, i), net: ref.Clone(), patterns: tierPatterns()}
+			wrapped[i] = devs[s][i]
+		}
+		specs[s] = ShardSpec{Name: fmt.Sprintf("shard-%d", s), Devices: wrapped, Fleet: fcfg,
+			Serve: serve.Config{Workers: 4, HedgeAfter: 500 * time.Microsecond}}
+	}
+	f, err := New(specs, Config{RetryMax: 1, RetryBackoff: time.Microsecond, MaxRows: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	devs[0][0].set(func(d *tierDevice) { d.delay = 3 * time.Millisecond })
+	for _, d := range devs[1] {
+		d.set(func(d *tierDevice) { d.crashBelow = 0.25 })
+	}
+
+	bodies := make([][]byte, clients*perClient)
+	want := make([]*tensor.Tensor, len(bodies))
+	r := rng.New(13)
+	for i := range bodies {
+		x := tensor.RandUniform(r, 0, 1, rows, width)
+		want[i] = probsOf(ref, x)
+		bodies[i], err = wire.AppendRequest(nil, fmt.Sprintf("tenant-%d", i%16), false, [][]float64{x.Data()[:width], x.Data()[width:]})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	h := f.Handler()
+	var ok atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < len(bodies); i += clients {
+				deadline, tight := "2000", i%4 == 0
+				if tight {
+					deadline = "1"
+				}
+				rec := serveInfer(h, bytes.NewReader(bodies[i]), deadline)
+				// a tight deadline may also expire before a crash is retried
+				if tight && (rec.Code == http.StatusGatewayTimeout || rec.Code == http.StatusBadGateway) {
+					continue
+				}
+				var got struct {
+					Probs [][]float64 `json:"probs"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || rec.Code != http.StatusOK || len(got.Probs) != rows {
+					t.Errorf("request %d: %d %s", i, rec.Code, rec.Body.String())
+					continue
+				}
+				ok.Add(1)
+				for r, row := range got.Probs {
+					for k, v := range row {
+						if w := want[i].Data()[r*5+k]; math.Float64bits(v) != math.Float64bits(w) {
+							t.Errorf("request %d probs[%d][%d] = %v, its own input's answer is %v", i, r, k, v, w)
+						}
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	st := f.Stats()
+	var hedges uint64
+	for _, sh := range f.shards {
+		hedges += sh.srv.Stats().Hedges
+	}
+	if ok.Load() == 0 || hedges == 0 || st.Retries == 0 || st.Deadlines == 0 {
+		t.Fatalf("a path went unexercised: %d ok, %d hedges, %+v", ok.Load(), hedges, st)
+	}
+	if st.Admitted != st.Terminal() {
+		t.Fatalf("accounting broken: %+v", st)
+	}
+}
+
+// fixedDevice answers every batch with the same confidences, so what a
+// request allocates is the tier's own.
+type fixedDevice struct {
+	*tierDevice
+	infer monitor.Infer
+}
+
+func (d fixedDevice) Infer() monitor.Infer { return d.infer }
+
+// discardWriter is an in-memory ResponseWriter that keeps one header map.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// rewindBody is a request body the test rewinds between runs.
+type rewindBody struct{ *bytes.Reader }
+
+func (rewindBody) Close() error { return nil }
+
+// TestInferHandlerAllocations pins what the /v1/infer handler allocates per
+// request in steady state on the LeNet-5 shape, an 8-row 784-wide body: the
+// request's deadline context (5) and the answer copied out of the device
+// (3), and nothing of the decoded batch, its tenant name, the serving record
+// or the body and answer buffers, which are all recycled (21 allocations
+// before they were).
+func TestInferHandlerAllocations(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation ceilings do not hold under the race detector")
+	}
+	const width, rows = 784, 8
+	out := tensor.FromSlice(make([]float64, rows*10), rows, 10)
+	out.Apply(func(float64) float64 { return 0.1 })
+	dev := fixedDevice{
+		tierDevice: &tierDevice{id: "dev-0", net: models.MLP(rng.New(1), width, []int{12}, 10), patterns: &testgen.PatternSet{
+			Name: "wide", Method: "plain", X: tensor.RandUniform(rng.New(2), 0, 1, rows, width), Labels: make([]int, rows)}},
+		infer: func(*tensor.Tensor) *tensor.Tensor { return out },
+	}
+	f, err := New([]ShardSpec{{Name: "shard-0", Devices: []fleet.Device{dev}, Fleet: tierFleetConfig(),
+		Serve: serve.Config{Workers: 1, HedgeAfter: time.Hour}}}, Config{MaxRows: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	input := make([][]float64, rows)
+	r := rng.New(3)
+	for i := range input {
+		input[i] = tensor.RandUniform(r, 0, 1, 1, width).Data()
+	}
+	body, err := wire.AppendRequest(nil, "tenant-07", false, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/infer", nil)
+	req.Header.Set(DeadlineHeader, "2000")
+	req.ContentLength = int64(len(body))
+	rd := rewindBody{bytes.NewReader(body)}
+	req.Body = rd
+	w := &discardWriter{h: http.Header{}}
+	serve1 := func() {
+		rd.Reset(body)
+		w.code = http.StatusOK
+		f.handleInfer(w, req)
+		if w.code != http.StatusOK {
+			t.Fatalf("status %d", w.code)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		serve1()
+	}
+	if n := testing.AllocsPerRun(1000, serve1); n > 8 {
+		t.Fatalf("handler: %v allocations per request, want <= 8", n)
 	}
 }

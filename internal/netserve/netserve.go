@@ -56,6 +56,7 @@ import (
 	"reramtest/internal/monitor"
 	"reramtest/internal/serve"
 	"reramtest/internal/tensor"
+	"reramtest/internal/wire"
 )
 
 // Policy selects the dispatcher.
@@ -300,6 +301,9 @@ type Frontend struct {
 	// X-Served-By header values by placement, built once in New
 	served map[placement][]string
 
+	// *wire.Batch destinations for /v1/infer bodies, (·, inDim) each
+	batches sync.Pool
+
 	closed    atomic.Bool
 	closeOnce sync.Once
 	closeErr  error
@@ -366,6 +370,7 @@ func New(specs []ShardSpec, cfg Config) (*Frontend, error) {
 		}
 	}
 	sort.Slice(f.ring, func(a, b int) bool { return f.ring[a].hash < f.ring[b].hash })
+	f.batches.New = func() any { return wire.NewBatch(f.inDim) }
 	return f, nil
 }
 

@@ -29,10 +29,11 @@ type tierDevice struct {
 	net      *nn.Network
 	patterns *testgen.PatternSet
 
-	mu    sync.Mutex
-	shift float64
-	crash bool
-	delay time.Duration
+	mu         sync.Mutex
+	shift      float64
+	crash      bool
+	crashBelow float64 // crash on a batch whose first value is below this
+	delay      time.Duration
 }
 
 func (d *tierDevice) ID() string                    { return d.id }
@@ -49,12 +50,13 @@ func (d *tierDevice) set(f func(*tierDevice)) {
 func (d *tierDevice) Infer() monitor.Infer {
 	return func(x *tensor.Tensor) *tensor.Tensor {
 		d.mu.Lock()
-		shift, crash, delay := d.shift, d.crash, d.delay
+		shift, crash, below, delay := d.shift, d.crash, d.crashBelow, d.delay
 		d.mu.Unlock()
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		if crash {
+		// x is read only after the delay, as late as an abandoned attempt can
+		if crash || x.Data()[0] < below {
 			panic("tierDevice: injected crash")
 		}
 		probs := probsOf(d.net, x)

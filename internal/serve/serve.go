@@ -103,7 +103,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Response is one served inference answer.
+// Response is one served inference answer. Nothing in it aliases serve's
+// state or the caller's input.
 type Response struct {
 	// Probs is the (N, outDim) softmax confidence batch, owned by the caller
 	// (copied out of the device before the device lock was released).
@@ -157,16 +158,75 @@ type outcome struct {
 	err  error
 }
 
-// pending is one admitted request in flight through the server.
-type pending struct {
+// record is one request in flight through the server, taken from the
+// server's pool at admission. Do, the worker that handles it and each device
+// attempt hold a reference; the last to let go drains both channels and puts
+// the record back, so a request in steady state allocates none of it. It
+// holds its own copy of the caller's batch: an abandoned hedge or an expired
+// attempt may still be reading x after Do has returned the caller's tensor.
+type record struct {
+	s    *Server
+	refs atomic.Int32
 	ctx  context.Context
-	x    *tensor.Tensor
+	x    *tensor.Tensor // (N, inDim) view over buf
+	buf  []float64
 	enq  time.Time
 	done chan outcome // buffered 1; exactly one finish per request
+	// resCh is buffered for every attempt that could ever write to it, so
+	// abandoned attempts never leak a goroutine
+	resCh chan attemptResult
+	hedge *time.Timer // made on first use; stopped and drained when handle returns
+
+	// A request makes at most two attempts: the first placement, then one
+	// hedge or retry. slots[i] is what attempt i reports besides its answer,
+	// and runs[i], made with the record, runs it, so launching an attempt
+	// allocates no closure.
+	slots [2]attemptResult
+	runs  [2]func()
 }
 
-func (p *pending) finish(resp Response, err error) {
-	p.done <- outcome{resp: resp, err: err}
+func (s *Server) newRecord() any {
+	r := &record{s: s, x: tensor.New(0, s.inDim), done: make(chan outcome, 1), resCh: make(chan attemptResult, 2)}
+	r.runs = [2]func(){func() { s.attempt(r, 0) }, func() { s.attempt(r, 1) }}
+	return r
+}
+
+// admit fills a record fresh from the pool: x is copied in, and the caller
+// and the worker each hold a reference.
+func (r *record) admit(ctx context.Context, x *tensor.Tensor) {
+	if len(r.buf) < x.Len() {
+		r.buf = make([]float64, x.Len())
+	}
+	copy(r.buf, x.Data())
+	r.x.ResliceRows(r.buf, x.Dim(0))
+	r.ctx, r.enq = ctx, time.Now()
+	r.refs.Store(2)
+}
+
+func (r *record) finish(resp Response, err error) {
+	r.done <- outcome{resp: resp, err: err}
+}
+
+// release drops one reference; the last one recycles the record.
+func (r *record) release() {
+	if r.refs.Add(-1) == 0 {
+		r.s.recycle(r)
+	}
+}
+
+// recycle puts back a record nothing holds any more, so nothing can still
+// write to its channels: an outcome Do gave up waiting for and the results
+// of abandoned attempts are dropped here.
+func (s *Server) recycle(r *record) {
+	select {
+	case <-r.done:
+	default:
+	}
+	for len(r.resCh) > 0 {
+		<-r.resCh
+	}
+	r.ctx = nil
+	s.records.Put(r)
 }
 
 // Server is the concurrent serving frontend. Its exported methods are safe
@@ -183,7 +243,8 @@ type Server struct {
 	// dispatch path never touches backendMu.
 	backendMu sync.Mutex
 
-	qMon, qBulk chan *pending
+	qMon, qBulk chan *record
+	records     sync.Pool    // *record
 	admitMu     sync.RWMutex // guards closed + the enqueue-vs-close race
 	closed      bool
 	closeOnce   sync.Once
@@ -228,11 +289,12 @@ func New(devices []fleet.Device, fcfg fleet.Config, scfg Config, store *journal.
 		cfg:     scfg,
 		sup:     sup,
 		inDim:   devices[0].Reference().InDim(),
-		qMon:    make(chan *pending, scfg.QueueMonitor),
-		qBulk:   make(chan *pending, scfg.QueueBulk),
+		qMon:    make(chan *record, scfg.QueueMonitor),
+		qBulk:   make(chan *record, scfg.QueueBulk),
 		rootCtx: rootCtx,
 		cancel:  cancel,
 	}
+	s.records.New = s.newRecord
 	for i := 0; i < scfg.Workers; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -242,7 +304,10 @@ func New(devices []fleet.Device, fcfg fleet.Config, scfg Config, store *journal.
 
 // Do submits one (N, inDim) inference batch and blocks until it terminates:
 // a Response, or an error matching ErrOverloaded, ErrClosed, ErrDeadline,
-// ErrNoDevices or ErrFaulted. Safe for concurrent use.
+// ErrNoDevices or ErrFaulted. Do copies x at admission and never touches it
+// again, so when Do returns the caller owns x outright — it may reuse or
+// overwrite it while attempts abandoned by a hedge or a deadline still run
+// on serve's copy. Safe for concurrent use.
 func (s *Server) Do(ctx context.Context, x *tensor.Tensor, prio Priority) (Response, error) {
 	if x == nil || x.Rank() != 2 || x.Dim(1) != s.inDim {
 		return Response{}, fmt.Errorf("serve: request batch must be (N, %d)", s.inDim)
@@ -253,7 +318,8 @@ func (s *Server) Do(ctx context.Context, x *tensor.Tensor, prio Priority) (Respo
 		dctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultDeadline)
 		defer cancel()
 	}
-	p := &pending{ctx: dctx, x: x, enq: time.Now(), done: make(chan outcome, 1)}
+	r := s.records.Get().(*record)
+	r.admit(dctx, x)
 	q := s.qBulk
 	if prio == Monitor {
 		q = s.qMon
@@ -264,13 +330,15 @@ func (s *Server) Do(ctx context.Context, x *tensor.Tensor, prio Priority) (Respo
 	s.admitMu.RLock()
 	if s.closed {
 		s.admitMu.RUnlock()
+		s.recycle(r)
 		return Response{}, fmt.Errorf("serve: rejected at admission: %w", ErrClosed)
 	}
 	select {
-	case q <- p:
+	case q <- r:
 		s.admitMu.RUnlock()
 	default:
 		s.admitMu.RUnlock()
+		s.recycle(r)
 		s.overloads.Add(1)
 		return Response{}, fmt.Errorf("serve: %v queue at capacity: %w", prio, ErrOverloaded)
 	}
@@ -278,12 +346,14 @@ func (s *Server) Do(ctx context.Context, x *tensor.Tensor, prio Priority) (Respo
 
 	var o outcome
 	select {
-	case o = <-p.done:
+	case o = <-r.done:
 	case <-dctx.Done():
 		// the worker (or its background attempt) no longer matters to this
-		// caller; it finishes into the buffered done channel and is dropped
+		// caller; it finishes into the buffered done channel, and the last
+		// reference to the record drops it
 		o = outcome{err: fmt.Errorf("serve: %v: %w", dctx.Err(), ErrDeadline)}
 	}
+	r.release()
 	s.countTerminal(o)
 	return o.resp, o.err
 }
@@ -305,7 +375,7 @@ func (s *Server) countTerminal(o outcome) {
 	}
 }
 
-// worker pulls pendings (monitor queue first) and handles them until both
+// worker pulls records (monitor queue first) and handles them until both
 // queues are closed and drained.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
@@ -357,8 +427,9 @@ type attemptResult struct {
 	err    error
 }
 
-// handle runs one admitted request to termination.
-func (s *Server) handle(p *pending) {
+// handle runs one admitted request to termination, then lets go of it.
+func (s *Server) handle(p *record) {
+	defer p.release()
 	if p.ctx.Err() != nil {
 		p.finish(Response{}, fmt.Errorf("serve: expired in queue after %v: %w",
 			time.Since(p.enq).Round(time.Microsecond), ErrDeadline))
@@ -372,18 +443,19 @@ func (s *Server) handle(p *pending) {
 		p.finish(Response{}, fmt.Errorf("serve: %w: %w", ErrNoDevices, derr))
 		return
 	}
-	// resCh is buffered for every attempt that could ever write to it, so
-	// abandoned attempts never leak a goroutine
-	resCh := make(chan attemptResult, 2)
-	s.launchAttempt(first, st1, false, false, p.x, resCh)
-	hedgeTimer := time.NewTimer(s.cfg.HedgeAfter)
-	defer hedgeTimer.Stop()
+	s.launchAttempt(p, 0, first, st1, false, false)
+	if p.hedge == nil {
+		p.hedge = time.NewTimer(s.cfg.HedgeAfter)
+	} else {
+		p.hedge.Reset(s.cfg.HedgeAfter)
+	}
+	defer stopTimer(p.hedge)
 
 	outstanding, second := 1, false
 	var firstErr error
 	for {
 		select {
-		case r := <-resCh:
+		case r := <-p.resCh:
 			outstanding--
 			if r.err == nil {
 				p.finish(Response{
@@ -406,7 +478,7 @@ func (s *Server) handle(p *pending) {
 				if id2, st2, ok2 := s.sup.DispatchAvoiding(first); ok2 {
 					second = true
 					s.retries.Add(1)
-					s.launchAttempt(id2, st2, false, true, p.x, resCh)
+					s.launchAttempt(p, 1, id2, st2, false, true)
 					outstanding++
 					continue
 				}
@@ -415,14 +487,14 @@ func (s *Server) handle(p *pending) {
 				p.finish(Response{}, fmt.Errorf("serve: %v: %w", firstErr, ErrFaulted))
 				return
 			}
-		case <-hedgeTimer.C:
+		case <-p.hedge.C:
 			if second {
 				continue
 			}
 			if id2, st2, ok2 := s.sup.DispatchAvoiding(first); ok2 {
 				second = true
 				s.hedges.Add(1)
-				s.launchAttempt(id2, st2, true, false, p.x, resCh)
+				s.launchAttempt(p, 1, id2, st2, true, false)
 				outstanding++
 			}
 		case <-p.ctx.Done():
@@ -433,21 +505,40 @@ func (s *Server) handle(p *pending) {
 	}
 }
 
-// launchAttempt runs one placement in its own goroutine. The attempt is not
-// cancelable mid-inference (a device readout cannot be interrupted); an
-// abandoned attempt completes into the buffered result channel, releases its
-// router slot and still reports a fault into the breaker if it produced one.
-func (s *Server) launchAttempt(id string, status monitor.Status, hedge, retry bool, x *tensor.Tensor, resCh chan attemptResult) {
-	s.attemptWG.Add(1)
-	go func() {
-		defer s.attemptWG.Done()
-		defer s.sup.Complete(id)
-		probs, cost, err := s.runOn(id, x)
-		if err != nil {
-			s.reportFault(id)
+// stopTimer stops t and drains a fire it did not stop, so the next Reset
+// starts clean (go.mod's go 1.22 keeps timers' channels asynchronous).
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
 		}
-		resCh <- attemptResult{probs: probs, device: id, status: status, hedge: hedge, retry: retry, cost: cost, err: err}
-	}()
+	}
+}
+
+// launchAttempt runs attempt i of p, a placement on device id, in its own
+// goroutine holding a reference to p. The attempt is not cancelable
+// mid-inference (a device readout cannot be interrupted); an abandoned
+// attempt completes into the buffered result channel, releases its router
+// slot and still reports a fault into the breaker if it produced one.
+func (s *Server) launchAttempt(p *record, i int, id string, status monitor.Status, hedge, retry bool) {
+	p.slots[i] = attemptResult{device: id, status: status, hedge: hedge, retry: retry}
+	p.refs.Add(1)
+	s.attemptWG.Add(1)
+	go p.runs[i]()
+}
+
+// attempt is the body of attempt i of p.
+func (s *Server) attempt(p *record, i int) {
+	defer s.attemptWG.Done()
+	defer p.release()
+	r := p.slots[i]
+	defer s.sup.Complete(r.device)
+	r.probs, r.cost, r.err = s.runOn(r.device, p.x)
+	if r.err != nil {
+		s.reportFault(r.device)
+	}
+	p.resCh <- r
 }
 
 // runOn executes one guarded serving inference on device id, validates the

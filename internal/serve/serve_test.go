@@ -495,3 +495,43 @@ func waitFor(t *testing.T, cond func() bool) {
 func probsOf(net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
 	return engine.MustCompile(net, engine.Options{}).Probs(x)
 }
+
+// stubDevice answers every batch with the same confidences, so what a
+// request allocates is serve's own plus the station's copy-out.
+type stubDevice struct {
+	*servDevice
+	infer monitor.Infer
+}
+
+func (d stubDevice) Infer() monitor.Infer { return d.infer }
+
+// TestDoAllocations pins what Do allocates per request in steady state: the
+// station's copy of the answer (tensor, shape, data) and nothing of the
+// request record, its channels, its hedge timer, its attempt closure or its
+// input copy, which are all recycled (12 allocations before they were).
+func TestDoAllocations(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation ceilings do not hold under the race detector")
+	}
+	x := requestBatch(0.5)
+	out := probsOf(testDevices(1)[0].net, x)
+	dev := stubDevice{servDevice: testDevices(1)[0], infer: func(*tensor.Tensor) *tensor.Tensor { return out }}
+	s, err := serve.New([]fleet.Device{dev}, fleetConfig(), serve.Config{Workers: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	do := func() {
+		if _, err := s.Do(ctx, x, serve.Bulk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		do()
+	}
+	if n := testing.AllocsPerRun(1000, do); n > 3 {
+		t.Fatalf("Do: %v allocations per request, want <= 3", n)
+	}
+}

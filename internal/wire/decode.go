@@ -17,7 +17,40 @@ import (
 type Request struct {
 	Tenant  string
 	Monitor bool           // "priority":"monitor"; absent, "" and "bulk" are bulk
-	X       *tensor.Tensor // (N, inDim), freshly allocated, owned by the caller
+	X       *tensor.Tensor // the destination Batch's X: valid until its next decode
+}
+
+// Batch is the destination ParseRequest decodes into, kept by the caller and
+// reused request after request. X views the first rows of a backing slice
+// that only grows, and the tenant names the batch has decoded are kept, so
+// once a batch has held a request as long as the next one, and seen its
+// tenant, decoding allocates nothing. A batch serves one decode at a time.
+type Batch struct {
+	X     *tensor.Tensor // (N, width) after a decode, (0, width) after a refusal
+	buf   []float64
+	names map[string]string
+}
+
+// maxNames bounds the tenant names one Batch keeps; past it a new name is
+// allocated per request, so a stream of made-up tenants cannot grow it.
+const maxNames = 256
+
+// NewBatch returns an empty batch for rows of width values.
+func NewBatch(width int) *Batch { return &Batch{X: tensor.New(0, width)} }
+
+// tenant returns v as a string, the batch's own copy when it has one.
+func (b *Batch) tenant(v []byte) string {
+	if s, ok := b.names[string(v)]; ok {
+		return s
+	}
+	s := string(v)
+	if b.names == nil {
+		b.names = make(map[string]string)
+	}
+	if len(b.names) < maxNames {
+		b.names[s] = s
+	}
+	return s
 }
 
 // maxDepth bounds how deep a skipped unknown member may nest.
@@ -29,18 +62,23 @@ var (
 	keyInput    = []byte("input")
 )
 
-// ParseRequest decodes one request body in a single pass. Every row of
-// "input" must hold exactly inDim numbers and there may be 1..maxRows rows;
-// each is checked as it streams past. Every failure wraps ErrInvalid.
-func ParseRequest(body []byte, inDim, maxRows int) (Request, error) {
+// ParseRequest decodes one request body in a single pass into dst. Every row
+// of "input" must hold exactly as many numbers as dst's rows are wide and
+// there may be 1..maxRows rows; each is checked as it streams past. Every
+// failure wraps ErrInvalid and leaves dst.X with no rows, so nothing a
+// refused body wrote can be read through it.
+func ParseRequest(body []byte, dst *Batch, maxRows int) (Request, error) {
 	d := decoder{b: body}
 	var req Request
 	err := d.document(func(key []byte) error {
 		switch {
 		case bytes.Equal(key, keyTenant):
 			v, err := d.str()
-			req.Tenant = string(v)
-			return err
+			if err != nil {
+				return err
+			}
+			req.Tenant = dst.tenant(v)
+			return nil
 		case bytes.Equal(key, keyPriority):
 			v, err := d.str()
 			if err != nil {
@@ -59,19 +97,22 @@ func ParseRequest(body []byte, inDim, maxRows int) (Request, error) {
 			if req.X != nil {
 				return d.errf("duplicate member \"input\"")
 			}
-			x, err := d.input(inDim, maxRows)
-			req.X = x
-			return err
+			if err := d.input(dst, maxRows); err != nil {
+				return err
+			}
+			req.X = dst.X
+			return nil
 		case bytes.EqualFold(key, keyTenant), bytes.EqualFold(key, keyPriority), bytes.EqualFold(key, keyInput):
 			return d.errf("member %q: names are case-sensitive", key)
 		}
 		return d.skip(0)
 	})
-	if err != nil {
-		return Request{}, err
+	if err == nil && req.X == nil {
+		err = d.errf("no \"input\" member")
 	}
-	if req.X == nil {
-		return Request{}, d.errf("no \"input\" member")
+	if err != nil {
+		dst.X.ResliceRows(dst.buf, 0)
+		return Request{}, err
 	}
 	return req, nil
 }
@@ -207,51 +248,53 @@ func (d *decoder) object(member func(key []byte) error) error {
 	}
 }
 
-// input decodes the array of rows into a fresh (N, inDim) tensor.
-func (d *decoder) input(inDim, maxRows int) (*tensor.Tensor, error) {
+// input decodes the array of rows into dst, each row overwritten before X
+// views it.
+func (d *decoder) input(dst *Batch, maxRows int) error {
 	if !d.eat('[') {
-		return nil, d.errf("\"input\" must be an array of rows")
+		return d.errf("\"input\" must be an array of rows")
 	}
 	// Every row closes with its own ']' before the batch's and every value
 	// takes at least a digit and a separator, so the bytes left in the body
-	// bound the rows that can still be well formed: the backing slice is
-	// sized once, never beyond maxRows nor out of proportion to the body, and
-	// a body that opens one row more is refused at that row, not after it.
+	// bound the rows that can still be well formed: the backing slice grows
+	// at most once, never beyond maxRows nor out of proportion to the body,
+	// and a body that opens one row more is refused at that row, not after it.
+	width := dst.X.Dim(1)
 	rest := d.b[d.i:]
-	bound := min(bytes.Count(rest, []byte{']'})-1, len(rest)/(2*inDim)+1, maxRows)
-	var data []float64
+	bound := min(bytes.Count(rest, []byte{']'})-1, len(rest)/(2*width)+1, maxRows)
 	rows := 0
 	for {
 		d.space()
 		if rows == 0 && d.eat(']') {
-			return nil, d.errf("empty input batch")
+			return d.errf("empty input batch")
 		}
 		if !d.eat('[') {
-			return nil, d.errf("input row %d: expected '['", rows)
+			return d.errf("input row %d: expected '['", rows)
 		}
 		if rows >= bound {
 			if rows == maxRows {
-				return nil, d.errf("batch of more than %d rows", maxRows)
+				return d.errf("batch of more than %d rows", maxRows)
 			}
-			return nil, d.errf("input row %d is cut short", rows)
+			return d.errf("input row %d is cut short", rows)
 		}
-		if data == nil {
-			data = make([]float64, bound*inDim)
+		if len(dst.buf) < bound*width {
+			dst.buf = make([]float64, bound*width)
 		}
-		n, err := d.row(data[rows*inDim : (rows+1)*inDim])
+		n, err := d.row(dst.buf[rows*width : (rows+1)*width])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if n != inDim {
-			return nil, d.errf("input row %d has %d values, want %d", rows, n, inDim)
+		if n != width {
+			return d.errf("input row %d has %d values, want %d", rows, n, width)
 		}
 		rows++
 		d.space()
 		if d.eat(']') {
-			return tensor.FromSlice(data[:rows*inDim], rows, inDim), nil
+			dst.X.ResliceRows(dst.buf, rows)
+			return nil
 		}
 		if !d.eat(',') {
-			return nil, d.errf("expected ',' or ']' after input row %d", rows-1)
+			return d.errf("expected ',' or ']' after input row %d", rows-1)
 		}
 	}
 }

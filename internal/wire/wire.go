@@ -28,7 +28,7 @@
 // exact multiply, then Eisel–Lemire; what those decline — 20 digits or more,
 // a half-way case, a subnormal or overflowing result — goes to
 // strconv.ParseFloat on the same bytes, the one call left) and writes the
-// value straight into the (N, inDim) batch tensor, checking width and the row
+// value straight into the caller's (N, inDim) Batch, checking width and the row
 // limit as rows stream past, so a hostile body is refused at its first bad
 // row instead of being materialised. AppendRequest and AppendResponse render
 // shortest round-trip digits themselves (Schubfach, over the generated
@@ -46,10 +46,13 @@
 // may follow the closing brace, and values nest at most maxDepth deep.
 // Unknown members are skipped (after validation), members come in any order.
 //
-// Ownership: only byte buffers are pooled. The decoded tensor is a fresh
-// allocation owned by the request — the serving layer may still be reading it
-// from an abandoned hedge or an expired attempt after Frontend.Do returned,
-// so it must never go back to a pool.
+// Ownership: nothing the decoder returns is fresh. Byte buffers come from
+// this package's pool, and ParseRequest writes the input into a Batch the
+// caller keeps and reuses (netserve pools them), so Request.X is valid only
+// until that batch's next decode. Reusing the batch as soon as
+// Frontend.Do returns is safe because serve copies the input into its own
+// per-request record at admission: an abandoned hedge or an expired attempt
+// still running after Do returned reads serve's copy, never the batch.
 package wire
 
 import (

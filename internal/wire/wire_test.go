@@ -164,19 +164,22 @@ func TestParseResponse(t *testing.T) {
 
 func TestParseRequestRejects(t *testing.T) {
 	for _, c := range wiretest.Rejects(lenetWidth, lenetRows) {
-		req, err := wire.ParseRequest([]byte(c.Body), lenetWidth, lenetRows)
+		req, err := wire.ParseRequest([]byte(c.Body), wire.NewBatch(lenetWidth), lenetRows)
 		if !errors.Is(err, wire.ErrInvalid) {
 			t.Errorf("%s: err = %v, want ErrInvalid", c.Name, err)
 		}
 		if req.X != nil || req.Tenant != "" {
 			t.Errorf("%s: a refused body still returned %+v", c.Name, req)
 		}
+		if err := wiretest.Recycles([]byte(c.Body), lenetWidth, lenetRows); err != nil {
+			t.Errorf("%s: %v", c.Name, err)
+		}
 	}
 }
 
 func TestParseRequestAccepts(t *testing.T) {
 	for _, c := range wiretest.Accepts(lenetWidth, lenetRows) {
-		req, err := wire.ParseRequest([]byte(c.Body), lenetWidth, lenetRows)
+		req, err := wire.ParseRequest([]byte(c.Body), wire.NewBatch(lenetWidth), lenetRows)
 		if err != nil {
 			t.Errorf("%s: %v", c.Name, err)
 			continue
@@ -184,9 +187,12 @@ func TestParseRequestAccepts(t *testing.T) {
 		if err := wiretest.AgreesWithJSON([]byte(c.Body), req); err != nil {
 			t.Errorf("%s: %v", c.Name, err)
 		}
+		if err := wiretest.Recycles([]byte(c.Body), lenetWidth, lenetRows); err != nil {
+			t.Errorf("%s: %v", c.Name, err)
+		}
 	}
 	// tenant presence is the tier's rule, not the codec's
-	req, err := wire.ParseRequest([]byte(`{"input":`+wiretest.Rows(1, 3)+`}`), 3, 1)
+	req, err := wire.ParseRequest([]byte(`{"input":`+wiretest.Rows(1, 3)+`}`), wire.NewBatch(3), 1)
 	if err != nil || req.Tenant != "" || req.Monitor || req.X.Dim(0) != 1 {
 		t.Fatalf("tenant-less body: %+v, %v", req, err)
 	}
@@ -196,7 +202,7 @@ func TestParseRequestAccepts(t *testing.T) {
 // follows the row that breaks the limit is never looked at.
 func TestParseRequestStopsAtTheFirstBadRow(t *testing.T) {
 	body := `{"tenant":"t","input":` + strings.TrimSuffix(wiretest.Rows(lenetRows+1, lenetWidth), "]") + `,[this is not JSON`
-	_, err := wire.ParseRequest([]byte(body), lenetWidth, lenetRows)
+	_, err := wire.ParseRequest([]byte(body), wire.NewBatch(lenetWidth), lenetRows)
 	if !errors.Is(err, wire.ErrInvalid) || !strings.Contains(err.Error(), "more than 8 rows") {
 		t.Fatalf("err = %v, want the row limit", err)
 	}
@@ -205,7 +211,7 @@ func TestParseRequestStopsAtTheFirstBadRow(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 100; i++ {
-		if _, err := wire.ParseRequest(tiny, lenetWidth, 64); !errors.Is(err, wire.ErrInvalid) {
+		if _, err := wire.ParseRequest(tiny, wire.NewBatch(lenetWidth), 64); !errors.Is(err, wire.ErrInvalid) {
 			t.Fatalf("err = %v, want ErrInvalid", err)
 		}
 	}
@@ -222,9 +228,12 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req, err := wire.ParseRequest(body, len(awkward), 2)
+		req, err := wire.ParseRequest(body, wire.NewBatch(len(awkward)), 2)
 		if err != nil {
 			t.Fatalf("tenant %q: own rendering refused: %v", tenant, err)
+		}
+		if err := wiretest.Recycles(body, len(awkward), 2); err != nil {
+			t.Fatalf("tenant %q: %v", tenant, err)
 		}
 		// encoding/json's rule: each invalid byte becomes one U+FFFD
 		if want := string([]rune(tenant)); req.Tenant != want {
@@ -296,13 +305,14 @@ func TestAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// tensor header, shape, data, tenant
+	// AllocsPerRun's warm-up decode sizes the batch and learns the tenant
+	dst := wire.NewBatch(lenetWidth)
 	if n := testing.AllocsPerRun(50, func() {
-		if _, err := wire.ParseRequest(body, lenetWidth, lenetRows); err != nil {
+		if _, err := wire.ParseRequest(body, dst, lenetRows); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 4 {
-		t.Errorf("decoding an 8x784 body: %v allocations, want <= 4", n)
+	}); n != 0 {
+		t.Errorf("decoding an 8x784 body into a recycled batch: %v allocations, want 0", n)
 	}
 	buf := make([]byte, 0, 2*len(body))
 	if n := testing.AllocsPerRun(50, func() {
@@ -394,11 +404,12 @@ func BenchmarkWireDecode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			dst := wire.NewBatch(len(input[0]))
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				req, err := wire.ParseRequest(body, len(input[0]), len(input))
+				req, err := wire.ParseRequest(body, dst, len(input))
 				if err != nil {
 					b.Fatal(err)
 				}

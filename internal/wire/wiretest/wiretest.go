@@ -136,3 +136,53 @@ func AgreesWithJSON(body []byte, got wire.Request) error {
 	}
 	return nil
 }
+
+// Recycles decodes raw twice: into a fresh batch, and into a batch a longer
+// request has already filled and that was then overwritten with NaN, the
+// state a pooled batch can be in. Both must agree on accepting it; an
+// accepted body must decode to the same tenant, priority, shape and bits; a
+// refused one must leave the recycled batch with no rows to read, and the
+// batch must then decode a good body as a fresh one does.
+func Recycles(raw []byte, width, maxRows int) error {
+	fresh, ferr := wire.ParseRequest(raw, wire.NewBatch(width), maxRows)
+	dirty := wire.NewBatch(width)
+	if _, err := wire.ParseRequest([]byte(`{"input":`+Rows(maxRows, width)+`}`), dirty, maxRows); err != nil {
+		return fmt.Errorf("filling the batch: %v", err)
+	}
+	for i := range dirty.X.Data() {
+		dirty.X.Data()[i] = math.NaN()
+	}
+	got, gerr := wire.ParseRequest(raw, dirty, maxRows)
+	if (ferr == nil) != (gerr == nil) {
+		return fmt.Errorf("a fresh batch says %v, a recycled one %v", ferr, gerr)
+	}
+	if gerr == nil {
+		return sameRequest(got, fresh)
+	}
+	if n := dirty.X.Dim(0); n != 0 {
+		return fmt.Errorf("a refused body left %d rows readable", n)
+	}
+	good := []byte(body(Rows(1, width)))
+	want, _ := wire.ParseRequest(good, wire.NewBatch(width), maxRows)
+	got, err := wire.ParseRequest(good, dirty, maxRows)
+	if err != nil {
+		return fmt.Errorf("after a refusal the batch refused a good body: %v", err)
+	}
+	return sameRequest(got, want)
+}
+
+// sameRequest compares two decodes of one body bit for bit.
+func sameRequest(got, want wire.Request) error {
+	if got.Tenant != want.Tenant || got.Monitor != want.Monitor {
+		return fmt.Errorf("tenant %q monitor %v, a fresh decode says %q %v", got.Tenant, got.Monitor, want.Tenant, want.Monitor)
+	}
+	if got.X.Dim(0) != want.X.Dim(0) || got.X.Dim(1) != want.X.Dim(1) {
+		return fmt.Errorf("shape %v, a fresh decode says %v", got.X.Shape(), want.X.Shape())
+	}
+	for i, w := range want.X.Data() {
+		if v := got.X.Data()[i]; math.Float64bits(v) != math.Float64bits(w) {
+			return fmt.Errorf("value %d = %v, a fresh decode says %v", i, v, w)
+		}
+	}
+	return nil
+}
