@@ -58,7 +58,7 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
             ./internal/tensor/... ./internal/serve/... ./internal/tengine/... \
             ./internal/netserve/... ./internal/loadgen/... \
             ./internal/reram/... ./internal/hwcost/... ./internal/wire/... \
-            ./internal/nn/...
+            ./internal/nn/... ./internal/models/...
 
 .PHONY: check fmt-check vet gen-check build test race-fast race soak-smoke soak \
         fleet-soak-smoke fleet-soak \

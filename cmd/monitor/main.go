@@ -383,8 +383,8 @@ func runCost(w, stderr io.Writer, seed int64, rounds int) int {
 	var episodes []health.Episode
 	for r := 1; r <= rounds; r++ {
 		p.SetRound(r)
-		st.ServeInfer(traffic) // serving class
-		rt.Check(st.Infer())   // monitor class
+		st.ServeInfer(traffic)                     // serving class
+		rt.Check(context.Background(), st.Infer()) // monitor class
 		p.Accelerator().AdvanceTime(200)
 		if r == rounds/2 {
 			fmt.Fprintf(w, "round %d: injecting stuck-at faults (0.8%% SA0, 0.4%% SA1)\n", r)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -30,7 +31,10 @@ func main() {
 	cfg.Epochs = 4
 	cfg.LR = 0.02
 	cfg.Log = os.Stdout
-	models.Train(net, train, cfg)
+	if err := models.Train(context.Background(), net, train, cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
 	fmt.Printf("clean model accuracy: %.1f%%\n\n", 100*accuracy(net, test))
 
 	// 2. generate O-TP patterns: the clean model must be maximally confused

@@ -1,6 +1,7 @@
 package reramtest_test
 
 import (
+	"context"
 	"testing"
 
 	"reramtest/internal/dataset"
@@ -149,7 +150,9 @@ func TestEndToEndHardwarePipeline(t *testing.T) {
 	faulty := accel.ReadoutNetwork()
 	rcfg := repair.DefaultRetrainConfig()
 	rcfg.Epochs = 2
-	repair.RetrainAround(faulty, stuck, data, nil, rcfg)
+	if _, err := repair.RetrainAround(context.Background(), faulty, stuck, data, nil, rcfg); err != nil {
+		t.Fatalf("RetrainAround: %v", err)
+	}
 	accel.ProgramNetwork(faulty)
 	repaired := accuracy(accel.ReadoutNetwork(), eval)
 	if repaired <= damaged {

@@ -20,6 +20,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -215,7 +216,7 @@ func runCrashBaseline(seed int64, cfg CrashSoakConfig, dir string) (*crashBaseli
 	for round := 1; round <= cfg.Rounds; round++ {
 		g.land(round)
 		before := g.st.Size()
-		if _, err := g.sup.Tick(); err != nil {
+		if _, err := g.sup.Tick(context.Background()); err != nil {
 			return nil, fmt.Errorf("round %d: %w", round, err)
 		}
 		if grew := g.st.Size() - before; grew > base.maxRecord {
@@ -338,7 +339,7 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 		if strike {
 			armFault(efs, fault)
 		}
-		_, err := g.sup.Tick()
+		_, err := g.sup.Tick(context.Background())
 		switch {
 		case strike && failStop:
 			if !errors.Is(err, fleet.ErrUnjournaled) {
@@ -387,7 +388,7 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 		}
 		for round := crashRound + 1; round <= end; round++ {
 			g.land(round)
-			if _, err := g.sup.Tick(); err != nil {
+			if _, err := g.sup.Tick(context.Background()); err != nil {
 				fail("degraded round %d: %v", round, err)
 			}
 		}
@@ -442,7 +443,7 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 	}
 	for round := crashRound + 1; round <= cfg.Rounds; round++ {
 		g.land(round)
-		if _, err := g.sup.Tick(); err != nil {
+		if _, err := g.sup.Tick(context.Background()); err != nil {
 			fail("post-recovery round %d: %v", round, err)
 		}
 		trackWAL()

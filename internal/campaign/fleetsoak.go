@@ -16,6 +16,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -159,7 +160,7 @@ func RunFleet(seed int64, cfg FleetSoakConfig) (FleetResult, error) {
 			}
 		}
 
-		results, err := g.sup.Tick()
+		results, err := g.sup.Tick(context.Background())
 		if err != nil {
 			return res, fmt.Errorf("campaign: fleet round %d: %w", round, err)
 		}
@@ -195,8 +196,8 @@ func RunFleet(seed int64, cfg FleetSoakConfig) (FleetResult, error) {
 		}
 		var landed []string
 		for q := 0; q < cfg.RequestsPerRound; q++ {
-			id, ok := g.sup.Dispatch()
-			if !ok {
+			id, _, err := g.sup.DispatchAvoidingErr("")
+			if err != nil {
 				continue // shed, counted by the router
 			}
 			st, _ := g.sup.StatusOf(id)

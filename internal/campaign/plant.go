@@ -140,14 +140,20 @@ func buildTemplate(cfg PlantConfig) *template {
 	tcfg := models.DefaultTrainConfig()
 	tcfg.Epochs = 5
 	tcfg.Seed = r.Int63()
-	models.Train(net, pool, tcfg)
+	// both schedules are fixed and the context never cancels, so an error
+	// here is a programming error
+	if err := models.Train(context.Background(), net, pool, tcfg); err != nil {
+		panic(err)
+	}
 	if cfg.Harden {
 		// commissioning-time drop-connect hardening: the deployed weights are
 		// fault-aware BEFORE self-labelling, so commissioning fidelity stays
 		// 1.0 by construction against the hardened model
 		hcfg := repair.DefaultHardenConfig()
 		hcfg.Seed = r.Int63()
-		repair.HardenDropConnect(net, pool, nil, hcfg)
+		if _, err := repair.HardenDropConnect(net, pool, nil, hcfg); err != nil {
+			panic(err)
+		}
 	}
 
 	// self-label everything with the trained model's predictions
@@ -394,22 +400,10 @@ func (p *Plant) Apply(action repair.Action) (*nn.Network, error) {
 		p.accel.Reprogram()
 		return nil, nil
 	case repair.Retrain:
-		// cloud-edge path: diagnose stuck cells (leaves arrays reprogrammed),
-		// fine-tune the readout weights around the frozen faults on the
-		// self-labelled set, redeploy, and hand the new reference back for
-		// monitor recommissioning
-		stuck, err := repair.DiagnoseStuck(p.accel, p.ref, 0.3)
-		if err != nil {
-			return nil, err
-		}
-		faulty := p.accel.ReadoutNetwork()
-		rcfg := repair.DefaultRetrainConfig()
-		rcfg.Epochs = p.cfg.RetrainEpochs
-		rcfg.Seed = p.r.Int63()
-		repair.RetrainAround(faulty, stuck, p.tmpl.train, nil, rcfg)
-		p.accel.ProgramNetwork(faulty)
-		p.ref = faulty
-		return faulty, nil
+		// the cloud-edge path is the ladder's retrain rung, which also moves
+		// p.ref to the retrained network
+		rep, err := p.retrainStrategy().Apply(context.Background(), repair.Diagnosis{})
+		return rep.NewRef, err
 	case repair.Replace:
 		// module replacement: a fresh part programmed with the original
 		// clean weights (cloned — the template stays shared and immutable)
@@ -473,7 +467,7 @@ func (p *Plant) Strategies() []repair.Strategy {
 // recommissions the monitor).
 func (p *Plant) retrainStrategy() repair.Strategy {
 	inner := repair.NewRetrain(p.accel, func() *nn.Network { return p.ref },
-		p.tmpl.train, nil, 0.3, func() repair.RetrainConfig {
+		p.tmpl.train, nil, 0.3, func() models.TrainConfig {
 			rcfg := repair.DefaultRetrainConfig()
 			rcfg.Epochs = p.cfg.RetrainEpochs
 			rcfg.Seed = p.r.Int63()

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -153,27 +154,23 @@ func NewEnv(scale Scale, logw io.Writer) (*Env, error) {
 
 	weightsDir := filepath.Join(RepoRoot(), "testdata", "weights")
 	var err error
-	e.LeNet, err = models.TrainOrLoad(filepath.Join(weightsDir, "lenet5.bin"),
-		func() *nn.Network { return models.LeNet5(rng.New(seedLeNetInit)) },
-		func(net *nn.Network) {
-			fmt.Fprintln(logw, "training LeNet-5 (first run only)...")
+	// train is the first-run trainer of one evaluation model
+	train := func(name string, data *dataset.Dataset) func(*nn.Network) error {
+		return func(net *nn.Network) error {
+			fmt.Fprintf(logw, "training %s (first run only)...\n", name)
 			cfg := models.DefaultTrainConfig()
 			cfg.LR = 0.01
 			cfg.Log = logw
-			models.Train(net, e.DigitsTrain, cfg)
-		})
+			return models.Train(context.Background(), net, data, cfg)
+		}
+	}
+	e.LeNet, err = models.TrainOrLoad(filepath.Join(weightsDir, "lenet5.bin"),
+		func() *nn.Network { return models.LeNet5(rng.New(seedLeNetInit)) }, train("LeNet-5", e.DigitsTrain))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: LeNet-5: %w", err)
 	}
 	e.ConvNet, err = models.TrainOrLoad(filepath.Join(weightsDir, "convnet7.bin"),
-		func() *nn.Network { return models.ConvNet7(rng.New(seedConvNetInit)) },
-		func(net *nn.Network) {
-			fmt.Fprintln(logw, "training ConvNet-7 (first run only)...")
-			cfg := models.DefaultTrainConfig()
-			cfg.LR = 0.01
-			cfg.Log = logw
-			models.Train(net, e.ObjectsTrain, cfg)
-		})
+		func() *nn.Network { return models.ConvNet7(rng.New(seedConvNetInit)) }, train("ConvNet-7", e.ObjectsTrain))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ConvNet-7: %w", err)
 	}

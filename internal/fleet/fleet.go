@@ -372,16 +372,14 @@ func build(devices []Device, cfg Config, store *journal.Store) (*Supervisor, err
 // commissioning order. A journaling failure (ErrUnjournaled) is returned
 // after the round's state is already updated in memory — the caller must
 // treat it as fatal for durability guarantees.
-func (s *Supervisor) Tick() ([]RoundResult, error) { return s.TickCtx(context.Background()) }
-
-// TickCtx is Tick with a cancellation context, plumbed into every device's
-// supervised round (health.Runtime.Supervise): a ctx canceled mid-tick cuts
-// readout retry/backoff sleeps and stops repair escalation between attempts,
-// so a draining frontend is never stuck behind a full backoff schedule. The
-// round still completes structurally — every device produces a result and
-// the tick is journaled — because a half-recorded tick would be worse than a
-// slow one.
-func (s *Supervisor) TickCtx(ctx context.Context) ([]RoundResult, error) {
+//
+// ctx is plumbed into every device's supervised round
+// (health.Runtime.Supervise): a ctx canceled mid-tick cuts readout
+// retry/backoff sleeps and stops repair escalation between attempts, so a
+// draining frontend is never stuck behind a full backoff schedule. The round
+// still completes structurally — every device produces a result and the tick
+// is journaled — because a half-recorded tick would be worse than a slow one.
+func (s *Supervisor) Tick(ctx context.Context) ([]RoundResult, error) {
 	s.round++
 	results := make([]RoundResult, len(s.order))
 
@@ -610,29 +608,11 @@ func (s *Supervisor) Station(id string) *Station {
 	return nil
 }
 
-// Dispatch routes one inference request through the health-aware router.
-// ok=false means the fleet is shedding load.
-func (s *Supervisor) Dispatch() (id string, ok bool) {
-	id, _, ok = s.router.Dispatch()
-	return id, ok
-}
-
-// DispatchAvoiding routes one request anywhere except `avoid` (the hedged
-// retry: a request's second attempt must never land on the device that just
-// stalled or faulted on it) and also reports the chosen device's serving
-// status, so the frontend can flag responses produced by a
-// Degraded-but-serving accelerator. Routing and the status snapshot come
-// from the router's own schedule — safe to call from request goroutines
+// DispatchAvoidingErr routes one inference request through the health-aware
+// router (see Router.DispatchAvoidingErr): anywhere but avoid, reporting the
+// chosen device's serving status so the frontend can flag answers from a
+// Degraded-but-serving accelerator. Safe to call from request goroutines
 // concurrently with ticks.
-func (s *Supervisor) DispatchAvoiding(avoid string) (id string, status monitor.Status, ok bool) {
-	return s.router.DispatchAvoiding(avoid)
-}
-
-// DispatchAvoidingErr is DispatchAvoiding with a typed refusal: a failed
-// placement returns an error matching ErrNoEligibleDevice explaining whether
-// MinServing shedding, total quarantine or the avoided-candidate rule left
-// the request nowhere to go. The serving frontend maps it into its own
-// sentinel set so both layers' errors stay matchable end to end.
 func (s *Supervisor) DispatchAvoidingErr(avoid string) (id string, status monitor.Status, err error) {
 	return s.router.DispatchAvoidingErr(avoid)
 }

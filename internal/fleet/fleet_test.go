@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -172,8 +173,8 @@ func TestRouterWeightingAndShed(t *testing.T) {
 	})
 	counts := map[string]int{}
 	for i := 0; i < 300; i++ {
-		id, status, ok := r.Dispatch()
-		if !ok {
+		id, status, err := r.DispatchAvoidingErr("")
+		if err != nil {
 			t.Fatal("shed with two serving devices")
 		}
 		if id == "d" && status != monitor.Degraded {
@@ -202,7 +203,7 @@ func TestRouterWeightingAndShed(t *testing.T) {
 	// shed below the serving floor
 	r = NewRouter(2)
 	r.Update([]RouteEntry{{ID: "h", Status: monitor.Healthy}})
-	if _, _, ok := r.Dispatch(); ok {
+	if _, _, err := r.DispatchAvoidingErr(""); err == nil {
 		t.Fatal("dispatched below MinServing")
 	}
 	if _, sheds := r.Stats(); sheds != 1 {
@@ -217,14 +218,14 @@ func TestRouterDispatchAvoiding(t *testing.T) {
 		{ID: "b", Status: monitor.Healthy},
 	})
 	for i := 0; i < 50; i++ {
-		id, _, ok := r.DispatchAvoiding("a")
-		if !ok || id == "a" {
-			t.Fatalf("hedge dispatch %d landed on the avoided device (id=%q ok=%v)", i, id, ok)
+		id, _, err := r.DispatchAvoidingErr("a")
+		if err != nil || id == "a" {
+			t.Fatalf("hedge dispatch %d landed on the avoided device (id=%q err=%v)", i, id, err)
 		}
 	}
 	// only the avoided device serves → no legal hedge placement
 	r.Update([]RouteEntry{{ID: "a", Status: monitor.Healthy}})
-	if id, _, ok := r.DispatchAvoiding("a"); ok {
+	if id, _, err := r.DispatchAvoidingErr("a"); err == nil {
 		t.Fatalf("hedge with no alternate dispatched to %q", id)
 	}
 }
@@ -238,8 +239,8 @@ func TestRouterPrefersIdleDevice(t *testing.T) {
 	r.Update([]RouteEntry{{ID: "a", Status: monitor.Healthy}, {ID: "b", Status: monitor.Healthy}})
 	var got []string
 	for range 4 {
-		id, _, ok := r.Dispatch()
-		if !ok {
+		id, _, err := r.DispatchAvoidingErr("")
+		if err != nil {
 			t.Fatal("shed with two serving devices")
 		}
 		got = append(got, id)
@@ -258,7 +259,7 @@ func TestRouterPrefersIdleDevice(t *testing.T) {
 		{ID: "d", Status: monitor.Degraded}})
 	got = got[:0]
 	for range 10 {
-		id, _, _ := r.Dispatch()
+		id, _, _ := r.DispatchAvoidingErr("")
 		got = append(got, id)
 		r.Complete(id)
 	}
@@ -268,17 +269,17 @@ func TestRouterPrefersIdleDevice(t *testing.T) {
 
 	// the avoided device is never the idle pick: with b busy and a avoided,
 	// the retry still lands on d, the one idle device left
-	id1, _, _ := r.Dispatch() // a (slot 0), cursor at slot 1
-	id2, _, _ := r.Dispatch() // slot 1 is a, busy: b at slot 2
+	id1, _, _ := r.DispatchAvoidingErr("") // a (slot 0), cursor at slot 1
+	id2, _, _ := r.DispatchAvoidingErr("") // slot 1 is a, busy: b at slot 2
 	if id1 != "a" || id2 != "b" {
 		t.Fatalf("two concurrent dispatches = %s, %s; want a, b", id1, id2)
 	}
-	if id, _, ok := r.DispatchAvoiding("a"); !ok || id != "d" {
-		t.Fatalf("retry avoiding a with b busy = %q (ok %v), want the idle d", id, ok)
+	if id, _, err := r.DispatchAvoidingErr("a"); err != nil || id != "d" {
+		t.Fatalf("retry avoiding a with b busy = %q (%v), want the idle d", id, err)
 	}
 }
 
-// TestRouterConcurrentRouteAndUpdate hammers Dispatch/Complete from many
+// TestRouterConcurrentRouteAndUpdate hammers DispatchAvoidingErr/Complete from many
 // goroutines while the serving set is concurrently rebuilt — the shape of
 // traffic the serving frontend puts on the router. Run under -race (the
 // fleet package is in RACE_PKGS) this is the regression test for the
@@ -311,7 +312,7 @@ func TestRouterConcurrentRouteAndUpdate(t *testing.T) {
 				if i%3 == 0 {
 					avoid = "a"
 				}
-				if id, _, ok := r.DispatchAvoiding(avoid); ok {
+				if id, _, err := r.DispatchAvoidingErr(avoid); err == nil {
 					if !known[id] || (avoid != "" && id == avoid) {
 						panic(fmt.Sprintf("dispatched to %q (avoid=%q)", id, avoid))
 					}
@@ -362,7 +363,7 @@ func TestReportServingFaultTripsBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	advance(devs, 1)
-	if _, err := sup.Tick(); err != nil {
+	if _, err := sup.Tick(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	id := devs[0].id
@@ -376,7 +377,7 @@ func TestReportServingFaultTripsBreaker(t *testing.T) {
 		if q == id {
 			// quarantined device must be out of the schedule immediately
 			for i := 0; i < 20; i++ {
-				if got, ok := sup.Dispatch(); ok && got == id {
+				if got, _, err := sup.DispatchAvoidingErr(""); err == nil && got == id {
 					t.Fatal("quarantined device still dispatched")
 				}
 			}
@@ -401,7 +402,7 @@ func TestQuarantineAndProbeRecovery(t *testing.T) {
 	var tripped, probed, closedAgain bool
 	for round := 1; round <= 16; round++ {
 		advance(devs, round)
-		results, err := sup.Tick()
+		results, err := sup.Tick(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,8 +418,8 @@ func TestQuarantineAndProbeRecovery(t *testing.T) {
 		}
 		// routing invariant: traffic only ever lands on serving devices
 		for i := 0; i < 8; i++ {
-			id, ok := sup.Dispatch()
-			if !ok {
+			id, _, err := sup.DispatchAvoidingErr("")
+			if err != nil {
 				continue
 			}
 			st, _ := sup.StatusOf(id)
@@ -467,7 +468,7 @@ func TestRetireOnBudgetExhaustion(t *testing.T) {
 	retiredAt := 0
 	for round := 1; round <= 14; round++ {
 		advance(devs, round)
-		results, err := sup.Tick()
+		results, err := sup.Tick(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,7 +517,7 @@ func driveFleet(t *testing.T, devs []*fakeDevice, path string, ticks, compactEve
 	var matrix [][]monitor.Status
 	for round := 1; round <= ticks; round++ {
 		advance(devs, round)
-		results, err := sup.Tick()
+		results, err := sup.Tick(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -630,7 +631,7 @@ func TestResumeRejectsWrongReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	advance(devs, 1)
-	if _, err := sup.Tick(); err != nil {
+	if _, err := sup.Tick(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()

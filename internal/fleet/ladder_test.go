@@ -79,7 +79,7 @@ func TestFleetMixedCostBudgetAccounting(t *testing.T) {
 	var repairRound RoundResult
 	for round := 1; round <= 10 && !repairRound.Repaired; round++ {
 		advance([]*fakeDevice{devs[0].fakeDevice}, round)
-		results, err := sup.Tick()
+		results, err := sup.Tick(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestFleetRetiresWhenCheapestStrategyExceedsBudget(t *testing.T) {
 		for _, d := range devs {
 			d.SetRound(round)
 		}
-		results, err := sup.Tick()
+		results, err := sup.Tick(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestDecisionLogSurvivesCrashResume(t *testing.T) {
 	sawRepair := false
 	for round := 1; round <= 8; round++ {
 		devs[0].SetRound(round)
-		results, err := sup.Tick()
+		results, err := sup.Tick(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

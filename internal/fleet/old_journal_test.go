@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -56,7 +57,7 @@ func TestRegenPrecostFixture(t *testing.T) {
 	}
 	for round := 1; round <= 3; round++ {
 		advance(devs, round)
-		if _, err := s.Tick(); err != nil {
+		if _, err := s.Tick(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +159,7 @@ func TestResumeJournalWithoutCostFields(t *testing.T) {
 	// and the resumed supervisor journals the NEW schema from here on: the
 	// next tick's record carries cost for every device
 	advance(devs, 4)
-	if _, err := s.Tick(); err != nil {
+	if _, err := s.Tick(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for id, snap := range s.Snapshot() {

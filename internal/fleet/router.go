@@ -117,27 +117,13 @@ func (r *Router) Update(entries []RouteEntry) {
 	}
 }
 
-// Dispatch routes one request: it returns the chosen device and its serving
-// status, or ok=false when the fleet is shedding load.
-func (r *Router) Dispatch() (id string, status monitor.Status, ok bool) {
-	return r.DispatchAvoiding("")
-}
-
-// DispatchAvoiding is Dispatch with one device excluded — the hedged-retry
-// path: a request whose first attempt stalled or faulted on `avoid` must
-// land anywhere else (quarantined devices are never in the schedule to begin
-// with). ok=false when the schedule is empty or offers only the avoided
-// device; the caller then has no legal second placement and reports a typed
-// error instead of doubling down on the suspect accelerator.
-func (r *Router) DispatchAvoiding(avoid string) (id string, status monitor.Status, ok bool) {
-	id, status, err := r.DispatchAvoidingErr(avoid)
-	return id, status, err == nil
-}
-
-// DispatchAvoidingErr is DispatchAvoiding with a typed refusal: when no legal
-// placement exists it returns an error matching ErrNoEligibleDevice that says
-// why — MinServing shedding emptied the schedule, every serving device is
-// quarantined, or the only candidate is the avoided one.
+// DispatchAvoidingErr routes one request to a device other than avoid
+// (empty avoids nothing) and returns its serving status. A hedged retry
+// passes the device its first attempt stalled or faulted on, so the second
+// attempt lands anywhere else. With no legal placement it returns an error
+// matching ErrNoEligibleDevice that says why: MinServing shedding emptied
+// the schedule, every serving device is quarantined, or the only candidate
+// is the avoided one. The error is built only on refusal.
 func (r *Router) DispatchAvoidingErr(avoid string) (id string, status monitor.Status, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -43,10 +43,10 @@ func TestDispatchErrTypedOnAvoidExhaustion(t *testing.T) {
 		t.Fatalf("avoid-exhausted error %q does not name the excluded device", err)
 	}
 
-	// a legal placement still works and the boolean wrapper agrees
-	id, _, ok := r.DispatchAvoiding("")
-	if !ok || id != "a" {
-		t.Fatalf("unavoided dispatch = (%q, %v), want (a, true)", id, ok)
+	// a legal placement still works
+	id, _, err := r.DispatchAvoidingErr("")
+	if err != nil || id != "a" {
+		t.Fatalf("unavoided dispatch = (%q, %v), want (a, nil)", id, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -96,7 +97,7 @@ func TestNewRefusesStoreWithHistory(t *testing.T) {
 	}
 	for round := 7; round <= 9; round++ {
 		advance(devs, round)
-		if _, err := sup.Tick(); err != nil {
+		if _, err := sup.Tick(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +138,7 @@ func TestStoreAutoCompactionBoundsWAL(t *testing.T) {
 	for round := 1; round <= 60; round++ {
 		advance(devs, round)
 		before := st.Size()
-		if _, err := sup.Tick(); err != nil {
+		if _, err := sup.Tick(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if grew := st.Size() - before; grew > maxRecord {
@@ -173,13 +174,13 @@ func TestStoreDegradeToMemoryOnDiskFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	advance(devs, 1)
-	if _, err := s.Tick(); err != nil {
+	if _, err := s.Tick(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	efs.SetNoSpace(true)
 	advance(devs, 2)
-	_, err = s.Tick()
+	_, err = s.Tick(context.Background())
 	if !errors.Is(err, ErrUnjournaled) {
 		t.Fatalf("tick over a full disk returned %v, want ErrUnjournaled", err)
 	}
@@ -193,7 +194,7 @@ func TestStoreDegradeToMemoryOnDiskFault(t *testing.T) {
 	// exactly once: later ticks run clean, memory-only
 	for round := 3; round <= 5; round++ {
 		advance(devs, round)
-		if _, err := s.Tick(); err != nil {
+		if _, err := s.Tick(context.Background()); err != nil {
 			t.Fatalf("round %d after degrade: %v", round, err)
 		}
 	}
@@ -260,7 +261,7 @@ func TestStoreResumeLegacySnapshotlessWAL(t *testing.T) {
 	// round 4 hits the cadence and publishes the family's first snapshot
 	// generation
 	advance(devs, 4)
-	if _, err := s.Tick(); err != nil {
+	if _, err := s.Tick(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st.Generation() != 1 {
@@ -309,7 +310,7 @@ func TestRegenSnapfallFixture(t *testing.T) {
 	}
 	for round := 1; round <= 8; round++ {
 		advance(devs, round)
-		if _, err := s.Tick(); err != nil {
+		if _, err := s.Tick(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -405,7 +406,7 @@ func TestStoreResumeFallsBackOnCorruptSnapshotFixture(t *testing.T) {
 	}
 	for round := 1; round <= 8; round++ {
 		advance(baseDevs, round)
-		if _, err := base.Tick(); err != nil {
+		if _, err := base.Tick(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -416,7 +417,7 @@ func TestStoreResumeFallsBackOnCorruptSnapshotFixture(t *testing.T) {
 	// life goes on: the next cadence round compacts ABOVE the corrupt
 	// generation
 	advance(devs, 9)
-	if _, err := s.Tick(); err != nil {
+	if _, err := s.Tick(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st.Generation() != 3 {
@@ -438,7 +439,7 @@ func TestCheckpointRoundTrips(t *testing.T) {
 	}
 	for round := 1; round <= 2; round++ {
 		advance(devs, round)
-		if _, err := s.Tick(); err != nil {
+		if _, err := s.Tick(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

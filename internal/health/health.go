@@ -195,18 +195,14 @@ func (rt *Runtime) History() []Round {
 // Check runs one hardened monitoring round: guarded readout (with retries),
 // raw classification by the wrapped monitor, then hysteresis update. It
 // never panics, whatever accel does.
-func (rt *Runtime) Check(accel monitor.Infer) Round {
-	return rt.CheckCtx(context.Background(), accel)
-}
-
-// CheckCtx is Check with a cancellation context: a ctx that expires or is
-// canceled aborts the retry/backoff schedule promptly — the remaining
-// attempts (and their sleeps) are skipped and the round is recorded as a
-// sensor fault whose Err wraps ctx.Err(). Cancellation never interrupts an
-// attempt already executing (Infer is synchronous); it cuts the waits
-// between attempts, which is where a shutting-down supervisor actually
-// spends its time.
-func (rt *Runtime) CheckCtx(ctx context.Context, accel monitor.Infer) Round {
+//
+// A ctx that expires or is canceled aborts the retry/backoff schedule
+// promptly — the remaining attempts (and their sleeps) are skipped and the
+// round is recorded as a sensor fault whose Err wraps ctx.Err(). Cancellation
+// never interrupts an attempt already executing (Infer is synchronous); it
+// cuts the waits between attempts, which is where a shutting-down supervisor
+// actually spends its time.
+func (rt *Runtime) Check(ctx context.Context, accel monitor.Infer) Round {
 	rt.seq++
 	round := Round{Seq: rt.seq}
 

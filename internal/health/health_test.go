@@ -74,9 +74,9 @@ func TestHysteresisSuppressesTransientFlap(t *testing.T) {
 	clean := shiftInfer(net, 0)
 	noisy := shiftInfer(net, 0.04) // raw Degraded for one round
 
-	r1 := rt.Check(clean)
-	r2 := rt.Check(noisy) // single-round glitch
-	r3 := rt.Check(clean)
+	r1 := rt.Check(context.Background(), clean)
+	r2 := rt.Check(context.Background(), noisy) // single-round glitch
+	r3 := rt.Check(context.Background(), clean)
 	if r2.Raw != monitor.Degraded {
 		t.Fatalf("glitch round raw=%s, want DEGRADED (the raw monitor flaps here)", r2.Raw)
 	}
@@ -96,11 +96,11 @@ func TestHysteresisConfirmsPersistentDamage(t *testing.T) {
 	rt, net := testRuntime(t, cfg)
 	bad := shiftInfer(net, 0.12) // raw Critical
 
-	r1 := rt.Check(bad)
+	r1 := rt.Check(context.Background(), bad)
 	if r1.Confirmed != monitor.Healthy {
 		t.Fatalf("confirmed after 1 round: %s", r1.Confirmed)
 	}
-	r2 := rt.Check(bad)
+	r2 := rt.Check(context.Background(), bad)
 	if r2.Confirmed != monitor.Critical || !r2.Changed {
 		t.Fatalf("persistent critical not confirmed after K rounds: %+v", r2)
 	}
@@ -112,10 +112,10 @@ func TestHysteresisOscillatingElevatedEvidence(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EscalateAfter = 2
 	rt, net := testRuntime(t, cfg)
-	if rt.Check(shiftInfer(net, 0.12)).Changed { // Critical
+	if rt.Check(context.Background(), shiftInfer(net, 0.12)).Changed { // Critical
 		t.Fatal("escalated after one round")
 	}
-	r2 := rt.Check(shiftInfer(net, 0.07)) // Impaired
+	r2 := rt.Check(context.Background(), shiftInfer(net, 0.07)) // Impaired
 	if r2.Confirmed != monitor.Impaired {
 		t.Fatalf("oscillating elevated evidence confirmed %s, want IMPAIRED", r2.Confirmed)
 	}
@@ -127,17 +127,17 @@ func TestDeescalationIsSlower(t *testing.T) {
 	cfg.DeescalateAfter = 3
 	rt, net := testRuntime(t, cfg)
 	bad, clean := shiftInfer(net, 0.12), shiftInfer(net, 0)
-	rt.Check(bad)
-	rt.Check(bad) // confirmed Critical
+	rt.Check(context.Background(), bad)
+	rt.Check(context.Background(), bad) // confirmed Critical
 	if rt.Confirmed() != monitor.Critical {
 		t.Fatal("setup failed")
 	}
-	rt.Check(clean)
-	rt.Check(clean)
+	rt.Check(context.Background(), clean)
+	rt.Check(context.Background(), clean)
 	if rt.Confirmed() != monitor.Critical {
 		t.Fatalf("de-escalated after only 2 clean rounds")
 	}
-	r := rt.Check(clean)
+	r := rt.Check(context.Background(), clean)
 	if r.Confirmed != monitor.Healthy {
 		t.Fatalf("not de-escalated after 3 clean rounds: %s", r.Confirmed)
 	}
@@ -150,7 +150,7 @@ func TestPoisonedInferNaN(t *testing.T) {
 		probs.Data()[3] = math.NaN()
 		return probs
 	}
-	r := rt.Check(nan)
+	r := rt.Check(context.Background(), nan)
 	if r.ReadoutOK {
 		t.Fatal("NaN readout accepted")
 	}
@@ -164,11 +164,11 @@ func TestPoisonedInferNaN(t *testing.T) {
 
 func TestPoisonedInferShapeAndNil(t *testing.T) {
 	rt, _ := testRuntime(t, DefaultConfig())
-	r := rt.Check(func(x *tensor.Tensor) *tensor.Tensor { return tensor.New(2, 2) })
+	r := rt.Check(context.Background(), func(x *tensor.Tensor) *tensor.Tensor { return tensor.New(2, 2) })
 	if r.ReadoutOK || !r.SensorFault || r.Raw == monitor.Healthy {
 		t.Fatalf("wrong-shape readout: %+v", r)
 	}
-	r = rt.Check(func(x *tensor.Tensor) *tensor.Tensor { return nil })
+	r = rt.Check(context.Background(), func(x *tensor.Tensor) *tensor.Tensor { return nil })
 	if r.ReadoutOK || !r.SensorFault || r.Raw == monitor.Healthy {
 		t.Fatalf("nil readout: %+v", r)
 	}
@@ -176,7 +176,7 @@ func TestPoisonedInferShapeAndNil(t *testing.T) {
 
 func TestPoisonedInferPanicRecovered(t *testing.T) {
 	rt, _ := testRuntime(t, DefaultConfig())
-	r := rt.Check(func(x *tensor.Tensor) *tensor.Tensor { panic("dead sensor") })
+	r := rt.Check(context.Background(), func(x *tensor.Tensor) *tensor.Tensor { panic("dead sensor") })
 	if r.ReadoutOK || !r.SensorFault || r.Raw == monitor.Healthy {
 		t.Fatalf("panicking readout: %+v", r)
 	}
@@ -196,7 +196,7 @@ func TestRetryRecoversFlakyReadout(t *testing.T) {
 		}
 		return probsOf(net, x)
 	}
-	r := rt.Check(flaky)
+	r := rt.Check(context.Background(), flaky)
 	if !r.ReadoutOK || r.Rejected != 1 {
 		t.Fatalf("flaky readout not recovered by retry: %+v", r)
 	}
@@ -213,7 +213,7 @@ func TestBackoffIsBoundedExponential(t *testing.T) {
 	rt, _ := testRuntime(t, cfg)
 	var slept []time.Duration
 	rt.cfg.Sleep = func(d time.Duration) { slept = append(slept, d) }
-	rt.Check(func(x *tensor.Tensor) *tensor.Tensor { return nil })
+	rt.Check(context.Background(), func(x *tensor.Tensor) *tensor.Tensor { return nil })
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 25 * time.Millisecond, 25 * time.Millisecond}
 	if len(slept) != len(want) {
 		t.Fatalf("slept %v, want %v", slept, want)
@@ -231,7 +231,7 @@ func TestHistoryRingBounded(t *testing.T) {
 	rt, net := testRuntime(t, cfg)
 	clean := shiftInfer(net, 0)
 	for i := 0; i < 10; i++ {
-		rt.Check(clean)
+		rt.Check(context.Background(), clean)
 	}
 	hist := rt.History()
 	if len(hist) != 4 {
@@ -415,7 +415,7 @@ func TestCheckCtxCanceledSkipsBackoffSchedule(t *testing.T) {
 	rt.cfg.Sleep = func(time.Duration) { sleeps++ }
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := rt.CheckCtx(ctx, func(x *tensor.Tensor) *tensor.Tensor { attempts++; return nil })
+	r := rt.Check(ctx, func(x *tensor.Tensor) *tensor.Tensor { attempts++; return nil })
 	if attempts != 1 {
 		t.Fatalf("canceled ctx ran %d attempts, want exactly the first", attempts)
 	}
@@ -447,7 +447,7 @@ func TestCheckCtxCancelCutsRealBackoffSleep(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	r := rt.CheckCtx(ctx, func(x *tensor.Tensor) *tensor.Tensor { return nil })
+	r := rt.Check(ctx, func(x *tensor.Tensor) *tensor.Tensor { return nil })
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation did not cut the 30s backoff sleep: took %v", elapsed)
 	}
@@ -460,7 +460,7 @@ func TestSuperviseCanceledCtxStartsNoRepair(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EscalateAfter = 1
 	rt, net := testRuntime(t, cfg)
-	rt.Check(shiftInfer(net, 0.12))
+	rt.Check(context.Background(), shiftInfer(net, 0.12))
 	if rt.Confirmed() != monitor.Critical {
 		t.Fatalf("setup: confirmed %s", rt.Confirmed())
 	}

@@ -222,7 +222,7 @@ func TestLadderCanceledCtxCondemnsNothing(t *testing.T) {
 	cfg.EscalateAfter = 1
 	rt, net := testRuntime(t, cfg)
 	sl := &scriptedLadder{diag: repair.Diagnosis{Drifted: 1}, fixedBy: "scrub"}
-	rt.Check(ladderInfer(net, sl))
+	rt.Check(context.Background(), ladderInfer(net, sl))
 	if rt.Confirmed() < monitor.Degraded {
 		t.Fatalf("setup: confirmed %s", rt.Confirmed())
 	}

@@ -24,8 +24,8 @@ func TestStateRoundTrip(t *testing.T) {
 	healthy := monitor.NetworkInfer(net)
 	bad := shiftInfer(net, 0.2)
 	// one degraded round: an in-flight escalation streak, not yet confirmed
-	rt.Check(healthy)
-	rt.Check(bad)
+	rt.Check(context.Background(), healthy)
+	rt.Check(context.Background(), bad)
 
 	snap := rt.ExportState()
 	if snap.Seq != 2 || snap.UpStreak != 1 {
@@ -42,7 +42,7 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 
 	for i, infer := range []monitor.Infer{bad, bad, healthy, healthy, healthy, healthy} {
-		a, b := rt.Check(infer), rt2.Check(infer)
+		a, b := rt.Check(context.Background(), infer), rt2.Check(context.Background(), infer)
 		if a.Confirmed != b.Confirmed || a.Changed != b.Changed || a.Seq != b.Seq {
 			t.Fatalf("round %d diverged after restore: %+v vs %+v", i, a, b)
 		}

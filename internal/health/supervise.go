@@ -92,7 +92,7 @@ func (e Episode) Repaired() bool { return len(e.Attempts) > 0 }
 // rung is tried at most once per episode: a rung that fails verification
 // escalates to the next applicable rung above it.
 //
-// A ctx that expires aborts retry/backoff sleeps promptly (see CheckCtx) and
+// A ctx that expires aborts retry/backoff sleeps promptly (see Check) and
 // stops the ladder between attempts: no new repair cycle starts once ctx is
 // done, so a shutting-down supervisor drains in bounded time instead of
 // finishing a full escalate-and-verify schedule nobody is waiting for. An
@@ -106,7 +106,7 @@ func (e Episode) Repaired() bool { return len(e.Attempts) > 0 }
 // bit-identical to a per-sample forward — so the debounce thresholds and
 // verification distances behave exactly as they would on the serial path.
 func (rt *Runtime) Supervise(ctx context.Context, accel monitor.Infer, rep Repairer, budget int) Episode {
-	round := rt.CheckCtx(ctx, accel)
+	round := rt.Check(ctx, accel)
 	ep := Episode{Trigger: round, Final: rt.confirmed, Recommendation: "none"}
 	if round.Confirmed < monitor.Degraded || rep == nil {
 		return ep

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,6 +21,14 @@ func logits(t *testing.T, net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// mustTrain runs Train under a background context and fails t on error.
+func mustTrain(t *testing.T, net *nn.Network, train *dataset.Dataset, cfg TrainConfig) {
+	t.Helper()
+	if err := Train(context.Background(), net, train, cfg); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // accuracy is net's top-1 accuracy on d, through a compiled inference plan.
@@ -132,7 +141,7 @@ func TestTrainFitsSmallDataset(t *testing.T) {
 	train := dataset.SynthDigits(50, dataset.DefaultDigitsConfig(400))
 	net := MLP(rng.New(7), train.SampleDim(), []int{32}, 10)
 	cfg := TrainConfig{Epochs: 5, BatchSize: 32, LR: 0.03, Momentum: 0.9, Seed: 1}
-	Train(net, train, cfg)
+	mustTrain(t, net, train, cfg)
 	if acc := accuracy(net, train); acc < 0.85 {
 		t.Fatalf("training reached only %.1f%% on its own training set", 100*acc)
 	}
@@ -142,7 +151,7 @@ func TestTrainWithLabelSmoothing(t *testing.T) {
 	train := dataset.SynthDigits(51, dataset.DefaultDigitsConfig(300))
 	net := MLP(rng.New(8), train.SampleDim(), []int{24}, 10)
 	cfg := TrainConfig{Epochs: 4, BatchSize: 32, LR: 0.03, Momentum: 0.9, LabelSmooth: 0.1, Seed: 2}
-	Train(net, train, cfg)
+	mustTrain(t, net, train, cfg)
 	if acc := accuracy(net, train); acc < 0.8 {
 		t.Fatalf("smoothed training reached only %.1f%%", 100*acc)
 	}
@@ -162,9 +171,9 @@ func TestTrainOrLoadCaches(t *testing.T) {
 		builds++
 		return MLP(rng.New(9), train.SampleDim(), nil, 10)
 	}
-	trainFn := func(net *nn.Network) {
+	trainFn := func(net *nn.Network) error {
 		trains++
-		Train(net, train, TrainConfig{Epochs: 1, BatchSize: 32, LR: 0.01, Seed: 3})
+		return Train(context.Background(), net, train, TrainConfig{Epochs: 1, BatchSize: 32, LR: 0.01, Seed: 3})
 	}
 	first, err := TrainOrLoad(path, build, trainFn)
 	if err != nil {
@@ -195,8 +204,42 @@ func TestTrainOrLoadCorruptCacheErrors(t *testing.T) {
 	}
 	_, err := TrainOrLoad(path,
 		func() *nn.Network { return MLP(rng.New(10), 4, nil, 2) },
-		func(*nn.Network) {})
+		func(*nn.Network) error { return nil })
 	if err == nil {
 		t.Fatal("corrupt cache silently accepted")
+	}
+}
+
+func TestTrainRejectsDropConnectWithLabelSmoothing(t *testing.T) {
+	train := dataset.SynthDigits(53, dataset.DefaultDigitsConfig(40))
+	net := MLP(rng.New(11), train.SampleDim(), nil, 10)
+	before := net.Clone()
+	cfg := TrainConfig{Epochs: 1, LR: 0.01, DropP: 0.1, LabelSmooth: 0.1}
+	if err := Train(context.Background(), net, train, cfg); err == nil {
+		t.Fatal("DropP with LabelSmooth trained instead of being rejected")
+	}
+	for i, p := range net.Params() {
+		if !p.Value.Equal(before.Params()[i].Value) {
+			t.Fatal("rejected config moved the weights")
+		}
+	}
+}
+
+func TestSnapshotStuckRestores(t *testing.T) {
+	net := MLP(rng.New(6), 4, nil, 2)
+	p := net.Params()[0]
+	mask := make([]bool, p.Value.Len())
+	mask[0], mask[3] = true, true
+	stuck := map[string][]bool{p.Name: mask}
+	v0, v3 := p.Value.Data()[0], p.Value.Data()[3]
+	restore := snapshotStuck(net, stuck)
+	p.Value.Apply(func(float64) float64 { return 99 })
+	restore()
+	d := p.Value.Data()
+	if d[0] != v0 || d[3] != v3 {
+		t.Fatal("restore did not put frozen values back")
+	}
+	if d[1] != 99 {
+		t.Fatal("restore touched non-frozen positions")
 	}
 }

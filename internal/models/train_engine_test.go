@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -31,7 +32,9 @@ func TestTrainEngineMatchesLegacy(t *testing.T) {
 		cfg := TrainConfig{Epochs: 2, BatchSize: 16, LR: 0.05, Momentum: 0.9,
 			Decay: 1e-4, LRStep: 1, LabelSmooth: smooth, Seed: 7}
 		net := MLP(rng.New(6), train.SampleDim(), []int{32}, train.Classes)
-		Train(net, train, cfg)
+		if err := Train(context.Background(), net, train, cfg); err != nil {
+			t.Fatal(err)
+		}
 		h := sha256.New()
 		var b [8]byte
 		for _, p := range net.Params() {

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -102,13 +103,26 @@ func trainToy(t *testing.T) (*nn.Network, *dataset.Dataset) {
 	t.Helper()
 	train := dataset.SynthDigits(60, dataset.DefaultDigitsConfig(500))
 	net := models.MLP(rng.New(3), train.SampleDim(), []int{32}, 10)
-	models.Train(net, train, models.TrainConfig{Epochs: 4, BatchSize: 32, LR: 0.05, Momentum: 0.9, Seed: 4})
+	if err := models.Train(context.Background(), net, train, models.TrainConfig{Epochs: 4, BatchSize: 32, LR: 0.05, Momentum: 0.9, Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
 	return net, train
 }
 
 // accuracy is net's top-1 accuracy on d, through a compiled inference plan.
 func accuracy(net *nn.Network, d *dataset.Dataset) float64 {
 	return engine.MustCompile(net, engine.Options{}).Accuracy(d.X, d.Y, 64)
+}
+
+// mustRetrain runs RetrainAround under a background context, measuring
+// accuracy on train, and fails t on error.
+func mustRetrain(t *testing.T, net *nn.Network, stuck StuckMask, train *dataset.Dataset, cfg models.TrainConfig) float64 {
+	t.Helper()
+	acc, err := RetrainAround(context.Background(), net, stuck, train, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acc
 }
 
 func TestRetrainAroundRecoversAccuracy(t *testing.T) {
@@ -142,7 +156,7 @@ func TestRetrainAroundRecoversAccuracy(t *testing.T) {
 
 	cfg := DefaultRetrainConfig()
 	cfg.Epochs = 3
-	repaired := RetrainAround(net, stuck, train, nil, cfg)
+	repaired := mustRetrain(t, net, stuck, train, cfg)
 	if repaired <= damaged+0.01 {
 		t.Fatalf("retraining did not recover accuracy: %.2f (damaged %.2f)", repaired, damaged)
 	}
@@ -164,7 +178,7 @@ func TestRetrainWithEmptyMaskIsOrdinaryFineTune(t *testing.T) {
 	before := accuracy(net, train)
 	cfg := DefaultRetrainConfig()
 	cfg.Epochs = 1
-	after := RetrainAround(net, StuckMask{}, train, nil, cfg)
+	after := mustRetrain(t, net, StuckMask{}, train, cfg)
 	if after < before-0.05 {
 		t.Fatalf("fine-tune with empty mask degraded accuracy %.2f→%.2f", before, after)
 	}
@@ -177,25 +191,6 @@ func TestStuckMaskCount(t *testing.T) {
 	}
 	if m.Count() != 2 {
 		t.Fatalf("Count=%d, want 2", m.Count())
-	}
-}
-
-func TestSnapshotStuckRestores(t *testing.T) {
-	net := models.MLP(rng.New(6), 4, nil, 2)
-	p := net.Params()[0]
-	mask := make([]bool, p.Value.Len())
-	mask[0], mask[3] = true, true
-	stuck := StuckMask{p.Name: mask}
-	v0, v3 := p.Value.Data()[0], p.Value.Data()[3]
-	restore := SnapshotStuck(net, stuck)
-	p.Value.Apply(func(float64) float64 { return 99 })
-	restore()
-	d := p.Value.Data()
-	if d[0] != v0 || d[3] != v3 {
-		t.Fatal("restore did not put frozen values back")
-	}
-	if d[1] != 99 {
-		t.Fatal("restore touched non-frozen positions")
 	}
 }
 

@@ -66,8 +66,8 @@ func TestRetrainEngineMatchesLegacy(t *testing.T) {
 	train := dataset.SynthDigits(80, dataset.DefaultDigitsConfig(64))
 	net := buildToyNet(train)
 	stuck := maskSomeWeights(net, 0.15, 0, 21)
-	cfg := RetrainConfig{Epochs: 2, BatchSize: 16, LR: 0.01, Momentum: 0.9, Seed: 17}
-	acc := RetrainAround(net, stuck, train, nil, cfg)
+	cfg := models.TrainConfig{Epochs: 2, BatchSize: 16, LR: 0.01, Momentum: 0.9, Seed: 17}
+	acc := mustRetrain(t, net, stuck, train, cfg)
 	if d := retrainDigest(net, acc); d != legacyRetrainDigest {
 		t.Fatalf("retrain digest %s (accuracy %v), legacy loop %s", d, acc, legacyRetrainDigest)
 	}
@@ -87,8 +87,8 @@ func TestRetrainStuckFrozenUnderMomentum(t *testing.T) {
 	net := buildToyNet(train)
 	const faultVal = 0.4375 // exactly representable, unmistakably nonzero
 	stuck := maskSomeWeights(net, 0.2, faultVal, 22)
-	cfg := RetrainConfig{Epochs: 3, BatchSize: 16, LR: 0.02, Momentum: 0.9, Seed: 5}
-	RetrainAround(net, stuck, train, nil, cfg)
+	cfg := models.TrainConfig{Epochs: 3, BatchSize: 16, LR: 0.02, Momentum: 0.9, Seed: 5}
+	mustRetrain(t, net, stuck, train, cfg)
 	frozen, moved := 0, 0
 	for _, p := range net.Params() {
 		mask := stuck[p.Name]

@@ -14,18 +14,17 @@
 // instead of a flat per-attempt unit, so a device is retired only when the
 // cheapest strategy that could still help exceeds what remains.
 //
-// Four strategies exist, in escalation (= cost) order:
+// Three strategies exist, in escalation (= cost) order. Drop-connect
+// hardening (HardenDropConnect, arXiv:2404.15498) is not one of them: it is
+// commissioning-time fault-aware training, applied before faults arrive.
 //
-//   - drop-connect hardening (harden.go): commissioning-time fault-aware
-//     training (arXiv:2404.15498) — free at runtime, applied before faults
-//     arrive.
 //   - soft-error scrub (NewScrub): sweep the arrays for cells whose
 //     conductance left its tolerance band (drift, disturb flips) and rewrite
 //     just those cells in place (arXiv:2412.03089's online correction).
 //   - stuck-at remap (NewRemap): switch crossbar lines with too many stuck
 //     cells onto spare word-lines, weight-correcting isolated stuck cells
 //     through their differential partner when spares run out.
-//   - fault-aware retraining (NewRetrain / RetrainAroundCtx): the expensive
+//   - fault-aware retraining (NewRetrain / RetrainAround): the expensive
 //     cloud-edge path, unchanged in mechanics but now the ladder's last
 //     software resort instead of its only move.
 package repair
@@ -36,6 +35,7 @@ import (
 	"fmt"
 
 	"reramtest/internal/dataset"
+	"reramtest/internal/models"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
 )
@@ -290,8 +290,8 @@ type retrainStrategy struct {
 	accel       Reprogrammer
 	ref         func() *nn.Network // current reference weights
 	train, eval *dataset.Dataset
-	tol         float64              // DiagnoseStuck tolerance
-	cfg         func() RetrainConfig // per-application config (fresh seed each round)
+	tol         float64                   // DiagnoseStuck tolerance
+	cfg         func() models.TrainConfig // per-application config (fresh seed each round)
 }
 
 // NewRetrain builds the fault-aware retraining strategy: diagnose stuck
@@ -300,7 +300,7 @@ type retrainStrategy struct {
 // ref must return the current reference network; cfg is called per
 // application so the caller can thread a fresh seed. Applicable on any
 // deployed device — it is the ladder's last software resort.
-func NewRetrain(accel Reprogrammer, ref func() *nn.Network, train, eval *dataset.Dataset, tol float64, cfg func() RetrainConfig) Strategy {
+func NewRetrain(accel Reprogrammer, ref func() *nn.Network, train, eval *dataset.Dataset, tol float64, cfg func() models.TrainConfig) Strategy {
 	return &retrainStrategy{accel: accel, ref: ref, train: train, eval: eval, tol: tol, cfg: cfg}
 }
 
@@ -315,7 +315,7 @@ func (s *retrainStrategy) Apply(ctx context.Context, _ Diagnosis) (Report, error
 		return Report{}, &Error{Strategy: s.Name(), Op: "diagnose", Err: err}
 	}
 	faulty := s.accel.ReadoutNetwork()
-	acc, err := RetrainAroundCtx(ctx, faulty, stuck, s.train, s.eval, s.cfg())
+	acc, err := RetrainAround(ctx, faulty, stuck, s.train, s.eval, s.cfg())
 	if err != nil {
 		// the retrained network was never deployed: the hardware still runs
 		// the old reference, so a canceled retrain leaves no half-repair

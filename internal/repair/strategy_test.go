@@ -93,7 +93,7 @@ func TestDiagnoseStuckAllowsZeroBiases(t *testing.T) {
 }
 
 // cancelOnWrite cancels a context the first time anything is logged —
-// RetrainAroundCtx logs at the end of each epoch, so the cancellation lands
+// models.Train logs at the end of each epoch, so the cancellation lands
 // mid-retrain, between epochs.
 type cancelOnWrite struct{ cancel context.CancelFunc }
 
@@ -110,7 +110,9 @@ func TestRetrainAroundCtxCancelRestoresState(t *testing.T) {
 		nn.NewReLU("relu1"),
 		nn.NewDense("fc2", r, 24, 10),
 	)
-	models.Train(net, train, models.TrainConfig{Epochs: 1, BatchSize: 32, LR: 0.05, Momentum: 0.9, Seed: 22})
+	if err := models.Train(context.Background(), net, train, models.TrainConfig{Epochs: 1, BatchSize: 32, LR: 0.05, Momentum: 0.9, Seed: 22}); err != nil {
+		t.Fatal(err)
+	}
 
 	// damage: SA0-freeze a fifth of the first layer
 	stuck := make(StuckMask)
@@ -134,7 +136,7 @@ func TestRetrainAroundCtxCancelRestoresState(t *testing.T) {
 	cfg := DefaultRetrainConfig()
 	cfg.Epochs = 3
 	cfg.Log = &cancelOnWrite{cancel: cancel} // fires after epoch 1
-	acc, err := RetrainAroundCtx(ctx, net, stuck, train, nil, cfg)
+	acc, err := RetrainAround(ctx, net, stuck, train, nil, cfg)
 	if err == nil {
 		t.Fatal("canceled retrain returned nil error")
 	}

@@ -160,7 +160,7 @@ func TestLedgerExactUnderConcurrentServeMonitorRepair(t *testing.T) {
 			defer close(done)
 			switch i % 3 {
 			case 0:
-				rt.Check(accel)
+				rt.Check(context.Background(), accel)
 			case 1:
 				if err := rt.Probe(accel); err != nil {
 					t.Error("probe:", err)

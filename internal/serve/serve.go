@@ -475,7 +475,7 @@ func (s *Server) handle(p *record) {
 			// faulted: one immediate second placement on a different device,
 			// unless a hedge already claimed the retry slot
 			if !second && p.ctx.Err() == nil {
-				if id2, st2, ok2 := s.sup.DispatchAvoiding(first); ok2 {
+				if id2, st2, err2 := s.sup.DispatchAvoidingErr(first); err2 == nil {
 					second = true
 					s.retries.Add(1)
 					s.launchAttempt(p, 1, id2, st2, false, true)
@@ -491,7 +491,7 @@ func (s *Server) handle(p *record) {
 			if second {
 				continue
 			}
-			if id2, st2, ok2 := s.sup.DispatchAvoiding(first); ok2 {
+			if id2, st2, err2 := s.sup.DispatchAvoidingErr(first); err2 == nil {
 				second = true
 				s.hedges.Add(1)
 				s.launchAttempt(p, 1, id2, st2, true, false)
@@ -581,7 +581,7 @@ func (s *Server) reportFault(id string) {
 func (s *Server) Tick() ([]fleet.RoundResult, error) {
 	s.backendMu.Lock()
 	defer s.backendMu.Unlock()
-	return s.sup.TickCtx(s.rootCtx)
+	return s.sup.Tick(s.rootCtx)
 }
 
 // Serving returns the device IDs currently eligible for traffic.
