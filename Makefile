@@ -16,7 +16,8 @@
 #                kernels against strconv + the drop-connect hardening and
 #                cost-metering performance gates (bench-smoke) + the
 #                unreached-function gate (unreached) + the benchmark exit
-#                gate (bench-exit)
+#                gate (bench-exit) + the request path's allocation ceiling
+#                (bench-allocs)
 #   make bench-smoke  gate the drop-connect step and the metered analog pass
 #                against the committed baseline ratios (min ratio of the two
 #                arms' minima over alternating slices, max allocs/op), after
@@ -29,6 +30,8 @@
 #   make bench-exit  build ./bench, run it -quick on lenet5_batch as the
 #                leader of its own process group, and fail if the run fails
 #                or any process of the group outlives it
+#   make bench-allocs  build ./bench, run it -quick on mlp_rpc, and fail
+#                when allocs_per_req exceeds the committed ceiling
 #   make loc     non-test Go line count (what ROADMAP items 1, 8 and 13
 #                measure)
 #   make unreached  list every internal/ function no binary links and fail
@@ -64,9 +67,9 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
         fleet-soak-smoke fleet-soak \
         net-soak-smoke net-soak crash-soak-smoke crash-soak \
         lifetime-soak-smoke lifetime-soak examples-smoke fuzz-short \
-        bench-smoke bench-exit repro-check loc unreached ab-engine
+        bench-smoke bench-exit bench-allocs repro-check loc unreached ab-engine
 
-check: fmt-check vet gen-check build unreached test race-fast soak-smoke fleet-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke bench-exit
+check: fmt-check vet gen-check build unreached test race-fast soak-smoke fleet-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke bench-exit bench-allocs
 	@echo "check: PASS"
 
 # gofmt prints the files it would rewrite; any name is a failure
@@ -152,6 +155,11 @@ loc:
 # the host under whatever is measured next
 bench-exit:
 	@GO=$(GO) sh scripts/bench-exit.sh
+
+# the request path's allocations may only fall: mlp_rpc's allocs_per_req
+# against the count this tree reaches + 2
+bench-allocs:
+	@GO=$(GO) sh scripts/bench-allocs.sh
 
 # every internal/ function no binary links is allowlisted with a reason
 unreached:

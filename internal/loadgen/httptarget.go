@@ -47,6 +47,7 @@ func NewHTTPTarget(base string, client *http.Client) *HTTPTarget {
 		var d net.Dialer
 		client = &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 64,
+			DisableCompression:  true, // served never compresses an answer
 			DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
 				c, err := d.DialContext(ctx, network, addr)
 				if err != nil {
@@ -138,31 +139,50 @@ func (h *HTTPTarget) header(deadlineMs int) http.Header {
 // the caller's until it returns, one is each transport write, reported done
 // through httptrace.ClientTrace.WroteRequest. The first write holds a
 // reference from the start, and every GetBody replay adds one before its
-// write begins. A loan whose count never reaches zero (a write that never
-// began: no connection, or a context that ended first) is left to the GC.
+// write begins (the transport calls GetBody only while the caller's is
+// held). At zero the loan goes back to the pool with its buffer. A loan
+// whose count never reaches zero (a write that never began: no connection,
+// or a context that ended first) is left to the GC.
 type loan struct {
-	buf   *wire.Buffer
-	refs  atomic.Int32
-	trace httptrace.ClientTrace
+	buf     *wire.Buffer
+	refs    atomic.Int32
+	trace   httptrace.ClientTrace
+	wrote   func(httptrace.WroteRequestInfo)
+	rd      bytes.Reader
+	body    io.ReadCloser // io.NopCloser(&rd)
+	getBody func() (io.ReadCloser, error)
 }
 
-func newLoan(buf *wire.Buffer) *loan {
-	l := &loan{buf: buf}
+var loans sync.Pool // *loan
+
+// lend takes a pooled loan of buf; a new one makes its closures once.
+func lend(buf *wire.Buffer) *loan {
+	l, _ := loans.Get().(*loan)
+	if l == nil {
+		l = new(loan)
+		l.wrote = func(httptrace.WroteRequestInfo) { l.done() }
+		l.body = io.NopCloser(&l.rd)
+		l.getBody = l.replay
+	}
+	l.buf = buf
+	l.rd.Reset(buf.B)
+	// fresh each time: WithClientTrace composes a caller's trace into it
+	l.trace = httptrace.ClientTrace{WroteRequest: l.wrote}
 	l.refs.Store(2)
-	l.trace.WroteRequest = func(httptrace.WroteRequestInfo) { l.done() }
 	return l
 }
 
-func (l *loan) body() io.ReadCloser { return io.NopCloser(bytes.NewReader(l.buf.B)) }
-
-func (l *loan) getBody() (io.ReadCloser, error) {
+// replay is GetBody, with its own reader: the first write may still read rd.
+func (l *loan) replay() (io.ReadCloser, error) {
 	l.refs.Add(1)
-	return l.body(), nil
+	return io.NopCloser(bytes.NewReader(l.buf.B)), nil
 }
 
 func (l *loan) done() {
 	if l.refs.Add(-1) == 0 {
 		l.buf.Release()
+		l.buf = nil
+		loans.Put(l)
 	}
 }
 
@@ -177,13 +197,13 @@ func (h *HTTPTarget) Serve(ctx context.Context, req Request) Outcome {
 		buf.Release()
 		return Outcome{Kind: "transport"}
 	}
-	l := newLoan(buf)
+	l := lend(buf)
 	defer l.done()
 	hreq := (&http.Request{
 		Method:        http.MethodPost,
 		URL:           h.url,
 		Header:        h.header(req.DeadlineMs),
-		Body:          l.body(),
+		Body:          l.body,
 		GetBody:       l.getBody,
 		ContentLength: int64(len(buf.B)),
 	}).WithContext(httptrace.WithClientTrace(ctx, &l.trace))

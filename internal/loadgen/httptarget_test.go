@@ -285,6 +285,34 @@ func TestHTTPTargetEarlyAnswer(t *testing.T) {
 	}
 }
 
+// TestHTTPTargetServeAllocations pins what one small request over loopback
+// allocates, client and server in one process: 72 on Go 1.24, nearly all of
+// it net/http's per-request state on both ends, which a new Go release may
+// move. The target's own share is the request copy WithContext makes and
+// WithClientTrace's context. It was 81 while every request made its body
+// loan (5 allocations) and asked for gzip (4 more across both ends).
+func TestHTTPTargetServeAllocations(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation ceilings do not hold under the race detector")
+	}
+	ts := httptest.NewServer(wireHandler(nil))
+	defer ts.Close()
+	tgt := NewHTTPTarget(ts.URL, nil)
+	defer tgt.CloseIdle()
+	req := smallRequest(1)
+	serve1 := func() {
+		if out := tgt.Serve(context.Background(), req); out.Kind != "ok" {
+			t.Fatalf("%+v", out)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		serve1()
+	}
+	if n := testing.AllocsPerRun(1000, serve1); n > 72 {
+		t.Fatalf("a small request: %v allocations, client and server together, want <= 72", n)
+	}
+}
+
 // BenchmarkHTTPTargetServe is one small request over loopback, client and
 // server in one process, so allocs/op counts both ends.
 func BenchmarkHTTPTargetServe(b *testing.B) {

@@ -1,7 +1,6 @@
 package netserve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -31,8 +30,7 @@ var (
 )
 
 // DeadlineHeader carries the client's end-to-end deadline in milliseconds;
-// it is clamped to Config.MaxDeadline and propagated through context into
-// the shard, the fleet router and the device attempt.
+// it is clamped to Config.MaxDeadline and becomes Request.Deadline.
 const DeadlineHeader = "X-Deadline-Ms"
 
 // Handler returns the tier's HTTP handler.
@@ -62,8 +60,8 @@ func (f *Frontend) refuse(w http.ResponseWriter, err error) {
 	writeError(w, err)
 }
 
-// handleInfer is the request path: decode, build the deadline context, run
-// the tier, encode.
+// handleInfer is the request path: decode, read the deadline, run the tier,
+// encode.
 func (f *Frontend) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -90,7 +88,7 @@ func (f *Frontend) handleInfer(w http.ResponseWriter, r *http.Request) {
 		prio = serve.Monitor
 	}
 
-	ctx := r.Context()
+	var deadline time.Time
 	if raw := r.Header.Get(DeadlineHeader); raw != "" {
 		ms, perr := strconv.ParseInt(raw, 10, 64)
 		if perr != nil || ms <= 0 {
@@ -102,12 +100,10 @@ func (f *Frontend) handleInfer(w http.ResponseWriter, r *http.Request) {
 		if ms <= int64(d/time.Millisecond) {
 			d = time.Duration(ms) * time.Millisecond
 		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
+		deadline = time.Now().Add(d)
 	}
 
-	res, err := f.Do(ctx, Request{Tenant: req.Tenant, Priority: prio, X: req.X})
+	res, err := f.Do(r.Context(), Request{Tenant: req.Tenant, Priority: prio, X: req.X, Deadline: deadline})
 	if err != nil {
 		writeError(w, err)
 		return

@@ -157,6 +157,9 @@ type Request struct {
 	Tenant   string
 	Priority serve.Priority
 	X        *tensor.Tensor
+	// Deadline (the zero time: none) is resolved as serve.Deadline does,
+	// with Config.DefaultDeadline.
+	Deadline time.Time
 }
 
 // Result is one tier-level answer.
@@ -484,12 +487,8 @@ func (f *Frontend) Do(ctx context.Context, req Request) (Result, error) {
 	}
 	f.admitted.Add(1)
 
-	if _, has := ctx.Deadline(); !has {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.cfg.DefaultDeadline)
-		defer cancel()
-	}
-
+	// one deadline for the request and its cross-shard retries
+	deadline := serve.Deadline(ctx, req.Deadline, f.cfg.DefaultDeadline)
 	var lastErr error
 	avoided := make(map[int]bool, 2)
 	backoff := f.cfg.RetryBackoff
@@ -502,7 +501,7 @@ func (f *Frontend) Do(ctx context.Context, req Request) (Result, error) {
 			break
 		}
 		sh.inflight.Add(1)
-		resp, err := sh.srv.Do(ctx, req.X, req.Priority)
+		resp, err := sh.srv.DoBy(ctx, req.X, req.Priority, deadline)
 		sh.inflight.Add(-1)
 		if err == nil {
 			f.completed.Add(1)
@@ -529,12 +528,12 @@ func (f *Frontend) Do(ctx context.Context, req Request) (Result, error) {
 			// of the ring; a transient quarantine is left to heal in place
 			f.noteStarved(sh)
 		}
-		if attempt >= f.cfg.RetryMax || !retryable(err, req.Priority) || ctx.Err() != nil {
+		if attempt >= f.cfg.RetryMax || !retryable(err, req.Priority) || ctx.Err() != nil || !time.Now().Before(deadline) {
 			break
 		}
 		avoided[sh.idx] = true
 		f.retries.Add(1)
-		if !sleepCtx(ctx, backoff) {
+		if !sleepCtx(ctx, deadline, backoff) {
 			break
 		}
 		backoff *= 2
@@ -560,13 +559,15 @@ func (f *Frontend) countTerminal(err error) {
 	}
 }
 
-// sleepCtx sleeps for d or until ctx is done; false means ctx won.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
+// sleepCtx sleeps for d, or until ctx is done or the deadline passes; false
+// means the sleep was cut short.
+func sleepCtx(ctx context.Context, deadline time.Time, d time.Duration) bool {
+	left := time.Until(deadline)
+	t := time.NewTimer(min(d, left))
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return true
+		return d < left
 	case <-ctx.Done():
 		return false
 	}

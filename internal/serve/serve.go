@@ -11,11 +11,11 @@
 //     than letting latency build invisibly. Monitor-class traffic (test
 //     patterns, health probes) has its own queue that every worker drains
 //     first, so bulk saturation can never starve the monitoring scheme.
-//   - Deadlines. Every request carries a context deadline (DefaultDeadline
-//     is applied when the caller brought none) honored at every stage: a
-//     request that expires in the queue is answered with ErrDeadline without
-//     touching a device, and one that expires mid-flight returns ErrDeadline
-//     while its attempt finishes harmlessly in the background.
+//   - Deadlines. Every request's deadline (see Deadline) is enforced by a
+//     timer its record keeps, as is a canceled caller context: a request
+//     that expires in the queue is answered with ErrDeadline without touching
+//     a device, and one that expires mid-flight returns ErrDeadline while its
+//     attempt finishes harmlessly in the background.
 //   - Hedging. The first attempt lands on the router's weighted choice. If
 //     it is still silent after HedgeAfter, a second attempt is launched on a
 //     different device (never the same one, never a quarantined one — the
@@ -177,6 +177,15 @@ type record struct {
 	resCh chan attemptResult
 	hedge *time.Timer // made on first use; stopped and drained when handle returns
 
+	// The deadline timer, made on first use, closes expired. A fire that lost
+	// its race with Stop may run after the record was reused, so expire
+	// checks the clock against the current deadline under mu.
+	mu       sync.Mutex
+	deadline time.Time
+	expired  chan struct{}
+	fired    bool // expired is closed
+	timer    *time.Timer
+
 	// A request makes at most two attempts: the first placement, then one
 	// hedge or retry. slots[i] is what attempt i reports besides its answer,
 	// and runs[i], made with the record, runs it, so launching an attempt
@@ -186,21 +195,53 @@ type record struct {
 }
 
 func (s *Server) newRecord() any {
-	r := &record{s: s, x: tensor.New(0, s.inDim), done: make(chan outcome, 1), resCh: make(chan attemptResult, 2)}
+	r := &record{s: s, x: tensor.New(0, s.inDim), done: make(chan outcome, 1), resCh: make(chan attemptResult, 2),
+		expired: make(chan struct{})}
 	r.runs = [2]func(){func() { s.attempt(r, 0) }, func() { s.attempt(r, 1) }}
 	return r
 }
 
-// admit fills a record fresh from the pool: x is copied in, and the caller
-// and the worker each hold a reference.
-func (r *record) admit(ctx context.Context, x *tensor.Tensor) {
+// admit fills a record fresh from the pool: x is copied in, the deadline
+// timer is armed, and the caller and the worker each hold a reference.
+func (r *record) admit(ctx context.Context, x *tensor.Tensor, deadline time.Time) {
 	if len(r.buf) < x.Len() {
 		r.buf = make([]float64, x.Len())
 	}
 	copy(r.buf, x.Data())
 	r.x.ResliceRows(r.buf, x.Dim(0))
 	r.ctx, r.enq = ctx, time.Now()
+	r.mu.Lock()
+	r.deadline = deadline
+	if r.fired { // for the record's last request: remade only then
+		r.expired, r.fired = make(chan struct{}), false
+	}
+	r.mu.Unlock()
+	if d := deadline.Sub(r.enq); r.timer == nil {
+		r.timer = time.AfterFunc(d, r.expire)
+	} else {
+		r.timer.Reset(d)
+	}
 	r.refs.Store(2)
+}
+
+// expire is the deadline timer's function.
+func (r *record) expire() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	// a late fire from the record's last request finds a later deadline
+	if !r.fired && !time.Now().Before(r.deadline) {
+		r.fired = true
+		close(r.expired)
+	}
+}
+
+// err is why the request may no longer run (its deadline passed, or the
+// caller's context ended), or nil while it may.
+func (r *record) err() error {
+	if !time.Now().Before(r.deadline) {
+		return context.DeadlineExceeded
+	}
+	return r.ctx.Err()
 }
 
 func (r *record) finish(resp Response, err error) {
@@ -225,6 +266,7 @@ func (s *Server) recycle(r *record) {
 	for len(r.resCh) > 0 {
 		<-r.resCh
 	}
+	r.timer.Stop()
 	r.ctx = nil
 	s.records.Put(r)
 }
@@ -302,24 +344,24 @@ func New(devices []fleet.Device, fcfg fleet.Config, scfg Config, store *journal.
 	return s, err
 }
 
-// Do submits one (N, inDim) inference batch and blocks until it terminates:
-// a Response, or an error matching ErrOverloaded, ErrClosed, ErrDeadline,
-// ErrNoDevices or ErrFaulted. Do copies x at admission and never touches it
-// again, so when Do returns the caller owns x outright — it may reuse or
+// Do is DoBy without a deadline of the request's own.
+func (s *Server) Do(ctx context.Context, x *tensor.Tensor, prio Priority) (Response, error) {
+	return s.DoBy(ctx, x, prio, time.Time{})
+}
+
+// DoBy submits one (N, inDim) inference batch that expires at Deadline(ctx,
+// deadline, DefaultDeadline) and blocks until it terminates: a Response, or
+// an error matching ErrOverloaded, ErrClosed, ErrDeadline, ErrNoDevices or
+// ErrFaulted. DoBy copies x at admission and never touches it again, so
+// when it returns the caller owns x outright — it may reuse or
 // overwrite it while attempts abandoned by a hedge or a deadline still run
 // on serve's copy. Safe for concurrent use.
-func (s *Server) Do(ctx context.Context, x *tensor.Tensor, prio Priority) (Response, error) {
+func (s *Server) DoBy(ctx context.Context, x *tensor.Tensor, prio Priority, deadline time.Time) (Response, error) {
 	if x == nil || x.Rank() != 2 || x.Dim(1) != s.inDim {
 		return Response{}, fmt.Errorf("serve: request batch must be (N, %d)", s.inDim)
 	}
-	dctx := ctx
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		var cancel context.CancelFunc
-		dctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultDeadline)
-		defer cancel()
-	}
 	r := s.records.Get().(*record)
-	r.admit(dctx, x)
+	r.admit(ctx, x, Deadline(ctx, deadline, s.cfg.DefaultDeadline))
 	q := s.qBulk
 	if prio == Monitor {
 		q = s.qMon
@@ -347,15 +389,33 @@ func (s *Server) Do(ctx context.Context, x *tensor.Tensor, prio Priority) (Respo
 	var o outcome
 	select {
 	case o = <-r.done:
-	case <-dctx.Done():
-		// the worker (or its background attempt) no longer matters to this
-		// caller; it finishes into the buffered done channel, and the last
-		// reference to the record drops it
-		o = outcome{err: fmt.Errorf("serve: %v: %w", dctx.Err(), ErrDeadline)}
+	// the worker, or its background attempt, finishes into the buffered done
+	// channel, and the last reference to the record drops it
+	case <-r.expired:
+		o.err = fmt.Errorf("serve: %v: %w", r.err(), ErrDeadline)
+	case <-r.ctx.Done():
+		o.err = fmt.Errorf("serve: %v: %w", r.err(), ErrDeadline)
 	}
 	r.release()
 	s.countTerminal(o)
 	return o.resp, o.err
+}
+
+// Deadline is when a request expires: the earlier of deadline and ctx's
+// deadline (the zero time is none), or def from now when neither is set.
+func Deadline(ctx context.Context, deadline time.Time, def time.Duration) time.Time {
+	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
+		deadline = d
+	}
+	if deadline.IsZero() {
+		deadline = time.Now().Add(def)
+	}
+	return deadline
+}
+
+// deadlineErr ends a request that expired or was canceled mid-flight.
+func (r *record) deadlineErr(outstanding int) error {
+	return fmt.Errorf("serve: %v with %d attempt(s) outstanding: %w", r.err(), outstanding, ErrDeadline)
 }
 
 // countTerminal attributes exactly one terminal counter per admitted request.
@@ -430,7 +490,7 @@ type attemptResult struct {
 // handle runs one admitted request to termination, then lets go of it.
 func (s *Server) handle(p *record) {
 	defer p.release()
-	if p.ctx.Err() != nil {
+	if p.err() != nil {
 		p.finish(Response{}, fmt.Errorf("serve: expired in queue after %v: %w",
 			time.Since(p.enq).Round(time.Microsecond), ErrDeadline))
 		return
@@ -474,7 +534,7 @@ func (s *Server) handle(p *record) {
 			}
 			// faulted: one immediate second placement on a different device,
 			// unless a hedge already claimed the retry slot
-			if !second && p.ctx.Err() == nil {
+			if !second && p.err() == nil {
 				if id2, st2, err2 := s.sup.DispatchAvoidingErr(first); err2 == nil {
 					second = true
 					s.retries.Add(1)
@@ -497,9 +557,11 @@ func (s *Server) handle(p *record) {
 				s.launchAttempt(p, 1, id2, st2, true, false)
 				outstanding++
 			}
+		case <-p.expired:
+			p.finish(Response{}, p.deadlineErr(outstanding))
+			return
 		case <-p.ctx.Done():
-			p.finish(Response{}, fmt.Errorf("serve: %v with %d attempt(s) outstanding: %w",
-				p.ctx.Err(), outstanding, ErrDeadline))
+			p.finish(Response{}, p.deadlineErr(outstanding))
 			return
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -220,6 +221,122 @@ func TestTypedErrDeadline(t *testing.T) {
 	}
 	if st := s.Stats(); st.Deadlines != 1 {
 		t.Fatalf("deadline not counted: %+v", st)
+	}
+}
+
+// TestDeadlineExpiresInQueue: a request whose DoBy deadline passes while it
+// waits behind a busy worker is answered ErrDeadline on time, and the worker
+// that finally takes it touches no device.
+func TestDeadlineExpiresInQueue(t *testing.T) {
+	devs := testDevices(1)
+	gate := make(chan struct{})
+	devs[0].set(func(d *servDevice) { d.gate = gate })
+	s := newServer(t, devs, fleetConfig(), serve.Config{Workers: 1, HedgeAfter: time.Hour})
+	var opened sync.Once
+	release := func() { opened.Do(func() { close(gate) }) }
+	defer s.Close()
+	defer release()
+
+	pinned := make(chan error, 1)
+	go func() {
+		_, err := s.Do(context.Background(), requestBatch(1), serve.Bulk)
+		pinned <- err
+	}()
+	waitFor(t, func() bool { return len(devs[0].callLog()) == 1 })
+
+	start := time.Now()
+	_, err := s.DoBy(context.Background(), requestBatch(2), serve.Bulk, start.Add(30*time.Millisecond))
+	if !errors.Is(err, serve.ErrDeadline) {
+		t.Fatalf("request expired in the queue returned %v, want ErrDeadline", err)
+	}
+	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
+		t.Fatalf("queued request's deadline return took %v", elapsed)
+	}
+	release()
+	if err := <-pinned; err != nil {
+		t.Fatal("the pinned request:", err)
+	}
+	s.Close()
+	if calls := devs[0].callLog(); len(calls) != 1 {
+		t.Fatalf("device saw batches %v; the expired request reached it", calls)
+	}
+	if st := s.Stats(); st.Deadlines != 1 || st.Served != 1 || st.Admitted != st.Terminal() {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestDeadlineExpiresMidFlight: a DoBy deadline, with no context deadline
+// behind it, returns the caller on time while the slow attempt finishes in
+// the background.
+func TestDeadlineExpiresMidFlight(t *testing.T) {
+	devs := testDevices(1)
+	devs[0].set(func(d *servDevice) { d.delay = 300 * time.Millisecond })
+	s := newServer(t, devs, fleetConfig(), serve.Config{HedgeAfter: time.Hour})
+	defer s.Close()
+
+	start := time.Now()
+	_, err := s.DoBy(context.Background(), requestBatch(1), serve.Bulk, start.Add(30*time.Millisecond))
+	if !errors.Is(err, serve.ErrDeadline) {
+		t.Fatalf("expired request returned %v, want ErrDeadline", err)
+	}
+	if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
+		t.Fatalf("deadline return took %v — the caller waited out the slow device", elapsed)
+	}
+	if len(devs[0].callLog()) != 1 {
+		t.Fatal("the attempt never reached the device")
+	}
+	s.Close() // waits for the background attempt
+	if st := s.Stats(); st.Deadlines != 1 || st.Admitted != st.Terminal() {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestCanceledCallerEndsDo: canceling the caller's context ends Do with a
+// typed error although the request's deadline is far off.
+func TestCanceledCallerEndsDo(t *testing.T) {
+	devs := testDevices(1)
+	gate := make(chan struct{})
+	devs[0].set(func(d *servDevice) { d.gate = gate })
+	s := newServer(t, devs, fleetConfig(), serve.Config{HedgeAfter: time.Hour, DefaultDeadline: time.Minute})
+	defer s.Close()
+	defer close(gate)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		for len(devs[0].callLog()) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel() // once the attempt is on the device
+	}()
+	_, err := s.Do(ctx, requestBatch(1), serve.Bulk)
+	if !errors.Is(err, serve.ErrDeadline) || !strings.Contains(err.Error(), context.Canceled.Error()) {
+		t.Fatalf("canceled request returned %v, want ErrDeadline naming the cancel", err)
+	}
+}
+
+// TestFiredRecordDoesNotExpireTheNext: the records of expired requests go
+// back to the pool with their fired timers, and the requests that reuse
+// them are served.
+func TestFiredRecordDoesNotExpireTheNext(t *testing.T) {
+	devs := testDevices(1)
+	s := newServer(t, devs, fleetConfig(), serve.Config{Workers: 1, HedgeAfter: time.Hour})
+	defer s.Close()
+
+	devs[0].set(func(d *servDevice) { d.delay = 20 * time.Millisecond })
+	for i := 0; i < 4; i++ {
+		if _, err := s.DoBy(context.Background(), requestBatch(1), serve.Bulk, time.Now().Add(time.Millisecond)); !errors.Is(err, serve.ErrDeadline) {
+			t.Fatalf("request %d returned %v, want ErrDeadline", i, err)
+		}
+	}
+	waitFor(t, func() bool { return len(devs[0].callLog()) == 4 })
+	devs[0].set(func(d *servDevice) { d.delay = 0 })
+	// let the abandoned attempts put their records back, so the requests
+	// below reuse them; a slow host makes the test cover less, never fail
+	time.Sleep(30 * time.Millisecond)
+	for i := 0; i < 50; i++ {
+		if _, err := s.Do(context.Background(), requestBatch(2), serve.Bulk); err != nil {
+			t.Fatalf("request %d after the expired ones: %v", i, err)
+		}
 	}
 }
 
@@ -505,10 +622,11 @@ type stubDevice struct {
 
 func (d stubDevice) Infer() monitor.Infer { return d.infer }
 
-// TestDoAllocations pins what Do allocates per request in steady state: the
-// station's copy of the answer (tensor, shape, data) and nothing of the
-// request record, its channels, its hedge timer, its attempt closure or its
-// input copy, which are all recycled (12 allocations before they were).
+// TestDoAllocations pins what Do allocates per request in steady state, for
+// a caller with a context deadline and for one without: the station's copy
+// of the answer (tensor, shape, data) and nothing of the request record, its
+// channels, its hedge and deadline timers, its attempt closure or its input
+// copy, which are all recycled (12 allocations before they were).
 func TestDoAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation ceilings do not hold under the race detector")
@@ -521,17 +639,19 @@ func TestDoAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	deadline, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	do := func() {
-		if _, err := s.Do(ctx, x, serve.Bulk); err != nil {
-			t.Fatal(err)
+	for _, ctx := range []context.Context{deadline, context.Background()} {
+		do := func() {
+			if _, err := s.Do(ctx, x, serve.Bulk); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < 100; i++ {
-		do()
-	}
-	if n := testing.AllocsPerRun(1000, do); n > 3 {
-		t.Fatalf("Do: %v allocations per request, want <= 3", n)
+		for i := 0; i < 100; i++ {
+			do()
+		}
+		if n := testing.AllocsPerRun(1000, do); n > 3 {
+			t.Fatalf("Do under %v: %v allocations per request, want <= 3", ctx, n)
+		}
 	}
 }
