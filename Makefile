@@ -13,25 +13,18 @@
 #                envelope, the register-tiled f64 matmul's, the fused conv
 #                block's and the 2×2 pool kernel's bit-identity, the
 #                /v1/infer request decoder and the wire codec's two number
-#                kernels against strconv + the drop-connect hardening and
-#                cost-metering performance gates (bench-smoke) + the
-#                unreached-function gate (unreached) + the benchmark exit
-#                gate (bench-exit) + the request path's allocation ceiling
-#                (bench-allocs)
-#   make bench-smoke  gate the drop-connect step and the metered analog pass
-#                against the committed baseline ratios (min ratio of the two
-#                arms' minima over alternating slices, max allocs/op), after
-#                asserting bit-identity; fails on regression
+#                kernels against strconv + the unreached-function gate
+#                (unreached) + the benchmark gate (bench-gate)
 #   make repro-check  the paper reproduction at the default scale, byte for
 #                byte against results_all.txt and results_ablations.txt
 #                (≈ 5 min warm; trains and caches the two models first on a
 #                fresh checkout). Not part of check: go test pins the fast
 #                part at a tiny scale (internal/experiments/testdata/golden_tiny.txt)
-#   make bench-exit  build ./bench, run it -quick on lenet5_batch as the
-#                leader of its own process group, and fail if the run fails
-#                or any process of the group outlives it
-#   make bench-allocs  build ./bench, run it -quick on mlp_rpc, and fail
-#                when allocs_per_req exceeds the committed ceiling
+#   make bench-gate  build ./bench, run it -quick over every workload
+#                (end-to-end and traced) as the leader of its own process
+#                group, and fail if the run fails, any process of the group
+#                outlives it, a workload reports "correct":false, or mlp_rpc's
+#                allocs_per_req exceeds the committed ceiling
 #   make loc     non-test Go line count (what ROADMAP items 1, 8 and 13
 #                measure)
 #   make unreached  list every internal/ function no binary links and fail
@@ -67,9 +60,9 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
         fleet-soak-smoke fleet-soak \
         net-soak-smoke net-soak crash-soak-smoke crash-soak \
         lifetime-soak-smoke lifetime-soak examples-smoke fuzz-short \
-        bench-smoke bench-exit bench-allocs repro-check loc unreached ab-engine
+        bench-gate repro-check loc unreached ab-engine
 
-check: fmt-check vet gen-check build unreached test race-fast soak-smoke fleet-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-smoke bench-exit bench-allocs
+check: fmt-check vet gen-check build unreached test race-fast soak-smoke fleet-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-gate
 	@echo "check: PASS"
 
 # gofmt prints the files it would rewrite; any name is a failure
@@ -151,15 +144,10 @@ repro-check:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | tail -1
 
-# a benchmark run must end whole: a process it leaves alive keeps loading
-# the host under whatever is measured next
-bench-exit:
-	@GO=$(GO) sh scripts/bench-exit.sh
-
-# the request path's allocations may only fall: mlp_rpc's allocs_per_req
-# against the count this tree reaches + 2
-bench-allocs:
-	@GO=$(GO) sh scripts/bench-allocs.sh
+# one quick run of every workload must end whole, correct, and with
+# mlp_rpc's allocs_per_req no higher than the count this tree reaches + 2
+bench-gate:
+	@GO=$(GO) sh scripts/bench-gate.sh
 
 # every internal/ function no binary links is allowlisted with a reason
 unreached:
@@ -218,11 +206,3 @@ fuzz-short:
 	$(GO) test ./internal/netserve -run='^$$' -fuzz=FuzzInferRequest -fuzztime=10s
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzNumberVsStrconv -fuzztime=10s
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzAppendFloatVsStrconv -fuzztime=10s
-
-# performance gate on drop-connect hardening and the hardware cost accounting
-# layer: hardening must land on bit-identical weights across serial and
-# pooled engines, metering must be numerically invisible (metered accelerator
-# bit-identical to an unmetered twin) with a zero-allocation counting hot
-# path, and both must hold their committed baseline ratios
-bench-smoke:
-	$(GO) run ./cmd/benchsmoke

@@ -58,7 +58,6 @@ func main() {
 	shards := flag.Int("shards", 2, "number of serving shards")
 	devices := flag.Int("devices", 3, "accelerators per shard")
 	seed := flag.Int64("seed", 1, "device-initialisation seed")
-	policy := flag.String("policy", "hash", "dispatch policy: hash | least-loaded")
 	quotaRate := flag.Float64("quota-rate", 0, "per-tenant admission rate, batch rows/sec (0 = unlimited)")
 	quotaBurst := flag.Float64("quota-burst", 0, "per-tenant burst, batch rows (0 = rate)")
 	retryMax := flag.Int("retry-max", 1, "max cross-shard retries per request")
@@ -69,15 +68,6 @@ func main() {
 	ncfg := base.Net
 	ncfg.Quota = netserve.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst}
 	ncfg.RetryMax = *retryMax
-	switch *policy {
-	case "hash":
-		ncfg.Policy = netserve.HashTenant
-	case "least-loaded":
-		ncfg.Policy = netserve.LeastLoaded
-	default:
-		fmt.Fprintf(os.Stderr, "served: unknown -policy %q (want hash or least-loaded)\n", *policy)
-		os.Exit(2)
-	}
 
 	specs := make([]netserve.ShardSpec, *shards)
 	for i := range specs {
@@ -118,8 +108,8 @@ func main() {
 		drainOnSignal(sig, f, hs, stopTicks, os.Stdout, os.Stderr)
 	}()
 
-	fmt.Printf("served: %d shard(s) × %d device(s), policy %s, input width %d, conv kernel %s, listening on %s\n",
-		*shards, *devices, ncfg.Policy, f.InDim(), tensor.MatMulBlockedKernel(), *addr)
+	fmt.Printf("served: %d shard(s) × %d device(s), input width %d, conv kernel %s, listening on %s\n",
+		*shards, *devices, f.InDim(), tensor.MatMulBlockedKernel(), *addr)
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "served:", err)
 		os.Exit(1)

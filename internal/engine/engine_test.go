@@ -295,8 +295,7 @@ func (u *unbatchable) Clone() nn.Layer            { return &unbatchable{} }
 func (u *unbatchable) OutputShape(in []int) []int { return in }
 
 // TestEngineSteadyStateAllocFree: after warmup, same-size batches must not
-// allocate — serial and pooled — which is the property the bench-smoke gate
-// enforces on the default monitor model.
+// allocate — serial and pooled — on the default monitor model's shape.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	net := models.MLP(rng.New(41), 16, []int{24, 16}, 6)
 	x := tensor.RandUniform(rng.New(42), 0, 1, 16, 16)

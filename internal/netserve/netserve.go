@@ -15,10 +15,10 @@
 //   - Quota. Each tenant owns a token bucket denominated in batch rows.
 //     An empty bucket answers ErrQuota (HTTP 429) — the tenant was never
 //     admitted, so the invariant set the soak audits counts it separately.
-//   - Dispatch. Consistent-hash-by-tenant (default) keeps a tenant's
-//     traffic on one shard so its quota pressure and cache locality stay
-//     put; least-loaded dispatch is available where tenant affinity matters
-//     less than tail latency. Draining and closed shards are never picked.
+//   - Dispatch. Consistent hashing of the tenant name over a ring of
+//     virtual nodes keeps a tenant's traffic on one shard so its quota
+//     pressure and cache locality stay put; a drain moves only the drained
+//     shard's tenants. Draining and closed shards are never picked.
 //   - Retry. A shard-level fault (ErrNoDevices, ErrOverloaded, ErrFaulted,
 //     a shard mid-drain answering ErrClosed) is retried on a different
 //     shard after a doubling backoff, at most RetryMax times, while the
@@ -59,31 +59,8 @@ import (
 	"reramtest/internal/wire"
 )
 
-// Policy selects the dispatcher.
-type Policy int
-
-const (
-	// HashTenant (default): consistent hashing of the tenant name over a
-	// ring of virtual nodes — a tenant sticks to one shard until that shard
-	// drains, and a drain moves only the drained shard's tenants.
-	HashTenant Policy = iota
-	// LeastLoaded: pick the live shard with the fewest in-flight requests;
-	// ties break toward the lowest shard index for determinism.
-	LeastLoaded
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	if p == LeastLoaded {
-		return "least-loaded"
-	}
-	return "hash-tenant"
-}
-
 // Config tunes the frontend.
 type Config struct {
-	// Policy selects the dispatcher (default HashTenant).
-	Policy Policy
 	// VNodes is the virtual nodes per shard on the hash ring (0 → 16).
 	VNodes int
 	// Quota is the per-tenant admission quota (zero value disables).
@@ -104,9 +81,6 @@ type Config struct {
 
 // Validate rejects configurations the frontend cannot operate under.
 func (c Config) Validate() error {
-	if c.Policy != HashTenant && c.Policy != LeastLoaded {
-		return fmt.Errorf("netserve: unknown dispatch policy %d", c.Policy)
-	}
 	if c.VNodes < 0 || c.RetryMax < 0 || c.MaxRows < 0 {
 		return fmt.Errorf("netserve: VNodes/RetryMax/MaxRows must be ≥ 0")
 	}
@@ -405,18 +379,6 @@ func hash64(s string) uint64 {
 // pick chooses the shard for tenant, skipping avoided indices and non-live
 // shards. nil means no live shard can take the request.
 func (f *Frontend) pick(tenant string, avoided map[int]bool) *shard {
-	if f.cfg.Policy == LeastLoaded {
-		var best *shard
-		for _, sh := range f.shards {
-			if !sh.live() || avoided[sh.idx] {
-				continue
-			}
-			if best == nil || sh.inflight.Load() < best.inflight.Load() {
-				best = sh
-			}
-		}
-		return best
-	}
 	if len(f.ring) == 0 {
 		return nil
 	}

@@ -153,37 +153,6 @@ func TestHashTenantAffinity(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedSpreadsLoad(t *testing.T) {
-	f, devs := newTier(t, 2, 1, Config{Policy: LeastLoaded})
-	defer f.Close()
-	// pin shard 0's device so its in-flight count stays high
-	gateDelay := 50 * time.Millisecond
-	devs[0][0].set(func(d *tierDevice) { d.delay = gateDelay })
-
-	var wg sync.WaitGroup
-	shardsSeen := make(chan string, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := f.Do(context.Background(), Request{Tenant: "t", X: tierBatch(1)})
-			if err == nil {
-				shardsSeen <- res.Shard
-			}
-		}()
-		time.Sleep(2 * time.Millisecond) // let in-flight counts differentiate
-	}
-	wg.Wait()
-	close(shardsSeen)
-	counts := map[string]int{}
-	for s := range shardsSeen {
-		counts[s]++
-	}
-	if counts["shard-1"] == 0 {
-		t.Fatalf("least-loaded dispatch never used the fast shard: %v", counts)
-	}
-}
-
 func TestQuotaIsolatesTenants(t *testing.T) {
 	f, _ := newTier(t, 2, 1, Config{Quota: QuotaConfig{Rate: 0.001, Burst: 3}})
 	defer f.Close()

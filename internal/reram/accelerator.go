@@ -29,12 +29,6 @@ type Accelerator struct {
 	// nothing. Like the layers themselves, this makes an Accelerator a
 	// single-goroutine object.
 	ws map[int]*layerWorkspace
-
-	// counter meters every tile operation (see cost.go). Always non-nil after
-	// NewAccelerator; SetCounter swaps in a caller-owned one — the deployment
-	// pattern where cumulative device spend must survive accelerator
-	// replacement.
-	counter *hwcost.Counter
 }
 
 // layerWorkspace is the reusable state one Infer step needs: the output
@@ -77,24 +71,19 @@ func NewAccelerator(net *nn.Network, cfg Config, seed int64) *Accelerator {
 			a.engines[li] = MapLinear(tensor.Transpose2D(l.Params()[0].Value), cfg, r.Split())
 		}
 	}
-	// meter in-field spend from commissioning onward: the counter attaches
-	// after MapLinear, so fabrication-time programming is deliberately free
-	a.SetCounter(hwcost.NewCounter())
 	return a
 }
 
-// SetCounter swaps the accelerator's cost counter (propagated to every tile)
-// for a caller-owned one. The counter meters in-field spend; it is attached
-// after commissioning, so fabrication-time programming never charges.
+// SetCounter attaches a caller-owned cost counter to every tile; nil
+// detaches it. A new accelerator is unmetered. The counter meters in-field
+// spend: attached after commissioning, so fabrication-time programming never
+// charges, and kept by the caller, so cumulative device spend survives
+// accelerator replacement.
 func (a *Accelerator) SetCounter(c *hwcost.Counter) {
-	a.counter = c
 	for _, e := range a.engines {
 		e.SetCounter(c)
 	}
 }
-
-// Counter returns the accelerator's cost counter.
-func (a *Accelerator) Counter() *hwcost.Counter { return a.counter }
 
 // CommissionCost is the sticker write cost of programming every array cell
 // once — what deploying (or redeploying) the full weight set costs. Initial

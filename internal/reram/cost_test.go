@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"reramtest/internal/hwcost"
+	"reramtest/internal/models"
 	"reramtest/internal/nn"
 	"reramtest/internal/rng"
 	"reramtest/internal/tensor"
@@ -63,7 +64,8 @@ func TestCounterRaceSurface(t *testing.T) {
 		nn.NewDense("d0", rng.New(3), 8, 6),
 	)
 	accel := NewAccelerator(net, Config{TileRows: 8, TileCols: 8, Device: idealParams()}, 7)
-	ctr := accel.Counter()
+	ctr := hwcost.NewCounter()
+	accel.SetCounter(ctr)
 	x := tensor.RandUniform(rng.New(4), 0, 1, 4, 8)
 
 	done := make(chan struct{})
@@ -120,34 +122,48 @@ func TestCounterRaceSurface(t *testing.T) {
 }
 
 // TestMeteringIsNumericallyInvisible: attaching a counter must not move a
-// single output bit on the analog path or the readout.
+// single output bit on the analog path or the readout, on a net that fits one
+// 16×16 tile and on MLP 16-[24 16]-6, whose 24-wide layers take 2 tiles along
+// each axis between them.
 func TestMeteringIsNumericallyInvisible(t *testing.T) {
-	build := func() *Accelerator {
-		cfg := DefaultConfig()
-		cfg.TileRows, cfg.TileCols = 16, 16
-		cfg.Device.ProgramSigma = 0.03
-		net := nn.NewNetwork("inv", 12,
-			nn.NewDense("d0", rng.New(5), 12, 10),
-			nn.NewReLU("r0"),
-			nn.NewDense("d1", rng.New(6), 10, 4),
-		)
-		return NewAccelerator(net, cfg, 99)
-	}
-	metered, plain := build(), build()
-	plain.SetCounter(nil)
+	for _, tc := range []struct {
+		name     string
+		net      func() *nn.Network
+		patterns int
+	}{
+		{"one-tile", func() *nn.Network {
+			return nn.NewNetwork("inv", 12,
+				nn.NewDense("d0", rng.New(5), 12, 10),
+				nn.NewReLU("r0"),
+				nn.NewDense("d1", rng.New(6), 10, 4),
+			)
+		}, 5},
+		{"multi-tile", func() *nn.Network {
+			return models.MLP(rng.New(7), 16, []int{24, 16}, 6)
+		}, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.TileRows, cfg.TileCols = 16, 16
+			cfg.Device.ProgramSigma = 0.03
+			metered, plain := NewAccelerator(tc.net(), cfg, 99), NewAccelerator(tc.net(), cfg, 99)
+			ctr := hwcost.NewCounter()
+			metered.SetCounter(ctr)
 
-	x := tensor.RandUniform(rng.New(8), 0, 1, 5, 12)
-	if !metered.Infer(x).Equal(plain.Infer(x)) {
-		t.Fatal("metered analog inference diverged from unmetered")
-	}
-	mp, pp := metered.RefreshReadout().Params(), plain.RefreshReadout().Params()
-	for i := range mp {
-		if !mp[i].Value.Equal(pp[i].Value) {
-			t.Fatalf("metered readout param %s diverged", mp[i].Name)
-		}
-	}
-	if metered.Counter().Settle(hwcost.ClassServing).IsZero() {
-		t.Fatal("metered accelerator charged nothing")
+			x := tensor.RandUniform(rng.New(8), 0, 1, tc.patterns, tc.net().InDim())
+			if !metered.Infer(x).Equal(plain.Infer(x)) {
+				t.Fatal("metered analog inference diverged from unmetered")
+			}
+			mp, pp := metered.RefreshReadout().Params(), plain.RefreshReadout().Params()
+			for i := range mp {
+				if !mp[i].Value.Equal(pp[i].Value) {
+					t.Fatalf("metered readout param %s diverged", mp[i].Name)
+				}
+			}
+			if ctr.Settle(hwcost.ClassServing).IsZero() {
+				t.Fatal("metered accelerator charged nothing")
+			}
+		})
 	}
 }
 

@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func TestSameShape(t *testing.T) {
-	if !sameShape([]int{2, 3}, []int{2, 3}) {
-		t.Fatal("equal shapes reported different")
-	}
-	if sameShape([]int{2, 3}, []int{3, 2}) {
-		t.Fatal("different dims reported same")
-	}
-	if sameShape([]int{6}, []int{2, 3}) {
-		t.Fatal("different ranks reported same")
-	}
-}
-
 func TestAssertDimsAccepts(t *testing.T) {
 	AssertDims("test", New(4, 7), 4, 7)
 	AssertDims("test", New(4, 7), Wildcard, 7)

@@ -12,6 +12,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"reramtest/internal/rng"
 )
@@ -222,7 +223,7 @@ func (t *Tensor) ArgMax() int {
 
 // Equal reports whether t and o have identical shapes and elements.
 func (t *Tensor) Equal(o *Tensor) bool {
-	if !sameShape(t.shape, o.shape) {
+	if !slices.Equal(t.shape, o.shape) {
 		return false
 	}
 	for i, v := range t.data {
@@ -236,16 +237,4 @@ func (t *Tensor) Equal(o *Tensor) bool {
 // String renders a compact description, not the full contents.
 func (t *Tensor) String() string {
 	return fmt.Sprintf("Tensor%v", t.shape)
-}
-
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
