@@ -305,11 +305,7 @@ func demo(w, stderr io.Writer, hoursPerStep float64, steps int, analog bool) int
 	fmt.Fprintf(w, "accelerator: %d crossbar tiles of %dx%d, DAC=%d-bit ADC=%d-bit\n",
 		accel.TileCount(), cfg.TileRows, cfg.TileCols, cfg.DACBits, cfg.ADCBits)
 
-	mon, err := monitor.New(net, patterns, calib, monitor.DefaultConfig())
-	if err != nil {
-		fmt.Fprintln(stderr, "monitor:", err)
-		return 1
-	}
+	mon := monitor.New(net, patterns, calib)
 	fmt.Fprintf(w, "monitor armed with %d C-TP patterns\n\n", mon.PatternCount())
 
 	// readout refreshes the cached weight-level view and returns the batched
@@ -366,13 +362,7 @@ func runCost(w, stderr io.Writer, seed int64, rounds int) int {
 	pcfg := campaign.DefaultPlantConfig()
 	p := campaign.NewPlant("plant", seed, pcfg)
 	st := fleet.NewStation(p)
-	mon, err := monitor.New(p.Reference(), p.Patterns(), nil, monitor.DefaultConfig())
-	if err != nil {
-		fmt.Fprintln(stderr, "cost:", err)
-		return 1
-	}
-	hcfg := campaign.DefaultConfig().Health
-	rt, err := health.New(mon, hcfg)
+	rt, err := health.New(monitor.New(p.Reference(), p.Patterns(), nil), campaign.DefaultConfig().Health)
 	if err != nil {
 		fmt.Fprintln(stderr, "cost:", err)
 		return 1
@@ -391,7 +381,7 @@ func runCost(w, stderr io.Writer, seed int64, rounds int) int {
 			p.Accelerator().InjectStuckAt(0.008, 0.004)
 		}
 		if rt.Confirmed() >= monitor.Impaired {
-			ep := rt.Supervise(context.Background(), st.Infer(), st.Repairer(), hcfg.MaxRepairAttempts)
+			ep := rt.Supervise(context.Background(), st.Infer(), st.Repairer(), campaign.EpisodeBudget)
 			episodes = append(episodes, ep)
 			fmt.Fprintf(w, "round %d: repair episode, %d attempt(s), recovered=%v\n",
 				r, len(ep.Attempts), ep.Recovered)

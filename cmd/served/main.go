@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"reramtest/internal/campaign"
+	"reramtest/internal/fleet"
 	"reramtest/internal/netserve"
 	"reramtest/internal/tensor"
 )
@@ -53,6 +54,15 @@ func newServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
+// fleetConfig is the net soak's tuned fleet config on the wall clock: the
+// soak backs readout retries off in simulated time, a deployment waits them
+// out.
+func fleetConfig() fleet.Config {
+	cfg := campaign.DefaultNetSoakConfig().Fleet
+	cfg.Health.Sleep = nil
+	return cfg
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.Int("shards", 2, "number of serving shards")
@@ -64,7 +74,7 @@ func main() {
 	tickEvery := flag.Duration("tick-every", 5*time.Second, "fleet monitoring tick period (0 disables)")
 	flag.Parse()
 
-	base := campaign.DefaultNetSoakConfig() // the soak's tuned fleet/serve/net knobs
+	base := campaign.DefaultNetSoakConfig() // the soak's tuned serve/net knobs
 	ncfg := base.Net
 	ncfg.Quota = netserve.QuotaConfig{Rate: *quotaRate, Burst: *quotaBurst}
 	ncfg.RetryMax = *retryMax
@@ -74,7 +84,7 @@ func main() {
 		specs[i] = netserve.ShardSpec{
 			Name:    fmt.Sprintf("shard-%d", i),
 			Devices: campaign.EngineDevices(*seed+int64(i), *devices, fmt.Sprintf("s%d", i)),
-			Fleet:   base.Fleet,
+			Fleet:   fleetConfig(),
 			Serve:   base.Serve,
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -19,6 +20,21 @@ import (
 	"reramtest/internal/tensor"
 	"reramtest/internal/wire"
 )
+
+// TestFleetRunsOnWallClock: served's readout retries back off on the wall
+// clock (a nil Sleep), not on the net soak's simulated one; every other
+// fleet setting is the soak's.
+func TestFleetRunsOnWallClock(t *testing.T) {
+	got := fleetConfig()
+	if got.Health.Sleep != nil {
+		t.Fatal("served's fleet backs off on an injected clock, not the wall clock")
+	}
+	soak := campaign.DefaultNetSoakConfig().Fleet
+	soak.Health.Sleep = nil
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", soak) {
+		t.Fatalf("served's fleet config %+v differs from the soak's %+v beyond the clock", got, soak)
+	}
+}
 
 // TestSIGTERMDrainsGracefully delivers a real SIGTERM to the process and
 // checks the full drain sequence: the handler fires, the tier closes (new

@@ -31,7 +31,7 @@ func main() {
 	for i := range dist {
 		calib[i] = monitor.CalibPoint{Distance: dist[i], Accuracy: acc[i]}
 	}
-	mon := monitor.MustNew(net, env.PatternsDefault("lenet5", "otp"), calib, monitor.DefaultConfig())
+	mon := monitor.New(net, env.PatternsDefault("lenet5", "otp"), calib)
 	fmt.Printf("monitor calibrated with %d points, armed with %d patterns\n\n", len(calib), mon.PatternCount())
 
 	eval := test.Head(500)

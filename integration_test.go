@@ -130,10 +130,7 @@ func TestEndToEndHardwarePipeline(t *testing.T) {
 
 	// the monitor sees it
 	ctp := testgen.SelectCTP(net, data, 30)
-	mon, err := monitor.New(net, ctp, nil, monitor.DefaultConfig())
-	if err != nil {
-		t.Fatalf("monitor.New: %v", err)
-	}
+	mon := monitor.New(net, ctp, nil)
 	rep := mon.Check(monitor.NetworkInfer(accel.ReadoutNetwork()))
 	if rep.Status == monitor.Healthy {
 		t.Fatalf("monitor missed damage (dist %.4f, accuracy %.3f→%.3f)", rep.AllDist, d0, damaged)

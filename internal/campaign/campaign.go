@@ -82,9 +82,12 @@ type Config struct {
 	Plant PlantConfig
 	// Health tunes the hardened runtime under test.
 	Health health.Config
-	// Monitor sets the decision thresholds.
-	Monitor monitor.Config
 }
+
+// EpisodeBudget is the repair allowance, in strategy cost units, of every
+// episode a single-device runtime supervises (Run, cmd/monitor -cost): the
+// length of the fixed escalation, so an episode may walk all of it.
+const EpisodeBudget = 3
 
 // RecoveryBand is the probe-fidelity loss a repaired device may carry: the
 // campaign gate's "within 2% of commissioning", and the slack the lifetime
@@ -101,10 +104,9 @@ func DefaultConfig() Config {
 	// status. Timelines glitch for up to 2 rounds, so confirm on 3.
 	hcfg.EscalateAfter = 3
 	return Config{
-		Rounds:  40,
-		Plant:   DefaultPlantConfig(),
-		Health:  hcfg,
-		Monitor: monitor.DefaultConfig(),
+		Rounds: 40,
+		Plant:  DefaultPlantConfig(),
+		Health: hcfg,
 	}
 }
 
@@ -183,11 +185,7 @@ func RandomTimeline(r *rng.RNG, rounds int) []Event {
 // Run executes one seeded campaign and returns its full trace.
 func Run(seed int64, cfg Config) (Result, error) {
 	plant := NewPlant("plant", seed, cfg.Plant)
-	mon, err := monitor.New(plant.Reference(), plant.Patterns(), nil, cfg.Monitor)
-	if err != nil {
-		return Result{}, err
-	}
-	rt, err := health.New(mon, cfg.Health)
+	rt, err := health.New(monitor.New(plant.Reference(), plant.Patterns(), nil), cfg.Health)
 	if err != nil {
 		return Result{}, err
 	}
@@ -207,12 +205,12 @@ func Run(seed int64, cfg Config) (Result, error) {
 			applyEvent(plant, *ev)
 			ev.FidelityAfter = -1
 			if !ev.Kind.Transient() {
-				ev.Severity = plant.ShadowStatus(cfg.Monitor)
+				ev.Severity = plant.ShadowStatus()
 				active = append(active, ev)
 			}
 		}
 
-		ep := rt.Supervise(context.Background(), infer, plant, cfg.Health.MaxRepairAttempts)
+		ep := rt.Supervise(context.Background(), infer, plant, EpisodeBudget)
 
 		rec := RoundRecord{
 			Round:       round,

@@ -46,7 +46,7 @@ func traceFixedEscalation(t *testing.T) escalationTrace {
 		tr.Runs[strconv.FormatInt(seed, 10)] = res.Rounds
 	}
 	// budget 5 makes seed 7003 cover the whole ledger: verified one-rung
-	// episodes, a three-rung escalation stopped by MaxRepairAttempts, and a
+	// episodes, a three-rung escalation that walks the whole ladder, and a
 	// device retired the round its last unit is spent
 	fcfg := DefaultFleetSoakConfig()
 	fcfg.Fleet.RepairBudget = 5

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"reramtest/internal/health"
 	"reramtest/internal/loadgen"
+	"reramtest/internal/monitor"
 	"reramtest/internal/netserve"
 )
 
@@ -60,13 +62,15 @@ func TestNetSoakPassesAtTestScale(t *testing.T) {
 }
 
 // netSoakFleetPin is DefaultNetSoakConfig().Fleet as %+v with the Sleep
-// hook cleared (a func prints as its address). bench/stack.go serves its
-// workloads on this fleet config, so it must not move under refactors.
-const netSoakFleetPin = "{Workers:0 Health:{EscalateAfter:3 DeescalateAfter:3 MaxReadRetries:3 " +
-	"BackoffBase:2ms BackoffMax:50ms Sleep:<nil> MaxHistory:256 MaxRepairAttempts:3 VerifyRounds:2} " +
-	"Monitor:{DegradedAt:0.03 ImpairedAt:0.06 CriticalAt:0.1 " +
-	"Criteria:[SDC-1 SDC-5 SDC-T5% SDC-T10% SDC-A3% SDC-A5%] MaxHistory:512} " +
-	"BreakerOpenAfter:2 BreakerCooldown:2 RepairBudget:6 MinServing:1 CompactEvery:0}"
+// hook cleared (a func prints as its address), followed by the health and
+// monitor constants every device of that fleet runs under. bench/stack.go
+// serves its workloads on this fleet config, so none of it may move under
+// refactors.
+const netSoakFleetPin = "{Workers:0 Health:{EscalateAfter:3 BackoffBase:2ms BackoffMax:50ms Sleep:<nil>} " +
+	"BreakerOpenAfter:2 BreakerCooldown:2 RepairBudget:6 CompactEvery:0} " +
+	"health:{DeescalateAfter:3 MaxReadRetries:3 MaxHistory:256 VerifyRounds:2} " +
+	"monitor:{DegradedAt:0.03 ImpairedAt:0.06 CriticalAt:0.1 " +
+	"Criteria:[SDC-1 SDC-5 SDC-T5% SDC-T10% SDC-A3% SDC-A5%] MaxHistory:512}"
 
 func TestNetSoakFleetConfigPinned(t *testing.T) {
 	f := DefaultNetSoakConfig().Fleet
@@ -81,7 +85,11 @@ func TestNetSoakFleetConfigPinned(t *testing.T) {
 		t.Fatal("Health.Sleep waits in real time; the soaks run in simulated time")
 	}
 	f.Health.Sleep = nil
-	if got := fmt.Sprintf("%+v", f); got != netSoakFleetPin {
+	got := fmt.Sprintf("%+v health:{DeescalateAfter:%v MaxReadRetries:%v MaxHistory:%v VerifyRounds:%v} "+
+		"monitor:{DegradedAt:%v ImpairedAt:%v CriticalAt:%v Criteria:%v MaxHistory:%v}", f,
+		health.DeescalateAfter, health.MaxReadRetries, health.MaxHistory, health.VerifyRounds,
+		monitor.DegradedAt, monitor.ImpairedAt, monitor.CriticalAt, monitor.AllCriteria, monitor.MaxHistory)
+	if got != netSoakFleetPin {
 		t.Fatalf("DefaultNetSoakConfig().Fleet moved\ngot:  %s\nwant: %s", got, netSoakFleetPin)
 	}
 }

@@ -384,10 +384,9 @@ func (p *Plant) Fidelity() float64 {
 // ground-truth label for an injected event. It bypasses glitches and leaves
 // the runtime's monitor history untouched. Like Fidelity it runs outside any
 // station and books its spend to the serving class.
-func (p *Plant) ShadowStatus(cfg monitor.Config) monitor.Status {
+func (p *Plant) ShadowStatus() monitor.Status {
 	defer p.counter.Settle(hwcost.ClassServing)
-	shadow := monitor.MustNew(p.ref, p.tmpl.patterns, nil, cfg)
-	return shadow.Check(p.BaseInfer()).Status
+	return monitor.New(p.ref, p.tmpl.patterns, nil).Check(p.BaseInfer()).Status
 }
 
 // Apply executes one action of the fixed escalation against the simulated

@@ -5,8 +5,8 @@
 // health.Runtime per accelerator across a bounded worker pool, trips a
 // per-device circuit breaker when the sensor path itself keeps failing
 // (quarantining the device instead of burning retry budgets), routes
-// inference requests only to Healthy/Degraded-but-serving devices with
-// graceful load shedding, and journals every durable state transition
+// inference requests only to Healthy/Degraded-but-serving devices (a typed
+// refusal when none serves), and journals every durable state transition
 // through internal/journal so a supervisor crash loses nothing: replaying
 // the journal reconstructs the fleet's confirmed statuses, hysteresis
 // streaks, repair budgets and breaker positions exactly. Every device is
@@ -67,8 +67,6 @@ type Config struct {
 	Workers int
 	// Health tunes each device's hardened runtime.
 	Health health.Config
-	// Monitor sets each device's decision thresholds.
-	Monitor monitor.Config
 	// BreakerOpenAfter is how many consecutive sensor-fault rounds trip a
 	// device's breaker open (0 → 2).
 	BreakerOpenAfter int
@@ -81,9 +79,6 @@ type Config struct {
 	// a cloud-edge retrain; a device is retired to hardware service when the
 	// cheapest rung that could still help no longer fits (0 → 6).
 	RepairBudget int
-	// MinServing is the load-shedding floor: the router refuses to dispatch
-	// when fewer devices serve (0 → 1).
-	MinServing int
 	// CompactEvery is the auto-compaction cadence in ticks when the fleet
 	// journals through a journal.Store: every CompactEvery-th tick folds the
 	// WAL into a fresh snapshot generation even before the size threshold
@@ -97,11 +92,9 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Health:           health.DefaultConfig(),
-		Monitor:          monitor.DefaultConfig(),
 		BreakerOpenAfter: 2,
 		BreakerCooldown:  3,
 		RepairBudget:     6,
-		MinServing:       1,
 	}
 }
 
@@ -116,16 +109,10 @@ func (c Config) Validate() error {
 	if c.RepairBudget < 0 {
 		return fmt.Errorf("fleet: RepairBudget must be ≥ 0, got %d", c.RepairBudget)
 	}
-	if c.MinServing < 0 {
-		return fmt.Errorf("fleet: MinServing must be ≥ 0, got %d", c.MinServing)
-	}
 	if c.CompactEvery < 0 {
 		return fmt.Errorf("fleet: CompactEvery must be ≥ 0, got %d", c.CompactEvery)
 	}
-	if err := c.Health.Validate(); err != nil {
-		return err
-	}
-	return c.Monitor.Validate()
+	return c.Health.Validate()
 }
 
 // withDefaults fills zero fields.
@@ -144,9 +131,6 @@ func (c Config) withDefaults(fleetSize int) Config {
 	}
 	if c.RepairBudget == 0 {
 		c.RepairBudget = 6
-	}
-	if c.MinServing == 0 {
-		c.MinServing = 1
 	}
 	return c
 }
@@ -324,19 +308,12 @@ func build(devices []Device, cfg Config, store *journal.Store) (*Supervisor, err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MinServing > len(devices) {
-		// an impossible load-shedding floor would make the router shed every
-		// request forever — a config bug better rejected at commissioning than
-		// discovered as a 100% error rate in production
-		return nil, fmt.Errorf("fleet: MinServing %d exceeds fleet size %d — the router could never dispatch",
-			cfg.MinServing, len(devices))
-	}
 	cfg = cfg.withDefaults(len(devices))
 	s := &Supervisor{
 		cfg:           cfg,
 		store:         store,
 		states:        make(map[string]*deviceState, len(devices)),
-		router:        NewRouter(cfg.MinServing),
+		router:        NewRouter(),
 		prevSnapRound: -1,
 	}
 	for _, dev := range devices {
@@ -347,11 +324,7 @@ func build(devices []Device, cfg Config, store *journal.Store) (*Supervisor, err
 		if _, dup := s.states[id]; dup {
 			return nil, fmt.Errorf("fleet: duplicate device ID %q", id)
 		}
-		mon, err := monitor.New(dev.Reference(), dev.Patterns(), nil, cfg.Monitor)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: commission %s: %w", id, err)
-		}
-		rt, err := health.New(mon, cfg.Health)
+		rt, err := health.New(monitor.New(dev.Reference(), dev.Patterns(), nil), cfg.Health)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: commission %s: %w", id, err)
 		}
@@ -439,8 +412,8 @@ func (s *Supervisor) tickDevice(ctx context.Context, ds *deviceState) RoundResul
 	}
 
 	// the whole remaining lifetime budget is granted: the runtime caps its
-	// own spend (cost units, and MaxRepairAttempts cycles) and reports the
-	// actual charge back in Episode.CostSpent
+	// own spend (cost units, and one cycle per rung of the ladder) and
+	// reports the actual charge back in Episode.CostSpent
 	ep := ds.rt.Supervise(ctx, ds.dev.Infer(), ds.dev.Repairer(), ds.budget)
 	ds.budget -= ep.CostSpent
 	for _, att := range ep.Attempts {

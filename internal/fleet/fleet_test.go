@@ -165,7 +165,7 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestRouterWeightingAndShed(t *testing.T) {
-	r := NewRouter(1)
+	r := NewRouter()
 	r.Update([]RouteEntry{
 		{ID: "h", Status: monitor.Healthy},
 		{ID: "d", Status: monitor.Degraded},
@@ -200,19 +200,19 @@ func TestRouterWeightingAndShed(t *testing.T) {
 		t.Fatalf("device with completed requests not drained: %d in flight", n)
 	}
 
-	// shed below the serving floor
-	r = NewRouter(2)
-	r.Update([]RouteEntry{{ID: "h", Status: monitor.Healthy}})
+	// nothing serving: the placement is refused and counted
+	r = NewRouter()
+	r.Update([]RouteEntry{{ID: "x", Status: monitor.Impaired}})
 	if _, _, err := r.DispatchAvoidingErr(""); err == nil {
-		t.Fatal("dispatched below MinServing")
+		t.Fatal("dispatched with no serving device")
 	}
 	if _, sheds := r.Stats(); sheds != 1 {
-		t.Fatalf("shed not counted: %d", sheds)
+		t.Fatalf("refusal not counted: %d", sheds)
 	}
 }
 
 func TestRouterDispatchAvoiding(t *testing.T) {
-	r := NewRouter(1)
+	r := NewRouter()
 	r.Update([]RouteEntry{
 		{ID: "a", Status: monitor.Healthy},
 		{ID: "b", Status: monitor.Healthy},
@@ -235,7 +235,7 @@ func TestRouterDispatchAvoiding(t *testing.T) {
 // to the schedule slot at the cursor, and serial traffic walks the weighted
 // schedule slot by slot.
 func TestRouterPrefersIdleDevice(t *testing.T) {
-	r := NewRouter(1)
+	r := NewRouter()
 	r.Update([]RouteEntry{{ID: "a", Status: monitor.Healthy}, {ID: "b", Status: monitor.Healthy}})
 	var got []string
 	for range 4 {
@@ -254,7 +254,7 @@ func TestRouterPrefersIdleDevice(t *testing.T) {
 		r.Complete(id)
 	}
 
-	r = NewRouter(1)
+	r = NewRouter()
 	r.Update([]RouteEntry{{ID: "a", Status: monitor.Healthy}, {ID: "b", Status: monitor.Healthy},
 		{ID: "d", Status: monitor.Degraded}})
 	got = got[:0]
@@ -286,7 +286,7 @@ func TestRouterPrefersIdleDevice(t *testing.T) {
 // router's internal locking; the invariant checked here is that every
 // dispatched ID is one the router was ever offered.
 func TestRouterConcurrentRouteAndUpdate(t *testing.T) {
-	r := NewRouter(1)
+	r := NewRouter()
 	sets := [][]RouteEntry{
 		{{ID: "a", Status: monitor.Healthy}, {ID: "b", Status: monitor.Degraded}},
 		{{ID: "b", Status: monitor.Healthy}},
@@ -335,19 +335,6 @@ func TestRouterConcurrentRouteAndUpdate(t *testing.T) {
 	wg.Wait()
 	if routed, _ := r.Stats(); routed == 0 {
 		t.Fatal("concurrent hammer routed nothing — test exercised no dispatches")
-	}
-}
-
-func TestMinServingValidatedAgainstFleetSize(t *testing.T) {
-	devs := testFleet(2)
-	cfg := testConfig()
-	cfg.MinServing = 3
-	if _, err := New(asDevices(devs), cfg, nil); err == nil {
-		t.Fatal("MinServing above fleet size accepted — the router could never dispatch")
-	}
-	cfg.MinServing = 2
-	if _, err := New(asDevices(devs), cfg, nil); err != nil {
-		t.Fatalf("MinServing == fleet size rejected: %v", err)
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // ErrNoEligibleDevice is the typed refusal the router returns when it has no
-// legal placement for a request: MinServing shedding emptied the schedule, or
-// the only scheduled candidate is the one the caller must avoid. The serving
-// frontend wraps it in its own ErrNoDevices sentinel, so callers can match
-// either layer's error (errors.Is on both holds).
+// legal placement for a request: no device is serving, or the only scheduled
+// candidate is the one the caller must avoid. The serving frontend wraps it
+// in its own ErrNoDevices sentinel, so callers can match either layer's error
+// (errors.Is on both holds).
 var ErrNoEligibleDevice = errors.New("fleet: no eligible serving device")
 
 // RouteEntry is one serving-eligible accelerator the supervisor offers the
@@ -27,9 +27,8 @@ type RouteEntry struct {
 // fleet with health-aware weighting: a Healthy accelerator holds twice the
 // schedule slots of a Degraded-but-serving one, and devices the health layer
 // has condemned (Impaired/Critical, quarantined, retired) hold none — the
-// supervisor never even offers them. When fewer than minServing devices
-// remain the router sheds load outright rather than overdriving survivors or
-// routing into known-bad silicon.
+// supervisor never even offers them, so a fleet with no serving device
+// refuses every request rather than routing into known-bad silicon.
 //
 // Placement is idle first: a request takes the first slot at or after the
 // cursor whose device has nothing in flight, and only when every device is
@@ -50,25 +49,18 @@ type RouteEntry struct {
 // schedule is a handful of string slots, so the critical sections are
 // nanoseconds against inference calls that are micro- to milliseconds.
 type Router struct {
-	mu         sync.Mutex
-	minServing int
-	schedule   []string // weighted round-robin expansion
-	status     map[string]monitor.Status
-	cursor     int
-	inflight   map[string]int
-	routed     int
-	sheds      int
-	offered    int // serving devices the supervisor offered at the last Update
+	mu       sync.Mutex
+	schedule []string // weighted round-robin expansion
+	status   map[string]monitor.Status
+	cursor   int
+	inflight map[string]int
+	routed   int
+	sheds    int // refused placements
 }
 
-// NewRouter returns a router that sheds when fewer than minServing devices
-// serve (minServing < 1 is treated as 1).
-func NewRouter(minServing int) *Router {
-	if minServing < 1 {
-		minServing = 1
-	}
-	return &Router{minServing: minServing, inflight: make(map[string]int),
-		status: make(map[string]monitor.Status)}
+// NewRouter returns a router with an empty schedule.
+func NewRouter() *Router {
+	return &Router{inflight: make(map[string]int), status: make(map[string]monitor.Status)}
 }
 
 // weightFor maps a serving status to its dispatch weight.
@@ -91,24 +83,15 @@ func (r *Router) Update(entries []RouteEntry) {
 	defer r.mu.Unlock()
 	r.schedule = r.schedule[:0]
 	clear(r.status)
-	serving := 0
 	for _, e := range entries {
 		w := weightFor(e.Status)
 		if w == 0 {
 			continue
 		}
-		serving++
 		r.status[e.ID] = e.Status
 		for i := 0; i < w; i++ {
 			r.schedule = append(r.schedule, e.ID)
 		}
-	}
-	r.offered = serving
-	if serving < r.minServing {
-		// graceful shed: better to reject load than to route it into a fleet
-		// too damaged to answer honestly
-		r.schedule = r.schedule[:0]
-		clear(r.status)
 	}
 	if len(r.schedule) == 0 {
 		r.cursor = 0
@@ -121,9 +104,9 @@ func (r *Router) Update(entries []RouteEntry) {
 // (empty avoids nothing) and returns its serving status. A hedged retry
 // passes the device its first attempt stalled or faulted on, so the second
 // attempt lands anywhere else. With no legal placement it returns an error
-// matching ErrNoEligibleDevice that says why: MinServing shedding emptied
-// the schedule, every serving device is quarantined, or the only candidate
-// is the avoided one. The error is built only on refusal.
+// matching ErrNoEligibleDevice that says why: the schedule is empty (no
+// device serves: every one is quarantined, retired or condemned), or the
+// only candidate is the avoided one. The error is built only on refusal.
 func (r *Router) DispatchAvoidingErr(avoid string) (id string, status monitor.Status, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -152,16 +135,11 @@ func (r *Router) DispatchAvoidingErr(avoid string) (id string, status monitor.St
 		return candidate, r.status[candidate], nil
 	}
 	r.sheds++
-	switch {
-	case len(r.schedule) == 0 && r.offered < r.minServing:
-		return "", 0, fmt.Errorf("%w: shedding load, %d device(s) serving < MinServing floor %d",
-			ErrNoEligibleDevice, r.offered, r.minServing)
-	case len(r.schedule) == 0:
+	if len(r.schedule) == 0 {
 		return "", 0, fmt.Errorf("%w: empty dispatch schedule", ErrNoEligibleDevice)
-	default:
-		return "", 0, fmt.Errorf("%w: only candidate %q is excluded from this placement",
-			ErrNoEligibleDevice, avoid)
 	}
+	return "", 0, fmt.Errorf("%w: only candidate %q is excluded from this placement",
+		ErrNoEligibleDevice, avoid)
 }
 
 // Complete retires one in-flight request from id.
@@ -174,7 +152,7 @@ func (r *Router) Complete(id string) {
 }
 
 // Stats returns lifetime dispatch counters: requests routed and requests
-// shed.
+// refused.
 func (r *Router) Stats() (routed, sheds int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

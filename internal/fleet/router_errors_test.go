@@ -9,27 +9,10 @@ import (
 )
 
 // The router's refusals must be typed (ErrNoEligibleDevice) and must say why
-// the placement failed — MinServing shedding, empty schedule or the
-// avoided-candidate rule.
-
-func TestDispatchErrTypedOnMinServingShed(t *testing.T) {
-	r := NewRouter(2)
-	r.Update([]RouteEntry{{ID: "only", Status: monitor.Healthy}})
-
-	_, _, err := r.DispatchAvoidingErr("")
-	if err == nil {
-		t.Fatal("dispatch under MinServing shed returned no error")
-	}
-	if !errors.Is(err, ErrNoEligibleDevice) {
-		t.Fatalf("shed error %v does not match ErrNoEligibleDevice", err)
-	}
-	if !strings.Contains(err.Error(), "MinServing") {
-		t.Fatalf("shed error %q does not name the MinServing floor", err)
-	}
-}
+// the placement failed — empty schedule or the avoided-candidate rule.
 
 func TestDispatchErrTypedOnAvoidExhaustion(t *testing.T) {
-	r := NewRouter(1)
+	r := NewRouter()
 	r.Update([]RouteEntry{{ID: "a", Status: monitor.Healthy}})
 
 	_, _, err := r.DispatchAvoidingErr("a")
@@ -51,7 +34,7 @@ func TestDispatchErrTypedOnAvoidExhaustion(t *testing.T) {
 }
 
 func TestDispatchErrTypedOnEmptyFleet(t *testing.T) {
-	r := NewRouter(1)
+	r := NewRouter()
 	r.Update(nil)
 	_, _, err := r.DispatchAvoidingErr("")
 	if !errors.Is(err, ErrNoEligibleDevice) {

@@ -29,50 +29,45 @@ import (
 	"reramtest/internal/tensor"
 )
 
+// The runtime's fixed hardening parameters.
+const (
+	// DeescalateAfter is the number of consecutive rounds the raw status must
+	// sit at a lower level before the confirmed status relaxes. It is slower
+	// than any deployment's escalation: missing real damage costs more than
+	// lingering caution.
+	DeescalateAfter = 3
+	// MaxReadRetries is how many times a rejected readout (NaN/Inf, wrong
+	// shape, panic) is retried within one round before the round is declared
+	// a sensor fault.
+	MaxReadRetries = 3
+	// MaxHistory bounds the retained Round ring buffer.
+	MaxHistory = 256
+	// VerifyRounds is how many consecutive clean raw checks a repair must
+	// pass before it is accepted (>1 makes verification itself noise-proof).
+	VerifyRounds = 2
+)
+
 // Config tunes the hardened runtime.
 type Config struct {
 	// EscalateAfter is the number of consecutive rounds the raw status must
 	// sit at a new higher level before the confirmed status escalates.
 	EscalateAfter int
-	// DeescalateAfter is the analogous count for relaxing to a lower level.
-	// De-escalation is typically slower than escalation: missing real damage
-	// costs more than lingering caution.
-	DeescalateAfter int
-	// MaxReadRetries is how many times a rejected readout (NaN/Inf, wrong
-	// shape, panic) is retried within one round before the round is declared
-	// a sensor fault.
-	MaxReadRetries int
 	// BackoffBase is the delay before the first retry; each further retry
 	// doubles it up to BackoffMax.
 	BackoffBase, BackoffMax time.Duration
 	// Sleep is the backoff clock; nil means time.Sleep. Tests and simulated
 	// campaigns inject a no-op.
 	Sleep func(time.Duration)
-	// MaxHistory bounds the retained Round ring buffer (0 → 256).
-	MaxHistory int
-	// MaxRepairAttempts is the supervised repair loop's escalation budget:
-	// how many (apply, verify) cycles may run for one fault episode before
-	// the runtime gives up and recommends hardware service.
-	MaxRepairAttempts int
-	// VerifyRounds is how many consecutive clean raw checks a repair must
-	// pass before it is accepted (>1 makes verification itself noise-proof).
-	VerifyRounds int
 }
 
 // DefaultConfig returns field-reasonable hardening parameters: escalate on 2
-// agreeing rounds, relax only after 3, retry a bad readout 3 times, keep 256
-// rounds of history, and give a repair episode 3 escalation attempts with
-// 2-round verification.
+// agreeing rounds and back a rejected readout off from 2 ms to at most
+// 50 ms on the wall clock.
 func DefaultConfig() Config {
 	return Config{
-		EscalateAfter:     2,
-		DeescalateAfter:   3,
-		MaxReadRetries:    3,
-		BackoffBase:       2 * time.Millisecond,
-		BackoffMax:        50 * time.Millisecond,
-		MaxHistory:        256,
-		MaxRepairAttempts: 3,
-		VerifyRounds:      2,
+		EscalateAfter: 2,
+		BackoffBase:   2 * time.Millisecond,
+		BackoffMax:    50 * time.Millisecond,
 	}
 }
 
@@ -81,23 +76,11 @@ func (c Config) Validate() error {
 	if c.EscalateAfter < 1 {
 		return fmt.Errorf("health: EscalateAfter must be ≥ 1, got %d", c.EscalateAfter)
 	}
-	if c.DeescalateAfter < 1 {
-		return fmt.Errorf("health: DeescalateAfter must be ≥ 1, got %d", c.DeescalateAfter)
-	}
-	if c.MaxReadRetries < 0 {
-		return fmt.Errorf("health: MaxReadRetries must be ≥ 0, got %d", c.MaxReadRetries)
-	}
 	if c.BackoffBase < 0 || c.BackoffMax < 0 {
 		return fmt.Errorf("health: backoff durations must be ≥ 0")
 	}
 	if c.BackoffBase > c.BackoffMax {
 		return fmt.Errorf("health: BackoffBase %v exceeds BackoffMax %v", c.BackoffBase, c.BackoffMax)
-	}
-	if c.MaxRepairAttempts < 1 {
-		return fmt.Errorf("health: MaxRepairAttempts must be ≥ 1, got %d", c.MaxRepairAttempts)
-	}
-	if c.VerifyRounds < 1 {
-		return fmt.Errorf("health: VerifyRounds must be ≥ 1, got %d", c.VerifyRounds)
 	}
 	return nil
 }
@@ -166,9 +149,6 @@ func New(mon *monitor.Monitor, cfg Config) (*Runtime, error) {
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.MaxHistory <= 0 {
-		cfg.MaxHistory = 256
 	}
 	return &Runtime{mon: mon, cfg: cfg, confirmed: monitor.Healthy}, nil
 }
@@ -250,7 +230,7 @@ func (rt *Runtime) debounce(raw monitor.Status) (monitor.Status, bool) {
 		}
 		rt.downStreak++
 		rt.upStreak = 0
-		if rt.downStreak >= rt.cfg.DeescalateAfter {
+		if rt.downStreak >= DeescalateAfter {
 			rt.confirmed = rt.downMax
 			rt.upStreak, rt.downStreak = 0, 0
 			rt.flips++
@@ -272,7 +252,7 @@ func (rt *Runtime) forceConfirmed(s monitor.Status) {
 
 // record appends the round to the bounded ring buffer.
 func (rt *Runtime) record(r Round) {
-	if len(rt.rounds) < rt.cfg.MaxHistory {
+	if len(rt.rounds) < MaxHistory {
 		rt.rounds = append(rt.rounds, r)
 		return
 	}
@@ -288,7 +268,7 @@ func (rt *Runtime) record(r Round) {
 // "caller gave up waiting".
 func (rt *Runtime) readout(ctx context.Context, accel monitor.Infer) (probs *tensor.Tensor, rejected int, err error) {
 	backoff := rt.cfg.BackoffBase
-	for attempt := 0; attempt <= rt.cfg.MaxReadRetries; attempt++ {
+	for attempt := 0; attempt <= MaxReadRetries; attempt++ {
 		if attempt > 0 {
 			if cerr := rt.sleepCtx(ctx, backoff); cerr != nil {
 				return nil, rejected, fmt.Errorf("health: readout retries aborted after %d rejections (last: %v): %w", rejected, err, cerr)

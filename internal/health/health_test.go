@@ -28,7 +28,7 @@ func testRuntime(t *testing.T, cfg Config) (*Runtime, *nn.Network) {
 		X:      tensor.RandUniform(rng.New(2), 0, 1, 8, 16),
 		Labels: make([]int, 8),
 	}
-	mon := monitor.MustNew(net, patterns, nil, monitor.DefaultConfig())
+	mon := monitor.New(net, patterns, nil)
 	cfg.Sleep = func(time.Duration) {}
 	rt, err := New(mon, cfg)
 	if err != nil {
@@ -55,11 +55,6 @@ func TestConfigValidate(t *testing.T) {
 	bad.EscalateAfter = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("EscalateAfter=0 accepted")
-	}
-	bad = DefaultConfig()
-	bad.VerifyRounds = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("VerifyRounds=0 accepted")
 	}
 	if _, err := New(nil, DefaultConfig()); err == nil {
 		t.Fatal("nil monitor accepted")
@@ -124,7 +119,6 @@ func TestHysteresisOscillatingElevatedEvidence(t *testing.T) {
 func TestDeescalationIsSlower(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EscalateAfter = 2
-	cfg.DeescalateAfter = 3
 	rt, net := testRuntime(t, cfg)
 	bad, clean := shiftInfer(net, 0.12), shiftInfer(net, 0)
 	rt.Check(context.Background(), bad)
@@ -157,8 +151,8 @@ func TestPoisonedInferNaN(t *testing.T) {
 	if !r.SensorFault || r.Raw == monitor.Healthy {
 		t.Fatalf("poisoned readout round: %+v", r)
 	}
-	if r.Rejected != 1+DefaultConfig().MaxReadRetries {
-		t.Fatalf("rejected %d attempts, want %d", r.Rejected, 1+DefaultConfig().MaxReadRetries)
+	if r.Rejected != 1+MaxReadRetries {
+		t.Fatalf("rejected %d attempts, want %d", r.Rejected, 1+MaxReadRetries)
 	}
 }
 
@@ -181,8 +175,8 @@ func TestPoisonedInferPanicRecovered(t *testing.T) {
 		t.Fatalf("panicking readout: %+v", r)
 	}
 	_, panics := rt.RejectedReadouts()
-	if panics != 1+DefaultConfig().MaxReadRetries {
-		t.Fatalf("recovered %d panics, want %d", panics, 1+DefaultConfig().MaxReadRetries)
+	if panics != 1+MaxReadRetries {
+		t.Fatalf("recovered %d panics, want %d", panics, 1+MaxReadRetries)
 	}
 }
 
@@ -207,14 +201,13 @@ func TestRetryRecoversFlakyReadout(t *testing.T) {
 
 func TestBackoffIsBoundedExponential(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MaxReadRetries = 4
 	cfg.BackoffBase = 10 * time.Millisecond
 	cfg.BackoffMax = 25 * time.Millisecond
 	rt, _ := testRuntime(t, cfg)
 	var slept []time.Duration
 	rt.cfg.Sleep = func(d time.Duration) { slept = append(slept, d) }
 	rt.Check(context.Background(), func(x *tensor.Tensor) *tensor.Tensor { return nil })
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 25 * time.Millisecond, 25 * time.Millisecond}
+	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 25 * time.Millisecond}
 	if len(slept) != len(want) {
 		t.Fatalf("slept %v, want %v", slept, want)
 	}
@@ -226,16 +219,14 @@ func TestBackoffIsBoundedExponential(t *testing.T) {
 }
 
 func TestHistoryRingBounded(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxHistory = 4
-	rt, net := testRuntime(t, cfg)
+	rt, net := testRuntime(t, DefaultConfig())
 	clean := shiftInfer(net, 0)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < MaxHistory+6; i++ {
 		rt.Check(context.Background(), clean)
 	}
 	hist := rt.History()
-	if len(hist) != 4 {
-		t.Fatalf("history kept %d rounds, want 4", len(hist))
+	if len(hist) != MaxHistory {
+		t.Fatalf("history kept %d rounds, want %d", len(hist), MaxHistory)
 	}
 	for i, r := range hist {
 		if r.Seq != 7+i {
@@ -284,7 +275,7 @@ func TestSuperviseEscalatesUntilVerified(t *testing.T) {
 		probs.Apply(func(v float64) float64 { return v + d + 1e-9 })
 		return probs
 	}
-	ep := rt.Supervise(context.Background(), infer, escalation(sr.apply), cfg.MaxRepairAttempts)
+	ep := rt.Supervise(context.Background(), infer, escalation(sr.apply), 3)
 	if !ep.Recovered || ep.GaveUp {
 		t.Fatalf("episode did not recover: %+v", ep)
 	}
@@ -305,11 +296,10 @@ func TestSuperviseEscalatesUntilVerified(t *testing.T) {
 func TestSuperviseGivesUpGracefully(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EscalateAfter = 1
-	cfg.MaxRepairAttempts = 3
 	rt, net := testRuntime(t, cfg)
 	bad := shiftInfer(net, 0.12) // Critical, unrepairable
 	sr := &stepRepairer{needs: repair.Action(99)}
-	ep := rt.Supervise(context.Background(), bad, escalation(sr.apply), cfg.MaxRepairAttempts)
+	ep := rt.Supervise(context.Background(), bad, escalation(sr.apply), 3)
 	if ep.Recovered || !ep.GaveUp {
 		t.Fatalf("unrepairable damage not given up: %+v", ep)
 	}
@@ -324,13 +314,12 @@ func TestSuperviseGivesUpGracefully(t *testing.T) {
 func TestSuperviseRepairApplyError(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EscalateAfter = 1
-	cfg.MaxRepairAttempts = 2
 	rt, net := testRuntime(t, cfg)
 	bad := shiftInfer(net, 0.04)
 	failing := escalation(func(a repair.Action) (*nn.Network, error) {
 		return nil, errors.New("actuator offline")
 	})
-	ep := rt.Supervise(context.Background(), bad, failing, cfg.MaxRepairAttempts)
+	ep := rt.Supervise(context.Background(), bad, failing, 2)
 	if !ep.GaveUp || len(ep.Attempts) != 2 {
 		t.Fatalf("failing repairer episode: %+v", ep)
 	}
@@ -341,7 +330,7 @@ func TestSuperviseRepairApplyError(t *testing.T) {
 
 // TestEscalationRungsWalkTheFixedActionSchedule pins what an episode over
 // repair.Escalation does: start at repair.PlanFor(confirmed), one action up
-// per failed verification, at most min(budget, MaxRepairAttempts) cycles,
+// per failed verification, at most min(budget, ladder length) cycles,
 // stop above Replace, one budget unit and one Action.String()-named attempt
 // per cycle, retirement advised exactly when nothing is left to spend. The
 // fleet's journaled decisions and campaign/testdata/fixed_escalation.json
@@ -349,27 +338,25 @@ func TestSuperviseRepairApplyError(t *testing.T) {
 func TestEscalationRungsWalkTheFixedActionSchedule(t *testing.T) {
 	const degraded, impaired, critical = 0.04, 0.08, 0.12
 	for _, tc := range []struct {
-		name        string
-		dist        float64
-		needs       repair.Action
-		budget, max int
-		want        []string
-		recovered   bool
-		retire      bool
+		name      string
+		dist      float64
+		needs     repair.Action
+		budget    int
+		want      []string
+		recovered bool
+		retire    bool
 	}{
-		{"degraded starts at reprogram", degraded, repair.Reprogram, 3, 3, []string{"reprogram"}, true, false},
-		{"impaired starts at retrain", impaired, repair.Retrain, 3, 3, []string{"retrain"}, true, false},
-		{"critical starts at replace", critical, repair.Replace, 3, 3, []string{"replace"}, true, false},
-		{"escalates to the top", degraded, repair.Replace, 3, 3, []string{"reprogram", "retrain", "replace"}, true, false},
-		{"stops above replace", critical, repair.Action(99), 3, 3, []string{"replace"}, false, false},
-		{"attempt cap binds before the ladder", degraded, repair.Action(99), 9, 2, []string{"reprogram", "retrain"}, false, false},
-		{"budget binds before the cap", degraded, repair.Action(99), 1, 3, []string{"reprogram"}, false, true},
-		{"budget spent exactly on a full walk", degraded, repair.Action(99), 3, 3, []string{"reprogram", "retrain", "replace"}, false, true},
+		{"degraded starts at reprogram", degraded, repair.Reprogram, 3, []string{"reprogram"}, true, false},
+		{"impaired starts at retrain", impaired, repair.Retrain, 3, []string{"retrain"}, true, false},
+		{"critical starts at replace", critical, repair.Replace, 3, []string{"replace"}, true, false},
+		{"escalates to the top", degraded, repair.Replace, 3, []string{"reprogram", "retrain", "replace"}, true, false},
+		{"stops above replace", critical, repair.Action(99), 3, []string{"replace"}, false, false},
+		{"budget binds before the cap", degraded, repair.Action(99), 1, []string{"reprogram"}, false, true},
+		{"budget spent exactly on a full walk", degraded, repair.Action(99), 3, []string{"reprogram", "retrain", "replace"}, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.EscalateAfter = 1
-			cfg.MaxRepairAttempts = tc.max
 			rt, net := testRuntime(t, cfg)
 			sr := &stepRepairer{needs: tc.needs}
 			infer := func(x *tensor.Tensor) *tensor.Tensor {
@@ -408,9 +395,7 @@ func TestEscalationRungsWalkTheFixedActionSchedule(t *testing.T) {
 }
 
 func TestCheckCtxCanceledSkipsBackoffSchedule(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxReadRetries = 5
-	rt, _ := testRuntime(t, cfg)
+	rt, _ := testRuntime(t, DefaultConfig())
 	sleeps, attempts := 0, 0
 	rt.cfg.Sleep = func(time.Duration) { sleeps++ }
 	ctx, cancel := context.WithCancel(context.Background())
@@ -440,7 +425,7 @@ func TestCheckCtxCancelCutsRealBackoffSleep(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BackoffBase = 30 * time.Second // would dominate the test if not cut
 	cfg.BackoffMax = 30 * time.Second
-	rt, err := New(monitor.MustNew(net, patterns, nil, monitor.DefaultConfig()), cfg)
+	rt, err := New(monitor.New(net, patterns, nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +452,7 @@ func TestSuperviseCanceledCtxStartsNoRepair(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sr := &stepRepairer{needs: repair.Reprogram}
-	ep := rt.Supervise(ctx, shiftInfer(net, 0.12), escalation(sr.apply), cfg.MaxRepairAttempts)
+	ep := rt.Supervise(ctx, shiftInfer(net, 0.12), escalation(sr.apply), 3)
 	if len(sr.applied) != 0 {
 		t.Fatalf("canceled episode still applied repairs: %v", sr.applied)
 	}

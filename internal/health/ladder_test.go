@@ -204,19 +204,6 @@ func TestLadderChargesCostOnApplyError(t *testing.T) {
 	}
 }
 
-func TestLadderAttemptsCappedByMaxRepairAttempts(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EscalateAfter = 1
-	cfg.MaxRepairAttempts = 1
-	rt, net := testRuntime(t, cfg)
-	sl := &scriptedLadder{diag: repair.Diagnosis{Drifted: 1, Stuck: 1}, fixedBy: ""}
-
-	ep := rt.Supervise(context.Background(), ladderInfer(net, sl), sl, 100)
-	if len(ep.Attempts) != 1 {
-		t.Fatalf("attempts %d, want 1 (MaxRepairAttempts)", len(ep.Attempts))
-	}
-}
-
 func TestLadderCanceledCtxCondemnsNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EscalateAfter = 1

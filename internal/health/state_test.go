@@ -60,7 +60,7 @@ func TestFingerprintDistinguishesCommissions(t *testing.T) {
 		X:      tensor.RandUniform(rng.New(2), 0, 1, 8, 16),
 		Labels: make([]int, 8),
 	}
-	mon2 := monitor.MustNew(other, patterns, nil, monitor.DefaultConfig())
+	mon2 := monitor.New(other, patterns, nil)
 	if rt.Monitor().Fingerprint() == mon2.Fingerprint() {
 		t.Fatal("different reference models hashed to the same fingerprint")
 	}
@@ -129,7 +129,7 @@ func TestSuperviseZeroBudget(t *testing.T) {
 	if !ep.GaveUp {
 		t.Fatal("zero-budget episode on confirmed damage did not give up")
 	}
-	// a positive budget below MaxRepairAttempts caps the episode
+	// a positive budget below the ladder's length caps the episode
 	ep = rt.Supervise(context.Background(), shiftInfer(net, 0.2), rep, 1)
 	if len(ep.Attempts) > 1 {
 		t.Fatalf("budget 1 episode ran %d attempts", len(ep.Attempts))

@@ -82,15 +82,14 @@ func (e Episode) Repaired() bool { return len(e.Attempts) > 0 }
 //
 // budget is this episode's allowance in strategy cost units (repair.CostScrub,
 // repair.CostRemap, …; one unit per rung on a repair.Escalation ladder). A
-// standalone runtime passes its Config.MaxRepairAttempts; the fleet
+// standalone runtime passes a fixed per-episode allowance; the fleet
 // supervisor grants each episode the device's whole remaining lifetime
-// budget and charges Episode.CostSpent back. The number of (apply, verify)
-// cycles is additionally capped by cfg.MaxRepairAttempts, so a pathological
-// suite of zero-cost rungs cannot loop unboundedly. With budget ≤ 0 no
-// repair is attempted: a confirmed-damaged round reports GaveUp immediately,
-// which is the fleet's cue to retire the device to hardware service. Each
-// rung is tried at most once per episode: a rung that fails verification
-// escalates to the next applicable rung above it.
+// budget and charges Episode.CostSpent back. With budget ≤ 0 no repair is
+// attempted: a confirmed-damaged round reports GaveUp immediately, which is
+// the fleet's cue to retire the device to hardware service. Each rung is
+// tried at most once per episode: a rung that fails verification escalates
+// to the next applicable rung above it, so the ladder's length bounds the
+// (apply, verify) cycles of an episode, whatever its rungs cost.
 //
 // A ctx that expires aborts retry/backoff sleeps promptly (see Check) and
 // stops the ladder between attempts: no new repair cycle starts once ctx is
@@ -120,7 +119,7 @@ func (rt *Runtime) Supervise(ctx context.Context, accel monitor.Infer, rep Repai
 
 	strats := rep.Strategies()
 	next := 0 // lowest rung still eligible this episode
-	for len(ep.Attempts) < rt.cfg.MaxRepairAttempts {
+	for next < len(strats) {
 		if ctx.Err() != nil {
 			break
 		}
@@ -205,14 +204,14 @@ func (rt *Runtime) Supervise(ctx context.Context, accel monitor.Infer, rep Repai
 	return ep
 }
 
-// verify runs cfg.VerifyRounds guarded raw checks and succeeds only if every
+// verify runs VerifyRounds guarded raw checks and succeeds only if every
 // one of them reads back finite, well-shaped and Healthy. The checks go
 // through the wrapped monitor (so they appear in its history) but bypass the
 // hysteresis tracker: they are part of the repair transaction, and success
 // resets the tracker wholesale via forceConfirmed.
 func (rt *Runtime) verify(ctx context.Context, accel monitor.Infer) (ok bool, worstDist float64) {
 	ok = true
-	for v := 0; v < rt.cfg.VerifyRounds; v++ {
+	for v := 0; v < VerifyRounds; v++ {
 		probs, rejected, err := rt.readout(ctx, accel)
 		rt.rejects += rejected
 		if err != nil {

@@ -11,13 +11,13 @@ type StoreConfig struct {
 	FS FS
 	// CompactBytes is the WAL size that arms ShouldCompact (0 → 1 MiB).
 	CompactBytes int64
-	// KeepSnapshots is how many snapshot generations stay on disk (0 → 2).
-	// Two is the floor that makes the corrupt-newest-generation fallback
-	// lossless: the WAL always retains every record after the previous
-	// generation (see Compact), so gen N-1 plus the WAL reconstructs the
-	// exact state gen N held.
-	KeepSnapshots int
 }
+
+// keepSnapshots is how many snapshot generations stay on disk. Two is the
+// floor that makes the corrupt-newest-generation fallback lossless: the WAL
+// always retains every record after the previous generation (see Compact),
+// so gen N-1 plus the WAL reconstructs the exact state gen N held.
+const keepSnapshots = 2
 
 func (c StoreConfig) withDefaults() StoreConfig {
 	if c.FS == nil {
@@ -25,9 +25,6 @@ func (c StoreConfig) withDefaults() StoreConfig {
 	}
 	if c.CompactBytes == 0 {
 		c.CompactBytes = 1 << 20
-	}
-	if c.KeepSnapshots < 2 {
-		c.KeepSnapshots = 2
 	}
 	return c
 }
@@ -217,14 +214,14 @@ func (s *Store) Compact(snapshot []byte, seq uint64, keep func(rec []byte) bool)
 	return nil
 }
 
-// prune removes snapshot generations beyond cfg.KeepSnapshots, best effort.
+// prune removes snapshot generations beyond keepSnapshots, best effort.
 func (s *Store) prune() {
 	gens, _, err := listSnapshots(s.fs, s.path)
 	if err != nil {
 		return
 	}
 	for i, gen := range gens {
-		if i >= s.cfg.KeepSnapshots {
+		if i >= keepSnapshots {
 			s.fs.Remove(snapshotPath(s.path, gen))
 		}
 	}

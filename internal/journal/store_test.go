@@ -193,7 +193,7 @@ func TestStoreCompactionBoundsWAL(t *testing.T) {
 		}
 		t.Fatalf("post-compaction WAL holds seqs %v, want 33..40", seqs)
 	}
-	// only KeepSnapshots generations remain on disk
+	// only keepSnapshots generations remain on disk
 	gens, temps, err := listSnapshots(OS, path)
 	if err != nil || len(temps) != 0 {
 		t.Fatalf("listSnapshots: temps=%v err=%v", temps, err)

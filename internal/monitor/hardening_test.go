@@ -10,42 +10,6 @@ import (
 	"reramtest/internal/testgen"
 )
 
-func TestConfigValidateRejectsBadThresholds(t *testing.T) {
-	cases := []func(*Config){
-		func(c *Config) { c.DegradedAt = 0 },
-		func(c *Config) { c.ImpairedAt = -0.1 },
-		func(c *Config) { c.CriticalAt = math.NaN() },
-		func(c *Config) { c.DegradedAt = math.Inf(1) },
-		func(c *Config) { c.DegradedAt, c.ImpairedAt = c.ImpairedAt, c.DegradedAt }, // not ascending
-		func(c *Config) { c.ImpairedAt = c.CriticalAt },                             // not strict
-	}
-	for i, mutate := range cases {
-		cfg := DefaultConfig()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
-		}
-	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config rejected: %v", err)
-	}
-}
-
-func TestNewRejectsInvalidConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CriticalAt = cfg.DegradedAt
-	net := models.MLP(rng.New(1), 16, []int{12}, 5)
-	if _, err := New(net, patterns8x16(), nil, cfg); err == nil {
-		t.Fatal("New accepted a non-ascending config")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew did not panic on invalid config")
-		}
-	}()
-	MustNew(net, patterns8x16(), nil, cfg)
-}
-
 func patterns8x16() *testgen.PatternSet {
 	return &testgen.PatternSet{
 		Name: "t", Method: "plain",
@@ -55,37 +19,23 @@ func patterns8x16() *testgen.PatternSet {
 }
 
 func TestHistoryRingEviction(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxHistory = 4
 	net := models.MLP(rng.New(1), 16, []int{12}, 5)
-	m := MustNew(net, patterns8x16(), nil, cfg)
-	for i := 0; i < 10; i++ {
-		m.Check(NetworkInfer(net))
+	m := New(net, patterns8x16(), nil)
+	infer := NetworkInfer(net)
+	for i := 0; i < MaxHistory+6; i++ {
+		m.Check(infer)
 	}
 	hist := m.History()
-	if len(hist) != 4 {
-		t.Fatalf("ring kept %d reports, want 4", len(hist))
+	if len(hist) != MaxHistory {
+		t.Fatalf("ring kept %d reports, want %d", len(hist), MaxHistory)
 	}
 	for i, rep := range hist {
 		if rep.Round != 7+i {
 			t.Fatalf("ring out of chronological order: rounds %v", roundsOf(hist))
 		}
 	}
-	if m.rounds != 10 {
-		t.Fatalf("%d rounds counted after 10 checks", m.rounds)
-	}
-}
-
-func TestHistoryUnboundedWhenNegative(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxHistory = -1
-	net := models.MLP(rng.New(1), 16, []int{12}, 5)
-	m := MustNew(net, patterns8x16(), nil, cfg)
-	for i := 0; i < 20; i++ {
-		m.Check(NetworkInfer(net))
-	}
-	if len(m.History()) != 20 {
-		t.Fatalf("unbounded history kept %d reports", len(m.History()))
+	if m.rounds != MaxHistory+6 {
+		t.Fatalf("%d rounds counted after %d checks", m.rounds, MaxHistory+6)
 	}
 }
 

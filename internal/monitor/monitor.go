@@ -95,95 +95,41 @@ type CalibPoint struct {
 	Accuracy float64 // measured model accuracy at that distance
 }
 
-// DefaultMaxHistory bounds the report history of monitors whose Config
-// leaves MaxHistory at zero, so long-running deployments never leak.
-const DefaultMaxHistory = 512
+// The decision thresholds on the mean all-class confidence distance (the
+// paper's most sensitive aggregate, SDC-A): 3% distance marks degradation and
+// larger multiples mark escalating damage.
+const (
+	DegradedAt = 0.03
+	ImpairedAt = 0.06
+	CriticalAt = 0.10
+)
 
-// Config sets the monitor's decision thresholds on the mean all-class
-// confidence distance (the paper's most sensitive aggregate, SDC-A).
-type Config struct {
-	// DegradedAt/ImpairedAt/CriticalAt are ascending distance thresholds.
-	DegradedAt, ImpairedAt, CriticalAt float64
-	// Criteria lists the SDC rules to evaluate and report on each check.
-	Criteria []Criterion
-	// MaxHistory caps the retained report history (ring buffer). 0 selects
-	// DefaultMaxHistory; negative keeps every report (tests, short sweeps).
-	MaxHistory int
-}
-
-// DefaultConfig uses the paper's SDC-A levels: 3% distance marks degradation
-// and larger multiples mark escalating damage.
-func DefaultConfig() Config {
-	return Config{
-		DegradedAt: 0.03, ImpairedAt: 0.06, CriticalAt: 0.10,
-		Criteria:   AllCriteria,
-		MaxHistory: DefaultMaxHistory,
-	}
-}
-
-// Validate rejects threshold configurations the classifier cannot act on:
-// every threshold must be positive and finite, and the three levels must be
-// strictly ascending (Degraded < Impaired < Critical).
-func (c Config) Validate() error {
-	for _, t := range []struct {
-		name string
-		v    float64
-	}{{"DegradedAt", c.DegradedAt}, {"ImpairedAt", c.ImpairedAt}, {"CriticalAt", c.CriticalAt}} {
-		if math.IsNaN(t.v) || math.IsInf(t.v, 0) {
-			return fmt.Errorf("monitor: %s must be finite, got %v", t.name, t.v)
-		}
-		if t.v <= 0 {
-			return fmt.Errorf("monitor: %s must be positive, got %v", t.name, t.v)
-		}
-	}
-	if !(c.DegradedAt < c.ImpairedAt && c.ImpairedAt < c.CriticalAt) {
-		return fmt.Errorf("monitor: thresholds must ascend, got Degraded=%v Impaired=%v Critical=%v",
-			c.DegradedAt, c.ImpairedAt, c.CriticalAt)
-	}
-	return nil
-}
+// MaxHistory bounds the retained report history (a ring buffer), so
+// long-running deployments never leak.
+const MaxHistory = 512
 
 // Monitor is a commissioned concurrent-test agent for one accelerator.
 type Monitor struct {
-	cfg     Config
 	golden  *Golden
 	calib   []CalibPoint
-	history []Report // ring buffer once cfg.MaxHistory is reached
+	history []Report // ring buffer once MaxHistory is reached
 	start   int      // index of the oldest retained report
 	rounds  int      // total checks ever run (Round numbering survives eviction)
 }
 
 // New commissions a monitor: it captures golden confidences of the ideal
 // model on the pattern set. calib may be nil (accuracy estimates are then
-// omitted) or a Fig.-8-style curve sorted in any order. It fails when cfg
-// does not pass Validate.
-func New(ideal *nn.Network, patterns *testgen.PatternSet, calib []CalibPoint, cfg Config) (*Monitor, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.MaxHistory == 0 {
-		cfg.MaxHistory = DefaultMaxHistory
-	}
-	m := &Monitor{cfg: cfg, golden: Capture(ideal, patterns),
-		calib: append([]CalibPoint(nil), calib...)}
+// omitted) or a Fig.-8-style curve sorted in any order.
+func New(ideal *nn.Network, patterns *testgen.PatternSet, calib []CalibPoint) *Monitor {
+	m := &Monitor{golden: Capture(ideal, patterns), calib: append([]CalibPoint(nil), calib...)}
 	sort.Slice(m.calib, func(i, j int) bool { return m.calib[i].Distance < m.calib[j].Distance })
-	return m, nil
-}
-
-// MustNew is New for callers with a statically known-good configuration
-// (examples, tests); it panics on a validation error.
-func MustNew(ideal *nn.Network, patterns *testgen.PatternSet, calib []CalibPoint, cfg Config) *Monitor {
-	m, err := New(ideal, patterns, calib, cfg)
-	if err != nil {
-		panic(err)
-	}
 	return m
 }
 
 // Recommission recaptures the golden reference against a new ideal model —
 // required after a retraining repair changes the deployed weights, so the
 // monitor stops comparing the accelerator to a model that no longer exists.
-// History, calibration and thresholds are preserved.
+// History and calibration are preserved.
 func (m *Monitor) Recommission(ideal *nn.Network) {
 	m.golden = Capture(ideal, m.golden.Patterns)
 }
@@ -266,22 +212,22 @@ func (m *Monitor) Check(accel Infer) Report {
 		Round:       m.rounds,
 		TopDist:     o.TopDist,
 		AllDist:     o.AllDist,
-		Detected:    make(map[Criterion]bool, len(m.cfg.Criteria)),
+		Detected:    make(map[Criterion]bool, len(AllCriteria)),
 		EstAccuracy: -1,
 		NonFinite:   o.NonFinite,
 	}
-	for _, c := range m.cfg.Criteria {
+	for _, c := range AllCriteria {
 		rep.Detected[c] = o.Detect(c)
 	}
 	switch {
-	case math.IsNaN(o.AllDist) || o.AllDist >= m.cfg.CriticalAt:
+	case math.IsNaN(o.AllDist) || o.AllDist >= CriticalAt:
 		// a NaN aggregate means the readout is garbage end to end; treat it
 		// as the worst case rather than letting NaN comparisons fall through
 		// to Healthy
 		rep.Status = Critical
-	case o.AllDist >= m.cfg.ImpairedAt:
+	case o.AllDist >= ImpairedAt:
 		rep.Status = Impaired
-	case o.AllDist >= m.cfg.DegradedAt:
+	case o.AllDist >= DegradedAt:
 		rep.Status = Degraded
 	default:
 		rep.Status = Healthy
@@ -301,13 +247,9 @@ func (m *Monitor) Check(accel Infer) Report {
 }
 
 // record appends rep to the bounded history, evicting the oldest entry once
-// the configured cap is reached.
+// MaxHistory is reached.
 func (m *Monitor) record(rep Report) {
-	if m.cfg.MaxHistory < 0 {
-		m.history = append(m.history, rep)
-		return
-	}
-	if len(m.history) < m.cfg.MaxHistory {
+	if len(m.history) < MaxHistory {
 		m.history = append(m.history, rep)
 		return
 	}
@@ -343,8 +285,7 @@ func (m *Monitor) EstimateAccuracy(dist float64) float64 {
 }
 
 // History returns the retained reports in chronological order. At most
-// Config.MaxHistory reports are kept; Rounds reports how many checks ever
-// ran.
+// MaxHistory reports are kept.
 func (m *Monitor) History() []Report {
 	out := make([]Report, 0, len(m.history))
 	out = append(out, m.history[m.start:]...)

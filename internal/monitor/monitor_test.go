@@ -22,7 +22,7 @@ func testMonitor(t *testing.T, calib []CalibPoint) (*Monitor, *nn.Network) {
 		X:      tensor.RandUniform(rng.New(2), 0, 1, 8, 16),
 		Labels: make([]int, 8),
 	}
-	return MustNew(net, patterns, calib, DefaultConfig()), net
+	return New(net, patterns, calib), net
 }
 
 func TestHealthyOnIdealModel(t *testing.T) {
@@ -77,16 +77,15 @@ func TestDegradationEscalatesStatus(t *testing.T) {
 }
 
 func TestStatusThresholds(t *testing.T) {
-	cfg := DefaultConfig()
 	m, _ := testMonitor(t, nil)
 	cases := []struct {
 		dist float64
 		want Status
 	}{
 		{0.0, Healthy},
-		{cfg.DegradedAt, Degraded},
-		{cfg.ImpairedAt, Impaired},
-		{cfg.CriticalAt, Critical},
+		{DegradedAt, Degraded},
+		{ImpairedAt, Impaired},
+		{CriticalAt, Critical},
 		{0.5, Critical},
 	}
 	for _, c := range cases {

@@ -230,6 +230,33 @@ func TestHTTPFaultedShardMaps502(t *testing.T) {
 	}
 }
 
+// TestOverflowingInputKeepsDeviceServing: a well-formed body whose finite
+// inputs overflow the model answers 502 faulted, naming the non-finite
+// confidences, but indicts the request, not the device: after three of them
+// the tenant's only device still serves and a normal request answers 200.
+func TestOverflowingInputKeepsDeviceServing(t *testing.T) {
+	f, _ := newTier(t, 2, 1, Config{MaxRows: 4})
+	defer f.Close()
+	h := f.Handler()
+	tenant := tenantFor(t, f, "shard-1")
+	row := strings.TrimSuffix(strings.Repeat("1e308,", 16), ",")
+	overflow := `{"tenant":"` + tenant + `","input":[[` + row + `]]}`
+	for i := 0; i < 3; i++ {
+		rec := serveInfer(h, strings.NewReader(overflow), "")
+		if rec.Code != http.StatusBadGateway || !strings.Contains(rec.Body.String(), "non-finite") {
+			t.Fatalf("overflowing request %d answered %d: %s", i+1, rec.Code, rec.Body.String())
+		}
+	}
+	for _, st := range f.Status() {
+		if len(st.Quarantined) != 0 || len(st.Serving) != 1 {
+			t.Fatalf("%s after overflowing requests: serving %v, quarantined %v", st.Name, st.Serving, st.Quarantined)
+		}
+	}
+	if rec := serveInfer(h, strings.NewReader(inferBody(tenant, 1, 16)), ""); rec.Code != http.StatusOK {
+		t.Fatalf("normal request after overflowing ones answered %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
 func TestHTTPHealthzAndStats(t *testing.T) {
 	f, _, ts := httpTier(t, Config{})
 	if _, err := f.Do(context.Background(), Request{Tenant: "t", X: tierBatch(1)}); err != nil {
@@ -466,7 +493,7 @@ func TestRecycledStateAnswersItsOwnInput(t *testing.T) {
 		specs[s] = ShardSpec{Name: fmt.Sprintf("shard-%d", s), Devices: wrapped, Fleet: fcfg,
 			Serve: serve.Config{Workers: 4, HedgeAfter: 500 * time.Microsecond}}
 	}
-	f, err := New(specs, Config{RetryMax: 1, RetryBackoff: time.Microsecond, MaxRows: rows})
+	f, err := New(specs, Config{RetryMax: 1, MaxRows: rows})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,18 +59,22 @@ import (
 	"reramtest/internal/wire"
 )
 
+// The frontend's fixed placement parameters.
+const (
+	// vnodes is the virtual nodes per shard on the hash ring.
+	vnodes = 16
+	// retryBackoff is the sleep before the first cross-shard retry, doubling
+	// per attempt and always cut short by the request deadline.
+	retryBackoff = time.Millisecond
+)
+
 // Config tunes the frontend.
 type Config struct {
-	// VNodes is the virtual nodes per shard on the hash ring (0 → 16).
-	VNodes int
 	// Quota is the per-tenant admission quota (zero value disables).
 	Quota QuotaConfig
 	// RetryMax bounds retries after a shard-level fault: a request makes at
 	// most 1+RetryMax placements (0: no retry).
 	RetryMax int
-	// RetryBackoff is the sleep before the first retry, doubling per
-	// attempt and always cut short by the request deadline (0 → 1ms).
-	RetryBackoff time.Duration
 	// MaxRows bounds the rows of one request batch (0 → 64).
 	MaxRows int
 	// DefaultDeadline applies to requests that brought no deadline (0 → 1s).
@@ -81,22 +85,16 @@ type Config struct {
 
 // Validate rejects configurations the frontend cannot operate under.
 func (c Config) Validate() error {
-	if c.VNodes < 0 || c.RetryMax < 0 || c.MaxRows < 0 {
-		return fmt.Errorf("netserve: VNodes/RetryMax/MaxRows must be ≥ 0")
+	if c.RetryMax < 0 || c.MaxRows < 0 {
+		return fmt.Errorf("netserve: RetryMax/MaxRows must be ≥ 0")
 	}
-	if c.RetryBackoff < 0 || c.DefaultDeadline < 0 || c.MaxDeadline < 0 {
+	if c.DefaultDeadline < 0 || c.MaxDeadline < 0 {
 		return fmt.Errorf("netserve: durations must be ≥ 0")
 	}
 	return c.Quota.Validate()
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes == 0 {
-		c.VNodes = 16
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = time.Millisecond
-	}
 	if c.MaxRows == 0 {
 		c.MaxRows = 64
 	}
@@ -342,7 +340,7 @@ func New(specs []ShardSpec, cfg Config) (*Frontend, error) {
 	// the ring is built once: draining shards are skipped at lookup time, so
 	// membership changes never rebuild it (and never race lookups)
 	for i, sh := range f.shards {
-		for v := 0; v < cfg.VNodes; v++ {
+		for v := 0; v < vnodes; v++ {
 			f.ring = append(f.ring, ringSlot{hash: hash64(sh.name + "#" + strconv.Itoa(v)), idx: i})
 		}
 	}
@@ -453,7 +451,7 @@ func (f *Frontend) Do(ctx context.Context, req Request) (Result, error) {
 	deadline := serve.Deadline(ctx, req.Deadline, f.cfg.DefaultDeadline)
 	var lastErr error
 	avoided := make(map[int]bool, 2)
-	backoff := f.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		sh := f.pick(req.Tenant, avoided)
 		if sh == nil {

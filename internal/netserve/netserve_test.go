@@ -418,8 +418,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]ShardSpec{spec("a"), spec("a")}, Config{}); err == nil {
 		t.Fatal("duplicate shard name accepted")
 	}
-	if _, err := New([]ShardSpec{spec("a")}, Config{RetryBackoff: -1}); err == nil {
-		t.Fatal("negative backoff accepted")
+	if _, err := New([]ShardSpec{spec("a")}, Config{MaxDeadline: -1}); err == nil {
+		t.Fatal("negative deadline cap accepted")
 	}
 	// mismatched input widths across shards must be refused
 	other := models.MLP(rng.New(1), 8, []int{6}, 3)
@@ -469,7 +469,7 @@ func TestRingSpreadsTenants(t *testing.T) {
 		t.Errorf("tenant-00..63 over 2 shards: busiest shard holds %.2f of them, want <= 0.65", hi)
 	}
 	// 16 virtual nodes leave the four arcs themselves at 0.74..1.26 of a fair
-	// quarter (relative spread ~ 1/sqrt(VNodes)), so that is the floor on how
+	// quarter (relative spread ~ 1/sqrt(vnodes)), so that is the floor on how
 	// even placement can be; 1000 names land within sampling noise of it
 	if lo, hi := share(4, 1000, "tenant-%d"); lo < 0.6/4 || hi > 1.4/4 {
 		t.Errorf("1000 tenants over 4 shards: shares span [%.3f, %.3f], want within 40%% of 0.25", lo, hi)

@@ -17,16 +17,18 @@ var (
 	// they fault; they just can't help this caller anymore.
 	ErrDeadline = errors.New("serve: deadline exceeded")
 
-	// ErrNoDevices: the router offered no legal placement — the fleet is
-	// shedding load below its MinServing floor, or every serving device is
-	// quarantined. The error the server returns wraps the router's typed
-	// refusal, so errors.Is(err, fleet.ErrNoEligibleDevice) also holds and
-	// the message carries the router's reason.
+	// ErrNoDevices: the router offered no legal placement — no device is
+	// serving, because each is quarantined, retired or condemned by its
+	// confirmed status. The error the server returns wraps the router's
+	// typed refusal, so errors.Is(err, fleet.ErrNoEligibleDevice) also holds
+	// and the message carries the router's reason.
 	ErrNoDevices = errors.New("serve: no serving devices")
 
 	// ErrFaulted: every attempt the server was willing to make (the primary
 	// placement plus at most one hedged retry on a different device) came
 	// back faulted — panic, nil or malformed output, non-finite confidences.
+	// Only the first three feed the device's breaker: finite inputs can
+	// overflow a healthy model, so a non-finite answer quarantines nothing.
 	ErrFaulted = errors.New("serve: all attempts faulted")
 
 	// ErrClosed: Do was called after Close began draining.

@@ -102,11 +102,7 @@ func TestLedgerExactUnderConcurrentServeMonitorRepair(t *testing.T) {
 
 	fcfg := fleetConfig()
 	fcfg.Health.EscalateAfter = 1
-	mon, err := monitor.New(st.Reference(), st.Patterns(), nil, fcfg.Monitor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := health.New(mon, fcfg.Health)
+	rt, err := health.New(monitor.New(st.Reference(), st.Patterns(), nil), fcfg.Health)
 	if err != nil {
 		t.Fatal(err)
 	}

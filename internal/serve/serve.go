@@ -21,11 +21,13 @@
 //     different device (never the same one, never a quarantined one — the
 //     router guarantees both) and the first answer wins. A faulted first
 //     attempt triggers the same second placement immediately.
-//   - Fault feedback. Any attempt that panics, returns nil/malformed output
-//     or non-finite confidences is reported into the fleet's circuit breaker
-//     via ReportServingFault — serving traffic is a health sensor too, and a
-//     device that keeps eating requests is quarantined without waiting for
-//     the next monitoring tick.
+//   - Fault feedback. Any attempt that panics or returns nil/malformed output
+//     is reported into the fleet's circuit breaker via ReportServingFault —
+//     serving traffic is a health sensor too, and a device that keeps eating
+//     requests is quarantined without waiting for the next monitoring tick.
+//     An answer with non-finite confidences faults the attempt but is not
+//     reported: finite inputs can overflow a healthy model, and a device
+//     whose readouts really go non-finite fails the monitor tick instead.
 //   - Degraded serving. When the router places a request on a
 //     Degraded-but-serving accelerator the response says so
 //     (Response.Degraded) instead of failing: the paper's economics want
@@ -307,9 +309,8 @@ type Server struct {
 // New commissions a fleet supervisor over devices (the fleet wraps each in a
 // Station, so monitoring, repair and serving serialise per device and every
 // charge is booked by the lock holder), journaling
-// through store (nil: memory-only), and starts the worker pool. The fleet
-// config's MinServing is validated against the fleet size at construction.
-// If commissioning the fleet cannot be journaled (the store's disk is already
+// through store (nil: memory-only), and starts the worker pool. If
+// commissioning the fleet cannot be journaled (the store's disk is already
 // faulty) the server still starts, running memory-only with Unjournaled set,
 // and the returned error matches fleet.ErrUnjournaled so the operator can
 // decide whether that is acceptable.
@@ -599,12 +600,28 @@ func (s *Server) attempt(p *record, i int) {
 	r.probs, r.cost, r.err = s.runOn(r.device, p.x)
 	if r.err != nil {
 		s.reportFault(r.device)
+	} else if !finite(r.probs) {
+		// not reported: finite inputs can overflow a healthy model, so a
+		// non-finite answer indicts the request as much as the device. A
+		// device whose readouts really go non-finite fails the monitor tick's
+		// readout validation, and that sensor fault trips the breaker.
+		r.probs, r.err = nil, fmt.Errorf("serve: device %s returned non-finite confidences", r.device)
 	}
 	p.resCh <- r
 }
 
-// runOn executes one guarded serving inference on device id, validates the
-// answer and reports its measured hardware spend.
+// finite reports whether every confidence in probs is a finite number.
+func finite(probs *tensor.Tensor) bool {
+	for _, v := range probs.Data() {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// runOn executes one guarded serving inference on device id, checks the
+// answer's shape and reports its measured hardware spend.
 func (s *Server) runOn(id string, x *tensor.Tensor) (probs *tensor.Tensor, cost hwcost.Cost, err error) {
 	st := s.sup.Station(id)
 	if st == nil {
@@ -621,11 +638,6 @@ func (s *Server) runOn(id string, x *tensor.Tensor) (probs *tensor.Tensor, cost 
 	}
 	if out.Rank() != 2 || out.Dim(0) != x.Dim(0) {
 		return nil, cost, fmt.Errorf("serve: device %s returned a malformed batch", id)
-	}
-	for _, v := range out.Data() {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, cost, fmt.Errorf("serve: device %s returned non-finite confidences", id)
-		}
 	}
 	return out, cost, nil
 }

@@ -197,7 +197,7 @@ func TestStationCarriesTheLadder(t *testing.T) {
 
 	hcfg := fleetConfig().Health
 	hcfg.EscalateAfter = 1
-	rt, err := health.New(monitor.MustNew(dev.Reference(), dev.Patterns(), nil, monitor.DefaultConfig()), hcfg)
+	rt, err := health.New(monitor.New(dev.Reference(), dev.Patterns(), nil), hcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

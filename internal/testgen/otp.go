@@ -10,17 +10,21 @@ import (
 	"reramtest/internal/tensor"
 )
 
-// OTPConfig holds the hyper-parameters of Algorithm 1.
+// The convergence bounds of Algorithm 1, the paper's published ε₁ = ε₂.
+const (
+	// eps1 bounds the standard deviation of the clean model's output
+	// confidences: below it the clean model is "extremely confused".
+	eps1 = 1e-3
+	// eps2 bounds the L1 distance between the fault model's confidences and
+	// the hard target: below it the fault model is "very confident".
+	eps2 = 1e-3
+)
+
+// OTPConfig holds the tunable hyper-parameters of Algorithm 1.
 type OTPConfig struct {
 	// Alpha weighs the clean-model soft-label term against the fault-model
 	// hard-label term in Eq. 1; the paper uses 0.5 (equal importance).
 	Alpha float64
-	// Eps1 bounds the standard deviation of the clean model's output
-	// confidences: below it the clean model is "extremely confused".
-	Eps1 float64
-	// Eps2 bounds the L1 distance between the fault model's confidences and
-	// the hard target: below it the fault model is "very confident".
-	Eps2 float64
 	// LR is the gradient-descent step size on the input.
 	LR float64
 	// MaxIters bounds the optimization loop.
@@ -30,11 +34,11 @@ type OTPConfig struct {
 	PerClass int
 }
 
-// DefaultOTPConfig returns the paper's published hyper-parameters
-// (α = 0.5, ε₁ = ε₂ = 1e-3) with a step size and iteration budget that
-// converge on both evaluation models.
+// DefaultOTPConfig returns the paper's published α = 0.5 with a step size
+// and iteration budget that converge on both evaluation models under the
+// fixed ε₁ = ε₂ = 1e-3.
 func DefaultOTPConfig() OTPConfig {
-	return OTPConfig{Alpha: 0.5, Eps1: 1e-3, Eps2: 1e-3, LR: 0.5, MaxIters: 600, PerClass: 1}
+	return OTPConfig{Alpha: 0.5, LR: 0.5, MaxIters: 600, PerClass: 1}
 }
 
 // OTPResult reports how Algorithm 1 converged.
@@ -114,7 +118,7 @@ func GenerateOTP(clean, faulty *nn.Network, classes int, cfg OTPConfig, r *rng.R
 		nn.SoftmaxInPlace(pClean)
 		pFault.CopyFrom(fe.Logits())
 		nn.SoftmaxInPlace(pFault)
-		if converged(pClean, pFault, hard, classes, cfg, &res) {
+		if converged(pClean, pFault, hard, classes, &res) {
 			res.Converged = true
 			break
 		}
@@ -127,7 +131,7 @@ func GenerateOTP(clean, faulty *nn.Network, classes int, cfg OTPConfig, r *rng.R
 // records the per-pattern statistics in res. The per-row standard deviation
 // is computed inline with tensor.Std's exact loop (mean, then population
 // variance) so the check stays allocation-free without moving a bit.
-func converged(pClean, pFault, hard *tensor.Tensor, classes int, cfg OTPConfig, res *OTPResult) bool {
+func converged(pClean, pFault, hard *tensor.Tensor, classes int, res *OTPResult) bool {
 	m := pClean.Dim(0)
 	cd, fd, hd := pClean.Data(), pFault.Data(), hard.Data()
 	ok := true
@@ -150,7 +154,7 @@ func converged(pClean, pFault, hard *tensor.Tensor, classes int, cfg OTPConfig, 
 		}
 		l1 /= float64(classes)
 		res.FaultL1[j] = l1
-		if res.CleanStd[j] >= cfg.Eps1 || l1 >= cfg.Eps2 {
+		if res.CleanStd[j] >= eps1 || l1 >= eps2 {
 			ok = false
 		}
 	}
