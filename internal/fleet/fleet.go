@@ -68,16 +68,16 @@ type Config struct {
 	// Health tunes each device's hardened runtime.
 	Health health.Config
 	// BreakerOpenAfter is how many consecutive sensor-fault rounds trip a
-	// device's breaker open (0 → 2).
+	// device's breaker open (≥ 1).
 	BreakerOpenAfter int
 	// BreakerCooldown is how many rounds an open breaker waits before a
-	// half-open probe (0 → 3).
+	// half-open probe (≥ 1).
 	BreakerCooldown int
 	// RepairBudget is each device's lifetime repair allowance in strategy
 	// cost units (repair.CostScrub, repair.CostRemap, …; one unit per rung of
 	// a repair.Escalation ladder), so a cheap scrub spends less lifetime than
 	// a cloud-edge retrain; a device is retired to hardware service when the
-	// cheapest rung that could still help no longer fits (0 → 6).
+	// cheapest rung that could still help no longer fits (≥ 1).
 	RepairBudget int
 	// CompactEvery is the auto-compaction cadence in ticks when the fleet
 	// journals through a journal.Store: every CompactEvery-th tick folds the
@@ -103,11 +103,11 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("fleet: Workers must be ≥ 0, got %d", c.Workers)
 	}
-	if c.BreakerOpenAfter < 0 || c.BreakerCooldown < 0 {
-		return fmt.Errorf("fleet: breaker parameters must be ≥ 0")
+	if c.BreakerOpenAfter < 1 || c.BreakerCooldown < 1 {
+		return fmt.Errorf("fleet: breaker parameters must be ≥ 1, got %d and %d", c.BreakerOpenAfter, c.BreakerCooldown)
 	}
-	if c.RepairBudget < 0 {
-		return fmt.Errorf("fleet: RepairBudget must be ≥ 0, got %d", c.RepairBudget)
+	if c.RepairBudget < 1 {
+		return fmt.Errorf("fleet: RepairBudget must be ≥ 1, got %d", c.RepairBudget)
 	}
 	if c.CompactEvery < 0 {
 		return fmt.Errorf("fleet: CompactEvery must be ≥ 0, got %d", c.CompactEvery)
@@ -115,22 +115,10 @@ func (c Config) Validate() error {
 	return c.Health.Validate()
 }
 
-// withDefaults fills zero fields.
+// withDefaults fills a zero Workers.
 func (c Config) withDefaults(fleetSize int) Config {
 	if c.Workers == 0 {
-		c.Workers = 4
-		if fleetSize < 4 {
-			c.Workers = fleetSize
-		}
-	}
-	if c.BreakerOpenAfter == 0 {
-		c.BreakerOpenAfter = 2
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 3
-	}
-	if c.RepairBudget == 0 {
-		c.RepairBudget = 6
+		c.Workers = min(4, fleetSize)
 	}
 	return c
 }
@@ -571,15 +559,10 @@ func (s *Supervisor) servingEntries() []RouteEntry {
 	return entries
 }
 
-// Station returns the station that owns device id (nil when unknown). The
+// Station returns the station that owns device id, one of DeviceIDs. The
 // device set is fixed at commissioning, so Station is safe to call from
 // request goroutines concurrently with ticks.
-func (s *Supervisor) Station(id string) *Station {
-	if ds, ok := s.states[id]; ok {
-		return ds.dev
-	}
-	return nil
-}
+func (s *Supervisor) Station(id string) *Station { return s.states[id].dev }
 
 // DispatchAvoidingErr routes one inference request through the health-aware
 // router (see Router.DispatchAvoidingErr): anywhere but avoid, reporting the

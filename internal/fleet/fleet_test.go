@@ -656,15 +656,22 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := DefaultConfig()
-	bad.RepairBudget = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("negative RepairBudget accepted")
-	}
-	bad = DefaultConfig()
-	bad.Health.EscalateAfter = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("invalid embedded health config accepted")
+	for name, spoil := range map[string]func(*Config){
+		"negative Workers":      func(c *Config) { c.Workers = -1 },
+		"zero BreakerOpenAfter": func(c *Config) { c.BreakerOpenAfter = 0 },
+		"zero BreakerCooldown":  func(c *Config) { c.BreakerCooldown = 0 },
+		"zero RepairBudget":     func(c *Config) { c.RepairBudget = 0 },
+		"negative CompactEvery": func(c *Config) { c.CompactEvery = -1 },
+		"invalid health config": func(c *Config) { c.Health.EscalateAfter = 0 },
+	} {
+		bad := DefaultConfig()
+		spoil(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+		if _, err := New(asDevices(testFleet(1)), bad, nil); err == nil {
+			t.Errorf("New accepted a config with %s", name)
+		}
 	}
 	if _, err := New(nil, DefaultConfig(), nil); err == nil {
 		t.Fatal("empty fleet accepted")

@@ -196,13 +196,7 @@ func (f *errFile) Write(p []byte) (int, error) {
 	}
 	// crash-at-byte: the frame tears exactly at the scheduled boundary
 	if e.crashArmed && e.written+int64(len(p)) >= e.crashAt {
-		room := e.crashAt - e.written
-		if room < 0 {
-			room = 0
-		}
-		if room > int64(len(p)) {
-			room = int64(len(p))
-		}
+		room := max(e.crashAt-e.written, 0) // ≤ len(p) by the test above
 		e.crashed, e.crashArmed = true, false
 		e.written += room
 		e.mu.Unlock()

@@ -128,7 +128,7 @@ func (f *Frontend) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
-	h["X-Served-By"] = f.servedBy(res.Shard, res.Device)
+	h["X-Served-By"] = f.served[placement{res.Shard, res.Device}]
 	if res.Degraded {
 		h["X-Degraded"] = degradedTrue
 	}

@@ -349,14 +349,6 @@ func New(specs []ShardSpec, cfg Config) (*Frontend, error) {
 	return f, nil
 }
 
-// servedBy is the X-Served-By value for an answer from device on shard.
-func (f *Frontend) servedBy(shard, device string) []string {
-	if v, ok := f.served[placement{shard, device}]; ok {
-		return v
-	}
-	return []string{shard + "/" + device}
-}
-
 // hash64 is FNV-1a over s, finished with murmur3's fmix64. Bare FNV-1a
 // barely moves its high bits for keys that differ only in their last bytes,
 // and the ring orders by the whole word: without the avalanche every
@@ -377,9 +369,6 @@ func hash64(s string) uint64 {
 // pick chooses the shard for tenant, skipping avoided indices and non-live
 // shards. nil means no live shard can take the request.
 func (f *Frontend) pick(tenant string, avoided map[int]bool) *shard {
-	if len(f.ring) == 0 {
-		return nil
-	}
 	h := hash64(tenant)
 	pos := sort.Search(len(f.ring), func(i int) bool { return f.ring[i].hash >= h })
 	seen := make(map[int]bool, len(f.shards))

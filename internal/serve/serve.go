@@ -624,9 +624,6 @@ func finite(probs *tensor.Tensor) bool {
 // answer's shape and reports its measured hardware spend.
 func (s *Server) runOn(id string, x *tensor.Tensor) (probs *tensor.Tensor, cost hwcost.Cost, err error) {
 	st := s.sup.Station(id)
-	if st == nil {
-		return nil, cost, fmt.Errorf("serve: router chose unknown device %q", id)
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			probs, err = nil, fmt.Errorf("serve: device %s panicked mid-request: %v", id, r)
