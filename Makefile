@@ -17,9 +17,10 @@
 #                (unreached) + the benchmark gate (bench-gate)
 #   make repro-check  the paper reproduction at the default scale, byte for
 #                byte against results_all.txt and results_ablations.txt
-#                (≈ 5 min warm; trains and caches the two models first on a
-#                fresh checkout). Not part of check: go test pins the fast
-#                part at a tiny scale (internal/experiments/testdata/golden_tiny.txt)
+#                (≈ 30 s warm on 2 vCPUs; trains and caches the two models
+#                and their pattern sets first on a fresh checkout, ≈ 3 min
+#                more). Not part of check: go test pins the fast part at a
+#                tiny scale (internal/experiments/testdata/golden_tiny.txt)
 #   make bench-gate  build ./bench, run it -quick over every workload
 #                (end-to-end and traced) as the leader of its own process
 #                group, and fail if the run fails, any process of the group
@@ -30,6 +31,13 @@
 #   make unreached  list every internal/ function no binary links and fail
 #                on one that scripts/unreached.allow does not name, or on an
 #                allowlist entry that is linked or no longer defined
+#   make unrun   list every internal/ statement that neither go test nor the
+#                runs of check and repro-check execute (binaries built with
+#                -cover), by function, and fail on a function that
+#                scripts/unrun.allow does not name, on a count above its
+#                entry, on a stale entry, or on a failed build or run (≈ 2 min
+#                warm; not part of check, it reruns go test and the
+#                reproduction)
 #   make ab-engine REV=<rev>  A/B the f64 engine row (BenchmarkEngineRow)
 #                between <rev> and the working tree: adjacent runs of two
 #                prebuilt test binaries, pairwise ratios and median
@@ -60,7 +68,7 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
         fleet-soak-smoke fleet-soak \
         net-soak-smoke net-soak crash-soak-smoke crash-soak \
         lifetime-soak-smoke lifetime-soak examples-smoke fuzz-short \
-        bench-gate repro-check loc unreached ab-engine
+        bench-gate repro-check loc unreached unrun ab-engine
 
 check: fmt-check vet gen-check build unreached test race-fast soak-smoke fleet-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-gate
 	@echo "check: PASS"
@@ -152,6 +160,11 @@ bench-gate:
 # every internal/ function no binary links is allowlisted with a reason
 unreached:
 	@GO=$(GO) sh scripts/unreached.sh
+
+# every internal/ statement no test and no binary run executes is
+# allowlisted by function, with its count and a reason
+unrun:
+	@GO=$(GO) sh scripts/unrun.sh
 
 # kernel A/B: REV is required (e.g. REV=HEAD for uncommitted work)
 PAIRS ?= 8

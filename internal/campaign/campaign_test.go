@@ -122,3 +122,11 @@ func TestRandomTimelineShape(t *testing.T) {
 		}
 	}
 }
+
+func TestGlitchModeNames(t *testing.T) {
+	for g, want := range map[GlitchMode]string{GlitchNoise: "noise", GlitchNaN: "nan", GlitchShape: "shape", GlitchPanic: "panic"} {
+		if got := g.String(); got != want {
+			t.Errorf("GlitchMode %d is %q, want %q", int(g), got, want)
+		}
+	}
+}

@@ -1,0 +1,167 @@
+package campaign
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"reramtest/internal/fleet"
+	"reramtest/internal/hwcost"
+	"reramtest/internal/loadgen"
+	"reramtest/internal/netserve"
+	"reramtest/internal/serve"
+)
+
+// gateCase is one row of a gate table: a result that breaks exactly one
+// gate, and a fragment of the one failure it must report.
+type gateCase[R interface{ Failures() []string }] struct {
+	name string
+	res  R
+	want string
+}
+
+// checkGates runs a soak's gate table: the passing result reports nothing,
+// and every row reports exactly its own gate.
+func checkGates[R interface{ Failures() []string }](t *testing.T, pass R, cases []gateCase[R]) {
+	t.Helper()
+	if fails := pass.Failures(); len(fails) != 0 {
+		t.Fatalf("the passing result fails: %q", fails)
+	}
+	for _, tc := range cases {
+		fails := tc.res.Failures()
+		if len(fails) != 1 || !strings.Contains(fails[0], tc.want) {
+			t.Errorf("%s: Failures() = %q, want one failure naming %q", tc.name, fails, tc.want)
+		}
+	}
+}
+
+func TestScorecardGates(t *testing.T) {
+	pass := Scorecard{Campaigns: 1, Persistent: 1, TransientWindows: 1, RawFlapWindows: 1}
+	with := func(f func(*Scorecard)) Scorecard { s := pass; f(&s); return s }
+	checkGates(t, pass, []gateCase[Scorecard]{
+		{"vacuous", with(func(s *Scorecard) { s.Persistent = 0 }), "nothing exercised"},
+		{"missed critical", with(func(s *Scorecard) { s.MissedCritical = 1 }), "Critical-severity events missed"},
+		{"missed persistent", with(func(s *Scorecard) { s.MissedPersistent = 1 }), "persistent events never detected"},
+		{"flaps", with(func(s *Scorecard) { s.TransientFlaps = 1 }), "flaps on transient glitches"},
+		{"no raw flap", with(func(s *Scorecard) { s.RawFlapWindows = 0 }), "flap suppression untested"},
+		{"false alarm", with(func(s *Scorecard) { s.FalseAlarmFlips = 1 }), "false-alarm escalations"},
+		{"recovery", with(func(s *Scorecard) { s.Repairable, s.Recovered = 5, 3 }), "recovery rate 60%"},
+	})
+}
+
+func TestFleetScorecardGates(t *testing.T) {
+	pass := FleetScorecard{Campaigns: 1, Replays: 1, Routed: 1, BreakerTrips: 1, Probes: 1}
+	with := func(f func(*FleetScorecard)) FleetScorecard { s := pass; f(&s); return s }
+	checkGates(t, pass, []gateCase[FleetScorecard]{
+		{"vacuous", with(func(s *FleetScorecard) { s.Replays = 0 }), "nothing exercised"},
+		{"breaker", with(func(s *FleetScorecard) { s.Probes = 0 }), "breaker path unexercised"},
+		{"torn tail", with(func(s *FleetScorecard) { s.TornCrashes = 1 }), "no journal bytes truncated"},
+		{"state", with(func(s *FleetScorecard) { s.StateDivergences = 1 }), "different supervisor state"},
+		{"status", with(func(s *FleetScorecard) { s.StatusDivergences = 1 }), "confirmed statuses diverged"},
+		{"budget", with(func(s *FleetScorecard) { s.BudgetDivergences = 1 }), "repair budgets diverged"},
+		{"final", with(func(s *FleetScorecard) { s.FinalDivergences = 1 }), "different durable state"},
+		{"misroute", with(func(s *FleetScorecard) { s.Misroutes = 1 }), "routed to quarantined"},
+	})
+}
+
+func TestNetSoakGates(t *testing.T) {
+	spend := hwcost.Cost{ComputeCycles: 4, EnergyFJ: 9}
+	pass := NetSoakResult{
+		Chaos:       loadgen.Report{OK: 1, Cost: spend},
+		Stats:       netserve.Stats{Drains: 1},
+		Shards:      []netserve.ShardStatus{{Name: "shard-0", Stats: serve.Stats{Admitted: 2, Served: 2}}},
+		Cost:        netserve.CostStats{Fleet: spend, Tenants: map[string]hwcost.Cost{"t": spend}, Shards: map[string]hwcost.Cost{"shard-0": spend}},
+		PostDrainOK: 1,
+		ChaosP99:    time.Millisecond, P99Bound: 5 * time.Millisecond,
+	}
+	with := func(f func(*NetSoakResult)) NetSoakResult { r := pass; f(&r); return r }
+	more := hwcost.Cost{ComputeCycles: 5, EnergyFJ: 9}
+	checkGates(t, pass, []gateCase[NetSoakResult]{
+		{"hung", with(func(r *NetSoakResult) { r.Hung = 1 }), "outlived deadline+grace"},
+		{"silent drop", with(func(r *NetSoakResult) { r.SilentDrops = 1 }), "accounting: admitted - terminal = 1"},
+		{"shard drop", with(func(r *NetSoakResult) {
+			r.Shards = []netserve.ShardStatus{{Name: "shard-0", Stats: serve.Stats{Admitted: 2, Served: 1}}}
+		}), "accounting: shard-0 admitted - terminal = 1"},
+		{"unclassified", with(func(r *NetSoakResult) { r.AccountingGap = 1 }), "received - classified"},
+		{"untyped", with(func(r *NetSoakResult) { r.Untyped = 1 }), "outside the typed kind set"},
+		{"leak", with(func(r *NetSoakResult) { r.Leaked = 1 }), "goroutine(s) leaked"},
+		{"p99", with(func(r *NetSoakResult) { r.ChaosP99 = 6 * time.Millisecond }), "exceeds bound"},
+		{"nothing served", with(func(r *NetSoakResult) { r.Chaos = loadgen.Report{} }), "completed zero requests"},
+		{"no post-drain", with(func(r *NetSoakResult) { r.PostDrainOK = 0 }), "after the shard drain"},
+		{"no drain", with(func(r *NetSoakResult) { r.Stats.Drains = 0 }), "no shard drain"},
+		{"tenant ledger", with(func(r *NetSoakResult) { r.Cost.Tenants = map[string]hwcost.Cost{"t": more} }), "Σ tenants"},
+		{"shard ledger", with(func(r *NetSoakResult) { r.Cost.Shards = map[string]hwcost.Cost{"shard-0": more} }), "Σ shards"},
+		{"unmetered", with(func(r *NetSoakResult) {
+			r.Cost = netserve.CostStats{}
+			r.Chaos.Cost = hwcost.Cost{}
+		}), "zero hardware cost"},
+		{"client over", with(func(r *NetSoakResult) { r.Chaos.Cost = more }), "exceeds the tier's fleet ledger"},
+	})
+}
+
+func TestLifetimeSoakGates(t *testing.T) {
+	pass := LifetimeSoakResult{SpendOK: true, RetireOK: true, FidelityOK: true, TypedOK: true, ParityOK: true,
+		Crashed: FleetResult{Replays: 1}}
+	with := func(f func(*LifetimeSoakResult)) LifetimeSoakResult { r := pass; f(&r); return r }
+	checkGates(t, pass, []gateCase[LifetimeSoakResult]{
+		{"spend", with(func(r *LifetimeSoakResult) { r.SpendOK = false }), "spend:"},
+		{"retire", with(func(r *LifetimeSoakResult) { r.RetireOK = false }), "retire:"},
+		{"fidelity", with(func(r *LifetimeSoakResult) { r.FidelityOK = false }), "fidelity:"},
+		{"typed", with(func(r *LifetimeSoakResult) { r.TypedOK = false }), "typed:"},
+		{"parity", with(func(r *LifetimeSoakResult) { r.ParityOK = false }), "parity:"},
+		{"no crash", with(func(r *LifetimeSoakResult) { r.Crashed.Replays = 0 }), "nothing exercised"},
+	})
+}
+
+func TestCrashSoakGates(t *testing.T) {
+	pass := CrashSoakResult{Cells: []CrashCell{{Round: 4, Fault: FaultNone}}}
+	checkGates(t, pass, []gateCase[CrashSoakResult]{
+		{"cell", CrashSoakResult{Cells: []CrashCell{{Round: 4, Fault: FaultNone}, {Round: 7, Fault: FaultNoSpace, Failures: []string{"lost"}}}},
+			"[round=7 fault=enospc] lost"},
+	})
+}
+
+// TestCrashCellFailureArms feeds one torture cell a baseline it cannot
+// match, a crash point with no snapshot to corrupt and a directory it cannot
+// create, and checks that each cell reports what went wrong.
+func TestCrashCellFailureArms(t *testing.T) {
+	cfg := smokeCrashSoakConfig()
+	dir := t.TempDir()
+	base, err := runCrashBaseline(7, cfg, filepath.Join(dir, "base"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := &crashBaseline{perRound: make([]map[string]fleet.DeviceSnapshot, len(base.perRound))}
+	for i := range wrong.perRound {
+		wrong.perRound[i] = map[string]fleet.DeviceSnapshot{}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "file"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		dir    string
+		round  int
+		fault  string
+		base   *crashBaseline
+		wanted []string
+	}{
+		{"recoverable, wrong baseline", "a", 4, FaultNone, wrong,
+			[]string{"recovered state diverges from baseline at round 4", "final state diverges"}},
+		{"fail-stop, wrong baseline", "b", 4, FaultNoSpace, wrong,
+			[]string{"degraded supervision diverged from baseline at round 6", "recovered state diverges"}},
+		{"no snapshot to corrupt", "c", 2, FaultCorruptSnapshot, base,
+			[]string{"recovery after round 2: no snapshot generation on disk"}},
+		{"no directory", "file/x", 4, FaultNone, base, []string{"not a directory"}},
+	} {
+		cell := runCrashCell(7, cfg, filepath.Join(dir, tc.dir), tc.round, tc.fault, tc.base)
+		got := strings.Join(cell.Failures, "\n")
+		for _, w := range tc.wanted {
+			if !strings.Contains(got, w) {
+				t.Errorf("%s: failures %q do not name %q", tc.name, cell.Failures, w)
+			}
+		}
+	}
+}

@@ -248,11 +248,7 @@ func RunNetSoak(seed int64, cfg NetSoakConfig) (NetSoakResult, error) {
 	// the envelope: chaos may cost one injected stall plus scheduling slack
 	// over an inflated baseline, but never an unbounded stall — that would
 	// mean hedging failed to route around the slow device
-	floor := 4 * res.BaselineP99
-	if floor < 5*time.Millisecond {
-		floor = 5 * time.Millisecond
-	}
-	res.P99Bound = floor + cfg.SlowDelay + cfg.Load.Grace
+	res.P99Bound = max(4*res.BaselineP99, 5*time.Millisecond) + cfg.SlowDelay + cfg.Load.Grace
 	return res, nil
 }
 

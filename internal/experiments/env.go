@@ -101,6 +101,12 @@ func FullScale() Scale {
 	}
 }
 
+// poolN is the size of the inference pool: PoolN, and never fewer images
+// than the test split.
+func (s Scale) poolN() int {
+	return max(s.PoolN, s.TestN)
+}
+
 // RepoRoot locates the repository root from this source file's position, so
 // cached artifacts resolve identically under `go test`, benches and the
 // cmd/ binaries.
@@ -145,12 +151,8 @@ func NewEnv(scale Scale, logw io.Writer) (*Env, error) {
 	e.DigitsTest = dataset.SynthDigits(seedDigitsTest, dataset.DefaultDigitsConfig(scale.TestN))
 	e.ObjectsTrain = dataset.SynthObjects(seedObjectsTrain, dataset.DefaultObjectsConfig(scale.TrainN))
 	e.ObjectsTest = dataset.SynthObjects(seedObjectsTest, dataset.DefaultObjectsConfig(scale.TestN))
-	poolN := scale.PoolN
-	if poolN < scale.TestN {
-		poolN = scale.TestN
-	}
-	e.DigitsPool = dataset.SynthDigits(seedDigitsPool, dataset.DefaultDigitsConfig(poolN))
-	e.ObjectsPool = dataset.SynthObjects(seedObjectsPool, dataset.DefaultObjectsConfig(poolN))
+	e.DigitsPool = dataset.SynthDigits(seedDigitsPool, dataset.DefaultDigitsConfig(scale.poolN()))
+	e.ObjectsPool = dataset.SynthObjects(seedObjectsPool, dataset.DefaultObjectsConfig(scale.poolN()))
 
 	weightsDir := filepath.Join(RepoRoot(), "testdata", "weights")
 	var err error
@@ -216,11 +218,21 @@ func otpRefSigma(model string) float64 {
 	return 0.2
 }
 
+// patternKey names the cache file of a pattern set. AET, C-TP and plain sets
+// are drawn from the inference pool, so their key carries its size and two
+// scales with different pools never share a file; O-TP reads no pool.
+func patternKey(model, method string, m, poolN int) string {
+	if method == "otp" {
+		return fmt.Sprintf("%s-otp-%d", model, m)
+	}
+	return fmt.Sprintf("%s-%s-%d-pool%d", model, method, m, poolN)
+}
+
 // Patterns returns the pattern set for (model, method) with m patterns,
 // generating and caching (memory + testdata/patterns/) on first use.
 // Methods: "aet", "ctp", "otp", "plain".
 func (e *Env) Patterns(model, method string, m int) *testgen.PatternSet {
-	key := fmt.Sprintf("%s-%s-%d", model, method, m)
+	key := patternKey(model, method, m, e.Scale.poolN())
 	if p, ok := e.patternCache[key]; ok {
 		return p
 	}

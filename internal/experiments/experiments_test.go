@@ -51,6 +51,29 @@ func TestEnvLoadsModels(t *testing.T) {
 	}
 }
 
+// TestPatternKeysNameThePool: the tiny, default and full scales draw AET,
+// C-TP and plain sets from pools of 1 500, 6 000 and 10 000 images, so no two
+// of them may share a cache file; O-TP reads no pool and keeps one key.
+func TestPatternKeysNameThePool(t *testing.T) {
+	scales := []Scale{tinyScale(), DefaultScale(), FullScale()}
+	for _, method := range []string{"aet", "ctp", "plain", "otp"} {
+		seen := map[string]int{}
+		for i, s := range scales {
+			seen[patternKey("lenet5", method, 10, s.poolN())] = i
+		}
+		want := len(scales)
+		if method == "otp" {
+			want = 1
+		}
+		if len(seen) != want {
+			t.Errorf("%s: the three scales use %d cache keys %v, want %d", method, len(seen), seen, want)
+		}
+	}
+	if got := patternKey("lenet5", "ctp", 10, tinyScale().poolN()); got != "lenet5-ctp-10-pool1500" {
+		t.Errorf("tiny-scale C-TP key %q", got)
+	}
+}
+
 func TestPatternsCachedAndSized(t *testing.T) {
 	e := env(t)
 	p1 := e.Patterns("lenet5", "ctp", 10)

@@ -360,6 +360,12 @@ func TestReportServingFaultTripsBreaker(t *testing.T) {
 	if !sup.ReportServingFault(id) {
 		t.Fatal("second consecutive serving fault did not trip the breaker")
 	}
+	if sup.ReportServingFault(id) || sup.ReportServingFault("nope") {
+		t.Fatal("a fault on an open breaker or an unknown device tripped again")
+	}
+	if _, ok := sup.StatusOf("nope"); ok {
+		t.Fatal("an unknown device has a status")
+	}
 	for _, q := range sup.Quarantined() {
 		if q == id {
 			// quarantined device must be out of the schedule immediately
@@ -639,11 +645,26 @@ func TestReplayRecordsRejectsGarbage(t *testing.T) {
 	replay := func(record string) (map[string]DeviceSnapshot, int, error) {
 		return ReplayRecovered(journal.Recovered{Records: [][]byte{[]byte(record)}})
 	}
-	if _, _, err := replay("not json"); err == nil {
-		t.Fatal("unparseable record accepted")
+	tick := func(device string) string { return `{"type":"tick","round":1,"devices":[` + device + `]}` }
+	for name, record := range map[string]string{
+		"unparseable":            "not json",
+		"negative round":         `{"type":"tick","round":-1}`,
+		"no device name":         tick(`{"device":""}`),
+		"negative budget":        tick(`{"device":"a","budget":-4}`),
+		"bad health state":       tick(`{"device":"a","state":{"confirmed":9}}`),
+		"decision log too long":  tick(`{"device":"a","decisions":[` + strings.Repeat(`{"round":1,"strategy":"scrub"},`, maxDecisionLog) + `{"round":1,"strategy":"scrub"}]}`),
+		"decision round":         tick(`{"device":"a","decisions":[{"round":-1,"strategy":"scrub"}]}`),
+		"decision strategy":      tick(`{"device":"a","decisions":[{"round":1}]}`),
+		"decision cost":          tick(`{"device":"a","decisions":[{"round":1,"strategy":"scrub","cost":-1}]}`),
+		"breaker state":          tick(`{"device":"a","breaker":{"state":7}}`),
+		"negative breaker count": tick(`{"device":"a","breaker":{"faults":-1}}`),
+	} {
+		if _, _, err := replay(record); err == nil {
+			t.Errorf("%s: record accepted", name)
+		}
 	}
-	if _, _, err := replay(`{"type":"tick","round":1,"devices":[{"device":"a","budget":-4}]}`); err == nil {
-		t.Fatal("negative budget accepted")
+	if _, _, err := ReplayRecovered(journal.Recovered{Snapshot: []byte("not json")}); err == nil || !strings.Contains(err.Error(), "snapshot generation") {
+		t.Errorf("unparseable snapshot generation: %v", err)
 	}
 	// unknown types are skipped, not fatal
 	snaps, round, err := replay(`{"type":"future-thing","round":9}`)
@@ -687,4 +708,15 @@ func TestConfigValidate(t *testing.T) {
 // plan: a tensor of its own, which the caller may mutate.
 func probsOf(net *nn.Network, x *tensor.Tensor) *tensor.Tensor {
 	return engine.MustCompile(net, engine.Options{}).Probs(x)
+}
+
+func TestSnapshotValidateAndBreakerNames(t *testing.T) {
+	if err := (DeviceSnapshot{Round: -1}).Validate(); err == nil {
+		t.Error("negative snapshot round accepted")
+	}
+	for s, want := range map[BreakerState]string{BreakerClosed: "closed", BreakerOpen: "open", BreakerHalfOpen: "half-open", 7: "BreakerState(7)"} {
+		if got := s.String(); got != want {
+			t.Errorf("BreakerState %d is %q, want %q", int(s), got, want)
+		}
+	}
 }

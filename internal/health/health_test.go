@@ -59,6 +59,15 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := New(nil, DefaultConfig()); err == nil {
 		t.Fatal("nil monitor accepted")
 	}
+	bad = DefaultConfig()
+	bad.BackoffBase = -1
+	if err := bad.Validate(); err == nil {
+		t.Fatal("negative BackoffBase accepted")
+	}
+	rt, _ := testRuntime(t, DefaultConfig())
+	if _, err := New(rt.Monitor(), bad); err == nil {
+		t.Fatal("New accepted an invalid config")
+	}
 }
 
 func TestHysteresisSuppressesTransientFlap(t *testing.T) {

@@ -120,9 +120,6 @@ func (h *HTTPTarget) header(deadlineMs int) http.Header {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	old := *h.headers.Load()
-	if cached, ok := old[deadlineMs]; ok {
-		return cached
-	}
 	if len(old) < maxHeaders {
 		next := maps.Clone(old)
 		next[deadlineMs] = hdr

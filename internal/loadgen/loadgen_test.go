@@ -144,6 +144,23 @@ func TestRunFlagsUntypedOutcomes(t *testing.T) {
 	}
 }
 
+// TestRunCountsAnUnnamedOutcomeAsTransport: a target that names no kind
+// failed to reach the tier; and a schedule that cannot be generated is
+// refused before anything is sent.
+func TestRunCountsAnUnnamedOutcomeAsTransport(t *testing.T) {
+	tgt := &scriptTarget{fn: func(Request) Outcome { return Outcome{} }}
+	rep, err := Run(context.Background(), 1, tgt, Config{Requests: 10, InDim: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Transport != 10 || rep.Untyped != 0 {
+		t.Fatalf("transport %d untyped %d, want 10 and 0", rep.Transport, rep.Untyped)
+	}
+	if _, err := Run(context.Background(), 1, tgt, Config{Requests: 10, InDim: 2, Concurrency: -1}, nil); err == nil {
+		t.Fatal("negative concurrency accepted")
+	}
+}
+
 func TestRunProgressHook(t *testing.T) {
 	tgt := &scriptTarget{fn: func(Request) Outcome { return Outcome{Kind: "ok", Code: 200} }}
 	var marks []int
@@ -220,5 +237,20 @@ func TestReportPercentiles(t *testing.T) {
 	}
 	if (Report{}).P(0.99) != 0 {
 		t.Fatal("empty report p99 != 0")
+	}
+	if p := r.P(1); p != 100*time.Millisecond {
+		t.Fatalf("p100 = %v", p)
+	}
+}
+
+// TestReportString: the summary cmd/loadgen prints names every count, every
+// outcome kind in order, and the percentiles.
+func TestReportString(t *testing.T) {
+	r := Report{Sent: 3, OK: 2, Hung: 1, ByKind: map[string]int{"ok": 2, "hung": 1},
+		Latencies: []time.Duration{time.Millisecond, 2 * time.Millisecond}, Elapsed: time.Second, Throughput: 3}
+	want := "sent 3 in 1s (3 req/s): ok 2 (degraded 0), hung 1, transport 0, untyped 0\n" +
+		"  hung         1\n  ok           2\n  p50 2ms  p95 2ms  p99 2ms"
+	if got := r.String(); got != want {
+		t.Fatalf("Report.String() =\n%s\nwant\n%s", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package models
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -135,6 +136,40 @@ func TestLoadWeightsRejectsGarbage(t *testing.T) {
 	if err := LoadWeights(path, MLP(rng.New(6), 4, nil, 2)); err == nil {
 		t.Fatal("garbage file loaded without error")
 	}
+	// every cut of a valid file, a later version and an absurd name length
+	// are refused too, and so are a missing file and an unwritable one
+	net := MLP(rng.New(6), 4, nil, 2)
+	if err := SaveWeights(path, net); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string][]byte{
+		"bad magic":   append([]byte{good[0] ^ 1}, good[1:]...),
+		"param name":  append(append(append([]byte{}, good[:16]...), good[16]^1), good[17:]...),
+		"version 2":   append(append(append([]byte{}, good[:4]...), 2, 0, 0, 0), good[8:]...),
+		"long name":   append(append(append([]byte{}, good[:12]...), 0, 0, 2, 0), good[16:]...),
+		"wrong shape": append(append(append([]byte{}, good[:16+len(net.Params()[0].Name)]...), 1, 0, 0, 0, 3, 0, 0, 0), good[16+len(net.Params()[0].Name)+12:]...),
+	}
+	for n := 0; n < len(good); n++ {
+		bad[fmt.Sprintf("cut at %d", n)] = good[:n]
+	}
+	for name, b := range bad {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := LoadWeights(path, MLP(rng.New(6), 4, nil, 2)); err == nil {
+			t.Errorf("%s: loaded without error", name)
+		}
+	}
+	if err := LoadWeights(filepath.Join(t.TempDir(), "missing.bin"), net); err == nil {
+		t.Error("missing file loaded without error")
+	}
+	if err := SaveWeights(filepath.Join(path, "w.bin"), net); err == nil {
+		t.Error("weights saved under a regular file")
+	}
 }
 
 func TestTrainFitsSmallDataset(t *testing.T) {
@@ -207,6 +242,25 @@ func TestTrainOrLoadCorruptCacheErrors(t *testing.T) {
 		func(*nn.Network) error { return nil })
 	if err == nil {
 		t.Fatal("corrupt cache silently accepted")
+	}
+	// a failed training, an unwritable cache directory and a failed write
+	// each surface
+	build := func() *nn.Network { return MLP(rng.New(10), 4, nil, 2) }
+	if _, err := TrainOrLoad(filepath.Join(dir, "a.bin"), build, func(*nn.Network) error { return os.ErrInvalid }); err == nil {
+		t.Error("failed training accepted")
+	}
+	ok := func(*nn.Network) error { return nil }
+	if _, err := TrainOrLoad(filepath.Join(path, "sub", "b.bin"), build, ok); err == nil {
+		t.Error("cache under a regular file accepted")
+	}
+	if err := os.Mkdir(filepath.Join(dir, "c.bin"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TrainOrLoad(filepath.Join(dir, "c.bin"), build, ok); err == nil {
+		t.Error("cache path naming a directory accepted")
+	}
+	if err := Train(context.Background(), build(), dataset.SynthDigits(1, dataset.DefaultDigitsConfig(4)), TrainConfig{}); err == nil {
+		t.Error("a zero BatchSize trained")
 	}
 }
 

@@ -67,8 +67,8 @@ func Train(ctx context.Context, net *nn.Network, train *dataset.Dataset, cfg Tra
 	if cfg.DropP > 0 && cfg.LabelSmooth > 0 {
 		return fmt.Errorf("models: drop-connect (DropP %g) trains on hard labels; LabelSmooth %g is not applied to it", cfg.DropP, cfg.LabelSmooth)
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32
+	if cfg.BatchSize < 1 {
+		return fmt.Errorf("models: BatchSize must be ≥ 1, got %d", cfg.BatchSize)
 	}
 	logw := cfg.Log
 	if logw == nil {

@@ -275,11 +275,9 @@ func (m *Monitor) EstimateAccuracy(dist float64) float64 {
 	if dist >= last.Distance {
 		return last.Accuracy
 	}
+	// a.Distance < dist ≤ b.Distance, so the span is never zero
 	i := sort.Search(len(m.calib), func(i int) bool { return m.calib[i].Distance >= dist })
 	a, b := m.calib[i-1], m.calib[i]
-	if b.Distance == a.Distance {
-		return b.Accuracy
-	}
 	t := (dist - a.Distance) / (b.Distance - a.Distance)
 	return a.Accuracy*(1-t) + b.Accuracy*t
 }

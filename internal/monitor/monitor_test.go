@@ -105,6 +105,13 @@ func TestStatusThresholds(t *testing.T) {
 	}
 }
 
+// TestEstimateAccuracyUncalibrated: no calibration estimates nothing (-1).
+func TestEstimateAccuracyUncalibrated(t *testing.T) {
+	if m, _ := testMonitor(t, nil); m.EstimateAccuracy(0.05) != -1 {
+		t.Fatal("an uncalibrated monitor estimated an accuracy")
+	}
+}
+
 func TestEstimateAccuracyInterpolation(t *testing.T) {
 	calib := []CalibPoint{
 		{Distance: 0.10, Accuracy: 0.80}, // deliberately unsorted

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"reramtest/internal/models"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
+	"reramtest/internal/repair"
 	"reramtest/internal/rng"
 	"reramtest/internal/serve"
 	"reramtest/internal/tensor"
@@ -205,6 +207,25 @@ func TestQuotaBucketRefills(t *testing.T) {
 	}
 }
 
+// TestQuotaBurstDefaultsToRate: a zero Burst is filled with the rate, and
+// with one row for a rate below one row per second, which is what `served
+// -quota-rate R -quota-burst 0` relies on.
+func TestQuotaBurstDefaultsToRate(t *testing.T) {
+	for _, tc := range []struct {
+		rate  float64
+		burst int
+	}{{rate: 5, burst: 5}, {rate: 0.25, burst: 1}} {
+		clock := time.Unix(0, 0)
+		q := newQuotaTable(QuotaConfig{Rate: tc.rate}, func() time.Time { return clock })
+		if !q.Allow("t", float64(tc.burst)) {
+			t.Fatalf("rate %g: a fresh bucket refused %d rows", tc.rate, tc.burst)
+		}
+		if q.Allow("t", 1) {
+			t.Fatalf("rate %g: the bucket held more than %d rows", tc.rate, tc.burst)
+		}
+	}
+}
+
 func TestCrossShardRetryOnFaultedShard(t *testing.T) {
 	f, devs := newTier(t, 2, 1, Config{RetryMax: 1})
 	defer f.Close()
@@ -279,6 +300,77 @@ func TestDrainShardRebalancesTenants(t *testing.T) {
 	}
 	if err := f.DrainShard("nope"); err == nil {
 		t.Fatal("unknown shard drained")
+	}
+}
+
+// unrepairable is a repairer with no strategy: the supervisor retires a
+// device it gives up on at once.
+type unrepairable struct{}
+
+func (unrepairable) Strategies() []repair.Strategy            { return nil }
+func (unrepairable) Diagnose(monitor.Status) repair.Diagnosis { return repair.Diagnosis{} }
+
+// retiringDevice is a tierDevice its supervisor retires once it drifts.
+type retiringDevice struct{ *tierDevice }
+
+func (retiringDevice) Repairer() health.Repairer { return unrepairable{} }
+
+// TestAutoDrainOnRetiredShard: once the supervisor has retired every device
+// of a shard, the shard's next ErrNoDevices drains it (one auto-drain), and
+// the other shard answers that shard's tenants.
+func TestAutoDrainOnRetiredShard(t *testing.T) {
+	pats := tierPatterns()
+	ref := models.MLP(rng.New(1), 16, []int{12}, 5)
+	var doomed []*tierDevice
+	specs := make([]ShardSpec, 2)
+	for s := range specs {
+		var devs []fleet.Device
+		for i := 0; i < 2; i++ {
+			d := &tierDevice{id: fmt.Sprintf("s%d-dev%d", s, i), net: ref.Clone(), patterns: pats}
+			if s == 0 {
+				doomed = append(doomed, d)
+				devs = append(devs, retiringDevice{d})
+			} else {
+				devs = append(devs, d)
+			}
+		}
+		specs[s] = ShardSpec{Name: fmt.Sprintf("shard-%d", s), Devices: devs,
+			Fleet: tierFleetConfig(), Serve: serve.Config{Workers: 2, HedgeAfter: time.Hour}}
+	}
+	f, err := New(specs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tenant := tenantFor(t, f, "shard-0")
+
+	for _, d := range doomed {
+		d.set(func(d *tierDevice) { d.shift = 0.5 })
+	}
+	for round := 0; round < 20 && len(f.byName["shard-0"].srv.Retired()) < len(doomed); round++ {
+		f.Tick()
+	}
+	if r := f.byName["shard-0"].srv.Retired(); len(r) != len(doomed) {
+		t.Fatalf("the supervisor retired %v of shard-0's %d devices", r, len(doomed))
+	}
+	// the first request finds no device on shard-0 and notes the starvation;
+	// the drain it starts runs in the background
+	if _, err := f.Do(context.Background(), Request{Tenant: tenant, X: tierBatch(1)}); !errors.Is(err, serve.ErrNoDevices) {
+		t.Fatalf("request to the retired shard returned %v, want ErrNoDevices", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); f.byName["shard-0"].live(); {
+		if time.Now().After(deadline) {
+			t.Fatal("shard-0 still live 5s after it starved")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	f.noteStarved(f.byName["shard-0"]) // a draining shard is not drained twice
+	if st := f.Stats(); st.AutoDrains != 1 {
+		t.Fatalf("auto-drains %d, want 1: %+v", st.AutoDrains, st)
+	}
+	res, err := f.Do(context.Background(), Request{Tenant: tenant, X: tierBatch(1)})
+	if err != nil || res.Shard != "shard-1" {
+		t.Fatalf("shard-0's tenant after the auto-drain: shard %q, err %v; want shard-1", res.Shard, err)
 	}
 }
 
@@ -418,8 +510,17 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]ShardSpec{spec("a"), spec("a")}, Config{}); err == nil {
 		t.Fatal("duplicate shard name accepted")
 	}
-	if _, err := New([]ShardSpec{spec("a")}, Config{MaxDeadline: -1}); err == nil {
-		t.Fatal("negative deadline cap accepted")
+	for name, cfg := range map[string]Config{
+		"negative deadline cap": {MaxDeadline: -1},
+		"negative retry count":  {RetryMax: -1},
+		"negative quota rate":   {Quota: QuotaConfig{Rate: -1}},
+	} {
+		if _, err := New([]ShardSpec{spec("a")}, cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if _, err := New([]ShardSpec{{Name: "empty", Fleet: tierFleetConfig()}}, Config{}); err == nil {
+		t.Fatal("shard without devices accepted")
 	}
 	// mismatched input widths across shards must be refused
 	other := models.MLP(rng.New(1), 8, []int{6}, 3)
@@ -431,6 +532,48 @@ func TestNewValidation(t *testing.T) {
 		}}}}
 	if _, err := New([]ShardSpec{spec("a"), bad}, Config{}); err == nil {
 		t.Fatal("mismatched shard input widths accepted")
+	}
+}
+
+// TestTerminalAccounting: every admitted request's final error lands in
+// exactly one terminal counter, and only the typed failures of a shard are
+// retried elsewhere.
+func TestTerminalAccounting(t *testing.T) {
+	f, _ := newTier(t, 1, 1, Config{})
+	defer f.Close()
+	untyped := errors.New("untyped")
+	for _, err := range []error{serve.ErrDeadline, serve.ErrOverloaded, serve.ErrFaulted, serve.ErrNoDevices, serve.ErrClosed, untyped} {
+		f.countTerminal(fmt.Errorf("wrapped: %w", err))
+	}
+	st := f.Stats()
+	if st.Deadlines != 1 || st.Overloaded != 1 || st.Faulted != 1 || st.Unavailable != 2 || st.Internal != 1 {
+		t.Fatalf("terminal counters: %+v", st)
+	}
+	for err, want := range map[error]bool{serve.ErrDeadline: false, serve.ErrOverloaded: true, serve.ErrClosed: true, untyped: false} {
+		if got := retryable(err, serve.Bulk); got != want {
+			t.Errorf("retryable(%v) = %v, want %v", err, got, want)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if sleepCtx(ctx, time.Now().Add(time.Hour), time.Hour) {
+		t.Error("a backoff on a canceled context ran to its end")
+	}
+}
+
+// TestEveryShardDrained: with no live shard left, a request is refused as
+// ErrNoDevices without touching any shard.
+func TestEveryShardDrained(t *testing.T) {
+	f, _ := newTier(t, 2, 1, Config{})
+	defer f.Close()
+	for _, name := range f.ShardNames() {
+		if err := f.DrainShard(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := f.Do(context.Background(), Request{Tenant: "t", X: tierBatch(1)})
+	if !errors.Is(err, serve.ErrNoDevices) || !strings.Contains(err.Error(), "no live shard") {
+		t.Fatalf("request to a fully drained tier returned %v", err)
 	}
 }
 

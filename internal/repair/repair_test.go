@@ -195,9 +195,9 @@ func TestStuckMaskCount(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	rep := Report{Action: Retrain, Stuck: 12, AccBefore: 0.7, AccAfter: 0.95}
+	rep := Report{Action: Retrain, Strategy: "retrain", Stuck: 12, AccBefore: 0.7, AccAfter: 0.95, Detail: "frozen 12"}
 	s := rep.String()
-	for _, want := range []string{"retrain", "stuck=12", "70.0%", "95.0%"} {
+	for _, want := range []string{"action=retrain", "strategy=retrain", "stuck=12", "70.0%", "95.0%", "frozen 12"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("report %q missing %q", s, want)
 		}

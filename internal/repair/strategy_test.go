@@ -180,6 +180,15 @@ func TestIsTyped(t *testing.T) {
 		{errors.New("plain"), false},
 		{fmt.Errorf("untyped %d", 7), false},
 	}
+	for err, want := range map[*DiagnosisError]string{
+		{Reason: "tolerance", Tol: -1}:     "tolerance must be > 0, got -1",
+		{Reason: "degenerate", Param: "w"}: `parameter "w" is degenerate`,
+		{Reason: "other"}:                  "diagnose: other",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("%+v reads %q, want %q", *err, err.Error(), want)
+		}
+	}
 	for _, c := range cases {
 		if got := IsTyped(c.err); got != c.want {
 			t.Errorf("IsTyped(%v)=%v, want %v", c.err, got, c.want)

@@ -328,11 +328,13 @@ func TestFiredRecordDoesNotExpireTheNext(t *testing.T) {
 			t.Fatalf("request %d returned %v, want ErrDeadline", i, err)
 		}
 	}
-	waitFor(t, func() bool { return len(devs[0].callLog()) == 4 })
+	// a request may expire in the queue before the device sees it, so wait
+	// for the device calls to stop rather than for four of them; the quiet
+	// window also lets the abandoned attempts put their records back, so the
+	// requests below reuse them (a slow host makes the test cover less,
+	// never fail)
+	waitSettled(t, func() int { return len(devs[0].callLog()) })
 	devs[0].set(func(d *servDevice) { d.delay = 0 })
-	// let the abandoned attempts put their records back, so the requests
-	// below reuse them; a slow host makes the test cover less, never fail
-	time.Sleep(30 * time.Millisecond)
 	for i := 0; i < 50; i++ {
 		if _, err := s.Do(context.Background(), requestBatch(2), serve.Bulk); err != nil {
 			t.Fatalf("request %d after the expired ones: %v", i, err)
@@ -366,6 +368,45 @@ func TestTypedErrNoDevicesAfterServingFaults(t *testing.T) {
 	st := s.Stats()
 	if st.FaultFailures != 2 || st.NoDevices != 1 || st.Admitted != st.Terminal() {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// brokenDevice answers every inference with what a healthy device never
+// returns.
+type brokenDevice struct {
+	*servDevice
+	out func(x *tensor.Tensor) *tensor.Tensor
+}
+
+func (d brokenDevice) Infer() monitor.Infer { return d.out }
+
+// TestMalformedAnswerIsAFault: a device that answers nothing, or a batch of
+// the wrong shape, is a faulted request, not a served one.
+func TestMalformedAnswerIsAFault(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		out  func(*tensor.Tensor) *tensor.Tensor
+	}{
+		{"returned no output", func(*tensor.Tensor) *tensor.Tensor { return nil }},
+		{"malformed batch", func(x *tensor.Tensor) *tensor.Tensor { return tensor.New(x.Dim(0)+1, 5) }},
+		{"malformed batch", func(x *tensor.Tensor) *tensor.Tensor { return tensor.New(x.Dim(0) * 5) }},
+	} {
+		dev := brokenDevice{servDevice: testDevices(1)[0], out: tc.out}
+		s, err := serve.New([]fleet.Device{dev}, fleetConfig(), serve.Config{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Do(context.Background(), requestBatch(2), serve.Bulk)
+		if !errors.Is(err, serve.ErrFaulted) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Do returned %v, want ErrFaulted naming %q", err, tc.want)
+		}
+		s.Close()
+	}
+	if _, err := serve.New([]fleet.Device{testDevices(1)[0]}, fleetConfig(), serve.Config{Workers: -1}, nil); err == nil {
+		t.Error("negative worker count accepted")
+	}
+	if serve.Monitor.String() != "monitor" || serve.Bulk.String() != "bulk" {
+		t.Errorf("priorities named %q and %q", serve.Monitor, serve.Bulk)
 	}
 }
 
@@ -410,6 +451,32 @@ func TestRetriedOnFaultedPrimary(t *testing.T) {
 	}
 	if st := s.Stats(); st.Retries != 1 || st.Served != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestHedgeAfterRetryLaunchesNothing: the retry of a faulted primary takes
+// the one second-placement slot, so a hedge timer firing while the retry is
+// still running adds no third attempt.
+func TestHedgeAfterRetryLaunchesNothing(t *testing.T) {
+	devs := testDevices(3)
+	devs[0].set(func(d *servDevice) { d.crash = true })
+	devs[1].set(func(d *servDevice) { d.delay = 100 * time.Millisecond })
+	devs[2].set(func(d *servDevice) { d.delay = 100 * time.Millisecond })
+	s := newServer(t, devs, fleetConfig(), serve.Config{HedgeAfter: 5 * time.Millisecond})
+	defer s.Close()
+
+	resp, err := s.Do(context.Background(), requestBatch(1), serve.Bulk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Retried || resp.Hedged {
+		t.Fatalf("response not from the retry: %+v", resp)
+	}
+	if st := s.Stats(); st.Retries != 1 || st.Hedges != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if calls := len(devs[1].callLog()) + len(devs[2].callLog()); calls != 1 {
+		t.Fatalf("%d attempts after the faulted primary, want the one retry", calls)
 	}
 }
 
@@ -604,6 +671,23 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 5s")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// waitSettled waits until n() has not changed for 100 ms, five times the
+// slowest scripted device delay.
+func waitSettled(t *testing.T, n func() int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	last, since := n(), time.Now()
+	for time.Since(since) < 100*time.Millisecond {
+		if time.Now().After(deadline) {
+			t.Fatalf("count still changing after 5s (at %d)", last)
+		}
+		time.Sleep(2 * time.Millisecond)
+		if v := n(); v != last {
+			last, since = v, time.Now()
+		}
 	}
 }
 

@@ -248,6 +248,34 @@ func TestLoadPatternSetRejectsGarbage(t *testing.T) {
 	if _, err := LoadPatternSet(path); err == nil {
 		t.Fatal("garbage file loaded without error")
 	}
+	// every cut of a valid file and an absurd name length are refused too,
+	// and so are a missing file and an unwritable one
+	p := &PatternSet{Name: "n", Method: "plain", X: tensor.New(2, 3), Labels: []int{1, 0}}
+	if err := p.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := [][]byte{append(append(append([]byte{}, good[:4]...), 0, 0, 2, 0), good[8:]...)}
+	for n := 0; n < len(good); n++ {
+		bad = append(bad, good[:n])
+	}
+	for _, b := range bad {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadPatternSet(path); err == nil {
+			t.Errorf("%d-byte file loaded without error", len(b))
+		}
+	}
+	if _, err := LoadPatternSet(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
+		t.Error("missing file loaded without error")
+	}
+	if err := p.Save(filepath.Join(path, "p.bin")); err == nil {
+		t.Error("pattern set saved under a regular file")
+	}
 }
 
 func TestWritePGM(t *testing.T) {

@@ -48,6 +48,7 @@ func Rejects(width, maxRows int) []Case {
 		{"missing colon", `{"tenant" "t","input":` + Rows(1, width) + `}`},
 		{"data after the closing brace", body(Rows(1, width)) + ` x`},
 		{"second object after the closing brace", body(Rows(1, width)) + body(Rows(1, width))},
+		{"no input", `{"tenant":"t"}`},
 		{"null input", body(`null`)},
 		{"input not an array", body(`"rows"`)},
 		{"empty batch", body(`[]`)},
@@ -72,6 +73,15 @@ func Rejects(width, maxRows int) []Case {
 		{"bad escape", `{"tenant":"\x41","input":` + Rows(1, width) + `}`},
 		{"short \\u escape", `{"tenant":"\u00e","input":` + Rows(1, width) + `}`},
 		{"unterminated string", `{"tenant":"t`},
+		{"control character after an escape", "{\"tenant\":\"a\\nb\x01\",\"input\":" + Rows(1, width) + `}`},
+		{"string cut after an escape", `{"tenant":"a\n`},
+		{"string cut at a backslash", `{"tenant":"a\`},
+		{"string cut inside a \\u escape", `{"tenant":"\u00`},
+		{"rows without a comma", body(`[` + Row("0.5", width) + ` ` + Row("0.5", width) + `]`)},
+		{"unknown member without a value", `{"tenant":"t","x":`},
+		{"unknown member with a non-string key", `{"tenant":"t","x":{1:2},"input":` + Rows(1, width) + `}`},
+		{"unknown member missing a colon", `{"tenant":"t","x":{"a" 1},"input":` + Rows(1, width) + `}`},
+		{"unknown member missing a comma", `{"tenant":"t","x":{"a":1 "b":2},"input":` + Rows(1, width) + `}`},
 		{"bad literal in unknown member", `{"tenant":"t","x":nul,"input":` + Rows(1, width) + `}`},
 		{"unknown member nested too deep", `{"tenant":"t","x":` + strings.Repeat("[", 40) + strings.Repeat("]", 40) + `,"input":` + Rows(1, width) + `}`},
 	}
@@ -94,6 +104,7 @@ func Accepts(width, maxRows int) []Case {
 		{"whitespace anywhere", " \t\r\n{ \"tenant\" : \"t\" ,\n\t\"input\" : [ " + strings.ReplaceAll(Row("0.5", width), ",", " ,\n ") + " ]\r\n} \n"},
 		{"escapes in the tenant", `{"tenant":"a\"b\\c\/d\b\f\n\r\t\u00e9\ud83d\ude00\u2028é😀","input":` + Rows(1, width) + `}`},
 		{"escaped member name", `{"\u0074enant":"t","\u0069nput":` + Rows(1, width) + `}`},
+		{"upper-case \\u escape", `{"tenant":"\u00E9\u00c9","input":` + Rows(1, width) + `}`},
 		{"last tenant wins", `{"tenant":"first","tenant":"second","input":` + Rows(1, width) + `}`},
 	}
 	for _, num := range []string{"0", "-0", "-0.0", "1e-7", "1E+2", "5e-324", "1.7976931348623157e308", "1e-999", "123456789012345678901234567890.5", "0.1000000000000000055511151231257827"} {
