@@ -141,13 +141,21 @@ func TestEndToEndHardwarePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DiagnoseStuck: %v", err)
 	}
-	if stuck.Count() == 0 {
+	found := 0
+	for _, mask := range stuck {
+		for _, s := range mask {
+			if s {
+				found++
+			}
+		}
+	}
+	if found == 0 {
 		t.Fatal("diagnosis found no stuck cells after injection")
 	}
 	faulty := accel.ReadoutNetwork()
 	rcfg := repair.DefaultRetrainConfig()
 	rcfg.Epochs = 2
-	if _, err := repair.RetrainAround(context.Background(), faulty, stuck, data, nil, rcfg); err != nil {
+	if err := repair.RetrainAround(context.Background(), faulty, stuck, data, rcfg); err != nil {
 		t.Fatalf("RetrainAround: %v", err)
 	}
 	accel.ProgramNetwork(faulty)

@@ -14,8 +14,8 @@ import (
 // escalationFixture pins what the default (fixed-escalation) plant does
 // under supervision. It was generated at the last commit that still had a
 // dedicated reprogram → retrain → replace action loop in internal/health;
-// the strategy ladder walking repair.Escalation's rungs must reproduce it
-// round for round. Regenerate only when the plant or the timeline generator
+// the strategy ladder walking the three repair.Escalation rungs over the
+// plant's reprogram, retrain and replace must reproduce it round for round. Regenerate only when the plant or the timeline generator
 // changes on purpose:
 //
 //	CAMPAIGN_REGEN_FIXTURES=1 go test ./internal/campaign -run FixedEscalationFixture

@@ -94,7 +94,7 @@ func TestPlantStrategySurface(t *testing.T) {
 
 	cfg.Repair = RetrainOnly
 	control := NewPlant("plant", 1, cfg).Strategies()
-	if len(control) != 1 || control[0].Name() != "retrain" {
+	if len(control) != 1 || control[0].Name != "retrain" {
 		t.Fatalf("retrain-only plant strategies = %v, want [retrain]", names(control))
 	}
 
@@ -105,17 +105,17 @@ func TestPlantStrategySurface(t *testing.T) {
 		t.Fatalf("ladder strategies = %v, want %v", names(ladder), want)
 	}
 	for i := 1; i < len(ladder); i++ {
-		if ladder[i].Cost() < ladder[i-1].Cost() {
+		if ladder[i].Cost < ladder[i-1].Cost {
 			t.Fatalf("ladder not in escalation order: %s cost %d after %s cost %d",
-				ladder[i].Name(), ladder[i].Cost(), ladder[i-1].Name(), ladder[i-1].Cost())
+				ladder[i].Name, ladder[i].Cost, ladder[i-1].Name, ladder[i-1].Cost)
 		}
 	}
 	// the scrub rung is gated to drift-dominated diagnoses: rewriting cells
 	// cannot clear stuck-at damage, so a stuck-heavy fault goes to remap
-	if ladder[0].Applicable(repair.Diagnosis{Drifted: 1, Stuck: 3}) {
+	if ladder[0].When(repair.Diagnosis{Drifted: 1, Stuck: 3}) {
 		t.Error("scrub applicable on a stuck-dominated diagnosis")
 	}
-	if !ladder[0].Applicable(repair.Diagnosis{Drifted: 3, Stuck: 1}) {
+	if !ladder[0].When(repair.Diagnosis{Drifted: 3, Stuck: 1}) {
 		t.Error("scrub not applicable on a drift-dominated diagnosis")
 	}
 }
@@ -123,7 +123,7 @@ func TestPlantStrategySurface(t *testing.T) {
 func names(ss []repair.Strategy) []string {
 	out := make([]string, len(ss))
 	for i, s := range ss {
-		out[i] = s.Name()
+		out[i] = s.Name
 	}
 	return out
 }

@@ -151,7 +151,7 @@ func buildTemplate(cfg PlantConfig) *template {
 		// 1.0 by construction against the hardened model
 		hcfg := repair.DefaultHardenConfig()
 		hcfg.Seed = r.Int63()
-		if _, err := repair.HardenDropConnect(net, pool, nil, hcfg); err != nil {
+		if err := models.Train(context.Background(), net, pool, hcfg); err != nil {
 			panic(err)
 		}
 	}
@@ -389,37 +389,6 @@ func (p *Plant) ShadowStatus() monitor.Status {
 	return monitor.New(p.ref, p.tmpl.patterns, nil).Check(p.BaseInfer()).Status
 }
 
-// Apply executes one action of the fixed escalation against the simulated
-// hardware (the default arm's rungs, see Strategies).
-func (p *Plant) Apply(action repair.Action) (*nn.Network, error) {
-	switch action {
-	case repair.NoAction:
-		return nil, nil
-	case repair.Reprogram:
-		p.accel.Reprogram()
-		return nil, nil
-	case repair.Retrain:
-		// the cloud-edge path is the ladder's retrain rung, which also moves
-		// p.ref to the retrained network
-		rep, err := p.retrainStrategy().Apply(context.Background(), repair.Diagnosis{})
-		return rep.NewRef, err
-	case repair.Replace:
-		// module replacement: a fresh part programmed with the original
-		// clean weights (cloned — the template stays shared and immutable)
-		p.ref = p.tmpl.clean.Clone()
-		p.accel = reram.NewAccelerator(p.ref, p.reramConfig(), p.r.Int63())
-		p.accel.SetCounter(p.counter) // cost history spans the replacement
-		// unlike fab-time commissioning, programming a replacement part in
-		// the field is repair work the fleet pays for: charge the full write
-		// pass, which the station running this rung books to the repair class
-		// (integer bookkeeping only — device state and numerics are untouched)
-		p.counter.Charge(p.accel.CommissionCost())
-		return p.ref, nil
-	default:
-		return nil, fmt.Errorf("campaign: unknown repair action %v", action)
-	}
-}
-
 // Diagnose implements health.Repairer: an RNG-free census of what is
 // wrong with the hardware right now. Stuck counts only UNCOMPENSATED pair
 // positions — a stuck cell whose differential partner already re-encodes the
@@ -435,68 +404,95 @@ func (p *Plant) Diagnose(confirmed monitor.Status) repair.Diagnosis {
 }
 
 // Strategies implements health.Repairer: the plant's repair ladder in
-// escalation order, as cfg.Repair selects it — the fixed escalation over
-// Apply, the strategy suite, or the lifetime soak's control arm (the same
-// cost accounting with the cloud-edge retrain as the only rung).
+// escalation order, as cfg.Repair selects it — the fixed escalation, the
+// strategy suite, or the lifetime soak's control arm (the same cost
+// accounting with the cloud-edge retrain as the only rung).
 func (p *Plant) Strategies() []repair.Strategy {
 	if p.cfg.Repair == FixedEscalation {
-		return repair.Escalation(p.Apply)
+		return repair.Escalation(p.reprogram, p.retrain, p.replace)
 	}
 	retrain := p.counted(p.retrainStrategy())
 	if p.cfg.Repair == RetrainOnly {
 		return []repair.Strategy{retrain}
 	}
+	// scrub is gated to drift-DOMINATED diagnoses: rewriting healthy cells
+	// cannot clear stuck-at damage, and a rung that predictably fails
+	// verification is budget burned before the rung that works
 	scrub := repair.NewScrub(p.accel, scrubTol)
+	drifted := scrub.When
+	scrub.When = func(d repair.Diagnosis) bool { return drifted(d) && d.Drifted > d.Stuck }
 	return []repair.Strategy{
-		// scrub is gated to drift-DOMINATED diagnoses: rewriting healthy
-		// cells cannot clear stuck-at damage, and a rung that predictably
-		// fails verification is budget burned before the rung that works
-		p.counted(repair.Func{
-			StrategyName: scrub.Name(), StrategyCost: scrub.Cost(),
-			When: func(d repair.Diagnosis) bool { return scrub.Applicable(d) && d.Drifted > d.Stuck },
-			Do:   scrub.Apply,
-		}),
+		p.counted(scrub),
 		p.counted(repair.NewRemap(p.accel, remapMaxPerLine, scrubTol)),
 		retrain,
 	}
 }
 
-// retrainStrategy wraps the shared retrain rung so a successful retrain also
-// moves the plant's own reference pointer (the Report.NewRef hand-back only
-// recommissions the monitor).
+// reprogram is the fixed escalation's first rung: rewrite every cell of the
+// current accelerator to its target.
+func (p *Plant) reprogram() (*nn.Network, error) {
+	p.accel.Reprogram()
+	return nil, nil
+}
+
+// retrain is the fixed escalation's cloud-edge rung: the strategy suite's
+// retrain rung over the current accelerator, which also moves p.ref to the
+// retrained network.
+func (p *Plant) retrain() (*nn.Network, error) {
+	rep, err := p.retrainStrategy().Apply(context.Background(), repair.Diagnosis{})
+	return rep.NewRef, err
+}
+
+// replace is the fixed escalation's last rung, module replacement: a fresh
+// part programmed with the original clean weights (cloned — the template
+// stays shared and immutable).
+func (p *Plant) replace() (*nn.Network, error) {
+	p.ref = p.tmpl.clean.Clone()
+	p.accel = reram.NewAccelerator(p.ref, p.reramConfig(), p.r.Int63())
+	p.accel.SetCounter(p.counter) // cost history spans the replacement
+	// unlike fab-time commissioning, programming a replacement part in the
+	// field is repair work the fleet pays for: charge the full write pass,
+	// which the station running this rung books to the repair class
+	// (integer bookkeeping only — device state and numerics are untouched)
+	p.counter.Charge(p.accel.CommissionCost())
+	return p.ref, nil
+}
+
+// retrainStrategy is the shared retrain rung over the current accelerator,
+// with its Apply extended so a successful retrain also moves the plant's own
+// reference pointer (the Report.NewRef hand-back only recommissions the
+// monitor).
 func (p *Plant) retrainStrategy() repair.Strategy {
-	inner := repair.NewRetrain(p.accel, func() *nn.Network { return p.ref },
-		p.tmpl.train, nil, 0.3, func() models.TrainConfig {
+	s := repair.NewRetrain(p.accel, func() *nn.Network { return p.ref },
+		p.tmpl.train, 0.3, func() models.TrainConfig {
 			rcfg := repair.DefaultRetrainConfig()
 			rcfg.Epochs = p.cfg.RetrainEpochs
 			rcfg.Seed = p.r.Int63()
 			return rcfg
 		})
-	return repair.Func{
-		StrategyName: inner.Name(), StrategyCost: inner.Cost(), When: inner.Applicable,
-		Do: func(ctx context.Context, d repair.Diagnosis) (repair.Report, error) {
-			rep, err := inner.Apply(ctx, d)
-			if err == nil && rep.NewRef != nil {
-				p.ref = rep.NewRef
-			}
-			return rep, err
-		},
+	apply := s.Apply
+	s.Apply = func(ctx context.Context, d repair.Diagnosis) (repair.Report, error) {
+		rep, err := apply(ctx, d)
+		if err == nil && rep.NewRef != nil {
+			p.ref = rep.NewRef
+		}
+		return rep, err
 	}
+	return s
 }
 
-// counted decorates a strategy with the typed-error audit the lifetime soak
-// gates on: every Apply error must satisfy repair.IsTyped.
+// counted extends a rung's Apply with the typed-error audit the lifetime
+// soak gates on: every Apply error must satisfy repair.IsTyped.
 func (p *Plant) counted(s repair.Strategy) repair.Strategy {
-	return repair.Func{
-		StrategyName: s.Name(), StrategyCost: s.Cost(), When: s.Applicable,
-		Do: func(ctx context.Context, d repair.Diagnosis) (repair.Report, error) {
-			rep, err := s.Apply(ctx, d)
-			if err != nil && !repair.IsTyped(err) {
-				p.untyped++
-			}
-			return rep, err
-		},
+	apply := s.Apply
+	s.Apply = func(ctx context.Context, d repair.Diagnosis) (repair.Report, error) {
+		rep, err := apply(ctx, d)
+		if err != nil && !repair.IsTyped(err) {
+			p.untyped++
+		}
+		return rep, err
 	}
+	return s
 }
 
 // UntypedRepairErrors reports how many strategy applications returned errors

@@ -75,14 +75,17 @@ func (d *fakeDevice) Infer() monitor.Infer {
 	}
 }
 
-// Strategies implements health.Repairer: the fixed escalation over apply.
-func (d *fakeDevice) Strategies() []repair.Strategy { return repair.Escalation(d.apply) }
+// Strategies implements health.Repairer: the fixed escalation, every rung
+// of it apply.
+func (d *fakeDevice) Strategies() []repair.Strategy {
+	return repair.Escalation(d.apply, d.apply, d.apply)
+}
 
 func (d *fakeDevice) Diagnose(confirmed monitor.Status) repair.Diagnosis {
 	return repair.Diagnosis{Status: confirmed}
 }
 
-func (d *fakeDevice) apply(repair.Action) (*nn.Network, error) {
+func (d *fakeDevice) apply() (*nn.Network, error) {
 	d.repairs++
 	if d.failRepairs {
 		return nil, errors.New("fakeDevice: repair tooling offline")

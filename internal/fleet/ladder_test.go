@@ -29,14 +29,14 @@ func (d *ladderDevice) Diagnose(monitor.Status) repair.Diagnosis {
 }
 
 func (d *ladderDevice) rung(name string, cost int, when func(repair.Diagnosis) bool) repair.Strategy {
-	return repair.Func{
-		StrategyName: name, StrategyCost: cost, When: when,
-		Do: func(context.Context, repair.Diagnosis) (repair.Report, error) {
+	return repair.Strategy{
+		Name: name, Cost: cost, When: when,
+		Apply: func(context.Context, repair.Diagnosis) (repair.Report, error) {
 			d.applied = append(d.applied, name)
 			if name == d.fixedBy {
 				d.damaged = false
 			}
-			return repair.Report{Strategy: name}, nil
+			return repair.Report{}, nil
 		},
 	}
 }

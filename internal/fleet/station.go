@@ -130,14 +130,13 @@ func (lr lockedRepairer) Strategies() []repair.Strategy {
 	lr.locked(func() { inner = lr.inner.Strategies() })
 	out := make([]repair.Strategy, len(inner))
 	for i, s := range inner {
-		out[i] = repair.Func{
-			StrategyName: s.Name(), StrategyCost: s.Cost(), When: s.Applicable,
-			Do: func(ctx context.Context, d repair.Diagnosis) (rep repair.Report, err error) {
-				spent := lr.locked(func() { rep, err = s.Apply(ctx, d) })
-				rep.Measured = spent
-				return rep, err
-			},
+		apply := s.Apply
+		s.Apply = func(ctx context.Context, d repair.Diagnosis) (rep repair.Report, err error) {
+			spent := lr.locked(func() { rep, err = apply(ctx, d) })
+			rep.Measured = spent
+			return rep, err
 		}
+		out[i] = s
 	}
 	return out
 }

@@ -244,27 +244,44 @@ func TestHistoryRingBounded(t *testing.T) {
 	}
 }
 
-// escalation is the Repairer of a device whose repair mechanism is a switch
-// on repair.Action: the repair.Escalation rungs over that switch.
-type escalation func(repair.Action) (*nn.Network, error)
+// escalation is the Repairer of a device with the fixed escalation: the
+// three repair.Escalation rungs, each calling the function with its index
+// (rungReprogram, rungRetrain, rungReplace).
+type escalation func(rung int) (*nn.Network, error)
 
-func (f escalation) Strategies() []repair.Strategy { return repair.Escalation(f) }
+// Indices of the repair.Escalation rungs; rungNone is above the ladder (no
+// rung clears the damage).
+const (
+	rungReprogram = iota
+	rungRetrain
+	rungReplace
+	rungNone = 99
+)
+
+var rungNames = []string{"reprogram", "retrain", "replace"}
+
+func (f escalation) Strategies() []repair.Strategy {
+	at := func(rung int) func() (*nn.Network, error) {
+		return func() (*nn.Network, error) { return f(rung) }
+	}
+	return repair.Escalation(at(rungReprogram), at(rungRetrain), at(rungReplace))
+}
 
 func (f escalation) Diagnose(confirmed monitor.Status) repair.Diagnosis {
 	return repair.Diagnosis{Status: confirmed}
 }
 
-// stepRepairer simulates hardware whose damage only the given action level
-// can clear.
+// stepRepairer simulates hardware whose damage only the given rung or one
+// above it can clear.
 type stepRepairer struct {
-	needs   repair.Action
-	applied []repair.Action
+	needs   int
+	applied []int
 	fixed   bool
 }
 
-func (s *stepRepairer) apply(a repair.Action) (*nn.Network, error) {
-	s.applied = append(s.applied, a)
-	if a >= s.needs {
+func (s *stepRepairer) apply(rung int) (*nn.Network, error) {
+	s.applied = append(s.applied, rung)
+	if rung >= s.needs {
 		s.fixed = true
 	}
 	return nil, nil
@@ -274,7 +291,7 @@ func TestSuperviseEscalatesUntilVerified(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EscalateAfter = 1 // confirm immediately: this test targets the repair loop
 	rt, net := testRuntime(t, cfg)
-	sr := &stepRepairer{needs: repair.Retrain}
+	sr := &stepRepairer{needs: rungRetrain}
 	infer := func(x *tensor.Tensor) *tensor.Tensor {
 		d := 0.04 // Degraded until fixed
 		if sr.fixed {
@@ -288,7 +305,7 @@ func TestSuperviseEscalatesUntilVerified(t *testing.T) {
 	if !ep.Recovered || ep.GaveUp {
 		t.Fatalf("episode did not recover: %+v", ep)
 	}
-	wantLadder := []repair.Action{repair.Reprogram, repair.Retrain}
+	wantLadder := []int{rungReprogram, rungRetrain}
 	if len(sr.applied) != len(wantLadder) {
 		t.Fatalf("applied %v, want %v", sr.applied, wantLadder)
 	}
@@ -307,7 +324,7 @@ func TestSuperviseGivesUpGracefully(t *testing.T) {
 	cfg.EscalateAfter = 1
 	rt, net := testRuntime(t, cfg)
 	bad := shiftInfer(net, 0.12) // Critical, unrepairable
-	sr := &stepRepairer{needs: repair.Action(99)}
+	sr := &stepRepairer{needs: rungNone}
 	ep := rt.Supervise(context.Background(), bad, escalation(sr.apply), 3)
 	if ep.Recovered || !ep.GaveUp {
 		t.Fatalf("unrepairable damage not given up: %+v", ep)
@@ -325,7 +342,7 @@ func TestSuperviseRepairApplyError(t *testing.T) {
 	cfg.EscalateAfter = 1
 	rt, net := testRuntime(t, cfg)
 	bad := shiftInfer(net, 0.04)
-	failing := escalation(func(a repair.Action) (*nn.Network, error) {
+	failing := escalation(func(int) (*nn.Network, error) {
 		return nil, errors.New("actuator offline")
 	})
 	ep := rt.Supervise(context.Background(), bad, failing, 2)
@@ -338,10 +355,11 @@ func TestSuperviseRepairApplyError(t *testing.T) {
 }
 
 // TestEscalationRungsWalkTheFixedActionSchedule pins what an episode over
-// repair.Escalation does: start at repair.PlanFor(confirmed), one action up
-// per failed verification, at most min(budget, ladder length) cycles,
-// stop above Replace, one budget unit and one Action.String()-named attempt
-// per cycle, retirement advised exactly when nothing is left to spend. The
+// repair.Escalation does: start at the cheapest rung applicable to the
+// confirmed status, one rung up per failed verification, at most
+// min(budget, ladder length) cycles, stop above replace, one budget unit
+// and one rung-named attempt per cycle, retirement advised exactly when
+// nothing is left to spend. The
 // fleet's journaled decisions and campaign/testdata/fixed_escalation.json
 // depend on every one of these.
 func TestEscalationRungsWalkTheFixedActionSchedule(t *testing.T) {
@@ -349,19 +367,19 @@ func TestEscalationRungsWalkTheFixedActionSchedule(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		dist      float64
-		needs     repair.Action
+		needs     int
 		budget    int
 		want      []string
 		recovered bool
 		retire    bool
 	}{
-		{"degraded starts at reprogram", degraded, repair.Reprogram, 3, []string{"reprogram"}, true, false},
-		{"impaired starts at retrain", impaired, repair.Retrain, 3, []string{"retrain"}, true, false},
-		{"critical starts at replace", critical, repair.Replace, 3, []string{"replace"}, true, false},
-		{"escalates to the top", degraded, repair.Replace, 3, []string{"reprogram", "retrain", "replace"}, true, false},
-		{"stops above replace", critical, repair.Action(99), 3, []string{"replace"}, false, false},
-		{"budget binds before the cap", degraded, repair.Action(99), 1, []string{"reprogram"}, false, true},
-		{"budget spent exactly on a full walk", degraded, repair.Action(99), 3, []string{"reprogram", "retrain", "replace"}, false, true},
+		{"degraded starts at reprogram", degraded, rungReprogram, 3, []string{"reprogram"}, true, false},
+		{"impaired starts at retrain", impaired, rungRetrain, 3, []string{"retrain"}, true, false},
+		{"critical starts at replace", critical, rungReplace, 3, []string{"replace"}, true, false},
+		{"escalates to the top", degraded, rungReplace, 3, []string{"reprogram", "retrain", "replace"}, true, false},
+		{"stops above replace", critical, rungNone, 3, []string{"replace"}, false, false},
+		{"budget binds before the cap", degraded, rungNone, 1, []string{"reprogram"}, false, true},
+		{"budget spent exactly on a full walk", degraded, rungNone, 3, []string{"reprogram", "retrain", "replace"}, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -385,8 +403,8 @@ func TestEscalationRungsWalkTheFixedActionSchedule(t *testing.T) {
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("attempts %v, want %v", got, tc.want)
 			}
-			for i, a := range sr.applied {
-				if a.String() != tc.want[i] {
+			for i, rung := range sr.applied {
+				if rungNames[rung] != tc.want[i] {
 					t.Fatalf("applied %v, want %v", sr.applied, tc.want)
 				}
 			}
@@ -460,7 +478,7 @@ func TestSuperviseCanceledCtxStartsNoRepair(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sr := &stepRepairer{needs: repair.Reprogram}
+	sr := &stepRepairer{needs: rungReprogram}
 	ep := rt.Supervise(ctx, shiftInfer(net, 0.12), escalation(sr.apply), 3)
 	if len(sr.applied) != 0 {
 		t.Fatalf("canceled episode still applied repairs: %v", sr.applied)

@@ -25,9 +25,9 @@ type scriptedLadder struct {
 func (s *scriptedLadder) Diagnose(monitor.Status) repair.Diagnosis { return s.diag }
 
 func (s *scriptedLadder) rung(name string, cost int, when func(repair.Diagnosis) bool) repair.Strategy {
-	return repair.Func{
-		StrategyName: name, StrategyCost: cost, When: when,
-		Do: func(ctx context.Context, _ repair.Diagnosis) (repair.Report, error) {
+	return repair.Strategy{
+		Name: name, Cost: cost, When: when,
+		Apply: func(ctx context.Context, _ repair.Diagnosis) (repair.Report, error) {
 			s.applied = append(s.applied, name)
 			if s.failing[name] {
 				return repair.Report{}, &repair.Error{Strategy: name, Op: "apply", Err: errors.New("actuator offline")}
@@ -35,7 +35,7 @@ func (s *scriptedLadder) rung(name string, cost int, when func(repair.Diagnosis)
 			if name == s.fixedBy {
 				s.fixed = true
 			}
-			return repair.Report{Strategy: name}, nil
+			return repair.Report{}, nil
 		},
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"reramtest/internal/models"
 	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
-	"reramtest/internal/repair"
 	"reramtest/internal/rng"
 	"reramtest/internal/tensor"
 	"reramtest/internal/testgen"
@@ -118,7 +117,7 @@ func TestSuperviseZeroBudget(t *testing.T) {
 	cfg.EscalateAfter = 1
 	rt, net := testRuntime(t, cfg)
 	applied := 0
-	rep := escalation(func(repair.Action) (*nn.Network, error) {
+	rep := escalation(func(int) (*nn.Network, error) {
 		applied++
 		return nil, nil
 	})

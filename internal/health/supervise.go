@@ -23,14 +23,14 @@ type Repairer interface {
 	// The slice must be stable across calls within an episode.
 	Strategies() []repair.Strategy
 	// Diagnose inspects the hardware and summarises what is wrong, given the
-	// currently confirmed status; strategies gate their Applicable on it.
+	// currently confirmed status; the rungs' When gates on it.
 	Diagnose(confirmed monitor.Status) repair.Diagnosis
 }
 
 // Attempt records one (apply, verify) cycle of a repair episode.
 type Attempt struct {
-	Strategy       string  // the rung's Name()
-	Cost           int     // budget units charged: the rung's Cost()
+	Strategy       string  // the rung's Name
+	Cost           int     // budget units charged: the rung's Cost
 	ApplyErr       error   // the application itself failed (episode escalates)
 	Verified       bool    // all verification rounds came back Healthy
 	VerifyDist     float64 // worst AllDist seen across verification rounds
@@ -59,7 +59,7 @@ type Episode struct {
 	Recommendation string
 	// Final is the runtime's confirmed status after the episode.
 	Final monitor.Status
-	// CostSpent is the budget charge for this episode: the sum of Cost()
+	// CostSpent is the budget charge for this episode: the sum of Cost
 	// over the rungs applied.
 	CostSpent int
 	// Measured is the summed measured hardware spend of the episode's repair
@@ -80,9 +80,9 @@ func (e Episode) Repaired() bool { return len(e.Attempts) > 0 }
 // over rep's ladder until the accelerator verifies clean, the ladder tops
 // out, or the budget runs dry. It never panics.
 //
-// budget is this episode's allowance in strategy cost units (repair.CostScrub,
-// repair.CostRemap, …; one unit per rung on a repair.Escalation ladder). A
-// standalone runtime passes a fixed per-episode allowance; the fleet
+// budget is this episode's allowance in the units of the rungs' Cost
+// (repair.CostScrub, repair.CostRemap, …; each repair.Escalation rung costs
+// one). A standalone runtime passes a fixed per-episode allowance; the fleet
 // supervisor grants each episode the device's whole remaining lifetime
 // budget and charges Episode.CostSpent back. With budget ≤ 0 no repair is
 // attempted: a confirmed-damaged round reports GaveUp immediately, which is
@@ -126,7 +126,7 @@ func (rt *Runtime) Supervise(ctx context.Context, accel monitor.Infer, rep Repai
 		diag := rep.Diagnose(rt.confirmed)
 		pick := -1
 		for i := next; i < len(strats); i++ {
-			if strats[i].Applicable(diag) {
+			if strats[i].When(diag) {
 				pick = i
 				break
 			}
@@ -137,18 +137,18 @@ func (rt *Runtime) Supervise(ctx context.Context, accel monitor.Infer, rep Repai
 			break
 		}
 		s := strats[pick]
-		if s.Cost() > budget-ep.CostSpent {
+		if s.Cost > budget-ep.CostSpent {
 			// the cheapest eligible rung no longer fits this episode's
 			// budget; stop before spending what we cannot afford
 			break
 		}
-		att := Attempt{Strategy: s.Name(), Cost: s.Cost()}
+		att := Attempt{Strategy: s.Name, Cost: s.Cost}
 		report, err := s.Apply(ctx, diag)
 		att.Measured = report.Measured
 		// the cost is charged even when the application fails: the hardware
 		// operation ran (or partially ran) and the fleet's lifetime budget
 		// models wear, not success
-		ep.CostSpent += s.Cost()
+		ep.CostSpent += s.Cost
 		if err != nil {
 			att.ApplyErr = err
 		} else {
@@ -187,8 +187,8 @@ func (rt *Runtime) Supervise(ctx context.Context, accel monitor.Infer, rep Repai
 	diag := rep.Diagnose(rt.confirmed)
 	cheapest := -1
 	for _, s := range strats {
-		if s.Applicable(diag) && (cheapest < 0 || s.Cost() < cheapest) {
-			cheapest = s.Cost()
+		if s.When(diag) && (cheapest < 0 || s.Cost < cheapest) {
+			cheapest = s.Cost
 		}
 	}
 	switch {

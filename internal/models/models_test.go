@@ -3,8 +3,10 @@ package models
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"reramtest/internal/dataset"
@@ -169,6 +171,41 @@ func TestLoadWeightsRejectsGarbage(t *testing.T) {
 	}
 	if err := SaveWeights(filepath.Join(path, "w.bin"), net); err == nil {
 		t.Error("weights saved under a regular file")
+	}
+}
+
+// TestLoadWeightsRejectsCorruptContent: a parameter whose shape is the
+// transpose of the network's (same volume) and a non-finite value are both
+// refused, with errors that name the file.
+func TestLoadWeightsRejectsCorruptContent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.bin")
+	wide := MLP(rng.New(7), 3, nil, 4)
+	narrow := MLP(rng.New(7), 4, nil, 3)
+	if wide.Params()[0].Value.Len() != narrow.Params()[0].Value.Len() {
+		t.Fatal("setup: the two weight matrices differ in volume")
+	}
+	if err := SaveWeights(path, wide); err != nil {
+		t.Fatal(err)
+	}
+	err := LoadWeights(path, narrow)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "shape") {
+		t.Fatalf("transposed weight matrix: err %v, want a shape error naming %s", err, path)
+	}
+
+	net := MLP(rng.New(8), 4, nil, 2)
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		w := net.Params()[0].Value.Data()
+		saved := w[1]
+		w[1] = bad
+		err := SaveWeights(path, net)
+		w[1] = saved
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = LoadWeights(path, MLP(rng.New(9), 4, nil, 2))
+		if err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("weight %v: err %v, want an error naming %s", bad, err, path)
+		}
 	}
 }
 

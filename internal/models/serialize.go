@@ -124,26 +124,30 @@ func readParam(r io.Reader, p *nn.Param) error {
 	if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
 		return err
 	}
-	shape := make([]int, rank)
-	vol := 1
-	for i := range shape {
+	want := p.Value.Shape()
+	if int64(rank) != int64(len(want)) {
+		return fmt.Errorf("file param has rank %d, network expects shape %v", rank, want)
+	}
+	for i, w := range want {
 		var d uint32
 		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
 			return err
 		}
-		shape[i] = int(d)
-		vol *= shape[i]
+		if int64(d) != int64(w) {
+			return fmt.Errorf("file param has dimension %d = %d, network expects shape %v", i, d, want)
+		}
 	}
-	if vol != p.Value.Len() {
-		return fmt.Errorf("file shape %v (volume %d) does not match param volume %d", shape, vol, p.Value.Len())
-	}
-	buf := make([]byte, 8*vol)
+	buf := make([]byte, 8*p.Value.Len())
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return err
 	}
 	vd := p.Value.Data()
 	for i := range vd {
-		vd[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		v := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("element %d is %v", i, v)
+		}
+		vd[i] = v
 	}
 	return nil
 }

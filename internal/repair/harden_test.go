@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,15 +11,14 @@ import (
 	"reramtest/internal/rng"
 )
 
-// mustHarden runs HardenDropConnect, measuring accuracy on train, and fails
-// t on error.
+// mustHarden runs drop-connect hardening (models.Train under cfg.DropP),
+// fails t on error, and returns net's accuracy on train afterwards.
 func mustHarden(t *testing.T, net *nn.Network, train *dataset.Dataset, cfg models.TrainConfig) float64 {
 	t.Helper()
-	acc, err := HardenDropConnect(net, train, nil, cfg)
-	if err != nil {
+	if err := models.Train(context.Background(), net, train, cfg); err != nil {
 		t.Fatal(err)
 	}
-	return acc
+	return accuracy(net, train)
 }
 
 func TestHardenDropConnectKeepsAccuracy(t *testing.T) {
@@ -79,15 +79,16 @@ func TestHardenDropConnectImprovesFaultTolerance(t *testing.T) {
 	}
 }
 
-// hardenDigest is retrainDigest of the hardened weights and returned
-// accuracy on TestHardenDropConnectBitIdentical's input, taken while
+// hardenDigest is retrainDigest of the hardened weights and their accuracy
+// on train for TestHardenDropConnectBitIdentical's input, taken while
 // hardening still ran its own copy of the training loop. It pins the RNG
 // order as well as the arithmetic: the drop-connect mask stream is split off
 // the seed before the first epoch's shuffle draws from it.
 const hardenDigest = "6c74ae1a142a74d5a44b6758efad819cf2fc49843b08be68544a0a2872f7c28d"
 
-// TestHardenDropConnectBitIdentical holds hardening to the pinned digest, as
-// TestRetrainEngineMatchesLegacy holds the retrain loop.
+// TestHardenDropConnectBitIdentical holds models.Train under
+// DefaultHardenConfig to the pinned digest, as TestRetrainEngineMatchesLegacy
+// holds the retrain loop.
 func TestHardenDropConnectBitIdentical(t *testing.T) {
 	train := dataset.SynthDigits(82, dataset.DefaultDigitsConfig(64))
 	net := buildToyNet(train)

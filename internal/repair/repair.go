@@ -5,97 +5,28 @@
 // the fault model"). Together with internal/monitor it closes the loop:
 // detect → classify severity → apply the cheapest adequate repair → verify.
 //
-// Three mechanisms are provided, in increasing cost order:
+// Every mechanism is a rung: a Strategy value with a name, a budget cost, an
+// applicability test on the Diagnosis and an Apply. The supervised runtime
+// (internal/health) walks a ladder of rungs, cheapest first. Two ladders
+// exist:
 //
-//   - Reprogram: rewrite all crossbar conductances to their targets. Fixes
-//     drift and accumulated soft errors; cannot fix stuck cells. Cost: one
-//     write pass, no data needed.
-//   - Retrain: diagnose stuck cells (DiagnoseStuck), then fault-aware
-//     fine-tuning (the paper's reference [8]) — gradient descent on the
-//     deployed weights with the stuck cells frozen at their fault values,
-//     letting the healthy weights compensate. Cost: training data and
-//     compute (the paper's "cloud-edge collaborative" path).
-//   - Replace: when retraining cannot recover the accuracy target the
-//     planner recommends hardware service — spare-array remapping (the
-//     paper's reference [7]) or module replacement; physical spare-row
-//     redundancy is modelled as a recommendation only.
+//   - the fixed escalation (Escalation), planned by severity: reprogram
+//     (rewrite every conductance; clears drift, not stuck cells), retrain
+//     (DiagnoseStuck, then fault-aware fine-tuning around the frozen stuck
+//     cells, the paper's reference [8]) and replace (module replacement,
+//     the paper's hardware-service path);
+//   - the strategy suite (strategy.go): soft-error scrub, stuck-at remap
+//     onto spare lines, and fault-aware retraining as the last resort.
 package repair
 
 import (
-	"fmt"
-	"strings"
-
 	"reramtest/internal/hwcost"
-	"reramtest/internal/monitor"
 	"reramtest/internal/nn"
 )
-
-// Action identifies one repair mechanism.
-type Action int
-
-// Repair actions in increasing cost order.
-const (
-	// NoAction: the accelerator is healthy.
-	NoAction Action = iota
-	// Reprogram rewrites crossbar conductances (fixes drift/soft errors).
-	Reprogram
-	// Retrain fine-tunes healthy weights around frozen faults.
-	Retrain
-	// Replace recommends hardware service: spare-array remapping or module
-	// replacement, beyond what software repair can recover.
-	Replace
-)
-
-// String names the action.
-func (a Action) String() string {
-	switch a {
-	case NoAction:
-		return "none"
-	case Reprogram:
-		return "reprogram"
-	case Retrain:
-		return "retrain"
-	case Replace:
-		return "replace"
-	default:
-		return fmt.Sprintf("Action(%d)", int(a))
-	}
-}
-
-// PlanFor maps the monitor's health classification to the cheapest repair
-// that addresses it, following the paper's severity-tiered repair story:
-// mild degradation is usually drift (reprogrammable); an impaired device
-// has accumulated hard faults that need the cloud-edge retraining path; a
-// critical one is past software repair.
-func PlanFor(status monitor.Status) Action {
-	switch status {
-	case monitor.Healthy:
-		return NoAction
-	case monitor.Degraded:
-		return Reprogram
-	case monitor.Impaired:
-		return Retrain
-	default:
-		return Replace
-	}
-}
 
 // StuckMask records, per network parameter, which weight positions sit on
 // stuck cells (true = stuck, must not be trained or trusted).
 type StuckMask map[string][]bool
-
-// Count returns the number of stuck positions across all parameters.
-func (m StuckMask) Count() int {
-	n := 0
-	for _, mask := range m {
-		for _, s := range mask {
-			if s {
-				n++
-			}
-		}
-	}
-	return n
-}
 
 // Reprogrammer is the hardware surface diagnosis and retraining drive:
 // rewrite every cell to its target, read the weights the arrays actually
@@ -176,42 +107,17 @@ func DiagnoseStuck(accel Reprogrammer, target *nn.Network, tol float64) (StuckMa
 	return mask, nil
 }
 
-// Report summarises one repair round.
+// Report is what one rung's application hands back to the repair loop.
 type Report struct {
-	Action    Action
-	Strategy  string  // strategy name when produced by a Strategy; "" otherwise
-	Stuck     int     // stuck cells diagnosed (Remap/Retrain)
-	Cells     int     // cells rewritten / lines remapped (strategy repairs)
-	AccBefore float64 // accuracy before repair (if measured; -1 otherwise)
-	AccAfter  float64 // accuracy after repair (if measured; -1 otherwise)
 	// NewRef, when non-nil, is a replacement reference network (fault-aware
 	// retraining deployed new weights): the monitor must be recommissioned
 	// against it before the repair can verify.
 	NewRef *nn.Network
-	Detail string
 	// Measured is the hardware spend the application charged, booked to the
 	// repair class by the station that ran it under its lock (zero off a
 	// station or on an unmetered device). Set even when the application
 	// errors.
 	Measured hwcost.Cost
-}
-
-// String renders the report on one line.
-func (r Report) String() string {
-	parts := []string{fmt.Sprintf("action=%s", r.Action)}
-	if r.Strategy != "" {
-		parts = append(parts, fmt.Sprintf("strategy=%s", r.Strategy))
-	}
-	if r.Stuck > 0 {
-		parts = append(parts, fmt.Sprintf("stuck=%d", r.Stuck))
-	}
-	if r.AccBefore >= 0 && r.AccAfter >= 0 {
-		parts = append(parts, fmt.Sprintf("accuracy %.1f%%→%.1f%%", 100*r.AccBefore, 100*r.AccAfter))
-	}
-	if r.Detail != "" {
-		parts = append(parts, r.Detail)
-	}
-	return strings.Join(parts, " ")
 }
 
 func abs(v float64) float64 {

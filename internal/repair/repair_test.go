@@ -2,6 +2,7 @@ package repair
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -14,27 +15,59 @@ import (
 	"reramtest/internal/rng"
 )
 
-func TestPlanForSeverityLadder(t *testing.T) {
-	cases := map[monitor.Status]Action{
-		monitor.Healthy:  NoAction,
-		monitor.Degraded: Reprogram,
-		monitor.Impaired: Retrain,
-		monitor.Critical: Replace,
+// TestEscalationApplicability pins which fixed-escalation rung applies to
+// which confirmed status: an episode starts at the cheapest applicable rung
+// and escalates through the ones above it, so this matrix is the severity
+// plan — reprogram for Degraded, retrain from Impaired, replace for
+// Critical — and nothing applies to a Healthy device.
+func TestEscalationApplicability(t *testing.T) {
+	none := func() (*nn.Network, error) { return nil, nil }
+	rungs := Escalation(none, none, none)
+	names := []string{"reprogram", "retrain", "replace"}
+	want := map[monitor.Status][3]bool{
+		monitor.Healthy:  {false, false, false},
+		monitor.Degraded: {true, true, true},
+		monitor.Impaired: {false, true, true},
+		monitor.Critical: {false, false, true},
 	}
-	for status, want := range cases {
-		if got := PlanFor(status); got != want {
-			t.Errorf("PlanFor(%s)=%s, want %s", status, got, want)
+	if len(rungs) != len(names) {
+		t.Fatalf("escalation has %d rungs, want %d", len(rungs), len(names))
+	}
+	for i, r := range rungs {
+		if r.Name != names[i] || r.Cost != 1 {
+			t.Fatalf("rung %d is %s/%d, want %s/1", i, r.Name, r.Cost, names[i])
+		}
+	}
+	for status := monitor.Healthy; status <= monitor.Critical; status++ {
+		for i, r := range rungs {
+			if got := r.When(Diagnosis{Status: status}); got != want[status][i] {
+				t.Errorf("%s applicable on %s = %v, want %v", r.Name, status, got, want[status][i])
+			}
 		}
 	}
 }
 
-func TestActionStrings(t *testing.T) {
-	for a, want := range map[Action]string{
-		NoAction: "none", Reprogram: "reprogram", Retrain: "retrain", Replace: "replace",
-	} {
-		if a.String() != want {
-			t.Errorf("Action(%d).String()=%q", int(a), a.String())
-		}
+// TestEscalationApplyWrapsUntypedErrors: a mechanism's network comes back as
+// Report.NewRef, its untyped error is wrapped in *Error naming the rung, and
+// a typed one passes through unwrapped.
+func TestEscalationApplyWrapsUntypedErrors(t *testing.T) {
+	ref := models.MLP(rng.New(1), 4, nil, 2)
+	typed := &DiagnosisError{Reason: "tolerance"}
+	rungs := Escalation(
+		func() (*nn.Network, error) { return nil, errors.New("actuator offline") },
+		func() (*nn.Network, error) { return ref, nil },
+		func() (*nn.Network, error) { return nil, typed },
+	)
+	_, err := rungs[0].Apply(context.Background(), Diagnosis{})
+	var se *Error
+	if !errors.As(err, &se) || se.Strategy != "reprogram" || se.Op != "apply" {
+		t.Fatalf("untyped reprogram error not wrapped: %v", err)
+	}
+	if rep, err := rungs[1].Apply(context.Background(), Diagnosis{}); err != nil || rep.NewRef != ref {
+		t.Fatalf("retrain rung: NewRef %p, err %v; want %p, nil", rep.NewRef, err, ref)
+	}
+	if _, err := rungs[2].Apply(context.Background(), Diagnosis{}); err != typed {
+		t.Fatalf("typed replace error rewrapped: %v", err)
 	}
 }
 
@@ -47,6 +80,19 @@ func idealConfig() reram.Config {
 	cfg.Device.DriftJitter = 0
 	cfg.Device.SoftErrorRate = 0
 	return cfg
+}
+
+// stuckCells counts the positions m marks stuck.
+func stuckCells(m StuckMask) int {
+	n := 0
+	for _, mask := range m {
+		for _, s := range mask {
+			if s {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // mustDiagnose fails the test on a diagnosis error — the well-formed-input
@@ -65,13 +111,13 @@ func TestDiagnoseStuckFindsInjectedFaults(t *testing.T) {
 	accel := reram.NewAccelerator(net, idealConfig(), 7)
 	// healthy device: nothing stuck
 	mask := mustDiagnose(t, accel, net, 0.25)
-	if n := mask.Count(); n != 0 {
+	if n := stuckCells(mask); n != 0 {
 		t.Fatalf("healthy accelerator diagnosed %d stuck cells", n)
 	}
 	// inject a visible fraction of stuck cells
 	accel.InjectStuckAt(0.05, 0.05)
 	mask = mustDiagnose(t, accel, net, 0.25)
-	if n := mask.Count(); n == 0 {
+	if n := stuckCells(mask); n == 0 {
 		t.Fatal("diagnosis found no stuck cells after injection")
 	}
 	// diagnosis must cover every parameter name of the network
@@ -93,7 +139,7 @@ func TestDiagnoseStuckSurvivesProgrammingNoise(t *testing.T) {
 	for _, m := range mask {
 		total += len(m)
 	}
-	if frac := float64(mask.Count()) / float64(total); frac > 0.02 {
+	if frac := float64(stuckCells(mask)) / float64(total); frac > 0.02 {
 		t.Fatalf("noise misdiagnosed as %.1f%% stuck cells", 100*frac)
 	}
 }
@@ -114,15 +160,14 @@ func accuracy(net *nn.Network, d *dataset.Dataset) float64 {
 	return engine.MustCompile(net, engine.Options{}).Accuracy(d.X, d.Y, 64)
 }
 
-// mustRetrain runs RetrainAround under a background context, measuring
-// accuracy on train, and fails t on error.
+// mustRetrain runs RetrainAround under a background context, fails t on
+// error, and returns net's accuracy on train after the retrain.
 func mustRetrain(t *testing.T, net *nn.Network, stuck StuckMask, train *dataset.Dataset, cfg models.TrainConfig) float64 {
 	t.Helper()
-	acc, err := RetrainAround(context.Background(), net, stuck, train, nil, cfg)
-	if err != nil {
+	if err := RetrainAround(context.Background(), net, stuck, train, cfg); err != nil {
 		t.Fatal(err)
 	}
-	return acc
+	return accuracy(net, train)
 }
 
 func TestRetrainAroundRecoversAccuracy(t *testing.T) {
@@ -181,25 +226,5 @@ func TestRetrainWithEmptyMaskIsOrdinaryFineTune(t *testing.T) {
 	after := mustRetrain(t, net, StuckMask{}, train, cfg)
 	if after < before-0.05 {
 		t.Fatalf("fine-tune with empty mask degraded accuracy %.2f→%.2f", before, after)
-	}
-}
-
-func TestStuckMaskCount(t *testing.T) {
-	m := StuckMask{
-		"a": {true, false, true},
-		"b": {false},
-	}
-	if m.Count() != 2 {
-		t.Fatalf("Count=%d, want 2", m.Count())
-	}
-}
-
-func TestReportString(t *testing.T) {
-	rep := Report{Action: Retrain, Strategy: "retrain", Stuck: 12, AccBefore: 0.7, AccAfter: 0.95, Detail: "frozen 12"}
-	s := rep.String()
-	for _, want := range []string{"action=retrain", "strategy=retrain", "stuck=12", "70.0%", "95.0%", "frozen 12"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report %q missing %q", s, want)
-		}
 	}
 }

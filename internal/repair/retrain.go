@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"reramtest/internal/dataset"
-	"reramtest/internal/engine"
 	"reramtest/internal/models"
 	"reramtest/internal/nn"
 )
@@ -15,8 +14,11 @@ func DefaultRetrainConfig() models.TrainConfig {
 	return models.TrainConfig{Epochs: 2, BatchSize: 32, LR: 0.005, Momentum: 0.9, Seed: 17}
 }
 
-// DefaultHardenConfig returns a short hardening schedule: like retraining,
-// hardening is a touch-up of an already-trained model.
+// DefaultHardenConfig returns a short drop-connect hardening schedule
+// (models.Train with DropP set): fault-aware training that bakes stuck-at
+// tolerance into the weights before the model is ever programmed onto
+// hardware (arXiv:2404.15498). Like retraining, hardening is a touch-up of
+// an already-trained model.
 func DefaultHardenConfig() models.TrainConfig {
 	return models.TrainConfig{Epochs: 2, BatchSize: 32, LR: 0.005, Momentum: 0.9, DropP: 0.1, Seed: 29}
 }
@@ -25,8 +27,7 @@ func DefaultHardenConfig() models.TrainConfig {
 // position marked in stuck frozen at its current (faulty) value — the
 // paper's fault-aware retraining repair [8]: the healthy weights learn to
 // compensate for the cells that cannot be fixed. It is models.Train with
-// cfg.Frozen set to stuck. net is modified in place; the returned accuracy is
-// measured on eval (or train when eval is nil).
+// cfg.Frozen set to stuck. net is modified in place.
 //
 // Positions absent from the mask (e.g. biases, which live in digital logic)
 // train normally.
@@ -36,33 +37,10 @@ func DefaultHardenConfig() models.TrainConfig {
 // fine-tuning they had received — the caller decides whether to deploy or
 // discard the partially-trained network; nothing here touches the hardware.
 // The returned error is typed (*Error wrapping ctx.Err()).
-func RetrainAround(ctx context.Context, net *nn.Network, stuck StuckMask, train, eval *dataset.Dataset, cfg models.TrainConfig) (float64, error) {
+func RetrainAround(ctx context.Context, net *nn.Network, stuck StuckMask, train *dataset.Dataset, cfg models.TrainConfig) error {
 	cfg.Frozen = stuck
-	acc, err := trainAndMeasure(ctx, net, train, eval, cfg)
-	if err != nil {
-		return 0, &Error{Strategy: "retrain", Op: "train", Err: err}
-	}
-	return acc, nil
-}
-
-// HardenDropConnect fine-tunes net under per-element Bernoulli weight
-// dropping (cfg.DropP, see DefaultHardenConfig) — fault-aware training that
-// bakes stuck-at tolerance into the weights before the model is ever
-// programmed onto hardware (arXiv:2404.15498). net is modified in place; the
-// returned accuracy is measured on eval (or train when eval is nil) with
-// masking off.
-func HardenDropConnect(net *nn.Network, train, eval *dataset.Dataset, cfg models.TrainConfig) (float64, error) {
-	return trainAndMeasure(context.Background(), net, train, eval, cfg)
-}
-
-// trainAndMeasure runs models.Train, then measures net's accuracy on eval
-// (or train when eval is nil) through an inference plan.
-func trainAndMeasure(ctx context.Context, net *nn.Network, train, eval *dataset.Dataset, cfg models.TrainConfig) (float64, error) {
 	if err := models.Train(ctx, net, train, cfg); err != nil {
-		return 0, err
+		return &Error{Strategy: "retrain", Op: "train", Err: err}
 	}
-	if eval == nil {
-		eval = train
-	}
-	return engine.MustCompile(net, engine.Options{}).Accuracy(eval.X, eval.Y, 64), nil
+	return nil
 }

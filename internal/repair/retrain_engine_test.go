@@ -41,7 +41,7 @@ func maskSomeWeights(net *nn.Network, frac, v float64, seed int64) StuckMask {
 const legacyRetrainDigest = "a3a1ff384958a845fc300b2b458c28cef4229cd9e48b0a8596cace30c64517e3"
 
 // retrainDigest is the SHA-256 of every weight's bits, in Params() order,
-// then of the returned accuracy.
+// then of the accuracy on the training set.
 func retrainDigest(net *nn.Network, acc float64) string {
 	h := sha256.New()
 	var b [8]byte

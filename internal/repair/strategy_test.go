@@ -136,12 +136,9 @@ func TestRetrainAroundCtxCancelRestoresState(t *testing.T) {
 	cfg := DefaultRetrainConfig()
 	cfg.Epochs = 3
 	cfg.Log = &cancelOnWrite{cancel: cancel} // fires after epoch 1
-	acc, err := RetrainAround(ctx, net, stuck, train, nil, cfg)
+	err := RetrainAround(ctx, net, stuck, train, cfg)
 	if err == nil {
 		t.Fatal("canceled retrain returned nil error")
-	}
-	if acc != 0 {
-		t.Fatalf("canceled retrain returned accuracy %v", acc)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error does not unwrap to context.Canceled: %v", err)
@@ -196,87 +193,91 @@ func TestIsTyped(t *testing.T) {
 	}
 }
 
-// fakeScrubber scripts the Scrubber surface.
-type fakeScrubber struct{ scanned, rewritten int }
+// fakeScrubber scripts the Scrubber surface and records its calls.
+type fakeScrubber struct {
+	scanned, rewritten int
+	tols               []float64
+}
 
-func (f *fakeScrubber) ScrubSoftErrors(tol float64) (int, int) { return f.scanned, f.rewritten }
+func (f *fakeScrubber) ScrubSoftErrors(tol float64) (int, int) {
+	f.tols = append(f.tols, tol)
+	return f.scanned, f.rewritten
+}
 
 func TestScrubStrategy(t *testing.T) {
-	s := NewScrub(&fakeScrubber{scanned: 100, rewritten: 7}, 0.1)
-	if s.Name() != "scrub" || s.Cost() != CostScrub {
-		t.Fatalf("scrub identity wrong: %s/%d", s.Name(), s.Cost())
+	hw := &fakeScrubber{scanned: 100, rewritten: 7}
+	s := NewScrub(hw, 0.1)
+	if s.Name != "scrub" || s.Cost != CostScrub {
+		t.Fatalf("scrub identity wrong: %s/%d", s.Name, s.Cost)
 	}
-	if s.Applicable(Diagnosis{Status: monitor.Degraded}) {
+	if s.When(Diagnosis{Status: monitor.Degraded}) {
 		t.Fatal("scrub applicable with no drifted cells")
 	}
 	d := Diagnosis{Status: monitor.Degraded, Drifted: 5}
-	if !s.Applicable(d) {
+	if !s.When(d) {
 		t.Fatal("scrub not applicable to drifted cells")
 	}
 	rep, err := s.Apply(context.Background(), d)
 	if err != nil {
 		t.Fatalf("scrub apply: %v", err)
 	}
-	if rep.Strategy != "scrub" || rep.Cells != 7 {
-		t.Fatalf("scrub report wrong: %+v", rep)
+	if rep.NewRef != nil {
+		t.Fatal("scrub handed back a new reference")
+	}
+	if len(hw.tols) != 1 || hw.tols[0] != 0.1 {
+		t.Fatalf("scrub asked the hardware for %v, want one sweep at tol 0.1", hw.tols)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Apply(ctx, d); !IsTyped(err) || err == nil {
 		t.Fatalf("canceled scrub must return a typed error, got %v", err)
 	}
+	if len(hw.tols) != 1 {
+		t.Fatalf("canceled scrub swept the hardware: %v", hw.tols)
+	}
 }
 
-// fakeRemapper scripts the Remapper surface.
-type fakeRemapper struct{ remapped, corrected, uncorrectable int }
+// fakeRemapper scripts the Remapper surface and records its calls.
+type fakeRemapper struct {
+	remapped, corrected, uncorrectable int
+	calls                              [][2]float64 // (maxPerLine, tol)
+}
 
 func (f *fakeRemapper) RemapStuck(maxPerLine int, tol float64) (int, int, int) {
+	f.calls = append(f.calls, [2]float64{float64(maxPerLine), tol})
 	return f.remapped, f.corrected, f.uncorrectable
 }
 
 func TestRemapStrategy(t *testing.T) {
-	s := NewRemap(&fakeRemapper{remapped: 2, corrected: 3, uncorrectable: 1}, 4, 0.1)
-	if s.Name() != "remap" || s.Cost() != CostRemap {
-		t.Fatalf("remap identity wrong: %s/%d", s.Name(), s.Cost())
+	hw := &fakeRemapper{remapped: 2, corrected: 3, uncorrectable: 1}
+	s := NewRemap(hw, 4, 0.1)
+	if s.Name != "remap" || s.Cost != CostRemap {
+		t.Fatalf("remap identity wrong: %s/%d", s.Name, s.Cost)
 	}
-	if s.Applicable(Diagnosis{Status: monitor.Impaired}) {
+	if s.When(Diagnosis{Status: monitor.Impaired}) {
 		t.Fatal("remap applicable with no stuck cells")
 	}
 	d := Diagnosis{Status: monitor.Impaired, Stuck: 9}
-	if !s.Applicable(d) {
+	if !s.When(d) {
 		t.Fatal("remap not applicable to stuck cells")
 	}
 	rep, err := s.Apply(context.Background(), d)
 	if err != nil {
 		t.Fatalf("remap apply: %v", err)
 	}
-	if rep.Strategy != "remap" || rep.Cells != 5 {
-		t.Fatalf("remap report wrong: %+v", rep)
+	if rep.NewRef != nil {
+		t.Fatal("remap handed back a new reference")
 	}
-	if !strings.Contains(rep.Detail, "1 uncorrectable") {
-		t.Fatalf("remap detail missing uncorrectable count: %q", rep.Detail)
+	if len(hw.calls) != 1 || hw.calls[0] != [2]float64{4, 0.1} {
+		t.Fatalf("remap asked the hardware for %v, want one pass at (4, 0.1)", hw.calls)
 	}
-}
-
-func TestFuncStrategyAdapter(t *testing.T) {
-	called := false
-	s := Func{
-		StrategyName: "custom",
-		StrategyCost: 3,
-		When:         func(d Diagnosis) bool { return d.Stuck > 0 },
-		Do: func(ctx context.Context, d Diagnosis) (Report, error) {
-			called = true
-			return Report{Strategy: "custom"}, nil
-		},
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Apply(ctx, d); !IsTyped(err) || err == nil {
+		t.Fatalf("canceled remap must return a typed error, got %v", err)
 	}
-	if s.Name() != "custom" || s.Cost() != 3 {
-		t.Fatalf("func identity wrong: %s/%d", s.Name(), s.Cost())
-	}
-	if s.Applicable(Diagnosis{}) || !s.Applicable(Diagnosis{Stuck: 1}) {
-		t.Fatal("func applicability not delegated to When")
-	}
-	if _, err := s.Apply(context.Background(), Diagnosis{Stuck: 1}); err != nil || !called {
-		t.Fatalf("func apply not delegated: err=%v called=%v", err, called)
+	if len(hw.calls) != 1 {
+		t.Fatalf("canceled remap touched the hardware: %v", hw.calls)
 	}
 }
 
@@ -286,5 +287,53 @@ func TestDiagnosisString(t *testing.T) {
 		if !strings.Contains(strings.ToLower(d.String()), want) {
 			t.Fatalf("diagnosis %q missing %q", d.String(), want)
 		}
+	}
+}
+
+// programCounter is an accelerator that counts the networks programmed onto
+// it.
+type programCounter struct {
+	*reram.Accelerator
+	programs int
+}
+
+func (p *programCounter) ProgramNetwork(net *nn.Network) {
+	p.programs++
+	p.Accelerator.ProgramNetwork(net)
+}
+
+// TestRetrainStrategy: the retrain rung deploys the retrained readout and
+// hands it back as the new reference; a failed diagnosis or a canceled
+// retrain returns a typed error and deploys nothing.
+func TestRetrainStrategy(t *testing.T) {
+	net, train := trainToy(t)
+	hw := &programCounter{Accelerator: reram.NewAccelerator(net, idealConfig(), 31)}
+	cfg := func() models.TrainConfig {
+		c := DefaultRetrainConfig()
+		c.Epochs = 1
+		return c
+	}
+	ref := func() *nn.Network { return net }
+
+	s := NewRetrain(hw, ref, train, 0, cfg)
+	if s.Name != "retrain" || s.Cost != CostRetrain || !s.When(Diagnosis{}) {
+		t.Fatalf("retrain identity wrong: %s/%d", s.Name, s.Cost)
+	}
+	_, err := s.Apply(context.Background(), Diagnosis{})
+	var se *Error
+	if !errors.As(err, &se) || se.Op != "diagnose" || hw.programs != 0 {
+		t.Fatalf("zero-tolerance diagnosis: err %v, %d programs; want a typed diagnose error and none", err, hw.programs)
+	}
+
+	s = NewRetrain(hw, ref, train, 0.3, cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Apply(ctx, Diagnosis{}); !errors.Is(err, context.Canceled) || !IsTyped(err) || hw.programs != 0 {
+		t.Fatalf("canceled retrain: err %v, %d programs; want typed context.Canceled and none", err, hw.programs)
+	}
+
+	rep, err := s.Apply(context.Background(), Diagnosis{})
+	if err != nil || rep.NewRef == nil || rep.NewRef == net || hw.programs != 1 {
+		t.Fatalf("retrain: err %v, NewRef %p, %d programs; want a fresh reference deployed once", err, rep.NewRef, hw.programs)
 	}
 }

@@ -63,14 +63,14 @@ func (d *meteredDevice) Diagnose(confirmed monitor.Status) repair.Diagnosis {
 }
 
 func (d *meteredDevice) Strategies() []repair.Strategy {
-	return []repair.Strategy{repair.Func{
-		StrategyName: "scrub", StrategyCost: repair.CostScrub,
+	return []repair.Strategy{repair.Strategy{
+		Name: "scrub", Cost: repair.CostScrub,
 		When: func(repair.Diagnosis) bool { return true },
-		Do: func(context.Context, repair.Diagnosis) (repair.Report, error) {
+		Apply: func(context.Context, repair.Diagnosis) (repair.Report, error) {
 			d.applies.Add(1)
 			d.eng.Counter().Charge(repairCharge)
 			d.set(func(sd *servDevice) { sd.shift = 0 })
-			return repair.Report{Strategy: "scrub"}, nil
+			return repair.Report{}, nil
 		},
 	}}
 }

@@ -122,12 +122,13 @@ type repairableDevice struct {
 func (d repairableDevice) Repairer() health.Repairer { return d }
 
 func (d repairableDevice) Strategies() []repair.Strategy {
-	return repair.Escalation(func(repair.Action) (*nn.Network, error) {
+	apply := func() (*nn.Network, error) {
 		d.applies.Add(1)
 		// hold the lock long enough for contention to matter under -race
 		time.Sleep(200 * time.Microsecond)
 		return nil, nil
-	})
+	}
+	return repair.Escalation(apply, apply, apply)
 }
 
 func (d repairableDevice) Diagnose(confirmed monitor.Status) repair.Diagnosis {
@@ -167,15 +168,15 @@ func (d *ladderDevice) Diagnose(confirmed monitor.Status) repair.Diagnosis {
 
 func (d *ladderDevice) Strategies() []repair.Strategy {
 	rung := func(name string, cost int, shiftAfter float64) repair.Strategy {
-		return repair.Func{
-			StrategyName: name, StrategyCost: cost,
+		return repair.Strategy{
+			Name: name, Cost: cost,
 			When: func(repair.Diagnosis) bool { return true },
-			Do: func(context.Context, repair.Diagnosis) (repair.Report, error) {
+			Apply: func(context.Context, repair.Diagnosis) (repair.Report, error) {
 				defer d.enter()()
 				// hold the device long enough for a serving readout to collide
 				time.Sleep(500 * time.Microsecond)
 				d.set(func(sd *servDevice) { sd.shift = shiftAfter })
-				return repair.Report{Strategy: name}, nil
+				return repair.Report{}, nil
 			},
 		}
 	}

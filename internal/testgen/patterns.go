@@ -99,65 +99,80 @@ func (p *PatternSet) Save(path string) error {
 	return w.Flush()
 }
 
-// LoadPatternSet reads a pattern set written by Save.
+// LoadPatternSet reads a pattern set written by Save. The header's pattern
+// count and dimension must account for exactly the bytes the file holds
+// after it, checked before anything is allocated; a negative label or a
+// non-finite value is refused too. Every error names the file.
 func LoadPatternSet(path string) (*PatternSet, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("testgen: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var magic uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
 		return nil, fmt.Errorf("testgen: reading %s: %w", path, err)
+	}
+	p, err := decodePatternSet(b)
+	if err != nil {
+		return nil, fmt.Errorf("testgen: %s: %w", path, err)
+	}
+	return p, nil
+}
+
+// decodePatternSet parses Save's format from b.
+func decodePatternSet(b []byte) (*PatternSet, error) {
+	truncated := fmt.Errorf("truncated at %d bytes", len(b))
+	u32 := func() (uint32, bool) {
+		if len(b) < 4 {
+			return 0, false
+		}
+		v := binary.LittleEndian.Uint32(b)
+		b = b[4:]
+		return v, true
+	}
+	str := func() (string, bool) {
+		n, ok := u32()
+		if !ok || int64(n) > int64(len(b)) {
+			return "", false
+		}
+		s := string(b[:n])
+		b = b[n:]
+		return s, true
+	}
+	magic, ok := u32()
+	if !ok {
+		return nil, truncated
 	}
 	if magic != patternMagic {
-		return nil, fmt.Errorf("testgen: %s has magic 0x%08x, want 0x%08x", path, magic, patternMagic)
+		return nil, fmt.Errorf("magic 0x%08x, want 0x%08x", magic, patternMagic)
 	}
-	readStr := func() (string, error) {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return "", err
-		}
-		if n > 1<<16 {
-			return "", fmt.Errorf("string length %d implausibly large", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
+	name, okName := str()
+	method, okMethod := str()
+	m, okM := u32()
+	d, okD := u32()
+	if !okName || !okMethod || !okM || !okD {
+		return nil, truncated
 	}
-	p := &PatternSet{}
-	if p.Name, err = readStr(); err != nil {
-		return nil, fmt.Errorf("testgen: reading %s: %w", path, err)
-	}
-	if p.Method, err = readStr(); err != nil {
-		return nil, fmt.Errorf("testgen: reading %s: %w", path, err)
-	}
-	var m, d uint32
-	if err := binary.Read(r, binary.LittleEndian, &m); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-		return nil, err
+	p := &PatternSet{Name: name, Method: method}
+	// each pattern is a 4-byte label plus d 8-byte values; divide rather
+	// than multiply so no product of two header words can overflow
+	left := int64(len(b))
+	if int64(d) > left/8 || int64(m) > left/(4+8*int64(d)) || int64(m)*(4+8*int64(d)) != left {
+		return nil, fmt.Errorf("header claims %d patterns of dimension %d, file holds %d bytes after it", m, d, left)
 	}
 	p.Labels = make([]int, m)
 	for i := range p.Labels {
-		var y int32
-		if err := binary.Read(r, binary.LittleEndian, &y); err != nil {
-			return nil, err
+		y := int32(binary.LittleEndian.Uint32(b[4*i:]))
+		if y < 0 {
+			return nil, fmt.Errorf("pattern %d has label %d", i, y)
 		}
 		p.Labels[i] = int(y)
 	}
-	buf := make([]byte, 8*int(m)*int(d))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("testgen: reading %s data: %w", path, err)
-	}
+	b = b[4*m:]
 	p.X = tensor.New(int(m), int(d))
 	xd := p.X.Data()
 	for i := range xd {
-		xd[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("pattern %d element %d is %v", i/int(d), i%int(d), v)
+		}
+		xd[i] = v
 	}
 	return p, nil
 }

@@ -1,10 +1,12 @@
 package testgen
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"reramtest/internal/dataset"
@@ -275,6 +277,61 @@ func TestLoadPatternSetRejectsGarbage(t *testing.T) {
 	}
 	if err := p.Save(filepath.Join(path, "p.bin")); err == nil {
 		t.Error("pattern set saved under a regular file")
+	}
+}
+
+// TestLoadPatternSetRejectsCorruptContent: a header that claims more (or
+// fewer) patterns than the file holds is refused before anything is
+// allocated, however large the claim or its product with the dimension, and
+// so are a negative label and a non-finite value. Every refusal names the
+// file.
+func TestLoadPatternSetRejectsCorruptContent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corrupt.bin")
+	p := &PatternSet{Name: "n", Method: "plain", X: tensor.New(2, 3), Labels: []int{1, 0}}
+	if err := p.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, two length-prefixed strings, then the pattern count, the
+	// dimension, the labels and the values
+	const mAt = 4 + 4 + len("n") + 4 + len("plain")
+	const dAt, labelsAt = mAt + 4, mAt + 8
+	const valuesAt = labelsAt + 2*4
+	patch := func(at int, b ...byte) []byte {
+		out := append([]byte{}, good...)
+		copy(out[at:], b)
+		return out
+	}
+	nan := make([]byte, 8)
+	binary.LittleEndian.PutUint64(nan, math.Float64bits(math.NaN()))
+	inf := make([]byte, 8)
+	binary.LittleEndian.PutUint64(inf, math.Float64bits(math.Inf(-1)))
+	for name, b := range map[string][]byte{
+		"three rows":           patch(mAt, 3, 0, 0, 0),
+		"one row":              patch(mAt, 1, 0, 0, 0),
+		"max rows":             patch(mAt, 0xff, 0xff, 0xff, 0xff),
+		"max dimension":        patch(dAt, 0xff, 0xff, 0xff, 0xff),
+		"overflowing product":  patch(mAt, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff),
+		"trailing byte":        append(append([]byte{}, good...), 0),
+		"negative label":       patch(labelsAt+4, 0xff, 0xff, 0xff, 0xff),
+		"NaN value":            patch(valuesAt+8, nan...),
+		"infinite value":       patch(valuesAt+5*8, inf...),
+		"dimension for no row": patch(mAt, 0, 0, 0, 0),
+	} {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadPatternSet(path)
+		if err == nil {
+			t.Errorf("%s: loaded without error", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error %q does not name the file", name, err)
+		}
 	}
 }
 

@@ -1,13 +1,15 @@
 #!/bin/sh
 # unrun.sh — fail on any statement under internal/ that neither go test nor
-# the runs of make check and make repro-check execute, unless
+# the runs of make check, make repro-check and the examples execute, unless
 # scripts/unrun.allow names its function with at least that many.
 #
 # Builds the main packages those runs use with -cover over every package of
 # the module, runs them under one GOCOVERDIR (the five soak smokes, -cost,
-# the quickstart, bench -quick, the power-of-ten generator and the
-# reproduction), runs go test ./... with the same -coverpkg, and merges the
-# two profiles block by block: a block is run when either side counted it.
+# the quickstart, bench -quick, the power-of-ten generator, the
+# reproduction, then the crossbar and accuracy-monitor examples, which read
+# the model and pattern caches the reproduction leaves warm), runs go test
+# ./... with the same -coverpkg, and merges the two profiles block by block:
+# a block is run when either side counted it.
 # Every unrun block is booked to the function whose source lines hold it
 # (closures go with the function that holds them), and the script prints
 # each such function with its count of unrun statements, then the totals.
@@ -53,7 +55,8 @@ sort -u "$tmp/allow.raw" >"$tmp/allow"
 
 mkdir "$tmp/bin" "$tmp/cov"
 if ! $GO build -cover -coverpkg=reramtest/... -o "$tmp/bin/" \
-	./cmd/monitor ./cmd/experiment ./examples/quickstart ./bench ./internal/wire/pow10gen 2>"$tmp/build"; then
+	./cmd/monitor ./cmd/experiment ./examples/quickstart ./examples/crossbar_sim \
+	./examples/accuracy_monitor ./bench ./internal/wire/pow10gen 2>"$tmp/build"; then
 	cat "$tmp/build" >&2
 	die "go build -cover of the binaries failed"
 fi
@@ -81,6 +84,8 @@ run bench -quick
 run pow10gen -o "$tmp/pow10tab.go"
 run experiment -id all
 run experiment -id ablations
+run crossbar_sim
+run accuracy_monitor
 
 echo "unrun: running go test -coverpkg=reramtest/... ./..." >&2
 if ! $GO test -count=1 -coverpkg=reramtest/... -coverprofile="$tmp/test.out" ./... >"$tmp/out" 2>&1; then
