@@ -21,6 +21,12 @@
 #                and their pattern sets first on a fresh checkout, ≈ 3 min
 #                more). Not part of check: go test pins the fast part at a
 #                tiny scale (internal/experiments/testdata/golden_tiny.txt)
+#   make soak-sweep  the campaign, fleet and lifetime soaks over seeds
+#                5000–5099 and the crash soak over 20 matrices from seed 5000,
+#                stdout, stderr and exit status byte for byte against
+#                testdata/soak_sweep.txt (≈ 25 s on 2 vCPUs; a soak's own
+#                exit 1 on a failing seed is recorded, only a diff fails). Not
+#                part of check
 #   make bench-gate  build ./bench, run it -quick over every workload
 #                (end-to-end and traced) as the leader of its own process
 #                group, and fail if the run fails, any process of the group
@@ -68,7 +74,7 @@ RACE_PKGS = ./internal/health/... ./internal/campaign/... ./internal/monitor/...
         fleet-soak-smoke fleet-soak \
         net-soak-smoke net-soak crash-soak-smoke crash-soak \
         lifetime-soak-smoke lifetime-soak examples-smoke fuzz-short \
-        bench-gate repro-check loc unreached unrun ab-engine
+        bench-gate repro-check soak-sweep loc unreached unrun ab-engine
 
 check: fmt-check vet gen-check build unreached test race-fast soak-smoke fleet-soak-smoke net-soak-smoke crash-soak-smoke lifetime-soak-smoke examples-smoke fuzz-short bench-gate
 	@echo "check: PASS"
@@ -147,6 +153,13 @@ repro-check:
 	$(GO) run ./cmd/experiment -id all > "$$tmp/all.txt" && diff results_all.txt "$$tmp/all.txt" && \
 	$(GO) run ./cmd/experiment -id ablations > "$$tmp/ablations.txt" && diff results_ablations.txt "$$tmp/ablations.txt"; \
 	rc=$$?; rm -rf "$$tmp"; [ $$rc -eq 0 ] && echo "repro-check: PASS"; exit $$rc
+
+# the deterministic soaks over a block of seeds not used in development,
+# diffed against the committed record; `sh scripts/soak-sweep.sh >
+# testdata/soak_sweep.txt` rewrites it when a verdict moves on purpose
+soak-sweep:
+	@tmp="$$(mktemp)"; GO=$(GO) sh scripts/soak-sweep.sh > "$$tmp" && diff testdata/soak_sweep.txt "$$tmp"; \
+	rc=$$?; rm -f "$$tmp"; [ $$rc -eq 0 ] && echo "soak-sweep: PASS"; exit $$rc
 
 # non-test Go lines, the number ROADMAP items 1, 8 and 13 measure
 loc:
