@@ -138,13 +138,25 @@ func runSoak(stdout, stderr io.Writer, name string, o soakFlags) int {
 	return 0
 }
 
-// seedFailures prefixes one campaign's violations with its seed.
-func seedFailures(seed int64, fails []string) []string {
-	out := make([]string, len(fails))
-	for i, f := range fails {
-		out[i] = fmt.Sprintf("seed %d: %s", seed, f)
+// perSeed runs one campaign per seed, prints each result after sep and
+// returns every violated gate prefixed with its seed.
+func perSeed[C any, R interface {
+	fmt.Stringer
+	Failures() []string
+}](w io.Writer, o soakFlags, sep string, run func(int64, C) (R, error), cfg C) ([]string, error) {
+	var fails []string
+	for i := 0; i < o.campaigns; i++ {
+		seed := o.seed + int64(i)
+		res, err := run(seed, cfg)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(w, "%s%s\n", sep, res)
+		for _, f := range res.Failures() {
+			fails = append(fails, fmt.Sprintf("seed %d: %s", seed, f))
+		}
 	}
-	return out
+	return fails, nil
 }
 
 // campaignSoak runs the single-device campaigns and prints the robustness
@@ -197,16 +209,7 @@ func lifetimeSoak(w io.Writer, o soakFlags) ([]string, error) {
 		o.campaigns, o.rounds, o.devices, o.seed)
 	fmt.Fprintf(w, "ladder scrub(%d) → remap(%d) → retrain(%d), budget %d units/device; crashes after rounds %v\n",
 		repair.CostScrub, repair.CostRemap, repair.CostRetrain, cfg.Fleet.RepairBudget, cfg.CrashAfter)
-	var fails []string
-	for i := 0; i < o.campaigns; i++ {
-		res, err := campaign.RunLifetimeSoak(o.seed+int64(i), cfg)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "\n%s", res)
-		fails = append(fails, seedFailures(res.Seed, res.Failures())...)
-	}
-	return fails, nil
+	return perSeed(w, o, "\n", campaign.RunLifetimeSoak, cfg)
 }
 
 // netSoak runs the network-tier chaos campaigns and prints one line per
@@ -221,29 +224,7 @@ func netSoak(w io.Writer, o soakFlags) ([]string, error) {
 	fmt.Fprintf(w, "chaos: slow %.0f%%@%v, crash %.1f%%, deadline storm every %d waves @%dms, shard-0 drains at %.0f%%\n",
 		100*cfg.SlowP, cfg.SlowDelay, 100*cfg.CrashP, cfg.Load.StormEvery,
 		cfg.Load.StormDeadlineMs, 100*campaign.NetSoakDrainAfter)
-	var fails []string
-	for i := 0; i < o.campaigns; i++ {
-		res, err := campaign.RunNetSoak(o.seed+int64(i), cfg)
-		if err != nil {
-			return nil, err
-		}
-		verdict := "PASS"
-		if len(res.Failures()) != 0 {
-			verdict = "FAIL"
-		}
-		fmt.Fprintf(w, "seed %d: %s | ok %d/%d sent (degraded %d, post-drain %d) "+
-			"| invalid %d quota %d deadline %d overload %d no-device %d faulted %d "+
-			"| retries %d drains %d (auto %d) | slow %d crash %d ticks %d "+
-			"| %.0f req/s | p99 %v (baseline %v, bound %v)\n",
-			res.Seed, verdict, res.Chaos.OK, res.Chaos.Sent, res.Chaos.Degraded, res.PostDrainOK,
-			res.Stats.Invalid, res.Stats.QuotaRejected, res.Stats.Deadlines, res.Stats.Overloaded,
-			res.Stats.Unavailable, res.Stats.Faulted,
-			res.Stats.Retries, res.Stats.Drains, res.Stats.AutoDrains,
-			res.InjectedSlows, res.InjectedCrashes, res.Ticks,
-			res.Chaos.Throughput, res.ChaosP99, res.BaselineP99, res.P99Bound)
-		fails = append(fails, seedFailures(res.Seed, res.Failures())...)
-	}
-	return fails, nil
+	return perSeed(w, o, "", campaign.RunNetSoak, cfg)
 }
 
 // crashSoak runs the durable-state torture matrix once per seed and prints
@@ -255,26 +236,7 @@ func crashSoak(w io.Writer, o soakFlags) ([]string, error) {
 		o.campaigns, len(cfg.CrashPoints), len(campaign.AllFaults()), cfg.Devices, cfg.Rounds, o.seed)
 	fmt.Fprintf(w, "compaction every %d rounds or %d bytes; WAL gated at 2×threshold + one record\n",
 		cfg.Fleet.CompactEvery, campaign.CrashSoakCompactBytes)
-	var fails []string
-	for i := 0; i < o.campaigns; i++ {
-		res, err := campaign.RunCrashSoak(o.seed+int64(i), cfg)
-		if err != nil {
-			return nil, err
-		}
-		identical, degraded := 0, 0
-		for _, c := range res.Cells {
-			if c.StateMatch {
-				identical++
-			}
-			if c.Degraded {
-				degraded++
-			}
-		}
-		fmt.Fprintf(w, "seed %d: %d/%d cells recovered bit-identical, %d degraded to memory-only, WAL peak %d of %d bytes\n",
-			res.Seed, identical, len(res.Cells), degraded, res.MaxWALBytes, res.WALBound)
-		fails = append(fails, seedFailures(res.Seed, res.Failures())...)
-	}
-	return fails, nil
+	return perSeed(w, o, "", campaign.RunCrashSoak, cfg)
 }
 
 // demo ages one accelerator in the field under a C-TP monitor, repairing

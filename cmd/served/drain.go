@@ -26,13 +26,11 @@ func drainSignals() chan os.Signal {
 // drainOnSignal blocks until a drain signal arrives, then runs the shutdown
 // sequence — ticker, shards, listener, in that order — and returns the
 // signal handled.
-func drainOnSignal(sig <-chan os.Signal, f *netserve.Frontend, hs *http.Server, stopTicks chan struct{}, out, errOut io.Writer) os.Signal {
+func drainOnSignal(sig <-chan os.Signal, f *netserve.Frontend, hs *http.Server, stopTicks chan struct{}, out io.Writer) os.Signal {
 	s := <-sig
 	fmt.Fprintf(out, "served: %v — draining %d shard(s)\n", s, len(f.ShardNames()))
 	close(stopTicks)
-	if cerr := f.Close(); cerr != nil {
-		fmt.Fprintln(errOut, "served: drain:", cerr)
-	}
+	f.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	hs.Shutdown(ctx)

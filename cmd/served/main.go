@@ -115,7 +115,7 @@ func main() {
 	sig := drainSignals()
 	go func() {
 		defer close(done)
-		drainOnSignal(sig, f, hs, stopTicks, os.Stdout, os.Stderr)
+		drainOnSignal(sig, f, hs, stopTicks, os.Stdout)
 	}()
 
 	fmt.Printf("served: %d shard(s) × %d device(s), input width %d, conv kernel %s, listening on %s\n",

@@ -71,7 +71,7 @@ func TestSIGTERMDrainsGracefully(t *testing.T) {
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		if s := drainOnSignal(sig, f, hs, make(chan struct{}), io.Discard, io.Discard); s != syscall.SIGTERM {
+		if s := drainOnSignal(sig, f, hs, make(chan struct{}), io.Discard); s != syscall.SIGTERM {
 			t.Errorf("drained on %v, want SIGTERM", s)
 		}
 	}()
@@ -171,7 +171,7 @@ func TestDrainHandlesSIGINTToo(t *testing.T) {
 	hs := &http.Server{Addr: "127.0.0.1:0", Handler: f.Handler()}
 	sig := make(chan os.Signal, 1)
 	sig <- os.Interrupt
-	if s := drainOnSignal(sig, f, hs, make(chan struct{}), io.Discard, io.Discard); s != os.Interrupt {
+	if s := drainOnSignal(sig, f, hs, make(chan struct{}), io.Discard); s != os.Interrupt {
 		t.Fatalf("drained on %v, want SIGINT", s)
 	}
 	if _, err := f.Do(context.Background(), netserve.Request{Tenant: "t", X: tensor.New(1, f.InDim())}); !errors.Is(err, netserve.ErrFrontendClosed) {

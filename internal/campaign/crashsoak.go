@@ -20,12 +20,12 @@
 package campaign
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -117,7 +117,6 @@ type CrashCell struct {
 	Round int    // the crash point
 	Fault string // the fault column
 
-	FaultSurfaced  bool // the injected fault came back as a typed error
 	Degraded       bool // the supervisor flipped to Unjournaled (fail-stop only)
 	LastAcked      int  // last round acknowledged as durable before the kill
 	RecoveredRound int  // round the recovery landed on
@@ -143,6 +142,21 @@ func (r CrashSoakResult) Failures() []string {
 		}
 	}
 	return out
+}
+
+// String is the matrix's one-line report.
+func (r CrashSoakResult) String() string {
+	identical, degraded := 0, 0
+	for _, c := range r.Cells {
+		if c.StateMatch {
+			identical++
+		}
+		if c.Degraded {
+			degraded++
+		}
+	}
+	return fmt.Sprintf("seed %d: %d/%d cells recovered bit-identical, %d degraded to memory-only, WAL peak %d of %d bytes",
+		r.Seed, identical, len(r.Cells), degraded, r.MaxWALBytes, r.WALBound)
 }
 
 // crashBaseline is the uninterrupted arm: per-round durable-state snapshots
@@ -214,9 +228,8 @@ func runCrashBaseline(seed int64, cfg CrashSoakConfig, dir string) (*crashBaseli
 	base.perRound[0] = g.sup.Snapshot()
 	base.maxWAL = g.st.Size()
 	for round := 1; round <= cfg.Rounds; round++ {
-		g.land(round)
 		before := g.st.Size()
-		if _, err := g.sup.Tick(context.Background()); err != nil {
+		if _, err := g.step(round, nil); err != nil {
 			return nil, fmt.Errorf("round %d: %w", round, err)
 		}
 		if grew := g.st.Size() - before; grew > base.maxRecord {
@@ -228,16 +241,6 @@ func runCrashBaseline(seed int64, cfg CrashSoakConfig, dir string) (*crashBaseli
 		base.perRound[round] = g.sup.Snapshot()
 	}
 	return base, nil
-}
-
-// isFailStop reports whether fault poisons the live WAL writer.
-func isFailStop(fault string) bool {
-	for _, f := range FailStopFaults {
-		if f == fault {
-			return true
-		}
-	}
-	return false
 }
 
 // armFault schedules a fail-stop fault (or the torn rename) on the injected
@@ -260,10 +263,7 @@ func armFault(efs *journal.ErrFS, fault string) {
 // newestSnapshotFile returns the newest on-disk snapshot generation of the
 // WAL at path ("" when none exists).
 func newestSnapshotFile(path string) string {
-	matches, err := filepath.Glob(path + ".snap-*")
-	if err != nil {
-		return ""
-	}
+	matches, _ := filepath.Glob(path + ".snap-*") // a malformed pattern matches nothing
 	var gens []string
 	for _, m := range matches {
 		if !strings.HasSuffix(m, ".tmp") {
@@ -318,7 +318,7 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 	}
 	defer g.close()
 
-	failStop := isFailStop(fault)
+	failStop := slices.Contains(FailStopFaults, fault)
 	// the torn rename strikes the last compaction round at or before the
 	// crash point — the only rounds where a snapshot publish happens
 	renameRound := 0
@@ -334,18 +334,16 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 		}
 	}
 	for round := 1; round <= crashRound; round++ {
-		g.land(round)
 		strike := (failStop && round == crashRound) || round == renameRound
-		if strike {
-			armFault(efs, fault)
-		}
-		_, err := g.sup.Tick(context.Background())
+		_, err := g.step(round, func() {
+			if strike {
+				armFault(efs, fault)
+			}
+		})
 		switch {
 		case strike && failStop:
 			if !errors.Is(err, fleet.ErrUnjournaled) {
 				fail("fail-stop fault returned %v, want ErrUnjournaled", err)
-			} else {
-				cell.FaultSurfaced = true
 			}
 			if !errors.Is(g.sup.JournalError(), journal.ErrInjected) {
 				fail("JournalError %v does not surface the injected fault", g.sup.JournalError())
@@ -353,8 +351,6 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 		case strike: // torn rename: typed compaction error, WAL stays live
 			if !errors.Is(err, journal.ErrInjected) {
 				fail("torn rename returned %v, want ErrInjected", err)
-			} else {
-				cell.FaultSurfaced = true
 			}
 			if g.sup.Unjournaled() {
 				fail("torn rename degraded the supervisor — the WAL was still healthy")
@@ -370,9 +366,6 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 		}
 		trackWAL()
 	}
-	if fault == FaultNone || fault == FaultTornTail || fault == FaultTornSnapshotTmp || fault == FaultCorruptSnapshot {
-		cell.FaultSurfaced = true // these strike the dead disk; surfacing is judged at recovery
-	}
 	cell.Degraded = g.sup.Unjournaled()
 
 	// fail-stop cells: the degraded fleet must keep supervising, memory-only,
@@ -387,8 +380,7 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 			end = cfg.Rounds
 		}
 		for round := crashRound + 1; round <= end; round++ {
-			g.land(round)
-			if _, err := g.sup.Tick(context.Background()); err != nil {
+			if _, err := g.step(round, nil); err != nil {
 				fail("degraded round %d: %v", round, err)
 			}
 		}
@@ -442,8 +434,7 @@ func runCrashCell(seed int64, cfg CrashSoakConfig, dir string, crashRound int, f
 		fail("recoverable fault lost rounds: recovered %d, crashed after %d", cell.RecoveredRound, crashRound)
 	}
 	for round := crashRound + 1; round <= cfg.Rounds; round++ {
-		g.land(round)
-		if _, err := g.sup.Tick(context.Background()); err != nil {
+		if _, err := g.step(round, nil); err != nil {
 			fail("post-recovery round %d: %v", round, err)
 		}
 		trackWAL()

@@ -10,6 +10,7 @@ import (
 	"reramtest/internal/fleet"
 	"reramtest/internal/hwcost"
 	"reramtest/internal/loadgen"
+	"reramtest/internal/monitor"
 	"reramtest/internal/netserve"
 	"reramtest/internal/serve"
 )
@@ -68,26 +69,35 @@ func TestFleetScorecardGates(t *testing.T) {
 
 func TestNetSoakGates(t *testing.T) {
 	spend := hwcost.Cost{ComputeCycles: 4, EnergyFJ: 9}
+	ms := func(d time.Duration) []time.Duration { return []time.Duration{d * time.Millisecond} }
 	pass := NetSoakResult{
-		Chaos:       loadgen.Report{OK: 1, Cost: spend},
-		Stats:       netserve.Stats{Drains: 1},
+		// the p99 bound is max(4 × 2 ms, 5 ms) + 1 ms of slack, and the
+		// chaos p99 sits on it
+		Baseline: loadgen.Report{Latencies: ms(2)},
+		Chaos:    loadgen.Report{OK: 1, Cost: spend, Latencies: ms(9)},
+		Slack:    time.Millisecond,
+		// every term of both accounting identities is non-zero, so a term
+		// left out of either sum shows
+		Stats: netserve.Stats{Received: 11, Invalid: 1, QuotaRejected: 2, ClosedRejected: 3, Admitted: 5,
+			Completed: 1, Overloaded: 1, Deadlines: 1, Unavailable: 1, Faulted: 1, Drains: 1},
 		Shards:      []netserve.ShardStatus{{Name: "shard-0", Stats: serve.Stats{Admitted: 2, Served: 2}}},
 		Cost:        netserve.CostStats{Fleet: spend, Tenants: map[string]hwcost.Cost{"t": spend}, Shards: map[string]hwcost.Cost{"shard-0": spend}},
 		PostDrainOK: 1,
-		ChaosP99:    time.Millisecond, P99Bound: 5 * time.Millisecond,
 	}
 	with := func(f func(*NetSoakResult)) NetSoakResult { r := pass; f(&r); return r }
 	more := hwcost.Cost{ComputeCycles: 5, EnergyFJ: 9}
 	checkGates(t, pass, []gateCase[NetSoakResult]{
-		{"hung", with(func(r *NetSoakResult) { r.Hung = 1 }), "outlived deadline+grace"},
-		{"silent drop", with(func(r *NetSoakResult) { r.SilentDrops = 1 }), "accounting: admitted - terminal = 1"},
+		{"hung", with(func(r *NetSoakResult) { r.Chaos.Hung = 1 }), "outlived deadline+grace"},
+		{"silent drop", with(func(r *NetSoakResult) { r.Stats.Completed = 0 }), "accounting: admitted - terminal = 1"},
 		{"shard drop", with(func(r *NetSoakResult) {
 			r.Shards = []netserve.ShardStatus{{Name: "shard-0", Stats: serve.Stats{Admitted: 2, Served: 1}}}
 		}), "accounting: shard-0 admitted - terminal = 1"},
-		{"unclassified", with(func(r *NetSoakResult) { r.AccountingGap = 1 }), "received - classified"},
-		{"untyped", with(func(r *NetSoakResult) { r.Untyped = 1 }), "outside the typed kind set"},
+		{"unclassified", with(func(r *NetSoakResult) { r.Stats.Received = 12 }), "received - classified = 1"},
+		{"untyped reply", with(func(r *NetSoakResult) { r.Chaos.Untyped = 1 }), "1 outcome(s) outside the typed kind set"},
+		{"internal", with(func(r *NetSoakResult) { r.Stats.Internal = 1 }), "1 outcome(s) outside the typed kind set"},
 		{"leak", with(func(r *NetSoakResult) { r.Leaked = 1 }), "goroutine(s) leaked"},
-		{"p99", with(func(r *NetSoakResult) { r.ChaosP99 = 6 * time.Millisecond }), "exceeds bound"},
+		{"p99", with(func(r *NetSoakResult) { r.Chaos.Latencies = []time.Duration{9*time.Millisecond + 1} }),
+			"exceeds bound 9ms (baseline 2ms)"},
 		{"nothing served", with(func(r *NetSoakResult) { r.Chaos = loadgen.Report{} }), "completed zero requests"},
 		{"no post-drain", with(func(r *NetSoakResult) { r.PostDrainOK = 0 }), "after the shard drain"},
 		{"no drain", with(func(r *NetSoakResult) { r.Stats.Drains = 0 }), "no shard drain"},
@@ -99,20 +109,67 @@ func TestNetSoakGates(t *testing.T) {
 		}), "zero hardware cost"},
 		{"client over", with(func(r *NetSoakResult) { r.Chaos.Cost = more }), "exceeds the tier's fleet ledger"},
 	})
+	if got := with(func(r *NetSoakResult) { r.Leaked = 1 }).String(); !strings.HasPrefix(got, "seed 0: FAIL |") ||
+		!strings.HasSuffix(got, "p99 9ms (baseline 2ms, bound 9ms)") {
+		t.Errorf("failing report = %q", got)
+	}
 }
 
 func TestLifetimeSoakGates(t *testing.T) {
-	pass := LifetimeSoakResult{SpendOK: true, RetireOK: true, FidelityOK: true, TypedOK: true, ParityOK: true,
-		Crashed: FleetResult{Replays: 1}}
+	// the ladder ties the control on spend and retirements and trails its
+	// fidelity floor on device d by less than the recovery band, so each
+	// comparison sits next to its boundary; device e serves only in the
+	// ladder arm, so its poor fidelity stays out of the common floors
+	arm := func(fidelity, fidelityE float64, retiredE bool) FleetResult {
+		return FleetResult{Devices: []string{"d", "e"},
+			Confirmed:       [][]monitor.Status{{monitor.Healthy, monitor.Healthy}},
+			FinalSnapshot:   map[string]fleet.DeviceSnapshot{"d": {Budget: 4}, "e": {Retired: retiredE}},
+			FinalFidelity:   map[string]float64{"d": fidelity, "e": fidelityE},
+			RepairCostSpent: 5, Retired: 1}
+	}
+	ladder := arm(0.95, 0.5, false)
+	crashed := ladder
+	crashed.Replays = 1
+	pass := LifetimeSoakResult{Ladder: FleetPairResult{Uninterrupted: ladder, Crashed: crashed},
+		RetrainOnly: arm(0.96, 0.9, true)}
 	with := func(f func(*LifetimeSoakResult)) LifetimeSoakResult { r := pass; f(&r); return r }
+	snap := func(r *LifetimeSoakResult, s fleet.DeviceSnapshot) {
+		r.Ladder.Crashed.FinalSnapshot = map[string]fleet.DeviceSnapshot{"d": s, "e": {}}
+	}
+	overspent := with(func(r *LifetimeSoakResult) { r.RetrainOnly.RepairCostSpent = 4 })
 	checkGates(t, pass, []gateCase[LifetimeSoakResult]{
-		{"spend", with(func(r *LifetimeSoakResult) { r.SpendOK = false }), "spend:"},
-		{"retire", with(func(r *LifetimeSoakResult) { r.RetireOK = false }), "retire:"},
-		{"fidelity", with(func(r *LifetimeSoakResult) { r.FidelityOK = false }), "fidelity:"},
-		{"typed", with(func(r *LifetimeSoakResult) { r.TypedOK = false }), "typed:"},
-		{"parity", with(func(r *LifetimeSoakResult) { r.ParityOK = false }), "parity:"},
-		{"no crash", with(func(r *LifetimeSoakResult) { r.Crashed.Replays = 0 }), "nothing exercised"},
+		{"spend", overspent, "spend:"},
+		{"retire", with(func(r *LifetimeSoakResult) { r.RetrainOnly.Retired = 0 }), "retire:"},
+		{"fidelity", with(func(r *LifetimeSoakResult) { r.RetrainOnly.FinalFidelity = map[string]float64{"d": 0.98, "e": 0.9} }), "fidelity:"},
+		{"typed ladder", with(func(r *LifetimeSoakResult) { r.Ladder.Uninterrupted.UntypedRepairErrors = 1 }), "typed:"},
+		{"typed crashed", with(func(r *LifetimeSoakResult) { r.Ladder.Crashed.UntypedRepairErrors = 1 }), "typed:"},
+		{"typed control", with(func(r *LifetimeSoakResult) { r.RetrainOnly.UntypedRepairErrors = 1 }), "typed:"},
+		{"status", with(func(r *LifetimeSoakResult) {
+			r.Ladder.Crashed.Confirmed = [][]monitor.Status{{monitor.Degraded, monitor.Healthy}}
+		}), "parity:"},
+		{"state", with(func(r *LifetimeSoakResult) { snap(r, fleet.DeviceSnapshot{Budget: 4, Round: 1}) }), "parity:"},
+		{"budget", with(func(r *LifetimeSoakResult) { snap(r, fleet.DeviceSnapshot{Budget: 3}) }), "parity:"},
+		{"decisions", with(func(r *LifetimeSoakResult) {
+			snap(r, fleet.DeviceSnapshot{Budget: 4, Decisions: []fleet.RepairDecision{{Strategy: "scrub"}}})
+		}), "parity:"},
+		{"replay state", with(func(r *LifetimeSoakResult) { r.Ladder.Crashed.StateDivergences = 1 }), "parity:"},
+		{"misroute", with(func(r *LifetimeSoakResult) { r.Ladder.Crashed.Misroutes = 1 }), "parity:"},
+		{"no crash", with(func(r *LifetimeSoakResult) { r.Ladder.Crashed.Replays = 0 }), "nothing exercised"},
 	})
+	for _, tc := range []struct {
+		res  LifetimeSoakResult
+		want string
+	}{
+		{pass, "  spend    PASS  ladder=5 retrain-only=5\n"},
+		{pass, "  fidelity PASS  common floor ladder=0.9500 retrain-only=0.9600 (serving 2 vs 1)\n"},
+		{pass, "  verdict  PASS"},
+		{overspent, "  spend    FAIL  ladder=5 retrain-only=4\n"},
+		{overspent, "  verdict  FAIL"},
+	} {
+		if got := tc.res.String(); !strings.Contains(got, tc.want) {
+			t.Errorf("verdict table %q lacks %q", got, tc.want)
+		}
+	}
 }
 
 func TestCrashSoakGates(t *testing.T) {

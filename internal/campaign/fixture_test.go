@@ -112,8 +112,8 @@ func TestLedgerFixture(t *testing.T) {
 	}
 	got, err := json.MarshalIndent(map[string]map[string]hwcost.CostBreakdown{
 		"fleet-soak seed 1000":              costsOf(fleetRes),
-		"lifetime-soak seed 5 ladder":       costsOf(life.Parity.Uninterrupted),
-		"lifetime-soak seed 5 ladder crash": costsOf(life.Parity.Crashed),
+		"lifetime-soak seed 5 ladder":       costsOf(life.Ladder.Uninterrupted),
+		"lifetime-soak seed 5 ladder crash": costsOf(life.Ladder.Crashed),
 	}, "", " ")
 	if err != nil {
 		t.Fatal(err)

@@ -44,9 +44,10 @@ func ScoreFleet(pairs []FleetPairResult) FleetScorecard {
 		s.TornCrashes += c.TornCrashes
 		s.TruncatedBytes += c.TruncatedBytes
 		s.StateDivergences += c.StateDivergences
-		s.StatusDivergences += pair.StatusDivergences
-		s.FinalDivergences += pair.FinalStateDivergences
-		s.BudgetDivergences += pair.BudgetDivergences
+		status, final, budget := pair.divergences()
+		s.StatusDivergences += status
+		s.FinalDivergences += final
+		s.BudgetDivergences += budget
 		s.Routed += c.Routed
 		s.Sheds += c.Sheds
 		s.Misroutes += c.Misroutes

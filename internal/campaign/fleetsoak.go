@@ -21,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 
 	"reramtest/internal/fleet"
 	"reramtest/internal/journal"
@@ -138,29 +139,18 @@ func RunFleet(seed int64, cfg FleetSoakConfig) (FleetResult, error) {
 	// probe-recovery
 	outage := Event{Round: cfg.Rounds / 2, Kind: KindGlitchPanic,
 		Duration: cfg.Fleet.BreakerOpenAfter + cfg.Fleet.BreakerCooldown - 1}
-	var damage func(path string) error
-	if cfg.CorruptTail {
-		damage = appendGarbage
-	}
-	crashAfter := make(map[int]bool, len(cfg.CrashAfter))
-	for _, round := range cfg.CrashAfter {
-		crashAfter[round] = true
-	}
-
 	for round := 1; round <= cfg.Rounds; round++ {
-		// inject this round's field events into the hardware
-		g.land(round)
-		if round == outage.Round {
-			applyEvent(g.plants[0], outage)
-		}
-		if cfg.ShowerRound > 0 && round == cfg.ShowerRound {
-			// correlated shower: every device disturbed in the same round
-			for _, p := range g.plants {
-				p.Accelerator().InjectSoftErrors(cfg.ShowerP)
+		results, err := g.step(round, func() {
+			if round == outage.Round {
+				applyEvent(g.plants[0], outage)
 			}
-		}
-
-		results, err := g.sup.Tick(context.Background())
+			if cfg.ShowerRound > 0 && round == cfg.ShowerRound {
+				// correlated shower: every device disturbed in the same round
+				for _, p := range g.plants {
+					p.Accelerator().InjectSoftErrors(cfg.ShowerP)
+				}
+			}
+		})
 		if err != nil {
 			return res, fmt.Errorf("campaign: fleet round %d: %w", round, err)
 		}
@@ -190,10 +180,7 @@ func RunFleet(seed int64, cfg FleetSoakConfig) (FleetResult, error) {
 		res.Confirmed = append(res.Confirmed, row)
 
 		// place this round's traffic and audit every placement
-		quarantined := make(map[string]bool)
-		for _, id := range g.sup.Quarantined() {
-			quarantined[id] = true
-		}
+		quarantined := g.sup.Quarantined()
 		var landed []string
 		for q := 0; q < cfg.RequestsPerRound; q++ {
 			id, _, err := g.sup.DispatchAvoidingErr("")
@@ -201,7 +188,7 @@ func RunFleet(seed int64, cfg FleetSoakConfig) (FleetResult, error) {
 				continue // shed, counted by the router
 			}
 			st, _ := g.sup.StatusOf(id)
-			if quarantined[id] || st > monitor.Degraded {
+			if slices.Contains(quarantined, id) || st > monitor.Degraded {
 				res.Misroutes++
 			}
 			landed = append(landed, id)
@@ -211,14 +198,16 @@ func RunFleet(seed int64, cfg FleetSoakConfig) (FleetResult, error) {
 		}
 
 		// kill the supervisor process and replay its journal
-		if crashAfter[round] {
+		if slices.Contains(cfg.CrashAfter, round) {
 			// the router's traffic counters die with the process — bank them
 			routed, sheds := g.sup.Router().Stats()
 			res.Routed += routed
 			res.Sheds += sheds
 			preCrash := g.sup.Snapshot()
+			var damage func(path string) error
 			if cfg.CorruptTail {
 				res.TornCrashes++
+				damage = appendGarbage
 			}
 			rec, err := g.restart(damage)
 			if err != nil {
@@ -293,10 +282,11 @@ func newRig(seed int64, devices, rounds int, pcfg PlantConfig, fcfg fleet.Config
 	return g, nil
 }
 
-// land advances every plant's scripted time to round and lands the timeline
-// events due this round (consuming them from pending). Callers inject their
-// own extra events after land and before the tick.
-func (g *rig) land(round int) {
+// step runs one round: it advances every plant's scripted time to round,
+// lands the timeline events due this round (consuming them from pending),
+// runs extra (nil for none: the caller's own events for the round) and ticks
+// the supervisor.
+func (g *rig) step(round int, extra func()) ([]fleet.RoundResult, error) {
 	for i, p := range g.plants {
 		p.SetRound(round)
 		for len(g.pending[i]) > 0 && g.pending[i][0].Round == round {
@@ -304,6 +294,10 @@ func (g *rig) land(round int) {
 			g.pending[i] = g.pending[i][1:]
 		}
 	}
+	if extra != nil {
+		extra()
+	}
+	return g.sup.Tick(context.Background())
 }
 
 // restart kills the supervisor process: it closes the store, runs damage
@@ -374,14 +368,34 @@ func appendGarbage(path string) error {
 type FleetPairResult struct {
 	Seed                   int64
 	Uninterrupted, Crashed FleetResult
-	StatusDivergences      int // (round, device) confirmed-status mismatches
-	FinalStateDivergences  int // devices whose final durable state differs
-	BudgetDivergences      int // devices whose remaining repair budget differs
+}
+
+// divergences compares the two runs: (round, device) confirmed-status
+// mismatches, devices whose final durable state differs, and devices whose
+// remaining repair budget differs. Zero everywhere is resume fidelity.
+func (p FleetPairResult) divergences() (status, final, budget int) {
+	a, b := p.Uninterrupted, p.Crashed
+	for round := range a.Confirmed {
+		for dev := range a.Confirmed[round] {
+			if a.Confirmed[round][dev] != b.Confirmed[round][dev] {
+				status++
+			}
+		}
+	}
+	for _, id := range a.Devices {
+		sa, sb := a.FinalSnapshot[id], b.FinalSnapshot[id]
+		if sa.Budget != sb.Budget {
+			budget++
+		}
+		if !reflect.DeepEqual(sa, sb) {
+			final++
+		}
+	}
+	return status, final, budget
 }
 
 // RunFleetPair runs the same seeded fleet campaign twice — once with the
-// configured crash schedule, once uninterrupted — and counts divergence.
-// Zero divergence is the PR's resume-fidelity acceptance criterion.
+// configured crash schedule, once uninterrupted.
 func RunFleetPair(seed int64, cfg FleetSoakConfig) (FleetPairResult, error) {
 	clean := cfg
 	clean.CrashAfter = nil
@@ -391,26 +405,6 @@ func RunFleetPair(seed int64, cfg FleetSoakConfig) (FleetPairResult, error) {
 	if pair.Uninterrupted, err = RunFleet(seed, clean); err != nil {
 		return pair, err
 	}
-	if pair.Crashed, err = RunFleet(seed, cfg); err != nil {
-		return pair, err
-	}
-
-	a, b := pair.Uninterrupted, pair.Crashed
-	for round := range a.Confirmed {
-		for dev := range a.Confirmed[round] {
-			if a.Confirmed[round][dev] != b.Confirmed[round][dev] {
-				pair.StatusDivergences++
-			}
-		}
-	}
-	for _, id := range a.Devices {
-		sa, sb := a.FinalSnapshot[id], b.FinalSnapshot[id]
-		if sa.Budget != sb.Budget {
-			pair.BudgetDivergences++
-		}
-		if !reflect.DeepEqual(sa, sb) {
-			pair.FinalStateDivergences++
-		}
-	}
-	return pair, nil
+	pair.Crashed, err = RunFleet(seed, cfg)
+	return pair, err
 }

@@ -43,70 +43,96 @@ func DefaultLifetimeSoakConfig() FleetSoakConfig {
 	return fcfg
 }
 
-// LifetimeArm is one arm's economic summary.
-type LifetimeArm struct {
-	Result        FleetResult
-	CostSpent     int // lifetime budget units charged fleet-wide
-	Retired       int // devices retired to hardware service
-	Serving       int // devices in service at the end (see inService)
-	UntypedErrors int
+// LifetimeSoakResult is one seed's three arms; Failures and String compute
+// every gate from them.
+type LifetimeSoakResult struct {
+	Seed int64
+	// Ladder is the ladder campaign run uninterrupted (arm 1) and
+	// crash-replayed from its journal (arm 3).
+	Ladder FleetPairResult
+	// RetrainOnly is the control arm (arm 2).
+	RetrainOnly FleetResult
 }
 
-func summarizeArm(res FleetResult) LifetimeArm {
-	arm := LifetimeArm{
-		Result:        res,
-		CostSpent:     res.RepairCostSpent,
-		Retired:       res.Retired,
-		UntypedErrors: res.UntypedRepairErrors,
-	}
-	for _, snap := range res.FinalSnapshot {
-		if inService(snap) {
-			arm.Serving++
+// lifetimeGate is one gate: whether it held, the failure it reports, and the
+// line String prints for it (no line when name is empty).
+type lifetimeGate struct {
+	name         string
+	ok           bool
+	fail, detail string
+}
+
+// gates computes every gate from the arms. A parity arm that never crashed
+// proved nothing about decision durability, so it fails too.
+func (r LifetimeSoakResult) gates() []lifetimeGate {
+	ladder, crashed, control := r.Ladder.Uninterrupted, r.Ladder.Crashed, r.RetrainOnly
+	floorL, floorC := commonFloors(ladder, control)
+	status, final, budget := r.Ladder.divergences()
+	// decision parity, called out separately from the whole-state comparison
+	// so a divergence names the journaled artifact the gate is about
+	decisions := 0
+	for _, id := range ladder.Devices {
+		if !reflect.DeepEqual(ladder.FinalSnapshot[id].Decisions, crashed.FinalSnapshot[id].Decisions) {
+			decisions++
 		}
 	}
-	return arm
+	untyped := ladder.UntypedRepairErrors + control.UntypedRepairErrors + crashed.UntypedRepairErrors
+	return []lifetimeGate{
+		{"spend", ladder.RepairCostSpent <= control.RepairCostSpent,
+			"spend: the ladder spent more budget than retrain-only",
+			fmt.Sprintf("ladder=%d retrain-only=%d", ladder.RepairCostSpent, control.RepairCostSpent)},
+		{"retire", ladder.Retired <= control.Retired,
+			"retire: the ladder retired more devices than retrain-only",
+			fmt.Sprintf("ladder=%d retrain-only=%d", ladder.Retired, control.Retired)},
+		{"fidelity", floorL >= floorC-RecoveryBand,
+			fmt.Sprintf("fidelity: the ladder's floor trails retrain-only's by more than the recovery band (%g)", RecoveryBand),
+			fmt.Sprintf("common floor ladder=%.4f retrain-only=%.4f (serving %d vs %d)", floorL, floorC, serving(ladder), serving(control))},
+		{"typed", untyped == 0, "typed: strategy errors outside the typed contract",
+			fmt.Sprintf("untyped errors=%d", untyped)},
+		{"parity", status == 0 && final == 0 && budget == 0 && decisions == 0 &&
+			crashed.StateDivergences == 0 && crashed.Misroutes == 0,
+			"parity: the crash-replayed ladder arm diverged from the uninterrupted one",
+			fmt.Sprintf("status=%d state=%d decisions=%d replays=%d truncated=%dB",
+				status, final, decisions, crashed.Replays, crashed.TruncatedBytes)},
+		{"", crashed.Replays > 0, "nothing exercised (no crash/replay cycles ran)", ""},
+	}
 }
 
-// LifetimeSoakResult is the three-arm comparison and its gate verdicts.
-type LifetimeSoakResult struct {
-	Seed                int64
-	Ladder, RetrainOnly LifetimeArm
-	// Crashed is the ladder arm re-run with the configured crash schedule.
-	Crashed FleetResult
-	Parity  FleetPairResult
-
-	// DecisionDivergences counts devices whose journaled strategy-decision
-	// logs differ between the crashed and uninterrupted ladder arms.
-	DecisionDivergences int
-	// CommonFloorLadder/CommonFloorControl are the fidelity floors over the
-	// devices serving in BOTH arms — the like-for-like comparison the
-	// fidelity gate uses.
-	CommonFloorLadder, CommonFloorControl float64
-
-	// Gate verdicts.
-	SpendOK    bool // ladder spend ≤ retrain-only spend
-	RetireOK   bool // ladder retirements ≤ retrain-only retirements
-	FidelityOK bool // ladder floor ≥ control floor − RecoveryBand
-	TypedOK    bool // zero untyped strategy errors across all arms
-	ParityOK   bool // crash/restart replay is byte-equivalent, decisions included
+// commonFloors returns the ladder's and the control's fidelity floors over
+// the devices serving in BOTH arms (0, 0 when there are none): a device only
+// the ladder kept in service is extra capacity (credited by the retire
+// gate), not a floor penalty, and a device only the control kept is
+// symmetric.
+func commonFloors(ladder, control FleetResult) (float64, float64) {
+	floorL, floorC, common := 1.0, 1.0, 0
+	for _, id := range ladder.Devices {
+		if inService(ladder.FinalSnapshot[id]) && inService(control.FinalSnapshot[id]) {
+			common++
+			floorL = math.Min(floorL, ladder.FinalFidelity[id])
+			floorC = math.Min(floorC, control.FinalFidelity[id])
+		}
+	}
+	if common == 0 {
+		return 0, 0
+	}
+	return floorL, floorC
 }
 
-// Failures lists every violated gate (empty = campaign passed); String
-// prints the numbers behind each. A parity arm that never crashed proved
-// nothing about decision durability, so it fails too.
+// serving counts the devices in service at the end of a campaign.
+func serving(res FleetResult) int {
+	n := 0
+	for _, snap := range res.FinalSnapshot {
+		if inService(snap) {
+			n++
+		}
+	}
+	return n
+}
+
+// Failures lists every violated gate (empty = campaign passed).
 func (r LifetimeSoakResult) Failures() []string {
 	var fails []string
-	for _, g := range []struct {
-		ok   bool
-		fail string
-	}{
-		{r.SpendOK, "spend: the ladder spent more budget than retrain-only"},
-		{r.RetireOK, "retire: the ladder retired more devices than retrain-only"},
-		{r.FidelityOK, fmt.Sprintf("fidelity: the ladder's floor trails retrain-only's by more than the recovery band (%g)", RecoveryBand)},
-		{r.TypedOK, "typed: strategy errors outside the typed contract"},
-		{r.ParityOK, "parity: the crash-replayed ladder arm diverged from the uninterrupted one"},
-		{r.Crashed.Replays > 0, "nothing exercised (no crash/replay cycles ran)"},
-	} {
+	for _, g := range r.gates() {
 		if !g.ok {
 			fails = append(fails, g.fail)
 		}
@@ -114,26 +140,28 @@ func (r LifetimeSoakResult) Failures() []string {
 	return fails
 }
 
-// String renders the verdict table.
+// String renders the verdict table: one line per gate with the numbers
+// behind it, then the seed's verdict.
 func (r LifetimeSoakResult) String() string {
 	var b strings.Builder
-	mark := func(ok bool) string {
-		if ok {
-			return "PASS"
-		}
-		return "FAIL"
-	}
 	fmt.Fprintf(&b, "lifetime soak seed=%d\n", r.Seed)
-	fmt.Fprintf(&b, "  spend    %s  ladder=%d retrain-only=%d\n", mark(r.SpendOK), r.Ladder.CostSpent, r.RetrainOnly.CostSpent)
-	fmt.Fprintf(&b, "  retire   %s  ladder=%d retrain-only=%d\n", mark(r.RetireOK), r.Ladder.Retired, r.RetrainOnly.Retired)
-	fmt.Fprintf(&b, "  fidelity %s  common floor ladder=%.4f retrain-only=%.4f (serving %d vs %d)\n", mark(r.FidelityOK),
-		r.CommonFloorLadder, r.CommonFloorControl, r.Ladder.Serving, r.RetrainOnly.Serving)
-	fmt.Fprintf(&b, "  typed    %s  untyped errors=%d\n", mark(r.TypedOK),
-		r.Ladder.UntypedErrors+r.RetrainOnly.UntypedErrors+r.Crashed.UntypedRepairErrors)
-	fmt.Fprintf(&b, "  parity   %s  status=%d state=%d decisions=%d replays=%d truncated=%dB\n", mark(r.ParityOK),
-		r.Parity.StatusDivergences, r.Parity.FinalStateDivergences, r.DecisionDivergences, r.Crashed.Replays, r.Crashed.TruncatedBytes)
-	fmt.Fprintf(&b, "  verdict  %s\n", mark(len(r.Failures()) == 0))
+	pass := true
+	for _, g := range r.gates() {
+		pass = pass && g.ok
+		if g.name != "" {
+			fmt.Fprintf(&b, "  %-8s %s  %s\n", g.name, mark(g.ok), g.detail)
+		}
+	}
+	fmt.Fprintf(&b, "  verdict  %s", mark(pass))
 	return b.String()
+}
+
+// mark renders a verdict.
+func mark(ok bool) string {
+	if ok {
+		return "PASS"
+	}
+	return "FAIL"
 }
 
 // RunLifetimeSoak executes the three-arm soak for one seed. Deterministic:
@@ -151,58 +179,14 @@ func RunLifetimeSoak(seed int64, cfg FleetSoakConfig) (LifetimeSoakResult, error
 	controlCfg.CorruptTail = false
 
 	res := LifetimeSoakResult{Seed: seed}
-
+	var err error
 	// arms 1 + 3: the ladder campaign, uninterrupted and crash-replayed
-	pair, err := RunFleetPair(seed, ladderCfg)
-	if err != nil {
+	if res.Ladder, err = RunFleetPair(seed, ladderCfg); err != nil {
 		return res, fmt.Errorf("campaign: lifetime soak ladder arm: %w", err)
 	}
-	res.Parity = pair
-	res.Ladder = summarizeArm(pair.Uninterrupted)
-	res.Crashed = pair.Crashed
-
 	// arm 2: the retrain-only control, same seed, same timelines
-	control, err := RunFleet(seed, controlCfg)
-	if err != nil {
+	if res.RetrainOnly, err = RunFleet(seed, controlCfg); err != nil {
 		return res, fmt.Errorf("campaign: lifetime soak control arm: %w", err)
 	}
-	res.RetrainOnly = summarizeArm(control)
-
-	// the fidelity floors are compared like-for-like, over devices serving
-	// in BOTH arms: a device only the ladder kept in service is extra
-	// capacity (credited by the retire gate), not a floor penalty, and a
-	// device only the control kept is symmetric
-	res.CommonFloorLadder, res.CommonFloorControl = 1, 1
-	common := 0
-	for _, id := range pair.Uninterrupted.Devices {
-		if !inService(pair.Uninterrupted.FinalSnapshot[id]) || !inService(control.FinalSnapshot[id]) {
-			continue
-		}
-		common++
-		res.CommonFloorLadder = math.Min(res.CommonFloorLadder, pair.Uninterrupted.FinalFidelity[id])
-		res.CommonFloorControl = math.Min(res.CommonFloorControl, control.FinalFidelity[id])
-	}
-	if common == 0 {
-		res.CommonFloorLadder, res.CommonFloorControl = 0, 0
-	}
-
-	// decision parity, called out separately from the whole-state DeepEqual
-	// so a divergence names the journaled artifact the gate is about
-	for _, id := range pair.Uninterrupted.Devices {
-		a := pair.Uninterrupted.FinalSnapshot[id].Decisions
-		b := pair.Crashed.FinalSnapshot[id].Decisions
-		if !reflect.DeepEqual(a, b) {
-			res.DecisionDivergences++
-		}
-	}
-
-	res.SpendOK = res.Ladder.CostSpent <= res.RetrainOnly.CostSpent
-	res.RetireOK = res.Ladder.Retired <= res.RetrainOnly.Retired
-	res.FidelityOK = res.CommonFloorLadder >= res.CommonFloorControl-RecoveryBand
-	res.TypedOK = res.Ladder.UntypedErrors == 0 && res.RetrainOnly.UntypedErrors == 0 &&
-		res.Crashed.UntypedRepairErrors == 0
-	res.ParityOK = res.Parity.StatusDivergences == 0 && res.Parity.FinalStateDivergences == 0 &&
-		res.Parity.BudgetDivergences == 0 && res.DecisionDivergences == 0 &&
-		res.Crashed.StateDivergences == 0 && res.Crashed.Misroutes == 0
 	return res, nil
 }

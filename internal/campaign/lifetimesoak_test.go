@@ -31,24 +31,25 @@ func TestLifetimeSoakGate(t *testing.T) {
 	if fails := res.Failures(); len(fails) != 0 {
 		t.Fatalf("lifetime soak gate failed: %v\n%s", fails, res)
 	}
+	ladder, crashed := res.Ladder.Uninterrupted, res.Ladder.Crashed
 	// the economics must be a strict win on the demonstration seed, not a tie
-	if res.Ladder.CostSpent >= res.RetrainOnly.CostSpent {
+	if ladder.RepairCostSpent >= res.RetrainOnly.RepairCostSpent {
 		t.Errorf("ladder spend %d did not beat retrain-only %d",
-			res.Ladder.CostSpent, res.RetrainOnly.CostSpent)
+			ladder.RepairCostSpent, res.RetrainOnly.RepairCostSpent)
 	}
 	// the parity arm must actually have crashed and replayed — a soak that
 	// never exercised the journal proves nothing about decision durability
-	if want := len(DefaultLifetimeSoakConfig().CrashAfter); res.Crashed.Replays != want {
-		t.Errorf("crashed arm replays = %d, want %d", res.Crashed.Replays, want)
+	if want := len(DefaultLifetimeSoakConfig().CrashAfter); crashed.Replays != want {
+		t.Errorf("crashed arm replays = %d, want %d", crashed.Replays, want)
 	}
-	if res.Crashed.TruncatedBytes == 0 {
+	if crashed.TruncatedBytes == 0 {
 		t.Error("crashed arm never truncated a torn journal tail")
 	}
 	// the ladder arm must have used cheap rungs, not collapsed into a
 	// retrain-only clone: at least one journaled decision below retrain cost
 	cheap := false
-	for _, id := range res.Ladder.Result.Devices {
-		for _, d := range res.Ladder.Result.FinalSnapshot[id].Decisions {
+	for _, id := range ladder.Devices {
+		for _, d := range ladder.FinalSnapshot[id].Decisions {
 			if d.Cost < repair.CostRetrain {
 				cheap = true
 			}

@@ -96,7 +96,8 @@ func DefaultNetSoakConfig() NetSoakConfig {
 	}
 }
 
-// NetSoakResult is one network chaos campaign's trace and verdict inputs.
+// NetSoakResult is one network chaos campaign's trace; Failures computes
+// every gate from it.
 type NetSoakResult struct {
 	Seed int64
 
@@ -113,47 +114,52 @@ type NetSoakResult struct {
 	// against itself and against the client-observed spend in Chaos.Cost.
 	Cost netserve.CostStats
 
-	// gate inputs
-	Hung          int   // wire calls that outlived deadline+grace
-	SilentDrops   int64 // admitted - terminal in the tier's accounting
-	AccountingGap int64 // received - (invalid+quota+closed+admitted)
-	Untyped       int   // unknown client kinds + the tier's Internal counter
-	Leaked        int   // goroutines alive after close + settle
-	PostDrainOK   int   // requests completed after shard-0 drained
+	PostDrainOK int // requests completed after shard-0 drained
+	Leaked      int // goroutines alive after close + settle
 
 	// chaos census (chaos pass): proof the injections actually fired
 	InjectedSlows, InjectedCrashes, Ticks int
 
-	// latency envelope
-	BaselineP99, ChaosP99, P99Bound time.Duration
+	// Slack is what the p99 envelope allows on top of the baseline: one
+	// injected stall plus the client's grace.
+	Slack time.Duration
+}
+
+// p99Bound is the chaos pass's p99 envelope: chaos may cost one injected
+// stall plus scheduling slack over an inflated baseline, but never an
+// unbounded stall — that would mean hedging failed to route around the slow
+// device.
+func (r NetSoakResult) p99Bound() time.Duration {
+	return max(4*r.Baseline.P(0.99), 5*time.Millisecond) + r.Slack
 }
 
 // Failures lists every violated gate (empty = campaign passed).
 func (r NetSoakResult) Failures() []string {
 	var fails []string
-	if r.Hung > 0 {
-		fails = append(fails, fmt.Sprintf("%d wire call(s) outlived deadline+grace", r.Hung))
+	st := r.Stats
+	if r.Chaos.Hung > 0 {
+		fails = append(fails, fmt.Sprintf("%d wire call(s) outlived deadline+grace", r.Chaos.Hung))
 	}
-	if r.SilentDrops != 0 {
-		fails = append(fails, fmt.Sprintf("accounting: admitted - terminal = %d (want 0)", r.SilentDrops))
+	if drops := int64(st.Admitted) - int64(st.Terminal()); drops != 0 {
+		fails = append(fails, fmt.Sprintf("accounting: admitted - terminal = %d (want 0)", drops))
 	}
 	for _, sh := range r.Shards {
 		if gap := int64(sh.Stats.Admitted) - int64(sh.Stats.Terminal()); gap != 0 {
 			fails = append(fails, fmt.Sprintf("accounting: %s admitted - terminal = %d (want 0)", sh.Name, gap))
 		}
 	}
-	if r.AccountingGap != 0 {
-		fails = append(fails, fmt.Sprintf("accounting: received - classified = %d (want 0)", r.AccountingGap))
+	if gap := int64(st.Received) - int64(st.Invalid+st.QuotaRejected+st.ClosedRejected+st.Admitted); gap != 0 {
+		fails = append(fails, fmt.Sprintf("accounting: received - classified = %d (want 0)", gap))
 	}
-	if r.Untyped > 0 {
-		fails = append(fails, fmt.Sprintf("%d outcome(s) outside the typed kind set", r.Untyped))
+	if untyped := r.Chaos.Untyped + int(st.Internal); untyped > 0 {
+		fails = append(fails, fmt.Sprintf("%d outcome(s) outside the typed kind set", untyped))
 	}
 	if r.Leaked > 0 {
 		fails = append(fails, fmt.Sprintf("%d goroutine(s) leaked past close", r.Leaked))
 	}
-	if r.ChaosP99 > r.P99Bound {
+	if p99, bound := r.Chaos.P(0.99), r.p99Bound(); p99 > bound {
 		fails = append(fails, fmt.Sprintf("chaos p99 %v exceeds bound %v (baseline %v)",
-			r.ChaosP99, r.P99Bound, r.BaselineP99))
+			p99, bound, r.Baseline.P(0.99)))
 	}
 	if r.Chaos.OK == 0 {
 		fails = append(fails, "chaos campaign completed zero requests")
@@ -161,7 +167,7 @@ func (r NetSoakResult) Failures() []string {
 	if r.PostDrainOK == 0 {
 		fails = append(fails, "zero requests completed after the shard drain")
 	}
-	if r.Stats.Drains == 0 {
+	if st.Drains == 0 {
 		fails = append(fails, "chaos pass recorded no shard drain")
 	}
 	// cost-ledger reconciliation: the tier accumulates tenant, shard and
@@ -195,6 +201,19 @@ func (r NetSoakResult) Failures() []string {
 	return fails
 }
 
+// String is the campaign's one-line report.
+func (r NetSoakResult) String() string {
+	st := r.Stats
+	return fmt.Sprintf("seed %d: %s | ok %d/%d sent (degraded %d, post-drain %d) "+
+		"| invalid %d quota %d deadline %d overload %d no-device %d faulted %d "+
+		"| retries %d drains %d (auto %d) | slow %d crash %d ticks %d "+
+		"| %.0f req/s | p99 %v (baseline %v, bound %v)",
+		r.Seed, mark(len(r.Failures()) == 0), r.Chaos.OK, r.Chaos.Sent, r.Chaos.Degraded, r.PostDrainOK,
+		st.Invalid, st.QuotaRejected, st.Deadlines, st.Overloaded, st.Unavailable, st.Faulted,
+		st.Retries, st.Drains, st.AutoDrains, r.InjectedSlows, r.InjectedCrashes, r.Ticks,
+		r.Chaos.Throughput, r.Chaos.P(0.99), r.Baseline.P(0.99), r.p99Bound())
+}
+
 // costWithin reports a ≤ b in every dimension.
 func costWithin(a, b hwcost.Cost) bool {
 	return a.ComputeCycles <= b.ComputeCycles &&
@@ -219,57 +238,26 @@ func RunNetSoak(seed int64, cfg NetSoakConfig) (NetSoakResult, error) {
 	if cfg.Load.Requests < 4 {
 		return NetSoakResult{}, fmt.Errorf("campaign: net soak needs ≥ 4 requests, got %d", cfg.Load.Requests)
 	}
-	res := NetSoakResult{Seed: seed}
-
 	baseline, err := runNetPass(seed, cfg, false)
 	if err != nil {
-		return res, fmt.Errorf("campaign: net baseline pass: %w", err)
+		return baseline, fmt.Errorf("campaign: net baseline pass: %w", err)
 	}
-	chaos, err := runNetPass(seed, cfg, true)
+	res, err := runNetPass(seed, cfg, true)
 	if err != nil {
 		return res, fmt.Errorf("campaign: net chaos pass: %w", err)
 	}
-
-	res.Baseline = baseline.report
-	res.Chaos = chaos.report
-	res.Stats = chaos.stats
-	res.Shards = chaos.shards
-	res.Cost = chaos.costs
-	res.Hung = chaos.report.Hung
-	res.SilentDrops = int64(chaos.stats.Admitted) - int64(chaos.stats.Terminal())
-	res.AccountingGap = int64(chaos.stats.Received) -
-		int64(chaos.stats.Invalid+chaos.stats.QuotaRejected+chaos.stats.ClosedRejected+chaos.stats.Admitted)
-	res.Untyped = chaos.report.Untyped + int(chaos.stats.Internal)
-	res.Leaked = chaos.leaked
-	res.PostDrainOK = chaos.postDrainOK
-	res.InjectedSlows, res.InjectedCrashes, res.Ticks = chaos.slows, chaos.crashes, chaos.ticks
-	res.BaselineP99 = baseline.report.P(0.99)
-	res.ChaosP99 = chaos.report.P(0.99)
-	// the envelope: chaos may cost one injected stall plus scheduling slack
-	// over an inflated baseline, but never an unbounded stall — that would
-	// mean hedging failed to route around the slow device
-	res.P99Bound = max(4*res.BaselineP99, 5*time.Millisecond) + cfg.SlowDelay + cfg.Load.Grace
+	res.Baseline = baseline.Chaos
 	return res, nil
 }
 
-// netPassTrace is one pass's raw measurements.
-type netPassTrace struct {
-	report         loadgen.Report
-	stats          netserve.Stats
-	shards         []netserve.ShardStatus
-	costs          netserve.CostStats
-	postDrainOK    int
-	slows, crashes int
-	ticks          int
-	leaked         int
-}
-
 // runNetPass stands up a fresh tier behind a loopback listener and drives
-// the full seeded campaign through it. The campaign runs as two segments
-// with distinct seed streams; the chaos pass drains shard-0 synchronously
-// between them, so segment two's completions prove post-drain liveness.
-func runNetPass(seed int64, cfg NetSoakConfig, chaosOn bool) (netPassTrace, error) {
-	var tr netPassTrace
+// the full seeded campaign through it, returning the pass's trace with its
+// report in Chaos (RunNetSoak moves the clean pass's into Baseline). The
+// campaign runs as two segments with distinct seed streams; the chaos pass
+// drains shard-0 synchronously between them, so segment two's completions
+// prove post-drain liveness.
+func runNetPass(seed int64, cfg NetSoakConfig, chaosOn bool) (NetSoakResult, error) {
+	res := NetSoakResult{Seed: seed, Slack: cfg.SlowDelay + cfg.Load.Grace}
 	goroutinesBefore := runtime.NumGoroutine()
 
 	r := rng.New(seed)
@@ -286,15 +274,16 @@ func runNetPass(seed int64, cfg NetSoakConfig, chaosOn bool) (netPassTrace, erro
 	}
 	f, err := netserve.New(specs, cfg.Net)
 	if err != nil {
-		return tr, err
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		f.Close()
-		return tr, err
+		return res, err
 	}
 	hs := &http.Server{Handler: f.Handler()}
+	// an error return tears the tier and the listener down here; after the
+	// audited teardown below both calls are no-ops
+	defer func() { f.Close(); hs.Close() }()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return res, err
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -306,7 +295,7 @@ func runNetPass(seed int64, cfg NetSoakConfig, chaosOn bool) (netPassTrace, erro
 	progress := func(done int) {
 		if cfg.TickEvery > 0 && cfg.Load.Concurrency > 0 &&
 			(done/cfg.Load.Concurrency)%cfg.TickEvery == 0 {
-			tr.ticks++
+			res.Ticks++
 			tickWG.Add(1)
 			go func() { defer tickWG.Done(); f.Tick() }()
 		}
@@ -321,64 +310,53 @@ func runNetPass(seed int64, cfg NetSoakConfig, chaosOn bool) (netPassTrace, erro
 	seg1.Requests = preDrain
 	rep1, err := loadgen.Run(ctx, seed, target, seg1, progress)
 	if err != nil {
-		f.Close()
-		hs.Close()
-		return tr, err
+		return res, err
 	}
 	if chaosOn {
 		// the graceful drain under audit: shard-0 retires between segments
 		// while the tier keeps its listener up
-		if derr := f.DrainShard("shard-0"); derr != nil {
-			f.Close()
-			hs.Close()
-			return tr, fmt.Errorf("drain shard-0: %w", derr)
+		if err := f.DrainShard("shard-0"); err != nil {
+			return res, err
 		}
 	}
 	seg2 := lcfg
 	seg2.Requests = lcfg.Requests - preDrain
 	rep2, err := loadgen.Run(ctx, seed+1, target, seg2, progress)
 	if err != nil {
-		f.Close()
-		hs.Close()
-		return tr, err
+		return res, err
 	}
 	tickWG.Wait()
-	tr.report = rep1
-	tr.report.Merge(rep2)
-	tr.postDrainOK = rep2.OK
+	res.Chaos = rep1
+	res.Chaos.Merge(rep2)
+	res.PostDrainOK = rep2.OK
 
 	// teardown in dependency order: tier first (drains shards), then idle
 	// client connections, then the listener, then the goroutine audit. The
 	// client goes first because Shutdown gives a connection that was dialled
 	// and never used five seconds before it counts it idle — all the time
 	// this Shutdown has.
-	if err := f.Close(); err != nil {
-		hs.Close()
-		return tr, err
-	}
+	f.Close()
 	target.CloseIdle()
 	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 	err = hs.Shutdown(sctx)
 	scancel()
 	if err != nil {
-		return tr, err
+		return res, err
 	}
-	if serr := <-serveErr; serr != nil && serr != http.ErrServerClosed {
-		return tr, serr
+	if serr := <-serveErr; serr != http.ErrServerClosed {
+		return res, serr
 	}
-	tr.stats = f.Stats()
-	tr.shards = f.Status()
-	tr.costs = f.CostStats()
+	res.Stats = f.Stats()
+	res.Shards = f.Status()
+	res.Cost = f.CostStats()
 	chaos.mu.Lock()
-	tr.slows, tr.crashes = chaos.slows, chaos.crashes
+	res.InjectedSlows, res.InjectedCrashes = chaos.slows, chaos.crashes
 	chaos.mu.Unlock()
 
 	settle := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > goroutinesBefore && time.Now().Before(settle) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if extra := runtime.NumGoroutine() - goroutinesBefore; extra > 0 {
-		tr.leaked = extra
-	}
-	return tr, nil
+	res.Leaked = max(runtime.NumGoroutine()-goroutinesBefore, 0)
+	return res, nil
 }

@@ -128,7 +128,6 @@ func TestNetSoakGateDetectsHungTier(t *testing.T) {
 		t.Fatalf("hung %d, want 8", rep.Hung)
 	}
 	res := NetSoakResult{
-		Hung:        rep.Hung,
 		Chaos:       rep,
 		PostDrainOK: 1,
 		Stats:       netserve.Stats{Drains: 1},

@@ -246,7 +246,6 @@ type shard struct {
 	draining atomic.Bool
 	inflight atomic.Int64
 	drainOne sync.Once
-	drainErr error
 }
 
 // live reports whether the dispatcher may place new requests here.
@@ -281,7 +280,6 @@ type Frontend struct {
 
 	closed    atomic.Bool
 	closeOnce sync.Once
-	closeErr  error
 
 	received, invalid, quotaRejected, closedRejected atomic.Uint64
 	admitted, completed, completedDegraded           atomic.Uint64
@@ -542,23 +540,23 @@ func (f *Frontend) noteStarved(sh *shard) {
 // already-admitted request before returning. Requests that picked the shard
 // in the instant before the mark land on serve.ErrClosed and are retried on
 // a neighbouring shard.
-func (f *Frontend) drainShard(sh *shard) error {
+func (f *Frontend) drainShard(sh *shard) {
 	sh.drainOne.Do(func() {
 		sh.draining.Store(true)
 		f.drains.Add(1)
-		sh.drainErr = sh.srv.Close()
+		sh.srv.Close()
 	})
-	return sh.drainErr
 }
 
-// DrainShard gracefully drains one shard by name and returns its drain
-// result. Idempotent; concurrent callers share one drain.
+// DrainShard gracefully drains one shard by name; it fails only on a name
+// the tier does not have. Idempotent; concurrent callers share one drain.
 func (f *Frontend) DrainShard(name string) error {
 	sh, ok := f.byName[name]
 	if !ok {
 		return fmt.Errorf("netserve: unknown shard %q", name)
 	}
-	return f.drainShard(sh)
+	f.drainShard(sh)
+	return nil
 }
 
 // Tick runs one supervised monitoring round on every live shard and returns
@@ -656,23 +654,19 @@ func (f *Frontend) DeviceCosts() map[string]map[string]hwcost.CostBreakdown {
 
 // Close drains the whole tier: new requests are refused with
 // ErrFrontendClosed, every shard drains concurrently (each admitted request
-// still reaches its terminal outcome), and the first error any drain
-// produced is returned. Idempotent and safe for concurrent callers — all of
-// them share the one drain and its result.
-func (f *Frontend) Close() error {
+// still reaches its terminal outcome). Idempotent and safe for concurrent
+// callers — all of them share the one drain and return once it is done.
+func (f *Frontend) Close() {
 	f.closeOnce.Do(func() {
 		f.closed.Store(true)
-		errs := make([]error, len(f.shards))
 		var wg sync.WaitGroup
-		for i, sh := range f.shards {
+		for _, sh := range f.shards {
 			wg.Add(1)
-			go func(i int, sh *shard) {
+			go func(sh *shard) {
 				defer wg.Done()
-				errs[i] = f.drainShard(sh)
-			}(i, sh)
+				f.drainShard(sh)
+			}(sh)
 		}
 		wg.Wait()
-		f.closeErr = errors.Join(errs...)
 	})
-	return f.closeErr
 }

@@ -68,9 +68,7 @@ func TestTierRefusesStoreWithHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Tick()
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	f.Close()
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}

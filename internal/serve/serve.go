@@ -292,7 +292,6 @@ type Server struct {
 	admitMu     sync.RWMutex // guards closed + the enqueue-vs-close race
 	closed      bool
 	closeOnce   sync.Once
-	closeErr    error
 
 	rootCtx context.Context
 	cancel  context.CancelFunc
@@ -730,10 +729,9 @@ func NewStation(dev fleet.Device) *Station { return fleet.NewStation(dev) }
 // still receives its Response or typed error), waits for all background
 // attempts to land, and returns. Close is idempotent and safe for concurrent
 // callers: exactly one caller performs the drain, every other call — racing
-// or later — blocks until that drain completes and then returns the first
-// call's result, so no caller can observe a half-drained server or race the
-// queue teardown.
-func (s *Server) Close() error {
+// or later — blocks until that drain completes, so no caller can observe a
+// half-drained server or race the queue teardown.
+func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.admitMu.Lock()
 		s.closed = true
@@ -744,5 +742,4 @@ func (s *Server) Close() error {
 		s.workerWG.Wait()
 		s.attemptWG.Wait()
 	})
-	return s.closeErr
 }

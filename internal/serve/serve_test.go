@@ -563,15 +563,11 @@ func TestCloseDrainsWithoutLeaks(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	s.Close()
 	if _, err := s.Do(context.Background(), requestBatch(99), serve.Bulk); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("Do after Close returned %v, want ErrClosed", err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal("second Close failed:", err)
-	}
+	s.Close() // a second Close returns at once
 
 	st := s.Stats()
 	if st.Admitted != st.Terminal() {
@@ -582,8 +578,8 @@ func TestCloseDrainsWithoutLeaks(t *testing.T) {
 
 // TestCloseConcurrentCallersShareOneDrain: Close must be idempotent under
 // concurrent callers — exactly one drain runs, every caller (racing or late)
-// blocks until it completes and returns the first call's result, and each
-// finds admission shut once its Close returns.
+// blocks until it completes, and each finds admission shut once its Close
+// returns.
 func TestCloseConcurrentCallersShareOneDrain(t *testing.T) {
 	devs := testDevices(2)
 	devs[0].set(func(d *servDevice) { d.delay = 10 * time.Millisecond })
@@ -600,14 +596,13 @@ func TestCloseConcurrentCallersShareOneDrain(t *testing.T) {
 	waitFor(t, func() bool { return s.Stats().Admitted >= 4 })
 
 	const closers = 8
-	errs := make([]error, closers)
 	after := make([]error, closers)
 	var closeWG sync.WaitGroup
 	for i := 0; i < closers; i++ {
 		closeWG.Add(1)
 		go func(i int) {
 			defer closeWG.Done()
-			errs[i] = s.Close()
+			s.Close()
 			_, after[i] = s.Do(context.Background(), requestBatch(-1), serve.Bulk)
 		}(i)
 	}
@@ -615,9 +610,6 @@ func TestCloseConcurrentCallersShareOneDrain(t *testing.T) {
 	reqWG.Wait()
 
 	for i := 0; i < closers; i++ {
-		if errs[i] != errs[0] {
-			t.Fatalf("closer %d returned %v, closer 0 returned %v — drain result not shared", i, errs[i], errs[0])
-		}
 		if !errors.Is(after[i], serve.ErrClosed) {
 			t.Fatalf("closer %d: Do after Close returned %v, want ErrClosed", i, after[i])
 		}
