@@ -165,6 +165,10 @@ func TestLifetimeSoakGates(t *testing.T) {
 		{pass, "  verdict  PASS"},
 		{overspent, "  spend    FAIL  ladder=5 retrain-only=4\n"},
 		{overspent, "  verdict  FAIL"},
+		// no device serves in both arms: there is no common floor to compare
+		{with(func(r *LifetimeSoakResult) {
+			r.RetrainOnly.FinalSnapshot = map[string]fleet.DeviceSnapshot{"d": {Retired: true}, "e": {Retired: true}}
+		}), "  fidelity PASS  common floor ladder=0.0000 retrain-only=0.0000 (serving 2 vs 0)\n"},
 	} {
 		if got := tc.res.String(); !strings.Contains(got, tc.want) {
 			t.Errorf("verdict table %q lacks %q", got, tc.want)
